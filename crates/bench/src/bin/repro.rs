@@ -40,8 +40,8 @@
 //! `fleet` (not part of `all`, for the same reason) runs Q6 scattered
 //! across a fleet of Smart SSDs over the full linked session protocol: a
 //! scaling sweep from 1 to 64 shards, then a degradation matrix on 16
-//! devices (healthy vs one crashed device, breaker off vs on, straggler
-//! speculation enabled). Writes both curves to `BENCH_fleet.json`.
+//! devices (healthy vs one crashed device, breaker off vs on). Writes both
+//! curves to `BENCH_fleet.json`.
 //!
 //! `serving` (not part of `all`, for the same reason) treats the Smart SSD
 //! as a shared production resource: an open-system Poisson Q6 load sweep
@@ -638,14 +638,16 @@ fn run_fleet(s: &Scales, quick: bool) {
     }
     println!();
     println!(
-        "  degradation matrix ({} devices, {stream_len}-query Q6 stream, speculation on):",
+        "  degradation matrix ({} devices, {stream_len}-query Q6 stream):",
         FLEET_DEGRADE_DEVICES
     );
-    println!("  scenario   breaker  dead  thruput[qps]  of-ideal  p95[ms]  fallbacks  host-runs  spec  match");
+    println!(
+        "  scenario   breaker  dead  thruput[qps]  of-ideal  p95[ms]  fallbacks  host-runs  match"
+    );
     let mut degrade_entries = String::new();
     for p in &r.degradation {
         println!(
-            "  {:<9}  {:>7}  {:>4}  {:>12.3}  {:>8.2}  {:>7.2}  {:>9}  {:>9}  {:>4}  {:>5}",
+            "  {:<9}  {:>7}  {:>4}  {:>12.3}  {:>8.2}  {:>7.2}  {:>9}  {:>9}  {:>5}",
             p.label,
             if p.breaker { "on" } else { "off" },
             p.dead_devices,
@@ -654,7 +656,6 @@ fn run_fleet(s: &Scales, quick: bool) {
             p.p95_ms,
             p.fallbacks,
             p.host_shard_runs,
-            p.speculated,
             if p.matches_clean { "yes" } else { "NO" },
         );
         if !degrade_entries.is_empty() {
@@ -664,7 +665,7 @@ fn run_fleet(s: &Scales, quick: bool) {
             "    {{\"scenario\": \"{}\", \"breaker\": {}, \"dead_devices\": {}, \
              \"queries\": {}, \"throughput_qps\": {:.6}, \"of_ideal\": {:.6}, \
              \"p95_ms\": {:.6}, \"fallbacks\": {}, \"host_shard_runs\": {}, \
-             \"speculated\": {}, \"spec_wins\": {}, \"matches_clean\": {}, \"faults\": {}}}",
+             \"matches_clean\": {}, \"faults\": {}}}",
             p.label,
             p.breaker,
             p.dead_devices,
@@ -674,8 +675,6 @@ fn run_fleet(s: &Scales, quick: bool) {
             p.p95_ms,
             p.fallbacks,
             p.host_shard_runs,
-            p.speculated,
-            p.spec_wins,
             p.matches_clean,
             p.faults.to_json()
         ));

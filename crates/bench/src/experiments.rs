@@ -321,14 +321,22 @@ pub struct ArrayPoint {
 }
 
 /// Discussion-section extension: Q6-shaped aggregation over a LINEITEM
-/// partitioned across an array of Smart SSDs.
+/// partitioned across an array of Smart SSDs — a fleet whose sessions open
+/// in place at time zero (`InterfaceMode::Direct`), the minimal coordinator
+/// the paper sketches.
 pub fn array_exp(s: &Scales, device_counts: &[usize]) -> Vec<ArrayPoint> {
-    use smartssd::SmartSsdArray;
+    use smartssd::{FleetOptions, InterfaceMode, SmartSsdFleet};
     device_counts
         .iter()
         .map(|&n| {
-            let mut arr =
-                SmartSsdArray::new(n, SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax));
+            let mut arr = SmartSsdFleet::with_options(
+                n,
+                SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax),
+                FleetOptions {
+                    interface: InterfaceMode::Direct,
+                    ..FleetOptions::default()
+                },
+            );
             arr.load_partitioned(
                 queries::LINEITEM,
                 &tpch::lineitem_schema(),
@@ -339,7 +347,7 @@ pub fn array_exp(s: &Scales, device_counts: &[usize]) -> Vec<ArrayPoint> {
             let r = arr.run_agg(&q6()).expect("array q6");
             ArrayPoint {
                 devices: n,
-                elapsed: r.elapsed,
+                elapsed: r.result.elapsed,
             }
         })
         .collect()
@@ -1361,10 +1369,6 @@ pub struct FleetDegradePoint {
     pub fallbacks: u64,
     /// Shard runs that ended on the host route.
     pub host_shard_runs: u64,
-    /// Shards raced by a speculative host re-run.
-    pub speculated: u64,
-    /// Speculative re-runs that beat the device session.
-    pub spec_wins: u64,
     /// Whether a post-stream Q6 answer is bit-identical to the healthy
     /// fleet's.
     pub matches_clean: bool,
@@ -1420,8 +1424,7 @@ fn tpch_fleet(
 /// Two sweeps: (1) scaling — one cold Q6 per shard count in
 /// `device_counts`, speedup measured against the single-device fleet; and
 /// (2) degradation — a `stream_len`-query Q6 stream on a 16-device fleet,
-/// healthy vs one crashed device, breaker off vs on, with straggler
-/// speculation enabled. With the breaker off every query keeps probing the
+/// healthy vs one crashed device, breaker off vs on. With the breaker off every query keeps probing the
 /// dead device and pays its firmware reset latency before falling back;
 /// with it on the breaker trips after the first failures and later queries
 /// route that shard straight to the host block path — a separate failure
@@ -1434,7 +1437,7 @@ pub fn fleet_exp(
 ) -> Result<FleetResult, RunError> {
     use smartssd::FleetOptions;
 
-    // Sweep 1: scaling. Pure scatter/gather, no speculation.
+    // Sweep 1: scaling. Pure scatter/gather.
     let mut scaling = Vec::new();
     let mut base = None;
     for &n in device_counts {
@@ -1449,12 +1452,7 @@ pub fn fleet_exp(
         });
     }
 
-    // Sweep 2: degradation under a crashed device, with straggler
-    // speculation on (a dead shard is the ultimate straggler).
-    let spec_opts = || FleetOptions {
-        speculate: true,
-        ..FleetOptions::default()
-    };
+    // Sweep 2: degradation under a crashed device.
     let stream: Vec<_> = (0..stream_len).map(|_| q6()).collect();
     let n = FLEET_DEGRADE_DEVICES;
     let mut degradation = Vec::new();
@@ -1465,7 +1463,7 @@ pub fn fleet_exp(
         ("one-dead", 1usize, false),
         ("one-dead", 1usize, true),
     ] {
-        let mut fleet = tpch_fleet(n, s, spec_opts(), breaker);
+        let mut fleet = tpch_fleet(n, s, FleetOptions::default(), breaker);
         for d in 0..dead {
             fleet.device_mut(d).config_mut().fault_rates.crash_rate = u32::MAX;
         }
@@ -1500,8 +1498,6 @@ pub fn fleet_exp(
             p95_ms: rep.latency.p95.as_secs_f64() * 1e3,
             fallbacks: rep.fallbacks,
             host_shard_runs: rep.host_shard_runs,
-            speculated: rep.speculated,
-            spec_wins: rep.spec_wins,
             matches_clean,
             faults: rep.faults,
         });

@@ -65,6 +65,21 @@ pub enum ConfigError {
         /// The out-of-range tenant index.
         tenant: usize,
     },
+    /// A Smart SSD with zero session slots could never admit a query.
+    ZeroSessionSlots,
+    /// A Smart SSD needs at least one embedded core to run sessions on.
+    ZeroDeviceCores,
+    /// A Smart SSD's embedded clock must be positive.
+    ZeroDeviceClock,
+    /// A Smart SSD's `GET` result buffer is below one 4 KiB block.
+    ResultBufferTooSmall {
+        /// The configured buffer size, bytes.
+        bytes: u64,
+    },
+    /// A fleet needs at least one device.
+    EmptyFleet,
+    /// The fleet's hedge trigger factor is negative or not finite.
+    InvalidHedgeFactor,
 }
 
 impl fmt::Display for ConfigError {
@@ -109,6 +124,23 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::UnknownTenant { tenant } => {
                 write!(f, "workload item references unregistered tenant {tenant}")
+            }
+            ConfigError::ZeroSessionSlots => {
+                write!(f, "a Smart SSD needs at least one session slot")
+            }
+            ConfigError::ZeroDeviceCores => {
+                write!(f, "a Smart SSD needs at least one device core")
+            }
+            ConfigError::ZeroDeviceClock => {
+                write!(f, "a Smart SSD's device clock must be positive")
+            }
+            ConfigError::ResultBufferTooSmall { bytes } => write!(
+                f,
+                "result buffer of {bytes} bytes is below one 4096-byte block"
+            ),
+            ConfigError::EmptyFleet => write!(f, "a fleet needs at least one device"),
+            ConfigError::InvalidHedgeFactor => {
+                write!(f, "hedge_factor must be finite and non-negative")
             }
         }
     }
@@ -334,13 +366,32 @@ impl SystemBuilder {
     /// tracer into every timeline-owning component. This is the checked
     /// front door; [`SystemBuilder::build`] panics on the same conditions.
     pub fn try_build(self) -> Result<System, ConfigError> {
-        self.validate()?;
+        self.validate(self.cfg.device == DeviceKind::SmartSsd)?;
         Ok(System::assemble(self.cfg, self.tracer))
     }
 
     /// Shared configuration validation for [`SystemBuilder::try_build`] and
-    /// [`SystemBuilder::try_build_fleet`].
-    fn validate(&self) -> Result<(), ConfigError> {
+    /// [`SystemBuilder::try_build_fleet`]. The Smart SSD runtime resources
+    /// are checked only when the build instantiates one (`smart`), ahead of
+    /// the device's own construction-time assertions.
+    fn validate(&self, smart: bool) -> Result<(), ConfigError> {
+        let dev = &self.cfg.smart;
+        if smart {
+            if dev.cpu_cores == 0 {
+                return Err(ConfigError::ZeroDeviceCores);
+            }
+            if dev.cpu_hz == 0 {
+                return Err(ConfigError::ZeroDeviceClock);
+            }
+            if dev.max_sessions == 0 {
+                return Err(ConfigError::ZeroSessionSlots);
+            }
+            if dev.result_buffer_bytes < 4096 {
+                return Err(ConfigError::ResultBufferTooSmall {
+                    bytes: dev.result_buffer_bytes,
+                });
+            }
+        }
         let sp = &self.cfg.session_policy;
         if sp.backoff_cap < sp.poll_backoff {
             return Err(ConfigError::BackoffCapBelowPoll {
@@ -370,13 +421,20 @@ impl SystemBuilder {
     /// configuration, wiring the tracer into the shared link and host CPU.
     /// Each device gets its own circuit breaker built from the configured
     /// [`BreakerPolicy`], its own crash domain, and its own host-side read
-    /// state for block-path fallback.
+    /// state for block-path fallback. An empty fleet and a hedge factor
+    /// that is negative or not finite are configuration errors too.
     pub fn try_build_fleet(
         self,
         n: usize,
         opts: FleetOptions,
     ) -> Result<SmartSsdFleet, ConfigError> {
-        self.validate()?;
+        self.validate(true)?;
+        if n == 0 {
+            return Err(ConfigError::EmptyFleet);
+        }
+        if !(opts.hedge_factor.is_finite() && opts.hedge_factor >= 0.0) {
+            return Err(ConfigError::InvalidHedgeFactor);
+        }
         Ok(SmartSsdFleet::assemble(n, self.cfg, opts, self.tracer))
     }
 
@@ -507,6 +565,60 @@ mod tests {
             .breaker(off)
             .try_build()
             .is_ok());
+    }
+
+    /// The checked front door returns every degenerate Smart SSD runtime
+    /// configuration as a value instead of reaching the device's
+    /// construction-time assertions — for a single system and for a fleet.
+    #[test]
+    fn try_build_rejects_degenerate_device_resources() {
+        type Tweak = fn(&mut SystemConfig);
+        let cases: [(Tweak, ConfigError); 4] = [
+            (|c| c.smart.max_sessions = 0, ConfigError::ZeroSessionSlots),
+            (|c| c.smart.cpu_cores = 0, ConfigError::ZeroDeviceCores),
+            (|c| c.smart.cpu_hz = 0, ConfigError::ZeroDeviceClock),
+            (
+                |c| c.smart.result_buffer_bytes = 4095,
+                ConfigError::ResultBufferTooSmall { bytes: 4095 },
+            ),
+        ];
+        for (tweak, want) in cases {
+            let smart = || SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).tweak(tweak);
+            assert_eq!(smart().try_build().map(|_| ()).unwrap_err(), want);
+            let fleet = smart().try_build_fleet(2, FleetOptions::default());
+            assert_eq!(fleet.map(|_| ()).unwrap_err(), want);
+            // A system that never instantiates the Smart SSD runtime does
+            // not care what its (unused) configuration says.
+            assert!(SystemBuilder::new(DeviceKind::Ssd, Layout::Pax)
+                .tweak(tweak)
+                .try_build()
+                .is_ok());
+        }
+    }
+
+    #[test]
+    fn try_build_fleet_rejects_an_empty_fleet() {
+        let err = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+            .try_build_fleet(0, FleetOptions::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err, ConfigError::EmptyFleet);
+        assert!(err.to_string().contains("at least one device"));
+    }
+
+    #[test]
+    fn try_build_fleet_rejects_a_junk_hedge_factor() {
+        for hedge_factor in [-0.5, f64::NAN, f64::INFINITY] {
+            let opts = FleetOptions {
+                hedge_factor,
+                ..FleetOptions::default()
+            };
+            let err = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+                .try_build_fleet(4, opts)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err, ConfigError::InvalidHedgeFactor, "{hedge_factor}");
+        }
     }
 
     #[test]

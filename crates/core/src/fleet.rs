@@ -6,7 +6,9 @@
 //! coordinator that stages computation across an array of Smart SSDs, making
 //! the system look like a parallel DBMS with the master node being the host
 //! server, and the worker nodes ... being the Smart SSDs." This module is
-//! that coordinator, done right:
+//! that coordinator. Each member is the same per-device `Shard` a
+//! single-device [`System`](crate::System) is built on, so the host block
+//! path, the breaker bookkeeping and the fallback rule exist once:
 //!
 //! - **Sharding.** A table is horizontally partitioned round-robin across N
 //!   devices; each device holds its own partition image and catalog entry
@@ -16,22 +18,24 @@
 //!   [`SessionPolicy`](smartssd_query::SessionPolicy)
 //!   (bounded `GET` retries, exponential backoff, session timeout). In
 //!   [`InterfaceMode::Linked`] the `OPEN` payloads serialize over the shared
-//!   host link, exactly like single-device device-routed runs.
+//!   host link, exactly like single-device device-routed runs; in
+//!   [`InterfaceMode::Direct`] sessions open in place at time zero (the
+//!   `repro array` experiment's shape).
 //! - **Gather.** Aggregate partials return over the shared link (the bus
 //!   serializes them) and merge on the host; finalization happens once, on
 //!   the merged states, so non-distributive aggregates like AVG stay exact.
 //! - **Failure awareness.** Every device carries its own
-//!   [`CircuitBreaker`] and is its own crash domain: a recoverable session
-//!   fault (uncorrectable flash, firmware crash, hang, timeout) degrades
-//!   *that shard only* to the host block path — a separate failure domain
-//!   that survives firmware crashes — while the other N−1 shards proceed on
-//!   the device route. One dead device out of 16 costs roughly one shard of
-//!   throughput, not an outage.
-//! - **Straggler recovery.** Optionally, once the other N−1 shards have
-//!   gathered, the slowest shard is speculatively re-run on the host block
-//!   path; whichever of the device session and the host re-run finishes
-//!   first supplies the partial. Speculation never changes answers, only
-//!   timing (both compute the same partial over the same rows).
+//!   [`CircuitBreaker`](crate::CircuitBreaker) and is its own crash domain:
+//!   a recoverable session fault (uncorrectable flash, firmware crash, hang,
+//!   timeout) degrades *that shard only* to the host block path — a
+//!   separate failure domain that survives firmware crashes — while the
+//!   other N−1 shards proceed on the device route. One dead device out of
+//!   16 costs roughly one shard of throughput, not an outage.
+//! - **Hedged reads.** Optionally, every live shard whose completion
+//!   estimate lags the fleet median is raced by a host block-path re-run,
+//!   under a fleet-wide retry budget; whichever copy finishes first supplies
+//!   the partial. Hedging never changes answers, only timing (both compute
+//!   the same partial over the same rows).
 //!
 //! Device executions are embarrassingly parallel: each [`SmartSsd`] owns
 //! private timelines, so the fleet runs the open/execute phase on real
@@ -39,24 +43,21 @@
 //! worker-thread panic is caught at join and surfaced as
 //! [`RunErrorKind::DeviceThread`] instead of aborting the process.
 
-use crate::breaker::{BreakerTransition, CircuitBreaker};
+use crate::breaker::BreakerTransition;
+use crate::builder::SystemBuilder;
 use crate::config::SystemConfig;
-use crate::system::{RunError, RunErrorKind, System};
-use crate::workload::{ArrivalOutcome, FailedQuery, InterfaceMode, QueryCompletion};
+use crate::shard::{host_pass, host_side, Fallen, Shard};
+use crate::system::{RunError, RunErrorKind};
+use crate::workload::{Acct, ArrivalOutcome, InterfaceMode, QueryCompletion};
 use smartssd_device::{DeviceError, SessionId, SmartSsd};
 use smartssd_exec::{encode_op, QueryOp, WorkCounts};
-use smartssd_host::{BufferPool, CommandState, LinkedFlashView};
-use smartssd_query::{
-    Catalog, HostEngine, Query, QueryResult, RawRun, Route, SessionDriver, SessionError,
-    SessionOutcome,
-};
+use smartssd_query::{Catalog, Query, QueryResult, RawRun, Route, SessionDriver, SessionFault};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
-    mb_per_sec, Bus, CpuModel, FaultCounters, Interval, LatencyStats, RunTrace, SimTime,
-    TraceLevel, Tracer,
+    Bus, CpuModel, FaultCounters, Interval, LatencyStats, RunTrace, SimTime, TraceLevel, Tracer,
 };
 use smartssd_storage::expr::AggState;
-use smartssd_storage::{PageDecodeCache, Schema, TableBuilder, Tuple};
+use smartssd_storage::{Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
 /// Coordinator knobs for a [`SmartSsdFleet`].
@@ -65,27 +66,15 @@ pub struct FleetOptions {
     /// How sessions reach the devices. [`InterfaceMode::Linked`] (the
     /// default) marshals every `OPEN` over the shared host link before the
     /// device starts executing — the full protocol. [`InterfaceMode::Direct`]
-    /// opens sessions in place at time zero, reproducing the legacy
-    /// `SmartSsdArray` timing bit-for-bit; results crossing the link on
+    /// opens sessions in place at time zero; results crossing the link on
     /// gather are charged identically in both modes.
     pub interface: InterfaceMode,
-    /// Straggler recovery: once the other N−1 shards have gathered,
-    /// speculatively re-run the slowest shard on the host block path and
-    /// take whichever copy finishes first. Off by default (speculation burns
-    /// real link and host-CPU time).
-    pub speculate: bool,
-    /// Speculation trigger: the slowest shard is re-run only when its
-    /// device-side completion estimate exceeds `straggler_factor` times the
-    /// second-slowest shard's. `0.0` speculates on every run's slowest
-    /// shard; the default `1.25` only fires on genuinely skewed shards.
-    pub straggler_factor: f64,
     /// Hedged shard reads: every live shard whose device-side completion
     /// estimate exceeds `hedge_factor` times the *median* estimate is raced
-    /// by a host block-path re-run, guarded by the retry budget. This
-    /// generalizes `speculate` (which races only the single slowest shard)
-    /// to gray fleets where several shards limp at once. Hedging never
-    /// changes answers — both copies compute the same partial — only
-    /// timing. Off by default.
+    /// by a host block-path re-run, guarded by the retry budget — the shape
+    /// a gray fleet needs, where several shards may limp at once. Hedging
+    /// never changes answers — both copies compute the same partial — only
+    /// timing. Off by default (a hedge burns real link and host-CPU time).
     pub hedge: bool,
     /// Hedge trigger: a shard is hedged when its completion estimate
     /// exceeds `hedge_factor` times the median estimate across live
@@ -107,8 +96,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         Self {
             interface: InterfaceMode::Linked,
-            speculate: false,
-            straggler_factor: 1.25,
             hedge: false,
             hedge_factor: 1.5,
             hedge_budget: 2,
@@ -156,20 +143,6 @@ impl RetryBudget {
     }
 }
 
-/// One device plus everything the host keeps per shard: the partition
-/// catalog, the device's circuit breaker, and the host-side read state
-/// (buffer pool, command batching, fault counters, decode memo) its block
-/// path uses when this shard degrades to host execution.
-struct FleetShard {
-    dev: SmartSsd,
-    catalog: Catalog,
-    breaker: CircuitBreaker,
-    pool: BufferPool,
-    cmd: CommandState,
-    host_faults: FaultCounters,
-    page_cache: PageDecodeCache,
-}
-
 /// How one shard of one query run went.
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
@@ -181,10 +154,6 @@ pub struct ShardOutcome {
     pub finished_at: SimTime,
     /// A recoverable session fault degraded this shard to the host path.
     pub fell_back: bool,
-    /// A speculative host re-run raced this shard's device session.
-    pub speculated: bool,
-    /// The speculative host re-run finished first.
-    pub spec_won: bool,
     /// A hedged host re-run raced this shard's device session.
     pub hedged: bool,
     /// The hedged host re-run supplied the shard's partial: it finished
@@ -205,10 +174,6 @@ pub struct FleetReport {
     pub faults: FaultCounters,
     /// Per-device breaker transitions, re-based onto this run's timeline.
     pub breaker_transitions: Vec<(usize, BreakerTransition)>,
-    /// Shards raced by a speculative host re-run.
-    pub speculated: u64,
-    /// Speculative re-runs that beat the device session.
-    pub spec_wins: u64,
     /// The run's trace, if a sink was attached.
     pub trace: RunTrace,
 }
@@ -221,12 +186,12 @@ pub struct FleetReport {
 pub struct FleetStreamReport {
     /// One terminal [`ArrivalOutcome`] per stream query, in submission
     /// order — the same exhaustive outcome type
-    /// [`WorkloadReport`](crate::WorkloadReport) uses, so fleet streams
-    /// and single-device workloads share one accounting vocabulary. In a
-    /// closed-loop stream each query "arrives" when its predecessor
-    /// finishes; a query that dies on an unrecoverable error is recorded
-    /// as [`ArrivalOutcome::Failed`] and ends the stream (the partial
-    /// report is still returned).
+    /// [`WorkloadReport`](crate::WorkloadReport) uses, recorded through the
+    /// same accounting, so fleet streams and single-device workloads share
+    /// one vocabulary. In a closed-loop stream each query "arrives" when
+    /// its predecessor finishes; a query that dies on an unrecoverable
+    /// error is recorded as [`ArrivalOutcome::Failed`] and ends the stream
+    /// (the partial report is still returned).
     pub outcomes: Vec<ArrivalOutcome>,
     /// Queries that failed on an unrecoverable error (0 or 1: a failure
     /// ends the stream).
@@ -246,13 +211,10 @@ pub struct FleetStreamReport {
     pub host_shard_runs: u64,
     /// Shards that degraded mid-run after a recoverable session fault.
     pub fallbacks: u64,
-    /// Shards raced by a speculative host re-run.
-    pub speculated: u64,
-    /// Speculative re-runs that beat the device session.
-    pub spec_wins: u64,
 }
 
 /// Per-shard state between the scatter and gather phases.
+#[derive(Clone, Copy)]
 enum ShardPhase {
     /// A live device session (id, `OPEN` completion time).
     Session(SessionId, SimTime),
@@ -261,11 +223,41 @@ enum ShardPhase {
     Host { from: SimTime, fell_back: bool },
 }
 
+/// One query's scatter/gather state: the protocol driver, the breaker
+/// stamp, the still-open sessions (so every error path can close them),
+/// and the merge in progress.
+struct Gather {
+    driver: SessionDriver,
+    /// The breaker clock at the start of the run; every sample of the run
+    /// is stamped with it.
+    base: SimTime,
+    budget: RetryBudget,
+    sids: Vec<Option<SessionId>>,
+    merged: Option<Vec<AggState>>,
+    work: WorkCounts,
+    outcomes: Vec<ShardOutcome>,
+    /// The gather frontier: the host has consumed every earlier shard's
+    /// partial by this instant.
+    t: SimTime,
+}
+
+impl Gather {
+    /// Folds a host block-path pass into the merge as shard `d`'s partial.
+    fn take_host(&mut self, d: usize, raw: RawRun) {
+        merge_partials(&mut self.merged, raw.aggs);
+        self.work.absorb(&raw.work);
+        self.outcomes[d].route = Route::Host;
+        self.outcomes[d].finished_at = raw.end;
+    }
+}
+
 /// A host coordinating N Smart SSDs as one parallel query engine.
 pub struct SmartSsdFleet {
     cfg: SystemConfig,
     opts: FleetOptions,
-    shards: Vec<FleetShard>,
+    shards: Vec<Shard>,
+    /// Each device's partition catalog, by device index.
+    catalogs: Vec<Catalog>,
     link: Bus,
     host_cpu: CpuModel,
     next_lba: u64,
@@ -279,53 +271,39 @@ pub struct SmartSsdFleet {
 impl SmartSsdFleet {
     /// Builds a fleet of `n` identical devices with default coordinator
     /// options.
+    ///
+    /// # Panics
+    ///
+    /// Like [`SystemBuilder::build_fleet`], on an invalid configuration or
+    /// `n == 0`.
     pub fn new(n: usize, cfg: SystemConfig) -> Self {
         Self::with_options(n, cfg, FleetOptions::default())
     }
 
     /// Builds a fleet of `n` identical devices.
+    ///
+    /// # Panics
+    ///
+    /// Like [`SystemBuilder::build_fleet`], on an invalid configuration or
+    /// `n == 0`.
     pub fn with_options(n: usize, cfg: SystemConfig, opts: FleetOptions) -> Self {
-        Self::assemble(n, cfg, opts, Tracer::none())
+        SystemBuilder::from_config(cfg).build_fleet(n, opts)
     }
 
+    /// Assembles a fleet from a configuration
+    /// [`SystemBuilder::try_build_fleet`] has validated.
     pub(crate) fn assemble(
         n: usize,
         cfg: SystemConfig,
         opts: FleetOptions,
         tracer: Tracer,
     ) -> Self {
-        assert!(n >= 1, "fleet needs at least one device");
-        assert!(
-            opts.straggler_factor.is_finite() && opts.straggler_factor >= 0.0,
-            "straggler_factor must be finite and non-negative"
-        );
-        assert!(
-            opts.hedge_factor.is_finite() && opts.hedge_factor >= 0.0,
-            "hedge_factor must be finite and non-negative"
-        );
-        let shards = (0..n)
-            .map(|_| FleetShard {
-                dev: SmartSsd::new(cfg.flash.clone(), cfg.smart.clone()),
-                catalog: Catalog::new(),
-                breaker: CircuitBreaker::new(cfg.breaker),
-                pool: BufferPool::new(cfg.bufferpool_pages),
-                cmd: CommandState::default(),
-                host_faults: FaultCounters::default(),
-                page_cache: PageDecodeCache::new(),
-            })
-            .collect();
-        let mut link = Bus::new(
-            "host-interface",
-            mb_per_sec(cfg.interface.effective_mbps()),
-            0,
-        );
-        link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
-        let mut host_cpu = CpuModel::new("host-cpu", cfg.host_cpu_cores, cfg.host_cpu_hz);
-        host_cpu.set_tracer(tracer.clone(), pid::HOST_CPU);
+        let (link, host_cpu) = host_side(&cfg, &tracer);
         Self {
+            shards: (0..n).map(|_| Shard::new(&cfg)).collect(),
+            catalogs: vec![Catalog::new(); n],
             cfg,
             opts,
-            shards,
             link,
             host_cpu,
             next_lba: 0,
@@ -409,7 +387,7 @@ impl SmartSsdFleet {
                 .dev
                 .load_table(&img, first_lba)
                 .map_err(RunError::from)?;
-            self.shards[d].catalog.register(name, tref);
+            self.catalogs[d].register(name, tref);
         }
         self.next_lba = first_lba + max_pages;
         Ok(())
@@ -430,14 +408,12 @@ impl SmartSsdFleet {
 
     /// Resets per-run timing state: device timelines, the shared link, the
     /// host CPU, command batching, and host-side fault counters. Breaker
-    /// state and buffer pools persist (like [`System`] runs).
+    /// state and buffer pools persist (like [`System`](crate::System) runs).
     fn reset_run_timing(&mut self) {
         self.host_cpu.reset();
         self.link.reset();
         for shard in &mut self.shards {
-            shard.dev.reset_timing();
-            shard.cmd.reset();
-            shard.host_faults = FaultCounters::default();
+            shard.reset_timing();
         }
     }
 
@@ -446,76 +422,65 @@ impl SmartSsdFleet {
     fn collected_faults(&self) -> FaultCounters {
         let mut f = self.run_faults;
         for shard in &self.shards {
-            f.absorb(&shard.dev.fault_counters());
-            f.absorb(&shard.host_faults);
+            f.absorb(&shard.faults());
         }
         f
     }
 
-    /// Best-effort CLOSE of every still-open session — the cleanup every
-    /// error path runs so a failed scatter/gather never leaks sessions on
-    /// not-yet-gathered devices.
-    fn close_open_sessions(&mut self, sids: &mut [Option<SessionId>]) {
+    /// Wraps an error for return: best-effort CLOSE of every still-open
+    /// session — so a failed scatter/gather never leaks sessions on
+    /// not-yet-gathered devices — and the faults accumulated up to the
+    /// failure attached.
+    fn fail(&mut self, sids: &mut [Option<SessionId>], mut err: RunError) -> RunError {
         for (d, slot) in sids.iter_mut().enumerate() {
             if let Some(sid) = slot.take() {
                 let _ = self.shards[d].dev.close(sid);
             }
         }
+        err.faults = Box::new(self.collected_faults());
+        err
     }
 
-    /// Wraps an error for return: closes every open session and attaches
-    /// the faults accumulated up to the failure.
-    fn fail(&mut self, sids: &mut [Option<SessionId>], err: RunError) -> RunError {
-        self.close_open_sessions(sids);
-        let mut e = err;
-        e.faults = Box::new(self.collected_faults());
-        e
-    }
-
-    /// Runs one shard's operator on the host block path (the per-device
+    /// Runs shard `d`'s operator on the host block path (the per-device
     /// read state + the shared link), returning the raw pass so the
     /// caller can merge its aggregate states with other shards' partials.
-    fn run_host_shard(&mut self, d: usize, op: &QueryOp, now: SimTime) -> Result<RawRun, RunError> {
-        let costs = self.cfg.host_costs;
-        let dop = self.cfg.host_dop;
+    fn host_shard(&mut self, d: usize, op: &QueryOp, now: SimTime) -> Result<RawRun, RunError> {
         let cmd_latency = self.cfg.interface.command_latency_ns();
-        let tracer = self.tracer.clone();
-        let shard = &mut self.shards[d];
-        let mut view = LinkedFlashView {
-            ssd: &mut shard.dev.flash,
-            link: &mut self.link,
-            pool: &mut shard.pool,
-            cmd: &mut shard.cmd,
-            cmd_latency_ns: cmd_latency,
-            faults: &mut shard.host_faults,
-            page_cache: &mut shard.page_cache,
-        };
-        HostEngine::new(&mut view, &mut self.host_cpu, costs)
-            .with_tracer(tracer)
-            .run_raw(op, now, dop)
-            .map_err(RunError::from)
+        let mut view = self.shards[d].host_view(&mut self.link, cmd_latency);
+        let dop = self.cfg.host_dop;
+        host_pass(
+            &mut view,
+            &mut self.host_cpu,
+            &self.cfg,
+            &self.tracer,
+            op,
+            now,
+            dop,
+        )
     }
 
-    /// Books one recoverable session fault against shard `d`: breaker
-    /// failure, fallback + wasted-time accounting.
-    fn note_shard_fault(
-        &mut self,
-        d: usize,
-        breaker_base: SimTime,
-        wasted: SimTime,
-        get_retries: u64,
-    ) {
-        self.shards[d].breaker.record_failure(breaker_base);
-        self.run_faults.fallbacks += 1;
-        self.run_faults.get_retries += get_retries;
-        self.run_faults.wasted_ns += wasted.as_nanos();
+    /// Emits one protocol span on shard `d`'s fleet lane.
+    fn shard_span(&self, d: usize, name: &str, iv: Interval, args: &[(&str, f64)]) {
+        self.tracer.span(
+            TraceLevel::Protocol,
+            pid::FLEET,
+            d as u32,
+            name,
+            "fleet",
+            iv,
+            args,
+        );
+    }
+
+    /// Emits one protocol instant on shard `d`'s fleet lane.
+    fn shard_instant(&self, d: usize, name: &str, at: SimTime) {
         self.tracer.instant(
             TraceLevel::Protocol,
             pid::FLEET,
             d as u32,
-            "shard-fallback",
+            name,
             "fleet",
-            wasted,
+            at,
             &[],
         );
     }
@@ -527,59 +492,121 @@ impl SmartSsdFleet {
         let n = self.shards.len();
         // Resolve per shard (each has its own partition extent).
         let ops: Vec<QueryOp> = self
-            .shards
+            .catalogs
             .iter()
-            .map(|s| query.resolve(&s.catalog))
+            .map(|c| query.resolve(c))
             .collect::<Result<_, _>>()?;
         self.reset_run_timing();
         self.run_faults = FaultCounters::default();
         self.tracer.set_level(TraceLevel::Full);
         self.tracer.begin_run();
-        let breaker_base = self.breaker_clock;
-        let cmd_latency = self.cfg.interface.command_latency_ns();
-        let timeout = self.cfg.session_policy.session_timeout;
-        let driver =
-            SessionDriver::new(self.cfg.session_policy.clone()).with_tracer(self.tracer.clone());
+        let mut g = Gather {
+            driver: SessionDriver::new(self.cfg.session_policy.clone())
+                .with_tracer(self.tracer.clone()),
+            base: self.breaker_clock,
+            budget: RetryBudget::new(self.opts.hedge_budget, self.opts.hedge_refill),
+            sids: vec![None; n],
+            merged: None,
+            work: WorkCounts::default(),
+            outcomes: (0..n)
+                .map(|d| ShardOutcome {
+                    device: d,
+                    route: Route::Device,
+                    finished_at: SimTime::ZERO,
+                    fell_back: false,
+                    hedged: false,
+                    hedge_won: false,
+                })
+                .collect(),
+            t: SimTime::ZERO,
+        };
+        if let Err(e) = self.scatter_gather(&ops, &mut g) {
+            return Err(self.fail(&mut g.sids, e));
+        }
 
-        // Route each shard: while a device's breaker is Open the shard goes
-        // straight to the host block path, with no device traffic at all.
+        // The frontier has passed every shard's finish.
+        let elapsed = g.t;
+        let (agg_values, scalar) = query.finalize.apply(g.merged.as_deref().unwrap_or(&[]));
+        self.tracer.span(
+            TraceLevel::Protocol,
+            pid::RUN,
+            0,
+            "run",
+            "run",
+            Interval {
+                start: SimTime::ZERO,
+                end: elapsed,
+            },
+            &[],
+        );
+        let mut breaker_transitions = Vec::new();
+        for (d, shard) in self.shards.iter_mut().enumerate() {
+            let lane = (pid::FLEET, d as u32);
+            let drained = shard.take_breaker_transitions(g.base, &self.tracer, lane, "fleet");
+            breaker_transitions.extend(drained.into_iter().map(|tr| (d, tr)));
+        }
+        self.breaker_clock = g.base + elapsed;
+        let trace = self.tracer.finish_run();
+        Ok(FleetReport {
+            result: QueryResult {
+                rows: Vec::new(),
+                agg_values,
+                scalar,
+                elapsed,
+                work: g.work,
+            },
+            shards: g.outcomes,
+            faults: self.collected_faults(),
+            breaker_transitions,
+            trace,
+        })
+    }
+
+    /// Scatters the query, then gathers every shard's partial in device
+    /// order. On error the caller closes whatever is still in `g.sids`.
+    fn scatter_gather(&mut self, ops: &[QueryOp], g: &mut Gather) -> Result<(), RunError> {
+        let phases = self.scatter(ops, g)?;
+        let marked = self.mark_hedges(&phases);
+        for (d, op) in ops.iter().enumerate() {
+            self.gather_shard(g, d, op, phases[d], marked[d])?;
+        }
+        Ok(())
+    }
+
+    /// Scatter: routes every shard (a device whose breaker is Open goes
+    /// straight to the host block path, with no device traffic at all),
+    /// ships the `OPEN`s, and starts the device executions. Live sessions
+    /// are parked in `g.sids`.
+    fn scatter(&mut self, ops: &[QueryOp], g: &mut Gather) -> Result<Vec<ShardPhase>, RunError> {
+        let n = self.shards.len();
+        let cmd_latency = self.cfg.interface.command_latency_ns();
         let device_routed: Vec<bool> = self
             .shards
             .iter_mut()
-            .map(|s| s.breaker.allows_device(breaker_base))
+            .map(|s| s.breaker.allows_device(g.base))
             .collect();
 
-        // Scatter, part 1: in linked mode every OPEN payload crosses the
-        // shared link first; the bus serializes the command transfers.
+        // Part 1: in linked mode every OPEN payload crosses the shared
+        // link first; the bus serializes the command transfers.
         let mut open_at = vec![SimTime::ZERO; n];
         let mut payloads: Vec<Option<Vec<u8>>> = vec![None; n];
         if self.opts.interface == InterfaceMode::Linked {
-            for d in 0..n {
-                if !device_routed[d] {
-                    continue;
-                }
+            for d in (0..n).filter(|&d| device_routed[d]) {
                 let payload = encode_op(&ops[d]);
                 let iv =
                     self.link
                         .transfer_with_setup(SimTime::ZERO, payload.len() as u64, cmd_latency);
-                self.tracer.span(
-                    TraceLevel::Protocol,
-                    pid::FLEET,
-                    d as u32,
-                    "shard-open",
-                    "fleet",
-                    iv,
-                    &[("payload_bytes", payload.len() as f64)],
-                );
+                let bytes = payload.len() as f64;
+                self.shard_span(d, "shard-open", iv, &[("payload_bytes", bytes)]);
                 open_at[d] = iv.end;
                 payloads[d] = Some(payload);
             }
         }
 
-        // Scatter, part 2: all devices unmarshal and execute their
-        // partitions concurrently. Each device's simulation is private, so
-        // real threads are safe and the outcome is deterministic. A panic
-        // in a worker is caught at join and surfaced as a typed error.
+        // Part 2: all devices unmarshal and execute their partitions
+        // concurrently. Each device's simulation is private, so real
+        // threads are safe and the outcome is deterministic. A panic in a
+        // worker is caught at join and surfaced as a typed error.
         type OpenResult = Option<Result<Result<SessionId, DeviceError>, String>>;
         let opens: Vec<OpenResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
@@ -604,365 +631,199 @@ impl SmartSsdFleet {
                 .map(|h| h.map(|h| h.join().map_err(panic_message)))
                 .collect()
         });
+        // Park every live session before judging any failed open, so an
+        // aborting run closes them all.
+        for (d, open) in opens.iter().enumerate() {
+            if let Some(Ok(Ok(sid))) = open {
+                g.sids[d] = Some(*sid);
+            }
+        }
 
         // Classify the opens: live sessions keep the device route; a
         // recoverable OPEN failure (crash, reset storm, resource rejection)
-        // degrades that shard to the host path; malformed/invalid operators
-        // and worker panics abort the run (closing everything first).
-        let mut sids: Vec<Option<SessionId>> = vec![None; n];
-        let mut phases: Vec<ShardPhase> = Vec::with_capacity(n);
+        // degrades that shard to the host path from the failure on;
+        // malformed/invalid operators and worker panics abort the run.
+        let mut phases = Vec::with_capacity(n);
         for (d, open) in opens.into_iter().enumerate() {
-            let phase = match open {
+            phases.push(match open {
                 None => ShardPhase::Host {
                     from: SimTime::ZERO,
                     fell_back: false,
                 },
                 Some(Err(message)) => {
-                    let err =
-                        RunError::from_kind(RunErrorKind::DeviceThread { device: d, message });
-                    return Err(self.fail(&mut sids, err));
+                    return Err(RunErrorKind::DeviceThread { device: d, message }.into());
                 }
+                Some(Ok(Ok(sid))) => ShardPhase::Session(sid, open_at[d]),
                 Some(Ok(Err(e))) => {
-                    let error = classify(e);
-                    if System::fault_is_recoverable(&error) {
-                        let wasted = open_at[d].max(error_time(&error));
-                        self.note_shard_fault(d, breaker_base, wasted, 0);
-                        ShardPhase::Host {
-                            from: wasted,
-                            fell_back: true,
-                        }
-                    } else {
-                        let e = match error {
-                            SessionError::Device(e) => e,
-                            // Unrecoverable errors are always Device-wrapped
-                            // (resets, timeouts, hangs all recover).
-                            _ => unreachable!("non-device session errors are recoverable"),
-                        };
-                        let err = RunError::from_kind(RunErrorKind::Device(e));
-                        return Err(self.fail(&mut sids, err));
+                    let fault = SessionFault {
+                        wasted: open_at[d].max(SessionDriver::error_time(&e)),
+                        error: SessionDriver::classify(e),
+                        get_retries: 0,
+                    };
+                    let from = self.settle_shard_fault(g, d, fault)?;
+                    ShardPhase::Host {
+                        from,
+                        fell_back: true,
                     }
                 }
-                Some(Ok(Ok(sid))) => {
-                    sids[d] = Some(sid);
-                    ShardPhase::Session(sid, open_at[d])
-                }
-            };
-            phases.push(phase);
+            });
         }
+        Ok(phases)
+    }
 
-        // Rank live shards by the device's own completion estimate (a
-        // non-destructive peek at the last queued batch) — both straggler
-        // speculation and hedging trigger off these estimates.
-        let mut etas: Vec<(usize, SimTime)> = Vec::new();
-        if self.opts.speculate || self.opts.hedge {
-            for (d, phase) in phases.iter().enumerate() {
-                if let ShardPhase::Session(sid, _) = phase {
-                    if let Some(eta) = self.shards[d].dev.session_eta(*sid) {
-                        etas.push((d, eta));
-                    }
-                }
-            }
+    /// Settles a faulted attempt on shard `d` (every shard is dispatched
+    /// at the scatter, time zero): a recoverable fault degrades the shard
+    /// to the host block path no earlier than the returned instant; an
+    /// unrecoverable one is the run's error.
+    fn settle_shard_fault(
+        &mut self,
+        g: &Gather,
+        d: usize,
+        fault: SessionFault,
+    ) -> Result<SimTime, RunError> {
+        let faults = &mut self.run_faults;
+        let Fallen { at, dead } = self.shards[d].settle_fault(fault, g.base, SimTime::ZERO, faults);
+        if let Some(fault) = dead {
+            return Err(RunErrorKind::Session(fault).into());
         }
+        self.shard_instant(d, "shard-fallback", at);
+        Ok(at)
+    }
 
-        // Straggler detection: the slowest shard is deferred to the end of
-        // the gather and, once the others are in, raced by a host re-run.
-        let straggler: Option<usize> = if self.opts.speculate {
-            if etas.len() >= 2 {
-                let (dmax, max_eta) = etas
-                    .iter()
-                    .copied()
-                    .max_by_key(|&(d, eta)| (eta, std::cmp::Reverse(d)))
-                    .expect("nonempty");
-                let runner_up = etas
-                    .iter()
-                    .filter(|&&(d, _)| d != dmax)
-                    .map(|&(_, eta)| eta)
-                    .max()
-                    .expect("len >= 2");
-                let threshold = self.opts.straggler_factor * runner_up.as_nanos() as f64;
-                (max_eta.as_nanos() as f64 > threshold).then_some(dmax)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        // Hedge marking: every live shard whose estimate exceeds
-        // `hedge_factor` times the median is a laggard worth racing —
-        // unlike straggler speculation this catches *several* limping
-        // shards at once, the shape a gray device's slowdown window
-        // produces. The straggler (if any) is already being raced.
-        let mut hedge_marked = vec![false; n];
-        if self.opts.hedge && etas.len() >= 2 {
+    /// Hedge marking: ranks live shards by the device's own completion
+    /// estimate (a non-destructive peek at the last queued batch); every
+    /// shard whose estimate exceeds `hedge_factor` times the median is a
+    /// laggard worth racing — this catches *several* limping shards at
+    /// once, the shape a gray device's slowdown window produces.
+    fn mark_hedges(&self, phases: &[ShardPhase]) -> Vec<bool> {
+        let mut marked = vec![false; phases.len()];
+        if !self.opts.hedge {
+            return marked;
+        }
+        let etas: Vec<(usize, SimTime)> = phases
+            .iter()
+            .enumerate()
+            .filter_map(|(d, phase)| match phase {
+                ShardPhase::Session(sid, _) => Some((d, self.shards[d].dev.session_eta(*sid)?)),
+                ShardPhase::Host { .. } => None,
+            })
+            .collect();
+        if etas.len() >= 2 {
             let mut sorted: Vec<SimTime> = etas.iter().map(|&(_, eta)| eta).collect();
             sorted.sort_unstable();
             let median = sorted[sorted.len() / 2];
             let threshold = self.opts.hedge_factor * median.as_nanos() as f64;
             for &(d, eta) in &etas {
-                if Some(d) != straggler && eta.as_nanos() as f64 > threshold {
-                    hedge_marked[d] = true;
-                }
+                marked[d] = eta.as_nanos() as f64 > threshold;
             }
         }
-        let mut budget = RetryBudget::new(self.opts.hedge_budget, self.opts.hedge_refill);
+        marked
+    }
 
-        // Gather order: device order, with the straggler (if any) deferred
-        // to the end so speculation launches after the other N−1 are in.
-        let mut order: Vec<usize> = (0..n).filter(|d| Some(*d) != straggler).collect();
-        if let Some(d) = straggler {
-            order.push(d);
+    /// Launches a hedge for laggard shard `d` at the gather frontier — if
+    /// the fleet-wide retry budget still has a token. The host copy is
+    /// posted at the same instant as the shard's gather, racing the device
+    /// session for the same partial; both sides' resource use is charged —
+    /// that is the price of hedging. A denied hedge is counted: a fleet
+    /// that wants to hedge but can't is a tuning signal, not a silent
+    /// no-op.
+    fn launch_hedge(&mut self, g: &mut Gather, d: usize, op: &QueryOp) -> Option<RawRun> {
+        if g.budget.try_spend(g.t) {
+            self.run_faults.hedges += 1;
+            g.outcomes[d].hedged = true;
+            self.shard_instant(d, "shard-hedge", g.t);
+            self.host_shard(d, op, g.t).ok()
+        } else {
+            self.run_faults.hedge_denied += 1;
+            self.shard_instant(d, "shard-hedge-denied", g.t);
+            None
         }
+    }
 
-        let mut merged: Option<Vec<AggState>> = None;
-        let mut work = WorkCounts::default();
-        let mut outcomes: Vec<ShardOutcome> = (0..n)
-            .map(|d| ShardOutcome {
-                device: d,
-                route: Route::Device,
-                finished_at: SimTime::ZERO,
-                fell_back: false,
-                speculated: false,
-                spec_won: false,
-                hedged: false,
-                hedge_won: false,
-            })
-            .collect();
-        let mut speculated_count = 0u64;
-        let mut spec_wins = 0u64;
-        let mut t = SimTime::ZERO;
-        for &d in &order {
-            let gather_start = t;
-            match phases[d] {
-                ShardPhase::Host { from, fell_back } => {
-                    let raw = match self.run_host_shard(d, &ops[d], from) {
-                        Ok(raw) => raw,
-                        Err(e) => return Err(self.fail(&mut sids, e)),
-                    };
-                    merge_partials(&mut merged, raw.aggs);
-                    work.absorb(&raw.work);
-                    outcomes[d].route = Route::Host;
-                    outcomes[d].fell_back = fell_back;
-                    outcomes[d].finished_at = raw.end;
-                    t = t.max(raw.end);
-                }
-                ShardPhase::Session(sid, open_done) => {
-                    let deadline = open_done + timeout;
-                    let is_straggler = Some(d) == straggler;
-                    let collected = driver.collect_linked(
-                        &mut self.shards[d].dev,
-                        &mut self.link,
-                        &mut self.host_cpu,
-                        sid,
-                        t,
-                        deadline,
-                    );
-                    // Speculation: the host re-run is posted at the same
-                    // launch instant as the final gather, racing the device
-                    // session for the same partial. Both sides' resource
-                    // use is charged — that is the price of speculation.
-                    let spec: Option<RawRun> = if is_straggler {
-                        speculated_count += 1;
-                        outcomes[d].speculated = true;
-                        self.tracer.instant(
-                            TraceLevel::Protocol,
-                            pid::FLEET,
-                            d as u32,
-                            "shard-speculate",
-                            "fleet",
-                            gather_start,
-                            &[],
-                        );
-                        self.run_host_shard(d, &ops[d], gather_start).ok()
-                    } else if hedge_marked[d] {
-                        // A laggard worth racing — if the fleet-wide retry
-                        // budget still has a token. A denied hedge is
-                        // counted: a fleet that wants to hedge but can't is
-                        // a tuning signal, not a silent no-op.
-                        if budget.try_spend(gather_start) {
-                            self.run_faults.hedges += 1;
-                            outcomes[d].hedged = true;
-                            self.tracer.instant(
-                                TraceLevel::Protocol,
-                                pid::FLEET,
-                                d as u32,
-                                "shard-hedge",
-                                "fleet",
-                                gather_start,
-                                &[],
-                            );
-                            self.run_host_shard(d, &ops[d], gather_start).ok()
-                        } else {
-                            self.run_faults.hedge_denied += 1;
-                            self.tracer.instant(
-                                TraceLevel::Protocol,
-                                pid::FLEET,
-                                d as u32,
-                                "shard-hedge-denied",
-                                "fleet",
-                                gather_start,
-                                &[],
-                            );
-                            None
-                        }
-                    } else {
-                        None
-                    };
-                    match collected {
-                        Ok(out) => {
-                            let _ = driver.close(&mut self.shards[d].dev, sid, &out);
-                            sids[d] = None;
-                            self.shards[d].breaker.record_success(breaker_base);
-                            // Latency health: this shard's service time
-                            // feeds its breaker's slow-trip rule.
-                            if self.shards[d].breaker.record_service_time(
-                                breaker_base,
-                                out.finished_at.saturating_sub(open_done),
-                            ) {
-                                self.run_faults.slow_trips += 1;
+    /// Gathers shard `d`'s partial at the gather frontier, from wherever
+    /// its phase says it comes, and advances the frontier past it.
+    fn gather_shard(
+        &mut self,
+        g: &mut Gather,
+        d: usize,
+        op: &QueryOp,
+        phase: ShardPhase,
+        marked: bool,
+    ) -> Result<(), RunError> {
+        let gather_start = g.t;
+        match phase {
+            ShardPhase::Host { from, fell_back } => {
+                let raw = self.host_shard(d, op, from)?;
+                g.take_host(d, raw);
+                g.outcomes[d].fell_back = fell_back;
+            }
+            ShardPhase::Session(sid, open_done) => {
+                let deadline = open_done + self.cfg.session_policy.session_timeout;
+                let collected = g.driver.collect_linked(
+                    &mut self.shards[d].dev,
+                    &mut self.link,
+                    &mut self.host_cpu,
+                    sid,
+                    g.t,
+                    deadline,
+                );
+                let hedge = if marked {
+                    self.launch_hedge(g, d, op)
+                } else {
+                    None
+                };
+                // Closed just below, or already by the driver on its fault path.
+                g.sids[d] = None;
+                match collected {
+                    Ok(out) => {
+                        let _ = g.driver.close(&mut self.shards[d].dev, sid, &out);
+                        let faults = &mut self.run_faults;
+                        self.shards[d].settle_done(&out, g.base, open_done, faults);
+                        match hedge {
+                            Some(raw) if raw.end < out.finished_at => {
+                                // The host copy won the race; answers are
+                                // identical, only timing moves.
+                                self.run_faults.hedge_wins += 1;
+                                g.outcomes[d].hedge_won = true;
+                                g.take_host(d, raw);
                             }
-                            self.run_faults.get_retries += out.get_retries;
-                            let finished = match spec {
-                                Some(raw) if raw.end < out.finished_at => {
-                                    // The host copy won the race; answers
-                                    // are identical, only timing moves.
-                                    if outcomes[d].hedged {
-                                        self.run_faults.hedge_wins += 1;
-                                        outcomes[d].hedge_won = true;
-                                    } else {
-                                        spec_wins += 1;
-                                        outcomes[d].spec_won = true;
-                                    }
-                                    outcomes[d].route = Route::Host;
-                                    merge_partials(&mut merged, raw.aggs);
-                                    work.absorb(&raw.work);
-                                    raw.end
+                            _ => {
+                                g.outcomes[d].finished_at = out.finished_at;
+                                if let Some(parts) = out.aggs {
+                                    merge_partials(&mut g.merged, parts);
                                 }
-                                _ => {
-                                    let finished = out.finished_at;
-                                    merge_session(&mut merged, out);
-                                    work.absorb(&self.shards[d].dev.total_work().clone());
-                                    finished
-                                }
-                            };
-                            outcomes[d].finished_at = finished;
-                            t = t.max(finished);
-                        }
-                        Err(fault) => {
-                            // The driver already closed the session.
-                            sids[d] = None;
-                            if !System::fault_is_recoverable(&fault.error) {
-                                let err = RunError::from(fault);
-                                return Err(self.fail(&mut sids, err));
+                                g.work.absorb(self.shards[d].dev.total_work());
                             }
-                            self.note_shard_fault(d, breaker_base, fault.wasted, fault.get_retries);
-                            outcomes[d].route = Route::Host;
-                            outcomes[d].fell_back = true;
-                            // A speculative copy already in flight doubles
-                            // as the recovery run; otherwise fall back now,
-                            // for this shard only.
-                            let raw = match spec {
-                                Some(raw) => {
-                                    // A hedge that outlives its session
-                                    // won by default: the recovery was
-                                    // already running when the fault hit.
-                                    if outcomes[d].hedged {
-                                        self.run_faults.hedge_wins += 1;
-                                        outcomes[d].hedge_won = true;
-                                    }
-                                    raw
-                                }
-                                None => {
-                                    let from = fault.wasted.max(t);
-                                    match self.run_host_shard(d, &ops[d], from) {
-                                        Ok(raw) => raw,
-                                        Err(e) => return Err(self.fail(&mut sids, e)),
-                                    }
-                                }
-                            };
-                            merge_partials(&mut merged, raw.aggs);
-                            work.absorb(&raw.work);
-                            outcomes[d].finished_at = raw.end;
-                            t = t.max(raw.end);
                         }
+                    }
+                    Err(fault) => {
+                        let from = self.settle_shard_fault(g, d, fault)?;
+                        g.outcomes[d].fell_back = true;
+                        // A hedge already in flight doubles as the recovery
+                        // run — it won by default: the recovery was running
+                        // when the fault hit. Otherwise fall back now, for
+                        // this shard only, once the host has both seen the
+                        // fault and reached this shard.
+                        let raw = match hedge {
+                            Some(raw) => {
+                                self.run_faults.hedge_wins += 1;
+                                g.outcomes[d].hedge_won = true;
+                                raw
+                            }
+                            None => self.host_shard(d, op, from.max(g.t))?,
+                        };
+                        g.take_host(d, raw);
                     }
                 }
             }
-            self.tracer.span(
-                TraceLevel::Protocol,
-                pid::FLEET,
-                d as u32,
-                "shard-gather",
-                "fleet",
-                Interval {
-                    start: gather_start,
-                    end: outcomes[d].finished_at.max(gather_start),
-                },
-                &[],
-            );
         }
-
-        let elapsed = outcomes
-            .iter()
-            .map(|o| o.finished_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let (agg_values, scalar) = query.finalize.apply(merged.as_deref().unwrap_or(&[]));
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::RUN,
-            0,
-            "run",
-            "run",
-            Interval {
-                start: SimTime::ZERO,
-                end: elapsed,
-            },
-            &[],
-        );
-        // Drain and re-base every device's breaker transitions.
-        let mut breaker_transitions = Vec::new();
-        for (d, shard) in self.shards.iter_mut().enumerate() {
-            for tr in shard.breaker.take_transitions() {
-                let rebased = BreakerTransition {
-                    at: SimTime::from_nanos(
-                        tr.at.as_nanos().saturating_sub(breaker_base.as_nanos()),
-                    ),
-                    to: tr.to,
-                };
-                self.tracer.instant(
-                    TraceLevel::Protocol,
-                    pid::FLEET,
-                    d as u32,
-                    match rebased.to {
-                        crate::breaker::BreakerState::Closed => "breaker-closed",
-                        crate::breaker::BreakerState::Open => "breaker-open",
-                        crate::breaker::BreakerState::HalfOpen => "breaker-half-open",
-                    },
-                    "fleet",
-                    rebased.at,
-                    &[],
-                );
-                breaker_transitions.push((d, rebased));
-            }
-        }
-        self.breaker_clock = breaker_base + elapsed;
-        let trace = self.tracer.finish_run();
-        Ok(FleetReport {
-            result: QueryResult {
-                rows: Vec::new(),
-                agg_values,
-                scalar,
-                elapsed,
-                work,
-            },
-            shards: outcomes,
-            faults: self.collected_faults(),
-            breaker_transitions,
-            speculated: speculated_count,
-            spec_wins,
-            trace,
-        })
+        g.t = g.t.max(g.outcomes[d].finished_at);
+        let iv = Interval {
+            start: gather_start,
+            end: g.outcomes[d].finished_at.max(gather_start),
+        };
+        self.shard_span(d, "shard-gather", iv, &[]);
+        Ok(())
     }
 
     /// Runs `queries` back-to-back as a closed-loop stream: each query's
@@ -977,73 +838,60 @@ impl SmartSsdFleet {
     /// the failure is visible in `outcomes`/`failed` rather than erasing
     /// the completed work.
     pub fn run_stream(&mut self, queries: &[Query]) -> Result<FleetStreamReport, RunError> {
-        let mut latencies = Vec::with_capacity(queries.len());
-        let mut outcomes: Vec<ArrivalOutcome> = Vec::with_capacity(queries.len());
-        let mut makespan = SimTime::ZERO;
+        let mut acct = Acct::new(queries.len(), 0, Tracer::none());
         let mut faults = FaultCounters::default();
-        let mut failed = 0u64;
         let mut host_shard_runs = 0u64;
         let mut fallbacks = 0u64;
-        let mut speculated = 0u64;
-        let mut spec_wins = 0u64;
         for (i, q) in queries.iter().enumerate() {
             self.clear_host_cache();
-            let arrival = makespan;
+            let arrival = acct.makespan;
             let r = match self.run_agg(q) {
                 Ok(r) => r,
                 Err(e) => {
-                    failed += 1;
-                    outcomes.push(ArrivalOutcome::Failed(FailedQuery {
-                        index: i,
-                        query: q.name.clone(),
-                        arrival,
-                        failed_at: arrival,
-                        reason: e.to_string(),
-                    }));
                     faults.absorb(e.fault_counters());
+                    acct.fail(i, 0, (q.name.as_str(), arrival), arrival, e);
                     break;
                 }
             };
-            latencies.push(r.result.elapsed);
-            makespan += r.result.elapsed;
+            faults.absorb(&r.faults);
+            host_shard_runs += r.shards.iter().filter(|s| s.route == Route::Host).count() as u64;
+            fallbacks += r.shards.iter().filter(|s| s.fell_back).count() as u64;
             let route = if r.shards.iter().all(|s| s.route == Route::Host) {
                 Route::Host
             } else {
                 Route::Device
             };
-            outcomes.push(ArrivalOutcome::Completed(Arc::new(QueryCompletion {
-                index: i,
-                query: q.name.clone(),
-                route,
-                arrival,
-                finished_at: makespan,
-                latency: r.result.elapsed,
-                result: r.result,
-            })));
-            faults.absorb(&r.faults);
-            host_shard_runs += r.shards.iter().filter(|s| s.route == Route::Host).count() as u64;
-            fallbacks += r.shards.iter().filter(|s| s.fell_back).count() as u64;
-            speculated += r.speculated;
-            spec_wins += r.spec_wins;
+            let latency = r.result.elapsed;
+            acct.complete(
+                0,
+                QueryCompletion {
+                    index: i,
+                    query: q.name.clone(),
+                    route,
+                    arrival,
+                    finished_at: arrival + latency,
+                    latency,
+                    result: r.result,
+                },
+            );
         }
-        let secs = makespan.as_secs_f64();
+        let secs = acct.makespan.as_secs_f64();
         let throughput_qps = if secs > 0.0 {
-            latencies.len() as f64 / secs
+            acct.total.completed as f64 / secs
         } else {
             0.0
         };
         Ok(FleetStreamReport {
-            queries: latencies.len(),
-            outcomes,
-            failed,
-            makespan,
+            queries: acct.total.completed as usize,
+            // A failure ends the stream early, leaving the tail unrecorded.
+            outcomes: acct.outcomes.into_iter().flatten().collect(),
+            failed: acct.total.failed,
+            makespan: acct.makespan,
             throughput_qps,
-            latency: LatencyStats::from_sample(&latencies),
+            latency: LatencyStats::from_sample(&acct.total.latencies),
             faults,
             host_shard_runs,
             fallbacks,
-            speculated,
-            spec_wins,
         })
     }
 }
@@ -1059,25 +907,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Lifts a device error into the session vocabulary (mirrors the driver's
-/// private classification).
-fn classify(e: DeviceError) -> SessionError {
-    match e {
-        DeviceError::DeviceReset { until, .. } => SessionError::DeviceReset { until },
-        other => SessionError::Device(other),
-    }
-}
-
-/// Simulated time embedded in a session error, if the device reported one.
-fn error_time(e: &SessionError) -> SimTime {
-    match e {
-        SessionError::Device(DeviceError::RetriesExhausted { at, .. }) => *at,
-        SessionError::DeviceReset { until } => *until,
-        SessionError::Timeout { at } | SessionError::Hung { at, .. } => *at,
-        _ => SimTime::ZERO,
-    }
-}
-
 /// Folds one shard's aggregate states into the fleet accumulator.
 fn merge_partials(acc: &mut Option<Vec<AggState>>, parts: Vec<AggState>) {
     match acc {
@@ -1087,13 +916,6 @@ fn merge_partials(acc: &mut Option<Vec<AggState>>, parts: Vec<AggState>) {
                 a.merge(p);
             }
         }
-    }
-}
-
-/// Folds a completed device session's states (if any) into the accumulator.
-fn merge_session(acc: &mut Option<Vec<AggState>>, out: SessionOutcome) {
-    if let Some(parts) = out.aggs {
-        merge_partials(acc, parts);
     }
 }
 

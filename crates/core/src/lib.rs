@@ -36,6 +36,15 @@
 //! println!("Q6 on the Smart SSD: {}", report.result.elapsed);
 //! ```
 //!
+//! There is one execution path. [`System::run`] is a one-arrival workload
+//! over the event-loop scheduler behind [`System::run_workload`] and
+//! [`System::run_serving`] (see [`workload`]); the multi-device
+//! [`SmartSsdFleet`] scatter/gather coordinator (see [`fleet`]) is built
+//! from the same per-device shard a `System` owns. All of them settle a
+//! device attempt by the same rule: a recoverable fault re-runs the query
+//! on the host from the fault instant, so recovery is paid in simulated
+//! time and energy, never hidden.
+//!
 //! To watch where the simulated time goes, attach a sink:
 //!
 //! ```
@@ -59,8 +68,8 @@
 //! ```
 
 mod admit;
+mod shard;
 
-pub mod array;
 pub mod breaker;
 pub mod builder;
 pub mod config;
@@ -69,7 +78,6 @@ pub mod serving;
 pub mod system;
 pub mod workload;
 
-pub use array::SmartSsdArray;
 pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
 pub use builder::{ConfigError, RoutePolicy, RunOptions, SystemBuilder};
 pub use config::{DeviceKind, PowerParams, SystemConfig};

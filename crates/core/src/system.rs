@@ -1,26 +1,25 @@
 //! The assembled test bed: one storage device, a host, a catalog, and the
 //! machinery to run a query on either side and meter it.
 
-use crate::breaker::{BreakerTransition, CircuitBreaker};
+use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
-use smartssd_device::{DeviceError, SmartSsd};
+use crate::shard::{host_pass, host_side, Shard};
+use smartssd_device::DeviceError;
 use smartssd_exec::QueryOp;
-use smartssd_host::{
-    io::IoError, BufferPool, CommandState, HddHostPath, HddModel, LinkedFlashView, PageSource,
-    SsdHostPath,
-};
+use smartssd_flash::FlashSsd;
+use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource, SsdHostPath};
 use smartssd_query::{
-    choose_route_traced, plan::PlanError, Catalog, EngineError, HostEngine, PlannerConfig,
-    PlannerInputs, Query, QueryResult, Route, SessionDriver, SessionError, SessionFault,
+    choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
+    Query, QueryResult, Route, SessionFault,
 };
 use smartssd_sim::energy::{ComponentDraw, Subsystem};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
-    mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace,
-    SimTime, TraceLevel, Tracer, UtilizationReport,
+    Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace, SimTime,
+    TraceLevel, Tracer, UtilizationReport,
 };
-use smartssd_storage::{Layout, PageDecodeCache, Schema, TableBuilder, TableImage, Tuple};
+use smartssd_storage::{Layout, Schema, TableBuilder, TableImage, Tuple};
 use std::fmt;
 use std::sync::Arc;
 
@@ -208,44 +207,11 @@ impl From<IoError> for RunError {
     }
 }
 
-impl From<SessionFault> for RunError {
-    fn from(fault: SessionFault) -> Self {
-        let mut faults = FaultCounters::default();
-        faults.get_retries += fault.get_retries;
-        faults.wasted_ns += fault.wasted.as_nanos();
-        Self {
-            kind: RunErrorKind::Session(fault),
-            faults: Box::new(faults),
-        }
-    }
-}
-
-impl From<SessionError> for RunError {
-    fn from(e: SessionError) -> Self {
-        Self::from(SessionFault {
-            error: e,
-            wasted: SimTime::ZERO,
-            get_retries: 0,
-        })
-    }
-}
-
 #[allow(clippy::large_enum_variant)] // one backend exists per System; no dense collections of these
 pub(crate) enum Backend {
     Hdd(HddHostPath),
     Ssd(SsdHostPath),
-    Smart {
-        dev: SmartSsd,
-        link: Bus,
-        pool: BufferPool,
-        cmd: CommandState,
-        /// Recoveries performed by the host-route read path over the
-        /// shared flash device (the device's own counters live in `dev`).
-        host_faults: FaultCounters,
-        /// Host-route per-LBA decode memo over the shared flash device
-        /// (the device route has its own inside `dev`).
-        host_page_cache: PageDecodeCache,
-    },
+    Smart { shard: Shard, link: Bus },
 }
 
 /// One complete test bed: device + host + catalog.
@@ -262,17 +228,13 @@ pub struct System {
     /// Tables with buffer-pool updates not yet checkpointed to the device.
     /// Pushdown against them would read stale data (paper Section 4.3).
     dirty: std::collections::HashSet<String>,
-    /// Run-scoped fault accounting that must survive the timing reset a
-    /// fallback performs (fallbacks taken, wasted time, `GET` retries, and
-    /// the device counters snapshotted before the reset wiped them).
+    /// Run-scoped fault accounting the component counters do not carry:
+    /// fallbacks taken, wasted time, `GET` retries, slow trips.
     pub(crate) run_faults: FaultCounters,
     /// Shared handle to the trace sink attached at build time (a no-op
     /// handle when none was).
     pub(crate) tracer: Tracer,
-    /// Health-aware routing state, persisted across runs so sustained
-    /// faults in one call keep the device quarantined in the next.
-    pub(crate) breaker: CircuitBreaker,
-    /// Monotone simulated clock the breaker lives on. Each run/workload
+    /// Monotone simulated clock the device's breaker lives on. Each run/workload
     /// starts its own timeline at zero; this accumulates their lengths so
     /// breaker timestamps stay comparable across calls.
     pub(crate) breaker_clock: SimTime,
@@ -282,39 +244,24 @@ impl System {
     /// Assembles the system and threads the tracer through every
     /// timeline-owning component.
     pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer) -> Self {
-        let mut backend = match cfg.device {
+        let (link, host_cpu) = host_side(&cfg, &tracer);
+        let backend = match cfg.device {
             DeviceKind::Hdd => Backend::Hdd(HddHostPath::new(
                 HddModel::new(cfg.hdd.clone()),
                 cfg.bufferpool_pages,
             )),
-            DeviceKind::Ssd => Backend::Ssd(SsdHostPath::new(
-                smartssd_flash::FlashSsd::new(cfg.flash.clone()),
-                cfg.interface,
-                cfg.bufferpool_pages,
-            )),
-            DeviceKind::SmartSsd => Backend::Smart {
-                dev: SmartSsd::new(cfg.flash.clone(), cfg.smart.clone()),
-                link: Bus::new(
-                    "host-interface",
-                    mb_per_sec(cfg.interface.effective_mbps()),
-                    0,
-                ),
-                pool: BufferPool::new(cfg.bufferpool_pages),
-                cmd: CommandState::default(),
-                host_faults: FaultCounters::default(),
-                host_page_cache: PageDecodeCache::new(),
-            },
-        };
-        match &mut backend {
-            Backend::Hdd(_) => {}
-            Backend::Ssd(path) => path.set_tracer(tracer.clone()),
-            Backend::Smart { dev, link, .. } => {
-                dev.set_tracer(tracer.clone());
-                link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
+            DeviceKind::Ssd => {
+                let flash = FlashSsd::new(cfg.flash.clone());
+                let mut path = SsdHostPath::new(flash, cfg.interface, cfg.bufferpool_pages);
+                path.set_tracer(tracer.clone());
+                Backend::Ssd(path)
             }
-        }
-        let mut host_cpu = CpuModel::new("host-cpu", cfg.host_cpu_cores, cfg.host_cpu_hz);
-        host_cpu.set_tracer(tracer.clone(), pid::HOST_CPU);
+            DeviceKind::SmartSsd => {
+                let mut shard = Shard::new(&cfg);
+                shard.dev.set_tracer(tracer.clone());
+                Backend::Smart { shard, link }
+            }
+        };
         Self {
             backend,
             host_cpu,
@@ -323,15 +270,18 @@ impl System {
             dirty: std::collections::HashSet::new(),
             run_faults: FaultCounters::default(),
             tracer,
-            breaker: CircuitBreaker::new(cfg.breaker),
             breaker_clock: SimTime::ZERO,
             cfg,
         }
     }
 
-    /// The circuit breaker's current routing state.
-    pub fn breaker_state(&self) -> crate::breaker::BreakerState {
-        self.breaker.state()
+    /// The circuit breaker's current routing state (always `Closed` on
+    /// non-smart systems, which have no device route to gate).
+    pub fn breaker_state(&self) -> BreakerState {
+        match &self.backend {
+            Backend::Smart { shard, .. } => shard.breaker.state(),
+            _ => BreakerState::Closed,
+        }
     }
 
     /// System configuration.
@@ -367,8 +317,8 @@ impl System {
                         .map_err(|e| RunError::from(IoError::Flash(e)))?;
                 }
             }
-            Backend::Smart { dev, .. } => {
-                dev.load_table(img, first_lba)?;
+            Backend::Smart { shard, .. } => {
+                shard.dev.load_table(img, first_lba)?;
             }
         }
         self.next_lba = first_lba + img.num_pages() as u64;
@@ -414,7 +364,7 @@ impl System {
     /// that.
     pub fn open_device_sessions(&self) -> usize {
         match &self.backend {
-            Backend::Smart { dev, .. } => dev.open_sessions(),
+            Backend::Smart { shard, .. } => shard.dev.open_sessions(),
             _ => 0,
         }
     }
@@ -425,17 +375,9 @@ impl System {
         match &mut self.backend {
             Backend::Hdd(p) => p.reset_timing(),
             Backend::Ssd(p) => p.reset_timing(),
-            Backend::Smart {
-                dev,
-                link,
-                cmd,
-                host_faults,
-                ..
-            } => {
-                dev.reset_timing();
+            Backend::Smart { shard, link } => {
+                shard.reset_timing();
                 link.reset();
-                cmd.reset();
-                *host_faults = FaultCounters::default();
             }
         }
     }
@@ -445,7 +387,16 @@ impl System {
         match &mut self.backend {
             Backend::Hdd(p) => p.pool.clear(),
             Backend::Ssd(p) => p.pool.clear(),
-            Backend::Smart { pool, .. } => pool.clear(),
+            Backend::Smart { shard, .. } => shard.pool.clear(),
+        }
+    }
+
+    /// The host buffer pool, whatever device backs the system.
+    pub(crate) fn pool(&self) -> &BufferPool {
+        match &self.backend {
+            Backend::Hdd(p) => &p.pool,
+            Backend::Ssd(p) => &p.pool,
+            Backend::Smart { shard, .. } => &shard.pool,
         }
     }
 
@@ -467,24 +418,10 @@ impl System {
                 Backend::Ssd(p) => {
                     p.read_page(lba, SimTime::ZERO)?;
                 }
-                Backend::Smart {
-                    dev,
-                    link,
-                    pool,
-                    cmd,
-                    host_faults,
-                    host_page_cache,
-                } => {
-                    let mut view = LinkedFlashView {
-                        ssd: &mut dev.flash,
-                        link,
-                        pool,
-                        cmd,
-                        cmd_latency_ns: self.cfg.interface.command_latency_ns(),
-                        faults: host_faults,
-                        page_cache: host_page_cache,
-                    };
-                    view.read_page(lba, SimTime::ZERO)?;
+                Backend::Smart { shard, link } => {
+                    shard
+                        .host_view(link, self.cfg.interface.command_latency_ns())
+                        .read_page(lba, SimTime::ZERO)?;
                 }
             }
         }
@@ -494,15 +431,9 @@ impl System {
 
     /// Fraction of a table currently resident in the buffer pool.
     pub fn residency(&self, table: &str) -> f64 {
-        let Some(tref) = self.catalog.get(table) else {
-            return 0.0;
-        };
-        let pool = match &self.backend {
-            Backend::Hdd(p) => &p.pool,
-            Backend::Ssd(p) => &p.pool,
-            Backend::Smart { pool, .. } => pool,
-        };
-        pool.residency(tref.first_lba, tref.num_pages)
+        self.catalog
+            .get(table)
+            .map_or(0.0, |tref| self.residency_of(tref))
     }
 
     /// Replaces a table's contents with a new row set: the new image is
@@ -522,15 +453,9 @@ impl System {
         let schema = old.schema.clone();
         self.load_table_rows(name, &schema, rows)?;
         // Invalidate the old extent.
-        if let Backend::Ssd(path) = &mut self.backend {
+        if let Some(flash) = self.flash_mut() {
             for lba in old.first_lba..old.first_lba + old.num_pages {
-                path.ssd
-                    .trim(lba)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
-            }
-        } else if let Backend::Smart { dev, .. } = &mut self.backend {
-            for lba in old.first_lba..old.first_lba + old.num_pages {
-                dev.flash
+                flash
                     .trim(lba)
                     .map_err(|e| RunError::from(IoError::Flash(e)))?;
             }
@@ -563,39 +488,34 @@ impl System {
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
         // Re-write the extent through the device's write path (the data is
         // unchanged in this model; the cost is what matters).
-        match &mut self.backend {
-            Backend::Hdd(path) => {
-                for lba in tref.first_lba..tref.first_lba + tref.num_pages {
-                    if let Some((data, _)) = path.hdd.read(lba, SimTime::ZERO) {
-                        path.hdd.write(lba, data, SimTime::ZERO);
-                    }
+        let lbas = tref.first_lba..tref.first_lba + tref.num_pages;
+        if let Backend::Hdd(path) = &mut self.backend {
+            for lba in lbas {
+                if let Some((data, _)) = path.hdd.read(lba, SimTime::ZERO) {
+                    path.hdd.write(lba, data, SimTime::ZERO);
                 }
             }
-            Backend::Ssd(path) => {
-                for lba in tref.first_lba..tref.first_lba + tref.num_pages {
-                    let (data, _) = path
-                        .ssd
-                        .read(lba, SimTime::ZERO)
-                        .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                    path.ssd
-                        .write(lba, data, SimTime::ZERO)
-                        .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                }
-            }
-            Backend::Smart { dev, .. } => {
-                for lba in tref.first_lba..tref.first_lba + tref.num_pages {
-                    let (data, _) = dev
-                        .flash
-                        .read(lba, SimTime::ZERO)
-                        .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                    dev.flash
-                        .write(lba, data, SimTime::ZERO)
-                        .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                }
+        } else if let Some(flash) = self.flash_mut() {
+            for lba in lbas {
+                let (data, _) = flash
+                    .read(lba, SimTime::ZERO)
+                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
+                flash
+                    .write(lba, data, SimTime::ZERO)
+                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
             }
         }
         self.reset_run_timing();
         Ok(())
+    }
+
+    /// The flash device behind an SSD or Smart SSD system.
+    fn flash_mut(&mut self) -> Option<&mut FlashSsd> {
+        match &mut self.backend {
+            Backend::Hdd(_) => None,
+            Backend::Ssd(path) => Some(&mut path.ssd),
+            Backend::Smart { shard, .. } => Some(&mut shard.dev.flash),
+        }
     }
 
     /// Whether a table currently has uncheckpointed updates.
@@ -636,17 +556,28 @@ impl System {
     /// overrides the host degree of parallelism, and `verbosity` gates what
     /// the attached trace sink records.
     ///
-    /// Correctness always wins over routing: a dirty input forces the host
-    /// route (Section 4.3). If the device rejects the session or an
-    /// unrecoverable mid-run fault abandons it, the run transparently falls
-    /// back to the host, as a production DBMS would. The collected trace
-    /// comes back in [`RunReport::trace`]; on failure the returned
-    /// [`RunError`] carries the fault counters accumulated so far.
+    /// A single run *is* a one-arrival workload at time zero over the
+    /// linked protocol (see [`System::run_workload`](crate::workload)), so
+    /// it follows the same rules as every other engine. Correctness always
+    /// wins over routing: a dirty input forces the host route (Section
+    /// 4.3). If the device rejects the session or a recoverable mid-run
+    /// fault abandons it, the run transparently falls back to the host, as
+    /// a production DBMS would — the host re-run starts at the fault, so
+    /// the wasted device attempt stays in `elapsed`, energy and
+    /// utilization. The collected trace comes back in
+    /// [`RunReport::trace`]; on failure the returned [`RunError`] carries
+    /// the fault counters accumulated so far.
     pub fn run(&mut self, query: &Query, opts: RunOptions) -> Result<RunReport, RunError> {
-        self.run_inner(query, &opts).map_err(|mut e| {
-            e.faults.absorb(&self.current_faults());
-            e
-        })
+        let (done, trace) = self
+            .run_single(query, opts)
+            .map_err(|e| self.with_faults(e))?;
+        Ok(self.finish_report(query, done.route, done.result, trace))
+    }
+
+    /// Attaches the fault counters accumulated so far to a run's error.
+    pub(crate) fn with_faults(&self, mut e: RunError) -> RunError {
+        e.faults.absorb(&self.current_faults());
+        e
     }
 
     /// Resolves the route a policy picks for an operator, applying the
@@ -669,81 +600,6 @@ impl System {
         }
     }
 
-    fn run_inner(&mut self, query: &Query, opts: &RunOptions) -> Result<RunReport, RunError> {
-        let op = query.resolve(&self.catalog)?;
-        self.tracer.set_level(opts.verbosity);
-        self.tracer.begin_run();
-        let mut route = self.resolve_route(&op, &opts.route);
-        // Health-aware routing: while the breaker is Open the device is
-        // presumed down, so the query goes straight to the host without
-        // paying for a doomed OPEN. The breaker lives on its own monotone
-        // clock so state carries across runs that each start at zero.
-        let breaker_base = self.breaker_clock;
-        if route == Route::Device && !self.breaker.allows_device(breaker_base) {
-            route = Route::Host;
-        }
-        let dop = opts.dop.unwrap_or(self.cfg.host_dop);
-        self.reset_run_timing();
-        self.run_faults = FaultCounters::default();
-        let (result, route) = match route {
-            Route::Host => (self.run_host(&op, query, dop, SimTime::ZERO)?, Route::Host),
-            Route::Device => match self.run_device(&op, query) {
-                Ok(r) => {
-                    self.breaker.record_success(breaker_base);
-                    // Latency health: a device that answers, slowly, counts
-                    // against the slow-trip rule even with zero faults.
-                    if self
-                        .breaker
-                        .record_service_time(breaker_base + r.elapsed, r.elapsed)
-                    {
-                        self.run_faults.slow_trips += 1;
-                    }
-                    (r, Route::Device)
-                }
-                // Graceful degradation: on a resource rejection or an
-                // unrecoverable mid-run fault (uncorrectable flash,
-                // checksum escape, session loss, hang, timeout), the
-                // session is already CLOSEd — re-run transparently on the
-                // host (the paper's Discussion expects the DBMS to keep a
-                // host plan). The wasted device time is accounted in the
-                // fault counters and, when the policy asks for it, carried
-                // into the run's elapsed time instead of being discarded
-                // by the timing reset.
-                Err(e) => match e.into_kind() {
-                    RunErrorKind::Session(fault) if Self::fault_is_recoverable(&fault.error) => {
-                        self.breaker.record_failure(breaker_base);
-                        self.note_fallback(&fault);
-                        self.reset_run_timing();
-                        let mut r = self.run_host(&op, query, dop, SimTime::ZERO)?;
-                        if self.cfg.session_policy.carry_wasted_time {
-                            r.elapsed += fault.wasted;
-                        }
-                        (r, Route::Host)
-                    }
-                    kind => return Err(RunError::from_kind(kind)),
-                },
-            },
-        };
-        // The run's single top-level span: the whole query on the RUN
-        // track, so the trace's root covers exactly `elapsed`.
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::RUN,
-            0,
-            "run",
-            "run",
-            Interval {
-                start: SimTime::ZERO,
-                end: result.elapsed,
-            },
-            &[],
-        );
-        self.breaker_clock = breaker_base + result.elapsed;
-        self.take_breaker_transitions(breaker_base);
-        let trace = self.tracer.finish_run();
-        Ok(self.finish_report(query, route, result, trace))
-    }
-
     /// Planner-decided routing (Smart SSD systems only consult the
     /// planner; others always use the host). Residency comes from the
     /// actual buffer pool, not the caller.
@@ -762,73 +618,40 @@ impl System {
         route
     }
 
-    /// Whether a session failure may be recovered by re-running on the
-    /// host. Malformed payloads and invalid operators would fail on the
-    /// host too, so they propagate.
-    pub(crate) fn fault_is_recoverable(error: &SessionError) -> bool {
-        match error {
-            SessionError::Device(e) => {
-                !matches!(e, DeviceError::Wire(_) | DeviceError::Validation(_))
+    /// Closes a run of length `end`: emits its single top-level span on the
+    /// RUN track (so the trace's root covers exactly the run), advances the
+    /// breaker's monotone clock past it, and pulls the breaker transitions
+    /// (re-based onto the run's timeline) into the trace and the report.
+    pub(crate) fn end_run(
+        &mut self,
+        name: &str,
+        end: SimTime,
+        args: &[(&str, f64)],
+    ) -> (Vec<BreakerTransition>, RunTrace) {
+        let iv = Interval {
+            start: SimTime::ZERO,
+            end,
+        };
+        self.tracer
+            .span(TraceLevel::Protocol, pid::RUN, 0, name, "run", iv, args);
+        let base = self.breaker_clock;
+        self.breaker_clock = base + end;
+        let transitions = match &mut self.backend {
+            Backend::Smart { shard, .. } => {
+                shard.take_breaker_transitions(base, &self.tracer, (pid::RUN, 0), "run")
             }
-            // A firmware crash killed the session, but the block path (and
-            // thus the host route) is a separate failure domain.
-            SessionError::DeviceReset { .. } => true,
-            SessionError::Timeout { .. } | SessionError::Hung { .. } => true,
-        }
-    }
-
-    /// Drains the breaker transitions recorded since `base` (the breaker
-    /// clock at the start of the current run), re-based onto the run's own
-    /// timeline, and emits each one as a trace instant on the run track.
-    pub(crate) fn take_breaker_transitions(&mut self, base: SimTime) -> Vec<BreakerTransition> {
-        let transitions: Vec<BreakerTransition> = self
-            .breaker
-            .take_transitions()
-            .into_iter()
-            .map(|t| BreakerTransition {
-                at: SimTime::from_nanos(t.at.as_nanos().saturating_sub(base.as_nanos())),
-                to: t.to,
-            })
-            .collect();
-        for t in &transitions {
-            let name = match t.to {
-                crate::breaker::BreakerState::Closed => "breaker-closed",
-                crate::breaker::BreakerState::Open => "breaker-open",
-                crate::breaker::BreakerState::HalfOpen => "breaker-half-open",
-            };
-            self.tracer
-                .instant(TraceLevel::Protocol, pid::RUN, 0, name, "run", t.at, &[]);
-        }
-        transitions
-    }
-
-    /// Books a failed device attempt into the run's fault counters before
-    /// the timing reset wipes the device-side view of it.
-    pub(crate) fn note_fallback(&mut self, fault: &SessionFault) {
-        if let Backend::Smart {
-            dev, host_faults, ..
-        } = &self.backend
-        {
-            self.run_faults.absorb(&dev.fault_counters());
-            self.run_faults.absorb(host_faults);
-        }
-        self.run_faults.fallbacks += 1;
-        self.run_faults.get_retries += fault.get_retries;
-        self.run_faults.wasted_ns += fault.wasted.as_nanos();
+            _ => Vec::new(),
+        };
+        (transitions, self.tracer.finish_run())
     }
 
     fn residency_of(&self, tref: &smartssd_exec::TableRef) -> f64 {
-        let pool = match &self.backend {
-            Backend::Hdd(p) => &p.pool,
-            Backend::Ssd(p) => &p.pool,
-            Backend::Smart { pool, .. } => pool,
-        };
-        pool.residency(tref.first_lba, tref.num_pages)
+        self.pool().residency(tref.first_lba, tref.num_pages)
     }
 
     /// Host-route execution on whatever device backs the system, started
-    /// at simulated time `now` (single-query runs start at zero; a
-    /// workload starts each query at its arrival). The returned
+    /// at simulated time `now` (a workload starts each query at its
+    /// arrival, a fallback at its fault). The returned
     /// [`QueryResult::elapsed`] is a duration from `now`.
     pub(crate) fn run_host(
         &mut self,
@@ -837,68 +660,16 @@ impl System {
         dop: usize,
         now: SimTime,
     ) -> Result<QueryResult, RunError> {
-        let costs = self.cfg.host_costs;
-        let tracer = self.tracer.clone();
-        match &mut self.backend {
-            Backend::Hdd(path) => HostEngine::new(path, &mut self.host_cpu, costs)
-                .with_tracer(tracer)
-                .run(op, &query.finalize, now, dop)
-                .map_err(RunError::from),
-            Backend::Ssd(path) => HostEngine::new(path, &mut self.host_cpu, costs)
-                .with_tracer(tracer)
-                .run(op, &query.finalize, now, dop)
-                .map_err(RunError::from),
-            Backend::Smart {
-                dev,
-                link,
-                pool,
-                cmd,
-                host_faults,
-                host_page_cache,
-            } => {
-                let mut view = LinkedFlashView {
-                    ssd: &mut dev.flash,
-                    link,
-                    pool,
-                    cmd,
-                    cmd_latency_ns: self.cfg.interface.command_latency_ns(),
-                    faults: host_faults,
-                    page_cache: host_page_cache,
-                };
-                HostEngine::new(&mut view, &mut self.host_cpu, costs)
-                    .with_tracer(tracer)
-                    .run(op, &query.finalize, now, dop)
-                    .map_err(RunError::from)
+        let (cpu, cfg, tracer) = (&mut self.host_cpu, &self.cfg, &self.tracer);
+        let raw = match &mut self.backend {
+            Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now, dop),
+            Backend::Ssd(path) => host_pass(path, cpu, cfg, tracer, op, now, dop),
+            Backend::Smart { shard, link } => {
+                let mut view = shard.host_view(link, cfg.interface.command_latency_ns());
+                host_pass(&mut view, cpu, cfg, tracer, op, now, dop)
             }
-        }
-    }
-
-    /// Device-route execution: the [`SessionDriver`] drives OPEN/GET/CLOSE
-    /// under the configured recovery policy. On failure the driver has
-    /// already closed the session and the returned [`SessionFault`]
-    /// carries the wasted simulated time.
-    fn run_device(&mut self, op: &QueryOp, query: &Query) -> Result<QueryResult, RunError> {
-        let Backend::Smart { dev, link, .. } = &mut self.backend else {
-            return Err(RunError::from_kind(RunErrorKind::NotSmart));
-        };
-        let driver =
-            SessionDriver::new(self.cfg.session_policy.clone()).with_tracer(self.tracer.clone());
-        let out = driver.run_linked(
-            dev,
-            link,
-            &mut self.host_cpu,
-            self.cfg.interface.command_latency_ns(),
-            op,
-        )?;
-        self.run_faults.get_retries += out.get_retries;
-        let (agg_values, scalar) = query.finalize.apply(out.aggs.as_deref().unwrap_or(&[]));
-        Ok(QueryResult {
-            rows: out.rows,
-            agg_values,
-            scalar,
-            elapsed: out.finished_at,
-            work: out.work,
-        })
+        }?;
+        Ok(raw.finalize(&query.finalize, now))
     }
 
     /// Fault counters as of right now: what the run banked plus the
@@ -908,12 +679,7 @@ impl System {
         match &self.backend {
             Backend::Hdd(_) => {}
             Backend::Ssd(p) => faults.absorb(&p.fault_counters()),
-            Backend::Smart {
-                dev, host_faults, ..
-            } => {
-                faults.absorb(&dev.fault_counters());
-                faults.absorb(host_faults);
-            }
+            Backend::Smart { shard, .. } => faults.absorb(&shard.faults()),
         }
         faults
     }
@@ -931,10 +697,10 @@ impl System {
         let (device_busy, link_busy, device_cpu) = match &self.backend {
             Backend::Hdd(p) => (p.device_busy_ns(), 0, None),
             Backend::Ssd(p) => (p.device_busy_ns(), p.link_busy_ns(), None),
-            Backend::Smart { dev, link, .. } => (
-                dev.flash.dram_busy_ns(),
+            Backend::Smart { shard, link } => (
+                shard.dev.flash.dram_busy_ns(),
                 link.busy_total_ns(),
-                Some(dev.cpu()),
+                Some(shard.dev.cpu()),
             ),
         };
         let pw = &self.cfg.power;
@@ -972,9 +738,6 @@ impl System {
         if let Some(cpu) = device_cpu {
             util.record("device-cpu", cpu.busy_total_ns(), cpu.cores());
         }
-        // Fault accounting: whatever the fallback path banked before the
-        // timing reset, plus the backend's live counters from the run that
-        // actually produced the result.
         let faults = self.current_faults();
         RunReport {
             query: query.name.clone(),
@@ -1096,16 +859,6 @@ mod tests {
     fn run_error_converts_from_component_errors() {
         let e = RunError::from(PlanError::UnknownTable("missing".into()));
         assert!(matches!(e.kind(), RunErrorKind::Plan(_)));
-        let fault = SessionFault {
-            error: SessionError::Timeout {
-                at: SimTime::from_nanos(7),
-            },
-            wasted: SimTime::from_nanos(42),
-            get_retries: 3,
-        };
-        let e = RunError::from(fault);
-        assert!(matches!(e.kind(), RunErrorKind::Session(_)));
-        assert_eq!(e.fault_counters().get_retries, 3);
-        assert_eq!(e.fault_counters().wasted_ns, 42);
+        assert!(!e.fault_counters().any());
     }
 }

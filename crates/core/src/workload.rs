@@ -40,19 +40,21 @@
 
 use crate::admit::{Pending, PendingSlab, WaitSet};
 use crate::breaker::BreakerTransition;
-use crate::builder::{ConfigError, RoutePolicy};
+use crate::builder::{ConfigError, RoutePolicy, RunOptions};
 use crate::serving::{ArrivalStream, TenantLoad, TenantReport, TenantSpec};
+use crate::shard::Fallen;
 use crate::system::{Backend, RunError, RunErrorKind, System};
 use smartssd_device::DeviceError;
 use smartssd_exec::QueryOp;
 use smartssd_query::{
-    Collected, Query, QueryResult, Route, SessionDriver, SessionFault, SessionOutcome,
+    Collected, Query, QueryResult, Route, SessionDriver, SessionError, SessionFault, SessionOutcome,
 };
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
     ArrivalGen, ArrivalModel, EventQueue, FaultCounters, Interval, LatencyStats, RunTrace, SimTime,
-    TraceLevel,
+    TraceLevel, Tracer,
 };
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// One query of a workload: what to run, how to route it, when it arrives,
@@ -81,6 +83,29 @@ pub struct WorkloadItem {
     pub cancel_at: Option<SimTime>,
 }
 
+impl WorkloadItem {
+    /// This item's record as shed at `at`.
+    fn shed(&self, index: usize, at: SimTime) -> ShedQuery {
+        ShedQuery {
+            index,
+            query: self.query.name.clone(),
+            arrival: self.arrival,
+            shed_at: at,
+        }
+    }
+
+    /// An item on tenant `0` that never cancels.
+    fn plain(query: Arc<Query>, route: RoutePolicy, arrival: SimTime) -> Self {
+        Self {
+            query,
+            route,
+            arrival,
+            tenant: 0,
+            cancel_at: None,
+        }
+    }
+}
+
 /// A deterministic stream of queries submitted to one [`System`].
 ///
 /// Build one explicitly with [`Workload::push`], as a burst of simultaneous
@@ -104,13 +129,8 @@ impl Workload {
     /// Appends one query with an explicit route policy and arrival time,
     /// on tenant `0` and without a cancellation instant.
     pub fn push(&mut self, query: Query, route: RoutePolicy, arrival: SimTime) {
-        self.items.push(WorkloadItem {
-            query: Arc::new(query),
-            route,
-            arrival,
-            tenant: 0,
-            cancel_at: None,
-        });
+        self.items
+            .push(WorkloadItem::plain(Arc::new(query), route, arrival));
     }
 
     /// Appends one fully specified item (tenant tag, cancellation instant
@@ -133,13 +153,9 @@ impl Workload {
         let shared = Arc::new(query.clone());
         let mut w = Self::new();
         for _ in 0..n {
-            w.items.push(WorkloadItem {
-                query: Arc::clone(&shared),
-                route: RoutePolicy::Natural,
-                arrival: SimTime::ZERO,
-                tenant: 0,
-                cancel_at: None,
-            });
+            let item =
+                WorkloadItem::plain(Arc::clone(&shared), RoutePolicy::Natural, SimTime::ZERO);
+            w.items.push(item);
         }
         w
     }
@@ -167,13 +183,8 @@ impl Workload {
         let shared = Arc::new(query.clone());
         let mut w = Self::new();
         for arrival in ArrivalGen::with_model(mean_gap, seed, model).arrivals(n) {
-            w.items.push(WorkloadItem {
-                query: Arc::clone(&shared),
-                route: RoutePolicy::Natural,
-                arrival,
-                tenant: 0,
-                cancel_at: None,
-            });
+            let item = WorkloadItem::plain(Arc::clone(&shared), RoutePolicy::Natural, arrival);
+            w.items.push(item);
         }
         w
     }
@@ -583,8 +594,9 @@ enum Ev {
 /// million-arrival stream resolves its template once instead of once per
 /// arrival. An item with a different query simply misses and re-resolves.
 /// The raw key is only ever compared, never dereferenced, and the borrowed
-/// workload keeps every query alive for the run.
-type ResolveCache = Option<(*const Query, QueryOp)>;
+/// workload keeps every query alive for the run. The operator is shared so
+/// a dispatch can hold it without borrowing the scheduler state.
+type ResolveCache = Option<(*const Query, Rc<QueryOp>)>;
 
 /// What one device-route dispatch attempt produced.
 enum DevAttempt {
@@ -616,7 +628,22 @@ enum ArrivalSrc<'a> {
     Stream(ArrivalStream),
 }
 
-impl ArrivalSrc<'_> {
+impl<'a> ArrivalSrc<'a> {
+    /// An eager source over `items`. Arrivals are a static schedule, so
+    /// they never live in the event heap: a cursor over the arrival order
+    /// replaces n heap entries, keeping the heap at O(max_sessions)
+    /// whatever the stream length. Sorting by (arrival, submission index)
+    /// means same-instant arrivals fire in submission order.
+    fn eager(items: &'a [WorkloadItem]) -> Self {
+        let mut order: Vec<u32> = (0..items.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (items[i as usize].arrival, i));
+        ArrivalSrc::Eager {
+            items,
+            order,
+            cursor: 0,
+        }
+    }
+
     /// Total number of arrivals this source will yield.
     fn total(&self) -> usize {
         match self {
@@ -654,61 +681,23 @@ impl ArrivalSrc<'_> {
     }
 }
 
-/// Per-tenant accumulator slice of [`Acct`].
+/// Outcome tallies: [`Acct`] keeps one for the whole run and one per
+/// registered tenant.
 #[derive(Default)]
-struct TenantAcct {
-    arrivals: u64,
-    completed: u64,
+pub(crate) struct Tally {
+    pub(crate) completed: u64,
     rejected: u64,
     deadline_missed: u64,
     canceled: u64,
-    failed: u64,
-    latencies: Vec<SimTime>,
+    pub(crate) failed: u64,
+    pub(crate) latencies: Vec<SimTime>,
 }
 
-/// One-pass report accounting: every outcome is recorded exactly once, at
-/// the moment it is decided, updating the global counters, the makespan,
-/// the latency sample, and (when a registry exists) the owning tenant's
-/// slice — so report assembly never re-walks the outcome array, and the
-/// old separate `tenant_breakdown` pass is gone. The aggregates are
-/// order-independent (sums, max, and selection percentiles over the full
-/// sample), so recording at decision time is bit-identical to the old
-/// end-of-run passes.
-struct Acct {
-    outcomes: Vec<Option<ArrivalOutcome>>,
-    recorded: usize,
-    completed: usize,
-    rejected: u64,
-    deadline_missed: u64,
-    canceled: u64,
-    failed: u64,
-    makespan: SimTime,
-    latencies: Vec<SimTime>,
-    /// Empty when no tenant registry exists (no per-tenant reports).
-    tenants: Vec<TenantAcct>,
-}
-
-impl Acct {
-    fn new(total: usize, registered: usize) -> Self {
-        Self {
-            outcomes: (0..total).map(|_| None).collect(),
-            recorded: 0,
-            completed: 0,
-            rejected: 0,
-            deadline_missed: 0,
-            canceled: 0,
-            failed: 0,
-            makespan: SimTime::ZERO,
-            latencies: Vec::new(),
-            tenants: (0..registered).map(|_| TenantAcct::default()).collect(),
-        }
-    }
-
-    fn record(&mut self, index: usize, tenant: usize, o: ArrivalOutcome) {
-        match &o {
+impl Tally {
+    fn count(&mut self, o: &ArrivalOutcome) {
+        match o {
             ArrivalOutcome::Completed(c) => {
                 self.completed += 1;
-                self.makespan = self.makespan.max(c.finished_at);
                 self.latencies.push(c.latency);
             }
             ArrivalOutcome::Rejected(_) => self.rejected += 1,
@@ -716,22 +705,150 @@ impl Acct {
             ArrivalOutcome::Canceled(_) => self.canceled += 1,
             ArrivalOutcome::Failed(_) => self.failed += 1,
         }
+    }
+
+    fn arrivals(&self) -> u64 {
+        self.completed + self.rejected + self.deadline_missed + self.canceled + self.failed
+    }
+}
+
+/// One-pass report accounting: every outcome is recorded exactly once, at
+/// the moment it is decided, updating the run's tally, the makespan, and
+/// (when a registry exists) the owning tenant's tally — so report assembly
+/// never re-walks the outcome array. The aggregates are order-independent
+/// (sums, max, and selection percentiles over the full sample), so
+/// recording at decision time is bit-identical to end-of-run passes. The
+/// fleet's closed-loop stream records through the same accounting.
+pub(crate) struct Acct {
+    pub(crate) outcomes: Vec<Option<ArrivalOutcome>>,
+    recorded: usize,
+    pub(crate) total: Tally,
+    pub(crate) makespan: SimTime,
+    /// Empty when no tenant registry exists (no per-tenant reports).
+    tenants: Vec<Tally>,
+    /// The typed error behind the most recent [`ArrivalOutcome::Failed`]
+    /// (whose public record carries only its text): [`System::run`]'s
+    /// contract returns it instead of an outcome.
+    dead: Option<RunError>,
+    /// Every shed or failed arrival leaves one protocol instant on its
+    /// session lane.
+    tracer: Tracer,
+}
+
+impl Acct {
+    pub(crate) fn new(total: usize, registered: usize, tracer: Tracer) -> Self {
+        Self {
+            outcomes: (0..total).map(|_| None).collect(),
+            recorded: 0,
+            total: Tally::default(),
+            makespan: SimTime::ZERO,
+            tenants: (0..registered).map(|_| Tally::default()).collect(),
+            dead: None,
+            tracer,
+        }
+    }
+
+    fn record(&mut self, index: usize, tenant: usize, o: ArrivalOutcome) {
+        if let ArrivalOutcome::Completed(c) = &o {
+            self.makespan = self.makespan.max(c.finished_at);
+        }
+        self.total.count(&o);
         if let Some(t) = self.tenants.get_mut(tenant) {
-            t.arrivals += 1;
-            match &o {
-                ArrivalOutcome::Completed(c) => {
-                    t.completed += 1;
-                    t.latencies.push(c.latency);
-                }
-                ArrivalOutcome::Rejected(_) => t.rejected += 1,
-                ArrivalOutcome::DeadlineMissed(_) => t.deadline_missed += 1,
-                ArrivalOutcome::Canceled(_) => t.canceled += 1,
-                ArrivalOutcome::Failed(_) => t.failed += 1,
-            }
+            t.count(&o);
         }
         debug_assert!(self.outcomes[index].is_none(), "one outcome per arrival");
         self.outcomes[index] = Some(o);
         self.recorded += 1;
+    }
+
+    /// Records a completion.
+    pub(crate) fn complete(&mut self, tenant: usize, done: QueryCompletion) {
+        self.record(
+            done.index,
+            tenant,
+            ArrivalOutcome::Completed(Arc::new(done)),
+        );
+    }
+
+    /// Emits one protocol instant on query `index`'s session lane.
+    fn instant(&self, index: usize, name: &str, at: SimTime) {
+        self.tracer.instant(
+            TraceLevel::Protocol,
+            pid::SESSION,
+            index as u32,
+            name,
+            "session",
+            at,
+            &[],
+        );
+    }
+
+    /// Sheds `item` at `at` without service: one protocol instant named
+    /// `why` on the query's session lane, one outcome (`wrap` picks which
+    /// of the three shed outcomes it is).
+    fn shed(&mut self, (why, wrap): Shed, index: usize, item: &WorkloadItem, at: SimTime) {
+        self.instant(index, why, at);
+        self.record(index, item.tenant as usize, wrap(item.shed(index, at)));
+    }
+
+    /// Records a query that died on `error` at `at`: the public outcome
+    /// carries the error's text, the typed error stays retrievable.
+    pub(crate) fn fail(
+        &mut self,
+        index: usize,
+        tenant: usize,
+        (query, arrival): (&str, SimTime),
+        at: SimTime,
+        error: RunError,
+    ) {
+        self.instant(index, "failed", at);
+        let failed = FailedQuery {
+            index,
+            query: query.to_owned(),
+            arrival,
+            failed_at: at,
+            reason: error.to_string(),
+        };
+        self.record(index, tenant, ArrivalOutcome::Failed(failed));
+        self.dead = Some(error);
+    }
+}
+
+/// Why an arrival was shed, as a `(trace instant, outcome)` pair.
+type Shed = (&'static str, fn(ShedQuery) -> ArrivalOutcome);
+const CANCELED: Shed = ("canceled", ArrivalOutcome::Canceled);
+const DEADLINE_MISSED: Shed = ("deadline-missed", ArrivalOutcome::DeadlineMissed);
+const REJECTED: Shed = ("rejected", ArrivalOutcome::Rejected);
+const BROWNED_OUT: Shed = ("browned-out", ArrivalOutcome::Rejected);
+
+/// The run-scoped scheduler state: the options in force, the slot-event
+/// queue, the admission wait set with its parked arrivals, the resolve
+/// memo, and the outcome accounting.
+struct Sched<'o> {
+    opts: &'o WorkloadOptions,
+    dop: usize,
+    events: EventQueue<Ev>,
+    ws: WaitSet,
+    slab: PendingSlab,
+    ops: ResolveCache,
+    acct: Acct,
+}
+
+impl Sched<'_> {
+    /// A waiting query's cancellation instant fired: shed it *now* instead
+    /// of carrying the corpse until its slot turn. A stale generation (or
+    /// an already-canceled entry) means the query left the wait set first
+    /// — nothing to do.
+    fn cancel_waiter(&mut self, slot: u32, gen: u32, now: SimTime) {
+        let Some(p) = self.slab.live_mut(slot, gen) else {
+            return;
+        };
+        if p.canceled {
+            return;
+        }
+        p.canceled = true;
+        self.ws.cancel(p.item.tenant as usize);
+        self.acct.shed(CANCELED, p.index, &p.item, now);
     }
 }
 
@@ -764,49 +881,17 @@ impl System {
         workload: &Workload,
         opts: WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
-        self.run_workload_inner(workload, &opts).map_err(|mut e| {
-            e.faults.absorb(&self.current_faults());
-            e
-        })
-    }
-
-    fn run_workload_inner(
-        &mut self,
-        workload: &Workload,
-        opts: &WorkloadOptions,
-    ) -> Result<WorkloadReport, RunError> {
-        opts.try_validate()
-            .map_err(|e| RunError::from_kind(RunErrorKind::Config(e)))?;
         let registered = opts.tenants.len().max(1);
         if let Some(bad) = workload
             .items()
             .iter()
             .find(|it| it.tenant as usize >= registered)
         {
-            return Err(RunError::from_kind(RunErrorKind::Config(
-                ConfigError::UnknownTenant {
-                    tenant: bad.tenant as usize,
-                },
-            )));
+            let tenant = bad.tenant as usize;
+            return Err(RunErrorKind::Config(ConfigError::UnknownTenant { tenant }).into());
         }
-        // Arrivals are a static schedule, so they never live in the event
-        // heap: a cursor over the arrival order replaces n heap entries,
-        // keeping the heap at O(max_sessions) whatever the stream length.
-        // Sorting by (arrival, submission index) reproduces the old heap's
-        // (time, insertion sequence) order exactly: same-instant arrivals
-        // fire in submission order, and an arrival ties ahead of any close
-        // (arrivals were always inserted first).
-        let n = workload.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| (workload.items()[i as usize].arrival, i));
-        self.run_arrivals(
-            ArrivalSrc::Eager {
-                items: workload.items(),
-                order,
-                cursor: 0,
-            },
-            opts,
-        )
+        let src = ArrivalSrc::eager(workload.items());
+        self.run_arrivals(src, &opts)
     }
 
     /// Runs an open serving stream without ever materializing it: the
@@ -829,171 +914,141 @@ impl System {
         let stream = ArrivalStream::with_base(loads, seed, tenant_base);
         opts.tenants.extend(stream.specs().iter().cloned());
         self.run_arrivals(ArrivalSrc::Stream(stream), &opts)
-            .map_err(|mut e| {
-                e.faults.absorb(&self.current_faults());
-                e
-            })
     }
 
-    /// The scheduler core shared by [`System::run_workload`] (eager) and
-    /// [`System::run_serving`] (streaming): one merge loop over arrivals
-    /// and slot events, with in-flight waiters parked in a generational
-    /// slab and admission decided by the [`WaitSet`]'s keyed min-heap.
+    /// Schedules `src` and reports on it; a failed run's error carries the
+    /// fault counters accumulated up to the failure.
     fn run_arrivals(
         &mut self,
-        mut src: ArrivalSrc,
+        src: ArrivalSrc,
         opts: &WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
+        self.schedule(src, opts)
+            .and_then(|acct| self.workload_report(acct, opts))
+            .map_err(|e| self.with_faults(e))
+    }
+
+    /// [`System::run`]'s engine: `query` as a one-arrival workload at time
+    /// zero over the linked protocol. A dead arrival comes back as its
+    /// typed error rather than an outcome.
+    pub(crate) fn run_single(
+        &mut self,
+        query: &Query,
+        opts: RunOptions,
+    ) -> Result<(QueryCompletion, RunTrace), RunError> {
+        let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
+        let wopts = WorkloadOptions {
+            dop: opts.dop,
+            verbosity: opts.verbosity,
+            ..WorkloadOptions::default()
+        };
+        let src = ArrivalSrc::eager(std::slice::from_ref(&item));
+        let mut acct = self.schedule(src, &wopts)?;
+        if let Some(dead) = acct.dead.take() {
+            return Err(dead);
+        }
+        // With no cancel instant, queue bound or deadline, the one arrival
+        // can only have completed.
+        let Some(ArrivalOutcome::Completed(done)) = acct.outcomes[0].take() else {
+            return Err(RunErrorKind::SchedulerInvariant { index: 0 }.into());
+        };
+        let (_, trace) = self.end_run("run", done.latency, &[]);
+        Ok((Arc::unwrap_or_clone(done), trace))
+    }
+
+    /// The scheduler core shared by [`System::run`] (one arrival),
+    /// [`System::run_workload`] (eager) and [`System::run_serving`]
+    /// (streaming): one merge loop over arrivals and slot events, with
+    /// in-flight waiters parked in a generational slab and admission
+    /// decided by the [`WaitSet`]'s keyed min-heap. Returns the outcome
+    /// accounting; the caller closes the run and assembles its report.
+    fn schedule(&mut self, mut src: ArrivalSrc, opts: &WorkloadOptions) -> Result<Acct, RunError> {
         opts.try_validate()
             .map_err(|e| RunError::from_kind(RunErrorKind::Config(e)))?;
         self.tracer.set_level(opts.verbosity);
         self.tracer.begin_run();
         self.reset_run_timing();
         self.run_faults = FaultCounters::default();
-        // Drop breaker transitions a previously aborted run left behind,
-        // and remember where this workload starts on the breaker's clock.
-        self.breaker.take_transitions();
-        let breaker_base = self.breaker_clock;
-        let dop = opts.dop.unwrap_or(self.cfg.host_dop);
-        let n = src.total();
-        let mut events: EventQueue<Ev> = EventQueue::new();
-        let mut ws = WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission);
-        let mut slab = PendingSlab::new();
-        let mut ops: ResolveCache = None;
-        let mut acct = Acct::new(n, opts.tenants.len());
+        // Drop breaker transitions a previously aborted run left behind.
+        if let Backend::Smart { shard, .. } = &mut self.backend {
+            shard.breaker.take_transitions();
+        }
+        let mut s = Sched {
+            opts,
+            dop: opts.dop.unwrap_or(self.cfg.host_dop),
+            events: EventQueue::new(),
+            ws: WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission),
+            slab: PendingSlab::new(),
+            ops: None,
+            acct: Acct::new(src.total(), opts.tenants.len(), self.tracer.clone()),
+        };
         loop {
-            let arrive_next = match (src.peek(), events.peek_time()) {
+            let arrive_next = match (src.peek(), s.events.peek_time()) {
                 (Some(at), next) => next.is_none_or(|t| at <= t),
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
             if arrive_next {
-                let (i, item) = src.next().expect("peek said so");
-                let t = item.arrival;
-                let (out, _) = self.dispatch(
-                    &item,
-                    i,
-                    t,
-                    opts,
-                    dop,
-                    &mut events,
-                    &mut ws,
-                    &mut slab,
-                    &mut ops,
-                )?;
-                if let Some(o) = out {
-                    acct.record(i, item.tenant as usize, o);
-                }
+                // `peek` just saw this arrival; a source that lies ends the
+                // loop and surfaces as a missing outcome, not a panic.
+                let Some((i, item)) = src.next() else { break };
+                self.dispatch(&mut s, &item, i, item.arrival)?;
                 continue;
             }
-            let Some((t, ev)) = events.pop() else { break };
+            let Some((t, ev)) = s.events.pop() else { break };
             match ev {
                 Ev::Close(sid) => {
-                    let Backend::Smart { dev, .. } = &mut self.backend else {
-                        unreachable!("close events only exist for smart systems");
+                    // Close events are only pushed for sessions opened on
+                    // this system's device.
+                    let Backend::Smart { shard, .. } = &mut self.backend else {
+                        return Err(RunErrorKind::NotSmart.into());
                     };
-                    dev.close(sid).map_err(RunError::from)?;
-                    self.admit_waiters(
-                        t,
-                        opts,
-                        dop,
-                        &mut events,
-                        &mut ws,
-                        &mut slab,
-                        &mut acct,
-                        &mut ops,
-                    )?;
+                    shard.dev.close(sid).map_err(RunError::from)?;
+                    self.admit_waiters(&mut s, t)?;
                 }
-                Ev::SlotFreed => {
-                    // A faulted or canceled session's slot: the driver
-                    // already closed it, so only the admission remains.
-                    self.admit_waiters(
-                        t,
-                        opts,
-                        dop,
-                        &mut events,
-                        &mut ws,
-                        &mut slab,
-                        &mut acct,
-                        &mut ops,
-                    )?;
-                }
-                Ev::CancelWait { slot, gen } => {
-                    // A waiting query's cancellation instant fires as its
-                    // own event, so the queue sheds it *now* instead of
-                    // carrying the corpse until its slot turn. A stale
-                    // generation (or an already-canceled entry) means the
-                    // query left the wait set first — nothing to do.
-                    if let Some(p) = slab.live_mut(slot, gen) {
-                        if !p.canceled {
-                            p.canceled = true;
-                            let tenant = p.item.tenant as usize;
-                            let index = p.index;
-                            let query = p.item.query.name.clone();
-                            let arrival = p.item.arrival;
-                            ws.cancel(tenant);
-                            self.tracer.instant(
-                                TraceLevel::Protocol,
-                                pid::SESSION,
-                                index as u32,
-                                "canceled",
-                                "session",
-                                t,
-                                &[],
-                            );
-                            acct.record(
-                                index,
-                                tenant,
-                                ArrivalOutcome::Canceled(ShedQuery {
-                                    index,
-                                    query,
-                                    arrival,
-                                    shed_at: t,
-                                }),
-                            );
-                        }
-                    }
-                }
+                // A faulted or canceled session's slot: the driver already
+                // closed it, so only the admission remains.
+                Ev::SlotFreed => self.admit_waiters(&mut s, t)?,
+                Ev::CancelWait { slot, gen } => s.cancel_waiter(slot, gen, t),
             }
         }
-        debug_assert!(ws.is_empty(), "every freed slot admits a waiter");
+        debug_assert!(s.ws.is_empty(), "every freed slot admits a waiter");
+        Ok(s.acct)
+    }
+
+    /// Closes a scheduled workload and assembles its report. The
+    /// per-outcome statistics were gathered incrementally as each outcome
+    /// was decided, so assembly never re-walks the outcome array.
+    fn workload_report(
+        &mut self,
+        acct: Acct,
+        opts: &WorkloadOptions,
+    ) -> Result<WorkloadReport, RunError> {
+        let n = acct.outcomes.len();
         // Every arrival must have exactly one outcome by now; a hole is a
         // scheduler bug, reported as a typed error (with the fault counters
-        // absorbed by the caller) instead of a panic. The per-outcome
-        // statistics were gathered incrementally as each outcome was
-        // decided, so assembly never re-walks the outcome array.
-        let Acct {
-            outcomes,
-            recorded,
-            completed,
-            rejected,
-            deadline_missed,
-            canceled,
-            failed,
-            makespan,
-            latencies,
-            tenants: tenant_accts,
-        } = acct;
-        if recorded != n {
-            let index = outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
-            return Err(RunError::from_kind(RunErrorKind::SchedulerInvariant {
-                index,
-            }));
+        // absorbed by the caller) instead of a panic.
+        if acct.recorded != n {
+            let index = acct.outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
+            return Err(RunErrorKind::SchedulerInvariant { index }.into());
         }
         // `Option<ArrivalOutcome>` and `ArrivalOutcome` share a layout
         // (niche optimization), so this unwrap-collect rewrites the vector
         // in place — no second outcome array is ever allocated or copied.
-        let outcomes: Vec<ArrivalOutcome> = outcomes
+        // The expect cannot fire: `record` fills one hole per count, and
+        // the count was just checked against the length.
+        let outcomes: Vec<ArrivalOutcome> = acct
+            .outcomes
             .into_iter()
             .map(|o| o.expect("recorded count checked above"))
             .collect();
         let tenants: Vec<TenantReport> = opts
             .tenants
             .iter()
-            .zip(tenant_accts)
+            .zip(acct.tenants)
             .map(|(s, a)| TenantReport {
                 name: s.name.clone(),
-                arrivals: a.arrivals,
+                arrivals: a.arrivals(),
                 completed: a.completed,
                 rejected: a.rejected,
                 deadline_missed: a.deadline_missed,
@@ -1002,60 +1057,42 @@ impl System {
                 latency: LatencyStats::from_sample(&a.latencies),
             })
             .collect();
-        let mut completions: Vec<Arc<QueryCompletion>> = Vec::with_capacity(completed);
+        let mut completions: Vec<Arc<QueryCompletion>> =
+            Vec::with_capacity(acct.total.completed as usize);
         completions.extend(outcomes.iter().filter_map(|o| match o {
             ArrivalOutcome::Completed(c) => Some(Arc::clone(c)),
             _ => None,
         }));
+        let makespan = acct.makespan;
         let throughput_qps = if makespan > SimTime::ZERO {
             completions.len() as f64 / makespan.as_secs_f64()
         } else {
             0.0
         };
-        let (flash_reads, shared_hits, pool_hits, pool_misses) = match &self.backend {
-            Backend::Hdd(p) => (0, 0, p.pool.hits(), p.pool.misses()),
-            Backend::Ssd(p) => (p.ssd.stats().reads, 0, p.pool.hits(), p.pool.misses()),
-            Backend::Smart { dev, pool, .. } => (
-                dev.flash.stats().reads,
-                dev.shared_hits(),
-                pool.hits(),
-                pool.misses(),
-            ),
+        let (flash_reads, shared_hits) = match &self.backend {
+            Backend::Hdd(_) => (0, 0),
+            Backend::Ssd(p) => (p.ssd.stats().reads, 0),
+            Backend::Smart { shard, .. } => {
+                (shard.dev.flash.stats().reads, shard.dev.shared_hits())
+            }
         };
-        // One top-level span so the trace's root covers the whole workload.
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::RUN,
-            0,
-            "workload",
-            "run",
-            Interval {
-                start: SimTime::ZERO,
-                end: makespan,
-            },
-            &[("queries", n as f64)],
-        );
-        // Advance the breaker's monotone clock past this workload and pull
-        // its transitions (re-based onto the workload timeline) into both
-        // the trace and the report.
-        self.breaker_clock = breaker_base + makespan;
-        let breaker_transitions = self.take_breaker_transitions(breaker_base);
-        let trace = self.tracer.finish_run();
+        let (breaker_transitions, trace) =
+            self.end_run("workload", makespan, &[("queries", n as f64)]);
         Ok(WorkloadReport {
             makespan,
             throughput_qps,
-            latency: LatencyStats::from_sample(&latencies),
+            latency: LatencyStats::from_sample(&acct.total.latencies),
             flash_reads,
             shared_hits,
-            pool_hits,
-            pool_misses,
+            pool_hits: self.pool().hits(),
+            pool_misses: self.pool().misses(),
             faults: self.current_faults(),
             completions,
             outcomes,
-            rejected,
-            deadline_missed,
-            canceled,
-            failed,
+            rejected: acct.total.rejected,
+            deadline_missed: acct.total.deadline_missed,
+            canceled: acct.total.canceled,
+            failed: acct.total.failed,
             tenants,
             breaker_transitions,
             trace,
@@ -1071,372 +1108,197 @@ impl System {
     /// of the queue. Tombstones of event-canceled waiters are skipped (and
     /// their slab slots released) inside [`WaitSet::pop`]; their outcomes
     /// were already recorded when the cancellation event fired.
-    #[allow(clippy::too_many_arguments)] // internal scheduler plumbing, not API
-    fn admit_waiters(
-        &mut self,
-        now: SimTime,
-        opts: &WorkloadOptions,
-        dop: usize,
-        events: &mut EventQueue<Ev>,
-        ws: &mut WaitSet,
-        slab: &mut PendingSlab,
-        acct: &mut Acct,
-        ops: &mut ResolveCache,
-    ) -> Result<(), RunError> {
-        while let Some(slot) = ws.pop(|s| {
-            if slab.is_canceled(s) {
-                slab.release(s);
+    fn admit_waiters(&mut self, s: &mut Sched, now: SimTime) -> Result<(), RunError> {
+        while let Some(slot) = s.ws.pop(|sl| {
+            if s.slab.is_canceled(sl) {
+                s.slab.release(sl);
                 true
             } else {
                 false
             }
         }) {
-            let p = slab.remove(slot);
-            let j = p.index;
-            let item = &p.item;
-            let tenant = item.tenant as usize;
+            let p = s.slab.remove(slot);
+            let (j, item) = (p.index, &p.item);
             if item.cancel_at.is_some_and(|c| c <= now) {
                 // The cancellation event fires no later than this pop, so
                 // this arm is only reachable on an exact tie (the slot
                 // freed at the cancel instant, and the close event drained
                 // first) — and then `now == cancel_at`, so the shed
                 // instant matches the event-driven path exactly.
-                self.tracer.instant(
-                    TraceLevel::Protocol,
-                    pid::SESSION,
-                    j as u32,
-                    "canceled",
-                    "session",
-                    now,
-                    &[],
-                );
-                acct.record(
-                    j,
-                    tenant,
-                    ArrivalOutcome::Canceled(ShedQuery {
-                        index: j,
-                        query: item.query.name.clone(),
-                        arrival: item.arrival,
-                        shed_at: now,
-                    }),
-                );
+                s.acct.shed(CANCELED, j, item, now);
                 continue;
             }
-            if let Some(deadline) = opts.deadline_for(tenant) {
-                if now > item.arrival + deadline {
-                    self.tracer.instant(
-                        TraceLevel::Protocol,
-                        pid::SESSION,
-                        j as u32,
-                        "deadline-missed",
-                        "session",
-                        now,
-                        &[],
-                    );
-                    acct.record(
-                        j,
-                        tenant,
-                        ArrivalOutcome::DeadlineMissed(ShedQuery {
-                            index: j,
-                            query: item.query.name.clone(),
-                            arrival: item.arrival,
-                            shed_at: now,
-                        }),
-                    );
-                    continue;
-                }
+            let deadline = s.opts.deadline_for(item.tenant as usize);
+            if deadline.is_some_and(|d| now > item.arrival + d) {
+                s.acct.shed(DEADLINE_MISSED, j, item, now);
+                continue;
             }
-            let (out, slot_consumed) =
-                self.dispatch(item, j, now, opts, dop, events, ws, slab, ops)?;
-            if let Some(o) = out {
-                acct.record(j, tenant, o);
-            }
-            if slot_consumed {
+            if self.dispatch(s, item, j, now)? {
                 break;
             }
         }
         Ok(())
     }
 
-    /// Dispatches one query at simulated time `now`. Returns the query's
-    /// outcome (`None` when it was deferred on a full device — a close
-    /// event will re-dispatch it) and whether the dispatch tied up a
-    /// device session slot (a host-routed completion leaves the slot free
-    /// for the next waiter). A deferred item is parked in the pending
-    /// slab, so the caller's copy can be dropped — arrivals need not
-    /// outlive the dispatch unless they actually wait.
-    #[allow(clippy::too_many_arguments)] // internal scheduler plumbing, not API
+    /// Dispatches one query at simulated time `now`, recording its outcome
+    /// unless it was deferred on a full device (a close event will
+    /// re-dispatch it). Returns whether the dispatch tied up a device
+    /// session slot — a host-routed completion leaves the slot free for
+    /// the next waiter. A deferred item is parked in the pending slab, so
+    /// the caller's copy can be dropped — arrivals need not outlive the
+    /// dispatch unless they actually wait.
     fn dispatch(
         &mut self,
+        s: &mut Sched,
         item: &WorkloadItem,
         idx: usize,
         now: SimTime,
-        opts: &WorkloadOptions,
-        dop: usize,
-        events: &mut EventQueue<Ev>,
-        ws: &mut WaitSet,
-        slab: &mut PendingSlab,
-        ops: &mut ResolveCache,
-    ) -> Result<(Option<ArrivalOutcome>, bool), RunError> {
+    ) -> Result<bool, RunError> {
         let tenant = item.tenant as usize;
         // Cancellation beats service: an arrival whose cancel instant has
         // already passed is abandoned before any route decision.
         if item.cancel_at.is_some_and(|c| c <= now) {
-            self.tracer.instant(
-                TraceLevel::Protocol,
-                pid::SESSION,
-                idx as u32,
-                "canceled",
-                "session",
-                now,
-                &[],
-            );
-            return Ok((
-                Some(ArrivalOutcome::Canceled(ShedQuery {
-                    index: idx,
-                    query: item.query.name.clone(),
-                    arrival: item.arrival,
-                    shed_at: now,
-                })),
-                false,
-            ));
+            s.acct.shed(CANCELED, idx, item, now);
+            return Ok(false);
         }
         let qptr = Arc::as_ptr(&item.query);
-        if ops.as_ref().is_none_or(|(k, _)| *k != qptr) {
-            match item.query.resolve(&self.catalog) {
-                Ok(op) => *ops = Some((qptr, op)),
+        let op = match &s.ops {
+            Some((key, op)) if *key == qptr => Rc::clone(op),
+            _ => match item.query.resolve(&self.catalog) {
+                Ok(op) => {
+                    let op = Rc::new(op);
+                    s.ops = Some((qptr, Rc::clone(&op)));
+                    op
+                }
                 Err(e) => {
                     // A query that doesn't resolve fails alone; the rest of
                     // the workload is unaffected (no slot was taken).
-                    self.tracer.instant(
-                        TraceLevel::Protocol,
-                        pid::SESSION,
-                        idx as u32,
-                        "failed",
-                        "session",
-                        now,
-                        &[],
-                    );
-                    return Ok((
-                        Some(ArrivalOutcome::Failed(FailedQuery {
-                            index: idx,
-                            query: item.query.name.clone(),
-                            arrival: item.arrival,
-                            failed_at: now,
-                            reason: e.to_string(),
-                        })),
-                        false,
-                    ));
+                    let who = (item.query.name.as_str(), item.arrival);
+                    s.acct.fail(idx, tenant, who, now, e.into());
+                    return Ok(false);
                 }
-            }
-        }
-        let op = &ops.as_ref().expect("just populated").1;
-        let mut route = self.resolve_route(op, &item.route);
+            },
+        };
+        let mut route = self.resolve_route(&op, &item.route);
         // Health-aware routing: while the breaker is Open (or its one
         // HalfOpen probe is taken), this arrival goes straight to the host
         // without paying for a doomed OPEN. Breaker timestamps live on the
         // monotone breaker clock so state carries across workloads.
-        let breaker_now = self.breaker_clock + now;
-        if route == Route::Device && !self.breaker.allows_device(breaker_now) {
-            route = Route::Host;
+        let stamp = self.breaker_clock + now;
+        if let (Route::Device, Backend::Smart { shard, .. }) = (route, &mut self.backend) {
+            if !shard.breaker.allows_device(stamp) {
+                route = Route::Host;
+            }
         }
-        match route {
-            Route::Host => self
-                .host_completion(item, op, idx, now, dop)
-                .map(|c| (Some(ArrivalOutcome::Completed(Arc::new(c))), false)),
-            Route::Device => {
-                let cancel_at = item.cancel_at.unwrap_or(SimTime::MAX);
-                match self.device_attempt(op, idx, now, cancel_at, opts)? {
-                    DevAttempt::Deferred => {
-                        // The attempt never reached a session: if it held
-                        // the HalfOpen probe slot, give the slot back.
-                        self.breaker.probe_abandoned();
-                        if let Some(bound) = opts.queue_bound_for(tenant) {
-                            if ws.waiting_for(tenant) >= bound {
-                                // Admission control: the wait queue is at
-                                // its bound, so shed this arrival instead
-                                // of letting the queue grow without limit.
-                                self.tracer.instant(
-                                    TraceLevel::Protocol,
-                                    pid::SESSION,
-                                    idx as u32,
-                                    "rejected",
-                                    "session",
-                                    now,
-                                    &[],
-                                );
-                                return Ok((
-                                    Some(ArrivalOutcome::Rejected(ShedQuery {
-                                        index: idx,
-                                        query: item.query.name.clone(),
-                                        arrival: item.arrival,
-                                        shed_at: now,
-                                    })),
-                                    true,
-                                ));
-                            }
-                        }
-                        // Brownout: the wait queue is past the policy's
-                        // threshold and this arrival's tenant is (one of)
-                        // the lightest already queueing — shed it so the
-                        // heavier tenants keep their tail latency through
-                        // the overload instead of everyone collapsing
-                        // together.
-                        if let Some(b) = opts.brownout {
-                            if ws.total_waiting() >= b.max_waiting
-                                && ws
-                                    .min_waiting_weight()
-                                    .is_some_and(|m| ws.weight_of(tenant) <= m)
-                            {
-                                self.tracer.instant(
-                                    TraceLevel::Protocol,
-                                    pid::SESSION,
-                                    idx as u32,
-                                    "browned-out",
-                                    "session",
-                                    now,
-                                    &[],
-                                );
-                                return Ok((
-                                    Some(ArrivalOutcome::Rejected(ShedQuery {
-                                        index: idx,
-                                        query: item.query.name.clone(),
-                                        arrival: item.arrival,
-                                        shed_at: now,
-                                    })),
-                                    true,
-                                ));
-                            }
-                        }
-                        let (slot, gen) = slab.insert(Pending {
-                            item: item.clone(),
-                            index: idx,
-                            canceled: false,
-                        });
-                        ws.push(slot, tenant);
-                        // The cancel instant (strictly future: `c <= now`
-                        // was shed above) becomes an event, so a waiting
-                        // cancellation is observed when it happens, not
-                        // when the slot turn comes around.
-                        if let Some(c) = item.cancel_at {
-                            events.push(c, Ev::CancelWait { slot, gen });
-                        }
-                        Ok((None, true))
+        if route == Route::Host {
+            let done = self.host_completion(item, &op, idx, now, s.dop)?;
+            s.acct.complete(tenant, done);
+            return Ok(false);
+        }
+        let cancel_at = item.cancel_at.unwrap_or(SimTime::MAX);
+        let attempt = match self.device_attempt(&op, idx, now, cancel_at, s.opts.interface)? {
+            DevAttempt::Deferred => {
+                self.defer(s, item, idx, now);
+                return Ok(true);
+            }
+            DevAttempt::Canceled { at, get_retries } => {
+                // Mid-flight abandonment: the driver closed the session at
+                // the cancel instant (and traced it). The slot held from
+                // `now` to `at` was real service, so the tenant is charged
+                // for it; the breaker learns nothing (a cancellation is
+                // neither success nor failure).
+                self.run_faults.get_retries += get_retries;
+                s.events.push(at, Ev::SlotFreed);
+                s.ws.charge(tenant, at.saturating_sub(now));
+                let abandoned = ArrivalOutcome::Canceled(item.shed(idx, at));
+                s.acct.record(idx, tenant, abandoned);
+                return Ok(true);
+            }
+            DevAttempt::Done(sid, out) => {
+                // Hold the session slot until its simulated finish.
+                s.events.push(out.finished_at, Ev::Close(sid));
+                Ok(out)
+            }
+            DevAttempt::Fault(fault) => Err(fault),
+        };
+        let Backend::Smart { shard, .. } = &mut self.backend else {
+            return Err(RunErrorKind::NotSmart.into());
+        };
+        match attempt {
+            Ok(out) => {
+                shard.settle_done(&out, stamp, now, &mut self.run_faults);
+                // Charge the tenant's virtual time for exactly the service
+                // the slot delivered.
+                s.ws.charge(tenant, out.finished_at.saturating_sub(now));
+                let done = self.device_completion(item, idx, out);
+                s.acct.complete(tenant, done);
+            }
+            Err(fault) => {
+                let Fallen { at, dead } =
+                    shard.settle_fault(fault, stamp, now, &mut self.run_faults);
+                // The driver closed the failed session on the abandon path,
+                // so its slot is free again at `at` — admit the next
+                // waiter, or it would be stranded and the workload could
+                // never drain. Either way the tenant pays virtual time for
+                // the device service the attempt consumed.
+                s.events.push(at, Ev::SlotFreed);
+                s.ws.charge(tenant, at.saturating_sub(now));
+                match dead {
+                    // Recoverable: degrade this one query to the host. The
+                    // timelines keep the wasted attempt, and the fallback
+                    // starts no earlier than the fault.
+                    None => {
+                        let done = self.host_completion(item, &op, idx, at, s.dop)?;
+                        s.acct.complete(tenant, done);
                     }
-                    DevAttempt::Done(sid, out) => {
-                        self.breaker.record_success(breaker_now);
-                        // Latency health: the attempt's service time feeds
-                        // the slow-trip rule — a gray device opens the
-                        // breaker with zero hard failures.
-                        if self
-                            .breaker
-                            .record_service_time(breaker_now, out.finished_at.saturating_sub(now))
-                        {
-                            self.run_faults.slow_trips += 1;
-                        }
-                        // Hold the session slot until its simulated finish,
-                        // and charge the tenant's virtual time for exactly
-                        // the service the slot delivered.
-                        events.push(out.finished_at, Ev::Close(sid));
-                        ws.charge(tenant, out.finished_at.saturating_sub(now));
-                        self.run_faults.get_retries += out.get_retries;
-                        let (agg_values, scalar) = item
-                            .query
-                            .finalize
-                            .apply(out.aggs.as_deref().unwrap_or(&[]));
-                        let latency = out.finished_at.saturating_sub(item.arrival);
-                        self.query_span(idx, item.arrival, out.finished_at, Route::Device);
-                        Ok((
-                            Some(ArrivalOutcome::Completed(Arc::new(QueryCompletion {
-                                index: idx,
-                                query: item.query.name.clone(),
-                                route: Route::Device,
-                                arrival: item.arrival,
-                                finished_at: out.finished_at,
-                                latency,
-                                result: QueryResult {
-                                    rows: out.rows,
-                                    agg_values,
-                                    scalar,
-                                    elapsed: latency,
-                                    work: out.work,
-                                },
-                            }))),
-                            true,
-                        ))
-                    }
-                    DevAttempt::Canceled { at, get_retries } => {
-                        // Mid-flight abandonment: the driver closed the
-                        // session at the cancel instant. The slot held from
-                        // `now` to `at` was real service, so the tenant is
-                        // charged for it; the breaker learns nothing (a
-                        // cancellation is neither success nor failure), but
-                        // a held HalfOpen probe must be released.
-                        self.breaker.probe_abandoned();
-                        self.run_faults.get_retries += get_retries;
-                        events.push(at, Ev::SlotFreed);
-                        ws.charge(tenant, at.saturating_sub(now));
-                        Ok((
-                            Some(ArrivalOutcome::Canceled(ShedQuery {
-                                index: idx,
-                                query: item.query.name.clone(),
-                                arrival: item.arrival,
-                                shed_at: at,
-                            })),
-                            true,
-                        ))
-                    }
-                    DevAttempt::Fault(fault) => {
-                        self.breaker.record_failure(breaker_now);
-                        self.run_faults.get_retries += fault.get_retries;
-                        self.run_faults.wasted_ns += fault.wasted.saturating_sub(now).as_nanos();
-                        // `fault.wasted` is an absolute instant (the
-                        // earliest moment anything can happen after the
-                        // fault); only the time past this attempt's start
-                        // was actually burned. The driver closed the failed
-                        // session on the abandon path, so its slot is free
-                        // again at `start` — admit the next waiter, or it
-                        // would be stranded and the workload could never
-                        // drain. Either way the tenant pays virtual time
-                        // for the device service the attempt consumed.
-                        let start = now.max(fault.wasted);
-                        events.push(start, Ev::SlotFreed);
-                        ws.charge(tenant, start.saturating_sub(now));
-                        if !Self::fault_is_recoverable(&fault.error) {
-                            // Unrecoverable: this one query dies, with the
-                            // fault spelled out; the workload carries on.
-                            self.tracer.instant(
-                                TraceLevel::Protocol,
-                                pid::SESSION,
-                                idx as u32,
-                                "failed",
-                                "session",
-                                start,
-                                &[],
-                            );
-                            return Ok((
-                                Some(ArrivalOutcome::Failed(FailedQuery {
-                                    index: idx,
-                                    query: item.query.name.clone(),
-                                    arrival: item.arrival,
-                                    failed_at: start,
-                                    reason: fault.error.to_string(),
-                                })),
-                                true,
-                            ));
-                        }
-                        // Recoverable: degrade this one query to the host.
-                        // Unlike the single-query path there is no timing
-                        // reset — the rest of the workload keeps its
-                        // timelines — so the wasted device time is charged
-                        // where it belongs: the fallback starts no earlier
-                        // than the fault.
-                        self.run_faults.fallbacks += 1;
-                        self.host_completion(item, op, idx, start, dop)
-                            .map(|c| (Some(ArrivalOutcome::Completed(Arc::new(c))), true))
+                    // Unrecoverable: this one query dies, with the fault
+                    // spelled out; the workload carries on.
+                    Some(fault) => {
+                        let who = (item.query.name.as_str(), item.arrival);
+                        let error = RunErrorKind::Session(fault).into();
+                        s.acct.fail(idx, tenant, who, at, error);
                     }
                 }
             }
+        }
+        Ok(true)
+    }
+
+    /// Parks a device-routed arrival that found every session slot taken —
+    /// unless admission control sheds it instead of letting the queue grow
+    /// without limit.
+    fn defer(&mut self, s: &mut Sched, item: &WorkloadItem, idx: usize, now: SimTime) {
+        let tenant = item.tenant as usize;
+        let bound = s.opts.queue_bound_for(tenant);
+        if bound.is_some_and(|b| s.ws.waiting_for(tenant) >= b) {
+            s.acct.shed(REJECTED, idx, item, now);
+            return;
+        }
+        // Brownout: the wait queue is past the policy's threshold and this
+        // arrival's tenant is (one of) the lightest already queueing — shed
+        // it so the heavier tenants keep their tail latency through the
+        // overload instead of everyone collapsing together.
+        let browned_out = s.opts.brownout.is_some_and(|b| {
+            s.ws.total_waiting() >= b.max_waiting
+                && s.ws
+                    .min_waiting_weight()
+                    .is_some_and(|m| s.ws.weight_of(tenant) <= m)
+        });
+        if browned_out {
+            s.acct.shed(BROWNED_OUT, idx, item, now);
+            return;
+        }
+        let (slot, gen) = s.slab.insert(Pending {
+            item: item.clone(),
+            index: idx,
+            canceled: false,
+        });
+        s.ws.push(slot, tenant);
+        // The cancel instant (strictly future: `c <= now` was shed at
+        // dispatch) becomes an event, so a waiting cancellation is
+        // observed when it happens, not when the slot turn comes around.
+        if let Some(c) = item.cancel_at {
+            s.events.push(c, Ev::CancelWait { slot, gen });
         }
     }
 
@@ -1466,77 +1328,97 @@ impl System {
         })
     }
 
+    /// The completion record of a device session that delivered `out`.
+    fn device_completion(
+        &self,
+        item: &WorkloadItem,
+        idx: usize,
+        out: SessionOutcome,
+    ) -> QueryCompletion {
+        let finalize = &item.query.finalize;
+        let (agg_values, scalar) = finalize.apply(out.aggs.as_deref().unwrap_or(&[]));
+        let latency = out.finished_at.saturating_sub(item.arrival);
+        self.query_span(idx, item.arrival, out.finished_at, Route::Device);
+        QueryCompletion {
+            index: idx,
+            query: item.query.name.clone(),
+            route: Route::Device,
+            arrival: item.arrival,
+            finished_at: out.finished_at,
+            latency,
+            result: QueryResult {
+                rows: out.rows,
+                agg_values,
+                scalar,
+                elapsed: latency,
+                work: out.work,
+            },
+        }
+    }
+
     /// One device-route attempt at `now`, under the workload's interface
     /// model and the item's cancellation instant. A full device is
     /// reported as [`DevAttempt::Deferred`], not an error — the scheduler
-    /// queues the query for the next free slot.
+    /// queues the query for the next free slot. An attempt that never
+    /// reached a verdict (deferred or canceled) gives back the breaker's
+    /// HalfOpen probe slot if it held it.
     fn device_attempt(
         &mut self,
         op: &QueryOp,
         idx: usize,
         now: SimTime,
         cancel_at: SimTime,
-        opts: &WorkloadOptions,
+        interface: InterfaceMode,
     ) -> Result<DevAttempt, RunError> {
         let driver = SessionDriver::new(self.cfg.session_policy.clone())
             .with_tracer(self.tracer.clone())
             .with_lane(idx as u32);
-        let timeout = self.cfg.session_policy.session_timeout;
         let cmd_latency_ns = self.cfg.interface.command_latency_ns();
-        let Backend::Smart { dev, link, .. } = &mut self.backend else {
-            return Err(RunError::from_kind(RunErrorKind::NotSmart));
+        let Backend::Smart { shard, link } = &mut self.backend else {
+            return Err(RunErrorKind::NotSmart.into());
         };
-        match opts.interface {
-            InterfaceMode::Direct => match driver.open(dev, op, now) {
-                Err(fault)
-                    if matches!(
-                        fault.error,
-                        smartssd_query::SessionError::Device(DeviceError::TooManySessions)
-                    ) =>
-                {
-                    Ok(DevAttempt::Deferred)
-                }
-                Err(fault) => Ok(DevAttempt::Fault(fault)),
-                Ok(sid) => {
-                    match driver.collect_direct_cancellable(dev, sid, now, now + timeout, cancel_at)
-                    {
-                        Ok(Collected::Done(out)) => Ok(DevAttempt::Done(sid, out)),
-                        Ok(Collected::Canceled { at, get_retries }) => {
-                            Ok(DevAttempt::Canceled { at, get_retries })
-                        }
-                        Err(fault) => Ok(DevAttempt::Fault(fault)),
-                    }
-                }
-            },
-            InterfaceMode::Linked => match driver.open_linked(dev, link, cmd_latency_ns, op, now) {
-                Err(fault)
-                    if matches!(
-                        fault.error,
-                        smartssd_query::SessionError::Device(DeviceError::TooManySessions)
-                    ) =>
-                {
-                    Ok(DevAttempt::Deferred)
-                }
-                Err(fault) => Ok(DevAttempt::Fault(fault)),
-                Ok((sid, open_done)) => {
-                    match driver.collect_linked_cancellable(
-                        dev,
-                        link,
-                        &mut self.host_cpu,
-                        sid,
-                        now,
-                        open_done + timeout,
-                        cancel_at,
-                    ) {
-                        Ok(Collected::Done(out)) => Ok(DevAttempt::Done(sid, out)),
-                        Ok(Collected::Canceled { at, get_retries }) => {
-                            Ok(DevAttempt::Canceled { at, get_retries })
-                        }
-                        Err(fault) => Ok(DevAttempt::Fault(fault)),
-                    }
-                }
-            },
-        }
+        let opened = match interface {
+            InterfaceMode::Direct => driver.open(&mut shard.dev, op, now).map(|sid| (sid, now)),
+            InterfaceMode::Linked => {
+                driver.open_linked(&mut shard.dev, link, cmd_latency_ns, op, now)
+            }
+        };
+        let (sid, open_done) = match opened {
+            Ok(opened) => opened,
+            Err(fault)
+                if matches!(
+                    fault.error,
+                    SessionError::Device(DeviceError::TooManySessions)
+                ) =>
+            {
+                shard.breaker.probe_abandoned();
+                return Ok(DevAttempt::Deferred);
+            }
+            Err(fault) => return Ok(DevAttempt::Fault(fault)),
+        };
+        let deadline = open_done + self.cfg.session_policy.session_timeout;
+        let collected = match interface {
+            InterfaceMode::Direct => {
+                driver.collect_direct_cancellable(&mut shard.dev, sid, now, deadline, cancel_at)
+            }
+            InterfaceMode::Linked => driver.collect_linked_cancellable(
+                &mut shard.dev,
+                link,
+                &mut self.host_cpu,
+                sid,
+                now,
+                deadline,
+                cancel_at,
+            ),
+        };
+        Ok(match collected {
+            Ok(Collected::Done(out)) => DevAttempt::Done(sid, out),
+            Ok(Collected::Canceled { at, get_retries }) => {
+                shard.breaker.probe_abandoned();
+                DevAttempt::Canceled { at, get_retries }
+            }
+            Err(fault) => DevAttempt::Fault(fault),
+        })
     }
 
     /// Emits one per-query lifetime span on the query's session lane, so
@@ -1619,20 +1501,6 @@ mod tests {
                 assert_eq!(c.result.scalar, expected.scalar, "{interface:?}");
             }
         }
-    }
-
-    #[test]
-    fn single_query_linked_workload_matches_isolated_timing() {
-        let q = sum_query();
-        let mut iso = build_sys(DeviceKind::SmartSsd, |b| b);
-        let expected = iso.run(&q, RunOptions::default()).unwrap().result.elapsed;
-        let mut sys = build_sys(DeviceKind::SmartSsd, |b| b);
-        let rep = sys
-            .run_workload(&Workload::burst(&q, 1), WorkloadOptions::default())
-            .unwrap();
-        assert_eq!(rep.makespan, expected);
-        assert_eq!(rep.latency.p50, expected);
-        assert_eq!(rep.completions[0].latency, expected);
     }
 
     #[test]

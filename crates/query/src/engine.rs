@@ -40,6 +40,21 @@ pub struct RawRun {
     pub work: WorkCounts,
 }
 
+impl RawRun {
+    /// Finalizes the pass into a [`QueryResult`] for a query that started
+    /// at simulated time `started` (`elapsed` is measured from there).
+    pub fn finalize(self, finalize: &Finalize, started: SimTime) -> QueryResult {
+        let (agg_values, scalar) = finalize.apply(&self.aggs);
+        QueryResult {
+            rows: self.rows,
+            agg_values,
+            scalar,
+            elapsed: self.end.saturating_sub(started),
+            work: self.work,
+        }
+    }
+}
+
 /// A completed query.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
@@ -137,15 +152,7 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
         now: SimTime,
         dop: usize,
     ) -> Result<QueryResult, EngineError> {
-        let raw = self.run_raw(op, now, dop)?;
-        let (agg_values, scalar) = finalize.apply(&raw.aggs);
-        Ok(QueryResult {
-            rows: raw.rows,
-            agg_values,
-            scalar,
-            elapsed: raw.end.saturating_sub(now),
-            work: raw.work,
-        })
+        Ok(self.run_raw(op, now, dop)?.finalize(finalize, now))
     }
 
     /// Executes `op` like [`HostEngine::run`] but returns the raw pass —

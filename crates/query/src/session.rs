@@ -46,11 +46,6 @@ pub struct SessionPolicy {
     /// Simulated-time budget from `OPEN` to the final `Done`. Exceeding it
     /// abandons the session with [`SessionError::Timeout`].
     pub session_timeout: SimTime,
-    /// When a device-route run degrades to the host, carry the simulated
-    /// time wasted on the failed device attempt into the run's elapsed
-    /// time instead of discarding it. Off by default so all reproduced
-    /// figures stay bit-identical to the fault-free protocol.
-    pub carry_wasted_time: bool,
 }
 
 impl Default for SessionPolicy {
@@ -60,7 +55,6 @@ impl Default for SessionPolicy {
             poll_backoff: SimTime::from_nanos(1),
             backoff_cap: SimTime::from_millis(1),
             session_timeout: SimTime::MAX,
-            carry_wasted_time: false,
         }
     }
 }
@@ -609,7 +603,7 @@ impl SessionDriver {
     /// lets the fault carry how long the failed attempt actually took. A
     /// crash's `at` (not `until`) is used: the host route does not need the
     /// smart runtime, so a fallback can start the moment the crash is seen.
-    fn error_time(e: &DeviceError) -> SimTime {
+    pub fn error_time(e: &DeviceError) -> SimTime {
         match e {
             DeviceError::RetriesExhausted { at, .. } => *at,
             // Crashed firmware can't answer: the host learns the session is
@@ -624,7 +618,7 @@ impl SessionDriver {
     /// reset gets its own typed variant (so routing layers can treat the
     /// whole-device failure domain specially); everything else stays a
     /// wrapped device error.
-    fn classify(e: DeviceError) -> SessionError {
+    pub fn classify(e: DeviceError) -> SessionError {
         match e {
             DeviceError::DeviceReset { until, .. } => SessionError::DeviceReset { until },
             other => SessionError::Device(other),

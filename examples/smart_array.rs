@@ -11,7 +11,7 @@
 //! cargo run --release --example smart_array
 //! ```
 
-use smartssd::{DeviceKind, Layout, SmartSsdArray, SystemConfig};
+use smartssd::{DeviceKind, FleetOptions, InterfaceMode, Layout, SmartSsdFleet, SystemConfig};
 use smartssd_workload::{q6, queries, tpch};
 
 const SF: f64 = 0.02;
@@ -23,7 +23,13 @@ fn main() {
     let mut base = None;
     let mut reference_sum = None;
     for n in [1usize, 2, 4, 8] {
-        let mut arr = SmartSsdArray::new(n, SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax));
+        // The minimal coordinator: sessions open in place at time zero.
+        let opts = FleetOptions {
+            interface: InterfaceMode::Direct,
+            ..FleetOptions::default()
+        };
+        let cfg = SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax);
+        let mut arr = SmartSsdFleet::with_options(n, cfg, opts);
         arr.load_partitioned(
             queries::LINEITEM,
             &tpch::lineitem_schema(),
@@ -31,7 +37,7 @@ fn main() {
         )
         .expect("load");
         arr.finish_load();
-        let r = arr.run_agg(&q6()).expect("array q6");
+        let r = arr.run_agg(&q6()).expect("array q6").result;
         let secs = r.elapsed.as_secs_f64();
         let base_secs = *base.get_or_insert(secs);
         // Partitioning must never change the answer.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tier-1 tests, and a benchmark smoke run.
+# Repo gate: formatting, lints, tier-1 tests (the whole workspace), and the
+# benchmark smoke runs.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh fast     # skip the benchmark smoke run
+#   scripts/check.sh fast     # skip the benchmark package and the smoke runs
 #
 # Mirrors what CI should enforce; every step fails the script.
 
@@ -23,6 +24,12 @@ cargo build --release
 cargo test -q
 
 if [[ "${1:-}" != "fast" ]]; then
+    # The benchmark package sits outside the workspace; an API deletion that
+    # breaks it must fail here, not in the pipeline.
+    echo "== benchmark package: tests + smoke run =="
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    benchmark/run.sh --smoke
+
     echo "== benchmark smoke (criterion --quick, kernel groups only) =="
     cargo bench -q -p smartssd-bench --bench kernels -- --quick scan_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg

@@ -2,11 +2,14 @@
 //! configuration, with results cross-checked against an in-memory reference
 //! executor.
 
-use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
+use smartssd::{
+    DeviceKind, Layout, Route, RoutePolicy, RunOptions, SimTime, System, SystemBuilder, Workload,
+    WorkloadOptions,
+};
 use smartssd_storage::Tuple;
 use smartssd_workload::{
-    dates::date_to_days, join_query, q14, q6, queries, synthetic::synthetic_schema, synthetic64_r,
-    synthetic64_s, tpch, tpch::lineitem_cols as l,
+    dates::date_to_days, join_query, q1, q14, q6, queries, synthetic::synthetic_schema,
+    synthetic64_r, synthetic64_s, tpch, tpch::lineitem_cols as l,
 };
 
 const SF: f64 = 0.005; // 30k LINEITEM rows
@@ -224,4 +227,53 @@ fn warm_cache_removes_device_traffic() {
     assert_eq!(warm.util.utilization("io-device"), Some(0.0));
     assert!(warm.result.elapsed <= cold.result.elapsed);
     assert_eq!(warm.result.agg_values, cold.result.agg_values);
+}
+
+/// A single run *is* a one-arrival workload: on every device x layout x
+/// route the paper's figures use, and for every query shape, `System::run`
+/// and a one-item `run_workload` at time zero over the linked protocol
+/// agree bit for bit — timing, answers, work receipt and route.
+#[test]
+fn single_run_equals_one_arrival_workload() {
+    let host = RoutePolicy::Force(Route::Host);
+    let configs = [
+        (DeviceKind::Hdd, Layout::Nsm, RoutePolicy::Natural),
+        (DeviceKind::Ssd, Layout::Nsm, RoutePolicy::Natural),
+        (DeviceKind::Ssd, Layout::Pax, RoutePolicy::Natural),
+        (DeviceKind::SmartSsd, Layout::Nsm, RoutePolicy::Natural),
+        (DeviceKind::SmartSsd, Layout::Pax, RoutePolicy::Natural),
+        (DeviceKind::SmartSsd, Layout::Pax, host),
+    ];
+    type Build = fn(DeviceKind, Layout) -> System;
+    let queries = [
+        (q6(), tpch_system as Build),
+        (q14(), tpch_system),
+        (q1(), tpch_system),
+        (join_query(0.01), synth_system),
+        (join_query(1.0), synth_system),
+    ];
+    for (kind, layout, route) in &configs {
+        for (query, build) in &queries {
+            let cell = format!("{} on {kind:?}/{layout} ({route:?})", query.name);
+            let opts = RunOptions {
+                route: route.clone(),
+                ..RunOptions::default()
+            };
+            let single = build(*kind, *layout).run(query, opts).unwrap();
+            let mut w = Workload::new();
+            w.push(query.clone(), route.clone(), SimTime::ZERO);
+            let rep = build(*kind, *layout)
+                .run_workload(&w, WorkloadOptions::default())
+                .unwrap();
+            let one = &rep.completions[0];
+            assert_eq!(one.route, single.route, "{cell}");
+            assert_eq!(one.result.elapsed, single.result.elapsed, "{cell}");
+            assert_eq!(rep.makespan, single.result.elapsed, "{cell}");
+            assert_eq!(one.result.rows, single.result.rows, "{cell}");
+            assert_eq!(one.result.agg_values, single.result.agg_values, "{cell}");
+            assert_eq!(one.result.scalar, single.result.scalar, "{cell}");
+            assert_eq!(one.result.work, single.result.work, "{cell}");
+            assert_eq!(rep.faults, single.faults, "{cell}");
+        }
+    }
 }

@@ -6,7 +6,10 @@
 //! but they never change query answers and never break determinism.
 
 use proptest::prelude::*;
-use smartssd::{DeviceKind, Layout, Route, RunOptions, RunReport, SystemBuilder, SystemConfig};
+use smartssd::{
+    DeviceKind, Layout, Route, RoutePolicy, RunOptions, RunReport, System, SystemBuilder,
+    SystemConfig, Workload, WorkloadOptions,
+};
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_flash::FlashConfig;
 use smartssd_query::{Finalize, OpTemplate, Query};
@@ -40,12 +43,8 @@ fn sum_query() -> Query {
 }
 
 /// Builds the standard single-table system with the given flash fault
-/// rates, applies `tweak` to the config, and runs the sum query on `route`.
-fn run_case(
-    flash: FlashConfig,
-    route: Route,
-    tweak: impl FnOnce(&mut SystemConfig),
-) -> Result<RunReport, smartssd::RunError> {
+/// rates, applying `tweak` to the config.
+fn faulty_system(flash: FlashConfig, tweak: impl FnOnce(&mut SystemConfig)) -> System {
     let mut cfg = SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax);
     cfg.flash = flash;
     tweak(&mut cfg);
@@ -53,7 +52,16 @@ fn run_case(
     sys.load_table_rows("t", &small_schema(), rows(N_ROWS))
         .unwrap();
     sys.finish_load();
-    sys.run(&sum_query(), RunOptions::routed(route))
+    sys
+}
+
+/// Runs the sum query on `route` on a freshly built [`faulty_system`].
+fn run_case(
+    flash: FlashConfig,
+    route: Route,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> Result<RunReport, smartssd::RunError> {
+    faulty_system(flash, tweak).run(&sum_query(), RunOptions::routed(route))
 }
 
 fn expected_sum() -> i128 {
@@ -116,7 +124,7 @@ fn retry_exhaustion_falls_back_to_host() {
         ecc_fail_rate: u32::MAX,
         ..FlashConfig::default()
     };
-    let r = run_case(faulty.clone(), Route::Device, |cfg| {
+    let r = run_case(faulty, Route::Device, |cfg| {
         cfg.smart.read_retry_limit = 0;
     })
     .unwrap();
@@ -128,20 +136,59 @@ fn retry_exhaustion_falls_back_to_host() {
         "the failed device attempt cost time"
     );
 
-    // With `carry_wasted_time`, the wasted device time is added to the
-    // fallback run's elapsed instead of being silently discarded.
-    let carried = run_case(faulty, Route::Device, |cfg| {
+    // Recovery is paid in simulated time: the host re-run starts at the
+    // fault, so the wasted device attempt stays in the run's elapsed time.
+    assert!(r.result.elapsed.as_nanos() > r.faults.wasted_ns);
+}
+
+/// One fallback rule on every engine: a single run whose device attempt
+/// faults is exactly a one-arrival workload whose device attempt faults —
+/// same route, answers, elapsed time (wasted attempt included) and fault
+/// counters — and neither leaves a session open.
+#[test]
+fn faulted_single_run_equals_one_arrival_workload() {
+    type Tweak = fn(&mut SystemConfig);
+    let exhaustion: Tweak = |cfg| {
+        cfg.flash.ecc_fail_rate = u32::MAX;
         cfg.smart.read_retry_limit = 0;
-        cfg.session_policy.carry_wasted_time = true;
-    })
-    .unwrap();
-    assert_eq!(carried.route, Route::Host);
-    assert_eq!(carried.result.agg_values, r.result.agg_values);
-    assert_eq!(
-        carried.result.elapsed,
-        r.result.elapsed + SimTime::from_nanos(r.faults.wasted_ns),
-        "carried elapsed = plain fallback elapsed + wasted device time"
-    );
+    };
+    let timeout: Tweak = |cfg| cfg.session_policy.session_timeout = SimTime::from_nanos(1);
+    let crash: Tweak = |cfg| cfg.smart.fault_rates.crash_rate = u32::MAX;
+    for (name, tweak) in [
+        ("retry exhaustion", exhaustion),
+        ("session timeout", timeout),
+        ("firmware crash", crash),
+    ] {
+        let mut single_sys = faulty_system(FlashConfig::default(), tweak);
+        let single = single_sys
+            .run(&sum_query(), RunOptions::routed(Route::Device))
+            .unwrap();
+        let mut workload_sys = faulty_system(FlashConfig::default(), tweak);
+        let mut w = Workload::new();
+        w.push(
+            sum_query(),
+            RoutePolicy::Force(Route::Device),
+            SimTime::ZERO,
+        );
+        let rep = workload_sys
+            .run_workload(&w, WorkloadOptions::default())
+            .unwrap();
+        let one = &rep.completions[0];
+
+        assert_eq!(single.route, Route::Host, "{name}: run must degrade");
+        assert_eq!(one.route, single.route, "{name}");
+        assert_eq!(single.result.agg_values[0], expected_sum(), "{name}");
+        assert_eq!(one.result.agg_values, single.result.agg_values, "{name}");
+        assert_eq!(one.result.elapsed, single.result.elapsed, "{name}");
+        assert_eq!(rep.faults, single.faults, "{name}");
+        assert_eq!(single.faults.fallbacks, 1, "{name}");
+        assert!(
+            single.result.elapsed.as_nanos() > single.faults.wasted_ns,
+            "{name}: the wasted attempt is on the clock"
+        );
+        assert_eq!(single_sys.open_device_sessions(), 0, "{name}");
+        assert_eq!(workload_sys.open_device_sessions(), 0, "{name}");
+    }
 }
 
 #[test]

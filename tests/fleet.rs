@@ -2,15 +2,15 @@
 //!
 //! The fleet's load-bearing property: scatter/gather over N shards is an
 //! *answer-preserving* transformation. For any table contents, any shard
-//! count, either interface mode, with or without speculation, and under
+//! count, either interface mode, with or without hedging, and under
 //! injected device crashes, the merged fleet answer is bit-identical to a
-//! single-device run of the same query. Faults and speculation may move
+//! single-device run of the same query. Faults and hedging may move
 //! timing; they must never move answers.
 
 use proptest::prelude::*;
 use smartssd::{
     DeviceKind, FleetOptions, InterfaceMode, Layout, QueryResult, Route, RunOptions, SmartSsdFleet,
-    SystemBuilder,
+    SystemBuilder, SystemConfig,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_query::{Finalize, OpTemplate, Query};
@@ -88,24 +88,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fleet merged answers == single-device answers for any shard count,
-    /// interface mode, speculation setting, and crash schedule — and no
-    /// run, faulted or clean, leaves a session open anywhere.
+    /// interface mode, hedging setting, and crash schedule — and no run,
+    /// faulted or clean, leaves a session open anywhere.
     #[test]
     fn fleet_matches_single_device_for_any_shape(
         rows in prop::collection::vec(arb_row(), 1..400),
         n_dev in 1usize..=16,
         cutoff in -400i64..400,
         linked in any::<bool>(),
-        speculate in any::<bool>(),
+        hedge in any::<bool>(),
         // 0 = no crash; k > 0 = crash device (k - 1) % n_dev.
         crash_sel in 0usize..=16,
     ) {
         let crash = crash_sel.checked_sub(1);
         let opts = FleetOptions {
             interface: if linked { InterfaceMode::Linked } else { InterfaceMode::Direct },
-            speculate,
-            // Force the speculation path whenever it is enabled at all.
-            straggler_factor: 0.0,
+            hedge,
+            // Force the hedging path whenever it is enabled at all.
+            hedge_factor: 0.0,
             ..FleetOptions::default()
         };
         for query in [agg_query(cutoff), ratio_query(cutoff)] {
@@ -130,25 +130,25 @@ proptest! {
         }
     }
 
-    /// Speculative re-run of the slowest shard races the device session
-    /// against a host copy; whichever wins, the answers are identical to
-    /// the non-speculating run — only timing may move.
+    /// A hedged shard races its device session against a host copy;
+    /// whichever wins, the answers are identical to the non-hedging run —
+    /// only timing may move.
     #[test]
-    fn speculation_changes_only_timing(
+    fn hedging_changes_only_timing(
         rows in prop::collection::vec(arb_row(), 100..400),
         n_dev in 2usize..=4,
         cutoff in -400i64..400,
     ) {
         let query = agg_query(cutoff);
-        let base = FleetOptions { speculate: false, ..FleetOptions::default() };
-        let spec = FleetOptions { speculate: true, straggler_factor: 0.0, ..FleetOptions::default() };
+        let base = FleetOptions { hedge: false, ..FleetOptions::default() };
+        let hedged = FleetOptions { hedge: true, hedge_factor: 0.0, ..FleetOptions::default() };
         let mut plain = build_fleet(n_dev, base, &rows);
-        let mut racing = build_fleet(n_dev, spec, &rows);
+        let mut racing = build_fleet(n_dev, hedged, &rows);
         let a = plain.run_agg(&query).unwrap();
         let b = racing.run_agg(&query).unwrap();
         prop_assert_eq!(&a.result.agg_values, &b.result.agg_values);
         prop_assert_eq!(a.result.scalar, b.result.scalar);
-        prop_assert!(b.speculated >= 1, "factor 0.0 must force speculation");
+        prop_assert!(b.faults.hedges >= 1, "factor 0.0 must force a hedge");
         for d in 0..n_dev {
             prop_assert_eq!(racing.device(d).open_sessions(), 0);
         }
@@ -163,10 +163,10 @@ fn fleet_runs_are_deterministic() {
         .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
         .collect();
     let query = agg_query(400);
-    let run = |speculate: bool| {
+    let run = |hedge: bool| {
         let opts = FleetOptions {
-            speculate,
-            straggler_factor: 0.0,
+            hedge,
+            hedge_factor: 0.0,
             ..FleetOptions::default()
         };
         let mut fleet = build_fleet(8, opts, &rows);
@@ -182,4 +182,66 @@ fn fleet_runs_are_deterministic() {
     };
     assert_eq!(run(false), run(false));
     assert_eq!(run(true), run(true));
+}
+
+/// The paper's minimal coordinator (`repro array`): sessions open in place
+/// at time zero and the gather is serial over the shared link.
+fn direct_fleet(n: usize, n_rows: i32) -> SmartSsdFleet {
+    let rows: Vec<Tuple> = (0..n_rows)
+        .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
+        .collect();
+    let opts = FleetOptions {
+        interface: InterfaceMode::Direct,
+        ..FleetOptions::default()
+    };
+    build_fleet(n, opts, &rows)
+}
+
+#[test]
+fn more_devices_scale_down_elapsed_time() {
+    let times: Vec<_> = [1usize, 2, 4]
+        .iter()
+        .map(|&n| {
+            let mut fleet = direct_fleet(n, 400_000);
+            fleet.run_agg(&agg_query(i64::MAX)).unwrap().result.elapsed
+        })
+        .collect();
+    assert!(
+        times[1] < times[0] && times[2] < times[1],
+        "expected monotone speedup: {times:?}"
+    );
+    // Near-linear scaling 1 -> 4 devices for this CPU-light scan.
+    let speedup = times[0].as_secs_f64() / times[2].as_secs_f64();
+    assert!(speedup > 2.5, "4-device speedup only {speedup:.2}x");
+}
+
+#[test]
+#[should_panic(expected = "at least one device")]
+fn zero_devices_rejected() {
+    SmartSsdFleet::new(0, SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax));
+}
+
+/// Regression: a fault mid-gather must not leak the sessions still open on
+/// not-yet-gathered devices.
+#[test]
+fn mid_gather_fault_leaves_zero_open_sessions() {
+    let mut fleet = direct_fleet(4, 40_000);
+    // Break device 1's shard on *both* routes: trim a partition page from
+    // its flash so the device-side scan fails at open (recoverable — the
+    // shard degrades to the host path) and the host fallback then fails
+    // hard on the same unmapped page. Devices 0, 2, and 3 still open
+    // healthy sessions; the run error must not leak them.
+    fleet.device_mut(1).flash.trim(0).unwrap();
+    let err = fleet.run_agg(&agg_query(i64::MAX)).unwrap_err();
+    assert!(
+        err.fault_counters().fallbacks >= 1,
+        "expected a fallback attempt"
+    );
+    for d in 0..4 {
+        assert_eq!(
+            fleet.device(d).open_sessions(),
+            0,
+            "device {d} leaked a session"
+        );
+    }
 }
