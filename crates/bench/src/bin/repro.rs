@@ -1,1213 +1,79 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [fig1|tab2|fig3|fig5|fig7|tab3|plans|scan-sweep|array|cache|
-//!                  device-scaling|interface|concurrent|host-parallel|q1|kernels|
-//!                  faults|trace|concurrency|degrade|fleet|serving|simspeed|
-//!                  servescale|chaos|all]
-//!
-//! `kernels` wall-clock-times the vectorized scan kernels against the
-//! tuple-at-a-time reference implementations and writes the results to
-//! `BENCH_kernels.json` in the current directory (stdout stays
-//! deterministic; the timings live in the JSON).
-//!
-//! `faults` (not part of `all`, so clean reproduction output stays
-//! bit-identical) runs Q6 pushdown under injected flash-fault rates and
-//! writes the per-scenario `FaultCounters` to `BENCH_faults.json`.
-//!
-//! `trace` (not part of `all`, for the same reason) runs Q6 on the Smart
-//! SSD twice — forced onto the device route and onto the host route — with
-//! the simulated-time tracer attached, and writes one Chrome `trace_event`
-//! file per run (`trace_<query>_<route>.json`, open in Perfetto or
-//! `chrome://tracing`) plus `BENCH_trace.json` with per-resource busy
-//! fractions. It also traces a four-query concurrent Q6 workload
-//! (`trace_q6_workload.json`) — the session track carries one lane per
-//! in-flight query, so the overlap is visible directly.
-//!
-//! `concurrency` (not part of `all`, for the same reason) sweeps N
-//! simultaneous Q6 pushdown sessions with device-side scan sharing off vs
-//! on, on the paper-era prototype and on a Section 5 scaled device, and
-//! writes the slowdown curves plus latency percentiles to
-//! `BENCH_concurrency.json`.
-//!
-//! `degrade` (not part of `all`, for the same reason) runs a Q6 open
-//! stream under swept device-crash/ECC fault rates with the circuit
-//! breaker off vs on, and writes the throughput/shedding curves to
-//! `BENCH_degrade.json` — with the breaker on, throughput degrades
-//! smoothly as the device fails; with it off, every arrival keeps paying
-//! the crashing firmware's reset latency.
-//!
-//! `fleet` (not part of `all`, for the same reason) runs Q6 scattered
-//! across a fleet of Smart SSDs over the full linked session protocol: a
-//! scaling sweep from 1 to 64 shards, then a degradation matrix on 16
-//! devices (healthy vs one crashed device, breaker off vs on). Writes both
-//! curves to `BENCH_fleet.json`.
-//!
-//! `serving` (not part of `all`, for the same reason) treats the Smart SSD
-//! as a shared production resource: an open-system Poisson Q6 load sweep
-//! showing the p99-vs-utilization knee (with client abandonment past 20
-//! service times of patience), then a multi-tenant isolation matrix —
-//! two well-behaved victims against a flooding aggressor, weighted fair
-//! queueing on vs global FIFO — written to `BENCH_serving.json`.
+//! repro [--quick] [--smoke] [<subcommand> | all | list]
 //! ```
+//!
+//! `repro list` prints every subcommand with what it does and the
+//! `BENCH_<name>.json` it writes into the current directory, if any; `all`
+//! (the default) runs the clean reproduction set. The subcommands live in
+//! `smartssd_bench::REGISTRY` and nowhere else.
 //!
 //! Elapsed times are simulated; "projected" columns rescale them to the
 //! paper's SF-100 / 120 GB workloads by the page-count ratio (linear at
 //! fixed selectivity). EXPERIMENTS.md records paper-vs-measured values.
 
-use smartssd_bench::{
-    array_exp, cache_exp, chaos_exp, concurrency_exp, concurrent_exp, degrade_exp,
-    device_scaling_exp, fault_injection_exp, fig1, fig3, fig5, fig7, fleet_exp, host_parallel_exp,
-    interface_exp, plans, q1_exp, scan_sweep_exp, servescale_exp, serving_exp, simspeed_exp, tab2,
-    tab3, trace_exp, workload_trace_exp, Bars, Scales, FLEET_DEGRADE_DEVICES, SERVESCALE_ROWS,
-    SIMSPEED_MEAN_GAP, SIMSPEED_ROWS,
-};
+use smartssd_bench::{find, Experiment, REGISTRY};
+use std::process::ExitCode;
 
-fn print_bars(title: &str, bars: &Bars, projection: f64, paper_speedup: f64) {
-    let [ssd, nsm, pax] = bars.seconds();
-    println!("== {title} ==");
-    println!("  config             measured[s]   projected-to-paper[s]");
-    println!(
-        "  SAS SSD (NSM)      {ssd:>10.3}   {:>12.1}",
-        ssd * projection
-    );
-    println!(
-        "  Smart SSD (NSM)    {nsm:>10.3}   {:>12.1}",
-        nsm * projection
-    );
-    println!(
-        "  Smart SSD (PAX)    {pax:>10.3}   {:>12.1}",
-        pax * projection
-    );
-    println!(
-        "  speedup: PAX {:.2}x (paper ~{:.1}x), NSM {:.2}x",
-        bars.speedup_pax(),
-        paper_speedup,
-        bars.speedup_nsm()
-    );
-    println!(
-        "  device-cpu util (PAX run): {:.0}%",
-        bars.smart_pax.util.utilization("device-cpu").unwrap_or(0.0) * 100.0
-    );
-    println!();
-}
-
-fn run_fig1() {
-    println!("== Figure 1: bandwidth trends (relative to 375 MB/s in 2007) ==");
-    println!("  year   host-interface   ssd-internal   gap");
-    for p in fig1() {
-        println!(
-            "  {}   {:>14.2}   {:>12.2}   {:>4.1}x",
-            p.year,
-            p.host_rel,
-            p.internal_rel,
-            p.gap()
-        );
-    }
-    println!();
-}
-
-fn run_tab2() {
-    let t = tab2();
-    println!("== Table 2: max sequential read bandwidth, 32-page (256KB) I/Os ==");
-    println!("                      measured[MB/s]   paper[MB/s]");
-    println!(
-        "  SAS SSD (external)  {:>14.0}   {:>10}",
-        t.external_mbps, 550
-    );
-    println!(
-        "  Smart SSD (internal){:>14.0}   {:>10}",
-        t.internal_mbps, 1560
-    );
-    println!("  ratio               {:>13.2}x   {:>9.1}x", t.ratio(), 2.8);
-    println!();
-}
-
-fn run_fig5(s: &Scales) {
-    println!("== Figure 5: selection-with-join elapsed time vs selectivity ==");
-    println!(
-        "  sel%    SSD[s]   SmartNSM[s]   SmartPAX[s]   PAX-speedup (paper: 2.2x@1% -> ~1x@100%)"
-    );
-    for p in fig5(s, &[0.01, 0.10, 0.25, 0.50, 1.00]) {
-        let [ssd, nsm, pax] = p.bars.seconds();
-        println!(
-            "  {:>4.0}  {:>8.3}   {:>11.3}   {:>11.3}   {:>6.2}x",
-            p.selectivity * 100.0,
-            ssd,
-            nsm,
-            pax,
-            p.bars.speedup_pax()
-        );
-    }
-    println!();
-}
-
-fn run_tab3(s: &Scales) {
-    println!("== Table 3: energy for TPC-H Q6 ==");
-    println!("  config            elapsed[s]  system[kJ]  io[kJ]  over-idle[kJ]");
-    let rows = tab3(s);
-    for r in &rows {
-        println!(
-            "  {:<17} {:>9.3}  {:>9.4}  {:>6.4}  {:>9.4}",
-            r.config,
-            r.report.result.elapsed.as_secs_f64(),
-            r.report.energy.system_kj(),
-            r.report.energy.io_kj(),
-            r.report.energy.over_idle_kj()
-        );
-    }
-    let pax = &rows[3].report.energy;
-    let hdd = &rows[0].report.energy;
-    let ssd = &rows[1].report.energy;
-    println!("  ratios vs Smart SSD (PAX)        paper");
-    println!(
-        "    HDD system  {:>5.1}x             11.6x",
-        hdd.system_kj() / pax.system_kj()
-    );
-    println!(
-        "    HDD io      {:>5.1}x             14.3x",
-        hdd.io_kj() / pax.io_kj()
-    );
-    println!(
-        "    HDD o-idle  {:>5.1}x             12.4x",
-        hdd.over_idle_kj() / pax.over_idle_kj()
-    );
-    println!(
-        "    SSD system  {:>5.2}x              1.9x",
-        ssd.system_kj() / pax.system_kj()
-    );
-    println!(
-        "    SSD io      {:>5.2}x              1.4x",
-        ssd.io_kj() / pax.io_kj()
-    );
-    println!(
-        "    SSD o-idle  {:>5.2}x              2.3x",
-        ssd.over_idle_kj() / pax.over_idle_kj()
-    );
-    println!();
-}
-
-fn run_scan_sweep(s: &Scales) {
-    println!("== [7] single-table scan sweep (selectivity x aggregation) ==");
-    println!("  mode  sel%    SSD[s]   SmartPAX[s]   speedup");
-    for p in scan_sweep_exp(s, &[0.001, 0.01, 0.10, 1.00]) {
-        let [ssd, _, pax] = p.bars.seconds();
-        println!(
-            "  {}  {:>5.1}  {:>8.3}   {:>11.3}   {:>6.2}x",
-            if p.with_agg { "agg " } else { "rows" },
-            p.selectivity * 100.0,
-            ssd,
-            pax,
-            p.bars.speedup_pax()
-        );
-    }
-    println!();
-}
-
-fn run_array(s: &Scales) {
-    println!("== Discussion: Q6 across an array of Smart SSDs ==");
-    println!("  devices   elapsed[s]   speedup");
-    let points = array_exp(s, &[1, 2, 4, 8]);
-    let base = points[0].elapsed.as_secs_f64();
-    for p in &points {
-        println!(
-            "  {:>7}   {:>9.3}   {:>6.2}x",
-            p.devices,
-            p.elapsed.as_secs_f64(),
-            base / p.elapsed.as_secs_f64()
-        );
-    }
-    println!();
-}
-
-fn run_cache(s: &Scales) {
-    println!("== Discussion: pushdown vs buffer-pool residency (planner-routed Q6) ==");
-    println!("  resident%   route    elapsed[s]");
-    for p in cache_exp(s, &[0.0, 0.25, 0.5, 0.75, 1.0]) {
-        println!(
-            "  {:>8.0}   {:<7}  {:>9.3}",
-            p.resident * 100.0,
-            format!("{:?}", p.route),
-            p.elapsed.as_secs_f64()
-        );
-    }
-    println!();
-}
-
-fn run_device_scaling(s: &Scales) {
-    println!("== Section 5: device hardware scaling (Q6, vs fixed SAS SSD baseline) ==");
-    println!("  config                cores   MHz   internal[MB/s]   smart[s]   speedup");
-    for p in device_scaling_exp(s) {
-        println!(
-            "  {:<20} {:>6}  {:>4}   {:>13}   {:>8.3}   {:>6.2}x",
-            p.label, p.cores, p.mhz, p.internal_mbps, p.smart_secs, p.speedup
-        );
-    }
-    println!("  (the paper: more device hardware is \"absolutely crucial to achieve");
-    println!("   the 10X or more benefit\" promised by Figure 1)");
-    println!();
-}
-
-fn run_interface(s: &Scales) {
-    println!("== Section 3/5: pushdown benefit vs host interface generation ==");
-    println!("  (join @1% selectivity; the host path is I/O-bound on SAS, so each");
-    println!("   faster pipe shrinks pushdown's advantage until the host CPU becomes");
-    println!("   the next bottleneck and the curve flattens)");
-    println!("  interface      SSD[s]   SmartSSD[s]   speedup");
-    for p in interface_exp(s) {
-        println!(
-            "  {:<12} {:>8.3}   {:>11.3}   {:>6.2}x",
-            format!("{:?}", p.interface),
-            p.ssd_secs,
-            p.smart_secs,
-            p.speedup()
-        );
-    }
-    println!();
-}
-
-fn run_concurrent(s: &Scales) {
-    println!("== Section 5: concurrent pushdown sessions on one device (Q6) ==");
-    println!("  sessions   makespan[s]   vs single");
-    match concurrent_exp(s, &[1, 2, 4]) {
-        Ok(points) => {
-            for p in points {
-                println!(
-                    "  {:>8}   {:>10.3}   {:>7.2}x",
-                    p.sessions, p.makespan_secs, p.slowdown
-                );
-            }
-        }
-        Err(fault) => println!("  experiment aborted by device fault: {fault}"),
-    }
-    println!("  (sessions share the embedded CPU and flash path: concurrency");
-    println!("   serializes — one of the open problems the paper lists)");
-    println!();
-}
-
-fn run_host_parallel(s: &Scales) {
-    println!("== Ablation: parallel host scan vs pushdown (Q6) ==");
-    println!("  (the paper's baseline scan path is single-threaded; a parallel");
-    println!("   host erodes pushdown's CPU advantage down to the bandwidth gap)");
-    println!("  host DOP   SSD[s]   pushdown speedup");
-    for p in host_parallel_exp(s, &[1, 2, 4, 8]) {
-        println!(
-            "  {:>8}  {:>7.3}   {:>8.2}x",
-            p.dop, p.ssd_secs, p.pushdown_speedup
-        );
-    }
-    println!();
-}
-
-fn run_q1(s: &Scales) {
-    println!("== Extension: grouped aggregation (TPC-H Q1) pushdown ==");
-    let r = q1_exp(s);
-    println!("  SAS SSD (host)          {:>8.3}s", r.ssd_secs);
-    println!(
-        "  Smart SSD (prototype)   {:>8.3}s   ({:.2}x)",
-        r.smart_secs,
-        r.ssd_secs / r.smart_secs
-    );
-    println!(
-        "  Smart SSD (scaled)      {:>8.3}s   ({:.2}x)",
-        r.scaled_secs,
-        r.ssd_secs / r.scaled_secs
-    );
-    println!("  groups (flag status | sum_qty sum_base sum_disc sum_charge count):");
-    for row in &r.rows {
-        println!(
-            "    {} {}  | {} {} {} {} {}",
-            row[0], row[1], row[2], row[3], row[4], row[5], row[6]
-        );
-    }
-    println!("  (every row aggregates, so the paper-era device CPU saturates at");
-    println!("   break-even; Section 5's bigger device makes the operator pay off)");
-    println!();
-}
-
-/// Minimum wall-clock over `reps` runs of `f`, in milliseconds.
-fn time_min_ms(reps: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Times the vectorized Q6/Q1 kernels against the tuple-at-a-time
-/// reference kernels and writes `BENCH_kernels.json`. Timings are
-/// machine-dependent, so stdout reports only that the file was written.
-fn run_kernels(quick: bool) {
-    use smartssd_exec::kernels::{scan_agg_page, scan_group_agg_page, GroupTable};
-    use smartssd_exec::reference::{
-        scan_agg_page_rowwise, scan_group_agg_page_rowwise, RefGroupTable,
+/// One line per subcommand: name, `all`/`extra`, BENCH file or `-`, about.
+fn list() -> String {
+    let line = |e: &Experiment| {
+        let scope = if e.in_all { "all" } else { "extra" };
+        let bench = if e.bench { e.bench_file() } else { "-".into() };
+        format!("{}\t{scope}\t{bench}\t{}\n", e.name, e.about)
     };
-    use smartssd_exec::spec::{GroupAggSpec, ScanAggSpec};
-    use smartssd_exec::WorkCounts;
-    use smartssd_storage::expr::{AggFunc, AggSpec, AggState, CmpOp, Expr, Pred};
-    use smartssd_storage::{Layout, TableBuilder};
-
-    let rows = if quick { 12_000 } else { 60_000 };
-    let reps = if quick { 3 } else { 7 };
-    let q6 = ScanAggSpec {
-        pred: Pred::And(vec![
-            Pred::range_half_open(10, 731, 1096),
-            Pred::between_exclusive(6, 5, 7),
-            Pred::Cmp(CmpOp::Lt, Expr::col(4), Expr::lit(24)),
-        ]),
-        aggs: vec![AggSpec::sum(Expr::col(5).mul(Expr::col(6)))],
-    };
-    let q1 = GroupAggSpec {
-        pred: Pred::Cmp(CmpOp::Le, Expr::col(10), Expr::lit(2_437)),
-        group_by: vec![8, 9],
-        aggs: vec![
-            AggSpec::sum(Expr::col(4)),
-            AggSpec::sum(Expr::col(5)),
-            AggSpec::sum(Expr::col(5).mul(Expr::lit(100).sub(Expr::col(6)))),
-            AggSpec::count(),
-        ],
-    };
-
-    let mut entries = String::new();
-    for layout in [Layout::Nsm, Layout::Pax] {
-        let schema = smartssd_workload::tpch::lineitem_schema();
-        let mut b = TableBuilder::new("l", schema, layout);
-        b.extend(smartssd_workload::tpch::lineitem_rows(
-            rows as f64 / 6_000_000.0,
-            7,
-        ));
-        let img = b.finish();
-        let scan_vec = time_min_ms(reps, || {
-            let mut states = vec![AggState::new(AggFunc::Sum)];
-            let mut w = WorkCounts::default();
-            for p in img.pages() {
-                scan_agg_page(p, img.schema(), &q6, &mut states, &mut w);
-            }
-            std::hint::black_box(states[0].finish());
-        });
-        let scan_row = time_min_ms(reps, || {
-            let mut states = vec![AggState::new(AggFunc::Sum)];
-            let mut w = WorkCounts::default();
-            for p in img.pages() {
-                scan_agg_page_rowwise(p, img.schema(), &q6, &mut states, &mut w);
-            }
-            std::hint::black_box(states[0].finish());
-        });
-        let group_vec = time_min_ms(reps, || {
-            let mut acc = GroupTable::new();
-            let mut w = WorkCounts::default();
-            for p in img.pages() {
-                scan_group_agg_page(p, img.schema(), &q1, &mut acc, &mut w);
-            }
-            std::hint::black_box(acc.len());
-        });
-        let group_row = time_min_ms(reps, || {
-            let mut acc = RefGroupTable::new();
-            let mut w = WorkCounts::default();
-            for p in img.pages() {
-                scan_group_agg_page_rowwise(p, img.schema(), &q1, &mut acc, &mut w);
-            }
-            std::hint::black_box(acc.len());
-        });
-        for (name, vec_ms, row_ms) in [
-            ("kernel/scan_agg_q6", scan_vec, scan_row),
-            ("kernel/group_agg_q1", group_vec, group_row),
-        ] {
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
-            entries.push_str(&format!(
-                "    {{\"name\": \"{name}\", \"layout\": \"{layout:?}\", \
-                 \"vectorized_ms\": {vec_ms:.3}, \"rowwise_ms\": {row_ms:.3}, \
-                 \"speedup\": {:.2}}}",
-                row_ms / vec_ms
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro kernels\",\n  \"quick\": {quick},\n  \
-         \"rows\": {rows},\n  \"reps\": {reps},\n  \"timing\": \"min wall-clock ms\",\n  \
-         \"benches\": [\n{entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_kernels.json", json).expect("write BENCH_kernels.json");
-    println!("== Kernel micro-benchmarks (vectorized vs tuple-at-a-time) ==");
-    println!("  wrote BENCH_kernels.json ({rows} rows, min over {reps} reps per kernel)");
-    println!();
+    REGISTRY.iter().map(line).collect()
 }
 
-fn run_faults(s: &Scales) {
-    println!("== Fault injection: Q6 pushdown under injected flash faults ==");
-    println!("  scenario            route   elapsed[s]   match   retries  escapes  fallbacks");
-    let points = fault_injection_exp(s);
-    let mut entries = String::new();
-    for p in &points {
-        println!(
-            "  {:<18} {:>6}   {:>10.3}   {:>5}   {:>7}  {:>7}  {:>9}",
-            p.label,
-            format!("{:?}", p.route),
-            p.elapsed_secs,
-            if p.matches_clean { "yes" } else { "NO" },
-            p.faults.read_retries + p.faults.ecc_retries,
-            p.faults.escapes_detected,
-            p.faults.fallbacks,
-        );
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"ecc_retry_rate\": {}, \
-             \"silent_corruption_rate\": {}, \"route\": \"{:?}\", \
-             \"elapsed_secs\": {:.9}, \"matches_clean\": {}, \"faults\": {}}}",
-            p.label,
-            p.ecc_retry_rate,
-            p.silent_corruption_rate,
-            p.route,
-            p.elapsed_secs,
-            p.matches_clean,
-            p.faults.to_json()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro faults\",\n  \"scenarios\": [\n{entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_faults.json", json).expect("write BENCH_faults.json");
-    println!("  (results are bit-identical under faults; recovery costs time, not answers)");
-    println!("  wrote BENCH_faults.json");
-    println!();
+fn usage(problem: &str) -> ExitCode {
+    eprintln!("repro: {problem}");
+    eprintln!("usage: repro [--quick] [--smoke] [<subcommand> | all | list]; subcommands:");
+    eprint!("{}", list());
+    ExitCode::from(2)
 }
 
-fn run_concurrency(s: &Scales) {
-    println!("== Workload: N concurrent Q6 streams, scan sharing off vs on ==");
-    println!("  config            sharing  sessions  makespan[s]  slowdown  p95[ms]  flash-reads  shared-hits");
-    let curves = match concurrency_exp(s, &[1, 2, 4, 8]) {
-        Ok(curves) => curves,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    let mut entries = String::new();
-    for c in &curves {
-        for p in &c.points {
-            println!(
-                "  {:<17} {:>7}  {:>8}  {:>11.3}  {:>7.2}x  {:>7.2}  {:>11}  {:>11}",
-                c.config,
-                if c.shared_scans { "on" } else { "off" },
-                p.sessions,
-                p.makespan_secs,
-                p.slowdown,
-                p.p95_ms,
-                p.flash_reads,
-                p.shared_hits
-            );
-        }
-        let mut points = String::new();
-        for p in &c.points {
-            if !points.is_empty() {
-                points.push_str(",\n");
-            }
-            points.push_str(&format!(
-                "        {{\"sessions\": {}, \"makespan_secs\": {:.9}, \"slowdown\": {:.4}, \
-                 \"throughput_qps\": {:.3}, \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \
-                 \"p99_ms\": {:.6}, \"flash_reads\": {}, \"shared_hits\": {}}}",
-                p.sessions,
-                p.makespan_secs,
-                p.slowdown,
-                p.throughput_qps,
-                p.p50_ms,
-                p.p95_ms,
-                p.p99_ms,
-                p.flash_reads,
-                p.shared_hits
-            ));
-        }
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"config\": \"{}\", \"cores\": {}, \"mhz\": {}, \"shared_scans\": {}, \
-             \"points\": [\n{points}\n      ]}}",
-            c.config, c.cores, c.mhz, c.shared_scans
-        ));
+/// Runs `e`, prints its report, and writes its BENCH and artifact files
+/// into the current directory.
+fn emit(e: &Experiment, quick: bool, smoke: bool) -> Result<(), Box<dyn std::error::Error>> {
+    let report = (e.run)(&e.ctx(quick, smoke))?;
+    print!("{}", report.text(false));
+    if e.bench {
+        std::fs::write(e.bench_file(), report.json(e.name, false))?;
     }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro concurrency\",\n  \"query\": \"q6\",\n  \
-         \"interface_mode\": \"direct\",\n  \"curves\": [\n{entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_concurrency.json", json).expect("write BENCH_concurrency.json");
-    println!("  (on the prototype the embedded CPU serializes sessions with or without");
-    println!("   sharing; on the scaled device the flash path dominates, and sharing");
-    println!("   the scan collapses N sessions to ~1x flash traffic)");
-    println!("  wrote BENCH_concurrency.json");
-    println!();
+    for (file, contents) in &report.files {
+        std::fs::write(file, contents)?;
+    }
+    Ok(())
 }
 
-fn run_degrade(s: &Scales) {
-    println!("== Graceful degradation: Q6 stream under sustained device faults ==");
-    println!("  scenario     breaker  done  rej  late  thruput[qps]  makespan[s]  p95[ms]  fallbacks  trips  match");
-    let points = match degrade_exp(s) {
-        Ok(points) => points,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
+fn main() -> ExitCode {
+    let (mut quick, mut smoke, mut what) = (false, false, None);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--smoke" => smoke = true,
+            flag if flag.starts_with("--") => return usage(&format!("unknown flag {flag}")),
+            _ if what.is_some() => return usage(&format!("unexpected argument {arg}")),
+            _ => what = Some(arg),
         }
+    }
+    let selected: Vec<&Experiment> = match what.as_deref().unwrap_or("all") {
+        "list" => {
+            print!("{}", list());
+            return ExitCode::SUCCESS;
+        }
+        "all" => REGISTRY.iter().filter(|e| e.in_all).collect(),
+        name => match find(name) {
+            Some(e) => vec![e],
+            None => return usage(&format!("unknown subcommand {name}")),
+        },
     };
-    let mut entries = String::new();
-    for p in &points {
-        println!(
-            "  {:<11} {:>7}  {:>4}  {:>3}  {:>4}  {:>12.3}  {:>11.3}  {:>7.2}  {:>9}  {:>5}  {:>5}",
-            p.label,
-            if p.breaker { "on" } else { "off" },
-            p.completed,
-            p.rejected,
-            p.deadline_missed,
-            p.throughput_qps,
-            p.makespan_secs,
-            p.p95_ms,
-            p.fallbacks,
-            p.breaker_transitions,
-            if p.matches_clean { "yes" } else { "NO" },
-        );
-        if !entries.is_empty() {
-            entries.push_str(",\n");
+    for e in selected {
+        if let Err(err) = emit(e, quick, smoke) {
+            eprintln!("repro {}: {err}", e.name);
+            return ExitCode::from(1);
         }
-        entries.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"crash_rate\": {}, \"ecc_retry_rate\": {}, \
-             \"breaker\": {}, \"completed\": {}, \"rejected\": {}, \"deadline_missed\": {}, \
-             \"throughput_qps\": {:.6}, \"makespan_secs\": {:.9}, \"p95_ms\": {:.6}, \
-             \"fallbacks\": {}, \"breaker_transitions\": {}, \"matches_clean\": {}, \
-             \"faults\": {}}}",
-            p.label,
-            p.crash_rate,
-            p.ecc_retry_rate,
-            p.breaker,
-            p.completed,
-            p.rejected,
-            p.deadline_missed,
-            p.throughput_qps,
-            p.makespan_secs,
-            p.p95_ms,
-            p.fallbacks,
-            p.breaker_transitions,
-            p.matches_clean,
-            p.faults.to_json()
-        ));
     }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro degrade\",\n  \"query\": \"q6\",\n  \
-         \"scenarios\": [\n{entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_degrade.json", json).expect("write BENCH_degrade.json");
-    println!("  (completed answers stay bit-identical in every cell; the breaker trades");
-    println!("   wasted device probes for straight-to-host routing once the device is sick)");
-    println!("  wrote BENCH_degrade.json");
-    println!();
-}
-
-fn run_fleet(s: &Scales, quick: bool) {
-    println!("== Fleet: Q6 scatter/gather across N Smart SSDs (linked protocol) ==");
-    let counts: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
-    let stream_len = if quick { 16 } else { 32 };
-    let r = match fleet_exp(s, counts, stream_len) {
-        Ok(r) => r,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    println!("  devices   elapsed[s]   speedup");
-    let mut scaling_entries = String::new();
-    for p in &r.scaling {
-        println!(
-            "  {:>7}   {:>10.6}   {:>6.2}x",
-            p.devices,
-            p.elapsed.as_secs_f64(),
-            p.speedup
-        );
-        if !scaling_entries.is_empty() {
-            scaling_entries.push_str(",\n");
-        }
-        scaling_entries.push_str(&format!(
-            "    {{\"devices\": {}, \"elapsed_secs\": {:.9}, \"speedup\": {:.6}}}",
-            p.devices,
-            p.elapsed.as_secs_f64(),
-            p.speedup
-        ));
-    }
-    println!();
-    println!(
-        "  degradation matrix ({} devices, {stream_len}-query Q6 stream):",
-        FLEET_DEGRADE_DEVICES
-    );
-    println!(
-        "  scenario   breaker  dead  thruput[qps]  of-ideal  p95[ms]  fallbacks  host-runs  match"
-    );
-    let mut degrade_entries = String::new();
-    for p in &r.degradation {
-        println!(
-            "  {:<9}  {:>7}  {:>4}  {:>12.3}  {:>8.2}  {:>7.2}  {:>9}  {:>9}  {:>5}",
-            p.label,
-            if p.breaker { "on" } else { "off" },
-            p.dead_devices,
-            p.throughput_qps,
-            p.of_ideal,
-            p.p95_ms,
-            p.fallbacks,
-            p.host_shard_runs,
-            if p.matches_clean { "yes" } else { "NO" },
-        );
-        if !degrade_entries.is_empty() {
-            degrade_entries.push_str(",\n");
-        }
-        degrade_entries.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"breaker\": {}, \"dead_devices\": {}, \
-             \"queries\": {}, \"throughput_qps\": {:.6}, \"of_ideal\": {:.6}, \
-             \"p95_ms\": {:.6}, \"fallbacks\": {}, \"host_shard_runs\": {}, \
-             \"matches_clean\": {}, \"faults\": {}}}",
-            p.label,
-            p.breaker,
-            p.dead_devices,
-            p.queries,
-            p.throughput_qps,
-            p.of_ideal,
-            p.p95_ms,
-            p.fallbacks,
-            p.host_shard_runs,
-            p.matches_clean,
-            p.faults.to_json()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro fleet\",\n  \"query\": \"q6\",\n  \
-         \"degrade_devices\": {FLEET_DEGRADE_DEVICES},\n  \
-         \"scaling\": [\n{scaling_entries}\n  ],\n  \
-         \"degradation\": [\n{degrade_entries}\n  ]\n}}\n"
-    );
-    std::fs::write("BENCH_fleet.json", json).expect("write BENCH_fleet.json");
-    println!("  (one dead device out of 16 costs about one shard of throughput; the");
-    println!("   breaker trades per-query dead-device probes for straight-to-host routing)");
-    println!("  wrote BENCH_fleet.json");
-    println!();
-}
-
-fn run_serving(s: &Scales, quick: bool) {
-    println!("== Serving: open-system multi-tenant front door (Q6, one session slot) ==");
-    let (knee_n, victim_n) = if quick { (16, 12) } else { (48, 24) };
-    let r = match serving_exp(s, knee_n, victim_n) {
-        Ok(r) => r,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    println!(
-        "  device-route service time: {:.3} ms (all loads sized in this unit)",
-        r.service_time.as_secs_f64() * 1e3
-    );
-    println!("  knee sweep ({knee_n} Poisson arrivals, client patience 20 service times):");
-    println!("  rho    offered[qps]  thruput[qps]  done  canc   p50[ms]   p99[ms]");
-    let mut knee_entries = String::new();
-    for p in &r.knee {
-        println!(
-            "  {:<5.3}  {:>11.3}  {:>12.3}  {:>4}  {:>4}  {:>8.2}  {:>8.2}",
-            p.rho, p.offered_qps, p.throughput_qps, p.completed, p.canceled, p.p50_ms, p.p99_ms
-        );
-        if !knee_entries.is_empty() {
-            knee_entries.push_str(",\n");
-        }
-        knee_entries.push_str(&format!(
-            "    {{\"rho\": {:.6}, \"mean_gap_ns\": {}, \"offered_qps\": {:.6}, \
-             \"throughput_qps\": {:.6}, \"completed\": {}, \"canceled\": {}, \
-             \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}}",
-            p.rho,
-            p.mean_gap.as_nanos(),
-            p.offered_qps,
-            p.throughput_qps,
-            p.completed,
-            p.canceled,
-            p.p50_ms,
-            p.p99_ms
-        ));
-    }
-    println!();
-    println!(
-        "  isolation matrix ({victim_n} arrivals per victim; aggressor floods at 2x capacity):"
-    );
-    println!("  scenario        fair  tenant        arr  done  rej  canc   p50[ms]   p99[ms]");
-    let mut iso_entries = String::new();
-    for p in &r.isolation {
-        println!(
-            "  {:<14}  {:>4}  {:<11}  {:>4}  {:>4}  {:>3}  {:>4}  {:>8.2}  {:>8.2}",
-            p.scenario,
-            if p.fair { "wfq" } else { "fifo" },
-            p.tenant,
-            p.arrivals,
-            p.completed,
-            p.rejected,
-            p.canceled,
-            p.p50_ms,
-            p.p99_ms
-        );
-        if !iso_entries.is_empty() {
-            iso_entries.push_str(",\n");
-        }
-        iso_entries.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"fair\": {}, \"tenant\": \"{}\", \"arrivals\": {}, \
-             \"completed\": {}, \"rejected\": {}, \"deadline_missed\": {}, \"canceled\": {}, \
-             \"failed\": {}, \"p50_ms\": {:.6}, \"p99_ms\": {:.6}}}",
-            p.scenario,
-            p.fair,
-            p.tenant,
-            p.arrivals,
-            p.completed,
-            p.rejected,
-            p.deadline_missed,
-            p.canceled,
-            p.failed,
-            p.p50_ms,
-            p.p99_ms
-        ));
-    }
-    for v in ["interactive", "reporting"] {
-        let base = r.isolation_p99_ms("baseline", v);
-        println!(
-            "  {v}: p99 is {:.2}x its aggressor-free baseline with WFQ, {:.2}x under FIFO",
-            r.isolation_p99_ms("aggressor+wfq", v) / base,
-            r.isolation_p99_ms("aggressor+fifo", v) / base
-        );
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro serving\",\n  \"query\": \"q6\",\n  \
-         \"service_time_secs\": {:.9},\n  \
-         \"knee\": [\n{knee_entries}\n  ],\n  \
-         \"isolation\": [\n{iso_entries}\n  ]\n}}\n",
-        r.service_time.as_secs_f64()
-    );
-    std::fs::write("BENCH_serving.json", json).expect("write BENCH_serving.json");
-    println!("  (fair queueing keeps every victim's p99 within 2x of baseline; FIFO");
-    println!("   lets the flood queue ahead of both victims and blows their tails out)");
-    println!("  wrote BENCH_serving.json");
-    println!();
-}
-
-fn run_trace(s: &Scales) {
-    println!("== Observability: traced Q6 run pair (device vs host route) ==");
-    println!("  route    elapsed[s]   trace file");
-    let points = trace_exp(s);
-    let mut entries = String::new();
-    for p in &points {
-        let route = format!("{:?}", p.route).to_lowercase();
-        let slug: String = p
-            .query
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect();
-        let file = format!("trace_{slug}_{route}.json");
-        std::fs::write(&file, &p.chrome_json).unwrap_or_else(|e| panic!("write {file}: {e}"));
-        println!("  {:<7}  {:>9.3}   {file}", route, p.elapsed_secs);
-        let mut busy = String::new();
-        for (name, frac) in &p.busy_fractions {
-            if !busy.is_empty() {
-                busy.push_str(", ");
-            }
-            busy.push_str(&format!("\"{name}\": {frac:.6}"));
-        }
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"query\": \"{}\", \"route\": \"{route}\", \"elapsed_secs\": {:.9}, \
-             \"trace_file\": \"{file}\", \"busy_fractions\": {{{busy}}}}}",
-            p.query, p.elapsed_secs
-        ));
-    }
-    let wl = workload_trace_exp(s);
-    let wl_file = "trace_q6_workload.json";
-    std::fs::write(wl_file, &wl.chrome_json).unwrap_or_else(|e| panic!("write {wl_file}: {e}"));
-    println!(
-        "  {:<7}  {:>9.3}   {wl_file} ({} concurrent queries, one lane each)",
-        "both", wl.makespan_secs, wl.sessions
-    );
-    entries.push_str(&format!(
-        ",\n    {{\"query\": \"q6 workload\", \"route\": \"both\", \"sessions\": {}, \
-         \"makespan_secs\": {:.9}, \"trace_file\": \"{wl_file}\"}}",
-        wl.sessions, wl.makespan_secs
-    ));
-    let json =
-        format!("{{\n  \"generated_by\": \"repro trace\",\n  \"runs\": [\n{entries}\n  ]\n}}\n");
-    std::fs::write("BENCH_trace.json", json).expect("write BENCH_trace.json");
-    println!("  (per-resource busy fractions in BENCH_trace.json; open the trace");
-    println!("   files in https://ui.perfetto.dev or chrome://tracing)");
-    println!();
-}
-
-/// Simulator-throughput sweep (`repro simspeed`): not part of `all`, so the
-/// golden reproduction output stays bit-identical — wall-clock figures are
-/// machine-dependent by nature. `--smoke` restricts the sweep to the
-/// smallest point (used by the CI floor test, which runs a debug binary).
-fn run_simspeed(quick: bool, smoke: bool) {
-    println!("== Simulator throughput: open Q6 stream, arrivals per wall-second ==");
-    let counts: &[usize] = if smoke {
-        &[10_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let reps = if quick { 1 } else { 2 };
-    let points = match simspeed_exp(&Scales::quick(), counts, reps) {
-        Ok(points) => points,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    println!("  arrivals   completed  sim[s]      wall[s]    arrivals/s    sim-ns/wall-s");
-    let mut entries = String::new();
-    for p in &points {
-        println!(
-            "  {:>8}   {:>9}  {:>9.3}  {:>9.3}  {:>12.0}  {:>13.3e}",
-            p.arrivals,
-            p.completed,
-            p.sim_secs,
-            p.wall_secs,
-            p.arrivals_per_sec,
-            p.sim_ns_per_wall_sec
-        );
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"arrivals\": {}, \"completed\": {}, \"flash_reads\": {}, \
-             \"sim_secs\": {:.9}, \"wall_secs\": {:.6}, \"arrivals_per_sec\": {:.1}, \
-             \"sim_ns_per_wall_sec\": {:.1}}}",
-            p.arrivals,
-            p.completed,
-            p.flash_reads,
-            p.sim_secs,
-            p.wall_secs,
-            p.arrivals_per_sec,
-            p.sim_ns_per_wall_sec
-        ));
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro simspeed\",\n  \"quick\": {quick},\n  \
-         \"smoke\": {smoke},\n  \"query\": \"q6\",\n  \"interface_mode\": \"direct\",\n  \
-         \"table_rows\": {},\n  \"mean_gap_ns\": {},\n  \"reps\": {reps},\n  \
-         \"timing\": \"best wall-clock over reps\",\n  \"points\": [\n{entries}\n  ]\n}}\n",
-        SIMSPEED_ROWS,
-        SIMSPEED_MEAN_GAP.as_nanos()
-    );
-    std::fs::write("BENCH_simspeed.json", json).expect("write BENCH_simspeed.json");
-    println!("  (simulated figures are deterministic; wall-clock is machine-dependent)");
-    println!("  wrote BENCH_simspeed.json");
-    println!();
-}
-
-/// Serving-scale sweep (`repro servescale`): not part of `all` for the
-/// same reason as `simspeed`. Streams multi-tenant serving days through
-/// `System::run_serving` with the keyed-min-heap admission engine, plus
-/// linear-scan reference cells at the smaller stream size so the JSON
-/// carries its own speedup baseline. `--smoke` restricts the sweep to one
-/// tiny heap/scan pair (used by the CI floor test on a debug binary).
-fn run_servescale(quick: bool, smoke: bool) {
-    println!("== Serving scale: multi-tenant arrivals per wall-second, heap vs scan ==");
-    // (tenants, arrivals, reference-engine)
-    let cells: &[(usize, usize, bool)] = if smoke {
-        &[(16, 2_000, false), (16, 2_000, true)]
-    } else if quick {
-        &[
-            (16, 20_000, false),
-            (4_096, 20_000, false),
-            (16, 20_000, true),
-            (4_096, 20_000, true),
-        ]
-    } else {
-        &[
-            (16, 100_000, false),
-            (256, 100_000, false),
-            (4_096, 100_000, false),
-            (10_000, 100_000, false),
-            (16, 1_000_000, false),
-            (256, 1_000_000, false),
-            (4_096, 1_000_000, false),
-            (10_000, 1_000_000, false),
-            (16, 100_000, true),
-            (256, 100_000, true),
-            (4_096, 100_000, true),
-            (10_000, 100_000, true),
-        ]
-    };
-    let reps = if quick || smoke { 1 } else { 2 };
-    let points = match servescale_exp(42, cells, reps) {
-        Ok(points) => points,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    println!("  engine  tenants   arrivals  completed   canceled    wall[s]    arrivals/s");
-    let mut entries = String::new();
-    for p in &points {
-        println!(
-            "  {:<6}  {:>7}  {:>9}  {:>9}  {:>9}  {:>9.3}  {:>12.0}",
-            p.engine,
-            p.tenants,
-            p.arrivals,
-            p.completed,
-            p.canceled,
-            p.wall_secs,
-            p.arrivals_per_sec
-        );
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"tenants\": {}, \"arrivals\": {}, \
-             \"completed\": {}, \"canceled\": {}, \"sim_secs\": {:.9}, \
-             \"wall_secs\": {:.6}, \"arrivals_per_sec\": {:.1}, \
-             \"sim_ns_per_wall_sec\": {:.1}}}",
-            p.engine,
-            p.tenants,
-            p.arrivals,
-            p.completed,
-            p.canceled,
-            p.sim_secs,
-            p.wall_secs,
-            p.arrivals_per_sec,
-            p.sim_ns_per_wall_sec
-        ));
-    }
-    // The headline comparison: heap vs the linear-scan reference at every
-    // tenant count both engines ran.
-    let speedups: Vec<(usize, f64)> = points
-        .iter()
-        .filter(|p| p.engine == "scan")
-        .filter_map(|s| {
-            points
-                .iter()
-                .find(|h| h.engine == "heap" && h.tenants == s.tenants && h.arrivals == s.arrivals)
-                .map(|h| (s.tenants, h.arrivals_per_sec / s.arrivals_per_sec))
-        })
-        .collect();
-    let speedup_json = if speedups.is_empty() {
-        String::new()
-    } else {
-        let list: Vec<String> = speedups
-            .iter()
-            .map(|&(tenants, x)| {
-                println!("  heap vs scan at {tenants} tenants: {x:.1}x arrivals/s");
-                format!("{{\"tenants\": {tenants}, \"heap_over_scan\": {x:.2}}}")
-            })
-            .collect();
-        format!(",\n  \"speedups\": [{}]", list.join(", "))
-    };
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro servescale\",\n  \"quick\": {quick},\n  \
-         \"smoke\": {smoke},\n  \"query\": \"q6\",\n  \"interface_mode\": \"direct\",\n  \
-         \"max_sessions\": 1,\n  \"table_rows\": {},\n  \"offered_rho\": 2.0,\n  \
-         \"reps\": {reps},\n  \"timing\": \"best wall-clock over reps\"{speedup_json},\n  \
-         \"points\": [\n{entries}\n  ]\n}}\n",
-        SERVESCALE_ROWS
-    );
-    std::fs::write("BENCH_servescale.json", json).expect("write BENCH_servescale.json");
-    println!("  (simulated figures are deterministic; wall-clock is machine-dependent)");
-    println!("  wrote BENCH_servescale.json");
-    println!();
-}
-
-/// Chaos matrix (`repro chaos`): not part of `all`, so clean reproduction
-/// output stays bit-identical. Scripted gray-failure scenarios crossed
-/// with defense stacks; the acceptance claim is the strict victim-p99
-/// ordering `full < breaker < none` in the slowdown scenarios.
-fn run_chaos(s: &Scales, quick: bool) {
-    println!("== Chaos: scripted gray failures vs layered defenses (Q6, two tenants) ==");
-    let victim_n = if quick { 16 } else { 32 };
-    let r = match chaos_exp(s, victim_n) {
-        Ok(r) => r,
-        Err(fault) => {
-            println!("  experiment aborted by device fault: {fault}");
-            return;
-        }
-    };
-    println!(
-        "  service time (device-route Q6): {:.3} ms",
-        r.service_time.as_secs_f64() * 1e3
-    );
-    println!("  scenario   defense  done  rej  goodput[qps]  victim-p99[ms]  fallbacks  slow-trips  trips  match");
-    let mut entries = String::new();
-    for p in &r.points {
-        println!(
-            "  {:<9}  {:<7}  {:>4}  {:>3}  {:>12.3}  {:>14.2}  {:>9}  {:>10}  {:>5}  {:>5}",
-            p.scenario,
-            p.defense,
-            p.completed,
-            p.rejected,
-            p.goodput_qps,
-            p.victim_p99_ms,
-            p.fallbacks,
-            p.slow_trips,
-            p.breaker_transitions,
-            if p.matches_clean { "yes" } else { "NO" },
-        );
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        entries.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"defense\": \"{}\", \"arrivals\": {}, \
-             \"completed\": {}, \"rejected\": {}, \"goodput_qps\": {:.6}, \
-             \"victim_completed\": {}, \"victim_p99_ms\": {:.6}, \
-             \"batch_completed\": {}, \"batch_rejected\": {}, \"fallbacks\": {}, \
-             \"slow_trips\": {}, \"breaker_transitions\": {}, \"matches_clean\": {}, \
-             \"faults\": {}}}",
-            p.scenario,
-            p.defense,
-            p.arrivals,
-            p.completed,
-            p.rejected,
-            p.goodput_qps,
-            p.victim_completed,
-            p.victim_p99_ms,
-            p.batch_completed,
-            p.batch_rejected,
-            p.fallbacks,
-            p.slow_trips,
-            p.breaker_transitions,
-            p.matches_clean,
-            p.faults.to_json()
-        ));
-    }
-    for scenario in ["slow4x", "slow16x"] {
-        let (none, breaker, full) = (
-            r.victim_p99_ms(scenario, "none"),
-            r.victim_p99_ms(scenario, "breaker"),
-            r.victim_p99_ms(scenario, "full"),
-        );
-        let ok = full < breaker && breaker < none;
-        println!(
-            "  {scenario}: victim p99 full {full:.2} < breaker {breaker:.2} < none {none:.2} ms — {}",
-            if ok { "each defense layer pays" } else { "ORDERING VIOLATED" }
-        );
-    }
-    let json = format!(
-        "{{\n  \"generated_by\": \"repro chaos\",\n  \"query\": \"q6\",\n  \
-         \"service_time_ms\": {:.6},\n  \"victim\": \"interactive\",\n  \
-         \"points\": [\n{entries}\n  ]\n}}\n",
-        r.service_time.as_secs_f64() * 1e3
-    );
-    std::fs::write("BENCH_chaos.json", json).expect("write BENCH_chaos.json");
-    println!("  (identical arrival schedules in every cell; answers stay bit-identical —");
-    println!("   the defenses change routing and shedding, never results)");
-    println!("  wrote BENCH_chaos.json");
-    println!();
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let s = if quick {
-        Scales::quick()
-    } else {
-        Scales::default()
-    };
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    let all = what == "all";
-
-    if all || what == "fig1" {
-        run_fig1();
-    }
-    if all || what == "tab2" {
-        run_tab2();
-    }
-    if all || what == "fig3" {
-        print_bars(
-            "Figure 3: TPC-H Q6 elapsed time",
-            &fig3(&s),
-            s.tpch_projection(),
-            1.7,
-        );
-    }
-    if all || what == "fig5" {
-        run_fig5(&s);
-    }
-    if all || what == "fig7" {
-        print_bars(
-            "Figure 7: TPC-H Q14 elapsed time",
-            &fig7(&s),
-            s.tpch_projection(),
-            1.3,
-        );
-    }
-    if all || what == "tab3" {
-        run_tab3(&s);
-    }
-    if all || what == "plans" {
-        println!("== Figures 4 & 6: pushdown query plans ==");
-        println!("{}", plans());
-    }
-    if all || what == "scan-sweep" {
-        run_scan_sweep(&s);
-    }
-    if all || what == "array" {
-        run_array(&s);
-    }
-    if all || what == "cache" {
-        run_cache(&s);
-    }
-    if all || what == "device-scaling" {
-        run_device_scaling(&s);
-    }
-    if all || what == "interface" {
-        run_interface(&s);
-    }
-    if all || what == "concurrent" {
-        run_concurrent(&s);
-    }
-    if all || what == "host-parallel" {
-        run_host_parallel(&s);
-    }
-    if all || what == "q1" {
-        run_q1(&s);
-    }
-    if all || what == "kernels" {
-        run_kernels(quick);
-    }
-    if what == "faults" {
-        run_faults(&s);
-    }
-    if what == "trace" {
-        run_trace(&s);
-    }
-    if what == "degrade" {
-        run_degrade(&s);
-    }
-    if what == "fleet" {
-        run_fleet(&s, quick);
-    }
-    if what == "serving" {
-        run_serving(&s, quick);
-    }
-    if what == "concurrency" {
-        run_concurrency(&s);
-    }
-    if what == "simspeed" {
-        run_simspeed(quick, smoke);
-    }
-    if what == "servescale" {
-        run_servescale(quick, smoke);
-    }
-    if what == "chaos" {
-        run_chaos(&s, quick);
-    }
+    ExitCode::SUCCESS
 }

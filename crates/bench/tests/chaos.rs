@@ -4,20 +4,26 @@
 //! victim tenant must never be browned out, and every completed answer
 //! must stay bit-identical in every cell.
 
-use smartssd_bench::{chaos_exp, Scales};
+use smartssd_bench::find;
 
 #[test]
 fn each_defense_layer_strictly_pays_at_the_victim_tail() {
-    let r = chaos_exp(&Scales::quick(), 16).expect("chaos experiment");
-    assert_eq!(r.points.len(), 5 * 3, "five scenarios x three defenses");
+    let e = find("chaos").expect("registered");
+    let r = (e.run)(&e.ctx(true, false)).expect("chaos experiment");
+    let points = r.get("points").expect("points table");
+    assert_eq!(points.rows.len(), 5 * 3, "five scenarios x three defenses");
+    let p99 = |scenario, defense| {
+        let cell = [("scenario", scenario), ("defense", defense)];
+        points.lookup(&cell, "victim_p99_ms")
+    };
 
     // The acceptance claim: latency-aware breaking routes around the gray
     // firmware, and brownout shedding then keeps the victim from queueing
     // behind batch work — each layer strictly improves the victim's p99.
     for scenario in ["slow4x", "slow16x"] {
-        let none = r.victim_p99_ms(scenario, "none");
-        let breaker = r.victim_p99_ms(scenario, "breaker");
-        let full = r.victim_p99_ms(scenario, "full");
+        let none = p99(scenario, "none");
+        let breaker = p99(scenario, "breaker");
+        let full = p99(scenario, "full");
         assert!(
             full < breaker && breaker < none,
             "{scenario}: expected full < breaker < none, got {full} / {breaker} / {none}"
@@ -29,32 +35,40 @@ fn each_defense_layer_strictly_pays_at_the_victim_tail() {
 
     // ECC bursts slow the shared media, but the host block path is
     // interface-bound, so routing still escapes most of the damage.
-    assert!(r.victim_p99_ms("ecc-burst", "breaker") < r.victim_p99_ms("ecc-burst", "none"));
+    assert!(p99("ecc-burst", "breaker") < p99("ecc-burst", "none"));
 
-    for p in &r.points {
+    for row in &points.rows {
+        let (scenario, defense) = (
+            points.get(row, "scenario").text(),
+            points.get(row, "defense").text(),
+        );
+        let n = |key| points.get(row, key).num();
         // Defenses change routing and shedding, never answers.
-        assert!(p.matches_clean, "{}/{} diverged", p.scenario, p.defense);
+        assert!(
+            points.get(row, "matches_clean").flag(),
+            "{scenario}/{defense} diverged"
+        );
         // Every arrival is accounted for, and the protected tenant is
         // never the one shed: brownout only drops batch work.
-        assert_eq!(p.completed + p.rejected, p.arrivals);
-        assert_eq!(p.victim_completed, 16, "{}/{}", p.scenario, p.defense);
-        assert_eq!(p.rejected, p.batch_rejected);
-        if p.scenario == "healthy" {
+        assert_eq!(n("completed") + n("rejected"), n("arrivals"));
+        assert_eq!(n("victim_completed"), 16.0, "{scenario}/{defense}");
+        assert_eq!(n("rejected"), n("batch_rejected"));
+        if scenario == "healthy" {
             // A healthy system sheds nothing and never trips.
-            assert_eq!(p.rejected, 0);
-            assert_eq!(p.slow_trips, 0);
-            assert_eq!(p.breaker_transitions, 0);
+            assert_eq!(n("rejected"), 0.0);
+            assert_eq!(n("slow_trips"), 0.0);
+            assert_eq!(n("breaker_transitions"), 0.0);
         }
-        if p.scenario.starts_with("slow") && p.defense != "none" {
+        if scenario.starts_with("slow") && defense != "none" {
             // The gray window is latency-only — the breaker can only have
             // tripped on the slow-trip rule, and must have.
-            assert!(p.slow_trips >= 1, "{}/{}", p.scenario, p.defense);
-            assert_eq!(p.breaker_transitions, 1);
+            assert!(n("slow_trips") >= 1.0, "{scenario}/{defense}");
+            assert_eq!(n("breaker_transitions"), 1.0);
         }
-        if p.scenario == "crash" {
+        if scenario == "crash" {
             // A hard crash is recovery, not brownout territory.
-            assert_eq!(p.rejected, 0);
-            assert!(p.fallbacks >= 1);
+            assert_eq!(n("rejected"), 0.0);
+            assert!(n("fallbacks") >= 1.0);
         }
     }
 }

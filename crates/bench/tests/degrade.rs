@@ -3,13 +3,18 @@
 //! on, the breaker must strictly beat breaker-off at the highest swept
 //! rate, and answers must stay bit-identical in every cell.
 
-use smartssd_bench::{degrade_exp, Scales};
+use smartssd_bench::find;
 
 #[test]
 fn degradation_is_smooth_with_the_breaker_and_worse_without() {
-    let points = degrade_exp(&Scales::quick()).expect("degrade experiment");
-    let on: Vec<_> = points.iter().filter(|p| p.breaker).collect();
-    let off: Vec<_> = points.iter().filter(|p| !p.breaker).collect();
+    let e = find("degrade").expect("registered");
+    let r = (e.run)(&e.ctx(true, false)).expect("degrade experiment");
+    let t = r.get("scenarios").expect("scenarios table");
+    let n = |row: &[_], key| t.get(row, key).num();
+    let label = |row: &[_]| t.get(row, "scenario").text().to_string();
+    let breaker = |row: &[_]| t.get(row, "breaker").flag();
+    let on: Vec<_> = t.rows.iter().filter(|p| breaker(p)).collect();
+    let off: Vec<_> = t.rows.iter().filter(|p| !breaker(p)).collect();
     assert_eq!(on.len(), off.len());
     assert!(on.len() >= 3, "sweep needs enough rates to show a shape");
 
@@ -18,43 +23,47 @@ fn degradation_is_smooth_with_the_breaker_and_worse_without() {
     // to zero — the host keeps serving.
     for w in on.windows(2) {
         assert!(
-            w[1].throughput_qps <= w[0].throughput_qps + f64::EPSILON,
+            n(w[1], "throughput_qps") <= n(w[0], "throughput_qps") + f64::EPSILON,
             "breaker-on throughput must degrade monotonically: {} ({}) -> {} ({})",
-            w[0].throughput_qps,
-            w[0].label,
-            w[1].throughput_qps,
-            w[1].label
+            n(w[0], "throughput_qps"),
+            label(w[0]),
+            n(w[1], "throughput_qps"),
+            label(w[1])
         );
     }
-    assert!(on.last().unwrap().throughput_qps > 0.0);
+    assert!(n(on.last().unwrap(), "throughput_qps") > 0.0);
 
     // At the highest swept crash rate, routing around the sick device
     // strictly beats hammering it.
     let (last_on, last_off) = (on.last().unwrap(), off.last().unwrap());
-    assert_eq!(last_on.label, last_off.label);
+    assert_eq!(label(last_on), label(last_off));
     assert!(
-        last_on.makespan_secs < last_off.makespan_secs,
+        n(last_on, "makespan_secs") < n(last_off, "makespan_secs"),
         "breaker off must be strictly worse at the highest rate: on {} vs off {}",
-        last_on.makespan_secs,
-        last_off.makespan_secs
+        n(last_on, "makespan_secs"),
+        n(last_off, "makespan_secs")
     );
-    assert!(last_on.fallbacks < last_off.fallbacks);
-    assert!(last_on.breaker_transitions > 0);
+    assert!(n(last_on, "fallbacks") < n(last_off, "fallbacks"));
+    assert!(n(last_on, "breaker_transitions") > 0.0);
 
     // Robustness changes timing and routing, never answers, and every
     // arrival is accounted for.
-    for p in &points {
+    for p in &t.rows {
         assert!(
-            p.matches_clean,
+            t.get(p, "matches_clean").flag(),
             "{} (breaker {}) diverged",
-            p.label, p.breaker
+            label(p),
+            breaker(p)
         );
-        assert_eq!(p.completed + p.rejected + p.deadline_missed, 16);
+        assert_eq!(
+            n(p, "completed") + n(p, "rejected") + n(p, "deadline_missed"),
+            16.0
+        );
     }
     // The clean cells shed nothing and never trip the breaker.
-    for p in points.iter().filter(|p| p.crash_rate == 0) {
-        assert_eq!(p.completed, 16);
-        assert_eq!(p.breaker_transitions, 0);
-        assert_eq!(p.fallbacks, 0);
+    for p in t.rows.iter().filter(|p| n(p, "crash_rate") == 0.0) {
+        assert_eq!(n(p, "completed"), 16.0);
+        assert_eq!(n(p, "breaker_transitions"), 0.0);
+        assert_eq!(n(p, "fallbacks"), 0.0);
     }
 }

@@ -8,60 +8,69 @@
 //!   p99 stays within 2x of its aggressor-free baseline; with global
 //!   FIFO admission the same flood pushes every victim past 2x.
 
-use smartssd_bench::{serving_exp, Scales};
+use smartssd_bench::{find, report::Report};
 
-const KNEE_ARRIVALS: usize = 16;
-const VICTIM_ARRIVALS: usize = 12;
+/// The serving report at `--quick` scale: 16 knee arrivals, 12 per victim.
+fn serving() -> Report {
+    let e = find("serving").expect("registered");
+    (e.run)(&e.ctx(true, false)).expect("serving experiment")
+}
 
 #[test]
 fn load_sweep_shows_the_utilization_knee() {
-    let r =
-        serving_exp(&Scales::quick(), KNEE_ARRIVALS, VICTIM_ARRIVALS).expect("serving experiment");
+    let r = serving();
+    let knee = r.get("knee").expect("knee table");
     assert!(
-        r.knee.len() >= 4,
+        knee.rows.len() >= 4,
         "sweep needs enough points to show a shape"
     );
-    let low = r.knee.first().unwrap();
-    let high = r.knee.last().unwrap();
+    let point = |row: &[_]| {
+        let n = |key| knee.get(row, key).num();
+        (n("rho"), n("offered_qps"), n("throughput_qps"), n("p99_ms"))
+    };
+    let (low_rho, low_offered, low_throughput, low_p99) = point(knee.rows.first().unwrap());
+    let (high_rho, high_offered, high_throughput, high_p99) = point(knee.rows.last().unwrap());
     assert!(
-        low.rho < 0.5 && high.rho > 1.0,
+        low_rho < 0.5 && high_rho > 1.0,
         "sweep must straddle saturation"
     );
 
     // Below the knee the server keeps up with the offered load; past it
     // the completed throughput falls measurably short.
     assert!(
-        low.throughput_qps > 0.9 * low.offered_qps,
+        low_throughput > 0.9 * low_offered,
         "at rho {} throughput {} should track offered {}",
-        low.rho,
-        low.throughput_qps,
-        low.offered_qps
+        low_rho,
+        low_throughput,
+        low_offered
     );
     assert!(
-        high.throughput_qps < 0.8 * high.offered_qps,
+        high_throughput < 0.8 * high_offered,
         "at rho {} throughput {} must saturate below offered {}",
-        high.rho,
-        high.throughput_qps,
-        high.offered_qps
+        high_rho,
+        high_throughput,
+        high_offered
     );
 
     // And the latency tail blows out across the knee.
     assert!(
-        high.p99_ms > 3.0 * low.p99_ms,
+        high_p99 > 3.0 * low_p99,
         "p99 must climb across the knee: {} -> {}",
-        low.p99_ms,
-        high.p99_ms
+        low_p99,
+        high_p99
     );
 }
 
 #[test]
 fn wfq_isolates_victims_from_an_aggressor_and_fifo_does_not() {
-    let r =
-        serving_exp(&Scales::quick(), KNEE_ARRIVALS, VICTIM_ARRIVALS).expect("serving experiment");
+    let r = serving();
+    let isolation = r.get("isolation").expect("isolation table");
     for victim in ["interactive", "reporting"] {
-        let base = r.isolation_p99_ms("baseline", victim);
-        let wfq = r.isolation_p99_ms("aggressor+wfq", victim);
-        let fifo = r.isolation_p99_ms("aggressor+fifo", victim);
+        let p99 = |scenario| {
+            let cell = [("scenario", scenario), ("tenant", victim)];
+            isolation.lookup(&cell, "p99_ms")
+        };
+        let (base, wfq, fifo) = (p99("baseline"), p99("aggressor+wfq"), p99("aggressor+fifo"));
         assert!(base > 0.0, "{victim} baseline must have completions");
         assert!(
             wfq <= 2.0 * base,
@@ -75,14 +84,14 @@ fn wfq_isolates_victims_from_an_aggressor_and_fifo_does_not() {
 
     // The aggressor pays for its own flood: its overload is shed at its
     // admission bound, not spread over the victims.
-    let shed: u64 = r
-        .isolation
+    let shed: f64 = isolation
+        .rows
         .iter()
-        .filter(|p| p.tenant == "aggressor")
-        .map(|p| p.rejected)
+        .filter(|p| isolation.get(p, "tenant").text() == "aggressor")
+        .map(|p| isolation.get(p, "rejected").num())
         .sum();
     assert!(
-        shed > 0,
+        shed > 0.0,
         "the flood must exceed the aggressor's queue bound"
     );
 }

@@ -33,11 +33,16 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "== benchmark smoke (criterion --quick, kernel groups only) =="
     cargo bench -q -p smartssd-bench --bench kernels -- --quick scan_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg
-    # Every out-of-`all` repro subcommand, quick scale: each writes its
-    # BENCH_<sub>.json (trace also writes trace_*.json).
-    for sub in kernels trace faults concurrency degrade fleet serving simspeed servescale chaos; do
+    # Every repro subcommand that writes a BENCH_<sub>.json (trace also
+    # writes trace_*.json), quick scale. The registry is the only list of
+    # names: `repro list` prints name, scope, BENCH file (or -), about. A
+    # failed or aborted experiment exits non-zero and fails the gate.
+    repro=(cargo run -q --release -p smartssd-bench --bin repro --)
+    subs=$("${repro[@]}" list | awk -F'\t' '$3 != "-" { print $1 }')
+    [[ -n "${subs}" ]]
+    for sub in ${subs}; do
         echo "== repro ${sub} --quick (BENCH_${sub}.json) =="
-        cargo run -q --release -p smartssd-bench --bin repro -- "${sub}" --quick
+        "${repro[@]}" "${sub}" --quick
     done
 fi
 
