@@ -198,6 +198,42 @@ fn bench_page_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cold-read page path, per layout over one LINEITEM page set: the
+/// bare checksum kernel, first-touch validation (`PageBuf::from_bytes`),
+/// and the pointer-identity memo that every later read of the page takes.
+fn bench_page_validate(c: &mut Criterion) {
+    use smartssd_storage::{page::checksum, PageBuf, PageDecodeCache};
+    let mut group = c.benchmark_group("kernel/page_validate");
+    for layout in [Layout::Nsm, Layout::Pax] {
+        let img = lineitem_like(layout, 60_000);
+        group.throughput(Throughput::Elements(img.num_pages() as u64));
+        group.bench_function(BenchmarkId::new("checksum", layout), |b| {
+            b.iter(|| img.pages().iter().fold(0u32, |h, p| h ^ checksum(p.body())))
+        });
+        group.bench_function(BenchmarkId::new("from_bytes", layout), |b| {
+            b.iter(|| {
+                img.pages()
+                    .iter()
+                    .filter(|p| PageBuf::from_bytes(p.raw().clone()).is_ok())
+                    .count()
+            })
+        });
+        let mut memo = PageDecodeCache::new();
+        let mut decode_all = || {
+            img.pages()
+                .iter()
+                .enumerate()
+                .filter(|(lba, p)| memo.decode(*lba as u64, p.raw().clone()).is_ok())
+                .count()
+        };
+        assert_eq!(decode_all(), img.num_pages(), "memo warmed");
+        group.bench_function(BenchmarkId::new("decode_hit", layout), |b| {
+            b.iter(&mut decode_all)
+        });
+    }
+    group.finish();
+}
+
 /// TPC-H Q1's grouped-aggregation kernel on NSM vs PAX pages.
 fn bench_group_agg_layouts(c: &mut Criterion) {
     use smartssd_exec::spec::GroupAggSpec;
@@ -301,6 +337,7 @@ criterion_group!(
     bench_short_circuit,
     bench_probe_order,
     bench_page_build,
+    bench_page_validate,
     bench_group_agg_layouts,
     bench_group_agg_rowwise,
     bench_wire_codec

@@ -139,7 +139,7 @@ fn read_via_link(
                 let setup = cmd.setup_ns(lba, cmd_latency_ns);
                 let link_iv = link.transfer_with_setup(iv.end, PAGE_SIZE as u64, setup);
                 // Pointer-identity memo: repeated reads of an unchanged LBA
-                // skip re-walking the 4 KB checksum; a rewritten or corrupt
+                // skip re-walking the 8 KB checksum; a rewritten or corrupt
                 // buffer misses the memo and is validated for real.
                 match page_cache.decode(lba, data) {
                     Ok(page) => {

@@ -26,8 +26,13 @@ pub fn capacity(tuple_width: usize) -> usize {
 /// Builds NSM pages from a stream of tuples.
 pub struct NsmPageBuilder {
     schema: Arc<Schema>,
-    body: Vec<u8>,
-    slots: Vec<u16>,
+    /// Staged records, back to back.
+    records: Vec<u8>,
+    /// The slot directory as it lies at the tail of the page (slot `i` at
+    /// `PAGE_SIZE - 2 * (i + 1)`), sized for a full page: slot `i` sits at
+    /// `slots.len() - 2 * (i + 1)` and only the last `2 * n` bytes are live.
+    slots: Vec<u8>,
+    n: usize,
     capacity: usize,
 }
 
@@ -42,50 +47,53 @@ impl NsmPageBuilder {
             PAGE_SIZE
         );
         Self {
-            schema,
-            body: Vec::with_capacity(PAGE_SIZE - PAGE_HEADER_SIZE),
-            slots: Vec::with_capacity(cap),
+            records: Vec::with_capacity(cap * schema.tuple_width()),
+            slots: vec![0; 2 * cap],
+            n: 0,
             capacity: cap,
+            schema,
         }
     }
 
     /// Whether the page has room for another tuple.
     pub fn has_room(&self) -> bool {
-        self.slots.len() < self.capacity
+        self.n < self.capacity
     }
 
     /// Number of tuples currently staged.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.n
     }
 
     /// Whether no tuples are staged.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.n == 0
     }
 
     /// Appends a tuple. Panics if the page is full — callers check
     /// [`Self::has_room`] and seal first.
     pub fn push(&mut self, tuple: &[Datum]) {
         assert!(self.has_room(), "NSM page is full");
-        let off = (PAGE_HEADER_SIZE + self.body.len()) as u16;
-        encode(&self.schema, tuple, &mut self.body);
-        self.slots.push(off);
+        let off = (PAGE_HEADER_SIZE + self.records.len()) as u16;
+        encode(&self.schema, tuple, &mut self.records);
+        self.n += 1;
+        let pos = self.slots.len() - 2 * self.n;
+        self.slots[pos..pos + 2].copy_from_slice(&off.to_le_bytes());
     }
 
     /// Seals the staged tuples into an immutable page and resets the
     /// builder for the next page.
     pub fn seal(&mut self) -> PageBuf {
-        let n = self.slots.len();
-        let mut body = std::mem::take(&mut self.body);
-        // Slot directory occupies the tail of the page: slot i lives at
-        // PAGE_SIZE - 2*(i+1).
-        body.resize(PAGE_SIZE - PAGE_HEADER_SIZE, 0);
-        for (i, off) in self.slots.drain(..).enumerate() {
-            let pos = PAGE_SIZE - PAGE_HEADER_SIZE - 2 * (i + 1);
-            body[pos..pos + 2].copy_from_slice(&off.to_le_bytes());
-        }
-        PageBuf::format(Layout::Nsm, n as u16, &body)
+        let live_slots = &self.slots[self.slots.len() - 2 * self.n..];
+        let page = PageBuf::format(
+            Layout::Nsm,
+            self.n as u16,
+            [self.records.as_slice()],
+            live_slots,
+        );
+        self.records.clear();
+        self.n = 0;
+        page
     }
 }
 

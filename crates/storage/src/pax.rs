@@ -104,14 +104,11 @@ impl PaxPageBuilder {
     /// Seals the staged tuples into an immutable PAX page and resets the
     /// builder.
     pub fn seal(&mut self) -> PageBuf {
-        let mut body = Vec::with_capacity(self.n * self.schema.tuple_width());
-        for buf in &mut self.cols {
-            body.extend_from_slice(buf);
-            buf.clear();
-        }
-        let n = self.n;
+        let minipages = self.cols.iter().map(Vec::as_slice);
+        let page = PageBuf::format(Layout::Pax, self.n as u16, minipages, &[]);
+        self.cols.iter_mut().for_each(Vec::clear);
         self.n = 0;
-        PageBuf::format(Layout::Pax, n as u16, &body)
+        page
     }
 }
 

@@ -11,11 +11,12 @@ use smartssd::{
     SystemConfig, Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::ScanAggSpec;
-use smartssd_flash::FlashConfig;
+use smartssd_flash::{FlashConfig, FlashSsd};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_sim::SimTime;
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
-use smartssd_storage::{DataType, Datum, Schema, Tuple};
+use smartssd_storage::page::PageError;
+use smartssd_storage::{pax, DataType, Datum, PageBuf, Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
 const N_ROWS: i32 = 20_000;
@@ -200,6 +201,71 @@ fn session_timeout_falls_back_to_host() {
     assert_eq!(r.route, Route::Host);
     assert_eq!(r.result.agg_values[0], expected_sum());
     assert_eq!(r.faults.fallbacks, 1);
+}
+
+/// Saturated silent corruption: the first read of every page is an ECC
+/// escape (one flipped bit, no error), the re-read returns the truth.
+fn escape_on_every_first_read() -> FlashConfig {
+    FlashConfig {
+        silent_corruption_rate: u32::MAX,
+        ..FlashConfig::default()
+    }
+}
+
+/// Every injected ECC escape is caught, at the flash boundary: with the
+/// injection rate saturated, each read that bumps `silent_corruptions`
+/// hands back bytes that fail page validation with a checksum mismatch,
+/// and the re-read of that LBA validates.
+#[test]
+fn every_injected_escape_fails_validation_and_the_reread_passes() {
+    let mut b = TableBuilder::new("t", small_schema(), Layout::Pax);
+    b.extend(rows(N_ROWS));
+    let img = b.finish();
+    let mut ssd = FlashSsd::new(escape_on_every_first_read());
+    for (lba, page) in img.pages().iter().enumerate() {
+        ssd.write(lba as u64, page.raw().clone(), SimTime::ZERO)
+            .unwrap();
+    }
+    for lba in 0..img.num_pages() as u64 {
+        let before = ssd.stats().silent_corruptions;
+        let (data, _) = ssd.read(lba, SimTime::ZERO).unwrap();
+        assert_eq!(
+            ssd.stats().silent_corruptions,
+            before + 1,
+            "saturated rate: the first read of LBA {lba} is an escape"
+        );
+        match PageBuf::from_bytes(data) {
+            Err(PageError::ChecksumMismatch { .. }) => {}
+            other => panic!("escape at LBA {lba} got past validation: {other:?}"),
+        }
+        let (data, _) = ssd.read(lba, SimTime::ZERO).unwrap();
+        assert_eq!(ssd.stats().silent_corruptions, before + 1);
+        assert!(PageBuf::from_bytes(data).is_ok(), "re-read of LBA {lba}");
+    }
+    assert_eq!(ssd.stats().silent_corruptions, img.num_pages() as u64);
+}
+
+/// The same accounting through the whole system, on both read paths: with
+/// every first read of a page an escape, `escapes_detected` is exactly the
+/// table's page count (none slipped through, none double counted) and the
+/// answer is the clean run's.
+#[test]
+fn saturated_escapes_are_all_detected_on_both_routes() {
+    let pages = (N_ROWS as usize).div_ceil(pax::capacity(small_schema().tuple_width()));
+    for route in [Route::Device, Route::Host] {
+        let clean = run_case(FlashConfig::default(), route, |_| {}).unwrap();
+        let faulty = run_case(escape_on_every_first_read(), route, |_| {}).unwrap();
+        assert_eq!(faulty.route, route, "re-reads recover in place");
+        assert_eq!(faulty.result.rows, clean.result.rows);
+        assert_eq!(faulty.result.agg_values, clean.result.agg_values);
+        assert_eq!(faulty.result.agg_values[0], expected_sum());
+        assert_eq!(
+            faulty.faults.escapes_detected, pages as u64,
+            "route {route:?}: one detected escape per page"
+        );
+        assert_eq!(faulty.faults.read_retries, pages as u64);
+        assert!(faulty.result.elapsed > clean.result.elapsed);
+    }
 }
 
 #[test]
