@@ -116,6 +116,75 @@ fn bench_short_circuit(c: &mut Criterion) {
     group.finish();
 }
 
+/// The selection kernels alone (`filter_select` on a reused selection
+/// vector; no aggregation), by layout, by the selectivity of the atom that
+/// sees every row, for one atom and for Q6's five-atom shape. The
+/// compaction loops are branch-free, so a row costs the same whether it is
+/// kept or dropped: time tracks the atoms evaluated (flat across
+/// selectivity for one atom, rising with the rows that reach the later
+/// atoms for five), where a compare-and-branch loop peaks at 50 %.
+fn bench_filter_select(c: &mut Criterion) {
+    use smartssd_exec::page_reader;
+    use smartssd_storage::expr::EvalCounts;
+    use smartssd_storage::{filter_select_with, EvalScratch, SelectionVector};
+    // LINEITEM's record width (156 B), so the NSM stride is the paper's.
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("d", DataType::Int32),
+        ("q", DataType::Int32),
+        ("v", DataType::Int64),
+        ("pad", DataType::Char(136)),
+    ]);
+    // Independent, unpredictable columns: k uniform on 0..1000 (so `k < t`
+    // keeps t/1000), d on 0..11 and q on 1..51 as Q6's discount and quantity.
+    let hash = |i: u64, salt: u64| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+    let rows = |layout| {
+        let mut b = TableBuilder::new("t", Arc::clone(&schema), layout);
+        b.extend((0..60_000u64).map(|i| {
+            vec![
+                Datum::I32((hash(i, 1) % 1000) as i32),
+                Datum::I32((hash(i, 2) % 11) as i32),
+                Datum::I32((hash(i, 3) % 50) as i32 + 1),
+                Datum::I64(i as i64),
+                Datum::str(""),
+            ] as Tuple
+        }));
+        b.finish()
+    };
+    let mut group = c.benchmark_group("kernel/filter_select");
+    for layout in [Layout::Nsm, Layout::Pax] {
+        let img = rows(layout);
+        group.throughput(Throughput::Elements(img.num_rows()));
+        for (label, t) in [("0.1%", 1), ("2%", 20), ("50%", 500), ("100%", 1000)] {
+            let one = Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(t));
+            let five = Pred::And(vec![
+                Pred::range_half_open(0, 0, t),
+                Pred::between_exclusive(1, 5, 7),
+                Pred::Cmp(CmpOp::Lt, Expr::col(2), Expr::lit(24)),
+            ]);
+            for (shape, pred) in [("one_atom", one), ("q6_five_atoms", five)] {
+                let id = BenchmarkId::new(format!("{shape}/{layout}"), label);
+                group.bench_function(id, |b| {
+                    let mut sel = SelectionVector::new();
+                    let mut scratch = EvalScratch::new();
+                    b.iter(|| {
+                        let mut counts = EvalCounts::default();
+                        let mut kept = 0;
+                        for p in img.pages() {
+                            let r = page_reader(p, img.schema());
+                            sel.reset_all(p.tuple_count() as usize);
+                            filter_select_with(&pred, &r, &mut sel, &mut counts, &mut scratch);
+                            kept += sel.len();
+                        }
+                        (kept, counts.atoms)
+                    })
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn synth_tables(layout: Layout) -> (TableImage, TableImage, Arc<Schema>) {
     let schema = Schema::from_pairs(&[
         ("k", DataType::Int32),
@@ -335,6 +404,7 @@ criterion_group!(
     bench_scan_agg_layouts,
     bench_scan_agg_rowwise,
     bench_short_circuit,
+    bench_filter_select,
     bench_probe_order,
     bench_page_build,
     bench_page_validate,

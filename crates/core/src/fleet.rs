@@ -38,9 +38,10 @@
 //!   the same partial over the same rows).
 //!
 //! Device executions are embarrassingly parallel: each [`SmartSsd`] owns
-//! private timelines, so the fleet runs the open/execute phase on real
-//! threads via `std::thread::scope` with bit-identical simulated results. A
-//! worker-thread panic is caught at join and surfaced as
+//! private timelines, so the fleet runs the open/execute phase through
+//! `exec::par`'s chunked fork/join — at most `default_workers()` real
+//! threads a query, none on a one-CPU host — with bit-identical simulated
+//! results. A panic in a device's open is caught and surfaced as
 //! [`RunErrorKind::DeviceThread`] instead of aborting the process.
 
 use crate::breaker::BreakerTransition;
@@ -49,8 +50,8 @@ use crate::config::SystemConfig;
 use crate::shard::{host_pass, host_side, Fallen, Shard};
 use crate::system::{RunError, RunErrorKind};
 use crate::workload::{Acct, ArrivalOutcome, InterfaceMode, QueryCompletion};
-use smartssd_device::{DeviceError, SessionId, SmartSsd};
-use smartssd_exec::{encode_op, QueryOp, WorkCounts};
+use smartssd_device::{SessionId, SmartSsd};
+use smartssd_exec::{default_workers, encode_op, parallel_try_each_mut, QueryOp, WorkCounts};
 use smartssd_query::{Catalog, Query, QueryResult, RawRun, Route, SessionDriver, SessionFault};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
@@ -604,33 +605,28 @@ impl SmartSsdFleet {
         }
 
         // Part 2: all devices unmarshal and execute their partitions
-        // concurrently. Each device's simulation is private, so real
-        // threads are safe and the outcome is deterministic. A panic in a
-        // worker is caught at join and surfaced as a typed error.
-        type OpenResult = Option<Result<Result<SessionId, DeviceError>, String>>;
-        let opens: Vec<OpenResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(d, shard)| {
-                    if !device_routed[d] {
-                        return None;
-                    }
-                    let op = &ops[d];
-                    let payload = payloads[d].as_deref();
-                    let at = open_at[d];
-                    Some(scope.spawn(move || match payload {
-                        Some(p) => shard.dev.open_raw(p, at),
-                        None => shard.dev.open(op, at),
-                    }))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().map_err(panic_message)))
-                .collect()
-        });
+        // concurrently, chunked over at most `default_workers()` threads
+        // (inline when that is one). Each device's simulation is private,
+        // so real threads are safe and the outcome is deterministic. A panic
+        // in one device's open is caught and surfaced as a typed error.
+        let mut jobs: Vec<(usize, &mut Shard)> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(d, _)| device_routed[*d])
+            .collect();
+        let mut results = parallel_try_each_mut(&mut jobs, default_workers(), |(d, shard)| {
+            match payloads[*d].as_deref() {
+                Some(p) => shard.dev.open_raw(p, open_at[*d]),
+                None => shard.dev.open(&ops[*d], open_at[*d]),
+            }
+        })
+        .into_iter();
+        // One result per device-routed shard, in device order.
+        let opens: Vec<_> = device_routed
+            .iter()
+            .map(|&routed| if routed { results.next() } else { None })
+            .collect();
         // Park every live session before judging any failed open, so an
         // aborting run closes them all.
         for (d, open) in opens.iter().enumerate() {
@@ -893,17 +889,6 @@ impl SmartSsdFleet {
             host_shard_runs,
             fallbacks,
         })
-    }
-}
-
-/// Stringifies a worker thread's panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 

@@ -18,11 +18,10 @@
 
 use crate::config::DeviceConfig;
 use smartssd_exec::{
-    default_workers, group_table_memory_bytes, group_table_rows,
+    default_workers, fold_pages, group_table_memory_bytes, group_table_rows,
     join::{probe_page, JoinHashTable, JoinSink},
-    parallel_map, runs_serial, scan_agg_page, scan_group_agg_page, scan_page,
     spec::JoinOutput,
-    GroupTable, QueryOp, TableRef, WorkCounts,
+    GroupTable, QueryOp, ScanScratch, TableRef, WorkCounts,
 };
 use smartssd_flash::{FlashConfig, FlashError, FlashSsd};
 use smartssd_sim::{CpuModel, FaultCounters, SimTime};
@@ -663,8 +662,9 @@ impl SmartSsd {
         // is first read through the flash path serially in LBA order (all
         // reads are posted at the same sim time, and serial issue keeps
         // flash timing/error-injection state identical to the pre-parallel
-        // runtime), then the pure per-page kernel work fans out over
-        // worker threads and the embedded-CPU charges replay in page
+        // runtime), then `fold_pages` runs the pure per-page kernel work —
+        // on one scratch for small tables, fanned out over worker threads
+        // for large ones — and the embedded-CPU charges replay in page
         // order. Firmware on a real device would do the same: one kernel
         // instance per channel, merged deterministically.
         let workers = default_workers();
@@ -677,53 +677,31 @@ impl SmartSsd {
                 let mut rows: Vec<Tuple> = Vec::new();
                 let mut bytes = 0u64;
                 let mut last_done = now;
-                if runs_serial(pages.len(), workers) {
-                    // Serial fast path: the kernel appends straight into the
-                    // merge buffer, skipping the per-page partial vectors the
-                    // fan-out needs. Same rows in the same order, same batch
-                    // boundaries, same CPU charges — bit-identical output.
-                    for (page, at) in &pages {
-                        let before = rows.len();
-                        let mut w = WorkCounts::default();
-                        scan_page(page, &table.schema, spec, &mut rows, &mut w);
-                        let iv = self.cpu.execute(*at, self.batch_cycles(&w, *at));
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut rows,
+                    Vec::new,
+                    |scratch, (page, _), rows, w| {
+                        scratch.scan_page(page, &table.schema, spec, rows, w);
+                    },
+                    |rows, mut partial| rows.append(&mut partial),
+                    |(_, at), rows, w| {
+                        let iv = self.cpu.execute(*at, self.batch_cycles(w, *at));
                         last_done = iv.end;
-                        total.absorb(&w);
-                        bytes += (rows.len() - before) as u64 * out_width;
+                        total.absorb(w);
+                        bytes += w.out_tuples * out_width;
                         if bytes >= self.cfg.result_buffer_bytes {
                             queue.push_back(ResultBatch {
-                                rows: std::mem::take(&mut rows),
+                                rows: std::mem::take(rows),
                                 aggs: None,
                                 bytes,
                                 ready_at: last_done,
                             });
                             bytes = 0;
                         }
-                    }
-                } else {
-                    let results = parallel_map(&pages, workers, |(page, _)| {
-                        let mut rows = Vec::new();
-                        let mut w = WorkCounts::default();
-                        scan_page(page, &table.schema, spec, &mut rows, &mut w);
-                        (rows, w)
-                    });
-                    for ((_, at), (page_rows, w)) in pages.iter().zip(results) {
-                        let iv = self.cpu.execute(*at, self.batch_cycles(&w, *at));
-                        last_done = iv.end;
-                        total.absorb(&w);
-                        bytes += page_rows.len() as u64 * out_width;
-                        rows.extend(page_rows);
-                        if bytes >= self.cfg.result_buffer_bytes {
-                            queue.push_back(ResultBatch {
-                                rows: std::mem::take(&mut rows),
-                                aggs: None,
-                                bytes,
-                                ready_at: last_done,
-                            });
-                            bytes = 0;
-                        }
-                    }
-                }
+                    },
+                );
                 // Final (possibly empty) batch marks completion time.
                 queue.push_back(ResultBatch {
                     rows,
@@ -736,40 +714,30 @@ impl SmartSsd {
             QueryOp::ScanAgg { table, spec } => {
                 let mut total = WorkCounts::default();
                 let pages = self.read_table_pages(table, now, Some(owner))?;
-                let mut states: Vec<AggState> =
-                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
+                let new_states = || -> Vec<AggState> {
+                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
+                };
+                let mut states = new_states();
                 let mut last_done = now;
-                if runs_serial(pages.len(), workers) {
-                    // Serial fast path: fold every page straight into the
-                    // final accumulator instead of allocating a per-page
-                    // partial and merging it. All aggregate states are
-                    // integers with associative updates (sum/count/min/max),
-                    // so in-place accumulation in page order is bit-identical
-                    // to merging per-page partials in page order.
-                    for (page, at) in &pages {
-                        let mut w = WorkCounts::default();
-                        scan_agg_page(page, &table.schema, spec, &mut states, &mut w);
-                        let iv = self.cpu.execute(*at, self.batch_cycles(&w, *at));
-                        last_done = iv.end;
-                        total.absorb(&w);
-                    }
-                } else {
-                    let results = parallel_map(&pages, workers, |(page, _)| {
-                        let mut states: Vec<AggState> =
-                            spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-                        let mut w = WorkCounts::default();
-                        scan_agg_page(page, &table.schema, spec, &mut states, &mut w);
-                        (states, w)
-                    });
-                    for ((_, at), (partial, w)) in pages.iter().zip(results) {
-                        let iv = self.cpu.execute(*at, self.batch_cycles(&w, *at));
-                        last_done = iv.end;
-                        total.absorb(&w);
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut states,
+                    new_states,
+                    |scratch, (page, _), states, w| {
+                        scratch.scan_agg_page(page, &table.schema, spec, states, w);
+                    },
+                    |states, partial| {
                         for (s, p) in states.iter_mut().zip(partial.iter()) {
                             s.merge(p);
                         }
-                    }
-                }
+                    },
+                    |(_, at), _, w| {
+                        let iv = self.cpu.execute(*at, self.batch_cycles(w, *at));
+                        last_done = iv.end;
+                        total.absorb(w);
+                    },
+                );
                 let bytes = 16 * states.len() as u64;
                 let queue = VecDeque::from([ResultBatch {
                     rows: Vec::new(),
@@ -791,11 +759,12 @@ impl SmartSsd {
                 // peer could safely fan out.
                 let mut total = WorkCounts::default();
                 let mut acc = GroupTable::new();
+                let mut scratch = ScanScratch::new();
                 let mut last_done = now;
                 for lba in table.lbas() {
                     let (page, at) = self.read_page(lba, now)?;
                     let mut w = WorkCounts::default();
-                    scan_group_agg_page(&page, &table.schema, spec, &mut acc, &mut w);
+                    scratch.scan_group_agg_page(&page, &table.schema, spec, &mut acc, &mut w);
                     let iv = self.cpu.execute(at, self.batch_cycles(&w, at));
                     last_done = iv.end;
                     total.absorb(&w);
@@ -865,45 +834,38 @@ impl SmartSsd {
                     JoinOutput::Aggregate(aggs) => 16 * aggs.len() as u64,
                 };
                 let pages = self.read_table_pages(probe, build_done, None)?;
-                let results = parallel_map(&pages, workers, |(page, _)| {
-                    let mut sink = JoinSink::new(spec);
-                    let mut w = WorkCounts::default();
-                    probe_page(
-                        page,
-                        &probe.schema,
-                        spec,
-                        &ht,
-                        &joined_schema,
-                        &mut sink,
-                        &mut w,
-                    );
-                    (sink, w)
-                });
                 let mut sink = JoinSink::new(spec);
                 let mut queue = VecDeque::new();
                 let mut last_done = build_done;
                 let mut bytes = 0u64;
-                for ((_, at), (partial, w)) in pages.iter().zip(results) {
-                    let start = (*at).max(build_done);
-                    let iv = self.cpu.execute(start, self.batch_cycles(&w, start));
-                    last_done = iv.end;
-                    total.absorb(&w);
-                    let fresh = partial.rows.len();
-                    sink.merge(partial);
-                    if matches!(spec.output, JoinOutput::Project(_)) {
-                        bytes += fresh as u64 * out_width;
-                        if bytes >= self.cfg.result_buffer_bytes {
-                            let drained: Vec<Tuple> = sink.rows.drain(..).collect();
-                            queue.push_back(ResultBatch {
-                                rows: drained,
-                                aggs: None,
-                                bytes,
-                                ready_at: last_done,
-                            });
-                            bytes = 0;
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut sink,
+                    || JoinSink::new(spec),
+                    |_, (page, _), sink, w| {
+                        probe_page(page, &probe.schema, spec, &ht, &joined_schema, sink, w);
+                    },
+                    JoinSink::merge,
+                    |(_, at), sink, w| {
+                        let start = (*at).max(build_done);
+                        let iv = self.cpu.execute(start, self.batch_cycles(w, start));
+                        last_done = iv.end;
+                        total.absorb(w);
+                        if matches!(spec.output, JoinOutput::Project(_)) {
+                            bytes += w.out_tuples * out_width;
+                            if bytes >= self.cfg.result_buffer_bytes {
+                                queue.push_back(ResultBatch {
+                                    rows: std::mem::take(&mut sink.rows),
+                                    aggs: None,
+                                    bytes,
+                                    ready_at: last_done,
+                                });
+                                bytes = 0;
+                            }
                         }
-                    }
-                }
+                    },
+                );
                 match spec.output {
                     JoinOutput::Project(_) => {
                         let bytes_left = (sink.rows.len()) as u64 * out_width;

@@ -7,13 +7,20 @@
 //! bit-identical to the tuple-at-a-time reference kernels (kept in
 //! [`crate::reference`] for differential testing), so simulated timings are
 //! unchanged — only host wall-clock improves.
+//!
+//! Every buffer a page kernel needs lives in a [`ScanScratch`]. The rule is
+//! one scratch per operator execution: an engine makes it when the operator
+//! starts (directly, or through [`crate::par::fold_pages`]) and every page
+//! of that execution reuses it, so a warm scan allocates nothing per page.
+//! The free functions ([`scan_agg_page`] and friends) run one page on a
+//! fresh scratch.
 
 use crate::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
 use crate::work::WorkCounts;
-use smartssd_storage::expr::{AggState, EvalCounts};
+use smartssd_storage::expr::{AggState, EvalCounts, Pred};
 use smartssd_storage::nsm::NsmReader;
 use smartssd_storage::pax::PaxReader;
-use smartssd_storage::vector::{eval_select, filter_select, SelectionVector};
+use smartssd_storage::vector::{eval_select, filter_select_with, EvalScratch, SelectionVector};
 use smartssd_storage::{Layout, PageBuf, RowAccessor, Schema, Tuple};
 
 /// A layout-dispatched page reader.
@@ -98,8 +105,146 @@ pub(crate) fn count_tuples(w: &mut WorkCounts, layout: Layout, n: u64) {
     }
 }
 
-/// Filter + project one page, appending qualifying projected tuples to
-/// `out`. Returns the number of qualifying rows.
+/// The buffers of one operator execution's page kernels: the selection
+/// vector, the evaluator's temporaries, aggregate inputs, and the group
+/// keys and probe results of a grouped page. Contents never carry from one
+/// page to the next — only capacity does.
+#[derive(Debug, Default)]
+pub struct ScanScratch {
+    sel: SelectionVector,
+    eval: EvalScratch,
+    vals: Vec<i64>,
+    keys: Vec<u8>,
+    entries: Vec<u32>,
+}
+
+impl ScanScratch {
+    /// An empty scratch (allocates nothing until a page needs a buffer).
+    pub fn new() -> Self {
+        ScanScratch::default()
+    }
+
+    /// Opens `page`, charges its visit to `w` and leaves in `self.sel` the
+    /// rows satisfying `pred`.
+    fn filter_page<'a>(
+        &mut self,
+        page: &'a PageBuf,
+        schema: &'a Schema,
+        pred: &Pred,
+        ev: &mut EvalCounts,
+        w: &mut WorkCounts,
+    ) -> AnyReader<'a> {
+        let r = page_reader(page, schema);
+        w.pages += 1;
+        count_tuples(w, r.layout(), r.num_rows() as u64);
+        self.sel.reset_all(r.num_rows());
+        filter_select_with(pred, &r, &mut self.sel, ev, &mut self.eval);
+        r
+    }
+
+    /// Filter + project one page, appending qualifying projected tuples to
+    /// `out`. Returns the number of qualifying rows.
+    pub fn scan_page(
+        &mut self,
+        page: &PageBuf,
+        schema: &Schema,
+        spec: &ScanSpec,
+        out: &mut Vec<Tuple>,
+        w: &mut WorkCounts,
+    ) -> usize {
+        let mut ev = EvalCounts::default();
+        let r = self.filter_page(page, schema, &spec.pred, &mut ev, w);
+        w.absorb_eval(ev);
+        let sel = self.sel.rows();
+        let row_bytes: u64 = spec
+            .project
+            .iter()
+            .map(|&c| schema.column(c).ty.width() as u64)
+            .sum();
+        out.reserve(sel.len());
+        for &row in sel {
+            let mut t = Tuple::with_capacity(spec.project.len());
+            for &c in &spec.project {
+                t.push(r.datum_at(row as usize, c));
+            }
+            out.push(t);
+        }
+        w.values += spec.project.len() as u64 * sel.len() as u64;
+        w.out_tuples += sel.len() as u64;
+        w.out_bytes += row_bytes * sel.len() as u64;
+        sel.len()
+    }
+
+    /// Filter + aggregate one page, folding qualifying rows into `states`
+    /// (one state per `spec.aggs` entry).
+    pub fn scan_agg_page(
+        &mut self,
+        page: &PageBuf,
+        schema: &Schema,
+        spec: &ScanAggSpec,
+        states: &mut [AggState],
+        w: &mut WorkCounts,
+    ) {
+        assert_eq!(states.len(), spec.aggs.len(), "one state per aggregate");
+        let mut ev = EvalCounts::default();
+        let r = self.filter_page(page, schema, &spec.pred, &mut ev, w);
+        let sel = self.sel.rows();
+        for (agg, state) in spec.aggs.iter().zip(states.iter_mut()) {
+            eval_select(&agg.expr, &r, sel, &mut self.vals, &mut ev, &mut self.eval);
+            for &v in &self.vals {
+                state.update(v);
+            }
+            w.agg_updates += sel.len() as u64;
+        }
+        w.absorb_eval(ev);
+    }
+
+    /// Filter + group + aggregate one page into `acc`.
+    pub fn scan_group_agg_page(
+        &mut self,
+        page: &PageBuf,
+        schema: &Schema,
+        spec: &GroupAggSpec,
+        acc: &mut GroupTable,
+        w: &mut WorkCounts,
+    ) {
+        let mut ev = EvalCounts::default();
+        let r = self.filter_page(page, schema, &spec.pred, &mut ev, w);
+        let sel = self.sel.rows();
+        let key_width: usize = spec
+            .group_by
+            .iter()
+            .map(|&c| schema.column(c).ty.width())
+            .sum();
+        // Build all keys column-wise into one buffer (layout dispatch and
+        // column metadata hoisted out of the row loop), then probe per row.
+        fill_keys(&r, &spec.group_by, schema, sel, key_width, &mut self.keys);
+        let new_states = || spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
+        self.entries.clear();
+        if key_width == 0 {
+            // Degenerate (unvalidated) grouping: every row shares the empty key.
+            for _ in 0..sel.len() {
+                self.entries.push(acc.upsert_with(&[], new_states).0 as u32);
+            }
+        } else {
+            for key in self.keys.chunks_exact(key_width) {
+                self.entries.push(acc.upsert_with(key, new_states).0 as u32);
+            }
+        }
+        w.values += spec.group_by.len() as u64 * sel.len() as u64;
+        w.hash_probes += sel.len() as u64; // group lookup costs like a hash probe
+        for (ai, agg) in spec.aggs.iter().enumerate() {
+            eval_select(&agg.expr, &r, sel, &mut self.vals, &mut ev, &mut self.eval);
+            for (&e, &v) in self.entries.iter().zip(&self.vals) {
+                acc.state_mut(e as usize, ai).update(v);
+            }
+            w.agg_updates += sel.len() as u64;
+        }
+        w.absorb_eval(ev);
+    }
+}
+
+/// [`ScanScratch::scan_page`] on a fresh scratch.
 pub fn scan_page(
     page: &PageBuf,
     schema: &Schema,
@@ -107,34 +252,10 @@ pub fn scan_page(
     out: &mut Vec<Tuple>,
     w: &mut WorkCounts,
 ) -> usize {
-    let r = page_reader(page, schema);
-    w.pages += 1;
-    count_tuples(w, r.layout(), r.num_rows() as u64);
-    let mut ev = EvalCounts::default();
-    let mut sel = SelectionVector::with_all(r.num_rows());
-    filter_select(&spec.pred, &r, &mut sel, &mut ev);
-    w.absorb_eval(ev);
-    let row_bytes: u64 = spec
-        .project
-        .iter()
-        .map(|&c| schema.column(c).ty.width() as u64)
-        .sum();
-    out.reserve(sel.len());
-    for &row in sel.rows() {
-        let mut t = Tuple::with_capacity(spec.project.len());
-        for &c in &spec.project {
-            t.push(r.datum_at(row as usize, c));
-        }
-        out.push(t);
-    }
-    w.values += spec.project.len() as u64 * sel.len() as u64;
-    w.out_tuples += sel.len() as u64;
-    w.out_bytes += row_bytes * sel.len() as u64;
-    sel.len()
+    ScanScratch::new().scan_page(page, schema, spec, out, w)
 }
 
-/// Filter + aggregate one page, folding qualifying rows into `states`
-/// (one state per `spec.aggs` entry).
+/// [`ScanScratch::scan_agg_page`] on a fresh scratch.
 pub fn scan_agg_page(
     page: &PageBuf,
     schema: &Schema,
@@ -142,22 +263,18 @@ pub fn scan_agg_page(
     states: &mut [AggState],
     w: &mut WorkCounts,
 ) {
-    assert_eq!(states.len(), spec.aggs.len(), "one state per aggregate");
-    let r = page_reader(page, schema);
-    w.pages += 1;
-    count_tuples(w, r.layout(), r.num_rows() as u64);
-    let mut ev = EvalCounts::default();
-    let mut sel = SelectionVector::with_all(r.num_rows());
-    filter_select(&spec.pred, &r, &mut sel, &mut ev);
-    let mut vals = Vec::new();
-    for (agg, state) in spec.aggs.iter().zip(states.iter_mut()) {
-        eval_select(&agg.expr, &r, sel.rows(), &mut vals, &mut ev);
-        for &v in &vals {
-            state.update(v);
-        }
-        w.agg_updates += sel.len() as u64;
-    }
-    w.absorb_eval(ev);
+    ScanScratch::new().scan_agg_page(page, schema, spec, states, w)
+}
+
+/// [`ScanScratch::scan_group_agg_page`] on a fresh scratch.
+pub fn scan_group_agg_page(
+    page: &PageBuf,
+    schema: &Schema,
+    spec: &GroupAggSpec,
+    acc: &mut GroupTable,
+    w: &mut WorkCounts,
+) {
+    ScanScratch::new().scan_group_agg_page(page, schema, spec, acc, w)
 }
 
 /// Accumulator for grouped aggregation: encoded group key (concatenated
@@ -304,70 +421,20 @@ impl GroupTable {
     }
 }
 
-/// Filter + group + aggregate one page into `acc`.
-pub fn scan_group_agg_page(
-    page: &PageBuf,
-    schema: &Schema,
-    spec: &GroupAggSpec,
-    acc: &mut GroupTable,
-    w: &mut WorkCounts,
-) {
-    let r = page_reader(page, schema);
-    w.pages += 1;
-    count_tuples(w, r.layout(), r.num_rows() as u64);
-    let mut ev = EvalCounts::default();
-    let mut sel = SelectionVector::with_all(r.num_rows());
-    filter_select(&spec.pred, &r, &mut sel, &mut ev);
-    let key_width: usize = spec
-        .group_by
-        .iter()
-        .map(|&c| schema.column(c).ty.width())
-        .sum();
-    // Build all keys column-wise into one buffer (layout dispatch and
-    // column metadata hoisted out of the row loop), then probe per row.
-    let keys = fill_keys(&r, &spec.group_by, schema, sel.rows(), key_width);
-    let mut entries: Vec<u32> = Vec::with_capacity(sel.len());
-    if key_width == 0 {
-        // Degenerate (unvalidated) grouping: every row shares the empty key.
-        for _ in 0..sel.len() {
-            let (e, _) = acc.upsert_with(&[], || {
-                spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
-            });
-            entries.push(e as u32);
-        }
-    } else {
-        for key in keys.chunks_exact(key_width) {
-            let (e, _) = acc.upsert_with(key, || {
-                spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
-            });
-            entries.push(e as u32);
-        }
-    }
-    w.values += spec.group_by.len() as u64 * sel.len() as u64;
-    w.hash_probes += sel.len() as u64; // group lookup costs like a hash probe
-    let mut vals = Vec::new();
-    for (ai, agg) in spec.aggs.iter().enumerate() {
-        eval_select(&agg.expr, &r, sel.rows(), &mut vals, &mut ev);
-        for (&e, &v) in entries.iter().zip(&vals) {
-            acc.state_mut(e as usize, ai).update(v);
-        }
-        w.agg_updates += sel.len() as u64;
-    }
-    w.absorb_eval(ev);
-}
-
-/// Builds the concatenated group keys for `rows` column-wise into one
-/// buffer (layout dispatch and per-column metadata hoisted out of the row
-/// loop). Output is `rows.len()` keys of `key_width` bytes each, byte-equal
-/// to concatenating `field(row, col)` over `group_by`.
+/// Builds the concatenated group keys for `rows` column-wise into `buf`
+/// (layout dispatch and per-column metadata hoisted out of the row loop):
+/// `rows.len()` keys of `key_width` bytes each, byte-equal to concatenating
+/// `field(row, col)` over `group_by`.
 fn fill_keys(
     r: &AnyReader<'_>,
     group_by: &[usize],
     schema: &Schema,
     rows: &[u32],
     key_width: usize,
-) -> Vec<u8> {
-    let mut buf = vec![0u8; rows.len() * key_width];
+    buf: &mut Vec<u8>,
+) {
+    buf.clear();
+    buf.resize(rows.len() * key_width, 0);
     let mut off = 0usize;
     for &c in group_by {
         let w_c = schema.column(c).ty.width();
@@ -389,7 +456,6 @@ fn fill_keys(
         }
         off += w_c;
     }
-    buf
 }
 
 /// Approximate resident bytes of a group table (memory-grant accounting on

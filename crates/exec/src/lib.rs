@@ -29,9 +29,9 @@ pub mod work;
 pub use join::{JoinHashTable, JoinSink, JoinedRow};
 pub use kernels::{
     group_table_memory_bytes, group_table_rows, merge_group_tables, page_reader, scan_agg_page,
-    scan_group_agg_page, scan_page, GroupTable,
+    scan_group_agg_page, scan_page, GroupTable, ScanScratch,
 };
-pub use par::{default_workers, parallel_map, runs_serial};
+pub use par::{default_workers, fold_pages, parallel_map, parallel_try_each_mut};
 pub use spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, QueryOp, ScanAggSpec, ScanSpec, TableRef,
 };

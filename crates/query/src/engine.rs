@@ -9,17 +9,17 @@
 
 use crate::plan::Finalize;
 use smartssd_exec::{
-    default_workers, group_table_rows,
+    default_workers, fold_pages, group_table_rows,
     join::{probe_page, JoinHashTable, JoinSink},
-    merge_group_tables, parallel_map, scan_agg_page, scan_group_agg_page, scan_page,
+    merge_group_tables,
     spec::JoinOutput,
-    CostTable, GroupTable, QueryOp, WorkCounts,
+    CostTable, GroupTable, QueryOp, TableRef, WorkCounts,
 };
 use smartssd_host::{io::IoError, PageSource};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{CpuModel, Interval, SimTime, TraceLevel, Tracer};
 use smartssd_storage::expr::{AggState, ExprError};
-use smartssd_storage::Tuple;
+use smartssd_storage::{PageBuf, Tuple};
 use std::fmt;
 
 /// Raw output of one engine pass, before finalization: the merged (but not
@@ -104,6 +104,18 @@ impl From<IoError> for EngineError {
     }
 }
 
+/// Reads every page of `table` at simulated time `at`, in LBA order.
+fn read_pages<S: PageSource>(
+    source: &mut S,
+    table: &TableRef,
+    at: SimTime,
+) -> Result<Vec<(PageBuf, SimTime)>, EngineError> {
+    table
+        .lbas()
+        .map(|lba| Ok(source.read_page(lba, at)?))
+        .collect()
+}
+
 /// The host engine: a page source, a CPU, and a cost table.
 ///
 /// The engine runs single-threaded per query (the paper's special scan
@@ -168,137 +180,129 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
         let dop = dop.clamp(1, self.cpu.cores());
         op.validate().map_err(EngineError::Validation)?;
         let mut total = WorkCounts::default();
-        // Worker threads: page i's operator work runs on thread i % dop,
-        // chained after that thread's previous page.
-        let mut thread_free = vec![now; dop];
-        let mut next_thread = 0usize;
-        let mut charge = |cpu: &mut CpuModel, at: SimTime, cycles: u64| {
-            let slot = &mut thread_free[next_thread];
-            next_thread = (next_thread + 1) % dop;
-            let iv = cpu.execute(at.max(*slot), cycles);
-            *slot = iv.end;
-            iv.end
-        };
         // Each operator runs in two phases. Phase 1 issues every page read
         // serially in LBA order — all reads are posted at the same sim time
         // anyway, and the serial order keeps device-side state mutations
         // (timing queues, error-injection RNG draws) identical to the
-        // pre-parallel engine. Phase 2 fans the pure per-page kernel work
-        // out over real worker threads, then replays the CPU charges and
-        // merges outputs in page order, so results, work receipts, and
-        // simulated timing are all bit-identical to a serial pass.
+        // pre-parallel engine. Phase 2 is `fold_pages`: the pure per-page
+        // kernel work on one scratch, or fanned out over real worker threads
+        // for large tables, with the CPU charges replayed and the outputs
+        // merged in page order, so results, work receipts, and simulated
+        // timing are all bit-identical to a serial pass.
         let workers = default_workers();
-        let (rows, aggs, end) = match op {
+        // Worker threads: page i's operator work runs on thread i % dop,
+        // chained after that thread's previous page.
+        let mut thread_free = vec![now; dop];
+        let mut next_thread = 0usize;
+        let mut end = now;
+        let costs = &self.costs;
+        let mut settle = |cpu: &mut CpuModel, at: SimTime, w: &WorkCounts| {
+            let slot = &mut thread_free[next_thread];
+            next_thread = (next_thread + 1) % dop;
+            let iv = cpu.execute(at.max(*slot), costs.cycles(w));
+            *slot = iv.end;
+            end = end.max(iv.end);
+            total.absorb(w);
+            iv.end
+        };
+        let (rows, aggs) = match op {
             QueryOp::Scan { table, spec } => {
-                let mut pages = Vec::with_capacity(table.num_pages as usize);
-                for lba in table.lbas() {
-                    pages.push(self.source.read_page(lba, now)?);
-                }
-                let results = parallel_map(&pages, workers, |(page, _)| {
-                    let mut rows = Vec::new();
-                    let mut w = WorkCounts::default();
-                    scan_page(page, &table.schema, spec, &mut rows, &mut w);
-                    (rows, w)
-                });
+                let pages = read_pages(self.source, table, now)?;
                 let mut rows = Vec::new();
-                let mut end = now;
-                for ((_, at), (mut page_rows, w)) in pages.iter().zip(results) {
-                    end = end.max(charge(self.cpu, *at, self.costs.cycles(&w)));
-                    total.absorb(&w);
-                    rows.append(&mut page_rows);
-                }
-                (rows, Vec::new(), end)
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut rows,
+                    Vec::new,
+                    |scratch, (page, _), rows, w| {
+                        scratch.scan_page(page, &table.schema, spec, rows, w);
+                    },
+                    |rows, mut partial| rows.append(&mut partial),
+                    |(_, at), _, w| {
+                        settle(self.cpu, *at, w);
+                    },
+                );
+                (rows, Vec::new())
             }
             QueryOp::ScanAgg { table, spec } => {
-                let mut pages = Vec::with_capacity(table.num_pages as usize);
-                for lba in table.lbas() {
-                    pages.push(self.source.read_page(lba, now)?);
-                }
-                let results = parallel_map(&pages, workers, |(page, _)| {
-                    let mut states: Vec<AggState> =
-                        spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-                    let mut w = WorkCounts::default();
-                    scan_agg_page(page, &table.schema, spec, &mut states, &mut w);
-                    (states, w)
-                });
-                let mut states: Vec<AggState> =
-                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-                let mut end = now;
-                for ((_, at), (partial, w)) in pages.iter().zip(results) {
-                    end = end.max(charge(self.cpu, *at, self.costs.cycles(&w)));
-                    total.absorb(&w);
-                    for (s, p) in states.iter_mut().zip(partial.iter()) {
-                        s.merge(p);
-                    }
-                }
-                (Vec::new(), states, end)
+                let pages = read_pages(self.source, table, now)?;
+                let new_states = || -> Vec<AggState> {
+                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
+                };
+                let mut states = new_states();
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut states,
+                    new_states,
+                    |scratch, (page, _), states, w| {
+                        scratch.scan_agg_page(page, &table.schema, spec, states, w);
+                    },
+                    |states, partial| {
+                        for (s, p) in states.iter_mut().zip(partial.iter()) {
+                            s.merge(p);
+                        }
+                    },
+                    |(_, at), _, w| {
+                        settle(self.cpu, *at, w);
+                    },
+                );
+                (Vec::new(), states)
             }
             QueryOp::GroupAgg { table, spec } => {
-                let mut pages = Vec::with_capacity(table.num_pages as usize);
-                for lba in table.lbas() {
-                    pages.push(self.source.read_page(lba, now)?);
-                }
-                let results = parallel_map(&pages, workers, |(page, _)| {
-                    let mut acc = GroupTable::new();
-                    let mut w = WorkCounts::default();
-                    scan_group_agg_page(page, &table.schema, spec, &mut acc, &mut w);
-                    (acc, w)
-                });
+                let pages = read_pages(self.source, table, now)?;
                 let mut acc = GroupTable::new();
-                let mut end = now;
-                for ((_, at), (partial, w)) in pages.iter().zip(results) {
-                    end = end.max(charge(self.cpu, *at, self.costs.cycles(&w)));
-                    total.absorb(&w);
-                    merge_group_tables(&mut acc, partial);
-                }
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut acc,
+                    GroupTable::new,
+                    |scratch, (page, _), acc, w| {
+                        scratch.scan_group_agg_page(page, &table.schema, spec, acc, w);
+                    },
+                    merge_group_tables,
+                    |(_, at), _, w| {
+                        settle(self.cpu, *at, w);
+                    },
+                );
                 let rows = group_table_rows(&acc, &spec.key_schema(&table.schema));
-                (rows, Vec::new(), end)
+                (rows, Vec::new())
             }
             QueryOp::Join { probe, spec } => {
                 // Build phase: read the small table into the host hash table.
-                let mut build_pages = Vec::with_capacity(spec.build.table.num_pages as usize);
                 let mut build_ready = now;
-                for lba in spec.build.table.lbas() {
-                    let (page, at) = self.source.read_page(lba, now)?;
-                    build_ready = build_ready.max(at);
-                    build_pages.push(page);
-                }
+                let build_pages: Vec<PageBuf> = read_pages(self.source, &spec.build.table, now)?
+                    .into_iter()
+                    .map(|(page, at)| {
+                        build_ready = build_ready.max(at);
+                        page
+                    })
+                    .collect();
                 let mut w = WorkCounts::default();
                 let ht = JoinHashTable::build(&build_pages, &spec.build, &mut w);
-                let build_done = charge(self.cpu, build_ready, self.costs.cycles(&w));
-                total.absorb(&w);
+                let build_done = settle(self.cpu, build_ready, &w);
                 drop(build_pages);
-                // Probe phase: reads at `build_done`, per-page probes in
-                // parallel against the shared (read-only) hash table.
+                // Probe phase: reads at `build_done`, per-page probes
+                // against the shared (read-only) hash table.
                 let joined_schema = spec.joined_schema(&probe.schema);
-                let mut pages = Vec::with_capacity(probe.num_pages as usize);
-                for lba in probe.lbas() {
-                    pages.push(self.source.read_page(lba, build_done)?);
-                }
-                let results = parallel_map(&pages, workers, |(page, _)| {
-                    let mut sink = JoinSink::new(spec);
-                    let mut w = WorkCounts::default();
-                    probe_page(
-                        page,
-                        &probe.schema,
-                        spec,
-                        &ht,
-                        &joined_schema,
-                        &mut sink,
-                        &mut w,
-                    );
-                    (sink, w)
-                });
+                let pages = read_pages(self.source, probe, build_done)?;
                 let mut sink = JoinSink::new(spec);
-                let mut end = build_done;
-                for ((_, at), (partial, w)) in pages.iter().zip(results) {
-                    end = end.max(charge(self.cpu, *at, self.costs.cycles(&w)));
-                    total.absorb(&w);
-                    sink.merge(partial);
-                }
+                fold_pages(
+                    &pages,
+                    workers,
+                    &mut sink,
+                    || JoinSink::new(spec),
+                    |_, (page, _), sink, w| {
+                        probe_page(page, &probe.schema, spec, &ht, &joined_schema, sink, w);
+                    },
+                    JoinSink::merge,
+                    |(_, at), _, w| {
+                        settle(self.cpu, *at, w);
+                    },
+                );
                 match spec.output {
-                    JoinOutput::Project(_) => (sink.rows, Vec::new(), end),
-                    JoinOutput::Aggregate(_) => (Vec::new(), sink.aggs, end),
+                    JoinOutput::Project(_) => (sink.rows, Vec::new()),
+                    JoinOutput::Aggregate(_) => (Vec::new(), sink.aggs),
                 }
             }
         };

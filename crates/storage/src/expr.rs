@@ -48,6 +48,19 @@ impl CmpOp {
                 | (CmpOp::Ge, Greater | Equal)
         )
     }
+
+    /// The operator with its operands swapped: `a <op> b` is
+    /// `b <op.mirrored()> a`.
+    #[inline]
+    pub fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Eq | CmpOp::Ne => self,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
 }
 
 impl fmt::Display for CmpOp {

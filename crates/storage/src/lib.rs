@@ -43,4 +43,4 @@ pub use schema::{Column, Schema};
 pub use table::{TableBuilder, TableImage};
 pub use tuple::Tuple;
 pub use types::{DataType, Datum};
-pub use vector::{eval_select, filter_select, SelectionVector};
+pub use vector::{eval_select, filter_select, filter_select_with, EvalScratch, SelectionVector};

@@ -10,11 +10,13 @@
 //! part of the per-tuple decode cost that makes NSM slower than PAX inside
 //! the device.
 
-use crate::page::{Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::expr::CmpOp;
+use crate::page::{le_i32, le_i64, le_u16, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
 use crate::tuple::encode;
-use crate::types::{DataType, Datum};
+use crate::types::{Datum, IntWidth};
+use crate::vector::compact_cmp;
 use std::sync::Arc;
 
 /// Maximum number of fixed-width tuples of `tuple_width` bytes that fit on
@@ -97,6 +99,14 @@ impl NsmPageBuilder {
     }
 }
 
+/// Record offset in slot `row` of the raw page `raw`. The column loops
+/// take the page bytes once and call this per row, so the walk costs one
+/// slot load and no re-derivation of the buffer.
+#[inline]
+fn slot_offset(raw: &[u8], row: usize) -> usize {
+    le_u16(raw, PAGE_SIZE - 2 * (row + 1)) as usize
+}
+
 /// Read-side view of one NSM page.
 pub struct NsmReader<'a> {
     page: &'a PageBuf,
@@ -116,18 +126,11 @@ impl<'a> NsmReader<'a> {
         }
     }
 
-    /// Record offset stored in slot `row` (relative to page start).
-    #[inline]
-    fn slot_offset(&self, row: usize) -> usize {
-        debug_assert!(row < self.n);
-        let pos = PAGE_SIZE - 2 * (row + 1);
-        u16::from_le_bytes(self.page.raw()[pos..pos + 2].try_into().expect("2 bytes")) as usize
-    }
-
     /// Raw bytes of the record in slot `row`.
     #[inline]
     pub fn record(&self, row: usize) -> &'a [u8] {
-        let off = self.slot_offset(row);
+        debug_assert!(row < self.n);
+        let off = slot_offset(self.page.raw(), row);
         &self.page.raw()[off..off + self.schema.tuple_width()]
     }
 }
@@ -153,75 +156,21 @@ impl RowAccessor for NsmReader<'_> {
         // slot walk; each row then costs one slot load plus one field load.
         let raw: &[u8] = self.page.raw();
         let off = self.schema.offset(col);
-        out.reserve(rows.len());
-        match self.schema.column(col).ty {
-            DataType::Int32 => out.extend(rows.iter().map(|&row| {
-                let pos = PAGE_SIZE - 2 * (row as usize + 1);
-                let base = u16::from_le_bytes([raw[pos], raw[pos + 1]]) as usize + off;
-                i32::from_le_bytes(raw[base..base + 4].try_into().expect("4 bytes")) as i64
-            })),
-            DataType::Int64 => out.extend(rows.iter().map(|&row| {
-                let pos = PAGE_SIZE - 2 * (row as usize + 1);
-                let base = u16::from_le_bytes([raw[pos], raw[pos + 1]]) as usize + off;
-                i64::from_le_bytes(raw[base..base + 8].try_into().expect("8 bytes"))
-            })),
-            DataType::Char(_) => panic!("char field used in numeric context"),
+        let base = |row: u32| slot_offset(raw, row as usize) + off;
+        match self.schema.column(col).ty.int_width() {
+            IntWidth::W4 => out.extend(rows.iter().map(|&row| le_i32(raw, base(row)) as i64)),
+            IntWidth::W8 => out.extend(rows.iter().map(|&row| le_i64(raw, base(row)))),
         }
     }
 
-    fn filter_i64_cmp(
-        &self,
-        col: usize,
-        op: crate::expr::CmpOp,
-        lit: i64,
-        flipped: bool,
-        rows: &mut Vec<u32>,
-    ) {
+    fn filter_i64_cmp(&self, col: usize, op: CmpOp, lit: i64, flipped: bool, rows: &mut Vec<u32>) {
         let raw: &[u8] = self.page.raw();
         let off = self.schema.offset(col);
-        let keep = |v: i64| op.matches(if flipped { lit.cmp(&v) } else { v.cmp(&lit) });
-        let load = |row: usize, w: usize| -> i64 {
-            let pos = PAGE_SIZE - 2 * (row + 1);
-            let base = u16::from_le_bytes([raw[pos], raw[pos + 1]]) as usize + off;
-            match w {
-                4 => i32::from_le_bytes(raw[base..base + 4].try_into().expect("4 bytes")) as i64,
-                _ => i64::from_le_bytes(raw[base..base + 8].try_into().expect("8 bytes")),
-            }
-        };
-        let w = match self.schema.column(col).ty {
-            DataType::Int32 => 4,
-            DataType::Int64 => 8,
-            DataType::Char(_) => panic!("char field used in numeric context"),
-        };
-        // The opening conjunct of a scan sees every row; walk the range
-        // directly instead of loading row indices from the vector. When the
-        // slot directory is a pure stride (records packed back-to-back, the
-        // builder's layout), skip the per-row slot load entirely.
-        if rows.last().is_some_and(|&l| l as usize + 1 == rows.len()) {
-            let n = rows.len();
-            let width = self.schema.tuple_width();
-            let s0 = self.slot_offset(0);
-            rows.clear();
-            if self.slot_offset(n - 1) == s0 + (n - 1) * width {
-                let field = |base: usize| -> i64 {
-                    match w {
-                        4 => i32::from_le_bytes(raw[base..base + 4].try_into().expect("4 bytes"))
-                            as i64,
-                        _ => i64::from_le_bytes(raw[base..base + 8].try_into().expect("8 bytes")),
-                    }
-                };
-                rows.extend(
-                    (s0 + off..)
-                        .step_by(width)
-                        .take(n)
-                        .enumerate()
-                        .filter_map(|(row, base)| keep(field(base)).then_some(row as u32)),
-                );
-            } else {
-                rows.extend((0..n as u32).filter(|&row| keep(load(row as usize, w))));
-            }
-        } else {
-            rows.retain(|&row| keep(load(row as usize, w)));
+        let base = |row: u32| slot_offset(raw, row as usize) + off;
+        let op = if flipped { op.mirrored() } else { op };
+        match self.schema.column(col).ty.int_width() {
+            IntWidth::W4 => compact_cmp(rows, op, |_, row| le_i32(raw, base(row)) as i64, |_| lit),
+            IntWidth::W8 => compact_cmp(rows, op, |_, row| le_i64(raw, base(row)), |_| lit),
         }
     }
 }

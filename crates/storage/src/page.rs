@@ -248,14 +248,30 @@ impl PageDecodeCache {
 
 /// Little-endian `u16` at `b[at..at + 2]`.
 #[inline]
-fn le_u16(b: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([b[at], b[at + 1]])
+pub(crate) fn le_u16(b: &[u8], at: usize) -> u16 {
+    let w = &b[at..at + 2];
+    u16::from_le_bytes([w[0], w[1]])
 }
 
 /// Little-endian `u32` at `b[at..at + 4]`.
 #[inline]
 fn le_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// Little-endian `i32` at `b[at..at + 4]`. Slicing first leaves one range
+/// check; the constant indices below it are provably in bounds.
+#[inline]
+pub(crate) fn le_i32(b: &[u8], at: usize) -> i32 {
+    let w = &b[at..at + 4];
+    i32::from_le_bytes([w[0], w[1], w[2], w[3]])
+}
+
+/// Little-endian `i64` at `b[at..at + 8]`; one range check, as [`le_i32`].
+#[inline]
+pub(crate) fn le_i64(b: &[u8], at: usize) -> i64 {
+    let w = &b[at..at + 8];
+    i64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
 }
 
 /// Checksum lanes: one accumulator per aligned 4-byte word of a stripe.

@@ -16,10 +16,12 @@
 //! Minipage offsets are computable from the schema and `n`, so no on-page
 //! offset table is needed.
 
-use crate::page::{Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::expr::CmpOp;
+use crate::page::{le_i32, le_i64, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
-use crate::types::{DataType, Datum};
+use crate::types::{DataType, Datum, IntWidth};
+use crate::vector::compact_cmp;
 use std::sync::Arc;
 
 /// Maximum number of tuples of `tuple_width` bytes that fit in a PAX page.
@@ -117,34 +119,32 @@ pub struct PaxReader<'a> {
     page: &'a PageBuf,
     schema: &'a Schema,
     n: usize,
-    /// Byte offset of each column's minipage within the body.
-    mini_offsets: Vec<usize>,
 }
 
 impl<'a> PaxReader<'a> {
     /// Wraps a page. Panics if the page is not PAX.
     pub fn new(page: &'a PageBuf, schema: &'a Schema) -> Self {
         assert_eq!(page.layout(), Layout::Pax, "not a PAX page");
-        let n = page.tuple_count() as usize;
-        let mut mini_offsets = Vec::with_capacity(schema.len());
-        let mut off = 0usize;
-        for c in schema.columns() {
-            mini_offsets.push(off);
-            off += n * c.ty.width();
-        }
         Self {
             page,
             schema,
-            n,
-            mini_offsets,
+            n: page.tuple_count() as usize,
         }
+    }
+
+    /// Byte offset of column `col`'s minipage within the body: the `n`
+    /// values of every earlier column, whose widths sum to the column's
+    /// record offset.
+    #[inline]
+    fn mini_offset(&self, col: usize) -> usize {
+        self.n * self.schema.offset(col)
     }
 
     /// The contiguous minipage of column `col`: `n * width` bytes.
     #[inline]
     pub fn minipage(&self, col: usize) -> &'a [u8] {
         let w = self.schema.column(col).ty.width();
-        let start = self.mini_offsets[col];
+        let start = self.mini_offset(col);
         &self.page.body()[start..start + self.n * w]
     }
 
@@ -171,86 +171,32 @@ impl RowAccessor for PaxReader<'_> {
     fn field(&self, row: usize, col: usize) -> &[u8] {
         debug_assert!(row < self.n);
         let w = self.schema.column(col).ty.width();
-        let start = self.mini_offsets[col] + row * w;
+        let start = self.mini_offset(col) + row * w;
         &self.page.body()[start..start + w]
     }
 
     fn gather_i64_into(&self, col: usize, rows: &[u32], out: &mut Vec<i64>) {
         let mini = self.minipage(col);
-        out.reserve(rows.len());
-        match self.schema.column(col).ty {
-            DataType::Int32 => out.extend(rows.iter().map(|&row| {
-                let at = row as usize * 4;
-                i32::from_le_bytes(mini[at..at + 4].try_into().expect("4 bytes")) as i64
-            })),
-            DataType::Int64 => out.extend(rows.iter().map(|&row| {
-                let at = row as usize * 8;
-                i64::from_le_bytes(mini[at..at + 8].try_into().expect("8 bytes"))
-            })),
-            DataType::Char(_) => panic!("char field used in numeric context"),
+        match self.schema.column(col).ty.int_width() {
+            IntWidth::W4 => out.extend(
+                rows.iter()
+                    .map(|&row| le_i32(mini, row as usize * 4) as i64),
+            ),
+            IntWidth::W8 => out.extend(rows.iter().map(|&row| le_i64(mini, row as usize * 8))),
         }
     }
 
-    fn filter_i64_cmp(
-        &self,
-        col: usize,
-        op: crate::expr::CmpOp,
-        lit: i64,
-        flipped: bool,
-        rows: &mut Vec<u32>,
-    ) {
+    fn filter_i64_cmp(&self, col: usize, op: CmpOp, lit: i64, flipped: bool, rows: &mut Vec<u32>) {
         let mini = self.minipage(col);
-        let keep = |v: i64| op.matches(if flipped { lit.cmp(&v) } else { v.cmp(&lit) });
-        // The opening conjunct of a scan sees every row; decode the
-        // minipage sequentially instead of loading row indices.
-        let contiguous = rows.last().is_some_and(|&l| l as usize + 1 == rows.len());
-        match self.schema.column(col).ty {
-            DataType::Int32 => {
-                if contiguous {
-                    let n = rows.len();
-                    rows.clear();
-                    rows.extend(
-                        mini.chunks_exact(4)
-                            .take(n)
-                            .enumerate()
-                            .filter_map(|(row, c)| {
-                                keep(i32::from_le_bytes(c.try_into().expect("4 bytes")) as i64)
-                                    .then_some(row as u32)
-                            }),
-                    );
-                } else {
-                    rows.retain(|&row| {
-                        let at = row as usize * 4;
-                        keep(
-                            i32::from_le_bytes(mini[at..at + 4].try_into().expect("4 bytes"))
-                                as i64,
-                        )
-                    });
-                }
-            }
-            DataType::Int64 => {
-                if contiguous {
-                    let n = rows.len();
-                    rows.clear();
-                    rows.extend(
-                        mini.chunks_exact(8)
-                            .take(n)
-                            .enumerate()
-                            .filter_map(|(row, c)| {
-                                keep(i64::from_le_bytes(c.try_into().expect("8 bytes")))
-                                    .then_some(row as u32)
-                            }),
-                    );
-                } else {
-                    rows.retain(|&row| {
-                        let at = row as usize * 8;
-                        keep(i64::from_le_bytes(
-                            mini[at..at + 8].try_into().expect("8 bytes"),
-                        ))
-                    });
-                }
-            }
-            DataType::Char(_) => panic!("char field used in numeric context"),
+        let op = if flipped { op.mirrored() } else { op };
+        match self.schema.column(col).ty.int_width() {
+            IntWidth::W4 => compact_cmp(
+                rows,
+                op,
+                |_, row| le_i32(mini, row as usize * 4) as i64,
+                |_| lit,
+            ),
+            IntWidth::W8 => compact_cmp(rows, op, |_, row| le_i64(mini, row as usize * 8), |_| lit),
         }
     }
 }

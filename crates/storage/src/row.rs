@@ -55,8 +55,9 @@ pub trait RowAccessor {
     /// Retains in `rows` only those where `i64_at(row, col) <op> lit` (or
     /// `lit <op> i64_at(row, col)` when `flipped`). Fuses the gather and
     /// the compare of a column-vs-literal predicate atom into one pass so
-    /// no intermediate value vector is materialized; page readers override
-    /// it with layout-specific loops.
+    /// no intermediate value vector is materialized. This default is the
+    /// specification; the page readers override it with one branch-free
+    /// compaction loop each (`tests/filter_kernels.rs` holds them to it).
     fn filter_i64_cmp(&self, col: usize, op: CmpOp, lit: i64, flipped: bool, rows: &mut Vec<u32>) {
         rows.retain(|&row| {
             let v = self.i64_at(row as usize, col);

@@ -1,7 +1,8 @@
 //! Tuples and their fixed-width binary record encoding.
 
+use crate::page::{le_i32, le_i64};
 use crate::schema::Schema;
-use crate::types::{DataType, Datum};
+use crate::types::{DataType, Datum, IntWidth};
 
 /// An in-memory tuple: one datum per schema column.
 pub type Tuple = Vec<Datum>;
@@ -60,8 +61,8 @@ pub fn decode(schema: &Schema, rec: &[u8]) -> Tuple {
 #[inline]
 pub fn decode_field(ty: DataType, bytes: &[u8]) -> Datum {
     match ty {
-        DataType::Int32 => Datum::I32(i32::from_le_bytes(bytes.try_into().expect("4 bytes"))),
-        DataType::Int64 => Datum::I64(i64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
+        DataType::Int32 => Datum::I32(le_i32(bytes, 0)),
+        DataType::Int64 => Datum::I64(le_i64(bytes, 0)),
         DataType::Char(_) => Datum::Str(bytes.into()),
     }
 }
@@ -70,10 +71,9 @@ pub fn decode_field(ty: DataType, bytes: &[u8]) -> Datum {
 /// allocating a `Datum`. Used on operator hot paths.
 #[inline]
 pub fn read_i64(ty: DataType, bytes: &[u8]) -> i64 {
-    match ty {
-        DataType::Int32 => i32::from_le_bytes(bytes.try_into().expect("4 bytes")) as i64,
-        DataType::Int64 => i64::from_le_bytes(bytes.try_into().expect("8 bytes")),
-        DataType::Char(_) => panic!("char field used in numeric context"),
+    match ty.int_width() {
+        IntWidth::W4 => le_i32(bytes, 0) as i64,
+        IntWidth::W8 => le_i64(bytes, 0),
     }
 }
 

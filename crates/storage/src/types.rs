@@ -30,6 +30,31 @@ impl DataType {
             DataType::Char(n) => n as usize,
         }
     }
+
+    /// Width class of a numeric column — what the typed field loaders
+    /// dispatch on once per column instead of once per row.
+    ///
+    /// Panics on `Char`. `Expr::validate` rejects a char column in numeric
+    /// context (`ExprError::CharInNumericContext`) and both engines validate
+    /// an operator before its first page, so the arm is reachable only
+    /// through a caller bug; it is the one such arm in this crate.
+    #[inline]
+    pub(crate) fn int_width(self) -> IntWidth {
+        match self {
+            DataType::Int32 => IntWidth::W4,
+            DataType::Int64 => IntWidth::W8,
+            DataType::Char(_) => panic!("char field used in numeric context"),
+        }
+    }
+}
+
+/// The two numeric field widths (see [`DataType::int_width`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntWidth {
+    /// `Int32`: four bytes, widened to `i64` on load.
+    W4,
+    /// `Int64`: eight bytes.
+    W8,
 }
 
 impl fmt::Display for DataType {

@@ -14,7 +14,7 @@
 //! earlier conjunct passed) and CASE branch-taken counting — so simulated
 //! timing and energy derived from work receipts are unchanged.
 
-use crate::expr::{EvalCounts, Expr, Pred};
+use crate::expr::{CmpOp, EvalCounts, Expr, Pred};
 use crate::row::RowAccessor;
 
 /// Indices of the rows of one page still active in a scan, in ascending
@@ -59,16 +59,53 @@ impl SelectionVector {
     }
 }
 
+/// Buffers the evaluator borrows below the top-level selection: the
+/// pass/fail halves of `Or`/`Not`/`Case` partitions and the right-hand
+/// value vectors of arithmetic nodes. One per operator execution, reused
+/// across its pages; a node takes a buffer and gives it back, so after the
+/// first page of a shape no evaluation allocates.
+#[derive(Debug, Default)]
+pub struct EvalScratch {
+    rows: Vec<Vec<u32>>,
+    vals: Vec<Vec<i64>>,
+}
+
+impl EvalScratch {
+    /// An empty scratch (allocates nothing until a node needs a buffer).
+    pub fn new() -> Self {
+        EvalScratch::default()
+    }
+}
+
+/// Takes a cleared buffer from `pool`. Nodes take and give in the same
+/// order on every page, so each node meets the buffer it grew last time.
+fn take<T>(pool: &mut Vec<Vec<T>>) -> Vec<T> {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf
+}
+
 /// Retains in `sel` only the rows satisfying `pred`, tallying exactly the
 /// work the row-at-a-time `eval_counted` would tally over the same rows.
+/// Makes a fresh [`EvalScratch`]; scans call [`filter_select_with`].
 pub fn filter_select<R: RowAccessor + ?Sized>(
     pred: &Pred,
     r: &R,
     sel: &mut SelectionVector,
     counts: &mut EvalCounts,
 ) {
-    let active = std::mem::take(&mut sel.rows);
-    sel.rows = filter_rows(pred, r, active, counts);
+    filter_select_with(pred, r, sel, counts, &mut EvalScratch::new());
+}
+
+/// [`filter_select`] borrowing its temporaries from `scratch`.
+pub fn filter_select_with<R: RowAccessor + ?Sized>(
+    pred: &Pred,
+    r: &R,
+    sel: &mut SelectionVector,
+    counts: &mut EvalCounts,
+    scratch: &mut EvalScratch,
+) {
+    filter_rows(pred, r, &mut sel.rows, counts, scratch);
 }
 
 /// Evaluates `expr` for each row in `rows`, filling `out` (cleared first)
@@ -79,26 +116,85 @@ pub fn eval_select<R: RowAccessor + ?Sized>(
     rows: &[u32],
     out: &mut Vec<i64>,
     counts: &mut EvalCounts,
+    scratch: &mut EvalScratch,
 ) {
     out.clear();
-    eval_into(expr, r, rows, out, counts);
+    eval_into(expr, r, rows, out, counts, scratch);
+}
+
+/// Branch-free in-place compaction: keeps `rows[i]` where `keep(i, rows[i])`,
+/// preserving order. Every row index is stored unconditionally at the write
+/// cursor and the cursor advances by `keep as usize`, so the loop has no
+/// data-dependent branch to mispredict and is the same for dense and sparse
+/// selections.
+#[inline(always)]
+pub(crate) fn compact(rows: &mut Vec<u32>, mut keep: impl FnMut(usize, u32) -> bool) {
+    let slots = rows.as_mut_slice();
+    let mut k = 0;
+    for i in 0..slots.len() {
+        let row = slots[i];
+        slots[k] = row;
+        k += keep(i, row) as usize;
+    }
+    rows.truncate(k);
+}
+
+/// [`compact`] on `lhs(i, row) <op> rhs(i)`, dispatching `op` once so each
+/// operator gets its own monomorphised loop around a plain integer compare.
+#[inline(always)]
+pub(crate) fn compact_cmp(
+    rows: &mut Vec<u32>,
+    op: CmpOp,
+    lhs: impl Fn(usize, u32) -> i64,
+    rhs: impl Fn(usize) -> i64,
+) {
+    match op {
+        CmpOp::Eq => compact(rows, |i, row| lhs(i, row) == rhs(i)),
+        CmpOp::Ne => compact(rows, |i, row| lhs(i, row) != rhs(i)),
+        CmpOp::Lt => compact(rows, |i, row| lhs(i, row) < rhs(i)),
+        CmpOp::Le => compact(rows, |i, row| lhs(i, row) <= rhs(i)),
+        CmpOp::Gt => compact(rows, |i, row| lhs(i, row) > rhs(i)),
+        CmpOp::Ge => compact(rows, |i, row| lhs(i, row) >= rhs(i)),
+    }
+}
+
+/// Stable partition of `rows` by `pred`: on return `pass` holds the rows
+/// that satisfy it and `rows` those that do not, both ascending. `pred` is
+/// evaluated (and counted) once per row of `rows`.
+fn partition_rows<R: RowAccessor + ?Sized>(
+    pred: &Pred,
+    r: &R,
+    rows: &mut Vec<u32>,
+    pass: &mut Vec<u32>,
+    counts: &mut EvalCounts,
+    scratch: &mut EvalScratch,
+) {
+    pass.clear();
+    pass.extend_from_slice(rows);
+    filter_rows(pred, r, pass, counts, scratch);
+    remove_sorted(rows, pass);
+}
+
+/// Removes from `rows` the members of its ascending subsequence `gone`, in
+/// one pass over `rows`.
+fn remove_sorted(rows: &mut Vec<u32>, gone: &[u32]) {
+    let mut next = gone.iter().copied().peekable();
+    compact(rows, |_, row| next.next_if_eq(&row).is_none());
 }
 
 fn filter_rows<R: RowAccessor + ?Sized>(
     pred: &Pred,
     r: &R,
-    mut active: Vec<u32>,
+    active: &mut Vec<u32>,
     counts: &mut EvalCounts,
-) -> Vec<u32> {
+    scratch: &mut EvalScratch,
+) {
     if active.is_empty() {
-        return active;
+        return;
     }
     match pred {
-        Pred::Const(true) => active,
-        Pred::Const(false) => {
-            active.clear();
-            active
-        }
+        Pred::Const(true) => {}
+        Pred::Const(false) => active.clear(),
         Pred::And(ps) => {
             // Each conjunct sees only rows every earlier conjunct passed —
             // exactly the rows the short-circuiting scalar path evaluates
@@ -107,73 +203,78 @@ fn filter_rows<R: RowAccessor + ?Sized>(
                 if active.is_empty() {
                     break;
                 }
-                active = filter_rows(p, r, active, counts);
+                filter_rows(p, r, active, counts, scratch);
             }
-            active
         }
         Pred::Or(ps) => {
-            // Each disjunct sees only rows every earlier disjunct failed.
-            let mut pending = active;
-            let mut passed: Vec<u32> = Vec::new();
+            // Each disjunct sees only rows every earlier disjunct failed;
+            // what is left pending at the end failed them all.
+            let mut pending = take(&mut scratch.rows);
+            let mut pass = take(&mut scratch.rows);
+            pending.extend_from_slice(active);
             for p in ps {
                 if pending.is_empty() {
                     break;
                 }
-                let t = filter_rows(p, r, pending.clone(), counts);
-                pending = diff_sorted(&pending, &t);
-                passed.extend_from_slice(&t);
+                partition_rows(p, r, &mut pending, &mut pass, counts, scratch);
             }
-            passed.sort_unstable();
-            passed
+            remove_sorted(active, &pending);
+            scratch.rows.push(pass);
+            scratch.rows.push(pending);
         }
         Pred::Not(p) => {
-            let t = filter_rows(p, r, active.clone(), counts);
-            diff_sorted(&active, &t)
+            let mut pass = take(&mut scratch.rows);
+            partition_rows(p, r, active, &mut pass, counts, scratch);
+            scratch.rows.push(pass);
         }
         Pred::Cmp(op, a, b) => {
             let n = active.len() as u64;
             counts.atoms += n;
-            let op = *op;
             // Column-vs-literal is the dominant atom shape; skip
             // materializing the literal side. Counts stay exact: the
             // general path would tally nodes += n for each side plus
             // values += n for the column.
-            let (col_lit, flipped) = match (a, b) {
-                (Expr::Col(c), Expr::Lit(v)) => (Some((*c, *v)), false),
-                (Expr::Lit(v), Expr::Col(c)) => (Some((*c, *v)), true),
-                _ => (None, false),
+            let col_lit = match (a, b) {
+                (Expr::Col(c), Expr::Lit(v)) => Some((*c, *v, false)),
+                (Expr::Lit(v), Expr::Col(c)) => Some((*c, *v, true)),
+                _ => None,
             };
-            if let Some((c, v)) = col_lit {
+            if let Some((c, v, flipped)) = col_lit {
                 counts.nodes += 2 * n;
                 counts.values += n;
-                r.filter_i64_cmp(c, op, v, flipped, &mut active);
-                return active;
+                r.filter_i64_cmp(c, *op, v, flipped, active);
+                return;
             }
-            let mut va = Vec::new();
-            let mut vb = Vec::new();
-            eval_into(a, r, &active, &mut va, counts);
-            eval_into(b, r, &active, &mut vb, counts);
-            let mut i = 0;
-            active.retain(|_| {
-                let keep = op.matches(va[i].cmp(&vb[i]));
-                i += 1;
-                keep
-            });
-            active
+            let mut va = take(&mut scratch.vals);
+            let mut vb = take(&mut scratch.vals);
+            eval_into(a, r, active, &mut va, counts, scratch);
+            eval_into(b, r, active, &mut vb, counts, scratch);
+            compact_cmp(active, *op, |i, _| va[i], |i| vb[i]);
+            scratch.vals.push(vb);
+            scratch.vals.push(va);
         }
         Pred::StrCmp { col, op, lit } => {
             counts.atoms += active.len() as u64;
             counts.values += active.len() as u64;
-            let op = *op;
-            active.retain(|&row| op.matches(padded_cmp(r.field(row as usize, *col), lit)));
-            active
+            compact(active, |_, row| {
+                op.matches(padded_cmp(r.field(row as usize, *col), lit))
+            });
         }
         Pred::LikePrefix { col, prefix } => {
             counts.atoms += active.len() as u64;
             counts.values += active.len() as u64;
-            active.retain(|&row| r.field(row as usize, *col).starts_with(prefix));
-            active
+            compact(active, |_, row| {
+                r.field(row as usize, *col).starts_with(prefix)
+            });
         }
+    }
+}
+
+/// `out[i] = f(out[i], rhs[i])`.
+#[inline(always)]
+fn zip_apply(out: &mut [i64], rhs: &[i64], f: impl Fn(i64, i64) -> i64) {
+    for (x, y) in out.iter_mut().zip(rhs) {
+        *x = f(*x, *y);
     }
 }
 
@@ -183,6 +284,7 @@ fn eval_into<R: RowAccessor + ?Sized>(
     rows: &[u32],
     out: &mut Vec<i64>,
     counts: &mut EvalCounts,
+    scratch: &mut EvalScratch,
 ) {
     counts.nodes += rows.len() as u64;
     match expr {
@@ -193,29 +295,16 @@ fn eval_into<R: RowAccessor + ?Sized>(
         Expr::Lit(v) => {
             out.resize(rows.len(), *v);
         }
-        Expr::Add(a, b) => {
-            let mut vb = Vec::new();
-            eval_into(a, r, rows, out, counts);
-            eval_into(b, r, rows, &mut vb, counts);
-            for (x, y) in out.iter_mut().zip(&vb) {
-                *x = x.wrapping_add(*y);
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
+            let mut vb = take(&mut scratch.vals);
+            eval_into(a, r, rows, out, counts, scratch);
+            eval_into(b, r, rows, &mut vb, counts, scratch);
+            match expr {
+                Expr::Add(..) => zip_apply(out, &vb, i64::wrapping_add),
+                Expr::Sub(..) => zip_apply(out, &vb, i64::wrapping_sub),
+                _ => zip_apply(out, &vb, i64::wrapping_mul),
             }
-        }
-        Expr::Sub(a, b) => {
-            let mut vb = Vec::new();
-            eval_into(a, r, rows, out, counts);
-            eval_into(b, r, rows, &mut vb, counts);
-            for (x, y) in out.iter_mut().zip(&vb) {
-                *x = x.wrapping_sub(*y);
-            }
-        }
-        Expr::Mul(a, b) => {
-            let mut vb = Vec::new();
-            eval_into(a, r, rows, out, counts);
-            eval_into(b, r, rows, &mut vb, counts);
-            for (x, y) in out.iter_mut().zip(&vb) {
-                *x = x.wrapping_mul(*y);
-            }
+            scratch.vals.push(vb);
         }
         Expr::Case {
             when,
@@ -223,12 +312,14 @@ fn eval_into<R: RowAccessor + ?Sized>(
             otherwise,
         } => {
             // Only the taken branch is evaluated (and counted) per row.
-            let taken = filter_rows(when, r, rows.to_vec(), counts);
-            let not_taken = diff_sorted(rows, &taken);
-            let mut vt = Vec::new();
-            let mut vf = Vec::new();
-            eval_into(then, r, &taken, &mut vt, counts);
-            eval_into(otherwise, r, &not_taken, &mut vf, counts);
+            let mut taken = take(&mut scratch.rows);
+            let mut not_taken = take(&mut scratch.rows);
+            not_taken.extend_from_slice(rows);
+            partition_rows(when, r, &mut not_taken, &mut taken, counts, scratch);
+            let mut vt = take(&mut scratch.vals);
+            let mut vf = take(&mut scratch.vals);
+            eval_into(then, r, &taken, &mut vt, counts, scratch);
+            eval_into(otherwise, r, &not_taken, &mut vf, counts, scratch);
             // Merge branch results back into row order.
             let (mut it, mut if_) = (0, 0);
             out.clear();
@@ -242,22 +333,12 @@ fn eval_into<R: RowAccessor + ?Sized>(
                     if_ += 1;
                 }
             }
+            scratch.vals.push(vf);
+            scratch.vals.push(vt);
+            scratch.rows.push(not_taken);
+            scratch.rows.push(taken);
         }
     }
-}
-
-/// `a \ b` for sorted, duplicate-free index lists.
-fn diff_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() - b.len());
-    let mut j = 0;
-    for &x in a {
-        if j < b.len() && b[j] == x {
-            j += 1;
-        } else {
-            out.push(x);
-        }
-    }
-    out
 }
 
 /// Ordering of a char field against a literal treated as space-padded to
@@ -444,7 +525,14 @@ mod tests {
                     .collect();
                 let mut got_counts = EvalCounts::default();
                 let mut got = Vec::new();
-                eval_select(e, &r, &active, &mut got, &mut got_counts);
+                eval_select(
+                    e,
+                    &r,
+                    &active,
+                    &mut got,
+                    &mut got_counts,
+                    &mut EvalScratch::new(),
+                );
                 assert_eq!(got, expected, "{e:?}");
                 assert_eq!(got_counts, expected_counts, "{e:?}");
             }

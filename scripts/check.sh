@@ -32,6 +32,7 @@ if [[ "${1:-}" != "fast" ]]; then
 
     echo "== benchmark smoke (criterion --quick, kernel groups only) =="
     cargo bench -q -p smartssd-bench --bench kernels -- --quick scan_agg
+    cargo bench -q -p smartssd-bench --bench kernels -- --quick filter_select
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick page_validate
     # Every repro subcommand that writes a BENCH_<sub>.json (trace also
