@@ -5,7 +5,7 @@
 //! kind, page layout, component scales, session recovery policy, injected
 //! fault rates, and — new in this layer — the trace sink that observes the
 //! run. [`RunOptions`] carries everything that varies per run: the route
-//! policy, a host degree-of-parallelism override, and the trace verbosity.
+//! policy and the trace verbosity.
 
 use crate::breaker::BreakerPolicy;
 use crate::config::{DeviceKind, SystemConfig};
@@ -76,6 +76,16 @@ pub enum ConfigError {
         /// The configured buffer size, bytes.
         bytes: u64,
     },
+    /// The host needs at least one CPU core to run anything on.
+    ZeroHostCores,
+    /// The host CPU clock must be positive.
+    ZeroHostClock,
+    /// The flash geometry or timing breaks one of
+    /// [`FlashConfig::check`]'s rules.
+    FlashGeometry {
+        /// The rule that failed.
+        broken: &'static str,
+    },
     /// A fleet needs at least one device.
     EmptyFleet,
     /// The fleet's hedge trigger factor is negative or not finite.
@@ -138,6 +148,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "result buffer of {bytes} bytes is below one 4096-byte block"
             ),
+            ConfigError::ZeroHostCores => write!(f, "the host needs at least one CPU core"),
+            ConfigError::ZeroHostClock => write!(f, "the host CPU clock must be positive"),
+            ConfigError::FlashGeometry { broken } => write!(f, "flash geometry: {broken}"),
             ConfigError::EmptyFleet => write!(f, "a fleet needs at least one device"),
             ConfigError::InvalidHedgeFactor => {
                 write!(f, "hedge_factor must be finite and non-negative")
@@ -170,20 +183,17 @@ pub enum RoutePolicy {
     },
 }
 
-/// Per-run knobs for [`System::run`]: route policy, host parallelism, and
-/// trace verbosity.
+/// Per-run knobs for [`System::run`]: route policy and trace verbosity.
+/// Host parallelism is a property of the system
+/// ([`SystemBuilder::host_dop`]).
 ///
 /// `RunOptions::default()` reproduces the old `System::run(&query)`
-/// behavior exactly: natural route, configured host DOP, full trace
-/// verbosity (which records nothing unless a sink was attached at build
-/// time).
+/// behavior exactly: natural route, full trace verbosity (which records
+/// nothing unless a sink was attached at build time).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// How to pick the execution route.
     pub route: RoutePolicy,
-    /// Host degree of parallelism for this run; `None` uses the system's
-    /// configured `host_dop`.
-    pub dop: Option<usize>,
     /// Trace verbosity for this run. Ignored without an attached sink.
     pub verbosity: TraceLevel,
 }
@@ -203,12 +213,6 @@ impl RunOptions {
             route: RoutePolicy::Planned { planner, inputs },
             ..Self::default()
         }
-    }
-
-    /// Override the host degree of parallelism for this run.
-    pub fn with_dop(mut self, dop: usize) -> Self {
-        self.dop = Some(dop);
-        self
     }
 
     /// Set the trace verbosity for this run.
@@ -280,7 +284,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the default host degree of parallelism.
+    /// Sets the host degree of parallelism for host-routed execution.
     pub fn host_dop(mut self, dop: usize) -> Self {
         self.cfg.host_dop = dop;
         self
@@ -366,17 +370,30 @@ impl SystemBuilder {
     /// tracer into every timeline-owning component. This is the checked
     /// front door; [`SystemBuilder::build`] panics on the same conditions.
     pub fn try_build(self) -> Result<System, ConfigError> {
-        self.validate(self.cfg.device == DeviceKind::SmartSsd)?;
+        self.validate(self.cfg.device)?;
         Ok(System::assemble(self.cfg, self.tracer))
     }
 
     /// Shared configuration validation for [`SystemBuilder::try_build`] and
-    /// [`SystemBuilder::try_build_fleet`]. The Smart SSD runtime resources
-    /// are checked only when the build instantiates one (`smart`), ahead of
-    /// the device's own construction-time assertions.
-    fn validate(&self, smart: bool) -> Result<(), ConfigError> {
+    /// [`SystemBuilder::try_build_fleet`], ahead of every component's own
+    /// construction-time assertions. The flash geometry and the Smart SSD
+    /// runtime resources are checked only when a `device` of that kind is
+    /// what the build instantiates.
+    fn validate(&self, device: DeviceKind) -> Result<(), ConfigError> {
+        if self.cfg.host_cpu_cores == 0 {
+            return Err(ConfigError::ZeroHostCores);
+        }
+        if self.cfg.host_cpu_hz == 0 {
+            return Err(ConfigError::ZeroHostClock);
+        }
+        if device != DeviceKind::Hdd {
+            self.cfg
+                .flash
+                .check()
+                .map_err(|broken| ConfigError::FlashGeometry { broken })?;
+        }
         let dev = &self.cfg.smart;
-        if smart {
+        if device == DeviceKind::SmartSsd {
             if dev.cpu_cores == 0 {
                 return Err(ConfigError::ZeroDeviceCores);
             }
@@ -428,7 +445,7 @@ impl SystemBuilder {
         n: usize,
         opts: FleetOptions,
     ) -> Result<SmartSsdFleet, ConfigError> {
-        self.validate(true)?;
+        self.validate(DeviceKind::SmartSsd)?;
         if n == 0 {
             return Err(ConfigError::EmptyFleet);
         }
@@ -496,7 +513,6 @@ mod tests {
     fn default_run_options_are_natural_full() {
         let opts = RunOptions::default();
         assert!(matches!(opts.route, RoutePolicy::Natural));
-        assert!(opts.dop.is_none());
         assert_eq!(opts.verbosity, smartssd_sim::TraceLevel::Full);
     }
 
@@ -593,6 +609,77 @@ mod tests {
                 .tweak(tweak)
                 .try_build()
                 .is_ok());
+        }
+    }
+
+    /// The same for the host CPU and the flash geometry: every input the
+    /// components assert on at construction comes back as a value first.
+    #[test]
+    fn try_build_rejects_degenerate_host_cpu_and_flash_geometry() {
+        type Tweak = fn(&mut SystemConfig);
+        let flash = |broken| ConfigError::FlashGeometry { broken };
+        let cases: [(Tweak, ConfigError); 13] = [
+            (|c| c.host_cpu_cores = 0, ConfigError::ZeroHostCores),
+            (|c| c.host_cpu_hz = 0, ConfigError::ZeroHostClock),
+            (|c| c.flash.channels = 0, flash("need at least one channel")),
+            (
+                |c| c.flash.chips_per_channel = 0,
+                flash("need at least one chip"),
+            ),
+            (
+                |c| c.flash.blocks_per_chip = 1,
+                flash("need at least two blocks per chip"),
+            ),
+            (
+                |c| c.flash.pages_per_block = 0,
+                flash("need at least one page per block"),
+            ),
+            (|c| c.flash.page_size = 8, flash("page size too small")),
+            (
+                |c| c.flash.overprovision = 0.9,
+                flash("overprovision must be in [0, 0.9)"),
+            ),
+            (
+                |c| c.flash.overprovision = f64::NAN,
+                flash("overprovision must be in [0, 0.9)"),
+            ),
+            (
+                |c| c.flash.gc_low_water_blocks = 0,
+                flash("GC low-water mark must be >= 1"),
+            ),
+            (
+                |c| c.flash.gc_low_water_blocks = c.flash.blocks_per_chip,
+                flash("GC low-water mark must leave usable blocks"),
+            ),
+            (
+                |c| c.flash.channel_bw = 0,
+                flash("channel and DRAM bandwidth must be positive"),
+            ),
+            (
+                |c| c.flash.dram_bw = 0,
+                flash("channel and DRAM bandwidth must be positive"),
+            ),
+        ];
+        for (tweak, want) in cases {
+            for device in [DeviceKind::SmartSsd, DeviceKind::Ssd] {
+                let got = SystemBuilder::new(device, Layout::Pax)
+                    .tweak(tweak)
+                    .try_build();
+                assert_eq!(got.map(|_| ()).unwrap_err(), want, "{device:?}");
+            }
+            let fleet = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+                .tweak(tweak)
+                .try_build_fleet(2, FleetOptions::default());
+            assert_eq!(fleet.map(|_| ()).unwrap_err(), want);
+            // An HDD system has a host CPU but never instantiates flash.
+            let hdd = SystemBuilder::new(DeviceKind::Hdd, Layout::Pax)
+                .tweak(tweak)
+                .try_build();
+            match want {
+                ConfigError::FlashGeometry { .. } => assert!(hdd.is_ok()),
+                _ => assert_eq!(hdd.map(|_| ()).unwrap_err(), want),
+            }
+            assert!(!want.to_string().is_empty());
         }
     }
 

@@ -81,16 +81,11 @@ pub struct FleetOptions {
     /// exceeds `hedge_factor` times the median estimate across live
     /// shards. `0.0` hedges every live shard the budget allows.
     pub hedge_factor: f64,
-    /// Retry-budget token-bucket capacity: at most this many hedges may be
-    /// outstanding per earned refill (see `hedge_refill`). The budget is
-    /// fleet-wide, so a gray fleet cannot amplify itself into a retry
-    /// storm — once tokens run out, further laggards are simply gathered.
+    /// Retry budget: at most this many hedges are launched per query run.
+    /// The budget is fleet-wide, so a gray fleet cannot amplify itself into
+    /// a retry storm — once it is spent, further laggards are simply
+    /// gathered.
     pub hedge_budget: u32,
-    /// Token refill interval on *simulated* time: one token is earned per
-    /// elapsed interval, capped at `hedge_budget` available. `ZERO` (the
-    /// default) disables time-based refill, making `hedge_budget` a
-    /// per-run cap.
-    pub hedge_refill: SimTime,
 }
 
 impl Default for FleetOptions {
@@ -100,47 +95,7 @@ impl Default for FleetOptions {
             hedge: false,
             hedge_factor: 1.5,
             hedge_budget: 2,
-            hedge_refill: SimTime::ZERO,
         }
-    }
-}
-
-/// Fleet-wide hedge budget: a deterministic token bucket on simulated
-/// time. `capacity` tokens are available up front; one more is earned per
-/// `refill_ns` of simulated time (never banking above `capacity`).
-struct RetryBudget {
-    capacity: u64,
-    refill_ns: u64,
-    /// Tokens currently in the bucket (≤ `capacity`).
-    level: u64,
-    /// Refill intervals already credited — uncollected intervals never
-    /// bank: the bucket tops out at `capacity` no matter how long the
-    /// fleet sits idle.
-    credited: u64,
-}
-
-impl RetryBudget {
-    fn new(capacity: u32, refill: SimTime) -> Self {
-        Self {
-            capacity: u64::from(capacity),
-            refill_ns: refill.as_nanos(),
-            level: u64::from(capacity),
-            credited: 0,
-        }
-    }
-
-    /// Takes one token at `now` if any is available.
-    fn try_spend(&mut self, now: SimTime) -> bool {
-        if let Some(intervals) = now.as_nanos().checked_div(self.refill_ns) {
-            let fresh = intervals.saturating_sub(self.credited);
-            self.credited = intervals;
-            self.level = (self.level + fresh).min(self.capacity);
-        }
-        if self.level == 0 {
-            return false;
-        }
-        self.level -= 1;
-        true
     }
 }
 
@@ -232,7 +187,8 @@ struct Gather {
     /// The breaker clock at the start of the run; every sample of the run
     /// is stamped with it.
     base: SimTime,
-    budget: RetryBudget,
+    /// Hedges the run's retry budget still allows.
+    hedges_left: u32,
     sids: Vec<Option<SessionId>>,
     merged: Option<Vec<AggState>>,
     work: WorkCounts,
@@ -245,7 +201,7 @@ struct Gather {
 impl Gather {
     /// Folds a host block-path pass into the merge as shard `d`'s partial.
     fn take_host(&mut self, d: usize, raw: RawRun) {
-        merge_partials(&mut self.merged, raw.aggs);
+        AggState::merge_partials(&mut self.merged, raw.aggs);
         self.work.absorb(&raw.work);
         self.outcomes[d].route = Route::Host;
         self.outcomes[d].finished_at = raw.end;
@@ -448,7 +404,6 @@ impl SmartSsdFleet {
     fn host_shard(&mut self, d: usize, op: &QueryOp, now: SimTime) -> Result<RawRun, RunError> {
         let cmd_latency = self.cfg.interface.command_latency_ns();
         let mut view = self.shards[d].host_view(&mut self.link, cmd_latency);
-        let dop = self.cfg.host_dop;
         host_pass(
             &mut view,
             &mut self.host_cpu,
@@ -456,7 +411,6 @@ impl SmartSsdFleet {
             &self.tracer,
             op,
             now,
-            dop,
         )
     }
 
@@ -505,7 +459,7 @@ impl SmartSsdFleet {
             driver: SessionDriver::new(self.cfg.session_policy.clone())
                 .with_tracer(self.tracer.clone()),
             base: self.breaker_clock,
-            budget: RetryBudget::new(self.opts.hedge_budget, self.opts.hedge_refill),
+            hedges_left: self.opts.hedge_budget,
             sids: vec![None; n],
             merged: None,
             work: WorkCounts::default(),
@@ -717,14 +671,15 @@ impl SmartSsdFleet {
     }
 
     /// Launches a hedge for laggard shard `d` at the gather frontier — if
-    /// the fleet-wide retry budget still has a token. The host copy is
+    /// the run's retry budget is not spent. The host copy is
     /// posted at the same instant as the shard's gather, racing the device
     /// session for the same partial; both sides' resource use is charged —
     /// that is the price of hedging. A denied hedge is counted: a fleet
     /// that wants to hedge but can't is a tuning signal, not a silent
     /// no-op.
     fn launch_hedge(&mut self, g: &mut Gather, d: usize, op: &QueryOp) -> Option<RawRun> {
-        if g.budget.try_spend(g.t) {
+        if g.hedges_left > 0 {
+            g.hedges_left -= 1;
             self.run_faults.hedges += 1;
             g.outcomes[d].hedged = true;
             self.shard_instant(d, "shard-hedge", g.t);
@@ -786,7 +741,7 @@ impl SmartSsdFleet {
                             _ => {
                                 g.outcomes[d].finished_at = out.finished_at;
                                 if let Some(parts) = out.aggs {
-                                    merge_partials(&mut g.merged, parts);
+                                    AggState::merge_partials(&mut g.merged, parts);
                                 }
                                 g.work.absorb(self.shards[d].dev.total_work());
                             }
@@ -889,18 +844,6 @@ impl SmartSsdFleet {
             host_shard_runs,
             fallbacks,
         })
-    }
-}
-
-/// Folds one shard's aggregate states into the fleet accumulator.
-fn merge_partials(acc: &mut Option<Vec<AggState>>, parts: Vec<AggState>) {
-    match acc {
-        None => *acc = Some(parts),
-        Some(states) => {
-            for (a, p) in states.iter_mut().zip(parts.iter()) {
-                a.merge(p);
-            }
-        }
     }
 }
 
@@ -1046,20 +989,6 @@ mod tests {
         assert_eq!(r.faults.hedges, 1, "budget caps hedges fleet-wide");
         assert_eq!(r.faults.hedge_denied, 3);
         assert_eq!(r.shards.iter().filter(|s| s.hedged).count(), 1);
-    }
-
-    #[test]
-    fn hedge_refill_earns_tokens_on_simulated_time() {
-        let mut b = RetryBudget::new(1, SimTime::from_millis(10));
-        assert!(b.try_spend(SimTime::ZERO));
-        assert!(!b.try_spend(SimTime::from_millis(9)), "no token earned yet");
-        assert!(
-            b.try_spend(SimTime::from_millis(10)),
-            "one interval earned one"
-        );
-        // Banked tokens never exceed capacity.
-        assert!(b.try_spend(SimTime::from_secs(10)));
-        assert!(!b.try_spend(SimTime::from_secs(10)));
     }
 
     #[test]

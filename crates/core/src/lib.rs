@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! # smartssd — Query Processing on Smart SSDs, reproduced
 //!

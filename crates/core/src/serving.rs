@@ -11,8 +11,8 @@
 //!   weighted-fair-queueing weight, a strict priority lane, and optional
 //!   per-tenant deadline and admission (queue-bound) overrides.
 //! * [`TenantLoad`] pairs a spec with the tenant's traffic: a query
-//!   template, a seeded [`ArrivalModel`] (Poisson, heavy-tailed Pareto, or
-//!   a diurnal envelope), a mean inter-arrival gap, an arrival count, and
+//!   template, a seeded [`ArrivalModel`] (uniform, Poisson or heavy-tailed
+//!   Pareto), a mean inter-arrival gap, an arrival count, and
 //!   an optional cancellation budget (arrivals are abandoned `cancel_after`
 //!   past their arrival, mid-flight if necessary).
 //! * [`ArrivalStream`] is a k-way merge cursor over the per-tenant

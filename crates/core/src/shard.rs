@@ -211,10 +211,9 @@ pub(crate) fn host_pass<S: PageSource>(
     tracer: &Tracer,
     op: &QueryOp,
     now: SimTime,
-    dop: usize,
 ) -> Result<RawRun, RunError> {
     HostEngine::new(source, host_cpu, cfg.host_costs)
         .with_tracer(tracer.clone())
-        .run_raw(op, now, dop)
+        .run_raw(op, now, cfg.host_dop)
         .map_err(RunError::from)
 }

@@ -552,9 +552,8 @@ impl System {
     }
 
     /// Runs a query under the given options: the route policy picks the
-    /// side (natural, forced, or planner-decided), `dop` optionally
-    /// overrides the host degree of parallelism, and `verbosity` gates what
-    /// the attached trace sink records.
+    /// side (natural, forced, or planner-decided) and `verbosity` gates
+    /// what the attached trace sink records.
     ///
     /// A single run *is* a one-arrival workload at time zero over the
     /// linked protocol (see [`System::run_workload`](crate::workload)), so
@@ -657,16 +656,15 @@ impl System {
         &mut self,
         op: &QueryOp,
         query: &Query,
-        dop: usize,
         now: SimTime,
     ) -> Result<QueryResult, RunError> {
         let (cpu, cfg, tracer) = (&mut self.host_cpu, &self.cfg, &self.tracer);
         let raw = match &mut self.backend {
-            Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now, dop),
-            Backend::Ssd(path) => host_pass(path, cpu, cfg, tracer, op, now, dop),
+            Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now),
+            Backend::Ssd(path) => host_pass(path, cpu, cfg, tracer, op, now),
             Backend::Smart { shard, link } => {
                 let mut view = shard.host_view(link, cfg.interface.command_latency_ns());
-                host_pass(&mut view, cpu, cfg, tracer, op, now, dop)
+                host_pass(&mut view, cpu, cfg, tracer, op, now)
             }
         }?;
         Ok(raw.finalize(&query.finalize, now))

@@ -170,8 +170,8 @@ impl Workload {
     }
 
     /// [`Workload::open_stream`] generalized over the arrival process:
-    /// gaps are drawn from `model` (Poisson, heavy-tailed Pareto, diurnal
-    /// envelope — see [`ArrivalModel`] for each model's moments). The
+    /// gaps are drawn from `model` (Poisson or heavy-tailed Pareto — see
+    /// [`ArrivalModel`] for each model's moments). The
     /// `Uniform` model reproduces `open_stream` bit-for-bit.
     pub fn open_stream_with(
         query: &Query,
@@ -259,7 +259,6 @@ pub struct BrownoutPolicy {
 #[derive(Debug, Clone)]
 pub struct WorkloadOptions {
     interface: InterfaceMode,
-    dop: Option<usize>,
     verbosity: TraceLevel,
     queue_bound: Option<usize>,
     deadline: Option<SimTime>,
@@ -273,7 +272,6 @@ impl Default for WorkloadOptions {
     fn default() -> Self {
         Self {
             interface: InterfaceMode::default(),
-            dop: None,
             verbosity: TraceLevel::default(),
             queue_bound: None,
             deadline: None,
@@ -288,8 +286,8 @@ impl Default for WorkloadOptions {
 }
 
 impl WorkloadOptions {
-    /// Default options: linked interface, system `host_dop`, no admission
-    /// control, no tenants, fair queueing enabled.
+    /// Default options: linked interface, no admission control, no
+    /// tenants, fair queueing enabled.
     pub fn new() -> Self {
         Self::default()
     }
@@ -297,13 +295,6 @@ impl WorkloadOptions {
     /// Interface model for device-routed queries.
     pub fn interface(mut self, interface: InterfaceMode) -> Self {
         self.interface = interface;
-        self
-    }
-
-    /// Host degree of parallelism for host-routed queries (the system's
-    /// configured `host_dop` when unset).
-    pub fn dop(mut self, dop: usize) -> Self {
-        self.dop = Some(dop);
         self
     }
 
@@ -826,7 +817,6 @@ const BROWNED_OUT: Shed = ("browned-out", ArrivalOutcome::Rejected);
 /// memo, and the outcome accounting.
 struct Sched<'o> {
     opts: &'o WorkloadOptions,
-    dop: usize,
     events: EventQueue<Ev>,
     ws: WaitSet,
     slab: PendingSlab,
@@ -938,7 +928,6 @@ impl System {
     ) -> Result<(QueryCompletion, RunTrace), RunError> {
         let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
         let wopts = WorkloadOptions {
-            dop: opts.dop,
             verbosity: opts.verbosity,
             ..WorkloadOptions::default()
         };
@@ -975,7 +964,6 @@ impl System {
         }
         let mut s = Sched {
             opts,
-            dop: opts.dop.unwrap_or(self.cfg.host_dop),
             events: EventQueue::new(),
             ws: WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission),
             slab: PendingSlab::new(),
@@ -1191,7 +1179,7 @@ impl System {
             }
         }
         if route == Route::Host {
-            let done = self.host_completion(item, &op, idx, now, s.dop)?;
+            let done = self.host_completion(item, &op, idx, now)?;
             s.acct.complete(tenant, done);
             return Ok(false);
         }
@@ -1248,7 +1236,7 @@ impl System {
                     // timelines keep the wasted attempt, and the fallback
                     // starts no earlier than the fault.
                     None => {
-                        let done = self.host_completion(item, &op, idx, at, s.dop)?;
+                        let done = self.host_completion(item, &op, idx, at)?;
                         s.acct.complete(tenant, done);
                     }
                     // Unrecoverable: this one query dies, with the fault
@@ -1310,9 +1298,8 @@ impl System {
         op: &QueryOp,
         idx: usize,
         start: SimTime,
-        dop: usize,
     ) -> Result<QueryCompletion, RunError> {
-        let mut result = self.run_host(op, &item.query, dop, start)?;
+        let mut result = self.run_host(op, &item.query, start)?;
         let finished_at = start + result.elapsed;
         let latency = finished_at.saturating_sub(item.arrival);
         result.elapsed = latency;

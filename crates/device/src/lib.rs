@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! The Smart SSD: a programmable storage device running query operators.
 //!

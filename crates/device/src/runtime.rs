@@ -15,19 +15,18 @@
 //!   device cost table and executed on the device's few slow cores, which
 //!   is what caps compute-heavy queries below the bandwidth bound (the
 //!   1.7x-instead-of-2.8x effect of Figure 3).
+//!
+//! The operator loop itself — read pages, run the kernel, charge its
+//! receipt, cut batches — is [`smartssd_exec::run_op`], shared with the host
+//! engine; this module supplies its device-side [`OpSite`].
 
 use crate::config::DeviceConfig;
-use smartssd_exec::{
-    default_workers, fold_pages, group_table_memory_bytes, group_table_rows,
-    join::{probe_page, JoinHashTable, JoinSink},
-    spec::JoinOutput,
-    GroupTable, QueryOp, ScanScratch, TableRef, WorkCounts,
-};
+use smartssd_exec::{run_op, OpSite, QueryOp, TableRef, WorkCounts};
 use smartssd_flash::{FlashConfig, FlashError, FlashSsd};
 use smartssd_sim::{CpuModel, FaultCounters, SimTime};
-use smartssd_storage::expr::{AggState, ExprError};
+use smartssd_storage::expr::ExprError;
 use smartssd_storage::page::PageError;
-use smartssd_storage::{PageBuf, PageDecodeCache, TableImage, Tuple};
+use smartssd_storage::{PageBuf, PageDecodeCache, TableImage};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -52,18 +51,10 @@ impl XorShift {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionId(pub u32);
 
-/// One unit of output retrieved by a `GET`.
-#[derive(Debug, Clone)]
-pub struct ResultBatch {
-    /// Materialized output rows (scan / projecting join).
-    pub rows: Vec<Tuple>,
-    /// Aggregate partials (aggregating operators).
-    pub aggs: Option<Vec<AggState>>,
-    /// Payload size as transferred over the host interface.
-    pub bytes: u64,
-    /// Simulated time at which the device finished producing this batch.
-    pub ready_at: SimTime,
-}
+/// One unit of output retrieved by a `GET`: `bytes` is the payload size as
+/// transferred over the host interface, `ready_at` the simulated time at
+/// which the device finished producing the batch.
+pub type ResultBatch = smartssd_exec::ResultBatch<SimTime>;
 
 /// Response to a `GET` poll.
 #[derive(Debug, Clone)]
@@ -550,17 +541,13 @@ impl SmartSsd {
     /// session already fetched this LBA, the page is served from device
     /// DRAM at `max(peer's completion, now)` — no flash traffic, no
     /// channel/bus occupancy — and `owner` joins the entry's owner list.
-    /// Otherwise the page is read normally and published for peers. With
-    /// [`DeviceConfig::shared_scans`] off this is exactly `read_page`.
+    /// Otherwise the page is read normally and published for peers.
     fn read_page_shared(
         &mut self,
         lba: u64,
         now: SimTime,
         owner: u32,
     ) -> Result<(PageBuf, SimTime), DeviceError> {
-        if !self.cfg.shared_scans {
-            return self.read_page(lba, now);
-        }
         if let Some(entry) = self.share_cache.get_mut(&lba) {
             self.shared_hits += 1;
             if !entry.owners.contains(&owner) {
@@ -585,7 +572,8 @@ impl SmartSsd {
     }
 
     /// Reads every page of `table`, all issued at `now`, returning each
-    /// validated page with its DRAM-arrival time.
+    /// validated page with its DRAM-arrival time. With a `shared_owner` the
+    /// reads go through the shared-scan window as that session.
     ///
     /// When the flash path is clean — no error injection, no pending
     /// retry/scrub, no tracer, and the shared-scan window not in play —
@@ -602,50 +590,43 @@ impl SmartSsd {
         now: SimTime,
         shared_owner: Option<u32>,
     ) -> Result<Vec<(PageBuf, SimTime)>, DeviceError> {
-        let n = table.num_pages as usize;
-        let shared = self.cfg.shared_scans && shared_owner.is_some();
-        if !shared && self.flash.can_batch_reads() {
-            let mut bufs = Vec::with_capacity(n);
-            let mut coords = Vec::with_capacity(n);
-            let mut clean = true;
-            for lba in table.lbas() {
-                let decoded = self.flash.peek_page(lba).ok().and_then(|(data, coord)| {
-                    Some((self.page_cache.decode(lba, data).ok()?, coord))
-                });
-                match decoded {
-                    Some((page, coord)) => {
-                        bufs.push(page);
-                        coords.push(coord);
-                    }
-                    None => {
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            if clean {
-                let ivs = self.flash.charge_reads(&coords, now);
-                return Ok(bufs
-                    .into_iter()
-                    .zip(ivs)
-                    .map(|(p, iv)| (p, iv.end))
-                    .collect());
+        if shared_owner.is_none() && self.flash.can_batch_reads() {
+            if let Some(pages) = self.read_table_batched(table, now) {
+                return Ok(pages);
             }
         }
-        let mut pages = Vec::with_capacity(n);
-        match shared_owner {
-            Some(owner) => {
-                for lba in table.lbas() {
-                    pages.push(self.read_page_shared(lba, now, owner)?);
-                }
-            }
-            None => {
-                for lba in table.lbas() {
-                    pages.push(self.read_page(lba, now)?);
-                }
-            }
+        let mut pages = Vec::with_capacity(table.num_pages as usize);
+        for lba in table.lbas() {
+            pages.push(match shared_owner {
+                Some(owner) => self.read_page_shared(lba, now, owner)?,
+                None => self.read_page(lba, now)?,
+            });
         }
         Ok(pages)
+    }
+
+    /// The batched form of [`Self::read_table_pages`]: every page fetched
+    /// and validated, then the whole run charged at once — or `None`, with
+    /// nothing charged, if any page is unmapped or fails validation.
+    fn read_table_batched(
+        &mut self,
+        table: &TableRef,
+        now: SimTime,
+    ) -> Option<Vec<(PageBuf, SimTime)>> {
+        let n = table.num_pages as usize;
+        let (mut bufs, mut coords) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for lba in table.lbas() {
+            let (data, coord) = self.flash.peek_page(lba).ok()?;
+            bufs.push(self.page_cache.decode(lba, data).ok()?);
+            coords.push(coord);
+        }
+        let ivs = self.flash.charge_reads(&coords, now);
+        Some(
+            bufs.into_iter()
+                .zip(ivs)
+                .map(|(p, iv)| (p, iv.end))
+                .collect(),
+        )
     }
 
     /// Executes an operator, producing the session's batch queue. Execution
@@ -658,236 +639,68 @@ impl SmartSsd {
         now: SimTime,
         owner: u32,
     ) -> Result<(VecDeque<ResultBatch>, WorkCounts), DeviceError> {
-        // Scan, ScanAgg, and the Join probe run in two phases: every page
-        // is first read through the flash path serially in LBA order (all
-        // reads are posted at the same sim time, and serial issue keeps
-        // flash timing/error-injection state identical to the pre-parallel
-        // runtime), then `fold_pages` runs the pure per-page kernel work —
-        // on one scratch for small tables, fanned out over worker threads
-        // for large ones — and the embedded-CPU charges replay in page
-        // order. Firmware on a real device would do the same: one kernel
-        // instance per channel, merged deterministically.
-        let workers = default_workers();
-        match op {
-            QueryOp::Scan { table, spec } => {
-                let mut total = WorkCounts::default();
-                let mut queue = VecDeque::new();
-                let out_width = spec.output_schema(&table.schema).tuple_width() as u64;
-                let pages = self.read_table_pages(table, now, Some(owner))?;
-                let mut rows: Vec<Tuple> = Vec::new();
-                let mut bytes = 0u64;
-                let mut last_done = now;
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut rows,
-                    Vec::new,
-                    |scratch, (page, _), rows, w| {
-                        scratch.scan_page(page, &table.schema, spec, rows, w);
-                    },
-                    |rows, mut partial| rows.append(&mut partial),
-                    |(_, at), rows, w| {
-                        let iv = self.cpu.execute(*at, self.batch_cycles(w, *at));
-                        last_done = iv.end;
-                        total.absorb(w);
-                        bytes += w.out_tuples * out_width;
-                        if bytes >= self.cfg.result_buffer_bytes {
-                            queue.push_back(ResultBatch {
-                                rows: std::mem::take(rows),
-                                aggs: None,
-                                bytes,
-                                ready_at: last_done,
-                            });
-                            bytes = 0;
-                        }
-                    },
-                );
-                // Final (possibly empty) batch marks completion time.
-                queue.push_back(ResultBatch {
-                    rows,
-                    aggs: None,
-                    bytes,
-                    ready_at: last_done,
-                });
-                Ok((queue, total))
-            }
-            QueryOp::ScanAgg { table, spec } => {
-                let mut total = WorkCounts::default();
-                let pages = self.read_table_pages(table, now, Some(owner))?;
-                let new_states = || -> Vec<AggState> {
-                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
-                };
-                let mut states = new_states();
-                let mut last_done = now;
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut states,
-                    new_states,
-                    |scratch, (page, _), states, w| {
-                        scratch.scan_agg_page(page, &table.schema, spec, states, w);
-                    },
-                    |states, partial| {
-                        for (s, p) in states.iter_mut().zip(partial.iter()) {
-                            s.merge(p);
-                        }
-                    },
-                    |(_, at), _, w| {
-                        let iv = self.cpu.execute(*at, self.batch_cycles(w, *at));
-                        last_done = iv.end;
-                        total.absorb(w);
-                    },
-                );
-                let bytes = 16 * states.len() as u64;
-                let queue = VecDeque::from([ResultBatch {
-                    rows: Vec::new(),
-                    aggs: Some(states),
-                    bytes,
-                    ready_at: last_done,
-                }]);
-                Ok((queue, total))
-            }
-            QueryOp::GroupAgg { table, spec } => {
-                // Stays serial: the memory-grant check below runs after
-                // every page and aborts mid-scan, so later pages must not
-                // be read (or even fetched) once the grant is blown —
-                // two-phasing would over-read flash and diverge the
-                // simulated device state on the abort path. It also stays
-                // off the shared-scan window for the same reason: which
-                // pages this session reads depends on where (or whether)
-                // the grant aborts, so its reads are not a clean prefix a
-                // peer could safely fan out.
-                let mut total = WorkCounts::default();
-                let mut acc = GroupTable::new();
-                let mut scratch = ScanScratch::new();
-                let mut last_done = now;
-                for lba in table.lbas() {
-                    let (page, at) = self.read_page(lba, now)?;
-                    let mut w = WorkCounts::default();
-                    scratch.scan_group_agg_page(&page, &table.schema, spec, &mut acc, &mut w);
-                    let iv = self.cpu.execute(at, self.batch_cycles(&w, at));
-                    last_done = iv.end;
-                    total.absorb(&w);
-                    // The group table lives in the session's memory grant;
-                    // high-cardinality groupings abort mid-scan, exactly
-                    // when a real device would run out.
-                    let resident = group_table_memory_bytes(&acc, spec.aggs.len());
-                    if resident > self.cfg.session_memory_bytes {
-                        return Err(DeviceError::MemoryGrantExceeded {
-                            needed: resident,
-                            grant: self.cfg.session_memory_bytes,
-                        });
-                    }
-                }
-                let key_schema = spec.key_schema(&table.schema);
-                let rows = group_table_rows(&acc, &key_schema);
-                let out_width = spec.output_schema(&table.schema).tuple_width() as u64;
-                let bytes = rows.len() as u64 * out_width;
-                total.out_tuples += rows.len() as u64;
-                total.out_bytes += bytes;
-                let queue = VecDeque::from([ResultBatch {
-                    rows,
-                    aggs: None,
-                    bytes,
-                    ready_at: last_done,
-                }]);
-                Ok((queue, total))
-            }
-            QueryOp::Join { probe, spec } => {
-                let mut total = WorkCounts::default();
-                // Build phase: read the small table and build the hash
-                // table inside the device (Figures 4 and 6).
-                let mut build_ready = now;
-                let mut build_pages = Vec::with_capacity(spec.build.table.num_pages as usize);
-                for (page, at) in self.read_table_pages(&spec.build.table, now, None)? {
-                    build_ready = build_ready.max(at);
-                    build_pages.push(page);
-                }
-                let mut w = WorkCounts::default();
-                let ht = JoinHashTable::build(&build_pages, &spec.build, &mut w);
-                let build_done = self
-                    .cpu
-                    .execute(build_ready, self.batch_cycles(&w, build_ready))
-                    .end;
-                total.absorb(&w);
-                drop(build_pages);
-                if ht.memory_bytes() > self.cfg.session_memory_bytes {
-                    return Err(DeviceError::MemoryGrantExceeded {
-                        needed: ht.memory_bytes(),
-                        grant: self.cfg.session_memory_bytes,
-                    });
-                }
-                // Probe phase.
-                let joined_schema = spec.joined_schema(&probe.schema);
-                let out_width: u64 = match &spec.output {
-                    JoinOutput::Project(cols) => cols
-                        .iter()
-                        .map(|c| match *c {
-                            smartssd_exec::ColRef::Probe(i) => {
-                                probe.schema.column(i).ty.width() as u64
-                            }
-                            smartssd_exec::ColRef::Build(i) => {
-                                spec.build.payload_schema().column(i).ty.width() as u64
-                            }
-                        })
-                        .sum(),
-                    JoinOutput::Aggregate(aggs) => 16 * aggs.len() as u64,
-                };
-                let pages = self.read_table_pages(probe, build_done, None)?;
-                let mut sink = JoinSink::new(spec);
-                let mut queue = VecDeque::new();
-                let mut last_done = build_done;
-                let mut bytes = 0u64;
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut sink,
-                    || JoinSink::new(spec),
-                    |_, (page, _), sink, w| {
-                        probe_page(page, &probe.schema, spec, &ht, &joined_schema, sink, w);
-                    },
-                    JoinSink::merge,
-                    |(_, at), sink, w| {
-                        let start = (*at).max(build_done);
-                        let iv = self.cpu.execute(start, self.batch_cycles(w, start));
-                        last_done = iv.end;
-                        total.absorb(w);
-                        if matches!(spec.output, JoinOutput::Project(_)) {
-                            bytes += w.out_tuples * out_width;
-                            if bytes >= self.cfg.result_buffer_bytes {
-                                queue.push_back(ResultBatch {
-                                    rows: std::mem::take(&mut sink.rows),
-                                    aggs: None,
-                                    bytes,
-                                    ready_at: last_done,
-                                });
-                                bytes = 0;
-                            }
-                        }
-                    },
-                );
-                match spec.output {
-                    JoinOutput::Project(_) => {
-                        let bytes_left = (sink.rows.len()) as u64 * out_width;
-                        queue.push_back(ResultBatch {
-                            rows: sink.rows,
-                            aggs: None,
-                            bytes: bytes_left,
-                            ready_at: last_done,
-                        });
-                    }
-                    JoinOutput::Aggregate(_) => {
-                        queue.push_back(ResultBatch {
-                            rows: Vec::new(),
-                            aggs: Some(sink.aggs),
-                            bytes: out_width,
-                            ready_at: last_done,
-                        });
-                    }
-                }
-                Ok((queue, total))
-            }
+        let mut run = run_op(&mut DeviceSite { dev: self, owner }, op, now)?;
+        if let QueryOp::GroupAgg { .. } = op {
+            // Group rows materialize after the scan, outside any page's
+            // receipt: the session's work records them, no cycles are due.
+            run.work.out_tuples += run.last.rows.len() as u64;
+            run.work.out_bytes += run.last.bytes;
         }
+        let mut queue = VecDeque::with_capacity(run.full.len() + 1);
+        queue.extend(run.full);
+        queue.push_back(run.last);
+        Ok((queue, run.work))
+    }
+}
+
+/// The device as [`run_op`] sees it: reads go through the internal data
+/// path (flash, channels, DRAM bus), receipts are priced by the device cost
+/// table and executed on the embedded cores, the working set is held to the
+/// session's memory grant, and row streams are cut at the `GET` result
+/// buffer.
+struct DeviceSite<'a> {
+    dev: &'a mut SmartSsd,
+    /// The session the OPEN reserved; shared-scan pages are tagged with it.
+    owner: u32,
+}
+
+impl OpSite for DeviceSite<'_> {
+    type Instant = SimTime;
+    type Error = DeviceError;
+
+    fn read_table(
+        &mut self,
+        table: &TableRef,
+        at: SimTime,
+        shareable: bool,
+    ) -> Result<Vec<(PageBuf, SimTime)>, DeviceError> {
+        let shared = shareable && self.dev.cfg.shared_scans;
+        self.dev
+            .read_table_pages(table, at, shared.then_some(self.owner))
+    }
+
+    /// Never through the shared-scan window: the page-at-a-time reader is
+    /// `GroupAgg`, and which pages it reads depends on where (or whether)
+    /// its grant aborts — not a clean prefix a peer could safely fan out.
+    fn read_page(&mut self, lba: u64, at: SimTime) -> Result<(PageBuf, SimTime), DeviceError> {
+        self.dev.read_page(lba, at)
+    }
+
+    fn charge(&mut self, at: SimTime, work: &WorkCounts) -> SimTime {
+        let cycles = self.dev.batch_cycles(work, at);
+        self.dev.cpu.execute(at, cycles).end
+    }
+
+    fn check_grant(&mut self, needed: u64) -> Result<(), DeviceError> {
+        let grant = self.dev.cfg.session_memory_bytes;
+        if needed > grant {
+            return Err(DeviceError::MemoryGrantExceeded { needed, grant });
+        }
+        Ok(())
+    }
+
+    fn batch_cut_bytes(&self) -> u64 {
+        self.dev.cfg.result_buffer_bytes
     }
 }
 
@@ -895,8 +708,8 @@ impl SmartSsd {
 mod tests {
     use super::*;
     use smartssd_exec::spec::{BuildSide, ColRef, JoinSpec, ScanAggSpec, ScanSpec};
-    use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
-    use smartssd_storage::{DataType, Datum, Layout, Schema, TableBuilder};
+    use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
+    use smartssd_storage::{DataType, Datum, Layout, Schema, TableBuilder, Tuple};
     use std::sync::Arc;
 
     fn device() -> SmartSsd {

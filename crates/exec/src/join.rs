@@ -26,7 +26,11 @@ pub struct JoinHashTable {
 
 impl JoinHashTable {
     /// Builds the table from the build side's pages.
-    pub fn build(pages: &[PageBuf], build: &BuildSide, w: &mut WorkCounts) -> JoinHashTable {
+    pub fn build<'a>(
+        pages: impl IntoIterator<Item = &'a PageBuf>,
+        build: &BuildSide,
+        w: &mut WorkCounts,
+    ) -> JoinHashTable {
         let schema = &build.table.schema;
         let payload_schema = build.payload_schema();
         let payload_width = payload_schema.tuple_width();
@@ -145,18 +149,6 @@ impl JoinSink {
             aggs,
             matches: 0,
         }
-    }
-
-    /// Folds another sink (a per-page partial) into this one. Appending
-    /// partials in page order reproduces the serial probe's output order
-    /// exactly; aggregate merges are exact (integer sums), so parallel
-    /// per-page probing stays bit-identical to the serial pass.
-    pub fn merge(&mut self, other: JoinSink) {
-        self.rows.extend(other.rows);
-        for (a, b) in self.aggs.iter_mut().zip(other.aggs.iter()) {
-            a.merge(b);
-        }
-        self.matches += other.matches;
     }
 }
 

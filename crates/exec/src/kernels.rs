@@ -9,11 +9,10 @@
 //! unchanged — only host wall-clock improves.
 //!
 //! Every buffer a page kernel needs lives in a [`ScanScratch`]. The rule is
-//! one scratch per operator execution: an engine makes it when the operator
-//! starts (directly, or through [`crate::par::fold_pages`]) and every page
-//! of that execution reuses it, so a warm scan allocates nothing per page.
-//! The free functions ([`scan_agg_page`] and friends) run one page on a
-//! fresh scratch.
+//! one scratch per operator execution: [`crate::driver::run_op`] makes it
+//! when the operator starts and every page of that execution reuses it, so
+//! a warm scan allocates nothing per page. The free functions
+//! ([`scan_agg_page`] and friends) run one page on a fresh scratch.
 
 use crate::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
 use crate::work::WorkCounts;
@@ -156,11 +155,7 @@ impl ScanScratch {
         let r = self.filter_page(page, schema, &spec.pred, &mut ev, w);
         w.absorb_eval(ev);
         let sel = self.sel.rows();
-        let row_bytes: u64 = spec
-            .project
-            .iter()
-            .map(|&c| schema.column(c).ty.width() as u64)
-            .sum();
+        let row_bytes = spec.row_bytes(schema);
         out.reserve(sel.len());
         for &row in sel {
             let mut t = Tuple::with_capacity(spec.project.len());
@@ -224,11 +219,11 @@ impl ScanScratch {
         if key_width == 0 {
             // Degenerate (unvalidated) grouping: every row shares the empty key.
             for _ in 0..sel.len() {
-                self.entries.push(acc.upsert_with(&[], new_states).0 as u32);
+                self.entries.push(acc.upsert_with(&[], new_states) as u32);
             }
         } else {
             for key in self.keys.chunks_exact(key_width) {
-                self.entries.push(acc.upsert_with(key, new_states).0 as u32);
+                self.entries.push(acc.upsert_with(key, new_states) as u32);
             }
         }
         w.values += spec.group_by.len() as u64 * sel.len() as u64;
@@ -359,12 +354,8 @@ impl GroupTable {
     }
 
     /// Returns the entry index for `key`, inserting a fresh entry (states
-    /// from `new_states`) if absent. The bool is true on insertion.
-    pub fn upsert_with(
-        &mut self,
-        key: &[u8],
-        new_states: impl FnOnce() -> Vec<AggState>,
-    ) -> (usize, bool) {
+    /// from `new_states`) if absent.
+    pub fn upsert_with(&mut self, key: &[u8], new_states: impl FnOnce() -> Vec<AggState>) -> usize {
         if self.slots.is_empty() {
             self.key_width = key.len();
             self.slots = vec![EMPTY_SLOT; 16];
@@ -376,7 +367,7 @@ impl GroupTable {
         }
         let s = self.slot_for(key);
         if self.slots[s] != EMPTY_SLOT {
-            return (self.slots[s] as usize, false);
+            return self.slots[s] as usize;
         }
         let e = self.len;
         self.slots[s] = e as u32;
@@ -389,7 +380,7 @@ impl GroupTable {
         }
         self.states.extend(st);
         self.len += 1;
-        (e, true)
+        e
     }
 
     /// Mutable access to entry `e`'s state for aggregate `agg`.
@@ -491,20 +482,6 @@ pub fn group_table_rows(acc: &GroupTable, key_schema: &Schema) -> Vec<Tuple> {
             row
         })
         .collect()
-}
-
-/// Merges one group table into another (host-side merge of device
-/// partials, or array gather).
-pub fn merge_group_tables(into: &mut GroupTable, from: GroupTable) {
-    for e in 0..from.len() {
-        let src = from.entry_states(e);
-        let (entry, inserted) = into.upsert_with(from.entry_key(e), || src.to_vec());
-        if !inserted {
-            for (i, b) in src.iter().enumerate() {
-                into.state_mut(entry, i).merge(b);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,38 +596,6 @@ mod tests {
         }
         assert!(group_table_memory_bytes(&acc, 2) > 0);
         assert!(w.hash_probes >= 900);
-    }
-
-    #[test]
-    fn group_table_merge_equals_single_pass() {
-        use crate::spec::GroupAggSpec;
-        let s = Schema::from_pairs(&[("g", DataType::Int32), ("v", DataType::Int64)]);
-        let rows: Vec<Tuple> = (0..500)
-            .map(|k| vec![Datum::I32(k % 5), Datum::I64(k as i64 * 3)])
-            .collect();
-        let spec = GroupAggSpec {
-            pred: Pred::Const(true),
-            group_by: vec![0],
-            aggs: vec![AggSpec::sum(Expr::col(1)), AggSpec::min(Expr::col(1))],
-        };
-        let build = |slice: &[Tuple]| {
-            let mut b = TableBuilder::new("t", Arc::clone(&s), Layout::Nsm);
-            b.extend(slice.iter().cloned());
-            let img = b.finish();
-            let mut acc = GroupTable::new();
-            let mut w = WorkCounts::default();
-            for p in img.pages() {
-                scan_group_agg_page(p, img.schema(), &spec, &mut acc, &mut w);
-            }
-            acc
-        };
-        let whole = build(&rows);
-        let mut merged = build(&rows[..200]);
-        merge_group_tables(&mut merged, build(&rows[200..]));
-        assert_eq!(
-            group_table_rows(&whole, &spec.key_schema(&s)),
-            group_table_rows(&merged, &spec.key_schema(&s))
-        );
     }
 
     #[test]

@@ -1,24 +1,14 @@
-//! Deterministic fork/join over page batches.
+//! Deterministic fork/join over slices, results in input order.
 //!
-//! Kernel execution is split into two phases by the engines: page reads
-//! stay serial (device state mutates in LBA order, so error injection and
-//! timing draws are unaffected), then the pure per-page kernel work fans
-//! out here. Results come back in input order, and the caller replays CPU
-//! charges and output merges in that order — so parallel execution is
-//! bit-identical to the serial loop, just faster in wall-clock terms.
-
-use crate::kernels::ScanScratch;
-use crate::work::WorkCounts;
+//! The operator path is serial ([`crate::driver`]): a page costs a few
+//! microseconds of kernel time, less than handing it to another thread.
+//! What fans out is coarse — [`parallel_try_each_mut`] runs a fleet's
+//! per-device executions side by side — and [`parallel_map`] stays as the
+//! fork/join the benchmark's `exec.fanout_ns_per_call` probe prices.
 
 /// Batch size below which [`parallel_map`] runs serially: thread spawn
-/// overhead dominates per-page kernel work for small tables.
+/// overhead dominates small batches.
 const MIN_PARALLEL_ITEMS: usize = 32;
-
-/// Whether [`parallel_map`] runs `len` items serially — also where
-/// [`fold_pages`] switches to its single-threaded formulation.
-fn runs_serial(len: usize, workers: usize) -> bool {
-    workers.clamp(1, len.max(1)) == 1 || len < MIN_PARALLEL_ITEMS
-}
 
 /// Maps `items` through `f` on scoped worker threads, returning results in
 /// input order. Falls back to a plain serial map for small batches, where
@@ -29,59 +19,12 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    if runs_serial(items.len(), workers) {
+    if workers <= 1 || items.len() < MIN_PARALLEL_ITEMS {
         return items.iter().map(&f).collect();
     }
     fork_join(items.chunks(items.len().div_ceil(workers)), |chunk| {
         chunk.iter().map(&f).collect()
     })
-}
-
-/// Runs a page kernel over `pages` and folds the results into `acc`, in
-/// page order — the one place the engines' operators choose between the
-/// serial and the fanned-out formulation.
-///
-/// Serially ([`parallel_map`]'s own rule: one worker, or a batch too small
-/// to pay for threads) `kernel` folds every page straight
-/// into `acc` with one [`ScanScratch`] for the whole execution: no per-page
-/// partial, no per-page buffer. Fanned out, each page gets a `new_partial()`
-/// and a fresh scratch on a worker, and `merge` folds the partials into
-/// `acc` in page order. Either way `after(page, acc, receipt)` then runs for
-/// that page, in page order, with the page's own [`WorkCounts`] — where the
-/// caller charges simulated CPU time and cuts result batches. Partials merge
-/// exactly (integer aggregate states, appended rows), so both formulations
-/// leave the same `acc` and hand `after` the same receipts.
-pub fn fold_pages<T, A>(
-    pages: &[T],
-    workers: usize,
-    acc: &mut A,
-    new_partial: impl Fn() -> A + Sync,
-    kernel: impl Fn(&mut ScanScratch, &T, &mut A, &mut WorkCounts) + Sync,
-    merge: impl Fn(&mut A, A),
-    mut after: impl FnMut(&T, &mut A, &WorkCounts),
-) where
-    T: Sync,
-    A: Send,
-{
-    if runs_serial(pages.len(), workers) {
-        let mut scratch = ScanScratch::new();
-        for page in pages {
-            let mut w = WorkCounts::default();
-            kernel(&mut scratch, page, acc, &mut w);
-            after(page, acc, &w);
-        }
-        return;
-    }
-    let partials = parallel_map(pages, workers, |page| {
-        let mut partial = new_partial();
-        let mut w = WorkCounts::default();
-        kernel(&mut ScanScratch::new(), page, &mut partial, &mut w);
-        (partial, w)
-    });
-    for (page, (partial, w)) in pages.iter().zip(partials) {
-        merge(acc, partial);
-        after(page, acc, &w);
-    }
 }
 
 /// Runs `f` on every item through its `&mut`, on at most `workers` scoped
@@ -125,7 +68,7 @@ where
         let handles: Vec<_> = chunks.map(|c| scope.spawn(move || run(c))).collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("kernel worker thread panicked"))
+            .flat_map(|h| h.join().expect("fork/join worker thread panicked"))
             .collect()
     })
 }
@@ -141,12 +84,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Worker count for kernel fan-out: the machine's parallelism, capped so
+/// Worker count for the fleet scatter: the machine's parallelism, capped so
 /// a wide simulation sweep doesn't oversubscribe the host.
 ///
 /// Queried once and cached: `available_parallelism` re-reads cgroup limits
 /// from the filesystem on every call (microseconds of syscalls), which is
-/// far too slow for a per-operator hot path.
+/// far too slow to pay per query.
 pub fn default_workers() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -206,33 +149,5 @@ mod tests {
             let expected: Vec<u32> = (0..10).map(|i| if i == 4 { 4 } else { i + 100 }).collect();
             assert_eq!(items, expected, "{workers} workers");
         }
-    }
-
-    #[test]
-    fn fold_is_the_same_serial_and_fanned_out() {
-        // 100 items clears MIN_PARALLEL_ITEMS, so 4 workers fan out.
-        let items: Vec<u64> = (0..100).collect();
-        let run = |workers| {
-            let mut acc: Vec<u64> = Vec::new();
-            let mut receipts = Vec::new();
-            fold_pages(
-                &items,
-                workers,
-                &mut acc,
-                Vec::new,
-                |_, x, acc, w| {
-                    acc.push(x * 2);
-                    w.pages += x;
-                },
-                |acc, mut part| acc.append(&mut part),
-                |x, acc, w| receipts.push((*x, acc.len(), w.pages)),
-            );
-            (acc, receipts)
-        };
-        assert!(runs_serial(items.len(), 1) && !runs_serial(items.len(), 4));
-        let serial = run(1);
-        assert_eq!(serial, run(4));
-        assert_eq!(serial.0, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(serial.1[7], (7, 8, 7));
     }
 }

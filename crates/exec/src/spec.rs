@@ -45,6 +45,15 @@ impl ScanSpec {
         input.project(&self.project)
     }
 
+    /// Width in bytes of one projected row (a column projected twice
+    /// counts twice).
+    pub fn row_bytes(&self, input: &Schema) -> u64 {
+        self.project
+            .iter()
+            .map(|&c| input.column(c).ty.width() as u64)
+            .sum()
+    }
+
     /// Validates against the input schema.
     pub fn validate(&self, input: &Schema) -> Result<(), smartssd_storage::expr::ExprError> {
         self.pred.validate(input)?;

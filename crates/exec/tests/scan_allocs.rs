@@ -3,11 +3,16 @@
 //! The engines run a scan through one [`ScanScratch`] per operator
 //! execution. Once the scratch has seen the pages' shape, a further pass
 //! over 100 Q6 pages through that same entry point must not touch the
-//! heap at all — on either layout. The counting allocator is local to this
-//! test binary, and counts per thread so the two tests cannot see each
-//! other (or the harness).
+//! heap at all — on either layout. The same holds one level up, through
+//! [`run_op`] on the recording fake site: whatever a driver call allocates
+//! (its scratch, the states, the page list), it allocates once, not per
+//! page. The counting allocator is local to this test binary, and counts
+//! per thread so the tests cannot see each other (or the harness).
 
-use smartssd_exec::{ScanScratch, WorkCounts};
+mod common;
+
+use common::RecordingSite;
+use smartssd_exec::{run_op, QueryOp, ScanScratch, TableRef, WorkCounts};
 use smartssd_storage::expr::AggState;
 use smartssd_storage::{Layout, TableBuilder};
 use smartssd_workload::{q6, queries, tpch};
@@ -83,4 +88,50 @@ fn warm_pax_scan_allocates_nothing() {
 #[test]
 fn warm_nsm_scan_allocates_nothing() {
     assert_eq!(warm_q6_pass_allocations(Layout::Nsm), 0);
+}
+
+/// Allocations of one Q6 [`run_op`] call over the first 100 LINEITEM pages
+/// presented `times` over (so later pages find the scratch already sized
+/// by identical earlier ones).
+fn driver_q6_allocations(layout: Layout, times: usize) -> u64 {
+    const PAGES: usize = 100;
+    let smartssd_query::OpTemplate::ScanAgg { spec, .. } = q6().op else {
+        unreachable!("Q6 is a scan-aggregate")
+    };
+    let mut b = TableBuilder::new(queries::LINEITEM, tpch::lineitem_schema(), layout);
+    b.extend(tpch::lineitem_rows(0.001, 42));
+    let img = b.finish();
+    let mut site = RecordingSite::new();
+    for t in 0..times {
+        site.load_pages(&img.pages()[..PAGES], (t * PAGES) as u64);
+    }
+    // The fake's own log must not grow inside the measured call.
+    site.calls.reserve(2 + times * PAGES);
+    let table = TableRef {
+        first_lba: 0,
+        num_pages: (times * PAGES) as u64,
+        schema: img.schema().clone(),
+        layout,
+    };
+    let op = QueryOp::ScanAgg { table, spec };
+    let before = ALLOCS.with(Cell::get);
+    let run = run_op(&mut site, &op, 0).unwrap();
+    let allocations = ALLOCS.with(Cell::get) - before;
+    assert_eq!(run.work.pages, (times * PAGES) as u64);
+    assert!(
+        run.work.agg_updates > 0,
+        "Q6 selected nothing on {layout:?}"
+    );
+    allocations
+}
+
+#[test]
+fn a_driver_pass_allocates_per_call_not_per_page() {
+    for layout in [Layout::Pax, Layout::Nsm] {
+        let once = driver_q6_allocations(layout, 1);
+        // Scratch buffers, the states, the page list: a handful, and the
+        // same handful over twice the pages.
+        assert!((1..16).contains(&once), "{layout:?}: {once} allocations");
+        assert_eq!(driver_q6_allocations(layout, 2), once, "{layout:?}");
+    }
 }

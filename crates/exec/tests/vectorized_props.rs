@@ -10,8 +10,13 @@
 //! The vectorized side runs the way the engines run it: one
 //! [`ScanScratch`] per case, reused by every page, layout and kernel of the
 //! case, so anything a page left behind in a buffer would surface as a
-//! mismatch on the next.
+//! mismatch on the next. The last property goes one level up: the same
+//! operators through [`run_op`] — the loop both engines actually execute —
+//! on the recording fake site.
 
+mod common;
+
+use common::RecordingSite;
 use proptest::prelude::*;
 use smartssd_exec::kernels::{group_table_rows, GroupTable, ScanScratch};
 use smartssd_exec::reference::{
@@ -19,7 +24,7 @@ use smartssd_exec::reference::{
     RefGroupTable,
 };
 use smartssd_exec::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
-use smartssd_exec::WorkCounts;
+use smartssd_exec::{run_op, QueryOp, WorkCounts};
 use smartssd_storage::expr::EvalCounts;
 use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
 use smartssd_storage::{
@@ -316,6 +321,79 @@ proptest! {
             prop_assert_eq!(w_v, w_r);
         }
     }
+
+    /// Every single-table operator through the driver ≡ the reference
+    /// kernels folded over the same pages: rows (across however many
+    /// batches the buffer size cut), aggregate states, group rows, the
+    /// run's total receipt, and the per-page receipts the site was charged.
+    #[test]
+    fn driver_matches_reference(case in arb_case(), cut in 1u64..2_000) {
+        for layout in [Layout::Nsm, Layout::Pax] {
+            let img = build(&case, layout);
+            let schema = img.schema();
+            let mut site = RecordingSite::new();
+            site.cut = cut;
+            let table = site.load(&img, 0);
+
+            let spec = ScanSpec { pred: case.pred.clone(), project: case.project.clone() };
+            let (mut rows_r, mut w_r) = (Vec::new(), Vec::new());
+            for p in img.pages() {
+                let mut w = WorkCounts::default();
+                scan_page_rowwise(p, schema, &spec, &mut rows_r, &mut w);
+                w_r.push(w);
+            }
+            let op = QueryOp::Scan { table: table.clone(), spec };
+            let run = run_op(&mut site, &op, 0).unwrap();
+            let rows_v: Vec<Tuple> =
+                run.full.into_iter().flat_map(|b| b.rows).chain(run.last.rows).collect();
+            prop_assert_eq!(rows_v, rows_r);
+            prop_assert_eq!(run.work, total(&w_r));
+            prop_assert_eq!(site.charges(), w_r);
+
+            let spec = ScanAggSpec { pred: case.pred.clone(), aggs: case.aggs.clone() };
+            let mut st_r: Vec<AggState> =
+                spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
+            let mut w_r = Vec::new();
+            for p in img.pages() {
+                let mut w = WorkCounts::default();
+                scan_agg_page_rowwise(p, schema, &spec, &mut st_r, &mut w);
+                w_r.push(w);
+            }
+            site.calls.clear();
+            let op = QueryOp::ScanAgg { table: table.clone(), spec };
+            let run = run_op(&mut site, &op, 0).unwrap();
+            prop_assert_eq!(run.last.aggs, Some(st_r));
+            prop_assert_eq!(run.work, total(&w_r));
+            prop_assert_eq!(site.charges(), w_r);
+
+            let spec = GroupAggSpec {
+                pred: case.pred.clone(),
+                group_by: case.group_by.clone(),
+                aggs: case.aggs.clone(),
+            };
+            let mut acc_r = RefGroupTable::new();
+            let mut w_r = Vec::new();
+            for p in img.pages() {
+                let mut w = WorkCounts::default();
+                scan_group_agg_page_rowwise(p, schema, &spec, &mut acc_r, &mut w);
+                w_r.push(w);
+            }
+            let groups_r = ref_group_table_rows(&acc_r, &spec.key_schema(schema));
+            site.calls.clear();
+            let op = QueryOp::GroupAgg { table, spec };
+            let run = run_op(&mut site, &op, 0).unwrap();
+            prop_assert_eq!(run.last.rows, groups_r);
+            prop_assert_eq!(run.work, total(&w_r));
+            prop_assert_eq!(site.charges(), w_r);
+        }
+    }
+}
+
+fn total(receipts: &[WorkCounts]) -> WorkCounts {
+    receipts.iter().fold(WorkCounts::default(), |mut acc, w| {
+        acc.absorb(w);
+        acc
+    })
 }
 
 /// Q6 over LINEITEM at SF 0.01 — the predicate, image and scale behind the

@@ -90,33 +90,49 @@ impl FlashConfig {
         }
     }
 
-    /// Validates internal consistency; panics with a clear message on
-    /// nonsensical geometry.
+    /// Checks internal consistency, naming the first rule a nonsensical
+    /// geometry breaks.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let rules = [
+            (self.channels >= 1, "need at least one channel"),
+            (self.chips_per_channel >= 1, "need at least one chip"),
+            (
+                self.blocks_per_chip >= 2,
+                "need at least two blocks per chip",
+            ),
+            (
+                self.pages_per_block >= 1,
+                "need at least one page per block",
+            ),
+            (self.page_size >= 16, "page size too small"),
+            (
+                (0.0..0.9).contains(&self.overprovision),
+                "overprovision must be in [0, 0.9)",
+            ),
+            (
+                self.gc_low_water_blocks >= 1,
+                "GC low-water mark must be >= 1",
+            ),
+            (
+                self.gc_low_water_blocks < self.blocks_per_chip,
+                "GC low-water mark must leave usable blocks",
+            ),
+            (
+                self.channel_bw > 0 && self.dram_bw > 0,
+                "channel and DRAM bandwidth must be positive",
+            ),
+        ];
+        match rules.iter().find(|(holds, _)| !holds) {
+            Some(&(_, broken)) => Err(broken),
+            None => Ok(()),
+        }
+    }
+
+    /// [`FlashConfig::check`], panicking with the broken rule.
     pub fn validate(&self) {
-        assert!(self.channels >= 1, "need at least one channel");
-        assert!(self.chips_per_channel >= 1, "need at least one chip");
-        assert!(
-            self.blocks_per_chip >= 2,
-            "need at least two blocks per chip"
-        );
-        assert!(
-            self.pages_per_block >= 1,
-            "need at least one page per block"
-        );
-        assert!(self.page_size >= 16, "page size too small");
-        assert!(
-            (0.0..0.9).contains(&self.overprovision),
-            "overprovision must be in [0, 0.9)"
-        );
-        assert!(
-            self.gc_low_water_blocks >= 1,
-            "GC low-water mark must be >= 1"
-        );
-        assert!(
-            self.gc_low_water_blocks < self.blocks_per_chip,
-            "GC low-water mark must leave usable blocks"
-        );
-        assert!(self.channel_bw > 0 && self.dram_bw > 0);
+        if let Err(broken) = self.check() {
+            panic!("{broken}");
+        }
     }
 }
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! NAND flash SSD emulator.
 //!

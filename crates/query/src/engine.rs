@@ -1,20 +1,16 @@
 //! The host execution engine — the paper's baseline path.
 //!
-//! Runs the same physical operator (the same [`QueryOp`], the same kernels)
-//! as the device, but on the host: pages stream across the host interface
-//! from a [`PageSource`] and the operator work executes on one host thread
-//! priced by the host cost table. This is exactly the paper's baseline
-//! protocol ("we used the same query plan as the Smart SSD, but the plan was
-//! run entirely in the host", Section 4.2.2.1).
+//! Runs the same physical operator (the same [`QueryOp`], the same kernels,
+//! the same driver — [`smartssd_exec::run_op`]) as the device, but on the
+//! host: this module supplies the host-side [`OpSite`], where pages stream
+//! across the host interface from a [`PageSource`] and the operator work
+//! executes on one host thread (or `dop` of them) priced by the host cost
+//! table. This is exactly the paper's baseline protocol ("we used the same
+//! query plan as the Smart SSD, but the plan was run entirely in the host",
+//! Section 4.2.2.1).
 
 use crate::plan::Finalize;
-use smartssd_exec::{
-    default_workers, fold_pages, group_table_rows,
-    join::{probe_page, JoinHashTable, JoinSink},
-    merge_group_tables,
-    spec::JoinOutput,
-    CostTable, GroupTable, QueryOp, TableRef, WorkCounts,
-};
+use smartssd_exec::{run_op, CostTable, OpSite, QueryOp, WorkCounts};
 use smartssd_host::{io::IoError, PageSource};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{CpuModel, Interval, SimTime, TraceLevel, Tracer};
@@ -104,16 +100,39 @@ impl From<IoError> for EngineError {
     }
 }
 
-/// Reads every page of `table` at simulated time `at`, in LBA order.
-fn read_pages<S: PageSource>(
-    source: &mut S,
-    table: &TableRef,
-    at: SimTime,
-) -> Result<Vec<(PageBuf, SimTime)>, EngineError> {
-    table
-        .lbas()
-        .map(|lba| Ok(source.read_page(lba, at)?))
-        .collect()
+/// The host as [`run_op`] sees it: pages stream across the host interface
+/// from the [`PageSource`], receipts are priced by the host cost table and
+/// executed on `dop` worker threads of the host CPU, and there is neither a
+/// memory grant nor a result buffer to cut at (the trait's defaults).
+struct HostSite<'a, S: PageSource> {
+    source: &'a mut S,
+    cpu: &'a mut CpuModel,
+    costs: &'a CostTable,
+    /// When each worker thread is next free: the i-th receipt runs on
+    /// thread `i % dop`, chained after that thread's previous one.
+    thread_free: Vec<SimTime>,
+    next_thread: usize,
+    /// Latest completion of any receipt so far.
+    end: SimTime,
+}
+
+impl<S: PageSource> OpSite for HostSite<'_, S> {
+    type Instant = SimTime;
+    type Error = EngineError;
+
+    fn read_page(&mut self, lba: u64, at: SimTime) -> Result<(PageBuf, SimTime), EngineError> {
+        Ok(self.source.read_page(lba, at)?)
+    }
+
+    fn charge(&mut self, at: SimTime, work: &WorkCounts) -> SimTime {
+        let thread = self.next_thread;
+        self.next_thread = (thread + 1) % self.thread_free.len();
+        let start = at.max(self.thread_free[thread]);
+        let done = self.cpu.execute(start, self.costs.cycles(work)).end;
+        self.thread_free[thread] = done;
+        self.end = self.end.max(done);
+        done
+    }
 }
 
 /// The host engine: a page source, a CPU, and a cost table.
@@ -179,133 +198,16 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
     ) -> Result<RawRun, EngineError> {
         let dop = dop.clamp(1, self.cpu.cores());
         op.validate().map_err(EngineError::Validation)?;
-        let mut total = WorkCounts::default();
-        // Each operator runs in two phases. Phase 1 issues every page read
-        // serially in LBA order — all reads are posted at the same sim time
-        // anyway, and the serial order keeps device-side state mutations
-        // (timing queues, error-injection RNG draws) identical to the
-        // pre-parallel engine. Phase 2 is `fold_pages`: the pure per-page
-        // kernel work on one scratch, or fanned out over real worker threads
-        // for large tables, with the CPU charges replayed and the outputs
-        // merged in page order, so results, work receipts, and simulated
-        // timing are all bit-identical to a serial pass.
-        let workers = default_workers();
-        // Worker threads: page i's operator work runs on thread i % dop,
-        // chained after that thread's previous page.
-        let mut thread_free = vec![now; dop];
-        let mut next_thread = 0usize;
-        let mut end = now;
-        let costs = &self.costs;
-        let mut settle = |cpu: &mut CpuModel, at: SimTime, w: &WorkCounts| {
-            let slot = &mut thread_free[next_thread];
-            next_thread = (next_thread + 1) % dop;
-            let iv = cpu.execute(at.max(*slot), costs.cycles(w));
-            *slot = iv.end;
-            end = end.max(iv.end);
-            total.absorb(w);
-            iv.end
+        let mut site = HostSite {
+            source: &mut *self.source,
+            cpu: &mut *self.cpu,
+            costs: &self.costs,
+            thread_free: vec![now; dop],
+            next_thread: 0,
+            end: now,
         };
-        let (rows, aggs) = match op {
-            QueryOp::Scan { table, spec } => {
-                let pages = read_pages(self.source, table, now)?;
-                let mut rows = Vec::new();
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut rows,
-                    Vec::new,
-                    |scratch, (page, _), rows, w| {
-                        scratch.scan_page(page, &table.schema, spec, rows, w);
-                    },
-                    |rows, mut partial| rows.append(&mut partial),
-                    |(_, at), _, w| {
-                        settle(self.cpu, *at, w);
-                    },
-                );
-                (rows, Vec::new())
-            }
-            QueryOp::ScanAgg { table, spec } => {
-                let pages = read_pages(self.source, table, now)?;
-                let new_states = || -> Vec<AggState> {
-                    spec.aggs.iter().map(|a| AggState::new(a.func)).collect()
-                };
-                let mut states = new_states();
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut states,
-                    new_states,
-                    |scratch, (page, _), states, w| {
-                        scratch.scan_agg_page(page, &table.schema, spec, states, w);
-                    },
-                    |states, partial| {
-                        for (s, p) in states.iter_mut().zip(partial.iter()) {
-                            s.merge(p);
-                        }
-                    },
-                    |(_, at), _, w| {
-                        settle(self.cpu, *at, w);
-                    },
-                );
-                (Vec::new(), states)
-            }
-            QueryOp::GroupAgg { table, spec } => {
-                let pages = read_pages(self.source, table, now)?;
-                let mut acc = GroupTable::new();
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut acc,
-                    GroupTable::new,
-                    |scratch, (page, _), acc, w| {
-                        scratch.scan_group_agg_page(page, &table.schema, spec, acc, w);
-                    },
-                    merge_group_tables,
-                    |(_, at), _, w| {
-                        settle(self.cpu, *at, w);
-                    },
-                );
-                let rows = group_table_rows(&acc, &spec.key_schema(&table.schema));
-                (rows, Vec::new())
-            }
-            QueryOp::Join { probe, spec } => {
-                // Build phase: read the small table into the host hash table.
-                let mut build_ready = now;
-                let build_pages: Vec<PageBuf> = read_pages(self.source, &spec.build.table, now)?
-                    .into_iter()
-                    .map(|(page, at)| {
-                        build_ready = build_ready.max(at);
-                        page
-                    })
-                    .collect();
-                let mut w = WorkCounts::default();
-                let ht = JoinHashTable::build(&build_pages, &spec.build, &mut w);
-                let build_done = settle(self.cpu, build_ready, &w);
-                drop(build_pages);
-                // Probe phase: reads at `build_done`, per-page probes
-                // against the shared (read-only) hash table.
-                let joined_schema = spec.joined_schema(&probe.schema);
-                let pages = read_pages(self.source, probe, build_done)?;
-                let mut sink = JoinSink::new(spec);
-                fold_pages(
-                    &pages,
-                    workers,
-                    &mut sink,
-                    || JoinSink::new(spec),
-                    |_, (page, _), sink, w| {
-                        probe_page(page, &probe.schema, spec, &ht, &joined_schema, sink, w);
-                    },
-                    JoinSink::merge,
-                    |(_, at), _, w| {
-                        settle(self.cpu, *at, w);
-                    },
-                );
-                match spec.output {
-                    JoinOutput::Project(_) => (sink.rows, Vec::new()),
-                    JoinOutput::Aggregate(_) => (Vec::new(), sink.aggs),
-                }
-            }
-        };
+        let run = run_op(&mut site, op, now)?;
+        let end = site.end;
         let opname = match op {
             QueryOp::Scan { .. } => "host-scan",
             QueryOp::ScanAgg { .. } => "host-scan-agg",
@@ -322,10 +224,10 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
             &[("dop", dop as f64)],
         );
         Ok(RawRun {
-            rows,
-            aggs,
+            rows: run.last.rows,
+            aggs: run.last.aggs.unwrap_or_default(),
             end,
-            work: total,
+            work: run.work,
         })
     }
 }

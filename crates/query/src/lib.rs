@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! Host-side query processing: plans, the host engine, and the pushdown
 //! planner.

@@ -221,6 +221,19 @@ impl SessionDriver {
         );
     }
 
+    /// Emits one protocol instant at `at`.
+    fn instant(&self, name: &str, at: SimTime, args: &[(&str, f64)]) {
+        self.tracer.instant(
+            TraceLevel::Protocol,
+            pid::SESSION,
+            self.lane,
+            name,
+            "session",
+            at,
+            args,
+        );
+    }
+
     /// Backoff step for the given number of consecutive stalled polls.
     /// `backoff_cap >= poll_backoff` is validated at build time, so the cap
     /// applies unclamped here.
@@ -243,12 +256,8 @@ impl SessionDriver {
         if let Some(sid) = sid {
             let _ = dev.close(sid);
         }
-        self.tracer.instant(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            self.lane,
+        self.instant(
             "session-fault",
-            "session",
             wasted,
             &[("get_retries", get_retries as f64)],
         );
@@ -326,18 +335,7 @@ impl SessionDriver {
         from: SimTime,
         deadline: SimTime,
     ) -> Result<SessionOutcome, SessionFault> {
-        match self.collect_linked_cancellable(
-            dev,
-            link,
-            host_cpu,
-            sid,
-            from,
-            deadline,
-            SimTime::MAX,
-        )? {
-            Collected::Done(out) => Ok(out),
-            Collected::Canceled { .. } => unreachable!("a MAX cancel instant never fires"),
-        }
+        self.collect(dev, Some((link, host_cpu)), sid, from, deadline)
     }
 
     /// [`SessionDriver::collect_linked`] with mid-flight cancellation: if
@@ -356,82 +354,126 @@ impl SessionDriver {
         deadline: SimTime,
         cancel_at: SimTime,
     ) -> Result<Collected, SessionFault> {
-        let mut rows: Vec<Tuple> = Vec::new();
-        let mut aggs: Option<Vec<AggState>> = None;
-        let mut t = from;
-        let mut stalls: u32 = 0;
-        let mut get_retries: u64 = 0;
-        loop {
-            if t >= cancel_at {
-                return Ok(self.cancel(dev, sid, cancel_at, get_retries));
-            }
-            match dev.get(sid, t) {
-                Ok(GetResponse::Running { ready_at }) => {
-                    if stalls > 0 {
-                        // The device's own hint did not pan out: a genuine
-                        // retry, spaced by exponential backoff.
-                        get_retries += 1;
-                        self.tracer.instant(
-                            TraceLevel::Protocol,
-                            pid::SESSION,
-                            self.lane,
-                            "get-retry",
-                            "session",
-                            t,
-                            &[("stalls", stalls as f64)],
-                        );
-                        if stalls > self.policy.max_get_retries {
-                            let err = SessionError::Hung {
-                                stalled_polls: stalls,
-                                at: t,
-                            };
-                            return Err(self.abandon(dev, Some(sid), err, t, get_retries));
-                        }
-                    }
-                    let next = ready_at.max(t + self.backoff_step(stalls));
-                    self.phase("GET-wait", t, next, &[("stalls", stalls as f64)]);
-                    t = next;
-                    stalls += 1;
-                    if t > deadline {
-                        let err = SessionError::Timeout { at: t };
-                        return Err(self.abandon(dev, Some(sid), err, t, get_retries));
-                    }
-                }
-                Ok(GetResponse::Batch(batch)) => {
-                    stalls = 0;
-                    // Results cross the host interface; even an empty
-                    // completion batch costs one status transfer.
-                    let iv = link.transfer(t.max(batch.ready_at), batch.bytes.max(64));
-                    t = iv.end;
-                    // Host-side receive + merge cost.
-                    let cycles = 20_000 + batch.bytes / 2;
-                    t = host_cpu.execute(t, cycles).end;
-                    self.phase("GET", iv.start, t, &[("bytes", batch.bytes as f64)]);
-                    rows.extend(batch.rows);
-                    if let Some(parts) = batch.aggs {
-                        merge_aggs(&mut aggs, parts);
-                    }
-                    if t > deadline {
-                        let err = SessionError::Timeout { at: t };
-                        return Err(self.abandon(dev, Some(sid), err, t, get_retries));
-                    }
-                }
-                Ok(GetResponse::Done) => break,
-                Err(e) => {
-                    let wasted = t.max(Self::error_time(&e));
-                    let err = Self::classify(e);
-                    return Err(self.abandon(dev, Some(sid), err, wasted, get_retries));
-                }
+        self.collect_cancellable(dev, Some((link, host_cpu)), sid, from, deadline, cancel_at)
+    }
+
+    /// [`SessionDriver::collect_linked_cancellable`] without interface
+    /// modelling: batch consumption is instantaneous at `ready_at` and the
+    /// per-batch protocol phases are not traced.
+    pub fn collect_direct_cancellable(
+        &self,
+        dev: &mut SmartSsd,
+        sid: SessionId,
+        from: SimTime,
+        deadline: SimTime,
+        cancel_at: SimTime,
+    ) -> Result<Collected, SessionFault> {
+        self.collect_cancellable(dev, None, sid, from, deadline, cancel_at)
+    }
+
+    /// Polls a session from `from` until the device reports `Done`.
+    fn collect(
+        &self,
+        dev: &mut SmartSsd,
+        mut io: HostIo<'_>,
+        sid: SessionId,
+        from: SimTime,
+        deadline: SimTime,
+    ) -> Result<SessionOutcome, SessionFault> {
+        let mut c = Collection::starting(from);
+        while !self.poll(dev, &mut io, sid, deadline, &mut c)? {}
+        Ok(c.finish(dev, sid))
+    }
+
+    /// [`Self::collect`], giving up with an early `CLOSE` once the
+    /// collection clock reaches `cancel_at`.
+    fn collect_cancellable(
+        &self,
+        dev: &mut SmartSsd,
+        mut io: HostIo<'_>,
+        sid: SessionId,
+        from: SimTime,
+        deadline: SimTime,
+        cancel_at: SimTime,
+    ) -> Result<Collected, SessionFault> {
+        let mut c = Collection::starting(from);
+        while c.t < cancel_at {
+            if self.poll(dev, &mut io, sid, deadline, &mut c)? {
+                return Ok(Collected::Done(c.finish(dev, sid)));
             }
         }
-        let work = dev.session_work(sid).copied().unwrap_or_default();
-        Ok(Collected::Done(SessionOutcome {
-            rows,
-            aggs,
-            work,
-            finished_at: t,
-            get_retries,
-        }))
+        Ok(self.cancel(dev, sid, cancel_at, c.get_retries))
+    }
+
+    /// One `GET` at the collection clock — the step both modes share.
+    /// Returns `true` once the device reports `Done`. With `io`, a batch
+    /// crosses the interface and costs the host a receive/merge, and the
+    /// per-batch protocol phases are traced; without it a batch is consumed
+    /// instantaneously at its `ready_at`, silently.
+    fn poll(
+        &self,
+        dev: &mut SmartSsd,
+        io: &mut HostIo<'_>,
+        sid: SessionId,
+        deadline: SimTime,
+        c: &mut Collection,
+    ) -> Result<bool, SessionFault> {
+        match dev.get(sid, c.t) {
+            Ok(GetResponse::Running { ready_at }) => {
+                if c.stalls > 0 {
+                    // The device's own hint did not pan out: a genuine
+                    // retry, spaced by exponential backoff.
+                    c.get_retries += 1;
+                    if io.is_some() {
+                        self.instant("get-retry", c.t, &[("stalls", c.stalls as f64)]);
+                    }
+                    if c.stalls > self.policy.max_get_retries {
+                        let err = SessionError::Hung {
+                            stalled_polls: c.stalls,
+                            at: c.t,
+                        };
+                        return Err(self.abandon(dev, Some(sid), err, c.t, c.get_retries));
+                    }
+                }
+                let next = ready_at.max(c.t + self.backoff_step(c.stalls));
+                if io.is_some() {
+                    self.phase("GET-wait", c.t, next, &[("stalls", c.stalls as f64)]);
+                }
+                c.t = next;
+                c.stalls += 1;
+            }
+            Ok(GetResponse::Batch(batch)) => {
+                c.stalls = 0;
+                let ready = c.t.max(batch.ready_at);
+                c.t = match io {
+                    Some((link, host_cpu)) => {
+                        // Results cross the host interface (even an empty
+                        // completion batch costs one status transfer), then
+                        // the host pays its receive + merge cost.
+                        let iv = link.transfer(ready, batch.bytes.max(64));
+                        let done = host_cpu.execute(iv.end, 20_000 + batch.bytes / 2).end;
+                        self.phase("GET", iv.start, done, &[("bytes", batch.bytes as f64)]);
+                        done
+                    }
+                    None => ready,
+                };
+                c.rows.extend(batch.rows);
+                if let Some(parts) = batch.aggs {
+                    AggState::merge_partials(&mut c.aggs, parts);
+                }
+            }
+            Ok(GetResponse::Done) => return Ok(true),
+            Err(e) => {
+                let wasted = c.t.max(Self::error_time(&e));
+                let err = Self::classify(e);
+                return Err(self.abandon(dev, Some(sid), err, wasted, c.get_retries));
+            }
+        }
+        if c.t > deadline {
+            let err = SessionError::Timeout { at: c.t };
+            return Err(self.abandon(dev, Some(sid), err, c.t, c.get_retries));
+        }
+        Ok(false)
     }
 
     /// Early `CLOSE` on the cancel path: closes the session (best-effort —
@@ -445,15 +487,7 @@ impl SessionDriver {
         get_retries: u64,
     ) -> Collected {
         let _ = dev.close(sid);
-        self.tracer.instant(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            self.lane,
-            "canceled",
-            "session",
-            at,
-            &[("get_retries", get_retries as f64)],
-        );
+        self.instant("canceled", at, &[("get_retries", get_retries as f64)]);
         Collected::Canceled { at, get_retries }
     }
 
@@ -474,15 +508,7 @@ impl SessionDriver {
                 out.get_retries,
             ));
         }
-        self.tracer.instant(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            self.lane,
-            "CLOSE",
-            "session",
-            out.finished_at,
-            &[],
-        );
+        self.instant("CLOSE", out.finished_at, &[]);
         Ok(())
     }
 
@@ -511,92 +537,9 @@ impl SessionDriver {
         opened_at: SimTime,
     ) -> Result<SessionOutcome, SessionFault> {
         let deadline = opened_at + self.policy.session_timeout;
-        let out = self.collect_direct(dev, sid, opened_at, deadline)?;
+        let out = self.collect(dev, None, sid, opened_at, deadline)?;
         self.close(dev, sid, &out)?;
         Ok(out)
-    }
-
-    /// Polls a session to completion from simulated time `from` without
-    /// interface modelling: batch consumption is instantaneous at
-    /// `ready_at`. Like [`SessionDriver::collect_linked`], the session is
-    /// left open on success so a scheduler can hold its slot until the
-    /// simulated close; on failure it has been abandoned and closed.
-    pub fn collect_direct(
-        &self,
-        dev: &mut SmartSsd,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-    ) -> Result<SessionOutcome, SessionFault> {
-        match self.collect_direct_cancellable(dev, sid, from, deadline, SimTime::MAX)? {
-            Collected::Done(out) => Ok(out),
-            Collected::Canceled { .. } => unreachable!("a MAX cancel instant never fires"),
-        }
-    }
-
-    /// [`SessionDriver::collect_direct`] with mid-flight cancellation —
-    /// see [`SessionDriver::collect_linked_cancellable`] for the cancel
-    /// semantics.
-    pub fn collect_direct_cancellable(
-        &self,
-        dev: &mut SmartSsd,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-        cancel_at: SimTime,
-    ) -> Result<Collected, SessionFault> {
-        let mut rows: Vec<Tuple> = Vec::new();
-        let mut aggs: Option<Vec<AggState>> = None;
-        let mut t = from;
-        let mut stalls: u32 = 0;
-        let mut get_retries: u64 = 0;
-        loop {
-            if t >= cancel_at {
-                return Ok(self.cancel(dev, sid, cancel_at, get_retries));
-            }
-            match dev.get(sid, t) {
-                Ok(GetResponse::Running { ready_at }) => {
-                    if stalls > 0 {
-                        get_retries += 1;
-                        if stalls > self.policy.max_get_retries {
-                            let err = SessionError::Hung {
-                                stalled_polls: stalls,
-                                at: t,
-                            };
-                            return Err(self.abandon(dev, Some(sid), err, t, get_retries));
-                        }
-                    }
-                    t = ready_at.max(t + self.backoff_step(stalls));
-                    stalls += 1;
-                    if t > deadline {
-                        let err = SessionError::Timeout { at: t };
-                        return Err(self.abandon(dev, Some(sid), err, t, get_retries));
-                    }
-                }
-                Ok(GetResponse::Batch(batch)) => {
-                    stalls = 0;
-                    t = t.max(batch.ready_at);
-                    rows.extend(batch.rows);
-                    if let Some(parts) = batch.aggs {
-                        merge_aggs(&mut aggs, parts);
-                    }
-                }
-                Ok(GetResponse::Done) => break,
-                Err(e) => {
-                    let wasted = t.max(Self::error_time(&e));
-                    let err = Self::classify(e);
-                    return Err(self.abandon(dev, Some(sid), err, wasted, get_retries));
-                }
-            }
-        }
-        let work = dev.session_work(sid).copied().unwrap_or_default();
-        Ok(Collected::Done(SessionOutcome {
-            rows,
-            aggs,
-            work,
-            finished_at: t,
-            get_retries,
-        }))
     }
 
     /// Simulated time embedded in an error, if the device reported one —
@@ -626,13 +569,36 @@ impl SessionDriver {
     }
 }
 
-fn merge_aggs(acc: &mut Option<Vec<AggState>>, parts: Vec<AggState>) {
-    match acc {
-        None => *acc = Some(parts),
-        Some(states) => {
-            for (a, p) in states.iter_mut().zip(parts.iter()) {
-                a.merge(p);
-            }
+/// The host's side of the link, when results cross it: the interface and
+/// the CPU that receives them. `None` collects without interface modelling.
+type HostIo<'a> = Option<(&'a mut Bus, &'a mut CpuModel)>;
+
+/// A collection in progress: what has been gathered so far, the collection
+/// clock, the consecutive stalled polls and the retries they cost.
+#[derive(Default)]
+struct Collection {
+    rows: Vec<Tuple>,
+    aggs: Option<Vec<AggState>>,
+    t: SimTime,
+    stalls: u32,
+    get_retries: u64,
+}
+
+impl Collection {
+    fn starting(from: SimTime) -> Self {
+        Self {
+            t: from,
+            ..Self::default()
+        }
+    }
+
+    fn finish(self, dev: &SmartSsd, sid: SessionId) -> SessionOutcome {
+        SessionOutcome {
+            rows: self.rows,
+            aggs: self.aggs,
+            work: dev.session_work(sid).copied().unwrap_or_default(),
+            finished_at: self.t,
+            get_retries: self.get_retries,
         }
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! Deterministic simulation substrate for the Smart SSD reproduction.
 //!

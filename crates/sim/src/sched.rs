@@ -278,7 +278,6 @@ impl LatencyStats {
 /// | `Uniform` | uniform on `[0, 2m)` | `m` | `m²/3` |
 /// | `Exponential` | `Exp(1/m)` (Poisson process) | `m` | `m²` |
 /// | `Pareto{alpha}` | Pareto, scale `m(α-1)/α` | `m` | `∞` for `α ≤ 2` |
-/// | `Diurnal{..}` | uniform, triangle-wave rate envelope | `m` time-averaged | phase-dependent |
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalModel {
     /// Gaps uniform on `[0, 2 * mean_gap)` — the original model. Mean
@@ -299,20 +298,6 @@ pub enum ArrivalModel {
         /// Tail shape (> 1). Smaller is heavier; 1.5–2.5 is typical.
         alpha: f64,
     },
-    /// Uniform gaps scaled by a deterministic triangle-wave rate envelope
-    /// of the given period: the instantaneous mean gap sweeps linearly
-    /// from `mean_gap * (1 - a)` (peak rate) up to `mean_gap * (1 + a)`
-    /// (trough) and back, `a = amplitude_pct / 100`. The *time-averaged*
-    /// instantaneous mean over a full period is `mean_gap`; the per-arrival
-    /// sample mean sits below it (more arrivals land in the fast phase —
-    /// the inspection paradox, which is exactly the burstiness a diurnal
-    /// load curve exists to model). Integer arithmetic only.
-    Diurnal {
-        /// Envelope period in simulated time (one full day of the model).
-        period: SimTime,
-        /// Peak-to-mean swing in percent, clamped to `0..=100`.
-        amplitude_pct: u32,
-    },
 }
 
 /// Deterministic inter-arrival generator for open-arrival workloads.
@@ -320,7 +305,7 @@ pub enum ArrivalModel {
 /// Gaps are drawn from a seeded xorshift64* generator shaped by an
 /// [`ArrivalModel`] (uniform by default), so the mean inter-arrival time is
 /// `mean_gap` and the stream is bit-reproducible for a fixed seed. The
-/// integer models (`Uniform`, `Diurnal`) never touch floating point; the
+/// integer model (`Uniform`) never touches floating point; the
 /// float models (`Exponential`, `Pareto`) use one libm call per draw and
 /// are still deterministic for a fixed seed on a given platform.
 #[derive(Debug, Clone)]
@@ -328,8 +313,6 @@ pub struct ArrivalGen {
     state: u64,
     mean_gap: SimTime,
     model: ArrivalModel,
-    /// Cumulative stream time — drives the diurnal envelope's phase.
-    now: SimTime,
 }
 
 impl ArrivalGen {
@@ -353,7 +336,6 @@ impl ArrivalGen {
             state: if z == 0 { 0x9E3779B97F4A7C15 } else { z },
             mean_gap,
             model,
-            now: SimTime::ZERO,
         }
     }
 
@@ -373,8 +355,7 @@ impl ArrivalGen {
         (bits + 1) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// One uniform draw on `[0, 2 * mean_gap)` — the base gap every integer
-    /// model starts from.
+    /// One uniform draw on `[0, 2 * mean_gap)`.
     fn uniform_gap(&mut self) -> SimTime {
         let span = self.mean_gap.as_nanos().saturating_mul(2);
         if span == 0 {
@@ -385,28 +366,10 @@ impl ArrivalGen {
         SimTime::from_nanos(self.next_u64() % span)
     }
 
-    /// The diurnal envelope at stream phase `p` of `period`, as a rational
-    /// scale factor `(num, den)`: a triangle wave from `1 - a` up to
-    /// `1 + a` and back, `a = amplitude_pct / 100`. Integer-only.
-    fn diurnal_scale(p: u64, period: u64, amplitude_pct: u32) -> (u128, u128) {
-        let amp = amplitude_pct.min(100) as i128;
-        let half = (period / 2).max(1) as i128;
-        let p = p as i128;
-        // tri(p) sweeps -1 → 1 over the first half-period, 1 → -1 over the
-        // second, as the exact rational (tri_num / half).
-        let tri_num = if p < half {
-            2 * p - half
-        } else {
-            half - 2 * (p - half)
-        };
-        let num = 100 * half + amp * tri_num;
-        (num.max(0) as u128, (100 * half) as u128)
-    }
-
     /// Draws the next inter-arrival gap from the configured model.
     pub fn next_gap(&mut self) -> SimTime {
         let mean = self.mean_gap.as_nanos();
-        let gap = match self.model {
+        match self.model {
             ArrivalModel::Uniform => self.uniform_gap(),
             ArrivalModel::Exponential => {
                 // Inversion: -m * ln(U), U in (0, 1].
@@ -422,23 +385,7 @@ impl ArrivalGen {
                 let draw = scale * self.next_unit().powf(-1.0 / a);
                 SimTime::from_nanos(draw.min(u64::MAX as f64) as u64)
             }
-            ArrivalModel::Diurnal {
-                period,
-                amplitude_pct,
-            } => {
-                let base = self.uniform_gap().as_nanos() as u128;
-                let period = period.as_nanos();
-                if period == 0 {
-                    SimTime::from_nanos(base as u64)
-                } else {
-                    let (num, den) =
-                        Self::diurnal_scale(self.now.as_nanos() % period, period, amplitude_pct);
-                    SimTime::from_nanos((base * num / den).min(u64::MAX as u128) as u64)
-                }
-            }
-        };
-        self.now += gap;
-        gap
+        }
     }
 
     /// Absolute arrival times of `n` queries: a cumulative sum of gaps,
@@ -628,10 +575,6 @@ mod tests {
             ArrivalModel::Uniform,
             ArrivalModel::Exponential,
             ArrivalModel::Pareto { alpha: 1.8 },
-            ArrivalModel::Diurnal {
-                period: SimTime::from_millis(1),
-                amplitude_pct: 60,
-            },
         ];
         for m in models {
             assert_eq!(gaps(m, 10_000, 5, 128), gaps(m, 10_000, 5, 128), "{m:?}");
@@ -674,54 +617,5 @@ mod tests {
         // Heavy tail in one number: the largest Pareto gap dwarfs the
         // largest uniform gap (which is capped at 2m by construction).
         assert!(par.iter().max() > uni.iter().max());
-    }
-
-    /// The diurnal envelope modulates the rate with the documented shape:
-    /// gaps drawn in the peak half-period are shorter on average than gaps
-    /// drawn in the trough half-period, and the full-period mean stays
-    /// near `mean_gap`.
-    #[test]
-    fn diurnal_envelope_sweeps_rate_with_phase() {
-        let period = SimTime::from_millis(10);
-        let model = ArrivalModel::Diurnal {
-            period,
-            amplitude_pct: 80,
-        };
-        let mut g = ArrivalGen::with_model(SimTime::from_nanos(50_000), 9, model);
-        let mut peak: Vec<u64> = Vec::new(); // first half: envelope < 1 on average
-        let mut trough: Vec<u64> = Vec::new();
-        let mut t = 0u64;
-        for _ in 0..16_384 {
-            let phase = t % period.as_nanos();
-            let gap = g.next_gap().as_nanos();
-            // The envelope starts at 1 - a (shortest gaps = peak rate),
-            // crests at 1 + a mid-period (trough), and returns: the outer
-            // quarters are the peak-rate side, the middle half the trough.
-            let quarter = period.as_nanos() / 4;
-            if phase < quarter || phase >= 3 * quarter {
-                peak.push(gap);
-            } else {
-                trough.push(gap);
-            }
-            t += gap;
-        }
-        assert!(!peak.is_empty() && !trough.is_empty());
-        let (mp, mt) = (mean_of(&peak), mean_of(&trough));
-        assert!(mp < mt, "peak-phase mean gap {mp} must beat trough {mt}");
-        // The per-arrival sample mean sits *below* mean_gap (inspection
-        // paradox: the fast phase contributes more samples) but stays in
-        // the same decade — for a = 0.8 the analytic value is
-        // period / ∫dt/e(t) = 2a / ln((1+a)/(1-a)) ≈ 0.73 · mean_gap.
-        let all = mean_of(
-            &peak
-                .iter()
-                .chain(trough.iter())
-                .copied()
-                .collect::<Vec<_>>(),
-        );
-        assert!(
-            all > 0.55 * 50_000.0 && all < 0.95 * 50_000.0,
-            "per-arrival mean {all} vs 50000"
-        );
     }
 }

@@ -601,6 +601,20 @@ impl AggState {
         }
     }
 
+    /// Folds one batch of partial states into a running merge, which is
+    /// `None` until the first batch arrives — how a coordinator gathers the
+    /// partials of a session's `GET`s or of a fleet's shards.
+    pub fn merge_partials(acc: &mut Option<Vec<AggState>>, parts: Vec<AggState>) {
+        match acc {
+            None => *acc = Some(parts),
+            Some(states) => {
+                for (a, p) in states.iter_mut().zip(&parts) {
+                    a.merge(p);
+                }
+            }
+        }
+    }
+
     /// Final value as i128 (Min/Max of zero rows yield 0, matching SQL NULL
     /// folded to zero in the paper's integer-only setting).
     pub fn finish(&self) -> i128 {

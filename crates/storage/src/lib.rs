@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! Relational storage substrate: schemas, tuples, page layouts, expressions.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 //! Workloads: the tables and queries of the paper's evaluation (Section 4.1.1).
 //!
