@@ -1377,7 +1377,7 @@ fn trace(c: &Ctx) -> Result<Report, RunError> {
         let json = rep.trace.chrome_json().expect(CHROME_SINK).to_string();
         r.files.push((file.clone(), json));
         rows.push(row![
-            query.name.clone(),
+            query.name.to_string(),
             route,
             Cell::Skip,
             secs(&rep),

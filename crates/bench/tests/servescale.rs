@@ -9,8 +9,15 @@
 //! path, per-arrival deep clones), not ordinary noise. The release-profile
 //! sweep that tracks the real targets is `repro servescale --quick` in
 //! `scripts/check.sh`.
+//!
+//! What keeps a serving day's wall-clock flat in its tenant count is
+//! checked here without a clock: the sweep's loads must stream one shared
+//! query template however many tenants they are spread over.
 
+use smartssd::{ArrivalStream, SimTime};
+use smartssd_bench::servescale_loads;
 use std::process::Command;
+use std::sync::Arc;
 
 /// Pulls every occurrence of `"key": value` out of the JSON report, in
 /// order — the servescale report has one point per sweep cell.
@@ -82,4 +89,27 @@ fn servescale_smoke_completes_both_engines_above_the_floor() {
         heap_rate >= 500.0,
         "throughput floor: {heap_rate:.0} arrivals/s < 500 — admission-path regression?"
     );
+}
+
+/// The scheduler resolves a query against the catalog once per distinct
+/// `Arc<Query>` it meets in a row, so the number of distinct templates in
+/// the stream — not a wall-clock ratio — is what says whether 4,096 tenants
+/// cost what 16 do: one, at either count.
+#[test]
+fn servescale_loads_stream_one_template_at_any_tenant_count() {
+    for tenants in [16, 4_096] {
+        let loads = servescale_loads(tenants, 20_000, SimTime::from_micros(100));
+        let mut stream = ArrivalStream::new(&loads, 42);
+        let (_, first) = stream.next_arrival().expect("a non-empty stream");
+        let mut arrivals = 1;
+        while let Some((_, item)) = stream.next_arrival() {
+            assert!(
+                Arc::ptr_eq(&item.query, &first.query),
+                "{tenants} tenants: tenant {} streams its own copy of the template",
+                item.tenant
+            );
+            arrivals += 1;
+        }
+        assert_eq!(arrivals, stream.total());
+    }
 }

@@ -178,6 +178,8 @@ impl WaitSet {
         }
         match self.engine {
             Engine::Fifo => loop {
+                // `len > 0` live entries are queued and each iteration
+                // removes only a tombstone, so the FIFO is non-empty.
                 let (slot, t) = self.fifo.pop_front().expect("len counts live entries");
                 if dead(slot) {
                     continue;
@@ -187,10 +189,13 @@ impl WaitSet {
                 return Some(slot);
             },
             Engine::Scan => loop {
+                // A live entry sits in some tenant's queue (`len > 0`), so
+                // the filter keeps at least one tenant.
                 let t = (0..self.queues.len())
                     .filter(|&t| !self.queues[t].is_empty())
                     .min_by_key(|&t| (self.lanes[t], self.vclock.max(self.finish[t]), t))
                     .expect("len counts live entries");
+                // `t` passed the `!is_empty()` filter just above.
                 let slot = self.queues[t].pop_front().expect("queue checked non-empty");
                 if dead(slot) {
                     continue;
@@ -217,6 +222,10 @@ impl WaitSet {
                 // same-key rival with a smaller index would have had to
                 // store a strictly larger key to sort after this entry,
                 // and keys never shrink.
+                // Every tenant with a non-empty queue holds exactly one
+                // current-epoch heap entry (`push` arms on empty → non-empty,
+                // the re-arm below covers every pop that leaves entries),
+                // and `len > 0` means some queue is non-empty.
                 let t = heap
                     .pop_min(|id, e| {
                         let id = id as usize;
@@ -228,6 +237,8 @@ impl WaitSet {
                     })
                     .expect("len counts live entries, so a live heap entry exists")
                     as usize;
+                // `pop_min`'s refresh just rejected every tenant whose
+                // queue is empty, so `t`'s is not.
                 let slot = self.queues[t]
                     .pop_front()
                     .expect("armed tenants have waiters");
@@ -265,7 +276,10 @@ impl WaitSet {
 
     /// Smallest weight among tenants with at least one live waiter;
     /// `None` when nothing waits. The brownout rule sheds an arrival only
-    /// when its tenant is (one of) the lightest already queueing.
+    /// when its tenant is (one of) the lightest already queueing. A scan
+    /// of the registry, made only for arrivals deferred past a configured
+    /// `BrownoutPolicy::max_waiting`; no measured workload pairs brownout
+    /// with a large registry, so it has not earned an index.
     pub(crate) fn min_waiting_weight(&self) -> Option<u64> {
         self.waiting
             .iter()
@@ -352,17 +366,23 @@ impl PendingSlab {
             .is_some_and(|p| p.canceled)
     }
 
-    /// Removes and returns the occupant of `slot`.
-    pub(crate) fn remove(&mut self, slot: u32) -> Pending {
-        let p = self.slots[slot as usize].take().expect("slot occupied");
+    /// Removes and returns the occupant of `slot`, recycling the slot.
+    /// `None` for an empty slot: that the wait set only ever yields
+    /// occupied slots is the scheduler's invariant, not this arena's, so
+    /// the caller decides what a violation means.
+    pub(crate) fn remove(&mut self, slot: u32) -> Option<Pending> {
+        let p = self.slots[slot as usize].take()?;
         self.free.push(slot);
-        p
+        Some(p)
     }
 
     /// Drops the tombstone in `slot`, recycling it.
     pub(crate) fn release(&mut self, slot: u32) {
         let p = self.remove(slot);
-        debug_assert!(p.canceled, "released a live pending entry");
+        debug_assert!(
+            p.is_some_and(|p| p.canceled),
+            "released a live or empty pending entry"
+        );
     }
 }
 
@@ -566,7 +586,8 @@ mod tests {
             canceled: false,
         });
         assert_ne!(s0, s1);
-        assert_eq!(slab.remove(s0).index, 0);
+        assert_eq!(slab.remove(s0).unwrap().index, 0);
+        assert!(slab.remove(s0).is_none(), "an empty slot is not a panic");
         // Reuse bumps the generation: the old handle goes stale.
         let (s2, g2) = slab.insert(Pending {
             item: item(),

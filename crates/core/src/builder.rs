@@ -162,8 +162,14 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// How [`System::run`] picks the execution route.
+///
+/// A policy rides on every [`WorkloadItem`](crate::WorkloadItem): the
+/// scheduler copies it once per arrival and parks it once per deferred
+/// waiter, and a serving stream stores one per tenant. The planner's
+/// inputs (~230 bytes) are therefore boxed: the common `Natural` and
+/// `Force` policies cost 16 bytes a copy, and only a planned run pays for
+/// the payload (built by [`RunOptions::planned`]).
 #[derive(Debug, Clone, Default)]
-#[allow(clippy::large_enum_variant)] // Planned is rare and short-lived; boxing would clutter the API
 pub enum RoutePolicy {
     /// The system's natural route: pushdown on a Smart SSD, host execution
     /// otherwise.
@@ -175,12 +181,18 @@ pub enum RoutePolicy {
     /// Let the cost-based planner decide (Smart SSD systems only; others
     /// always run on the host). Residency is measured from the live buffer
     /// pool, overriding whatever the inputs carry.
-    Planned {
-        /// Machine description for the estimator.
-        planner: PlannerConfig,
-        /// Per-query statistics (residency is overwritten from the pool).
-        inputs: PlannerInputs,
-    },
+    Planned(Box<PlannedRoute>),
+}
+
+const _: () = assert!(std::mem::size_of::<RoutePolicy>() <= 24);
+
+/// What [`RoutePolicy::Planned`] hands the cost-based planner.
+#[derive(Debug, Clone)]
+pub struct PlannedRoute {
+    /// Machine description for the estimator.
+    pub planner: PlannerConfig,
+    /// Per-query statistics (residency is overwritten from the pool).
+    pub inputs: PlannerInputs,
 }
 
 /// Per-run knobs for [`System::run`]: route policy and trace verbosity.
@@ -210,7 +222,7 @@ impl RunOptions {
     /// Let the planner pick the route (the old `run_with_planner`).
     pub fn planned(planner: PlannerConfig, inputs: PlannerInputs) -> Self {
         Self {
-            route: RoutePolicy::Planned { planner, inputs },
+            route: RoutePolicy::Planned(Box::new(PlannedRoute { planner, inputs })),
             ..Self::default()
         }
     }

@@ -800,7 +800,7 @@ impl SmartSsdFleet {
                 Ok(r) => r,
                 Err(e) => {
                     faults.absorb(e.fault_counters());
-                    acct.fail(i, 0, (q.name.as_str(), arrival), arrival, e);
+                    acct.fail(i, 0, (&q.name, arrival), arrival, e);
                     break;
                 }
             };
@@ -817,7 +817,7 @@ impl SmartSsdFleet {
                 0,
                 QueryCompletion {
                     index: i,
-                    query: q.name.clone(),
+                    query: Arc::clone(&q.name),
                     route,
                     arrival,
                     finished_at: arrival + latency,

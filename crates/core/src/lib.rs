@@ -80,7 +80,7 @@ pub mod system;
 pub mod workload;
 
 pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
-pub use builder::{ConfigError, RoutePolicy, RunOptions, SystemBuilder};
+pub use builder::{ConfigError, PlannedRoute, RoutePolicy, RunOptions, SystemBuilder};
 pub use config::{DeviceKind, PowerParams, SystemConfig};
 pub use fleet::{FleetOptions, FleetReport, FleetStreamReport, ShardOutcome, SmartSsdFleet};
 pub use serving::{compose, ArrivalStream, TenantLoad, TenantReport, TenantSpec};

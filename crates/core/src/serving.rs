@@ -41,7 +41,7 @@ use crate::workload::{Workload, WorkloadItem};
 use smartssd_query::Query;
 use smartssd_sim::{ArrivalGen, ArrivalModel, LatencyStats, SimTime};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One tenant's identity and QoS contract, consumed by the workload
@@ -178,8 +178,8 @@ impl TenantLoad {
 }
 
 /// One tenant's half-open position in an [`ArrivalStream`]: its seeded
-/// generator, the shared query template, and the arrival currently staged
-/// in the merge heap.
+/// generator, the query template (shared with every tenant running an
+/// equal one), and the arrival currently staged in the merge heap.
 struct TenantCursor {
     gen: ArrivalGen,
     query: Arc<Query>,
@@ -204,6 +204,10 @@ struct TenantCursor {
 /// and scattering by index reproduces the composed [`Workload`]
 /// bit-for-bit. [`System::run_serving`](crate::System::run_serving) feeds
 /// the scheduler from this cursor directly, skipping materialization.
+///
+/// Tenants whose loads carry equal query templates share one
+/// `Arc<Query>`: every item of one template is pointer-equal in
+/// [`WorkloadItem::query`], whichever tenant it belongs to.
 pub struct ArrivalStream {
     cursors: Vec<TenantCursor>,
     /// Min-heap of staged arrivals: `(arrival, submission index, tenant)`.
@@ -225,7 +229,16 @@ impl ArrivalStream {
     /// [`ArrivalStream::new`] with item tenant tags offset by
     /// `tenant_base` — for schedulers whose registry already holds
     /// `tenant_base` earlier entries.
+    ///
+    /// Equal query templates are interned: every load whose
+    /// [`Query`] compares equal (name, operator tree and finalization)
+    /// shares one `Arc<Query>`, so 10^4 tenants running Q6 store one
+    /// template and the scheduler — which memoizes catalog resolution by
+    /// `Arc` pointer — resolves it once per run, not once per tenant
+    /// switch. Hashed, so setup stays one pass over the loads even when
+    /// every template is distinct.
     pub(crate) fn with_base(loads: &[TenantLoad], seed: u64, tenant_base: u32) -> Self {
+        let mut templates: HashMap<&Query, Arc<Query>> = HashMap::new();
         let mut cursors = Vec::with_capacity(loads.len());
         let mut specs = Vec::with_capacity(loads.len());
         let mut heap = BinaryHeap::with_capacity(loads.len());
@@ -238,7 +251,11 @@ impl ArrivalStream {
             let sub_seed = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut cursor = TenantCursor {
                 gen: ArrivalGen::with_model(load.mean_gap, sub_seed, load.model),
-                query: Arc::new(load.query.clone()),
+                query: Arc::clone(
+                    templates
+                        .entry(&load.query)
+                        .or_insert_with(|| Arc::new(load.query.clone())),
+                ),
                 route: load.route.clone(),
                 cancel_after: load.cancel_after,
                 remaining: load.count,
@@ -405,6 +422,76 @@ mod tests {
                 0 => assert!(it.cancel_at.is_none()),
                 1 => assert_eq!(it.cancel_at, Some(it.arrival + SimTime::from_nanos(50))),
                 t => panic!("unexpected tenant {t}"),
+            }
+        }
+    }
+
+    /// Drains a stream and returns each tenant's (first) query `Arc`.
+    fn templates_by_tenant(loads: &[TenantLoad]) -> Vec<Arc<Query>> {
+        let mut stream = ArrivalStream::new(loads, 42);
+        let mut by_tenant: Vec<Option<Arc<Query>>> = vec![None; loads.len()];
+        while let Some((_, item)) = stream.next_arrival() {
+            let seen =
+                by_tenant[item.tenant as usize].get_or_insert_with(|| Arc::clone(&item.query));
+            assert!(Arc::ptr_eq(seen, &item.query), "one Arc per tenant");
+        }
+        by_tenant.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn equal_templates_share_one_arc_across_tenants() {
+        let loads: Vec<TenantLoad> = (0..50)
+            .map(|i| {
+                TenantLoad::new(
+                    TenantSpec::new(format!("t{i}")),
+                    // Every other tenant runs "qa", the rest "qb".
+                    q(if i % 2 == 0 { "qa" } else { "qb" }),
+                    3,
+                    SimTime::from_nanos(1000),
+                )
+            })
+            .collect();
+        let got = templates_by_tenant(&loads);
+        for (i, query) in got.iter().enumerate() {
+            assert_eq!(**query, loads[i].query);
+            assert!(Arc::ptr_eq(query, &got[i % 2]), "tenant {i}");
+        }
+        assert!(!Arc::ptr_eq(&got[0], &got[1]));
+    }
+
+    #[test]
+    fn unequal_templates_are_not_merged() {
+        let base = q("q");
+        let mut atom = q("q");
+        let OpTemplate::ScanAgg { spec, .. } = &mut atom.op else {
+            unreachable!("q() is a ScanAgg");
+        };
+        spec.pred = Pred::Const(false);
+        let mut finalize = q("q");
+        finalize.finalize = Finalize::RatioPct { num: 0, den: 0 };
+        let variants = [base.clone(), atom, finalize, q("other"), base];
+        let loads: Vec<TenantLoad> = variants
+            .iter()
+            .enumerate()
+            .map(|(i, query)| {
+                TenantLoad::new(
+                    TenantSpec::new(format!("t{i}")),
+                    query.clone(),
+                    2,
+                    SimTime::from_nanos(1000),
+                )
+            })
+            .collect();
+        let got = templates_by_tenant(&loads);
+        for i in 0..got.len() {
+            assert_eq!(*got[i], variants[i]);
+            for j in 0..i {
+                // Only the first and last variants are the same template.
+                assert_eq!(
+                    Arc::ptr_eq(&got[i], &got[j]),
+                    (j, i) == (0, 4),
+                    "{j} vs {i}"
+                );
             }
         }
     }

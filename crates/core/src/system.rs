@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// paper.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Query name.
-    pub query: String,
+    /// Query name (shared with the query template).
+    pub query: Arc<str>,
     /// Device under test.
     pub device: DeviceKind,
     /// Page layout of the loaded tables.
@@ -590,7 +590,7 @@ impl System {
                 _ => Route::Host,
             },
             RoutePolicy::Force(r) => *r,
-            RoutePolicy::Planned { planner, inputs } => self.plan_route(op, planner, inputs),
+            RoutePolicy::Planned(p) => self.plan_route(op, &p.planner, &p.inputs),
         };
         if requested == Route::Device && self.op_touches_dirty(op) {
             Route::Host
@@ -738,7 +738,7 @@ impl System {
         }
         let faults = self.current_faults();
         RunReport {
-            query: query.name.clone(),
+            query: Arc::clone(&query.name),
             device: self.cfg.device,
             layout: self.cfg.layout,
             route,
@@ -796,7 +796,7 @@ mod tests {
         assert_eq!(r.device, DeviceKind::SmartSsd);
         assert_eq!(r.layout, Layout::Pax);
         assert_eq!(r.route, Route::Device);
-        assert_eq!(r.query, "count");
+        assert_eq!(&*r.query, "count");
         assert!(r.trace.is_none(), "no sink attached => no trace");
     }
 

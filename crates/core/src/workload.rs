@@ -54,6 +54,7 @@ use smartssd_sim::{
     ArrivalGen, ArrivalModel, EventQueue, FaultCounters, Interval, LatencyStats, RunTrace, SimTime,
     TraceLevel, Tracer,
 };
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -61,10 +62,11 @@ use std::sync::Arc;
 /// which tenant it belongs to, and when (if ever) its client gives up.
 #[derive(Debug, Clone)]
 pub struct WorkloadItem {
-    /// The query to run. Shared: [`Workload::burst`] and
-    /// [`Workload::open_stream`] hand every item the same `Arc`, so a
-    /// million-arrival stream stores the query template once — and the
-    /// scheduler can memoize catalog resolution by pointer identity.
+    /// The query to run. Shared: [`Workload::burst`],
+    /// [`Workload::open_stream`] and [`ArrivalStream`] hand every item of
+    /// one template the same `Arc`, so a million-arrival stream stores the
+    /// query template once — and the scheduler can memoize catalog
+    /// resolution by pointer identity.
     pub query: Arc<Query>,
     /// Route policy for this query (natural, forced, or planner-decided).
     pub route: RoutePolicy,
@@ -83,12 +85,16 @@ pub struct WorkloadItem {
     pub cancel_at: Option<SimTime>,
 }
 
+// The scheduler copies an item per arrival and parks one per waiter; it is
+// 56 bytes with the `RoutePolicy::Planned` payload boxed, 288 with it inline.
+const _: () = assert!(std::mem::size_of::<WorkloadItem>() <= 72);
+
 impl WorkloadItem {
     /// This item's record as shed at `at`.
     fn shed(&self, index: usize, at: SimTime) -> ShedQuery {
         ShedQuery {
             index,
-            query: self.query.name.clone(),
+            query: Arc::clone(&self.query.name),
             arrival: self.arrival,
             shed_at: at,
         }
@@ -369,12 +375,18 @@ impl WorkloadOptions {
     /// [`SystemBuilder::try_build`](crate::SystemBuilder::try_build):
     /// every tenant needs a nonzero weight (a zero-weight tenant could
     /// never be scheduled) and a unique name (reports are keyed by name).
+    /// Tenants are checked in registration order, weight before name, and
+    /// the first offender is reported; a duplicate is blamed on the later
+    /// of the two entries. One pass over the registry (every run validates
+    /// again, so this is on the serving path): names go through a set of
+    /// borrowed `&str`s, not a compare against every earlier tenant.
     pub fn try_validate(&self) -> Result<&Self, ConfigError> {
+        let mut names = HashSet::with_capacity(self.tenants.len());
         for (i, t) in self.tenants.iter().enumerate() {
             if t.weight == 0 {
                 return Err(ConfigError::ZeroTenantWeight { tenant: i });
             }
-            if self.tenants[..i].iter().any(|e| e.name == t.name) {
+            if !names.insert(t.name.as_str()) {
                 return Err(ConfigError::DuplicateTenant { tenant: i });
             }
         }
@@ -410,8 +422,8 @@ impl WorkloadOptions {
 pub struct QueryCompletion {
     /// Index of the query in the workload's submission order.
     pub index: usize,
-    /// Query name.
-    pub query: String,
+    /// Query name (shared with the query template).
+    pub query: Arc<str>,
     /// Where the query actually ran (after any dirty-rule override or
     /// mid-run fallback).
     pub route: Route,
@@ -434,8 +446,8 @@ pub struct QueryCompletion {
 pub struct ShedQuery {
     /// Index of the query in the workload's submission order.
     pub index: usize,
-    /// Query name.
-    pub query: String,
+    /// Query name (shared with the query template).
+    pub query: Arc<str>,
     /// When the query arrived.
     pub arrival: SimTime,
     /// When the scheduler shed it (at arrival for a rejection; when its
@@ -451,8 +463,8 @@ pub struct ShedQuery {
 pub struct FailedQuery {
     /// Index of the query in the workload's submission order.
     pub index: usize,
-    /// Query name.
-    pub query: String,
+    /// Query name (shared with the query template).
+    pub query: Arc<str>,
     /// When the query arrived.
     pub arrival: SimTime,
     /// When the failure was established (the fault's absolute instant for
@@ -580,14 +592,16 @@ enum Ev {
 }
 
 /// Memoized catalog resolution for one workload run, keyed by query
-/// pointer identity: streams built by [`Workload::burst`] and
-/// [`Workload::open_stream`] share one `Arc<Query>` across items, so a
-/// million-arrival stream resolves its template once instead of once per
-/// arrival. An item with a different query simply misses and re-resolves.
-/// The raw key is only ever compared, never dereferenced, and the borrowed
-/// workload keeps every query alive for the run. The operator is shared so
-/// a dispatch can hold it without borrowing the scheduler state.
-type ResolveCache = Option<(*const Query, Rc<QueryOp>)>;
+/// pointer identity: [`Workload::burst`], [`Workload::open_stream`] and
+/// [`ArrivalStream`] hand every item of one template the same `Arc<Query>`
+/// (the stream interns equal templates across tenants), so a stream
+/// resolves its template once instead of once per arrival —
+/// [`Query::resolve`] clones and validates the whole spec tree, a dozen
+/// allocations. One entry: an item with a different query simply misses
+/// and re-resolves. The entry keeps its key `Arc` alive, so a pointer match
+/// can never be a recycled address. The operator is shared so a dispatch
+/// can hold it without borrowing the scheduler state.
+type ResolveCache = Option<(Arc<Query>, Rc<QueryOp>)>;
 
 /// What one device-route dispatch attempt produced.
 enum DevAttempt {
@@ -752,6 +766,13 @@ impl Acct {
         self.recorded += 1;
     }
 
+    /// The scheduler-bug error, naming the earliest arrival still without
+    /// an outcome.
+    fn invariant_violated(&self) -> RunError {
+        let index = self.outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
+        RunErrorKind::SchedulerInvariant { index }.into()
+    }
+
     /// Records a completion.
     pub(crate) fn complete(&mut self, tenant: usize, done: QueryCompletion) {
         self.record(
@@ -788,14 +809,14 @@ impl Acct {
         &mut self,
         index: usize,
         tenant: usize,
-        (query, arrival): (&str, SimTime),
+        (query, arrival): (&Arc<str>, SimTime),
         at: SimTime,
         error: RunError,
     ) {
         self.instant(index, "failed", at);
         let failed = FailedQuery {
             index,
-            query: query.to_owned(),
+            query: Arc::clone(query),
             arrival,
             failed_at: at,
             reason: error.to_string(),
@@ -1017,8 +1038,7 @@ impl System {
         // scheduler bug, reported as a typed error (with the fault counters
         // absorbed by the caller) instead of a panic.
         if acct.recorded != n {
-            let index = acct.outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
-            return Err(RunErrorKind::SchedulerInvariant { index }.into());
+            return Err(acct.invariant_violated());
         }
         // `Option<ArrivalOutcome>` and `ArrivalOutcome` share a layout
         // (niche optimization), so this unwrap-collect rewrites the vector
@@ -1105,7 +1125,14 @@ impl System {
                 false
             }
         }) {
-            let p = s.slab.remove(slot);
+            // `defer` parks an arrival before queueing its slot and only
+            // this loop (or a tombstone release inside `pop`) unparks one,
+            // so a granted slot is occupied. Were it not, the run stops
+            // here: the wait set's counters have already moved for an
+            // arrival nobody can name any more.
+            let Some(p) = s.slab.remove(slot) else {
+                return Err(s.acct.invariant_violated());
+            };
             let (j, item) = (p.index, &p.item);
             if item.cancel_at.is_some_and(|c| c <= now) {
                 // The cancellation event fires no later than this pop, so
@@ -1149,19 +1176,18 @@ impl System {
             s.acct.shed(CANCELED, idx, item, now);
             return Ok(false);
         }
-        let qptr = Arc::as_ptr(&item.query);
         let op = match &s.ops {
-            Some((key, op)) if *key == qptr => Rc::clone(op),
+            Some((key, op)) if Arc::ptr_eq(key, &item.query) => Rc::clone(op),
             _ => match item.query.resolve(&self.catalog) {
                 Ok(op) => {
                     let op = Rc::new(op);
-                    s.ops = Some((qptr, Rc::clone(&op)));
+                    s.ops = Some((Arc::clone(&item.query), Rc::clone(&op)));
                     op
                 }
                 Err(e) => {
                     // A query that doesn't resolve fails alone; the rest of
                     // the workload is unaffected (no slot was taken).
-                    let who = (item.query.name.as_str(), item.arrival);
+                    let who = (&item.query.name, item.arrival);
                     s.acct.fail(idx, tenant, who, now, e.into());
                     return Ok(false);
                 }
@@ -1242,7 +1268,7 @@ impl System {
                     // Unrecoverable: this one query dies, with the fault
                     // spelled out; the workload carries on.
                     Some(fault) => {
-                        let who = (item.query.name.as_str(), item.arrival);
+                        let who = (&item.query.name, item.arrival);
                         let error = RunErrorKind::Session(fault).into();
                         s.acct.fail(idx, tenant, who, at, error);
                     }
@@ -1306,7 +1332,7 @@ impl System {
         self.query_span(idx, item.arrival, finished_at, Route::Host);
         Ok(QueryCompletion {
             index: idx,
-            query: item.query.name.clone(),
+            query: Arc::clone(&item.query.name),
             route: Route::Host,
             arrival: item.arrival,
             finished_at,
@@ -1328,7 +1354,7 @@ impl System {
         self.query_span(idx, item.arrival, out.finished_at, Route::Device);
         QueryCompletion {
             index: idx,
-            query: item.query.name.clone(),
+            query: Arc::clone(&item.query.name),
             route: Route::Device,
             arrival: item.arrival,
             finished_at: out.finished_at,
@@ -1813,6 +1839,83 @@ mod tests {
         ));
     }
 
+    /// `try_validate`'s duplicate rule as it was before the name set: each
+    /// tenant against every earlier one. Kept as the oracle.
+    fn validate_quadratic(tenants: &[TenantSpec]) -> Result<(), ConfigError> {
+        for (i, t) in tenants.iter().enumerate() {
+            if t.weight == 0 {
+                return Err(ConfigError::ZeroTenantWeight { tenant: i });
+            }
+            if tenants[..i].iter().any(|e| e.name == t.name) {
+                return Err(ConfigError::DuplicateTenant { tenant: i });
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_late_duplicate_in_a_huge_registry_is_found_in_one_pass() {
+        // The quadratic rule needs ~5e9 string compares here — a hang in a
+        // debug build; one pass takes milliseconds.
+        let n = 100_000;
+        let mut opts = WorkloadOptions::new();
+        for i in 0..n - 1 {
+            opts = opts.tenant(TenantSpec::new(format!("t{i}")));
+        }
+        let opts = opts.tenant(TenantSpec::new("t0"));
+        assert_eq!(
+            opts.try_validate().unwrap_err(),
+            ConfigError::DuplicateTenant { tenant: n - 1 }
+        );
+    }
+
+    #[test]
+    fn interleaved_templates_each_run_their_own_plan() {
+        // Three templates round-robin: the one-entry resolve cache misses
+        // on every dispatch, which must cost time only.
+        let queries: Vec<Arc<Query>> = (0..3)
+            .map(|i| {
+                let mut q = sum_query();
+                q.name = format!("sum<{i}").into();
+                let OpTemplate::ScanAgg { spec, .. } = &mut q.op else {
+                    unreachable!("sum_query is a ScanAgg");
+                };
+                spec.pred = Pred::Cmp(
+                    smartssd_storage::expr::CmpOp::Lt,
+                    Expr::col(0),
+                    Expr::lit(1_000 * (i + 1)),
+                );
+                Arc::new(q)
+            })
+            .collect();
+        let expected: Vec<QueryResult> = queries
+            .iter()
+            .map(|q| {
+                let mut iso = build_sys(DeviceKind::SmartSsd, |b| b);
+                iso.run(q, RunOptions::default()).unwrap().result
+            })
+            .collect();
+        let mut w = Workload::new();
+        for round in 0..3u64 {
+            for (i, q) in queries.iter().enumerate() {
+                w.push_item(WorkloadItem::plain(
+                    Arc::clone(q),
+                    RoutePolicy::Natural,
+                    SimTime::from_nanos(round * 1_000 + i as u64),
+                ));
+            }
+        }
+        let mut sys = build_sys(DeviceKind::SmartSsd, |b| b);
+        let rep = sys.run_workload(&w, WorkloadOptions::default()).unwrap();
+        assert_eq!(rep.completions.len(), 3 * queries.len());
+        for c in &rep.completions {
+            let want = &expected[c.index % queries.len()];
+            assert_eq!(c.query, queries[c.index % queries.len()].name);
+            assert_eq!(c.result.agg_values, want.agg_values);
+            assert_eq!(c.result.scalar, want.scalar);
+        }
+    }
+
     #[test]
     fn wfq_shares_slots_by_weight_under_backlog() {
         use crate::serving::TenantSpec;
@@ -2122,6 +2225,32 @@ mod tests {
             again.breaker_transitions[0].at,
             on.breaker_transitions[0].at
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `try_validate` returns, for every registry, exactly what the
+        /// quadratic rule returned: same `Ok`/`Err`, same variant, same
+        /// tenant index. Names come from a six-letter alphabet so
+        /// duplicates are common; weights include zero.
+        #[test]
+        fn try_validate_matches_the_quadratic_rule(
+            registry in proptest::collection::vec((0usize..6, 0u64..3), 0..24),
+        ) {
+            let tenants: Vec<TenantSpec> = registry
+                .iter()
+                .map(|&(name, weight)| TenantSpec::new(["a", "b", "c", "d", "e", "f"][name]).weight(weight))
+                .collect();
+            let opts = tenants
+                .iter()
+                .cloned()
+                .fold(WorkloadOptions::new(), WorkloadOptions::tenant);
+            prop_assert_eq!(
+                opts.try_validate().map(|_| ()),
+                validate_quadratic(&tenants)
+            );
+        }
     }
 
     proptest! {

@@ -31,7 +31,7 @@ impl TableRef {
 }
 
 /// Filter + project scan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanSpec {
     /// Row filter.
     pub pred: Pred,
@@ -68,7 +68,7 @@ impl ScanSpec {
 
 /// Filter + aggregate scan (TPC-H Q6 shape). Produces one row of aggregate
 /// partials per execution unit, merged by the consumer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScanAggSpec {
     /// Row filter.
     pub pred: Pred,
@@ -89,7 +89,7 @@ impl ScanAggSpec {
 
 /// A column of the join output: either from the probe row or from the
 /// build-side payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColRef {
     /// Probe-side column, by probe-schema index.
     Probe(usize),
@@ -121,7 +121,7 @@ impl BuildSide {
 }
 
 /// What the join produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JoinOutput {
     /// Materialized output rows (Figure 4's selection-with-join).
     Project(Vec<ColRef>),
@@ -408,7 +408,7 @@ mod tests {
 /// device treats the group table like a join hash table: it consumes the
 /// session's memory grant and the session fails (falling back to the host)
 /// if the grant is exceeded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupAggSpec {
     /// Row filter.
     pub pred: Pred,

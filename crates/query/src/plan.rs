@@ -7,6 +7,7 @@ use smartssd_exec::{QueryOp, TableRef};
 use smartssd_storage::expr::{AggState, Pred};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Table name -> on-device location. The facade registers tables here after
 /// loading them.
@@ -41,7 +42,7 @@ impl Catalog {
 
 /// A query operator template over *named* tables; becomes a concrete
 /// [`QueryOp`] once resolved against a catalog.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpTemplate {
     /// Filter + project scan.
     Scan {
@@ -87,7 +88,7 @@ pub enum OpTemplate {
 }
 
 /// How the host turns retrieved aggregate partials into the reported value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Finalize {
     /// Row-stream query: no aggregate finalization.
     Rows,
@@ -122,10 +123,15 @@ impl Finalize {
 }
 
 /// A named query: template + finalization.
-#[derive(Debug, Clone)]
+///
+/// Templates have an identity: two queries are equal (and hash alike) when
+/// name, operator tree and finalization all match, which is what lets the
+/// serving front door store one template for every tenant that runs it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
-    /// Display name ("TPC-H Q6", ...).
-    pub name: String,
+    /// Display name ("TPC-H Q6", ...). Shared, so the per-outcome records
+    /// that carry it cost a reference-count bump, not a string allocation.
+    pub name: Arc<str>,
     /// The operator template.
     pub op: OpTemplate,
     /// Host-side finalization.

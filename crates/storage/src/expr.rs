@@ -17,7 +17,7 @@ use crate::types::DataType;
 use std::fmt;
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -78,7 +78,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A scalar integer expression over one row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Column reference by index (numeric columns only).
     Col(usize),
@@ -225,7 +225,7 @@ impl Expr {
 }
 
 /// A boolean predicate over one row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pred {
     /// Numeric comparison of two expressions.
     Cmp(CmpOp, Expr, Expr),
@@ -489,7 +489,7 @@ impl Pred {
 }
 
 /// Aggregate function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `SUM(expr)` — accumulates in i128 to survive SF-100-scale sums.
     Sum,
@@ -502,7 +502,7 @@ pub enum AggFunc {
 }
 
 /// One aggregate column of an aggregation operator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// The function.
     pub func: AggFunc,

@@ -163,7 +163,7 @@ pub fn q1() -> Query {
 pub fn join_query(selectivity: f64) -> Query {
     let cutoff = (SEL_DOMAIN as f64 * selectivity.clamp(0.0, 1.0)) as i64;
     Query {
-        name: format!("join sel={:.0}%", selectivity * 100.0),
+        name: format!("join sel={:.0}%", selectivity * 100.0).into(),
         op: OpTemplate::Join {
             probe: SYNTH_S.into(),
             build: SYNTH_R.into(),
@@ -212,7 +212,8 @@ pub fn scan_sweep(selectivity: f64, with_agg: bool, project_cols: usize) -> Quer
             "scan sel={:.1}% {}",
             selectivity * 100.0,
             if with_agg { "agg" } else { "rows" }
-        ),
+        )
+        .into(),
         op,
         finalize,
     }

@@ -52,6 +52,29 @@ if [[ "${1:-}" != "fast" ]]; then
         echo "== repro ${sub} --quick (BENCH_${sub}.json) =="
         "${repro[@]}" "${sub}" --quick
     done
+
+    # Tenant scaling, for the eye only: heap arrivals/s at the sweep's
+    # largest tenant count over the same engine at 16 tenants, both from the
+    # BENCH_servescale.json just written (same run, same machine). A cell is
+    # 50 ms of wall clock, so single readings scatter (0.41-0.56 with
+    # per-run work quadratic in tenants and one catalog resolution per
+    # dispatch, 0.51-0.70 without); the property itself is held without a
+    # clock by crates/bench/tests/servescale.rs and the try_validate /
+    # ArrivalStream tests in crates/core.
+    echo "== serving tenant scaling (heap, largest tenant count / 16 tenants; informational) =="
+    awk '
+        /"engine": "heap"/ {
+            match($0, /"tenants": [0-9]+/)
+            t = substr($0, RSTART + 11, RLENGTH - 11) + 0
+            match($0, /"arrivals_per_sec": [0-9.]+/)
+            r = substr($0, RSTART + 20, RLENGTH - 20) + 0
+            if (!(t in rate)) rate[t] = r
+            if (t > max) max = t
+        }
+        END {
+            if (!(16 in rate) || max <= 16) exit 1
+            printf "  %.2f (%.0f/s at %d tenants, %.0f/s at 16)\n", rate[max] / rate[16], rate[max], max, rate[16]
+        }' BENCH_servescale.json
 fi
 
 echo "OK"

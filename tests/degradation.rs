@@ -33,7 +33,7 @@ prop_compose! {
 /// queries in one workload produce distinct answers.
 fn agg_query(cutoff: i64) -> Query {
     Query {
-        name: format!("agg<{cutoff}"),
+        name: format!("agg<{cutoff}").into(),
         op: OpTemplate::ScanAgg {
             table: "t".into(),
             spec: ScanAggSpec {

@@ -36,7 +36,7 @@ prop_compose! {
 /// tenant's stream produces a distinct, checkable answer.
 fn agg_query(cutoff: i64) -> Query {
     Query {
-        name: format!("agg<{cutoff}"),
+        name: format!("agg<{cutoff}").into(),
         op: OpTemplate::ScanAgg {
             table: "t".into(),
             spec: ScanAggSpec {
@@ -151,7 +151,7 @@ proptest! {
                 .run(&agg_query(cutoff), RunOptions::routed(Route::Device))
                 .unwrap()
                 .result;
-            for t in rep.completions.iter().filter(|c| c.query == format!("agg<{cutoff}")) {
+            for t in rep.completions.iter().filter(|c| *c.query == *format!("agg<{cutoff}")) {
                 prop_assert_eq!(&t.result.agg_values, &expected.agg_values,
                     "tenant {} answer diverged", i);
                 prop_assert_eq!(t.result.scalar, expected.scalar);
