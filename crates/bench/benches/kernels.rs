@@ -2,7 +2,8 @@
 //!
 //! These isolate the design choices DESIGN.md calls out: NSM vs PAX decode
 //! cost (the paper's central layout result), predicate short-circuiting,
-//! and hash-join probe cost.
+//! and hash-join probe cost (plan order, and page-at-a-time vs the
+//! row-at-a-time reference on Q14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use smartssd_exec::spec::{BuildSide, ColRef, JoinOutput, JoinSpec, ScanAggSpec, TableRef};
@@ -249,6 +250,63 @@ fn bench_probe_order(c: &mut Criterion) {
     group.finish();
 }
 
+/// Q14's probe (every LINEITEM row looked up in PART, matches filtered and
+/// aggregated) on NSM and PAX pages: the page-at-a-time kernel against the
+/// row-at-a-time reference, on the same hash table.
+fn bench_join_probe_q14(c: &mut Criterion) {
+    use smartssd_exec::reference::probe_page_rowwise;
+    use smartssd_workload::{queries, tpch};
+    type Probe = fn(
+        &smartssd_storage::PageBuf,
+        &Schema,
+        &JoinSpec,
+        &JoinHashTable,
+        &Schema,
+        &mut JoinSink,
+        &mut WorkCounts,
+    );
+    let mut group = c.benchmark_group("kernel/join_probe_q14");
+    for layout in [Layout::Nsm, Layout::Pax] {
+        let lineitem = lineitem_like(layout, 60_000);
+        let mut part = TableBuilder::new(queries::PART, tpch::part_schema(), layout);
+        part.extend(tpch::part_rows(0.01, 7));
+        let part = part.finish();
+        let mut catalog = smartssd_query::Catalog::new();
+        for (name, img) in [(queries::LINEITEM, &lineitem), (queries::PART, &part)] {
+            let table = TableRef {
+                first_lba: 0,
+                num_pages: img.num_pages() as u64,
+                schema: img.schema().clone(),
+                layout,
+            };
+            catalog.register(name, table);
+        }
+        let smartssd_exec::QueryOp::Join { probe, spec } =
+            smartssd_workload::q14().resolve(&catalog).unwrap()
+        else {
+            unreachable!("Q14 is a join")
+        };
+        let ht = JoinHashTable::build(part.pages(), &spec.build, &mut WorkCounts::default());
+        let joined = spec.joined_schema(&probe.schema);
+        group.throughput(Throughput::Elements(lineitem.num_rows()));
+        let kernels: [(&str, Probe); 2] =
+            [("vectorized", probe_page), ("rowwise", probe_page_rowwise)];
+        for (label, kernel) in kernels {
+            group.bench_function(BenchmarkId::new(label, layout), |b| {
+                b.iter(|| {
+                    let mut sink = JoinSink::new(&spec);
+                    let mut w = WorkCounts::default();
+                    for p in lineitem.pages() {
+                        kernel(p, &probe.schema, &spec, &ht, &joined, &mut sink, &mut w);
+                    }
+                    (sink.matches, w.hash_probes)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Page codec throughput: building NSM vs PAX pages.
 fn bench_page_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel/page_build");
@@ -406,6 +464,7 @@ criterion_group!(
     bench_short_circuit,
     bench_filter_select,
     bench_probe_order,
+    bench_join_probe_q14,
     bench_page_build,
     bench_page_validate,
     bench_group_agg_layouts,

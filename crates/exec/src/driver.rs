@@ -11,12 +11,12 @@
 //! channels, device cores, host DOP) is modelled inside the site's
 //! timelines, not executed here.
 
-use crate::join::{probe_page, JoinHashTable, JoinSink};
+use crate::join::{probe_page, projected_row_bytes, JoinHashTable, JoinSink};
 use crate::kernels::{group_table_memory_bytes, group_table_rows, GroupTable, ScanScratch};
-use crate::spec::{ColRef, JoinOutput, JoinSpec, QueryOp, TableRef};
+use crate::spec::{JoinOutput, QueryOp, TableRef};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::AggState;
-use smartssd_storage::{PageBuf, Schema, Tuple};
+use smartssd_storage::{PageBuf, Tuple};
 
 /// Where an operator runs: what [`run_op`] needs from its environment.
 ///
@@ -198,7 +198,13 @@ pub fn run_op<S: OpSite>(
             run.site.check_grant(ht.memory_bytes())?;
             // Probe phase: reads are issued when the build completes.
             let joined = spec.joined_schema(&probe.schema);
-            let row_bytes = join_row_bytes(spec, &probe.schema);
+            // An aggregating join streams no rows.
+            let row_bytes = match &spec.output {
+                JoinOutput::Project(cols) => {
+                    projected_row_bytes(cols, &probe.schema, ht.payload_schema())
+                }
+                JoinOutput::Aggregate(_) => 0,
+            };
             let mut sink = JoinSink::new(spec);
             for (page, at) in run.site.read_table(probe, run.done, false)? {
                 run.charged(at, |w| {
@@ -228,18 +234,4 @@ pub fn run_op<S: OpSite>(
         last,
         work: run.work,
     })
-}
-
-/// Width of one projected join row (an aggregating join streams no rows).
-fn join_row_bytes(spec: &JoinSpec, probe: &Schema) -> u64 {
-    let JoinOutput::Project(cols) = &spec.output else {
-        return 0;
-    };
-    let payload = spec.build.payload_schema();
-    cols.iter()
-        .map(|c| match *c {
-            ColRef::Probe(i) => probe.column(i).ty.width() as u64,
-            ColRef::Build(i) => payload.column(i).ty.width() as u64,
-        })
-        .sum()
 }

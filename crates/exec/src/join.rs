@@ -1,27 +1,65 @@
-//! Simple hash join: build table, joined-row view, and the probe kernel.
+//! Simple hash join: build table, joined-rows view, and the probe kernel.
 //!
 //! The paper uses "a simple hash join algorithm that builds a hash table on
 //! the \[small\] table" (Section 4.2.2.1). The build side's payload columns
 //! are materialized as fixed-width records so the joined row can expose raw
 //! field bytes without re-encoding per probe.
+//!
+//! The probe works a page at a time, like the scan kernels: the key column
+//! is gathered once, the predicate runs over a [`SelectionVector`], and the
+//! [`WorkCounts`] receipt of a page equals the tuple-at-a-time
+//! [`crate::reference::probe_page_rowwise`] count for count.
 
 use crate::kernels::{count_tuples, page_reader};
 use crate::spec::{BuildSide, ColRef, JoinOutput, JoinSpec};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::{AggState, EvalCounts};
+use smartssd_storage::tuple::decode_field;
+use smartssd_storage::vector::{eval_select, filter_select_with, EvalScratch, SelectionVector};
 use smartssd_storage::{PageBuf, RowAccessor, Schema, Tuple};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
+/// One distinct build key and the run of payload records that carry it.
+/// `len == 0` marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: i64,
+    start: u32,
+    len: u32,
+}
+
 /// An in-memory hash table over the build side of a join.
+///
+/// Flat and open-addressed: a power-of-two slot array at most half full,
+/// linear probing from a multiplicative hash of the key. A slot names a run
+/// of payload records, so duplicates of a key cost no per-key allocation
+/// and a probe touches one slot run and one contiguous payload range.
 pub struct JoinHashTable {
     payload_schema: Arc<Schema>,
     payload_width: usize,
-    /// Flat payload records, `payload_width` bytes each.
+    /// Payload records, `payload_width` bytes each, grouped by key; the
+    /// records of one key keep build-insertion order.
     payload_data: Vec<u8>,
-    /// key -> indexes of matching payload records (duplicates allowed).
-    index: HashMap<i64, Vec<u32>>,
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: the hash keeps its top bits.
+    shift: u32,
+    distinct_keys: u64,
     entries: u64,
+}
+
+/// Slot holding `key`, or the empty slot where it belongs.
+#[inline]
+fn slot_of(slots: &[Slot], shift: u32, key: i64) -> usize {
+    let mask = slots.len() - 1;
+    let mut i = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+    loop {
+        let s = slots[i];
+        if s.len == 0 || s.key == key {
+            return i;
+        }
+        i = (i + 1) & mask;
+    }
 }
 
 impl JoinHashTable {
@@ -33,31 +71,61 @@ impl JoinHashTable {
     ) -> JoinHashTable {
         let schema = &build.table.schema;
         let payload_schema = build.payload_schema();
-        let payload_width = payload_schema.tuple_width();
-        let mut ht = JoinHashTable {
-            payload_schema,
-            payload_width,
-            payload_data: Vec::new(),
-            index: HashMap::new(),
-            entries: 0,
-        };
+        let width = payload_schema.tuple_width();
+        // Keys and payload records in insertion order.
+        let (mut keys, mut staged) = (Vec::new(), Vec::new());
+        let mut all = SelectionVector::new();
         for page in pages {
             let r = page_reader(page, schema);
             w.pages += 1;
             count_tuples(w, r.layout(), r.num_rows() as u64);
+            all.reset_all(r.num_rows());
+            r.gather_i64_into(build.key_col, all.rows(), &mut keys);
             for row in 0..r.num_rows() {
-                let key = r.i64_at(row, build.key_col);
-                w.values += 1 + build.payload.len() as u64;
-                let idx = ht.entries as u32;
                 for &c in &build.payload {
-                    ht.payload_data.extend_from_slice(r.field(row, c));
+                    staged.extend_from_slice(r.field(row, c));
                 }
-                ht.index.entry(key).or_default().push(idx);
-                ht.entries += 1;
-                w.hash_builds += 1;
             }
         }
-        ht
+        let n = keys.len();
+        assert!(n <= u32::MAX as usize, "build side exceeds u32 records");
+        w.values += n as u64 * (1 + build.payload.len() as u64);
+        w.hash_builds += n as u64;
+        // Count each key, turn the counts into run ends, then place the
+        // records last to first, so each run fills back to front and ends
+        // up in insertion order.
+        let capacity = (2 * n).next_power_of_two().max(2);
+        let shift = 64 - capacity.trailing_zeros();
+        let mut slots = vec![Slot::default(); capacity];
+        for &key in &keys {
+            let at = slot_of(&slots, shift, key);
+            let s = &mut slots[at];
+            s.key = key;
+            s.len += 1;
+        }
+        let (mut end, mut distinct_keys) = (0, 0);
+        for s in slots.iter_mut().filter(|s| s.len > 0) {
+            end += s.len;
+            s.start = end;
+            distinct_keys += 1;
+        }
+        let mut payload_data = vec![0; staged.len()];
+        for (i, &key) in keys.iter().enumerate().rev() {
+            let at = slot_of(&slots, shift, key);
+            let s = &mut slots[at];
+            s.start -= 1;
+            payload_data[s.start as usize * width..][..width]
+                .copy_from_slice(&staged[i * width..][..width]);
+        }
+        JoinHashTable {
+            payload_schema,
+            payload_width: width,
+            payload_data,
+            slots,
+            shift,
+            distinct_keys,
+            entries: n as u64,
+        }
     }
 
     /// Number of build rows inserted.
@@ -71,20 +139,22 @@ impl JoinHashTable {
     }
 
     /// Approximate resident size in bytes (payload + index), used by the
-    /// device runtime to enforce its memory grant.
+    /// device runtime to enforce its memory grant. Priced per distinct key
+    /// as the modelled device's table, not as this one's slot array.
     pub fn memory_bytes(&self) -> u64 {
-        self.payload_data.len() as u64 + self.index.len() as u64 * 48
+        self.payload_data.len() as u64 + self.distinct_keys * 48
     }
 
     /// Payload record `idx` as raw bytes.
-    fn payload(&self, idx: u32) -> &[u8] {
-        let start = idx as usize * self.payload_width;
-        &self.payload_data[start..start + self.payload_width]
+    pub(crate) fn payload(&self, idx: u32) -> &[u8] {
+        &self.payload_data[idx as usize * self.payload_width..][..self.payload_width]
     }
 
-    /// Matching payload indexes for a key.
-    pub fn lookup(&self, key: i64) -> &[u32] {
-        self.index.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    /// Payload records matching a key, in build-insertion order.
+    #[inline]
+    pub fn lookup(&self, key: i64) -> Range<u32> {
+        let s = self.slots[slot_of(&self.slots, self.shift, key)];
+        s.start..s.start + s.len
     }
 
     /// Schema of the payload records.
@@ -93,37 +163,55 @@ impl JoinHashTable {
     }
 }
 
-/// A joined row: probe columns first, then build payload columns. Implements
+/// Joined rows of one probe page: row `i` is probe row `probe_rows[i]`
+/// followed by the payload columns of build record `records[i]`. Implements
 /// [`RowAccessor`] so aggregate expressions (Q14's `CASE WHEN p_type LIKE
 /// 'PROMO%' ...`) evaluate over it like over any page.
-pub struct JoinedRow<'a, R: RowAccessor> {
-    probe: &'a R,
-    probe_row: usize,
-    payload: &'a [u8],
-    payload_schema: &'a Schema,
-    joined_schema: &'a Schema,
+pub(crate) struct JoinedRows<'a, R: RowAccessor> {
+    pub(crate) probe: &'a R,
+    pub(crate) probe_rows: &'a [u32],
+    pub(crate) records: &'a [u32],
+    pub(crate) ht: &'a JoinHashTable,
+    pub(crate) joined_schema: &'a Schema,
 }
 
-impl<R: RowAccessor> RowAccessor for JoinedRow<'_, R> {
+impl<R: RowAccessor> RowAccessor for JoinedRows<'_, R> {
     fn schema(&self) -> &Schema {
         self.joined_schema
     }
 
     fn num_rows(&self) -> usize {
-        1
+        self.records.len()
     }
 
     #[inline]
-    fn field(&self, _row: usize, col: usize) -> &[u8] {
+    fn field(&self, row: usize, col: usize) -> &[u8] {
         let n_probe = self.probe.schema().len();
         if col < n_probe {
-            self.probe.field(self.probe_row, col)
+            self.probe.field(self.probe_rows[row] as usize, col)
         } else {
-            let c = col - n_probe;
-            let off = self.payload_schema.offset(c);
-            &self.payload[off..off + self.payload_schema.column(c).ty.width()]
+            let ps = self.ht.payload_schema();
+            let (c, payload) = (col - n_probe, self.ht.payload(self.records[row]));
+            &payload[ps.offset(c)..][..ps.column(c).ty.width()]
         }
     }
+}
+
+/// The buffers of one probe pass's page kernel. Contents never carry from
+/// one page to the next — only capacity does, so a warm pass allocates
+/// nothing per page beyond the rows it emits.
+#[derive(Debug, Default)]
+struct ProbeScratch {
+    sel: SelectionVector,
+    eval: EvalScratch,
+    keys: Vec<i64>,
+    /// By probe row of the page: the records its key matched. Read only for
+    /// rows that survived the probe, which were written on this page.
+    hits: Vec<Range<u32>>,
+    /// The page's matches in (probe row, build insertion) order.
+    probe_rows: Vec<u32>,
+    records: Vec<u32>,
+    vals: Vec<i64>,
 }
 
 /// Accumulates join output: materialized rows, or aggregate states, per
@@ -135,6 +223,7 @@ pub struct JoinSink {
     pub aggs: Vec<AggState>,
     /// Join matches produced (diagnostics).
     pub matches: u64,
+    scratch: ProbeScratch,
 }
 
 impl JoinSink {
@@ -148,14 +237,27 @@ impl JoinSink {
             rows: Vec::new(),
             aggs,
             matches: 0,
+            scratch: ProbeScratch::default(),
         }
     }
 }
 
+/// Width in bytes of one row projected from a probe row and a payload
+/// record.
+pub(crate) fn projected_row_bytes(cols: &[ColRef], probe: &Schema, payload: &Schema) -> u64 {
+    let width = |cr: &ColRef| match *cr {
+        ColRef::Probe(c) => probe.column(c).ty.width() as u64,
+        ColRef::Build(c) => payload.column(c).ty.width() as u64,
+    };
+    cols.iter().map(width).sum()
+}
+
 /// Probes one page of the probe table against the hash table.
 ///
-/// Respects `spec.filter_first`: the Figure 4 plan filters probe rows before
-/// probing; the Figure 6 plan probes every row and filters afterwards.
+/// Respects `spec.filter_first`: the Figure 4 plan filters the page and
+/// probes the survivors; the Figure 6 plan probes every row and filters the
+/// rows that matched. Either way the page's matches are then emitted in
+/// (probe row, build insertion) order.
 pub fn probe_page(
     page: &PageBuf,
     probe_schema: &Schema,
@@ -165,82 +267,81 @@ pub fn probe_page(
     sink: &mut JoinSink,
     w: &mut WorkCounts,
 ) {
+    let s = &mut sink.scratch;
     let r = page_reader(page, probe_schema);
+    let n = r.num_rows();
     w.pages += 1;
-    count_tuples(w, r.layout(), r.num_rows() as u64);
-    for row in 0..r.num_rows() {
-        if spec.filter_first {
-            let mut ev = EvalCounts::default();
-            let pass = spec.probe_pred.eval_counted(&r, row, &mut ev);
-            w.absorb_eval(ev);
-            if !pass {
-                continue;
-            }
+    count_tuples(w, r.layout(), n as u64);
+    let mut ev = EvalCounts::default();
+    s.sel.reset_all(n);
+    if spec.filter_first {
+        filter_select_with(&spec.probe_pred, &r, &mut s.sel, &mut ev, &mut s.eval);
+    }
+    s.keys.clear();
+    r.gather_i64_into(spec.probe_key, s.sel.rows(), &mut s.keys);
+    w.values += s.sel.len() as u64;
+    w.hash_probes += s.sel.len() as u64;
+    s.hits.resize(n, 0..0);
+    let (keys, hits) = (&s.keys, &mut s.hits);
+    s.sel.retain(|i, row| {
+        let hit = ht.lookup(keys[i]);
+        let found = !hit.is_empty();
+        hits[row as usize] = hit;
+        found
+    });
+    if !spec.filter_first {
+        filter_select_with(&spec.probe_pred, &r, &mut s.sel, &mut ev, &mut s.eval);
+    }
+    s.probe_rows.clear();
+    s.records.clear();
+    for &row in s.sel.rows() {
+        for record in s.hits[row as usize].clone() {
+            s.probe_rows.push(row);
+            s.records.push(record);
         }
-        let key = r.i64_at(row, spec.probe_key);
-        w.values += 1;
-        w.hash_probes += 1;
-        let matches = ht.lookup(key);
-        if matches.is_empty() {
-            continue;
-        }
-        if !spec.filter_first {
-            let mut ev = EvalCounts::default();
-            let pass = spec.probe_pred.eval_counted(&r, row, &mut ev);
-            w.absorb_eval(ev);
-            if !pass {
-                continue;
-            }
-        }
-        for &m in matches {
-            sink.matches += 1;
-            let payload = ht.payload(m);
-            match &spec.output {
-                JoinOutput::Project(cols) => {
-                    let mut t = Tuple::with_capacity(cols.len());
-                    let mut bytes = 0u64;
-                    for cr in cols {
-                        match *cr {
-                            ColRef::Probe(c) => {
-                                bytes += probe_schema.column(c).ty.width() as u64;
-                                t.push(r.datum_at(row, c));
-                            }
-                            ColRef::Build(c) => {
-                                let ps = ht.payload_schema();
-                                let off = ps.offset(c);
-                                let width = ps.column(c).ty.width();
-                                bytes += width as u64;
-                                t.push(smartssd_storage::tuple::decode_field(
-                                    ps.column(c).ty,
-                                    &payload[off..off + width],
-                                ));
-                            }
-                        }
+    }
+    let matches = s.records.len() as u64;
+    sink.matches += matches;
+    match &spec.output {
+        JoinOutput::Project(cols) => {
+            let ps = ht.payload_schema();
+            sink.rows.reserve(s.records.len());
+            for (&row, &record) in s.probe_rows.iter().zip(&s.records) {
+                let payload = ht.payload(record);
+                let datum = |cr: &ColRef| match *cr {
+                    ColRef::Probe(c) => r.datum_at(row as usize, c),
+                    ColRef::Build(c) => {
+                        let ty = ps.column(c).ty;
+                        decode_field(ty, &payload[ps.offset(c)..][..ty.width()])
                     }
-                    w.values += cols.len() as u64;
-                    w.out_tuples += 1;
-                    w.out_bytes += bytes;
-                    sink.rows.push(t);
+                };
+                sink.rows.push(cols.iter().map(datum).collect());
+            }
+            w.values += cols.len() as u64 * matches;
+            w.out_tuples += matches;
+            w.out_bytes += projected_row_bytes(cols, probe_schema, ps) * matches;
+        }
+        JoinOutput::Aggregate(aggs) => {
+            let joined = JoinedRows {
+                probe: &r,
+                probe_rows: &s.probe_rows,
+                records: &s.records,
+                ht,
+                joined_schema,
+            };
+            // The page's selection is spent; it now selects every match.
+            s.sel.reset_all(s.records.len());
+            for (a, state) in aggs.iter().zip(sink.aggs.iter_mut()) {
+                let rows = s.sel.rows();
+                eval_select(&a.expr, &joined, rows, &mut s.vals, &mut ev, &mut s.eval);
+                for &v in &s.vals {
+                    state.update(v);
                 }
-                JoinOutput::Aggregate(aggs) => {
-                    let jr = JoinedRow {
-                        probe: &r,
-                        probe_row: row,
-                        payload,
-                        payload_schema: ht.payload_schema(),
-                        joined_schema,
-                    };
-                    for (a, state) in aggs.iter().zip(sink.aggs.iter_mut()) {
-                        let mut ev = EvalCounts::default();
-                        let v = a.expr.eval_counted(&jr, 0, &mut ev);
-                        w.absorb_eval(ev);
-                        state.update(v);
-                        w.agg_updates += 1;
-                    }
-                }
+                w.agg_updates += matches;
             }
         }
     }
+    w.absorb_eval(ev);
 }
 
 #[cfg(test)]

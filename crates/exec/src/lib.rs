@@ -33,7 +33,7 @@ pub mod wire;
 pub mod work;
 
 pub use driver::{run_op, OpRun, OpSite, ResultBatch};
-pub use join::{JoinHashTable, JoinSink, JoinedRow};
+pub use join::{JoinHashTable, JoinSink};
 pub use kernels::{
     group_table_memory_bytes, group_table_rows, page_reader, scan_agg_page, scan_group_agg_page,
     scan_page, GroupTable, ScanScratch,

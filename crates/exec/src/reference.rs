@@ -1,14 +1,16 @@
 //! Tuple-at-a-time reference kernels.
 //!
 //! These are the pre-vectorization implementations, kept verbatim: one
-//! expression-tree walk per row via `eval_counted`, and a `BTreeMap`-based
-//! group accumulator. They exist so the vectorized kernels in
-//! [`crate::kernels`] can be differentially tested (results *and*
+//! expression-tree walk per row via `eval_counted`, a `BTreeMap`-based
+//! group accumulator, and a join probe that looks each row up on its own.
+//! They exist so the vectorized kernels in [`crate::kernels`] and
+//! [`crate::join`] can be differentially tested (results *and*
 //! [`WorkCounts`] receipts must match exactly) and benchmarked against the
 //! row-at-a-time baseline. Production paths never call them.
 
+use crate::join::{JoinHashTable, JoinSink, JoinedRows};
 use crate::kernels::{count_tuples, page_reader};
-use crate::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
+use crate::spec::{ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::{AggState, EvalCounts};
 use smartssd_storage::{PageBuf, RowAccessor, Schema, Tuple};
@@ -145,4 +147,93 @@ pub fn ref_group_table_rows(acc: &RefGroupTable, key_schema: &Schema) -> Vec<Tup
             row
         })
         .collect()
+}
+
+/// Row-at-a-time join probe (reference for [`crate::join::probe_page`]):
+/// each row is filtered, looked up and emitted before the next is touched.
+pub fn probe_page_rowwise(
+    page: &PageBuf,
+    probe_schema: &Schema,
+    spec: &JoinSpec,
+    ht: &JoinHashTable,
+    joined_schema: &Schema,
+    sink: &mut JoinSink,
+    w: &mut WorkCounts,
+) {
+    let r = page_reader(page, probe_schema);
+    w.pages += 1;
+    count_tuples(w, r.layout(), r.num_rows() as u64);
+    for row in 0..r.num_rows() {
+        if spec.filter_first {
+            let mut ev = EvalCounts::default();
+            let pass = spec.probe_pred.eval_counted(&r, row, &mut ev);
+            w.absorb_eval(ev);
+            if !pass {
+                continue;
+            }
+        }
+        let key = r.i64_at(row, spec.probe_key);
+        w.values += 1;
+        w.hash_probes += 1;
+        let matches = ht.lookup(key);
+        if matches.is_empty() {
+            continue;
+        }
+        if !spec.filter_first {
+            let mut ev = EvalCounts::default();
+            let pass = spec.probe_pred.eval_counted(&r, row, &mut ev);
+            w.absorb_eval(ev);
+            if !pass {
+                continue;
+            }
+        }
+        for m in matches {
+            sink.matches += 1;
+            let payload = ht.payload(m);
+            match &spec.output {
+                JoinOutput::Project(cols) => {
+                    let mut t = Tuple::with_capacity(cols.len());
+                    let mut bytes = 0u64;
+                    for cr in cols {
+                        match *cr {
+                            ColRef::Probe(c) => {
+                                bytes += probe_schema.column(c).ty.width() as u64;
+                                t.push(r.datum_at(row, c));
+                            }
+                            ColRef::Build(c) => {
+                                let ps = ht.payload_schema();
+                                let off = ps.offset(c);
+                                let width = ps.column(c).ty.width();
+                                bytes += width as u64;
+                                t.push(smartssd_storage::tuple::decode_field(
+                                    ps.column(c).ty,
+                                    &payload[off..off + width],
+                                ));
+                            }
+                        }
+                    }
+                    w.values += cols.len() as u64;
+                    w.out_tuples += 1;
+                    w.out_bytes += bytes;
+                    sink.rows.push(t);
+                }
+                JoinOutput::Aggregate(aggs) => {
+                    let jr = JoinedRows {
+                        probe: &r,
+                        probe_rows: &[row as u32],
+                        records: &[m],
+                        ht,
+                        joined_schema,
+                    };
+                    for (a, state) in aggs.iter().zip(sink.aggs.iter_mut()) {
+                        let mut ev = EvalCounts::default();
+                        let v = a.expr.eval_counted(&jr, 0, &mut ev);
+                        w.absorb_eval(ev);
+                        state.update(v);
+                        w.agg_updates += 1;
+                    }
+                }
+            }
+        }
+    }
 }

@@ -301,14 +301,19 @@ impl<'a> Dec<'a> {
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
+    /// Little-endian unsigned integer of `n <= 8` bytes.
+    fn le(&mut self, n: usize) -> Result<u64, WireError> {
+        let bytes = self.take(n)?.iter().rev();
+        Ok(bytes.fold(0, |acc, &b| acc << 8 | u64::from(b)))
+    }
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(self.le(2)? as u16)
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.le(8)
     }
     fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(self.le(8)? as i64)
     }
     fn len(&mut self) -> Result<usize, WireError> {
         let n = self.u64()?;

@@ -13,9 +13,10 @@
 mod common;
 
 use common::{Call, RecordingSite, Refused, READ_TICKS};
-use smartssd_exec::join::{probe_page, JoinHashTable, JoinSink};
+use smartssd_exec::join::{JoinHashTable, JoinSink};
 use smartssd_exec::reference::{
-    scan_agg_page_rowwise, scan_group_agg_page_rowwise, scan_page_rowwise, RefGroupTable,
+    probe_page_rowwise, scan_agg_page_rowwise, scan_group_agg_page_rowwise, scan_page_rowwise,
+    RefGroupTable,
 };
 use smartssd_exec::spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
@@ -308,7 +309,7 @@ fn join_charges_the_build_then_checks_the_grant_then_reads_the_probe_side() {
     let QueryOp::Join { spec, .. } = &op else {
         unreachable!()
     };
-    // The kernels' own receipts: the driver must charge exactly these.
+    // The reference kernels' receipts: the driver must charge exactly these.
     let mut build_w = WorkCounts::default();
     let ht = JoinHashTable::build(build.pages(), &spec.build, &mut build_w);
     let joined = spec.joined_schema(probe.schema());
@@ -316,7 +317,7 @@ fn join_charges_the_build_then_checks_the_grant_then_reads_the_probe_side() {
     let mut receipts = Vec::new();
     for p in probe.pages() {
         let mut w = WorkCounts::default();
-        probe_page(p, probe.schema(), spec, &ht, &joined, &mut sink, &mut w);
+        probe_page_rowwise(p, probe.schema(), spec, &ht, &joined, &mut sink, &mut w);
         receipts.push(w);
     }
     assert_eq!(sink.rows.len(), 1_500);

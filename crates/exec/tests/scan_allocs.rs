@@ -6,16 +6,19 @@
 //! heap at all — on either layout. The same holds one level up, through
 //! [`run_op`] on the recording fake site: whatever a driver call allocates
 //! (its scratch, the states, the page list), it allocates once, not per
-//! page. The counting allocator is local to this test binary, and counts
-//! per thread so the tests cannot see each other (or the harness).
+//! page. An aggregating join probe is held to the same rule through the
+//! scratch its [`JoinSink`] carries. The counting allocator is local to
+//! this test binary, and counts per thread so the tests cannot see each
+//! other (or the harness).
 
 mod common;
 
 use common::RecordingSite;
-use smartssd_exec::{run_op, QueryOp, ScanScratch, TableRef, WorkCounts};
+use smartssd_exec::join::probe_page;
+use smartssd_exec::{run_op, JoinHashTable, JoinSink, QueryOp, ScanScratch, TableRef, WorkCounts};
 use smartssd_storage::expr::AggState;
-use smartssd_storage::{Layout, TableBuilder};
-use smartssd_workload::{q6, queries, tpch};
+use smartssd_storage::{Layout, TableBuilder, TableImage};
+use smartssd_workload::{q14, q6, queries, tpch};
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
 use std::cell::Cell;
 
@@ -88,6 +91,65 @@ fn warm_pax_scan_allocates_nothing() {
 #[test]
 fn warm_nsm_scan_allocates_nothing() {
     assert_eq!(warm_q6_pass_allocations(Layout::Nsm), 0);
+}
+
+/// Q14's probe — every LINEITEM row looked up in PART, the matches
+/// filtered, two `CASE`/arithmetic sums over the joined rows — over 100
+/// pages through one [`JoinSink`], after a first pass sized its scratch.
+fn warm_q14_probe_allocations(layout: Layout) -> u64 {
+    const PAGES: usize = 100;
+    let image = |name: &str, schema, rows: &mut dyn Iterator<Item = _>| -> TableImage {
+        let mut b = TableBuilder::new(name, schema, layout);
+        b.extend(rows);
+        b.finish()
+    };
+    let lineitem = image(
+        queries::LINEITEM,
+        tpch::lineitem_schema(),
+        &mut tpch::lineitem_rows(0.001, 42),
+    );
+    let part = image(
+        queries::PART,
+        tpch::part_schema(),
+        &mut tpch::part_rows(0.001, 42),
+    );
+    let mut catalog = smartssd_query::Catalog::new();
+    for (name, img) in [(queries::LINEITEM, &lineitem), (queries::PART, &part)] {
+        let table = TableRef {
+            first_lba: 0,
+            num_pages: img.num_pages() as u64,
+            schema: img.schema().clone(),
+            layout,
+        };
+        catalog.register(name, table);
+    }
+    let QueryOp::Join { probe, spec } = q14().resolve(&catalog).unwrap() else {
+        unreachable!("Q14 is a join")
+    };
+    let ht = JoinHashTable::build(part.pages(), &spec.build, &mut WorkCounts::default());
+    let joined = spec.joined_schema(&probe.schema);
+    let mut sink = JoinSink::new(&spec);
+    let mut w = WorkCounts::default();
+    let mut pass = |sink: &mut JoinSink| {
+        for p in &lineitem.pages()[..PAGES] {
+            probe_page(p, &probe.schema, &spec, &ht, &joined, sink, &mut w);
+        }
+    };
+    pass(&mut sink);
+    let before = ALLOCS.with(Cell::get);
+    pass(&mut sink);
+    let allocations = ALLOCS.with(Cell::get) - before;
+    assert_eq!(w.pages, 2 * PAGES as u64);
+    assert_eq!(w.hash_probes, w.tuples());
+    assert!(w.agg_updates > 0, "Q14 joined nothing on {layout:?}");
+    allocations
+}
+
+#[test]
+fn warm_aggregating_probe_allocates_nothing() {
+    for layout in [Layout::Pax, Layout::Nsm] {
+        assert_eq!(warm_q14_probe_allocations(layout), 0, "{layout:?}");
+    }
 }
 
 /// Allocations of one Q6 [`run_op`] call over the first 100 LINEITEM pages

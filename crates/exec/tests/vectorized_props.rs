@@ -10,21 +10,25 @@
 //! The vectorized side runs the way the engines run it: one
 //! [`ScanScratch`] per case, reused by every page, layout and kernel of the
 //! case, so anything a page left behind in a buffer would surface as a
-//! mismatch on the next. The last property goes one level up: the same
-//! operators through [`run_op`] — the loop both engines actually execute —
-//! on the recording fake site.
+//! mismatch on the next; the join probe likewise keeps one [`JoinSink`]
+//! for all the pages of a pass. The last property goes one level up: the
+//! same operators through [`run_op`] — the loop both engines actually
+//! execute — on the recording fake site.
 
 mod common;
 
 use common::RecordingSite;
 use proptest::prelude::*;
+use smartssd_exec::join::{probe_page, JoinHashTable, JoinSink};
 use smartssd_exec::kernels::{group_table_rows, GroupTable, ScanScratch};
 use smartssd_exec::reference::{
-    ref_group_table_rows, scan_agg_page_rowwise, scan_group_agg_page_rowwise, scan_page_rowwise,
-    RefGroupTable,
+    probe_page_rowwise, ref_group_table_rows, scan_agg_page_rowwise, scan_group_agg_page_rowwise,
+    scan_page_rowwise, RefGroupTable,
 };
-use smartssd_exec::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
-use smartssd_exec::{run_op, QueryOp, WorkCounts};
+use smartssd_exec::spec::{
+    BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
+};
+use smartssd_exec::{run_op, QueryOp, TableRef, WorkCounts};
 use smartssd_storage::expr::EvalCounts;
 use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
 use smartssd_storage::{
@@ -243,13 +247,144 @@ fn arb_case() -> impl Strategy<Value = Case> {
 }
 
 fn build(case: &Case, layout: Layout) -> smartssd_storage::TableImage {
-    let mut b = TableBuilder::new("t", Arc::clone(&case.schema), layout);
-    b.extend(case.rows.iter().cloned());
+    image(&case.schema, &case.rows, layout)
+}
+
+/// The build side's columns: the key, then three payload candidates.
+fn build_schema() -> Arc<Schema> {
+    Schema::from_pairs(&[
+        ("k", DataType::Int64),
+        ("p32", DataType::Int32),
+        ("ps", DataType::Char(3)),
+        ("p64", DataType::Int64),
+    ])
+}
+
+/// Payload column order, deliberately not the build schema's.
+const PAYLOAD: [usize; 3] = [3, 2, 1];
+
+/// A join over an arbitrary probe table (key: its first column, values
+/// -20..=20) and a build table whose keys cover only -8..=12, most of them
+/// several times over, so probe rows meet missing keys and fan-out both.
+#[derive(Debug, Clone)]
+struct JoinCase {
+    probe_schema: Arc<Schema>,
+    probe_rows: Vec<Tuple>,
+    build_rows: Vec<Tuple>,
+    pred: Pred,
+    project: Vec<ColRef>,
+    /// Over the joined schema: probe columns, then the payload.
+    aggs: Vec<AggSpec>,
+}
+
+fn arb_join_case() -> impl Strategy<Value = JoinCase> {
+    arb_schema().prop_flat_map(|schema| {
+        let (numeric, chars) = split_cols(&schema);
+        let n = schema.len();
+        let per_row: Vec<BoxedStrategy<Datum>> =
+            schema.columns().iter().map(|c| arb_datum(c.ty)).collect();
+        let build_row = (
+            (-8i64..=12).prop_map(Datum::I64),
+            arb_datum(DataType::Int32),
+            arb_datum(DataType::Char(3)),
+            arb_datum(DataType::Int64),
+        )
+            .prop_map(|(k, a, b, c)| vec![k, a, b, c]);
+        let cols: Vec<ColRef> = (0..n)
+            .map(ColRef::Probe)
+            .chain((0..PAYLOAD.len()).map(ColRef::Build))
+            .collect();
+        // Payload order is (Int64, Char(3), Int32) after the probe columns.
+        let joined_numeric: Vec<usize> = numeric.iter().copied().chain([n, n + 2]).collect();
+        let joined_chars: Vec<(usize, u16)> = chars.iter().copied().chain([(n + 1, 3)]).collect();
+        let s = Arc::clone(&schema);
+        (
+            prop::collection::vec(per_row, 1..250),
+            prop::collection::vec(build_row, 0..60),
+            arb_pred(numeric, chars, 2),
+            prop::collection::vec(pick(cols), 0..4),
+            arb_aggs(joined_numeric, joined_chars),
+        )
+            .prop_map(
+                move |(probe_rows, build_rows, pred, project, aggs)| JoinCase {
+                    probe_schema: Arc::clone(&s),
+                    probe_rows,
+                    build_rows,
+                    pred,
+                    project,
+                    aggs,
+                },
+            )
+    })
+}
+
+fn image(schema: &Arc<Schema>, rows: &[Tuple], layout: Layout) -> smartssd_storage::TableImage {
+    let mut b = TableBuilder::new("t", Arc::clone(schema), layout);
+    b.extend(rows.iter().cloned());
     b.finish()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `probe_page` ≡ `probe_page_rowwise` on the same flat table: output
+    /// rows in the same order, aggregate states, match count and the
+    /// receipt of every page, for both probe orders and both output
+    /// shapes; and the table's grant size is the per-distinct-key formula
+    /// the device's memory grant was calibrated with.
+    #[test]
+    fn join_probe_matches_reference(case in arb_join_case()) {
+        for layout in [Layout::Nsm, Layout::Pax] {
+            let probe = image(&case.probe_schema, &case.probe_rows, layout);
+            let build = image(&build_schema(), &case.build_rows, layout);
+            let side = BuildSide {
+                table: TableRef {
+                    first_lba: 0,
+                    num_pages: build.num_pages() as u64,
+                    schema: Arc::clone(build.schema()),
+                    layout,
+                },
+                key_col: 0,
+                payload: PAYLOAD.to_vec(),
+            };
+            let mut w_build = WorkCounts::default();
+            let ht = JoinHashTable::build(build.pages(), &side, &mut w_build);
+            let rows = case.build_rows.len() as u64;
+            prop_assert_eq!(ht.len(), rows);
+            prop_assert_eq!(w_build.hash_builds, rows);
+            prop_assert_eq!(w_build.values, 4 * rows);
+            let mut keys: Vec<i64> = case.build_rows.iter().map(|t| t[0].as_i64()).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            prop_assert_eq!(ht.memory_bytes(), rows * 15 + keys.len() as u64 * 48);
+
+            let outputs = [
+                JoinOutput::Project(case.project.clone()),
+                JoinOutput::Aggregate(case.aggs.clone()),
+            ];
+            for (output, filter_first) in outputs.into_iter().flat_map(|o| [(o.clone(), true), (o, false)]) {
+                let spec = JoinSpec {
+                    build: side.clone(),
+                    probe_key: 0,
+                    probe_pred: case.pred.clone(),
+                    filter_first,
+                    output,
+                };
+                prop_assert!(spec.validate(probe.schema()).is_ok());
+                let joined = spec.joined_schema(probe.schema());
+                let (mut sink_v, mut sink_r) = (JoinSink::new(&spec), JoinSink::new(&spec));
+                for p in probe.pages() {
+                    let (mut w_v, mut w_r) = (WorkCounts::default(), WorkCounts::default());
+                    probe_page(p, probe.schema(), &spec, &ht, &joined, &mut sink_v, &mut w_v);
+                    probe_page_rowwise(p, probe.schema(), &spec, &ht, &joined, &mut sink_r, &mut w_r);
+                    prop_assert_eq!(w_v, w_r);
+                }
+                prop_assert_eq!(&sink_v.rows, &sink_r.rows);
+                prop_assert_eq!(&sink_v.aggs, &sink_r.aggs);
+                prop_assert_eq!(sink_v.matches, sink_r.matches);
+            }
+        }
+    }
 
     /// `scan_page` ≡ `scan_page_rowwise`: rows, qualifying count, receipts.
     #[test]

@@ -38,7 +38,10 @@ pub struct Ftl {
     channels: usize,
     chips_per_channel: usize,
     pages_per_block: usize,
-    /// `lba -> ppa` for every mapped logical page.
+    /// Number of logical pages addressable.
+    logical_pages: u64,
+    /// `lba -> ppa`, grown to the highest LBA ever mapped; an LBA past its
+    /// end is unmapped.
     map: Vec<Option<Ppa>>,
     dies: Vec<DieState>,
     /// Round-robin cursor over `(channel, chip)` pairs.
@@ -59,7 +62,8 @@ impl Ftl {
             channels: cfg.channels,
             chips_per_channel: cfg.chips_per_channel,
             pages_per_block: cfg.pages_per_block,
-            map: vec![None; cfg.logical_pages() as usize],
+            logical_pages: cfg.logical_pages(),
+            map: Vec::new(),
             dies,
             stripe: 0,
         }
@@ -72,7 +76,7 @@ impl Ftl {
 
     /// Number of logical pages addressable.
     pub fn logical_pages(&self) -> u64 {
-        self.map.len() as u64
+        self.logical_pages
     }
 
     /// Current physical location of a logical page.
@@ -80,14 +84,21 @@ impl Ftl {
         self.map.get(lba as usize).copied().flatten()
     }
 
-    /// Records a new mapping.
+    /// Records a new mapping for an addressable LBA.
     pub fn map_set(&mut self, lba: u64, ppa: Ppa) {
-        self.map[lba as usize] = Some(ppa);
+        assert!(lba < self.logical_pages, "LBA {lba} out of range");
+        let i = lba as usize;
+        if i >= self.map.len() {
+            self.map.resize(i + 1, None);
+        }
+        self.map[i] = Some(ppa);
     }
 
     /// Clears a mapping (trim).
     pub fn map_clear(&mut self, lba: u64) {
-        self.map[lba as usize] = None;
+        if let Some(entry) = self.map.get_mut(lba as usize) {
+            *entry = None;
+        }
     }
 
     /// Advances the stripe cursor and returns the next `(channel, chip)`

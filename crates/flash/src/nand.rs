@@ -4,6 +4,10 @@
 //! before it can be programmed, pages within a block must be programmed in
 //! order, and erasure happens at block granularity (paper Section 2). Each
 //! block tracks its erase count for wear-levelling decisions.
+//!
+//! A page is free (never programmed since its block's last erase), valid
+//! (holds the live copy of some LBA) or invalid (stale, awaiting garbage
+//! collection). Only programmed pages are stored: see [`Block`].
 
 use crate::config::FlashConfig;
 use bytes::Bytes;
@@ -30,17 +34,6 @@ impl fmt::Display for Ppa {
             self.channel, self.chip, self.block, self.page
         )
     }
-}
-
-/// State of one physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageState {
-    /// Erased and programmable.
-    Free,
-    /// Holds live data mapped from some LBA.
-    Valid,
-    /// Holds stale data awaiting garbage collection.
-    Invalid,
 }
 
 /// Violations of NAND programming rules or addressing.
@@ -71,28 +64,34 @@ impl fmt::Display for NandError {
 
 impl std::error::Error for NandError {}
 
-/// One erase block's bookkeeping.
+/// One programmed page: its payload, the logical page it was written for
+/// (GC relocation needs it), and whether that mapping is still live.
 #[derive(Debug, Clone)]
+struct Page {
+    data: Bytes,
+    owner: u64,
+    valid: bool,
+}
+
+/// One erase block's bookkeeping.
+///
+/// The counters are always present; the per-page state exists only while
+/// the block holds programmed pages, so an array costs memory in
+/// proportion to what was written, not to its geometry.
+#[derive(Debug, Clone, Default)]
 pub struct Block {
-    states: Vec<PageState>,
-    /// Next page index that may legally be programmed.
-    next_program: u32,
-    /// Number of `Valid` pages (GC victim scoring).
+    /// Pages programmed since the last erase. NAND programs a block in
+    /// page order, so this is a prefix: `pages.len()` is the next
+    /// programmable index and every later page is free. Allocated (for the
+    /// whole block) by the first program, released by erase.
+    pages: Vec<Page>,
+    /// Number of valid pages (GC victim scoring).
     valid_count: u32,
     /// Lifetime erase count (wear).
     erase_count: u32,
 }
 
 impl Block {
-    fn new(pages: usize) -> Self {
-        Self {
-            states: vec![PageState::Free; pages],
-            next_program: 0,
-            valid_count: 0,
-            erase_count: 0,
-        }
-    }
-
     /// Number of valid pages in the block.
     pub fn valid_count(&self) -> u32 {
         self.valid_count
@@ -102,170 +101,131 @@ impl Block {
     pub fn erase_count(&self) -> u32 {
         self.erase_count
     }
-
-    /// Whether every page is still `Free`.
-    pub fn is_erased(&self) -> bool {
-        self.next_program == 0
-    }
-
-    /// Whether no further page can be programmed.
-    pub fn is_full(&self, pages_per_block: usize) -> bool {
-        self.next_program as usize >= pages_per_block
-    }
-
-    /// State of page `i`.
-    pub fn page_state(&self, i: usize) -> PageState {
-        self.states[i]
-    }
 }
 
-/// One NAND die: blocks plus the actual page payloads and their owning LBAs.
-#[derive(Debug, Clone)]
-struct Chip {
-    blocks: Vec<Block>,
-    /// Page payloads, indexed `block * pages_per_block + page`.
-    data: Vec<Option<Bytes>>,
-    /// Owning logical page per physical page (for GC relocation).
-    owner: Vec<Option<u64>>,
-}
-
-/// The full physical array (channel-major chip order).
+/// The full physical array (channel-major chip order, blocks of one chip
+/// adjacent).
 pub struct NandArray {
     cfg: FlashConfig,
-    chips: Vec<Chip>,
+    blocks: Vec<Block>,
     erases_total: u64,
 }
 
 impl NandArray {
-    /// Allocates an erased array for the given geometry.
+    /// An erased array for the given geometry: counters for every block,
+    /// page state for none.
     pub fn new(cfg: &FlashConfig) -> Self {
         cfg.validate();
-        let per_chip = cfg.blocks_per_chip * cfg.pages_per_block;
-        let chips = (0..cfg.channels * cfg.chips_per_channel)
-            .map(|_| Chip {
-                blocks: (0..cfg.blocks_per_chip)
-                    .map(|_| Block::new(cfg.pages_per_block))
-                    .collect(),
-                data: vec![None; per_chip],
-                owner: vec![None; per_chip],
-            })
-            .collect();
+        let blocks = cfg.channels * cfg.chips_per_channel * cfg.blocks_per_chip;
         Self {
             cfg: cfg.clone(),
-            chips,
+            blocks: vec![Block::default(); blocks],
             erases_total: 0,
         }
     }
 
-    fn chip_index(&self, ppa: Ppa) -> Result<usize, NandError> {
+    /// Index of `(channel, chip, block)`, all in range.
+    fn block_index(&self, channel: u16, chip: u16, block: u32) -> usize {
+        (channel as usize * self.cfg.chips_per_channel + chip as usize) * self.cfg.blocks_per_chip
+            + block as usize
+    }
+
+    fn checked_index(&self, ppa: Ppa) -> Result<usize, NandError> {
         if (ppa.channel as usize) < self.cfg.channels
             && (ppa.chip as usize) < self.cfg.chips_per_channel
             && (ppa.block as usize) < self.cfg.blocks_per_chip
             && (ppa.page as usize) < self.cfg.pages_per_block
         {
-            Ok(ppa.channel as usize * self.cfg.chips_per_channel + ppa.chip as usize)
+            Ok(self.block_index(ppa.channel, ppa.chip, ppa.block))
         } else {
             Err(NandError::BadAddress(ppa))
         }
     }
 
-    fn page_index(&self, ppa: Ppa) -> usize {
-        ppa.block as usize * self.cfg.pages_per_block + ppa.page as usize
+    /// The programmed page at `ppa`, valid or stale.
+    fn page(&self, ppa: Ppa) -> Result<Option<&Page>, NandError> {
+        let bi = self.checked_index(ppa)?;
+        Ok(self.blocks[bi].pages.get(ppa.page as usize))
     }
 
     /// Programs `data` into a free page, recording the owning LBA.
     pub fn program(&mut self, ppa: Ppa, lba: u64, data: Bytes) -> Result<(), NandError> {
         assert_eq!(data.len(), self.cfg.page_size, "payload must be page-sized");
-        let ci = self.chip_index(ppa)?;
-        let pi = self.page_index(ppa);
-        let block = &mut self.chips[ci].blocks[ppa.block as usize];
-        match block.states[ppa.page as usize] {
-            PageState::Free => {}
-            _ => return Err(NandError::ProgramNotFree(ppa)),
+        let bi = self.checked_index(ppa)?;
+        let block = &mut self.blocks[bi];
+        let next_program = block.pages.len();
+        if (ppa.page as usize) < next_program {
+            return Err(NandError::ProgramNotFree(ppa));
         }
-        if block.next_program != ppa.page {
+        if ppa.page as usize != next_program {
             return Err(NandError::ProgramOutOfOrder(ppa));
         }
-        block.states[ppa.page as usize] = PageState::Valid;
-        block.next_program += 1;
+        if next_program == 0 {
+            block.pages.reserve_exact(self.cfg.pages_per_block);
+        }
+        block.pages.push(Page {
+            data,
+            owner: lba,
+            valid: true,
+        });
         block.valid_count += 1;
-        self.chips[ci].data[pi] = Some(data);
-        self.chips[ci].owner[pi] = Some(lba);
         Ok(())
     }
 
     /// Reads a valid or invalid (but written) page's payload.
     pub fn read(&self, ppa: Ppa) -> Result<Bytes, NandError> {
-        let ci = self.chip_index(ppa)?;
-        let pi = self.page_index(ppa);
-        self.chips[ci].data[pi]
-            .clone()
-            .ok_or(NandError::ReadUnwritten(ppa))
+        let page = self.page(ppa)?.ok_or(NandError::ReadUnwritten(ppa))?;
+        Ok(page.data.clone())
     }
 
     /// Marks a page stale (its LBA was overwritten or trimmed).
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<(), NandError> {
-        let ci = self.chip_index(ppa)?;
-        let block = &mut self.chips[ci].blocks[ppa.block as usize];
-        if block.states[ppa.page as usize] == PageState::Valid {
-            block.states[ppa.page as usize] = PageState::Invalid;
-            block.valid_count -= 1;
+        let bi = self.checked_index(ppa)?;
+        let block = &mut self.blocks[bi];
+        if let Some(page) = block.pages.get_mut(ppa.page as usize) {
+            if page.valid {
+                page.valid = false;
+                block.valid_count -= 1;
+            }
         }
         Ok(())
     }
 
     /// Erases a whole block, dropping payloads and bumping wear.
     pub fn erase(&mut self, channel: u16, chip: u16, block: u32) -> Result<(), NandError> {
-        let probe = Ppa {
+        let bi = self.checked_index(Ppa {
             channel,
             chip,
             block,
             page: 0,
-        };
-        let ci = self.chip_index(probe)?;
-        let ppb = self.cfg.pages_per_block;
-        let b = &mut self.chips[ci].blocks[block as usize];
-        b.states.fill(PageState::Free);
-        b.next_program = 0;
+        })?;
+        let b = &mut self.blocks[bi];
+        b.pages = Vec::new();
         b.valid_count = 0;
         b.erase_count += 1;
-        let base = block as usize * ppb;
-        for i in base..base + ppb {
-            self.chips[ci].data[i] = None;
-            self.chips[ci].owner[i] = None;
-        }
         self.erases_total += 1;
         Ok(())
     }
 
     /// Owning LBA of a physical page, if written.
     pub fn owner(&self, ppa: Ppa) -> Option<u64> {
-        let ci = self.chip_index(ppa).ok()?;
-        self.chips[ci].owner[self.page_index(ppa)]
+        Some(self.page(ppa).ok()??.owner)
     }
 
     /// Block bookkeeping for `(channel, chip, block)`.
     pub fn block(&self, channel: u16, chip: u16, block: u32) -> &Block {
-        let ci = channel as usize * self.cfg.chips_per_channel + chip as usize;
-        &self.chips[ci].blocks[block as usize]
+        &self.blocks[self.block_index(channel, chip, block)]
     }
 
     /// Iterates `(page_index, owner_lba)` for the valid pages of a block —
     /// what GC must relocate.
     pub fn valid_pages(&self, channel: u16, chip: u16, block: u32) -> Vec<(u32, u64)> {
-        let ci = channel as usize * self.cfg.chips_per_channel + chip as usize;
-        let b = &self.chips[ci].blocks[block as usize];
-        let base = block as usize * self.cfg.pages_per_block;
-        b.states
+        let pages = &self.block(channel, chip, block).pages;
+        pages
             .iter()
             .enumerate()
-            .filter(|&(_, s)| *s == PageState::Valid)
-            .map(|(i, _)| {
-                (
-                    i as u32,
-                    self.chips[ci].owner[base + i].expect("valid page has an owner"),
-                )
-            })
+            .filter(|(_, page)| page.valid)
+            .map(|(i, page)| (i as u32, page.owner))
             .collect()
     }
 
@@ -277,15 +237,8 @@ impl NandArray {
     /// Spread of block erase counts `(min, max)` across the array — the
     /// wear-levelling quality metric.
     pub fn wear_spread(&self) -> (u32, u32) {
-        let mut min = u32::MAX;
-        let mut max = 0;
-        for chip in &self.chips {
-            for b in &chip.blocks {
-                min = min.min(b.erase_count);
-                max = max.max(b.erase_count);
-            }
-        }
-        (if min == u32::MAX { 0 } else { min }, max)
+        let counts = || self.blocks.iter().map(|b| b.erase_count);
+        (counts().min().unwrap_or(0), counts().max().unwrap_or(0))
     }
 }
 

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::time::SimTime;
 use crate::timeline::Interval;
@@ -38,7 +38,9 @@ use crate::timeline::Interval;
 /// leaked exactly once, bounded by the vocabulary size.
 pub fn intern(s: &str) -> &'static str {
     static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut pool = POOL.lock().expect("intern pool poisoned");
+    // An insert that unwound left the set whole, so a poisoned pool is
+    // still a valid pool.
+    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(&hit) = pool.get(s) {
         return hit;
     }
@@ -535,6 +537,17 @@ pub struct TraceHandle {
     sink: Mutex<Box<dyn TraceSink>>,
 }
 
+impl TraceHandle {
+    /// The sink, also after a panic while it was held. A sink that
+    /// unwound mid-event has at worst recorded part of that event, and the
+    /// next `begin_run` drops what it holds: recovering the guard keeps one
+    /// failed run from turning every later run on this tracer into a
+    /// second panic.
+    fn sink(&self) -> MutexGuard<'_, Box<dyn TraceSink>> {
+        self.sink.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 impl fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceHandle")
@@ -660,7 +673,7 @@ impl Tracer {
 
     fn record(&self, ev: &TraceEvent<'_>) {
         if let Some(h) = &self.handle {
-            h.sink.lock().expect("trace sink poisoned").record(ev);
+            h.sink().record(ev);
         }
     }
 
@@ -668,7 +681,7 @@ impl Tracer {
     /// accumulated outside the run window.
     pub fn begin_run(&self) {
         if let Some(h) = &self.handle {
-            h.sink.lock().expect("trace sink poisoned").begin_run();
+            h.sink().begin_run();
         }
     }
 
@@ -676,7 +689,7 @@ impl Tracer {
     pub fn finish_run(&self) -> RunTrace {
         match &self.handle {
             None => RunTrace::None,
-            Some(h) => h.sink.lock().expect("trace sink poisoned").finish_run(),
+            Some(h) => h.sink().finish_run(),
         }
     }
 }
@@ -690,6 +703,41 @@ mod tests {
             start: SimTime::from_nanos(start),
             end: SimTime::from_nanos(end),
         }
+    }
+
+    /// Counts events; panics, holding the sink lock, on one named "boom".
+    #[derive(Default)]
+    struct Fussy(MetricsSnapshot);
+
+    impl TraceSink for Fussy {
+        fn begin_run(&mut self) {
+            self.0 = MetricsSnapshot::default();
+        }
+        fn record(&mut self, ev: &TraceEvent<'_>) {
+            assert_ne!(ev.name, "boom", "sink refuses the event");
+            *self.0.busy_ns.entry(intern(ev.cat)).or_default() += 1;
+        }
+        fn finish_run(&mut self) -> RunTrace {
+            RunTrace::Counters(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_the_sink_does_not_poison_later_runs() {
+        let t = Tracer::new(Fussy::default());
+        t.set_level(TraceLevel::Full);
+        t.begin_run();
+        t.span(TraceLevel::Full, 1, 0, "read", "c", iv(0, 10), &[]);
+        let emit_boom = std::panic::AssertUnwindSafe(|| {
+            t.span(TraceLevel::Full, 1, 0, "boom", "c", iv(0, 10), &[]);
+        });
+        assert!(std::panic::catch_unwind(emit_boom).is_err());
+        // The lock is poisoned now; the next run goes ahead regardless.
+        t.begin_run();
+        t.span(TraceLevel::Full, 1, 0, "read", "c", iv(0, 10), &[]);
+        t.span(TraceLevel::Full, 1, 0, "read", "c", iv(10, 20), &[]);
+        let trace = t.finish_run();
+        assert_eq!(trace.counters().unwrap().busy_ns.get("c"), Some(&2));
     }
 
     #[test]

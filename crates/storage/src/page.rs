@@ -216,9 +216,13 @@ impl PageBuf {
 ///
 /// Holding the validated [`PageBuf`] (and with it the `Bytes` allocation)
 /// alive in the cache also rules out ABA reuse of a freed address.
+///
+/// Tables are loaded at consecutive LBAs from 0, so the memo is a vector
+/// indexed by LBA, grown to the highest LBA decoded: a lookup is one bounds
+/// check, and a first touch hashes nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PageDecodeCache {
-    pages: std::collections::HashMap<u64, PageBuf>,
+    pages: Vec<Option<PageBuf>>,
 }
 
 impl PageDecodeCache {
@@ -230,13 +234,17 @@ impl PageDecodeCache {
     /// Validates `data` as the page at `lba`, reusing the previous result
     /// when `data` is pointer-identical to the buffer validated last time.
     pub fn decode(&mut self, lba: u64, data: Bytes) -> Result<PageBuf, PageError> {
-        if let Some(hit) = self.pages.get(&lba) {
+        let i = lba as usize;
+        if let Some(Some(hit)) = self.pages.get(i) {
             if Bytes::ptr_eq(hit.raw(), &data) {
                 return Ok(hit.clone());
             }
         }
         let page = PageBuf::from_bytes(data)?;
-        self.pages.insert(lba, page.clone());
+        if i >= self.pages.len() {
+            self.pages.resize(i + 1, None);
+        }
+        self.pages[i] = Some(page.clone());
         Ok(page)
     }
 

@@ -43,6 +43,11 @@ impl SelectionVector {
         self.rows.extend(0..n as u32);
     }
 
+    /// Keeps the `i`-th selected row where `keep(i, row)`, preserving order.
+    pub fn retain(&mut self, keep: impl FnMut(usize, u32) -> bool) {
+        compact(&mut self.rows, keep);
+    }
+
     /// The selected row indices, ascending.
     pub fn rows(&self) -> &[u32] {
         &self.rows

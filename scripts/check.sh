@@ -41,6 +41,7 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo bench -q -p smartssd-bench --bench kernels -- --quick filter_select
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick page_validate
+    cargo bench -q -p smartssd-bench --bench kernels -- --quick join_probe
     # Every repro subcommand that writes a BENCH_<sub>.json (trace also
     # writes trace_*.json), quick scale. The registry is the only list of
     # names: `repro list` prints name, scope, BENCH file (or -), about. A
