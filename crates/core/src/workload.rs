@@ -1,9 +1,11 @@
-//! Concurrent workloads: many in-flight queries on one [`System`].
+//! Concurrent workloads: many in-flight queries on one
+//! [`System`](crate::System).
 //!
 //! The paper's Section 5 research-opportunities list calls out
 //! "considering the impact of concurrent queries" — a single
-//! [`System::run`] cannot answer that, because it resets every timeline
-//! before the query starts. [`System::run_workload`] keeps the machine hot
+//! [`System::run`](crate::System::run) cannot answer that, because it resets
+//! every timeline before the query starts.
+//! [`System::run_workload`](crate::System::run_workload) keeps the machine hot
 //! across a whole arrival stream instead: queries arrive on a deterministic
 //! schedule, contend for the shared resource timelines (flash channels,
 //! device CPU, host interface, host CPUs, buffer pool), queue for session
@@ -38,24 +40,14 @@
 //! schedule, and answers are bit-identical to isolated runs regardless of
 //! interleaving or sharing.
 
-use crate::admit::{Pending, PendingSlab, WaitSet};
 use crate::breaker::BreakerTransition;
-use crate::builder::{ConfigError, RoutePolicy, RunOptions};
-use crate::serving::{ArrivalStream, TenantLoad, TenantReport, TenantSpec};
-use crate::shard::Fallen;
-use crate::system::{Backend, RunError, RunErrorKind, System};
-use smartssd_device::DeviceError;
-use smartssd_exec::QueryOp;
-use smartssd_query::{
-    Collected, Query, QueryResult, Route, SessionDriver, SessionError, SessionFault, SessionOutcome,
-};
-use smartssd_sim::trace::pid;
+use crate::builder::{ConfigError, RoutePolicy};
+use crate::serving::{TenantReport, TenantSpec};
+use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::{
-    ArrivalGen, ArrivalModel, EventQueue, FaultCounters, Interval, LatencyStats, RunTrace, SimTime,
-    TraceLevel, Tracer,
+    ArrivalGen, ArrivalModel, FaultCounters, LatencyStats, RunTrace, SimTime, TraceLevel,
 };
 use std::collections::HashSet;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// One query of a workload: what to run, how to route it, when it arrives,
@@ -63,7 +55,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct WorkloadItem {
     /// The query to run. Shared: [`Workload::burst`],
-    /// [`Workload::open_stream`] and [`ArrivalStream`] hand every item of
+    /// [`Workload::open_stream`] and [`ArrivalStream`](crate::ArrivalStream) hand every item of
     /// one template the same `Arc`, so a million-arrival stream stores the
     /// query template once — and the scheduler can memoize catalog
     /// resolution by pointer identity.
@@ -112,7 +104,7 @@ impl WorkloadItem {
     }
 }
 
-/// A deterministic stream of queries submitted to one [`System`].
+/// A deterministic stream of queries submitted to one [`System`](crate::System).
 ///
 /// Build one explicitly with [`Workload::push`], as a burst of simultaneous
 /// arrivals with [`Workload::burst`], as a seeded open-arrival stream with
@@ -216,7 +208,8 @@ impl Workload {
 pub enum InterfaceMode {
     /// Full protocol: the `OPEN` payload and every result batch cross the
     /// host interface, and the host pays per-batch receive/merge CPU — the
-    /// same path [`System::run`] takes for device-routed queries.
+    /// same path [`System::run`](crate::System::run) takes for device-routed
+    /// queries.
     #[default]
     Linked,
     /// Device-only timing: sessions open directly on the device and batch
@@ -242,7 +235,8 @@ pub struct BrownoutPolicy {
     pub max_waiting: usize,
 }
 
-/// Per-workload knobs for [`System::run_workload`], built fluently:
+/// Per-workload knobs for
+/// [`System::run_workload`](crate::System::run_workload), built fluently:
 ///
 /// ```
 /// use smartssd::serving::TenantSpec;
@@ -259,9 +253,10 @@ pub struct BrownoutPolicy {
 ///
 /// [`WorkloadOptions::try_validate`] checks the configuration eagerly
 /// (mirroring [`SystemBuilder::try_build`](crate::SystemBuilder::try_build));
-/// [`System::run_workload`] validates again itself, surfacing the same
-/// [`ConfigError`] as [`RunErrorKind::Config`], so a bad registry can never
-/// start a run.
+/// [`System::run_workload`](crate::System::run_workload) validates again
+/// itself, surfacing the same [`ConfigError`] as
+/// [`RunErrorKind::Config`](crate::RunErrorKind::Config), so a bad registry
+/// can never start a run.
 #[derive(Debug, Clone)]
 pub struct WorkloadOptions {
     interface: InterfaceMode,
@@ -572,894 +567,17 @@ pub struct WorkloadReport {
     pub trace: RunTrace,
 }
 
-/// Scheduler events: a device session's slot frees — either by closing a
-/// completed session or because a faulted/canceled session was already
-/// closed by the driver. Arrivals are not events: they are a static
-/// schedule, walked by a sorted cursor and merged against this queue, so
-/// the heap stays small no matter how long the stream is.
-enum Ev {
-    Close(smartssd_device::SessionId),
-    SlotFreed,
-    /// A waiting query's cancellation instant: shed it *now* (event time)
-    /// instead of when its slot turn comes. The `(slot, gen)` pair
-    /// addresses the pending-arrival slab; a stale generation means the
-    /// query already left the wait set (admitted, shed, or canceled) and
-    /// the event is a harmless no-op.
-    CancelWait {
-        slot: u32,
-        gen: u32,
-    },
-}
+mod report;
+mod sched;
 
-/// Memoized catalog resolution for one workload run, keyed by query
-/// pointer identity: [`Workload::burst`], [`Workload::open_stream`] and
-/// [`ArrivalStream`] hand every item of one template the same `Arc<Query>`
-/// (the stream interns equal templates across tenants), so a stream
-/// resolves its template once instead of once per arrival —
-/// [`Query::resolve`] clones and validates the whole spec tree, a dozen
-/// allocations. One entry: an item with a different query simply misses
-/// and re-resolves. The entry keeps its key `Arc` alive, so a pointer match
-/// can never be a recycled address. The operator is shared so a dispatch
-/// can hold it without borrowing the scheduler state.
-type ResolveCache = Option<(Arc<Query>, Rc<QueryOp>)>;
-
-/// What one device-route dispatch attempt produced.
-enum DevAttempt {
-    /// No session slot free: the query queues for the next close.
-    Deferred,
-    /// The session ran; its slot stays held until `out.finished_at`.
-    Done(smartssd_device::SessionId, SessionOutcome),
-    /// The session failed; it has already been closed.
-    Fault(SessionFault),
-    /// The session was canceled mid-flight at `at`; the driver closed it,
-    /// so its slot is free again at `at`.
-    Canceled { at: SimTime, get_retries: u64 },
-}
-
-/// Where arrivals come from: an eager, pre-materialized [`Workload`]
-/// walked in `(arrival, submission index)` order, or a lazy
-/// [`ArrivalStream`] whose k-way merge yields the identical sequence
-/// without ever holding more than one item per tenant in memory. The
-/// scheduler core is written against this enum so both entry points —
-/// [`System::run_workload`] and [`System::run_serving`] — share one merge
-/// loop, and the streaming path is pinned to the eager path by
-/// differential tests rather than by duplicated code.
-enum ArrivalSrc<'a> {
-    Eager {
-        items: &'a [WorkloadItem],
-        order: Vec<u32>,
-        cursor: usize,
-    },
-    Stream(ArrivalStream),
-}
-
-impl<'a> ArrivalSrc<'a> {
-    /// An eager source over `items`. Arrivals are a static schedule, so
-    /// they never live in the event heap: a cursor over the arrival order
-    /// replaces n heap entries, keeping the heap at O(max_sessions)
-    /// whatever the stream length. Sorting by (arrival, submission index)
-    /// means same-instant arrivals fire in submission order.
-    fn eager(items: &'a [WorkloadItem]) -> Self {
-        let mut order: Vec<u32> = (0..items.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (items[i as usize].arrival, i));
-        ArrivalSrc::Eager {
-            items,
-            order,
-            cursor: 0,
-        }
-    }
-
-    /// Total number of arrivals this source will yield.
-    fn total(&self) -> usize {
-        match self {
-            ArrivalSrc::Eager { items, .. } => items.len(),
-            ArrivalSrc::Stream(s) => s.total(),
-        }
-    }
-
-    /// Arrival instant of the next item, if any.
-    fn peek(&self) -> Option<SimTime> {
-        match self {
-            ArrivalSrc::Eager {
-                items,
-                order,
-                cursor,
-            } => order.get(*cursor).map(|&i| items[i as usize].arrival),
-            ArrivalSrc::Stream(s) => s.peek(),
-        }
-    }
-
-    /// Yields the next arrival as `(submission index, item)`.
-    fn next(&mut self) -> Option<(usize, WorkloadItem)> {
-        match self {
-            ArrivalSrc::Eager {
-                items,
-                order,
-                cursor,
-            } => {
-                let &i = order.get(*cursor)?;
-                *cursor += 1;
-                Some((i as usize, items[i as usize].clone()))
-            }
-            ArrivalSrc::Stream(s) => s.next_arrival(),
-        }
-    }
-}
-
-/// Outcome tallies: [`Acct`] keeps one for the whole run and one per
-/// registered tenant.
-#[derive(Default)]
-pub(crate) struct Tally {
-    pub(crate) completed: u64,
-    rejected: u64,
-    deadline_missed: u64,
-    canceled: u64,
-    pub(crate) failed: u64,
-    pub(crate) latencies: Vec<SimTime>,
-}
-
-impl Tally {
-    fn count(&mut self, o: &ArrivalOutcome) {
-        match o {
-            ArrivalOutcome::Completed(c) => {
-                self.completed += 1;
-                self.latencies.push(c.latency);
-            }
-            ArrivalOutcome::Rejected(_) => self.rejected += 1,
-            ArrivalOutcome::DeadlineMissed(_) => self.deadline_missed += 1,
-            ArrivalOutcome::Canceled(_) => self.canceled += 1,
-            ArrivalOutcome::Failed(_) => self.failed += 1,
-        }
-    }
-
-    fn arrivals(&self) -> u64 {
-        self.completed + self.rejected + self.deadline_missed + self.canceled + self.failed
-    }
-}
-
-/// One-pass report accounting: every outcome is recorded exactly once, at
-/// the moment it is decided, updating the run's tally, the makespan, and
-/// (when a registry exists) the owning tenant's tally — so report assembly
-/// never re-walks the outcome array. The aggregates are order-independent
-/// (sums, max, and selection percentiles over the full sample), so
-/// recording at decision time is bit-identical to end-of-run passes. The
-/// fleet's closed-loop stream records through the same accounting.
-pub(crate) struct Acct {
-    pub(crate) outcomes: Vec<Option<ArrivalOutcome>>,
-    recorded: usize,
-    pub(crate) total: Tally,
-    pub(crate) makespan: SimTime,
-    /// Empty when no tenant registry exists (no per-tenant reports).
-    tenants: Vec<Tally>,
-    /// The typed error behind the most recent [`ArrivalOutcome::Failed`]
-    /// (whose public record carries only its text): [`System::run`]'s
-    /// contract returns it instead of an outcome.
-    dead: Option<RunError>,
-    /// Every shed or failed arrival leaves one protocol instant on its
-    /// session lane.
-    tracer: Tracer,
-}
-
-impl Acct {
-    pub(crate) fn new(total: usize, registered: usize, tracer: Tracer) -> Self {
-        Self {
-            outcomes: (0..total).map(|_| None).collect(),
-            recorded: 0,
-            total: Tally::default(),
-            makespan: SimTime::ZERO,
-            tenants: (0..registered).map(|_| Tally::default()).collect(),
-            dead: None,
-            tracer,
-        }
-    }
-
-    fn record(&mut self, index: usize, tenant: usize, o: ArrivalOutcome) {
-        if let ArrivalOutcome::Completed(c) = &o {
-            self.makespan = self.makespan.max(c.finished_at);
-        }
-        self.total.count(&o);
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.count(&o);
-        }
-        debug_assert!(self.outcomes[index].is_none(), "one outcome per arrival");
-        self.outcomes[index] = Some(o);
-        self.recorded += 1;
-    }
-
-    /// The scheduler-bug error, naming the earliest arrival still without
-    /// an outcome.
-    fn invariant_violated(&self) -> RunError {
-        let index = self.outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
-        RunErrorKind::SchedulerInvariant { index }.into()
-    }
-
-    /// Records a completion.
-    pub(crate) fn complete(&mut self, tenant: usize, done: QueryCompletion) {
-        self.record(
-            done.index,
-            tenant,
-            ArrivalOutcome::Completed(Arc::new(done)),
-        );
-    }
-
-    /// Emits one protocol instant on query `index`'s session lane.
-    fn instant(&self, index: usize, name: &str, at: SimTime) {
-        self.tracer.instant(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            index as u32,
-            name,
-            "session",
-            at,
-            &[],
-        );
-    }
-
-    /// Sheds `item` at `at` without service: one protocol instant named
-    /// `why` on the query's session lane, one outcome (`wrap` picks which
-    /// of the three shed outcomes it is).
-    fn shed(&mut self, (why, wrap): Shed, index: usize, item: &WorkloadItem, at: SimTime) {
-        self.instant(index, why, at);
-        self.record(index, item.tenant as usize, wrap(item.shed(index, at)));
-    }
-
-    /// Records a query that died on `error` at `at`: the public outcome
-    /// carries the error's text, the typed error stays retrievable.
-    pub(crate) fn fail(
-        &mut self,
-        index: usize,
-        tenant: usize,
-        (query, arrival): (&Arc<str>, SimTime),
-        at: SimTime,
-        error: RunError,
-    ) {
-        self.instant(index, "failed", at);
-        let failed = FailedQuery {
-            index,
-            query: Arc::clone(query),
-            arrival,
-            failed_at: at,
-            reason: error.to_string(),
-        };
-        self.record(index, tenant, ArrivalOutcome::Failed(failed));
-        self.dead = Some(error);
-    }
-}
-
-/// Why an arrival was shed, as a `(trace instant, outcome)` pair.
-type Shed = (&'static str, fn(ShedQuery) -> ArrivalOutcome);
-const CANCELED: Shed = ("canceled", ArrivalOutcome::Canceled);
-const DEADLINE_MISSED: Shed = ("deadline-missed", ArrivalOutcome::DeadlineMissed);
-const REJECTED: Shed = ("rejected", ArrivalOutcome::Rejected);
-const BROWNED_OUT: Shed = ("browned-out", ArrivalOutcome::Rejected);
-
-/// The run-scoped scheduler state: the options in force, the slot-event
-/// queue, the admission wait set with its parked arrivals, the resolve
-/// memo, and the outcome accounting.
-struct Sched<'o> {
-    opts: &'o WorkloadOptions,
-    events: EventQueue<Ev>,
-    ws: WaitSet,
-    slab: PendingSlab,
-    ops: ResolveCache,
-    acct: Acct,
-}
-
-impl Sched<'_> {
-    /// A waiting query's cancellation instant fired: shed it *now* instead
-    /// of carrying the corpse until its slot turn. A stale generation (or
-    /// an already-canceled entry) means the query left the wait set first
-    /// — nothing to do.
-    fn cancel_waiter(&mut self, slot: u32, gen: u32, now: SimTime) {
-        let Some(p) = self.slab.live_mut(slot, gen) else {
-            return;
-        };
-        if p.canceled {
-            return;
-        }
-        p.canceled = true;
-        self.ws.cancel(p.item.tenant as usize);
-        self.acct.shed(CANCELED, p.index, &p.item, now);
-    }
-}
-
-impl System {
-    /// Runs a workload of concurrent queries, interleaving them across the
-    /// system's shared resource timelines.
-    ///
-    /// Timing state is reset **once**, before the first arrival — not
-    /// between queries — so in-flight queries contend for flash channels,
-    /// the device CPU, the host interface, and host cores, and the buffer
-    /// pool carries state across queries. Device-routed queries occupy one
-    /// of the device's `max_sessions` slots from open to close; arrivals
-    /// that find every slot taken wait, and freed slots are granted by
-    /// weighted fair queueing over the [`WorkloadOptions::tenant`]
-    /// registry (plain FIFO with fairness off or no tenants). A
-    /// recoverable mid-run session fault degrades that one query to the
-    /// host route (its latency absorbs the wasted device time); an
-    /// unrecoverable fault fails that one query
-    /// ([`ArrivalOutcome::Failed`]) and the workload carries on. Only
-    /// infrastructure errors — an invalid configuration, a failed `CLOSE`,
-    /// a scheduler invariant violation — abort the run with a
-    /// [`RunError`].
-    ///
-    /// The simulation is deterministic: the same workload on the same
-    /// system produces a bit-identical report, and each query's rows and
-    /// aggregates are bit-identical to an isolated [`System::run`] of the
-    /// same query.
-    pub fn run_workload(
-        &mut self,
-        workload: &Workload,
-        opts: WorkloadOptions,
-    ) -> Result<WorkloadReport, RunError> {
-        let registered = opts.tenants.len().max(1);
-        if let Some(bad) = workload
-            .items()
-            .iter()
-            .find(|it| it.tenant as usize >= registered)
-        {
-            let tenant = bad.tenant as usize;
-            return Err(RunErrorKind::Config(ConfigError::UnknownTenant { tenant }).into());
-        }
-        let src = ArrivalSrc::eager(workload.items());
-        self.run_arrivals(src, &opts)
-    }
-
-    /// Runs an open serving stream without ever materializing it: the
-    /// per-tenant arrival generators are merged lazily, so memory stays
-    /// O(tenants + in-flight) however many arrivals the stream carries.
-    /// Equivalent to `run_workload(&compose(loads, seed), ..)` with the
-    /// loads' tenants appended to `opts` — bit-for-bit, pinned by
-    /// differential tests — at a fraction of the footprint.
-    ///
-    /// The loads' tenant specs are registered automatically (after any
-    /// tenants already in `opts`, matching [`crate::serving::compose`]'s
-    /// numbering when `opts` starts empty).
-    pub fn run_serving(
-        &mut self,
-        loads: &[TenantLoad],
-        seed: u64,
-        mut opts: WorkloadOptions,
-    ) -> Result<WorkloadReport, RunError> {
-        let tenant_base = opts.tenants.len() as u32;
-        let stream = ArrivalStream::with_base(loads, seed, tenant_base);
-        opts.tenants.extend(stream.specs().iter().cloned());
-        self.run_arrivals(ArrivalSrc::Stream(stream), &opts)
-    }
-
-    /// Schedules `src` and reports on it; a failed run's error carries the
-    /// fault counters accumulated up to the failure.
-    fn run_arrivals(
-        &mut self,
-        src: ArrivalSrc,
-        opts: &WorkloadOptions,
-    ) -> Result<WorkloadReport, RunError> {
-        self.schedule(src, opts)
-            .and_then(|acct| self.workload_report(acct, opts))
-            .map_err(|e| self.with_faults(e))
-    }
-
-    /// [`System::run`]'s engine: `query` as a one-arrival workload at time
-    /// zero over the linked protocol. A dead arrival comes back as its
-    /// typed error rather than an outcome.
-    pub(crate) fn run_single(
-        &mut self,
-        query: &Query,
-        opts: RunOptions,
-    ) -> Result<(QueryCompletion, RunTrace), RunError> {
-        let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
-        let wopts = WorkloadOptions {
-            verbosity: opts.verbosity,
-            ..WorkloadOptions::default()
-        };
-        let src = ArrivalSrc::eager(std::slice::from_ref(&item));
-        let mut acct = self.schedule(src, &wopts)?;
-        if let Some(dead) = acct.dead.take() {
-            return Err(dead);
-        }
-        // With no cancel instant, queue bound or deadline, the one arrival
-        // can only have completed.
-        let Some(ArrivalOutcome::Completed(done)) = acct.outcomes[0].take() else {
-            return Err(RunErrorKind::SchedulerInvariant { index: 0 }.into());
-        };
-        let (_, trace) = self.end_run("run", done.latency, &[]);
-        Ok((Arc::unwrap_or_clone(done), trace))
-    }
-
-    /// The scheduler core shared by [`System::run`] (one arrival),
-    /// [`System::run_workload`] (eager) and [`System::run_serving`]
-    /// (streaming): one merge loop over arrivals and slot events, with
-    /// in-flight waiters parked in a generational slab and admission
-    /// decided by the [`WaitSet`]'s keyed min-heap. Returns the outcome
-    /// accounting; the caller closes the run and assembles its report.
-    fn schedule(&mut self, mut src: ArrivalSrc, opts: &WorkloadOptions) -> Result<Acct, RunError> {
-        opts.try_validate()
-            .map_err(|e| RunError::from_kind(RunErrorKind::Config(e)))?;
-        self.tracer.set_level(opts.verbosity);
-        self.tracer.begin_run();
-        self.reset_run_timing();
-        self.run_faults = FaultCounters::default();
-        // Drop breaker transitions a previously aborted run left behind.
-        if let Backend::Smart { shard, .. } = &mut self.backend {
-            shard.breaker.take_transitions();
-        }
-        let mut s = Sched {
-            opts,
-            events: EventQueue::new(),
-            ws: WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission),
-            slab: PendingSlab::new(),
-            ops: None,
-            acct: Acct::new(src.total(), opts.tenants.len(), self.tracer.clone()),
-        };
-        loop {
-            let arrive_next = match (src.peek(), s.events.peek_time()) {
-                (Some(at), next) => next.is_none_or(|t| at <= t),
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrive_next {
-                // `peek` just saw this arrival; a source that lies ends the
-                // loop and surfaces as a missing outcome, not a panic.
-                let Some((i, item)) = src.next() else { break };
-                self.dispatch(&mut s, &item, i, item.arrival)?;
-                continue;
-            }
-            let Some((t, ev)) = s.events.pop() else { break };
-            match ev {
-                Ev::Close(sid) => {
-                    // Close events are only pushed for sessions opened on
-                    // this system's device.
-                    let Backend::Smart { shard, .. } = &mut self.backend else {
-                        return Err(RunErrorKind::NotSmart.into());
-                    };
-                    shard.dev.close(sid).map_err(RunError::from)?;
-                    self.admit_waiters(&mut s, t)?;
-                }
-                // A faulted or canceled session's slot: the driver already
-                // closed it, so only the admission remains.
-                Ev::SlotFreed => self.admit_waiters(&mut s, t)?,
-                Ev::CancelWait { slot, gen } => s.cancel_waiter(slot, gen, t),
-            }
-        }
-        debug_assert!(s.ws.is_empty(), "every freed slot admits a waiter");
-        Ok(s.acct)
-    }
-
-    /// Closes a scheduled workload and assembles its report. The
-    /// per-outcome statistics were gathered incrementally as each outcome
-    /// was decided, so assembly never re-walks the outcome array.
-    fn workload_report(
-        &mut self,
-        acct: Acct,
-        opts: &WorkloadOptions,
-    ) -> Result<WorkloadReport, RunError> {
-        let n = acct.outcomes.len();
-        // Every arrival must have exactly one outcome by now; a hole is a
-        // scheduler bug, reported as a typed error (with the fault counters
-        // absorbed by the caller) instead of a panic.
-        if acct.recorded != n {
-            return Err(acct.invariant_violated());
-        }
-        // `Option<ArrivalOutcome>` and `ArrivalOutcome` share a layout
-        // (niche optimization), so this unwrap-collect rewrites the vector
-        // in place — no second outcome array is ever allocated or copied.
-        // The expect cannot fire: `record` fills one hole per count, and
-        // the count was just checked against the length.
-        let outcomes: Vec<ArrivalOutcome> = acct
-            .outcomes
-            .into_iter()
-            .map(|o| o.expect("recorded count checked above"))
-            .collect();
-        let tenants: Vec<TenantReport> = opts
-            .tenants
-            .iter()
-            .zip(acct.tenants)
-            .map(|(s, a)| TenantReport {
-                name: s.name.clone(),
-                arrivals: a.arrivals(),
-                completed: a.completed,
-                rejected: a.rejected,
-                deadline_missed: a.deadline_missed,
-                canceled: a.canceled,
-                failed: a.failed,
-                latency: LatencyStats::from_sample(&a.latencies),
-            })
-            .collect();
-        let mut completions: Vec<Arc<QueryCompletion>> =
-            Vec::with_capacity(acct.total.completed as usize);
-        completions.extend(outcomes.iter().filter_map(|o| match o {
-            ArrivalOutcome::Completed(c) => Some(Arc::clone(c)),
-            _ => None,
-        }));
-        let makespan = acct.makespan;
-        let throughput_qps = if makespan > SimTime::ZERO {
-            completions.len() as f64 / makespan.as_secs_f64()
-        } else {
-            0.0
-        };
-        let (flash_reads, shared_hits) = match &self.backend {
-            Backend::Hdd(_) => (0, 0),
-            Backend::Ssd(p) => (p.ssd.stats().reads, 0),
-            Backend::Smart { shard, .. } => {
-                (shard.dev.flash.stats().reads, shard.dev.shared_hits())
-            }
-        };
-        let (breaker_transitions, trace) =
-            self.end_run("workload", makespan, &[("queries", n as f64)]);
-        Ok(WorkloadReport {
-            makespan,
-            throughput_qps,
-            latency: LatencyStats::from_sample(&acct.total.latencies),
-            flash_reads,
-            shared_hits,
-            pool_hits: self.pool().hits(),
-            pool_misses: self.pool().misses(),
-            faults: self.current_faults(),
-            completions,
-            outcomes,
-            rejected: acct.total.rejected,
-            deadline_missed: acct.total.deadline_missed,
-            canceled: acct.total.canceled,
-            failed: acct.total.failed,
-            tenants,
-            breaker_transitions,
-            trace,
-        })
-    }
-
-    /// Admits waiters into a freed session slot in fair-queueing (or FIFO)
-    /// order: sheds those canceled or past their start-of-service deadline
-    /// (the slot stays free, so the next waiter gets its turn
-    /// immediately), then dispatches until one admission actually occupies
-    /// the slot — a breaker-rerouted waiter completes on the host without
-    /// consuming it, so stopping after one admission would strand the rest
-    /// of the queue. Tombstones of event-canceled waiters are skipped (and
-    /// their slab slots released) inside [`WaitSet::pop`]; their outcomes
-    /// were already recorded when the cancellation event fired.
-    fn admit_waiters(&mut self, s: &mut Sched, now: SimTime) -> Result<(), RunError> {
-        while let Some(slot) = s.ws.pop(|sl| {
-            if s.slab.is_canceled(sl) {
-                s.slab.release(sl);
-                true
-            } else {
-                false
-            }
-        }) {
-            // `defer` parks an arrival before queueing its slot and only
-            // this loop (or a tombstone release inside `pop`) unparks one,
-            // so a granted slot is occupied. Were it not, the run stops
-            // here: the wait set's counters have already moved for an
-            // arrival nobody can name any more.
-            let Some(p) = s.slab.remove(slot) else {
-                return Err(s.acct.invariant_violated());
-            };
-            let (j, item) = (p.index, &p.item);
-            if item.cancel_at.is_some_and(|c| c <= now) {
-                // The cancellation event fires no later than this pop, so
-                // this arm is only reachable on an exact tie (the slot
-                // freed at the cancel instant, and the close event drained
-                // first) — and then `now == cancel_at`, so the shed
-                // instant matches the event-driven path exactly.
-                s.acct.shed(CANCELED, j, item, now);
-                continue;
-            }
-            let deadline = s.opts.deadline_for(item.tenant as usize);
-            if deadline.is_some_and(|d| now > item.arrival + d) {
-                s.acct.shed(DEADLINE_MISSED, j, item, now);
-                continue;
-            }
-            if self.dispatch(s, item, j, now)? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Dispatches one query at simulated time `now`, recording its outcome
-    /// unless it was deferred on a full device (a close event will
-    /// re-dispatch it). Returns whether the dispatch tied up a device
-    /// session slot — a host-routed completion leaves the slot free for
-    /// the next waiter. A deferred item is parked in the pending slab, so
-    /// the caller's copy can be dropped — arrivals need not outlive the
-    /// dispatch unless they actually wait.
-    fn dispatch(
-        &mut self,
-        s: &mut Sched,
-        item: &WorkloadItem,
-        idx: usize,
-        now: SimTime,
-    ) -> Result<bool, RunError> {
-        let tenant = item.tenant as usize;
-        // Cancellation beats service: an arrival whose cancel instant has
-        // already passed is abandoned before any route decision.
-        if item.cancel_at.is_some_and(|c| c <= now) {
-            s.acct.shed(CANCELED, idx, item, now);
-            return Ok(false);
-        }
-        let op = match &s.ops {
-            Some((key, op)) if Arc::ptr_eq(key, &item.query) => Rc::clone(op),
-            _ => match item.query.resolve(&self.catalog) {
-                Ok(op) => {
-                    let op = Rc::new(op);
-                    s.ops = Some((Arc::clone(&item.query), Rc::clone(&op)));
-                    op
-                }
-                Err(e) => {
-                    // A query that doesn't resolve fails alone; the rest of
-                    // the workload is unaffected (no slot was taken).
-                    let who = (&item.query.name, item.arrival);
-                    s.acct.fail(idx, tenant, who, now, e.into());
-                    return Ok(false);
-                }
-            },
-        };
-        let mut route = self.resolve_route(&op, &item.route);
-        // Health-aware routing: while the breaker is Open (or its one
-        // HalfOpen probe is taken), this arrival goes straight to the host
-        // without paying for a doomed OPEN. Breaker timestamps live on the
-        // monotone breaker clock so state carries across workloads.
-        let stamp = self.breaker_clock + now;
-        if let (Route::Device, Backend::Smart { shard, .. }) = (route, &mut self.backend) {
-            if !shard.breaker.allows_device(stamp) {
-                route = Route::Host;
-            }
-        }
-        if route == Route::Host {
-            let done = self.host_completion(item, &op, idx, now)?;
-            s.acct.complete(tenant, done);
-            return Ok(false);
-        }
-        let cancel_at = item.cancel_at.unwrap_or(SimTime::MAX);
-        let attempt = match self.device_attempt(&op, idx, now, cancel_at, s.opts.interface)? {
-            DevAttempt::Deferred => {
-                self.defer(s, item, idx, now);
-                return Ok(true);
-            }
-            DevAttempt::Canceled { at, get_retries } => {
-                // Mid-flight abandonment: the driver closed the session at
-                // the cancel instant (and traced it). The slot held from
-                // `now` to `at` was real service, so the tenant is charged
-                // for it; the breaker learns nothing (a cancellation is
-                // neither success nor failure).
-                self.run_faults.get_retries += get_retries;
-                s.events.push(at, Ev::SlotFreed);
-                s.ws.charge(tenant, at.saturating_sub(now));
-                let abandoned = ArrivalOutcome::Canceled(item.shed(idx, at));
-                s.acct.record(idx, tenant, abandoned);
-                return Ok(true);
-            }
-            DevAttempt::Done(sid, out) => {
-                // Hold the session slot until its simulated finish.
-                s.events.push(out.finished_at, Ev::Close(sid));
-                Ok(out)
-            }
-            DevAttempt::Fault(fault) => Err(fault),
-        };
-        let Backend::Smart { shard, .. } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
-        match attempt {
-            Ok(out) => {
-                shard.settle_done(&out, stamp, now, &mut self.run_faults);
-                // Charge the tenant's virtual time for exactly the service
-                // the slot delivered.
-                s.ws.charge(tenant, out.finished_at.saturating_sub(now));
-                let done = self.device_completion(item, idx, out);
-                s.acct.complete(tenant, done);
-            }
-            Err(fault) => {
-                let Fallen { at, dead } =
-                    shard.settle_fault(fault, stamp, now, &mut self.run_faults);
-                // The driver closed the failed session on the abandon path,
-                // so its slot is free again at `at` — admit the next
-                // waiter, or it would be stranded and the workload could
-                // never drain. Either way the tenant pays virtual time for
-                // the device service the attempt consumed.
-                s.events.push(at, Ev::SlotFreed);
-                s.ws.charge(tenant, at.saturating_sub(now));
-                match dead {
-                    // Recoverable: degrade this one query to the host. The
-                    // timelines keep the wasted attempt, and the fallback
-                    // starts no earlier than the fault.
-                    None => {
-                        let done = self.host_completion(item, &op, idx, at)?;
-                        s.acct.complete(tenant, done);
-                    }
-                    // Unrecoverable: this one query dies, with the fault
-                    // spelled out; the workload carries on.
-                    Some(fault) => {
-                        let who = (&item.query.name, item.arrival);
-                        let error = RunErrorKind::Session(fault).into();
-                        s.acct.fail(idx, tenant, who, at, error);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Parks a device-routed arrival that found every session slot taken —
-    /// unless admission control sheds it instead of letting the queue grow
-    /// without limit.
-    fn defer(&mut self, s: &mut Sched, item: &WorkloadItem, idx: usize, now: SimTime) {
-        let tenant = item.tenant as usize;
-        let bound = s.opts.queue_bound_for(tenant);
-        if bound.is_some_and(|b| s.ws.waiting_for(tenant) >= b) {
-            s.acct.shed(REJECTED, idx, item, now);
-            return;
-        }
-        // Brownout: the wait queue is past the policy's threshold and this
-        // arrival's tenant is (one of) the lightest already queueing — shed
-        // it so the heavier tenants keep their tail latency through the
-        // overload instead of everyone collapsing together.
-        let browned_out = s.opts.brownout.is_some_and(|b| {
-            s.ws.total_waiting() >= b.max_waiting
-                && s.ws
-                    .min_waiting_weight()
-                    .is_some_and(|m| s.ws.weight_of(tenant) <= m)
-        });
-        if browned_out {
-            s.acct.shed(BROWNED_OUT, idx, item, now);
-            return;
-        }
-        let (slot, gen) = s.slab.insert(Pending {
-            item: item.clone(),
-            index: idx,
-            canceled: false,
-        });
-        s.ws.push(slot, tenant);
-        // The cancel instant (strictly future: `c <= now` was shed at
-        // dispatch) becomes an event, so a waiting cancellation is
-        // observed when it happens, not when the slot turn comes around.
-        if let Some(c) = item.cancel_at {
-            s.events.push(c, Ev::CancelWait { slot, gen });
-        }
-    }
-
-    /// Runs one workload query on the host route starting at `start`,
-    /// producing its completion record.
-    fn host_completion(
-        &mut self,
-        item: &WorkloadItem,
-        op: &QueryOp,
-        idx: usize,
-        start: SimTime,
-    ) -> Result<QueryCompletion, RunError> {
-        let mut result = self.run_host(op, &item.query, start)?;
-        let finished_at = start + result.elapsed;
-        let latency = finished_at.saturating_sub(item.arrival);
-        result.elapsed = latency;
-        self.query_span(idx, item.arrival, finished_at, Route::Host);
-        Ok(QueryCompletion {
-            index: idx,
-            query: Arc::clone(&item.query.name),
-            route: Route::Host,
-            arrival: item.arrival,
-            finished_at,
-            latency,
-            result,
-        })
-    }
-
-    /// The completion record of a device session that delivered `out`.
-    fn device_completion(
-        &self,
-        item: &WorkloadItem,
-        idx: usize,
-        out: SessionOutcome,
-    ) -> QueryCompletion {
-        let finalize = &item.query.finalize;
-        let (agg_values, scalar) = finalize.apply(out.aggs.as_deref().unwrap_or(&[]));
-        let latency = out.finished_at.saturating_sub(item.arrival);
-        self.query_span(idx, item.arrival, out.finished_at, Route::Device);
-        QueryCompletion {
-            index: idx,
-            query: Arc::clone(&item.query.name),
-            route: Route::Device,
-            arrival: item.arrival,
-            finished_at: out.finished_at,
-            latency,
-            result: QueryResult {
-                rows: out.rows,
-                agg_values,
-                scalar,
-                elapsed: latency,
-                work: out.work,
-            },
-        }
-    }
-
-    /// One device-route attempt at `now`, under the workload's interface
-    /// model and the item's cancellation instant. A full device is
-    /// reported as [`DevAttempt::Deferred`], not an error — the scheduler
-    /// queues the query for the next free slot. An attempt that never
-    /// reached a verdict (deferred or canceled) gives back the breaker's
-    /// HalfOpen probe slot if it held it.
-    fn device_attempt(
-        &mut self,
-        op: &QueryOp,
-        idx: usize,
-        now: SimTime,
-        cancel_at: SimTime,
-        interface: InterfaceMode,
-    ) -> Result<DevAttempt, RunError> {
-        let driver = SessionDriver::new(self.cfg.session_policy.clone())
-            .with_tracer(self.tracer.clone())
-            .with_lane(idx as u32);
-        let cmd_latency_ns = self.cfg.interface.command_latency_ns();
-        let Backend::Smart { shard, link } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
-        let opened = match interface {
-            InterfaceMode::Direct => driver.open(&mut shard.dev, op, now).map(|sid| (sid, now)),
-            InterfaceMode::Linked => {
-                driver.open_linked(&mut shard.dev, link, cmd_latency_ns, op, now)
-            }
-        };
-        let (sid, open_done) = match opened {
-            Ok(opened) => opened,
-            Err(fault)
-                if matches!(
-                    fault.error,
-                    SessionError::Device(DeviceError::TooManySessions)
-                ) =>
-            {
-                shard.breaker.probe_abandoned();
-                return Ok(DevAttempt::Deferred);
-            }
-            Err(fault) => return Ok(DevAttempt::Fault(fault)),
-        };
-        let deadline = open_done + self.cfg.session_policy.session_timeout;
-        let collected = match interface {
-            InterfaceMode::Direct => {
-                driver.collect_direct_cancellable(&mut shard.dev, sid, now, deadline, cancel_at)
-            }
-            InterfaceMode::Linked => driver.collect_linked_cancellable(
-                &mut shard.dev,
-                link,
-                &mut self.host_cpu,
-                sid,
-                now,
-                deadline,
-                cancel_at,
-            ),
-        };
-        Ok(match collected {
-            Ok(Collected::Done(out)) => DevAttempt::Done(sid, out),
-            Ok(Collected::Canceled { at, get_retries }) => {
-                shard.breaker.probe_abandoned();
-                DevAttempt::Canceled { at, get_retries }
-            }
-            Err(fault) => DevAttempt::Fault(fault),
-        })
-    }
-
-    /// Emits one per-query lifetime span on the query's session lane, so
-    /// overlapped queries render as parallel lanes in Perfetto.
-    fn query_span(&self, idx: usize, arrival: SimTime, finished: SimTime, route: Route) {
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            idx as u32,
-            "query",
-            "session",
-            Interval {
-                start: arrival,
-                end: finished,
-            },
-            &[(
-                "device_route",
-                if route == Route::Device { 1.0 } else { 0.0 },
-            )],
-        );
-    }
-}
+pub(crate) use report::Acct;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{RunOptions, SystemBuilder};
     use crate::config::DeviceKind;
+    use crate::system::{RunErrorKind, System};
     use proptest::prelude::*;
     use smartssd_exec::spec::{GroupAggSpec, ScanAggSpec};
     use smartssd_query::{Finalize, OpTemplate};

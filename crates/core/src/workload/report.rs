@@ -1,0 +1,250 @@
+//! Report assembly for a scheduled workload: the one-pass outcome
+//! accounting ([`Acct`], [`Tally`]) the scheduler records into, and the
+//! [`WorkloadReport`] built from it when the run closes.
+
+use super::{
+    ArrivalOutcome, FailedQuery, QueryCompletion, ShedQuery, WorkloadItem, WorkloadOptions,
+    WorkloadReport,
+};
+use crate::serving::TenantReport;
+use crate::system::{Backend, RunError, RunErrorKind, System};
+use smartssd_sim::trace::pid;
+use smartssd_sim::{LatencyStats, SimTime, TraceLevel, Tracer};
+use std::sync::Arc;
+
+/// Outcome tallies: [`Acct`] keeps one for the whole run and one per
+/// registered tenant.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) completed: u64,
+    rejected: u64,
+    deadline_missed: u64,
+    canceled: u64,
+    pub(crate) failed: u64,
+    pub(crate) latencies: Vec<SimTime>,
+}
+
+impl Tally {
+    fn count(&mut self, o: &ArrivalOutcome) {
+        match o {
+            ArrivalOutcome::Completed(c) => {
+                self.completed += 1;
+                self.latencies.push(c.latency);
+            }
+            ArrivalOutcome::Rejected(_) => self.rejected += 1,
+            ArrivalOutcome::DeadlineMissed(_) => self.deadline_missed += 1,
+            ArrivalOutcome::Canceled(_) => self.canceled += 1,
+            ArrivalOutcome::Failed(_) => self.failed += 1,
+        }
+    }
+
+    fn arrivals(&self) -> u64 {
+        self.completed + self.rejected + self.deadline_missed + self.canceled + self.failed
+    }
+}
+
+/// One-pass report accounting: every outcome is recorded exactly once, at
+/// the moment it is decided, updating the run's tally, the makespan, and
+/// (when a registry exists) the owning tenant's tally — so report assembly
+/// never re-walks the outcome array. The aggregates are order-independent
+/// (sums, max, and selection percentiles over the full sample), so
+/// recording at decision time is bit-identical to end-of-run passes. The
+/// fleet's closed-loop stream records through the same accounting.
+pub(crate) struct Acct {
+    pub(crate) outcomes: Vec<Option<ArrivalOutcome>>,
+    recorded: usize,
+    pub(crate) total: Tally,
+    pub(crate) makespan: SimTime,
+    /// Empty when no tenant registry exists (no per-tenant reports).
+    tenants: Vec<Tally>,
+    /// The typed error behind the most recent [`ArrivalOutcome::Failed`]
+    /// (whose public record carries only its text): [`System::run`]'s
+    /// contract returns it instead of an outcome.
+    pub(super) dead: Option<RunError>,
+    /// Every shed or failed arrival leaves one protocol instant on its
+    /// session lane.
+    tracer: Tracer,
+}
+
+impl Acct {
+    pub(crate) fn new(total: usize, registered: usize, tracer: Tracer) -> Self {
+        Self {
+            outcomes: (0..total).map(|_| None).collect(),
+            recorded: 0,
+            total: Tally::default(),
+            makespan: SimTime::ZERO,
+            tenants: (0..registered).map(|_| Tally::default()).collect(),
+            dead: None,
+            tracer,
+        }
+    }
+
+    pub(super) fn record(&mut self, index: usize, tenant: usize, o: ArrivalOutcome) {
+        if let ArrivalOutcome::Completed(c) = &o {
+            self.makespan = self.makespan.max(c.finished_at);
+        }
+        self.total.count(&o);
+        if let Some(t) = self.tenants.get_mut(tenant) {
+            t.count(&o);
+        }
+        debug_assert!(self.outcomes[index].is_none(), "one outcome per arrival");
+        self.outcomes[index] = Some(o);
+        self.recorded += 1;
+    }
+
+    /// The scheduler-bug error, naming the earliest arrival still without
+    /// an outcome.
+    pub(super) fn invariant_violated(&self) -> RunError {
+        let index = self.outcomes.iter().position(|o| o.is_none()).unwrap_or(0);
+        RunErrorKind::SchedulerInvariant { index }.into()
+    }
+
+    /// Records a completion.
+    pub(crate) fn complete(&mut self, tenant: usize, done: QueryCompletion) {
+        self.record(
+            done.index,
+            tenant,
+            ArrivalOutcome::Completed(Arc::new(done)),
+        );
+    }
+
+    /// Emits one protocol instant on query `index`'s session lane.
+    fn instant(&self, index: usize, name: &str, at: SimTime) {
+        self.tracer.instant(
+            TraceLevel::Protocol,
+            pid::SESSION,
+            index as u32,
+            name,
+            "session",
+            at,
+            &[],
+        );
+    }
+
+    /// Sheds `item` at `at` without service: one protocol instant named
+    /// `why` on the query's session lane, one outcome (`wrap` picks which
+    /// of the three shed outcomes it is).
+    pub(super) fn shed(
+        &mut self,
+        (why, wrap): Shed,
+        index: usize,
+        item: &WorkloadItem,
+        at: SimTime,
+    ) {
+        self.instant(index, why, at);
+        self.record(index, item.tenant as usize, wrap(item.shed(index, at)));
+    }
+
+    /// Records a query that died on `error` at `at`: the public outcome
+    /// carries the error's text, the typed error stays retrievable.
+    pub(crate) fn fail(
+        &mut self,
+        index: usize,
+        tenant: usize,
+        (query, arrival): (&Arc<str>, SimTime),
+        at: SimTime,
+        error: RunError,
+    ) {
+        self.instant(index, "failed", at);
+        let failed = FailedQuery {
+            index,
+            query: Arc::clone(query),
+            arrival,
+            failed_at: at,
+            reason: error.to_string(),
+        };
+        self.record(index, tenant, ArrivalOutcome::Failed(failed));
+        self.dead = Some(error);
+    }
+}
+
+/// Why an arrival was shed, as a `(trace instant, outcome)` pair.
+pub(super) type Shed = (&'static str, fn(ShedQuery) -> ArrivalOutcome);
+pub(super) const CANCELED: Shed = ("canceled", ArrivalOutcome::Canceled);
+pub(super) const DEADLINE_MISSED: Shed = ("deadline-missed", ArrivalOutcome::DeadlineMissed);
+pub(super) const REJECTED: Shed = ("rejected", ArrivalOutcome::Rejected);
+pub(super) const BROWNED_OUT: Shed = ("browned-out", ArrivalOutcome::Rejected);
+
+impl System {
+    /// Closes a scheduled workload and assembles its report. The
+    /// per-outcome statistics were gathered incrementally as each outcome
+    /// was decided, so assembly never re-walks the outcome array.
+    pub(super) fn workload_report(
+        &mut self,
+        acct: Acct,
+        opts: &WorkloadOptions,
+    ) -> Result<WorkloadReport, RunError> {
+        let n = acct.outcomes.len();
+        // Every arrival must have exactly one outcome by now; a hole is a
+        // scheduler bug, reported as a typed error (with the fault counters
+        // absorbed by the caller) instead of a panic.
+        if acct.recorded != n {
+            return Err(acct.invariant_violated());
+        }
+        // `Option<ArrivalOutcome>` and `ArrivalOutcome` share a layout
+        // (niche optimization), so this unwrap-collect rewrites the vector
+        // in place — no second outcome array is ever allocated or copied.
+        // The expect cannot fire: `record` fills one hole per count, and
+        // the count was just checked against the length.
+        let outcomes: Vec<ArrivalOutcome> = acct
+            .outcomes
+            .into_iter()
+            .map(|o| o.expect("recorded count checked above"))
+            .collect();
+        let tenants: Vec<TenantReport> = opts
+            .tenants
+            .iter()
+            .zip(acct.tenants)
+            .map(|(s, a)| TenantReport {
+                name: s.name.clone(),
+                arrivals: a.arrivals(),
+                completed: a.completed,
+                rejected: a.rejected,
+                deadline_missed: a.deadline_missed,
+                canceled: a.canceled,
+                failed: a.failed,
+                latency: LatencyStats::from_sample(&a.latencies),
+            })
+            .collect();
+        let mut completions: Vec<Arc<QueryCompletion>> =
+            Vec::with_capacity(acct.total.completed as usize);
+        completions.extend(outcomes.iter().filter_map(|o| match o {
+            ArrivalOutcome::Completed(c) => Some(Arc::clone(c)),
+            _ => None,
+        }));
+        let makespan = acct.makespan;
+        let throughput_qps = if makespan > SimTime::ZERO {
+            completions.len() as f64 / makespan.as_secs_f64()
+        } else {
+            0.0
+        };
+        let (flash_reads, shared_hits) = match &self.backend {
+            Backend::Hdd(_) => (0, 0),
+            Backend::Ssd(p) => (p.ssd.stats().reads, 0),
+            Backend::Smart { shard, .. } => {
+                (shard.dev.flash.stats().reads, shard.dev.shared_hits())
+            }
+        };
+        let (breaker_transitions, trace) =
+            self.end_run("workload", makespan, &[("queries", n as f64)]);
+        Ok(WorkloadReport {
+            makespan,
+            throughput_qps,
+            latency: LatencyStats::from_sample(&acct.total.latencies),
+            flash_reads,
+            shared_hits,
+            pool_hits: self.pool().hits(),
+            pool_misses: self.pool().misses(),
+            faults: self.current_faults(),
+            completions,
+            outcomes,
+            rejected: acct.total.rejected,
+            deadline_missed: acct.total.deadline_missed,
+            canceled: acct.total.canceled,
+            failed: acct.total.failed,
+            tenants,
+            breaker_transitions,
+            trace,
+        })
+    }
+}
