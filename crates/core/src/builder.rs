@@ -383,7 +383,7 @@ impl SystemBuilder {
     /// front door; [`SystemBuilder::build`] panics on the same conditions.
     pub fn try_build(self) -> Result<System, ConfigError> {
         self.validate(self.cfg.device)?;
-        Ok(System::assemble(self.cfg, self.tracer))
+        Ok(System::assemble(self.cfg, self.tracer, 1, true))
     }
 
     /// Shared configuration validation for [`SystemBuilder::try_build`] and
@@ -446,14 +446,17 @@ impl SystemBuilder {
         Ok(())
     }
 
-    /// Assembles a [`SmartSsdFleet`] of `n` devices after validating the
-    /// configuration, wiring the tracer into the shared link and host CPU.
+    /// Assembles a [`SmartSsdFleet`] — a view over a [`System`] of `n` Smart
+    /// SSDs — after validating the configuration, wiring the tracer into
+    /// the shared link and host CPU. The devices stay untraced: the scatter
+    /// runs them on worker threads, and a sink shared between threads would
+    /// record in a nondeterministic order.
     /// Each device gets its own circuit breaker built from the configured
     /// [`BreakerPolicy`], its own crash domain, and its own host-side read
     /// state for block-path fallback. An empty fleet and a hedge factor
     /// that is negative or not finite are configuration errors too.
     pub fn try_build_fleet(
-        self,
+        mut self,
         n: usize,
         opts: FleetOptions,
     ) -> Result<SmartSsdFleet, ConfigError> {
@@ -464,7 +467,9 @@ impl SystemBuilder {
         if !(opts.hedge_factor.is_finite() && opts.hedge_factor >= 0.0) {
             return Err(ConfigError::InvalidHedgeFactor);
         }
-        Ok(SmartSsdFleet::assemble(n, self.cfg, opts, self.tracer))
+        self.cfg.device = DeviceKind::SmartSsd;
+        let sys = System::assemble(self.cfg, self.tracer, n, false);
+        Ok(SmartSsdFleet { sys, opts })
     }
 
     /// Assembles a [`SmartSsdFleet`] of `n` devices.

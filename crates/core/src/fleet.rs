@@ -5,16 +5,20 @@
 //! The Discussion section imagines "the host machine ... simply be\[ing\] the
 //! coordinator that stages computation across an array of Smart SSDs, making
 //! the system look like a parallel DBMS with the master node being the host
-//! server, and the worker nodes ... being the Smart SSDs." This module is
-//! that coordinator. Each member is the same per-device `Shard` a
-//! single-device [`System`](crate::System) is built on, so the host block
-//! path, the breaker bookkeeping and the fallback rule exist once:
+//! server, and the worker nodes ... being the Smart SSDs." That coordinator
+//! is [`System`]: it holds 1..N Smart SSDs behind one host link, and its
+//! scheduler's device attempt scatters a query over all of them and gathers
+//! the partials (`workload/sched.rs`). [`SmartSsdFleet`] is a view over a
+//! `System` built with N devices — it owns no link, host CPU, tracer, fault
+//! counters or breaker clock of its own — plus the [`FleetOptions`] its
+//! queries run under. A fleet query is a one-arrival workload at time zero,
+//! exactly as [`System::run`] is:
 //!
 //! - **Sharding.** A table is horizontally partitioned round-robin across N
 //!   devices; each device holds its own partition image and catalog entry
 //!   under the shared table name.
 //! - **Scatter.** Each query fans out as one pushdown session per shard,
-//!   driven by [`SessionDriver`] under the configured
+//!   driven by the session protocol under the configured
 //!   [`SessionPolicy`](smartssd_query::SessionPolicy)
 //!   (bounded `GET` retries, exponential backoff, session timeout). In
 //!   [`InterfaceMode::Linked`] the `OPEN` payloads serialize over the shared
@@ -38,26 +42,22 @@
 //!   the same partial over the same rows).
 //!
 //! Device executions are embarrassingly parallel: each [`SmartSsd`] owns
-//! private timelines, so the fleet runs the open/execute phase through
+//! private timelines, so the scatter runs the open/execute phase through
 //! `exec::par`'s chunked fork/join — at most `default_workers()` real
 //! threads a query, none on a one-CPU host — with bit-identical simulated
 //! results. A panic in a device's open is caught and surfaced as
-//! [`RunErrorKind::DeviceThread`] instead of aborting the process.
+//! [`RunErrorKind::DeviceThread`](crate::RunErrorKind::DeviceThread) instead
+//! of aborting the process.
 
-use crate::breaker::BreakerTransition;
-use crate::builder::SystemBuilder;
+use crate::breaker::{BreakerState, BreakerTransition};
+use crate::builder::{RunOptions, SystemBuilder};
 use crate::config::SystemConfig;
-use crate::shard::{host_pass, host_side, Fallen, Shard};
-use crate::system::{RunError, RunErrorKind};
-use crate::workload::{Acct, ArrivalOutcome, InterfaceMode, QueryCompletion};
-use smartssd_device::{SessionId, SmartSsd};
-use smartssd_exec::{default_workers, encode_op, parallel_try_each_mut, QueryOp, WorkCounts};
-use smartssd_query::{Catalog, Query, QueryResult, RawRun, Route, SessionDriver, SessionFault};
-use smartssd_sim::trace::pid;
-use smartssd_sim::{
-    Bus, CpuModel, FaultCounters, Interval, LatencyStats, RunTrace, SimTime, TraceLevel, Tracer,
-};
-use smartssd_storage::expr::AggState;
+pub use crate::shard::ShardOutcome;
+use crate::system::{RunError, System, Transitions};
+use crate::workload::{Acct, ArrivalOutcome, AttemptRules, InterfaceMode, QueryCompletion};
+use smartssd_device::SmartSsd;
+use smartssd_query::{Query, QueryResult, Route};
+use smartssd_sim::{FaultCounters, FaultPlan, LatencyStats, RunTrace, SimTime, Tracer};
 use smartssd_storage::{Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
@@ -97,25 +97,6 @@ impl Default for FleetOptions {
             hedge_budget: 2,
         }
     }
-}
-
-/// How one shard of one query run went.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// Device index.
-    pub device: usize,
-    /// Where this shard's partial was ultimately computed.
-    pub route: Route,
-    /// Simulated time the host finished consuming this shard's partial.
-    pub finished_at: SimTime,
-    /// A recoverable session fault degraded this shard to the host path.
-    pub fell_back: bool,
-    /// A hedged host re-run raced this shard's device session.
-    pub hedged: bool,
-    /// The hedged host re-run supplied the shard's partial: it finished
-    /// first, or the device session died with the hedge already running
-    /// (a pre-launched recovery).
-    pub hedge_won: bool,
 }
 
 /// Everything one fleet query run produced.
@@ -169,60 +150,11 @@ pub struct FleetStreamReport {
     pub fallbacks: u64,
 }
 
-/// Per-shard state between the scatter and gather phases.
-#[derive(Clone, Copy)]
-enum ShardPhase {
-    /// A live device session (id, `OPEN` completion time).
-    Session(SessionId, SimTime),
-    /// Host block-path execution starting no earlier than `from`;
-    /// `fell_back` distinguishes a mid-run degrade from a breaker decision.
-    Host { from: SimTime, fell_back: bool },
-}
-
-/// One query's scatter/gather state: the protocol driver, the breaker
-/// stamp, the still-open sessions (so every error path can close them),
-/// and the merge in progress.
-struct Gather {
-    driver: SessionDriver,
-    /// The breaker clock at the start of the run; every sample of the run
-    /// is stamped with it.
-    base: SimTime,
-    /// Hedges the run's retry budget still allows.
-    hedges_left: u32,
-    sids: Vec<Option<SessionId>>,
-    merged: Option<Vec<AggState>>,
-    work: WorkCounts,
-    outcomes: Vec<ShardOutcome>,
-    /// The gather frontier: the host has consumed every earlier shard's
-    /// partial by this instant.
-    t: SimTime,
-}
-
-impl Gather {
-    /// Folds a host block-path pass into the merge as shard `d`'s partial.
-    fn take_host(&mut self, d: usize, raw: RawRun) {
-        AggState::merge_partials(&mut self.merged, raw.aggs);
-        self.work.absorb(&raw.work);
-        self.outcomes[d].route = Route::Host;
-        self.outcomes[d].finished_at = raw.end;
-    }
-}
-
-/// A host coordinating N Smart SSDs as one parallel query engine.
+/// A host coordinating N Smart SSDs as one parallel query engine: a view
+/// over a [`System`] built with N devices.
 pub struct SmartSsdFleet {
-    cfg: SystemConfig,
-    opts: FleetOptions,
-    shards: Vec<Shard>,
-    /// Each device's partition catalog, by device index.
-    catalogs: Vec<Catalog>,
-    link: Bus,
-    host_cpu: CpuModel,
-    next_lba: u64,
-    tracer: Tracer,
-    run_faults: FaultCounters,
-    /// Monotone clock the per-device breakers live on; accumulates run
-    /// lengths so breaker state carries across runs that each start at zero.
-    breaker_clock: SimTime,
+    pub(crate) sys: System,
+    pub(crate) opts: FleetOptions,
 }
 
 impl SmartSsdFleet {
@@ -247,37 +179,14 @@ impl SmartSsdFleet {
         SystemBuilder::from_config(cfg).build_fleet(n, opts)
     }
 
-    /// Assembles a fleet from a configuration
-    /// [`SystemBuilder::try_build_fleet`] has validated.
-    pub(crate) fn assemble(
-        n: usize,
-        cfg: SystemConfig,
-        opts: FleetOptions,
-        tracer: Tracer,
-    ) -> Self {
-        let (link, host_cpu) = host_side(&cfg, &tracer);
-        Self {
-            shards: (0..n).map(|_| Shard::new(&cfg)).collect(),
-            catalogs: vec![Catalog::new(); n],
-            cfg,
-            opts,
-            link,
-            host_cpu,
-            next_lba: 0,
-            tracer,
-            run_faults: FaultCounters::default(),
-            breaker_clock: SimTime::ZERO,
-        }
-    }
-
     /// Number of devices.
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.sys.backend.shards().len()
     }
 
     /// Whether the fleet is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.len() == 0
     }
 
     /// The coordinator options.
@@ -288,13 +197,13 @@ impl SmartSsdFleet {
     /// One device, by index (diagnostics: open-session counts, fault
     /// counters).
     pub fn device(&self, d: usize) -> &SmartSsd {
-        &self.shards[d].dev
+        &self.sys.backend.shards()[d].dev
     }
 
     /// One device, mutably — the fault-injection hook experiments use to
     /// degrade a single fleet member (e.g. arm its crash rate).
     pub fn device_mut(&mut self, d: usize) -> &mut SmartSsd {
-        &mut self.shards[d].dev
+        &mut self.sys.backend.shards_mut()[d].dev
     }
 
     /// Arms a scripted gray-failure plan across the fleet: each device
@@ -302,8 +211,8 @@ impl SmartSsdFleet {
     /// (slowdown windows, ECC bursts) and its smart runtime (crash
     /// instants, CPU slowdowns). An empty plan disarms. Scenarios replay
     /// bit-exactly — the plan carries no randomness at all.
-    pub fn arm_fault_plan(&mut self, plan: &smartssd_sim::FaultPlan) {
-        for (d, shard) in self.shards.iter_mut().enumerate() {
+    pub fn arm_fault_plan(&mut self, plan: &FaultPlan) {
+        for (d, shard) in self.sys.backend.shards_mut().iter_mut().enumerate() {
             let view = plan.for_device(d);
             shard.dev.flash.arm_fault_plan(view.clone());
             shard.dev.config_mut().fault_plan = view;
@@ -311,8 +220,8 @@ impl SmartSsdFleet {
     }
 
     /// Device `d`'s breaker state.
-    pub fn breaker_state(&self, d: usize) -> crate::breaker::BreakerState {
-        self.shards[d].breaker.state()
+    pub fn breaker_state(&self, d: usize) -> BreakerState {
+        self.sys.backend.shards()[d].breaker.state()
     }
 
     /// Loads a table partitioned round-robin across the devices; each
@@ -326,462 +235,71 @@ impl SmartSsdFleet {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let n = self.shards.len();
-        // Buffer each partition's rows, then build its pages in one pass
-        // (TableBuilder seals a page per `extend` call boundary).
+        let n = self.len();
+        // Buffer each partition's rows, then build its pages in one pass,
+        // so a device's pages sit together in memory.
         let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
         for (i, row) in rows.into_iter().enumerate() {
             partitions[i % n].push(row);
         }
-        let first_lba = self.next_lba;
-        let mut max_pages = 0;
+        let first_lba = self.sys.next_lba;
         for (d, part) in partitions.into_iter().enumerate() {
-            let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
+            let mut b = TableBuilder::new(name, Arc::clone(schema), self.sys.cfg.layout);
             b.extend(part);
-            let img = b.finish();
-            max_pages = max_pages.max(img.num_pages() as u64);
-            let tref = self.shards[d]
-                .dev
-                .load_table(&img, first_lba)
-                .map_err(RunError::from)?;
-            self.catalogs[d].register(name, tref);
+            self.sys.load_image(d, name, &b.finish(), first_lba)?;
         }
-        self.next_lba = first_lba + max_pages;
         Ok(())
     }
 
     /// Ends the load phase: discards load-time timing on every device, the
     /// link, and the host CPU.
     pub fn finish_load(&mut self) {
-        self.reset_run_timing();
+        self.sys.finish_load();
     }
 
     /// Empties every shard's host-side buffer pool (cold-run protocol).
     pub fn clear_host_cache(&mut self) {
-        for shard in &mut self.shards {
-            shard.pool.clear();
-        }
+        self.sys.clear_cache();
     }
 
-    /// Resets per-run timing state: device timelines, the shared link, the
-    /// host CPU, command batching, and host-side fault counters. Breaker
-    /// state and buffer pools persist (like [`System`](crate::System) runs).
-    fn reset_run_timing(&mut self) {
-        self.host_cpu.reset();
-        self.link.reset();
-        for shard in &mut self.shards {
-            shard.reset_timing();
-        }
-    }
-
-    /// Faults accumulated so far in the current run, across every device
-    /// and host-side read path.
-    fn collected_faults(&self) -> FaultCounters {
-        let mut f = self.run_faults;
-        for shard in &self.shards {
-            f.absorb(&shard.faults());
-        }
-        f
-    }
-
-    /// Wraps an error for return: best-effort CLOSE of every still-open
-    /// session — so a failed scatter/gather never leaks sessions on
-    /// not-yet-gathered devices — and the faults accumulated up to the
-    /// failure attached.
-    fn fail(&mut self, sids: &mut [Option<SessionId>], mut err: RunError) -> RunError {
-        for (d, slot) in sids.iter_mut().enumerate() {
-            if let Some(sid) = slot.take() {
-                let _ = self.shards[d].dev.close(sid);
-            }
-        }
-        err.faults = Box::new(self.collected_faults());
-        err
-    }
-
-    /// Runs shard `d`'s operator on the host block path (the per-device
-    /// read state + the shared link), returning the raw pass so the
-    /// caller can merge its aggregate states with other shards' partials.
-    fn host_shard(&mut self, d: usize, op: &QueryOp, now: SimTime) -> Result<RawRun, RunError> {
-        let cmd_latency = self.cfg.interface.command_latency_ns();
-        let mut view = self.shards[d].host_view(&mut self.link, cmd_latency);
-        host_pass(
-            &mut view,
-            &mut self.host_cpu,
-            &self.cfg,
-            &self.tracer,
-            op,
-            now,
-        )
-    }
-
-    /// Emits one protocol span on shard `d`'s fleet lane.
-    fn shard_span(&self, d: usize, name: &str, iv: Interval, args: &[(&str, f64)]) {
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::FLEET,
-            d as u32,
-            name,
-            "fleet",
-            iv,
-            args,
-        );
-    }
-
-    /// Emits one protocol instant on shard `d`'s fleet lane.
-    fn shard_instant(&self, d: usize, name: &str, at: SimTime) {
-        self.tracer.instant(
-            TraceLevel::Protocol,
-            pid::FLEET,
-            d as u32,
-            name,
-            "fleet",
-            at,
-            &[],
-        );
+    /// One query as one arrival at time zero on the system's scheduler,
+    /// forced onto the device route of every shard.
+    fn run_one(
+        &mut self,
+        query: &Query,
+    ) -> Result<(QueryCompletion, Transitions, RunTrace), RunError> {
+        let rules = AttemptRules {
+            open_linked: self.opts.interface == InterfaceMode::Linked,
+            // The paper's minimal coordinator opens in place, but results
+            // still return over the one link the devices share.
+            get_linked: true,
+            hedge: (self.opts.hedge).then_some((self.opts.hedge_factor, self.opts.hedge_budget)),
+        };
+        let run = RunOptions::routed(Route::Device);
+        let done = self.sys.run_single(query, run, rules);
+        done.map_err(|e| self.sys.with_faults(e))
     }
 
     /// Runs an aggregation query across every shard and merges the partials
     /// on the host. Per-run timing starts at zero (timing state is reset;
-    /// breaker state persists on the fleet's monotone clock).
+    /// breaker state persists on the system's monotone clock).
     pub fn run_agg(&mut self, query: &Query) -> Result<FleetReport, RunError> {
-        let n = self.shards.len();
-        // Resolve per shard (each has its own partition extent).
-        let ops: Vec<QueryOp> = self
-            .catalogs
-            .iter()
-            .map(|c| query.resolve(c))
-            .collect::<Result<_, _>>()?;
-        self.reset_run_timing();
-        self.run_faults = FaultCounters::default();
-        self.tracer.set_level(TraceLevel::Full);
-        self.tracer.begin_run();
-        let mut g = Gather {
-            driver: SessionDriver::new(self.cfg.session_policy.clone())
-                .with_tracer(self.tracer.clone()),
-            base: self.breaker_clock,
-            hedges_left: self.opts.hedge_budget,
-            sids: vec![None; n],
-            merged: None,
-            work: WorkCounts::default(),
-            outcomes: (0..n)
-                .map(|d| ShardOutcome {
-                    device: d,
-                    route: Route::Device,
-                    finished_at: SimTime::ZERO,
-                    fell_back: false,
-                    hedged: false,
-                    hedge_won: false,
-                })
-                .collect(),
-            t: SimTime::ZERO,
-        };
-        if let Err(e) = self.scatter_gather(&ops, &mut g) {
-            return Err(self.fail(&mut g.sids, e));
-        }
-
-        // The frontier has passed every shard's finish.
-        let elapsed = g.t;
-        let (agg_values, scalar) = query.finalize.apply(g.merged.as_deref().unwrap_or(&[]));
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::RUN,
-            0,
-            "run",
-            "run",
-            Interval {
-                start: SimTime::ZERO,
-                end: elapsed,
-            },
-            &[],
-        );
-        let mut breaker_transitions = Vec::new();
-        for (d, shard) in self.shards.iter_mut().enumerate() {
-            let lane = (pid::FLEET, d as u32);
-            let drained = shard.take_breaker_transitions(g.base, &self.tracer, lane, "fleet");
-            breaker_transitions.extend(drained.into_iter().map(|tr| (d, tr)));
-        }
-        self.breaker_clock = g.base + elapsed;
-        let trace = self.tracer.finish_run();
+        let (done, breaker_transitions, trace) = self.run_one(query)?;
+        let shards = self.sys.backend.shards().iter();
         Ok(FleetReport {
-            result: QueryResult {
-                rows: Vec::new(),
-                agg_values,
-                scalar,
-                elapsed,
-                work: g.work,
-            },
-            shards: g.outcomes,
-            faults: self.collected_faults(),
+            result: done.result,
+            shards: shards.map(|s| s.last.clone()).collect(),
+            faults: self.sys.current_faults(),
             breaker_transitions,
             trace,
         })
     }
 
-    /// Scatters the query, then gathers every shard's partial in device
-    /// order. On error the caller closes whatever is still in `g.sids`.
-    fn scatter_gather(&mut self, ops: &[QueryOp], g: &mut Gather) -> Result<(), RunError> {
-        let phases = self.scatter(ops, g)?;
-        let marked = self.mark_hedges(&phases);
-        for (d, op) in ops.iter().enumerate() {
-            self.gather_shard(g, d, op, phases[d], marked[d])?;
-        }
-        Ok(())
-    }
-
-    /// Scatter: routes every shard (a device whose breaker is Open goes
-    /// straight to the host block path, with no device traffic at all),
-    /// ships the `OPEN`s, and starts the device executions. Live sessions
-    /// are parked in `g.sids`.
-    fn scatter(&mut self, ops: &[QueryOp], g: &mut Gather) -> Result<Vec<ShardPhase>, RunError> {
-        let n = self.shards.len();
-        let cmd_latency = self.cfg.interface.command_latency_ns();
-        let device_routed: Vec<bool> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.breaker.allows_device(g.base))
-            .collect();
-
-        // Part 1: in linked mode every OPEN payload crosses the shared
-        // link first; the bus serializes the command transfers.
-        let mut open_at = vec![SimTime::ZERO; n];
-        let mut payloads: Vec<Option<Vec<u8>>> = vec![None; n];
-        if self.opts.interface == InterfaceMode::Linked {
-            for d in (0..n).filter(|&d| device_routed[d]) {
-                let payload = encode_op(&ops[d]);
-                let iv =
-                    self.link
-                        .transfer_with_setup(SimTime::ZERO, payload.len() as u64, cmd_latency);
-                let bytes = payload.len() as f64;
-                self.shard_span(d, "shard-open", iv, &[("payload_bytes", bytes)]);
-                open_at[d] = iv.end;
-                payloads[d] = Some(payload);
-            }
-        }
-
-        // Part 2: all devices unmarshal and execute their partitions
-        // concurrently, chunked over at most `default_workers()` threads
-        // (inline when that is one). Each device's simulation is private,
-        // so real threads are safe and the outcome is deterministic. A panic
-        // in one device's open is caught and surfaced as a typed error.
-        let mut jobs: Vec<(usize, &mut Shard)> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .filter(|(d, _)| device_routed[*d])
-            .collect();
-        let mut results = parallel_try_each_mut(&mut jobs, default_workers(), |(d, shard)| {
-            match payloads[*d].as_deref() {
-                Some(p) => shard.dev.open_raw(p, open_at[*d]),
-                None => shard.dev.open(&ops[*d], open_at[*d]),
-            }
-        })
-        .into_iter();
-        // One result per device-routed shard, in device order.
-        let opens: Vec<_> = device_routed
-            .iter()
-            .map(|&routed| if routed { results.next() } else { None })
-            .collect();
-        // Park every live session before judging any failed open, so an
-        // aborting run closes them all.
-        for (d, open) in opens.iter().enumerate() {
-            if let Some(Ok(Ok(sid))) = open {
-                g.sids[d] = Some(*sid);
-            }
-        }
-
-        // Classify the opens: live sessions keep the device route; a
-        // recoverable OPEN failure (crash, reset storm, resource rejection)
-        // degrades that shard to the host path from the failure on;
-        // malformed/invalid operators and worker panics abort the run.
-        let mut phases = Vec::with_capacity(n);
-        for (d, open) in opens.into_iter().enumerate() {
-            phases.push(match open {
-                None => ShardPhase::Host {
-                    from: SimTime::ZERO,
-                    fell_back: false,
-                },
-                Some(Err(message)) => {
-                    return Err(RunErrorKind::DeviceThread { device: d, message }.into());
-                }
-                Some(Ok(Ok(sid))) => ShardPhase::Session(sid, open_at[d]),
-                Some(Ok(Err(e))) => {
-                    let fault = SessionFault {
-                        wasted: open_at[d].max(SessionDriver::error_time(&e)),
-                        error: SessionDriver::classify(e),
-                        get_retries: 0,
-                    };
-                    let from = self.settle_shard_fault(g, d, fault)?;
-                    ShardPhase::Host {
-                        from,
-                        fell_back: true,
-                    }
-                }
-            });
-        }
-        Ok(phases)
-    }
-
-    /// Settles a faulted attempt on shard `d` (every shard is dispatched
-    /// at the scatter, time zero): a recoverable fault degrades the shard
-    /// to the host block path no earlier than the returned instant; an
-    /// unrecoverable one is the run's error.
-    fn settle_shard_fault(
-        &mut self,
-        g: &Gather,
-        d: usize,
-        fault: SessionFault,
-    ) -> Result<SimTime, RunError> {
-        let faults = &mut self.run_faults;
-        let Fallen { at, dead } = self.shards[d].settle_fault(fault, g.base, SimTime::ZERO, faults);
-        if let Some(fault) = dead {
-            return Err(RunErrorKind::Session(fault).into());
-        }
-        self.shard_instant(d, "shard-fallback", at);
-        Ok(at)
-    }
-
-    /// Hedge marking: ranks live shards by the device's own completion
-    /// estimate (a non-destructive peek at the last queued batch); every
-    /// shard whose estimate exceeds `hedge_factor` times the median is a
-    /// laggard worth racing — this catches *several* limping shards at
-    /// once, the shape a gray device's slowdown window produces.
-    fn mark_hedges(&self, phases: &[ShardPhase]) -> Vec<bool> {
-        let mut marked = vec![false; phases.len()];
-        if !self.opts.hedge {
-            return marked;
-        }
-        let etas: Vec<(usize, SimTime)> = phases
-            .iter()
-            .enumerate()
-            .filter_map(|(d, phase)| match phase {
-                ShardPhase::Session(sid, _) => Some((d, self.shards[d].dev.session_eta(*sid)?)),
-                ShardPhase::Host { .. } => None,
-            })
-            .collect();
-        if etas.len() >= 2 {
-            let mut sorted: Vec<SimTime> = etas.iter().map(|&(_, eta)| eta).collect();
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            let threshold = self.opts.hedge_factor * median.as_nanos() as f64;
-            for &(d, eta) in &etas {
-                marked[d] = eta.as_nanos() as f64 > threshold;
-            }
-        }
-        marked
-    }
-
-    /// Launches a hedge for laggard shard `d` at the gather frontier — if
-    /// the run's retry budget is not spent. The host copy is
-    /// posted at the same instant as the shard's gather, racing the device
-    /// session for the same partial; both sides' resource use is charged —
-    /// that is the price of hedging. A denied hedge is counted: a fleet
-    /// that wants to hedge but can't is a tuning signal, not a silent
-    /// no-op.
-    fn launch_hedge(&mut self, g: &mut Gather, d: usize, op: &QueryOp) -> Option<RawRun> {
-        if g.hedges_left > 0 {
-            g.hedges_left -= 1;
-            self.run_faults.hedges += 1;
-            g.outcomes[d].hedged = true;
-            self.shard_instant(d, "shard-hedge", g.t);
-            self.host_shard(d, op, g.t).ok()
-        } else {
-            self.run_faults.hedge_denied += 1;
-            self.shard_instant(d, "shard-hedge-denied", g.t);
-            None
-        }
-    }
-
-    /// Gathers shard `d`'s partial at the gather frontier, from wherever
-    /// its phase says it comes, and advances the frontier past it.
-    fn gather_shard(
-        &mut self,
-        g: &mut Gather,
-        d: usize,
-        op: &QueryOp,
-        phase: ShardPhase,
-        marked: bool,
-    ) -> Result<(), RunError> {
-        let gather_start = g.t;
-        match phase {
-            ShardPhase::Host { from, fell_back } => {
-                let raw = self.host_shard(d, op, from)?;
-                g.take_host(d, raw);
-                g.outcomes[d].fell_back = fell_back;
-            }
-            ShardPhase::Session(sid, open_done) => {
-                let deadline = open_done + self.cfg.session_policy.session_timeout;
-                let collected = g.driver.collect_linked(
-                    &mut self.shards[d].dev,
-                    &mut self.link,
-                    &mut self.host_cpu,
-                    sid,
-                    g.t,
-                    deadline,
-                );
-                let hedge = if marked {
-                    self.launch_hedge(g, d, op)
-                } else {
-                    None
-                };
-                // Closed just below, or already by the driver on its fault path.
-                g.sids[d] = None;
-                match collected {
-                    Ok(out) => {
-                        let _ = g.driver.close(&mut self.shards[d].dev, sid, &out);
-                        let faults = &mut self.run_faults;
-                        self.shards[d].settle_done(&out, g.base, open_done, faults);
-                        match hedge {
-                            Some(raw) if raw.end < out.finished_at => {
-                                // The host copy won the race; answers are
-                                // identical, only timing moves.
-                                self.run_faults.hedge_wins += 1;
-                                g.outcomes[d].hedge_won = true;
-                                g.take_host(d, raw);
-                            }
-                            _ => {
-                                g.outcomes[d].finished_at = out.finished_at;
-                                if let Some(parts) = out.aggs {
-                                    AggState::merge_partials(&mut g.merged, parts);
-                                }
-                                g.work.absorb(self.shards[d].dev.total_work());
-                            }
-                        }
-                    }
-                    Err(fault) => {
-                        let from = self.settle_shard_fault(g, d, fault)?;
-                        g.outcomes[d].fell_back = true;
-                        // A hedge already in flight doubles as the recovery
-                        // run — it won by default: the recovery was running
-                        // when the fault hit. Otherwise fall back now, for
-                        // this shard only, once the host has both seen the
-                        // fault and reached this shard.
-                        let raw = match hedge {
-                            Some(raw) => {
-                                self.run_faults.hedge_wins += 1;
-                                g.outcomes[d].hedge_won = true;
-                                raw
-                            }
-                            None => self.host_shard(d, op, from.max(g.t))?,
-                        };
-                        g.take_host(d, raw);
-                    }
-                }
-            }
-        }
-        g.t = g.t.max(g.outcomes[d].finished_at);
-        let iv = Interval {
-            start: gather_start,
-            end: g.outcomes[d].finished_at.max(gather_start),
-        };
-        self.shard_span(d, "shard-gather", iv, &[]);
-        Ok(())
-    }
-
     /// Runs `queries` back-to-back as a closed-loop stream: each query's
     /// timing starts at zero, breaker state carries across queries on the
-    /// fleet's monotone clock, and host-side caches are cleared before each
-    /// query (the cold-run protocol). Returns throughput and latency over
-    /// the whole stream, plus one [`ArrivalOutcome`] per query on the
+    /// system's monotone clock, and host-side caches are cleared before
+    /// each query (the cold-run protocol). Returns throughput and latency
+    /// over the whole stream, plus one [`ArrivalOutcome`] per query on the
     /// stream's cumulative timeline (query `i` "arrives" when query `i-1`
     /// finishes). A query that dies on an unrecoverable error becomes an
     /// [`ArrivalOutcome::Failed`] outcome and ends the stream early; the
@@ -791,40 +309,25 @@ impl SmartSsdFleet {
     pub fn run_stream(&mut self, queries: &[Query]) -> Result<FleetStreamReport, RunError> {
         let mut acct = Acct::new(queries.len(), 0, Tracer::none());
         let mut faults = FaultCounters::default();
-        let mut host_shard_runs = 0u64;
-        let mut fallbacks = 0u64;
+        let (mut host_shard_runs, mut fallbacks) = (0, 0);
         for (i, q) in queries.iter().enumerate() {
             self.clear_host_cache();
             let arrival = acct.makespan;
-            let r = match self.run_agg(q) {
-                Ok(r) => r,
+            let mut done = match self.run_one(q) {
+                Ok((done, ..)) => done,
                 Err(e) => {
                     faults.absorb(e.fault_counters());
                     acct.fail(i, 0, (&q.name, arrival), arrival, e);
                     break;
                 }
             };
-            faults.absorb(&r.faults);
-            host_shard_runs += r.shards.iter().filter(|s| s.route == Route::Host).count() as u64;
-            fallbacks += r.shards.iter().filter(|s| s.fell_back).count() as u64;
-            let route = if r.shards.iter().all(|s| s.route == Route::Host) {
-                Route::Host
-            } else {
-                Route::Device
-            };
-            let latency = r.result.elapsed;
-            acct.complete(
-                0,
-                QueryCompletion {
-                    index: i,
-                    query: Arc::clone(&q.name),
-                    route,
-                    arrival,
-                    finished_at: arrival + latency,
-                    latency,
-                    result: r.result,
-                },
-            );
+            faults.absorb(&self.sys.current_faults());
+            let shards = self.sys.backend.shards().iter().map(|s| &s.last);
+            host_shard_runs += shards.clone().filter(|s| s.route == Route::Host).count() as u64;
+            fallbacks += shards.filter(|s| s.fell_back).count() as u64;
+            (done.index, done.arrival) = (i, arrival);
+            done.finished_at = arrival + done.latency;
+            acct.complete(0, done);
         }
         let secs = acct.makespan.as_secs_f64();
         let throughput_qps = if secs > 0.0 {

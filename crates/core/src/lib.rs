@@ -37,14 +37,17 @@
 //! println!("Q6 on the Smart SSD: {}", report.result.elapsed);
 //! ```
 //!
-//! There is one execution path. [`System::run`] is a one-arrival workload
-//! over the event-loop scheduler behind [`System::run_workload`] and
-//! [`System::run_serving`] (see [`workload`]); the multi-device
-//! [`SmartSsdFleet`] scatter/gather coordinator (see [`fleet`]) is built
-//! from the same per-device shard a `System` owns. All of them settle a
-//! device attempt by the same rule: a recoverable fault re-runs the query
-//! on the host from the fault instant, so recovery is paid in simulated
-//! time and energy, never hidden.
+//! There is one host and one execution path. A [`System`] holds 1..N Smart
+//! SSDs behind one host link (the paper's Section 4.3 array; a single
+//! device is the array with one member), and [`System::run`] is a
+//! one-arrival workload over the event-loop scheduler behind
+//! [`System::run_workload`] and [`System::run_serving`] (see [`workload`]),
+//! whose device attempt scatters a query over every device of the system
+//! and gathers the partials. The multi-device [`SmartSsdFleet`] (see
+//! [`fleet`]) is a view over an N-device `System`; a fleet query is one
+//! more one-arrival workload. Every attempt is settled by the same rule: a
+//! recoverable fault re-runs that device's share on the host from the fault
+//! instant, so recovery is paid in simulated time and energy, never hidden.
 //!
 //! To watch where the simulated time goes, attach a sink:
 //!

@@ -1,25 +1,70 @@
-//! One Smart SSD and everything the host keeps for it — the unit both the
-//! single-device [`System`](crate::System) and the
-//! [`SmartSsdFleet`](crate::SmartSsdFleet) are built from.
+//! One Smart SSD and everything the host keeps for it — the unit a
+//! [`System`](crate::System) holds 1..N of.
 //!
 //! The paper's Section 4.3 coordinator "stages computation across an array
 //! of Smart SSDs"; a single system is that array with one member. Whatever
 //! the host does *per device* therefore lives here, once: the block-path
 //! read state its host route uses, the circuit breaker that gates its
-//! device route, and the rule for settling a finished device attempt —
-//! breaker and fault bookkeeping, then either the answer, a host re-run, or
-//! a dead query.
+//! device route, where the scheduler's device attempt in flight stands on
+//! it, and the rule for settling that attempt — breaker and fault
+//! bookkeeping, then either the answer, a host re-run, or a dead query.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::config::SystemConfig;
 use crate::system::RunError;
-use smartssd_device::{DeviceError, SmartSsd};
+use smartssd_device::{DeviceError, SessionId, SmartSsd};
 use smartssd_exec::QueryOp;
 use smartssd_host::{BufferPool, CommandState, LinkedFlashView, PageSource};
-use smartssd_query::{HostEngine, RawRun, SessionError, SessionFault, SessionOutcome};
+use smartssd_query::{HostEngine, RawRun, Route, SessionError, SessionFault, SessionOutcome};
 use smartssd_sim::trace::pid;
-use smartssd_sim::{mb_per_sec, Bus, CpuModel, FaultCounters, SimTime, TraceLevel, Tracer};
+use smartssd_sim::{Bus, CpuModel, FaultCounters, SimTime, TraceLevel, Tracer};
 use smartssd_storage::PageDecodeCache;
+
+/// How one shard of one query run went.
+#[derive(Debug, Clone)]
+pub struct ShardOutcome {
+    /// Device index.
+    pub device: usize,
+    /// Where this shard's partial was ultimately computed.
+    pub route: Route,
+    /// Simulated time the host finished consuming this shard's partial.
+    pub finished_at: SimTime,
+    /// A recoverable session fault degraded this shard to the host path.
+    pub fell_back: bool,
+    /// A hedged host re-run raced this shard's device session.
+    pub hedged: bool,
+    /// The hedged host re-run supplied the shard's partial: it finished
+    /// first, or the device session died with the hedge already running
+    /// (a pre-launched recovery).
+    pub hedge_won: bool,
+}
+
+/// A shard before its attempt: on the device route, nothing finished, no
+/// recovery action taken.
+pub(crate) const FRESH: ShardOutcome = ShardOutcome {
+    device: 0,
+    route: Route::Device,
+    finished_at: SimTime::ZERO,
+    fell_back: false,
+    hedged: false,
+    hedge_won: false,
+};
+
+/// Where the device attempt in flight stands on one shard, between the
+/// scheduler's scatter and this shard's turn in the gather.
+pub(crate) enum Phase {
+    /// Not on the device route: the shard's partial comes from the host
+    /// block path (its breaker said so). Also the resting state between
+    /// attempts.
+    Host,
+    /// The `OPEN` is on its way and reaches the device at `open_done`,
+    /// marshalled if it crossed the link.
+    Opening(Option<Vec<u8>>),
+    /// The `OPEN` failed.
+    Failed(SessionFault),
+    /// A live session.
+    Session(SessionId),
+}
 
 /// One device plus the host-side state that goes with it.
 pub(crate) struct Shard {
@@ -35,22 +80,15 @@ pub(crate) struct Shard {
     /// Host-route per-LBA decode memo (the device route has its own inside
     /// `dev`).
     page_cache: PageDecodeCache,
-}
-
-/// A device attempt that faulted, settled: the driver closed its session,
-/// which frees its slot at `at`.
-pub(crate) struct Fallen {
-    /// The earliest instant anything can happen after the fault. A
-    /// recoverable fault re-runs the query on the host block path — a
-    /// separate failure domain — no earlier than this, so the wasted device
-    /// time stays on the query's clock.
-    pub at: SimTime,
-    /// Set when the fault is unrecoverable: the query is dead as of `at`.
-    pub dead: Option<SessionFault>,
+    /// The attempt in flight: its phase, and when its `OPEN` completes.
+    pub(crate) phase: Phase,
+    pub(crate) open_done: SimTime,
+    /// How the most recent attempt went here.
+    pub(crate) last: ShardOutcome,
 }
 
 impl Shard {
-    pub(crate) fn new(cfg: &SystemConfig) -> Self {
+    pub(crate) fn new(cfg: &SystemConfig, device: usize) -> Self {
         Self {
             dev: SmartSsd::new(cfg.flash.clone(), cfg.smart.clone()),
             breaker: CircuitBreaker::new(cfg.breaker),
@@ -58,6 +96,9 @@ impl Shard {
             cmd: CommandState::default(),
             host_faults: FaultCounters::default(),
             page_cache: PageDecodeCache::new(),
+            phase: Phase::Host,
+            open_done: SimTime::ZERO,
+            last: ShardOutcome { device, ..FRESH },
         }
     }
 
@@ -98,19 +139,17 @@ impl Shard {
     /// Books a device attempt that delivered its answer: the breaker
     /// learns a success and a service-time sample (a gray device opens it
     /// with zero hard failures), both stamped `stamp` on the breaker clock.
-    /// Service time runs from `service_from` on the run's timeline — the
-    /// dispatch instant for a workload arrival, the `OPEN`'s completion
-    /// for a fleet shard (whose `OPEN` queues on the shared link behind
-    /// its siblings').
+    /// Service time runs from the `OPEN`'s completion: on a shared link an
+    /// `OPEN` queues behind its siblings', and that wait says nothing about
+    /// this device's health.
     pub(crate) fn settle_done(
         &mut self,
         out: &SessionOutcome,
         stamp: SimTime,
-        service_from: SimTime,
         faults: &mut FaultCounters,
     ) {
         self.breaker.record_success(stamp);
-        let service = out.finished_at.saturating_sub(service_from);
+        let service = out.finished_at.saturating_sub(self.open_done);
         if self.breaker.record_service_time(stamp, service) {
             faults.slow_trips += 1;
         }
@@ -124,15 +163,20 @@ impl Shard {
     /// on the run's timeline) are charged to `faults`. Malformed payloads
     /// and invalid operators would fail on the host too, so they kill the
     /// query; everything else (uncorrectable flash, resource rejection,
-    /// firmware crash, hang, timeout) degrades it to the host route,
-    /// starting no earlier than the fault.
+    /// firmware crash, hang, timeout) degrades it to the host route.
+    ///
+    /// Returns the earliest instant anything can happen after the fault —
+    /// the driver's `CLOSE` frees the session's slot then, and a host
+    /// re-run starts no earlier, so the wasted device time stays on the
+    /// query's clock — and the fault itself if it is unrecoverable: the
+    /// query is dead as of that instant.
     pub(crate) fn settle_fault(
         &mut self,
         fault: SessionFault,
         stamp: SimTime,
         dispatched: SimTime,
         faults: &mut FaultCounters,
-    ) -> Fallen {
+    ) -> (SimTime, Option<SessionFault>) {
         self.breaker.record_failure(stamp);
         faults.get_retries += fault.get_retries;
         // `fault.wasted` is an absolute instant; only the time past the
@@ -145,49 +189,39 @@ impl Shard {
         } else {
             Some(fault)
         };
-        Fallen { at: resume, dead }
+        (resume, dead)
     }
 
     /// Drains the breaker transitions recorded since `base` (the breaker
-    /// clock at the start of the current run), re-based onto the run's own
-    /// timeline, and emits each one as a trace instant on `(pid, tid)`.
-    pub(crate) fn take_breaker_transitions(
+    /// clock at the start of the current run) into `out`, re-based onto the
+    /// run's own timeline and tagged with this device's index, and emits
+    /// each one as a trace instant on the device's lane of the RUN track.
+    pub(crate) fn drain_breaker_transitions(
         &mut self,
         base: SimTime,
         tracer: &Tracer,
-        (pid, tid): (u32, u32),
-        cat: &str,
-    ) -> Vec<BreakerTransition> {
-        let transitions: Vec<BreakerTransition> = self
-            .breaker
-            .take_transitions()
-            .into_iter()
-            .map(|t| BreakerTransition {
-                at: t.at.saturating_sub(base),
-                to: t.to,
-            })
-            .collect();
-        for t in &transitions {
+        out: &mut Vec<(usize, BreakerTransition)>,
+    ) {
+        let d = self.last.device;
+        for t in self.breaker.take_transitions() {
+            let at = t.at.saturating_sub(base);
             let name = match t.to {
                 BreakerState::Closed => "breaker-closed",
                 BreakerState::Open => "breaker-open",
                 BreakerState::HalfOpen => "breaker-half-open",
             };
-            tracer.instant(TraceLevel::Protocol, pid, tid, name, cat, t.at, &[]);
+            tracer.instant(
+                TraceLevel::Protocol,
+                pid::RUN,
+                d as u32,
+                name,
+                "run",
+                at,
+                &[],
+            );
+            out.push((d, BreakerTransition { at, to: t.to }));
         }
-        transitions
     }
-}
-
-/// The host side every shard hangs off: the interface link and the host
-/// CPU, both reporting to `tracer`.
-pub(crate) fn host_side(cfg: &SystemConfig, tracer: &Tracer) -> (Bus, CpuModel) {
-    let mbps = cfg.interface.effective_mbps();
-    let mut link = Bus::new("host-interface", mb_per_sec(mbps), 0);
-    link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
-    let mut host_cpu = CpuModel::new("host-cpu", cfg.host_cpu_cores, cfg.host_cpu_hz);
-    host_cpu.set_tracer(tracer.clone(), pid::HOST_CPU);
-    (link, host_cpu)
 }
 
 /// Whether a session failure may be recovered by re-running on the host.

@@ -1,23 +1,25 @@
-//! The assembled test bed: one storage device, a host, a catalog, and the
-//! machinery to run a query on either side and meter it.
+//! The assembled test bed: one host, its storage — a disk, an SSD, or 1..N
+//! Smart SSDs behind one link — a catalog per device, and the machinery to
+//! run a query on either side and meter it.
 
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
-use crate::shard::{host_pass, host_side, Shard};
+use crate::shard::{host_pass, Shard};
+use crate::workload::{AttemptRules, InterfaceMode};
 use smartssd_device::DeviceError;
 use smartssd_exec::QueryOp;
 use smartssd_flash::FlashSsd;
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource, SsdHostPath};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
-    Query, QueryResult, Route, SessionFault,
+    Query, QueryResult, RawRun, Route, SessionFault,
 };
 use smartssd_sim::energy::{ComponentDraw, Subsystem};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
-    Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace, SimTime,
-    TraceLevel, Tracer, UtilizationReport,
+    mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace,
+    SimTime, TraceLevel, Tracer, UtilizationReport,
 };
 use smartssd_storage::{Layout, Schema, TableBuilder, TableImage, Tuple};
 use std::fmt;
@@ -207,14 +209,40 @@ impl From<IoError> for RunError {
     }
 }
 
+/// Breaker transitions of a run, each tagged with its device's index.
+pub(crate) type Transitions = Vec<(usize, BreakerTransition)>;
+
 #[allow(clippy::large_enum_variant)] // one backend exists per System; no dense collections of these
 pub(crate) enum Backend {
     Hdd(HddHostPath),
     Ssd(SsdHostPath),
-    Smart { shard: Shard, link: Bus },
+    /// The paper's Section 4.3 array: 1..N Smart SSDs behind one shared
+    /// host link. A single-device system is the array with one member.
+    Smart {
+        shards: Vec<Shard>,
+        link: Bus,
+    },
 }
 
-/// One complete test bed: device + host + catalog.
+impl Backend {
+    /// The Smart SSDs (none on a disk or a plain SSD).
+    pub(crate) fn shards(&self) -> &[Shard] {
+        match self {
+            Backend::Smart { shards, .. } => shards,
+            _ => &[],
+        }
+    }
+
+    /// The Smart SSDs, mutably.
+    pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
+        match self {
+            Backend::Smart { shards, .. } => shards,
+            _ => &mut [],
+        }
+    }
+}
+
+/// One complete test bed: storage + host + catalog.
 ///
 /// Build with [`crate::SystemBuilder`]; run single queries with
 /// [`System::run`] and concurrent streams with
@@ -223,8 +251,12 @@ pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) backend: Backend,
     pub(crate) host_cpu: CpuModel,
-    pub(crate) catalog: Catalog,
-    next_lba: u64,
+    /// One catalog per device, by device index: a table partitioned over N
+    /// Smart SSDs has its own extent on each. A query resolves to one
+    /// operator per entry.
+    pub(crate) catalogs: Vec<Catalog>,
+    /// The first LBA no table occupies on any device.
+    pub(crate) next_lba: u64,
     /// Tables with buffer-pool updates not yet checkpointed to the device.
     /// Pushdown against them would read stale data (paper Section 4.3).
     dirty: std::collections::HashSet<String>,
@@ -234,17 +266,24 @@ pub struct System {
     /// Shared handle to the trace sink attached at build time (a no-op
     /// handle when none was).
     pub(crate) tracer: Tracer,
-    /// Monotone simulated clock the device's breaker lives on. Each run/workload
-    /// starts its own timeline at zero; this accumulates their lengths so
-    /// breaker timestamps stay comparable across calls.
+    /// Monotone simulated clock the per-device breakers live on. Each
+    /// run/workload starts its own timeline at zero; this accumulates their
+    /// lengths so breaker timestamps stay comparable across calls.
     pub(crate) breaker_clock: SimTime,
 }
 
 impl System {
-    /// Assembles the system and threads the tracer through every
-    /// timeline-owning component.
-    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer) -> Self {
-        let (link, host_cpu) = host_side(&cfg, &tracer);
+    /// Assembles the system — with `n` Smart SSDs if that is the device
+    /// kind — and threads the tracer through the link, the host CPU and the
+    /// disk or SSD. The Smart SSDs report to it only when `traced`: the
+    /// scatter runs them on worker threads, and a sink shared between
+    /// threads would record in a nondeterministic order.
+    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer, n: usize, traced: bool) -> Self {
+        let mbps = mb_per_sec(cfg.interface.effective_mbps());
+        let mut link = Bus::new("host-interface", mbps, 0);
+        link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
+        let mut host_cpu = CpuModel::new("host-cpu", cfg.host_cpu_cores, cfg.host_cpu_hz);
+        host_cpu.set_tracer(tracer.clone(), pid::HOST_CPU);
         let backend = match cfg.device {
             DeviceKind::Hdd => Backend::Hdd(HddHostPath::new(
                 HddModel::new(cfg.hdd.clone()),
@@ -257,15 +296,19 @@ impl System {
                 Backend::Ssd(path)
             }
             DeviceKind::SmartSsd => {
-                let mut shard = Shard::new(&cfg);
-                shard.dev.set_tracer(tracer.clone());
-                Backend::Smart { shard, link }
+                let mut shards: Vec<Shard> = (0..n).map(|d| Shard::new(&cfg, d)).collect();
+                if traced {
+                    for shard in &mut shards {
+                        shard.dev.set_tracer(tracer.clone());
+                    }
+                }
+                Backend::Smart { shards, link }
             }
         };
         Self {
+            catalogs: vec![Catalog::new(); backend.shards().len().max(1)],
             backend,
             host_cpu,
-            catalog: Catalog::new(),
             next_lba: 0,
             dirty: std::collections::HashSet::new(),
             run_faults: FaultCounters::default(),
@@ -278,10 +321,8 @@ impl System {
     /// The circuit breaker's current routing state (always `Closed` on
     /// non-smart systems, which have no device route to gate).
     pub fn breaker_state(&self) -> BreakerState {
-        match &self.backend {
-            Backend::Smart { shard, .. } => shard.breaker.state(),
-            _ => BreakerState::Closed,
-        }
+        let first = self.backend.shards().first();
+        first.map_or(BreakerState::Closed, |s| s.breaker.state())
     }
 
     /// System configuration.
@@ -291,18 +332,35 @@ impl System {
 
     /// The table catalog.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.catalogs[0]
     }
 
     /// Loads a prebuilt table image onto the device and registers it.
     pub fn load_table(&mut self, name: &str, img: &TableImage) -> Result<(), RunError> {
+        self.load_image(0, name, img, self.next_lba)
+    }
+
+    /// Writes `img` to device `d` from `first_lba` on and registers it in
+    /// that device's catalog.
+    pub(crate) fn load_image(
+        &mut self,
+        d: usize,
+        name: &str,
+        img: &TableImage,
+        first_lba: u64,
+    ) -> Result<(), RunError> {
         if img.layout() != self.cfg.layout {
             return Err(RunError::from_kind(RunErrorKind::LayoutMismatch {
                 expected: self.cfg.layout,
                 got: img.layout(),
             }));
         }
-        let first_lba = self.next_lba;
+        let tref = smartssd_exec::TableRef {
+            first_lba,
+            num_pages: img.num_pages() as u64,
+            schema: img.schema().clone(),
+            layout: img.layout(),
+        };
         match &mut self.backend {
             Backend::Hdd(path) => {
                 for (i, page) in img.pages().iter().enumerate() {
@@ -317,20 +375,12 @@ impl System {
                         .map_err(|e| RunError::from(IoError::Flash(e)))?;
                 }
             }
-            Backend::Smart { shard, .. } => {
-                shard.dev.load_table(img, first_lba)?;
+            Backend::Smart { shards, .. } => {
+                shards[d].dev.load_table(img, first_lba)?;
             }
         }
-        self.next_lba = first_lba + img.num_pages() as u64;
-        self.catalog.register(
-            name,
-            smartssd_exec::TableRef {
-                first_lba,
-                num_pages: img.num_pages() as u64,
-                schema: img.schema().clone(),
-                layout: img.layout(),
-            },
-        );
+        self.next_lba = self.next_lba.max(first_lba + tref.num_pages);
+        self.catalogs[d].register(name, tref);
         Ok(())
     }
 
@@ -363,10 +413,8 @@ impl System {
     /// back to zero; leak checks in the test suite hold the scheduler to
     /// that.
     pub fn open_device_sessions(&self) -> usize {
-        match &self.backend {
-            Backend::Smart { shard, .. } => shard.dev.open_sessions(),
-            _ => 0,
-        }
+        let shards = self.backend.shards().iter();
+        shards.map(|s| s.dev.open_sessions()).sum()
     }
 
     /// Clears all timelines and counters (between runs).
@@ -375,8 +423,8 @@ impl System {
         match &mut self.backend {
             Backend::Hdd(p) => p.reset_timing(),
             Backend::Ssd(p) => p.reset_timing(),
-            Backend::Smart { shard, link } => {
-                shard.reset_timing();
+            Backend::Smart { shards, link } => {
+                shards.iter_mut().for_each(Shard::reset_timing);
                 link.reset();
             }
         }
@@ -387,16 +435,17 @@ impl System {
         match &mut self.backend {
             Backend::Hdd(p) => p.pool.clear(),
             Backend::Ssd(p) => p.pool.clear(),
-            Backend::Smart { shard, .. } => shard.pool.clear(),
+            Backend::Smart { shards, .. } => shards.iter_mut().for_each(|s| s.pool.clear()),
         }
     }
 
-    /// The host buffer pool, whatever device backs the system.
+    /// The host buffer pool, whatever device backs the system (the first
+    /// device's, should there be several).
     pub(crate) fn pool(&self) -> &BufferPool {
         match &self.backend {
             Backend::Hdd(p) => &p.pool,
             Backend::Ssd(p) => &p.pool,
-            Backend::Smart { shard, .. } => &shard.pool,
+            Backend::Smart { shards, .. } => &shards[0].pool,
         }
     }
 
@@ -405,7 +454,7 @@ impl System {
     /// discarded.
     pub fn warm_cache(&mut self, table: &str, fraction: f64) -> Result<(), RunError> {
         let tref = self
-            .catalog
+            .catalog()
             .get(table)
             .cloned()
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
@@ -418,8 +467,8 @@ impl System {
                 Backend::Ssd(p) => {
                     p.read_page(lba, SimTime::ZERO)?;
                 }
-                Backend::Smart { shard, link } => {
-                    shard
+                Backend::Smart { shards, link } => {
+                    shards[0]
                         .host_view(link, self.cfg.interface.command_latency_ns())
                         .read_page(lba, SimTime::ZERO)?;
                 }
@@ -431,7 +480,7 @@ impl System {
 
     /// Fraction of a table currently resident in the buffer pool.
     pub fn residency(&self, table: &str) -> f64 {
-        self.catalog
+        self.catalog()
             .get(table)
             .map_or(0.0, |tref| self.residency_of(tref))
     }
@@ -446,7 +495,7 @@ impl System {
         I: IntoIterator<Item = Tuple>,
     {
         let old = self
-            .catalog
+            .catalog()
             .get(name)
             .cloned()
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(name.into())))?;
@@ -482,7 +531,7 @@ impl System {
             return Ok(());
         }
         let tref = self
-            .catalog
+            .catalog()
             .get(table)
             .cloned()
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
@@ -514,7 +563,7 @@ impl System {
         match &mut self.backend {
             Backend::Hdd(_) => None,
             Backend::Ssd(path) => Some(&mut path.ssd),
-            Backend::Smart { shard, .. } => Some(&mut shard.dev.flash),
+            Backend::Smart { shards, .. } => Some(&mut shards[0].dev.flash),
         }
     }
 
@@ -533,21 +582,20 @@ impl System {
         }
     }
 
-    /// Whether any table in the operator's input extents is dirty.
+    /// Whether any table in the operator's input extents is dirty. Tables
+    /// are matched by whole extent; an empty table has no pages to be stale
+    /// and shares its `first_lba` with the table loaded after it.
     fn op_touches_dirty(&self, op: &QueryOp) -> bool {
         if self.dirty.is_empty() {
             return false;
         }
-        // Compare by extent: catalog names map to TableRefs.
+        let extent = |t: &smartssd_exec::TableRef| (t.first_lba, t.num_pages);
         Self::op_tables(op).iter().any(|tref| {
-            self.catalog.names().iter().any(|name| {
-                self.dirty.contains(*name)
-                    && self
-                        .catalog
-                        .get(name)
-                        .map(|c| c.first_lba == tref.first_lba)
-                        .unwrap_or(false)
-            })
+            tref.num_pages > 0
+                && self.dirty.iter().any(|name| {
+                    let dirty = self.catalog().get(name);
+                    dirty.is_some_and(|c| extent(c) == extent(tref))
+                })
         })
     }
 
@@ -567,8 +615,8 @@ impl System {
     /// [`RunReport::trace`]; on failure the returned [`RunError`] carries
     /// the fault counters accumulated so far.
     pub fn run(&mut self, query: &Query, opts: RunOptions) -> Result<RunReport, RunError> {
-        let (done, trace) = self
-            .run_single(query, opts)
+        let (done, _, trace) = self
+            .run_single(query, opts, AttemptRules::of(InterfaceMode::Linked))
             .map_err(|e| self.with_faults(e))?;
         Ok(self.finish_report(query, done.route, done.result, trace))
     }
@@ -619,14 +667,15 @@ impl System {
 
     /// Closes a run of length `end`: emits its single top-level span on the
     /// RUN track (so the trace's root covers exactly the run), advances the
-    /// breaker's monotone clock past it, and pulls the breaker transitions
-    /// (re-based onto the run's timeline) into the trace and the report.
+    /// breakers' monotone clock past it, and pulls every device's breaker
+    /// transitions (re-based onto the run's timeline, tagged with the
+    /// device index) into the trace and the report.
     pub(crate) fn end_run(
         &mut self,
         name: &str,
         end: SimTime,
         args: &[(&str, f64)],
-    ) -> (Vec<BreakerTransition>, RunTrace) {
+    ) -> (Transitions, RunTrace) {
         let iv = Interval {
             start: SimTime::ZERO,
             end,
@@ -635,12 +684,10 @@ impl System {
             .span(TraceLevel::Protocol, pid::RUN, 0, name, "run", iv, args);
         let base = self.breaker_clock;
         self.breaker_clock = base + end;
-        let transitions = match &mut self.backend {
-            Backend::Smart { shard, .. } => {
-                shard.take_breaker_transitions(base, &self.tracer, (pid::RUN, 0), "run")
-            }
-            _ => Vec::new(),
-        };
+        let mut transitions = Vec::new();
+        for shard in self.backend.shards_mut() {
+            shard.drain_breaker_transitions(base, &self.tracer, &mut transitions);
+        }
         (transitions, self.tracer.finish_run())
     }
 
@@ -648,37 +695,37 @@ impl System {
         self.pool().residency(tref.first_lba, tref.num_pages)
     }
 
-    /// Host-route execution on whatever device backs the system, started
-    /// at simulated time `now` (a workload starts each query at its
-    /// arrival, a fallback at its fault). The returned
-    /// [`QueryResult::elapsed`] is a duration from `now`.
+    /// One host-route pass over device `d`'s share of the data, started at
+    /// simulated time `now` (a workload starts each query at its arrival, a
+    /// fallback at its fault): the block path of whatever backs the system,
+    /// pages crossing the shared link. Returns the raw pass, so the caller
+    /// can merge its aggregate states with other devices' partials.
     pub(crate) fn run_host(
         &mut self,
+        d: usize,
         op: &QueryOp,
-        query: &Query,
         now: SimTime,
-    ) -> Result<QueryResult, RunError> {
+    ) -> Result<RawRun, RunError> {
         let (cpu, cfg, tracer) = (&mut self.host_cpu, &self.cfg, &self.tracer);
-        let raw = match &mut self.backend {
+        match &mut self.backend {
             Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now),
             Backend::Ssd(path) => host_pass(path, cpu, cfg, tracer, op, now),
-            Backend::Smart { shard, link } => {
-                let mut view = shard.host_view(link, cfg.interface.command_latency_ns());
+            Backend::Smart { shards, link } => {
+                let mut view = shards[d].host_view(link, cfg.interface.command_latency_ns());
                 host_pass(&mut view, cpu, cfg, tracer, op, now)
             }
-        }?;
-        Ok(raw.finalize(&query.finalize, now))
+        }
     }
 
-    /// Fault counters as of right now: what the run banked plus the
-    /// backend's live view.
+    /// Fault counters as of right now: what the run banked plus every
+    /// device's live view.
     pub(crate) fn current_faults(&self) -> FaultCounters {
         let mut faults = self.run_faults;
-        match &self.backend {
-            Backend::Hdd(_) => {}
-            Backend::Ssd(p) => faults.absorb(&p.fault_counters()),
-            Backend::Smart { shard, .. } => faults.absorb(&shard.faults()),
+        if let Backend::Ssd(p) = &self.backend {
+            faults.absorb(&p.fault_counters());
         }
+        let shards = self.backend.shards().iter();
+        shards.for_each(|s| faults.absorb(&s.faults()));
         faults
     }
 
@@ -695,10 +742,12 @@ impl System {
         let (device_busy, link_busy, device_cpu) = match &self.backend {
             Backend::Hdd(p) => (p.device_busy_ns(), 0, None),
             Backend::Ssd(p) => (p.device_busy_ns(), p.link_busy_ns(), None),
-            Backend::Smart { shard, link } => (
-                shard.dev.flash.dram_busy_ns(),
+            // Energy and utilization are metered for the paper's one-device
+            // test bed.
+            Backend::Smart { shards, link } => (
+                shards[0].dev.flash.dram_busy_ns(),
                 link.busy_total_ns(),
-                Some(shard.dev.cpu()),
+                Some(shards[0].dev.cpu()),
             ),
         };
         let pw = &self.cfg.power;

@@ -567,9 +567,11 @@ pub struct WorkloadReport {
     pub trace: RunTrace,
 }
 
+mod attempt;
 mod report;
 mod sched;
 
+pub(crate) use attempt::AttemptRules;
 pub(crate) use report::Acct;
 
 #[cfg(test)]

@@ -218,13 +218,12 @@ impl System {
         } else {
             0.0
         };
-        let (flash_reads, shared_hits) = match &self.backend {
-            Backend::Hdd(_) => (0, 0),
-            Backend::Ssd(p) => (p.ssd.stats().reads, 0),
-            Backend::Smart { shard, .. } => {
-                (shard.dev.flash.stats().reads, shard.dev.shared_hits())
-            }
+        let shards = self.backend.shards();
+        let flash_reads = match &self.backend {
+            Backend::Ssd(p) => p.ssd.stats().reads,
+            _ => shards.iter().map(|s| s.dev.flash.stats().reads).sum(),
         };
+        let shared_hits = shards.iter().map(|s| s.dev.shared_hits()).sum();
         let (breaker_transitions, trace) =
             self.end_run("workload", makespan, &[("queries", n as f64)]);
         Ok(WorkloadReport {
@@ -243,7 +242,7 @@ impl System {
             canceled: acct.total.canceled,
             failed: acct.total.failed,
             tenants,
-            breaker_transitions,
+            breaker_transitions: breaker_transitions.into_iter().map(|(_, t)| t).collect(),
             trace,
         })
     }

@@ -2,23 +2,20 @@
 //! and [`System::run_serving`]: arrival sources, slot events, admission, and
 //! the dispatch of one arrival onto the host or the device route.
 
+use super::attempt::{Attempt, AttemptRules, Stop};
 use super::report::{Acct, BROWNED_OUT, CANCELED, DEADLINE_MISSED, REJECTED};
 use super::{
-    ArrivalOutcome, InterfaceMode, QueryCompletion, Workload, WorkloadItem, WorkloadOptions,
-    WorkloadReport,
+    ArrivalOutcome, QueryCompletion, Workload, WorkloadItem, WorkloadOptions, WorkloadReport,
 };
 use crate::admit::{Pending, PendingSlab, WaitSet};
 use crate::builder::{ConfigError, RunOptions};
 use crate::serving::{ArrivalStream, TenantLoad};
-use crate::shard::Fallen;
-use crate::system::{Backend, RunError, RunErrorKind, System};
-use smartssd_device::DeviceError;
+use crate::system::{RunError, RunErrorKind, System, Transitions};
+use smartssd_device::SessionId;
 use smartssd_exec::QueryOp;
-use smartssd_query::{
-    Collected, Query, QueryResult, Route, SessionDriver, SessionError, SessionFault, SessionOutcome,
-};
+use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::trace::pid;
-use smartssd_sim::{EventQueue, FaultCounters, Interval, RunTrace, SimTime, TraceLevel};
+use smartssd_sim::{EventQueue, FaultCounters, Interval, RunTrace, SimTime, TraceLevel, Tracer};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -27,8 +24,9 @@ use std::sync::Arc;
 /// closed by the driver. Arrivals are not events: they are a static
 /// schedule, walked by a sorted cursor and merged against this queue, so
 /// the heap stays small no matter how long the stream is.
-enum Ev {
-    Close(smartssd_device::SessionId),
+pub(super) enum Ev {
+    /// `CLOSE` this session on this device.
+    Close(u32, SessionId),
     SlotFreed,
     /// A waiting query's cancellation instant: shed it *now* (event time)
     /// instead of when its slot turn comes. The `(slot, gen)` pair
@@ -49,22 +47,10 @@ enum Ev {
 /// [`Query::resolve`] clones and validates the whole spec tree, a dozen
 /// allocations. One entry: an item with a different query simply misses
 /// and re-resolves. The entry keeps its key `Arc` alive, so a pointer match
-/// can never be a recycled address. The operator is shared so a dispatch
-/// can hold it without borrowing the scheduler state.
-type ResolveCache = Option<(Arc<Query>, Rc<QueryOp>)>;
-
-/// What one device-route dispatch attempt produced.
-enum DevAttempt {
-    /// No session slot free: the query queues for the next close.
-    Deferred,
-    /// The session ran; its slot stays held until `out.finished_at`.
-    Done(smartssd_device::SessionId, SessionOutcome),
-    /// The session failed; it has already been closed.
-    Fault(SessionFault),
-    /// The session was canceled mid-flight at `at`; the driver closed it,
-    /// so its slot is free again at `at`.
-    Canceled { at: SimTime, get_retries: u64 },
-}
+/// can never be a recycled address. One operator per device (each holds
+/// its own extent of the table), shared so a dispatch can hold them without
+/// borrowing the scheduler state.
+type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
 
 /// Where arrivals come from: an eager, pre-materialized [`Workload`]
 /// walked in `(arrival, submission index)` order, or a lazy
@@ -139,13 +125,14 @@ impl<'a> ArrivalSrc<'a> {
 /// The run-scoped scheduler state: the options in force, the slot-event
 /// queue, the admission wait set with its parked arrivals, the resolve
 /// memo, and the outcome accounting.
-struct Sched<'o> {
+pub(super) struct Sched<'o> {
     opts: &'o WorkloadOptions,
-    events: EventQueue<Ev>,
+    pub(super) rules: AttemptRules,
+    pub(super) events: EventQueue<Ev>,
     ws: WaitSet,
     slab: PendingSlab,
     ops: ResolveCache,
-    acct: Acct,
+    pub(super) acct: Acct,
 }
 
 impl Sched<'_> {
@@ -237,26 +224,26 @@ impl System {
         src: ArrivalSrc,
         opts: &WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
-        self.schedule(src, opts)
+        self.schedule(src, opts, AttemptRules::of(opts.interface))
             .and_then(|acct| self.workload_report(acct, opts))
             .map_err(|e| self.with_faults(e))
     }
 
-    /// [`System::run`]'s engine: `query` as a one-arrival workload at time
-    /// zero over the linked protocol. A dead arrival comes back as its
-    /// typed error rather than an outcome.
+    /// The engine of [`System::run`] and of a fleet query: `query` as a
+    /// one-arrival workload at time zero, its device attempts under
+    /// `rules`. A dead arrival comes back as its typed error rather than
+    /// an outcome; a completed one with the run's per-device breaker
+    /// transitions and trace.
     pub(crate) fn run_single(
         &mut self,
         query: &Query,
         opts: RunOptions,
-    ) -> Result<(QueryCompletion, RunTrace), RunError> {
+        rules: AttemptRules,
+    ) -> Result<(QueryCompletion, Transitions, RunTrace), RunError> {
         let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
-        let wopts = WorkloadOptions {
-            verbosity: opts.verbosity,
-            ..WorkloadOptions::default()
-        };
+        let wopts = WorkloadOptions::new().verbosity(opts.verbosity);
         let src = ArrivalSrc::eager(std::slice::from_ref(&item));
-        let mut acct = self.schedule(src, &wopts)?;
+        let mut acct = self.schedule(src, &wopts, rules)?;
         if let Some(dead) = acct.dead.take() {
             return Err(dead);
         }
@@ -265,17 +252,24 @@ impl System {
         let Some(ArrivalOutcome::Completed(done)) = acct.outcomes[0].take() else {
             return Err(RunErrorKind::SchedulerInvariant { index: 0 }.into());
         };
-        let (_, trace) = self.end_run("run", done.latency, &[]);
-        Ok((Arc::unwrap_or_clone(done), trace))
+        let (transitions, trace) = self.end_run("run", done.latency, &[]);
+        Ok((Arc::unwrap_or_clone(done), transitions, trace))
     }
 
-    /// The scheduler core shared by [`System::run`] (one arrival),
-    /// [`System::run_workload`] (eager) and [`System::run_serving`]
-    /// (streaming): one merge loop over arrivals and slot events, with
-    /// in-flight waiters parked in a generational slab and admission
-    /// decided by the [`WaitSet`]'s keyed min-heap. Returns the outcome
-    /// accounting; the caller closes the run and assembles its report.
-    fn schedule(&mut self, mut src: ArrivalSrc, opts: &WorkloadOptions) -> Result<Acct, RunError> {
+    /// The scheduler core shared by [`System::run`] and a fleet query (one
+    /// arrival), [`System::run_workload`] (eager) and
+    /// [`System::run_serving`] (streaming): one merge loop over arrivals
+    /// and slot events, with in-flight waiters parked in a generational
+    /// slab and admission decided by the [`WaitSet`]'s keyed min-heap.
+    /// Returns the outcome accounting; the caller closes the run and
+    /// assembles its report. A run that aborts closes every session it
+    /// still holds open.
+    fn schedule(
+        &mut self,
+        src: ArrivalSrc,
+        opts: &WorkloadOptions,
+        rules: AttemptRules,
+    ) -> Result<Acct, RunError> {
         opts.try_validate()
             .map_err(|e| RunError::from_kind(RunErrorKind::Config(e)))?;
         self.tracer.set_level(opts.verbosity);
@@ -283,49 +277,67 @@ impl System {
         self.reset_run_timing();
         self.run_faults = FaultCounters::default();
         // Drop breaker transitions a previously aborted run left behind.
-        if let Backend::Smart { shard, .. } = &mut self.backend {
+        for shard in self.backend.shards_mut() {
             shard.breaker.take_transitions();
         }
         let mut s = Sched {
             opts,
+            rules,
             events: EventQueue::new(),
             ws: WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission),
             slab: PendingSlab::new(),
             ops: None,
             acct: Acct::new(src.total(), opts.tenants.len(), self.tracer.clone()),
         };
+        let run = self.event_loop(&mut s, src);
+        if run.is_err() {
+            while let Some((_, ev)) = s.events.pop() {
+                if let Ev::Close(d, sid) = ev {
+                    let _ = self.backend.shards_mut()[d as usize].dev.close(sid);
+                }
+            }
+        }
+        debug_assert!(
+            run.is_err() || s.ws.is_empty(),
+            "every freed slot admits a waiter"
+        );
+        run.map(|()| s.acct)
+    }
+
+    /// Merges arrivals and slot events in time order until both run dry.
+    fn event_loop(&mut self, s: &mut Sched, mut src: ArrivalSrc) -> Result<(), RunError> {
         loop {
             let arrive_next = match (src.peek(), s.events.peek_time()) {
                 (Some(at), next) => next.is_none_or(|t| at <= t),
                 (None, Some(_)) => false,
-                (None, None) => break,
+                (None, None) => return Ok(()),
             };
             if arrive_next {
                 // `peek` just saw this arrival; a source that lies ends the
                 // loop and surfaces as a missing outcome, not a panic.
-                let Some((i, item)) = src.next() else { break };
-                self.dispatch(&mut s, &item, i, item.arrival)?;
+                let Some((i, item)) = src.next() else {
+                    return Ok(());
+                };
+                self.dispatch(s, &item, i, item.arrival)?;
                 continue;
             }
-            let Some((t, ev)) = s.events.pop() else { break };
+            let Some((t, ev)) = s.events.pop() else {
+                return Ok(());
+            };
             match ev {
-                Ev::Close(sid) => {
+                Ev::Close(d, sid) => {
                     // Close events are only pushed for sessions opened on
-                    // this system's device.
-                    let Backend::Smart { shard, .. } = &mut self.backend else {
-                        return Err(RunErrorKind::NotSmart.into());
-                    };
-                    shard.dev.close(sid).map_err(RunError::from)?;
-                    self.admit_waiters(&mut s, t)?;
+                    // this system's devices.
+                    let dev = &mut self.backend.shards_mut()[d as usize].dev;
+                    dev.close(sid).map_err(RunError::from)?;
+                    self.admit_waiters(s, t)?;
                 }
                 // A faulted or canceled session's slot: the driver already
                 // closed it, so only the admission remains.
-                Ev::SlotFreed => self.admit_waiters(&mut s, t)?,
+                Ev::SlotFreed => self.admit_waiters(s, t)?,
                 Ev::CancelWait { slot, gen } => s.cancel_waiter(slot, gen, t),
             }
         }
-        debug_assert!(s.ws.is_empty(), "every freed slot admits a waiter");
-        Ok(s.acct)
     }
 
     /// Admits waiters into a freed session slot in fair-queueing (or FIFO)
@@ -397,106 +409,80 @@ impl System {
             s.acct.shed(CANCELED, idx, item, now);
             return Ok(false);
         }
-        let op = match &s.ops {
-            Some((key, op)) if Arc::ptr_eq(key, &item.query) => Rc::clone(op),
-            _ => match item.query.resolve(&self.catalog) {
-                Ok(op) => {
-                    let op = Rc::new(op);
-                    s.ops = Some((Arc::clone(&item.query), Rc::clone(&op)));
-                    op
+        let ops = match &s.ops {
+            Some((key, ops)) if Arc::ptr_eq(key, &item.query) => Rc::clone(ops),
+            _ => match self
+                .catalogs
+                .iter()
+                .map(|c| item.query.resolve(c))
+                .collect()
+            {
+                Ok(ops) => {
+                    s.ops = Some((Arc::clone(&item.query), Rc::clone(&ops)));
+                    ops
                 }
                 Err(e) => {
                     // A query that doesn't resolve fails alone; the rest of
                     // the workload is unaffected (no slot was taken).
                     let who = (&item.query.name, item.arrival);
-                    s.acct.fail(idx, tenant, who, now, e.into());
+                    s.acct.fail(idx, tenant, who, now, RunError::from(e));
                     return Ok(false);
                 }
             },
         };
-        let mut route = self.resolve_route(&op, &item.route);
-        // Health-aware routing: while the breaker is Open (or its one
-        // HalfOpen probe is taken), this arrival goes straight to the host
-        // without paying for a doomed OPEN. Breaker timestamps live on the
-        // monotone breaker clock so state carries across workloads.
-        let stamp = self.breaker_clock + now;
-        if let (Route::Device, Backend::Smart { shard, .. }) = (route, &mut self.backend) {
-            if !shard.breaker.allows_device(stamp) {
-                route = Route::Host;
+        let mut a = Attempt {
+            lane: idx as u32,
+            now,
+            stamp: self.breaker_clock + now,
+            cancel_at: item.cancel_at.unwrap_or(SimTime::MAX),
+            t: now,
+            held: now,
+            hedges_left: s.rules.hedge.map_or(0, |(_, budget)| budget),
+            ..Attempt::default()
+        };
+        // The route is one decision for the whole query, made on the first
+        // device's extents (the only ones on a single-device system).
+        if self.resolve_route(&ops[0], &item.route) == Route::Host {
+            for (d, op) in ops.iter().enumerate() {
+                let raw = self.run_host(d, op, now)?;
+                a.take(raw.rows, Some(raw.aggs), &raw.work, raw.end);
             }
-        }
-        if route == Route::Host {
-            let done = self.host_completion(item, &op, idx, now)?;
-            s.acct.complete(tenant, done);
+            self.complete(s, item, idx, a);
             return Ok(false);
         }
-        let cancel_at = item.cancel_at.unwrap_or(SimTime::MAX);
-        let attempt = match self.device_attempt(&op, idx, now, cancel_at, s.opts.interface)? {
-            DevAttempt::Deferred => {
-                self.defer(s, item, idx, now);
-                return Ok(true);
-            }
-            DevAttempt::Canceled { at, get_retries } => {
-                // Mid-flight abandonment: the driver closed the session at
-                // the cancel instant (and traced it). The slot held from
-                // `now` to `at` was real service, so the tenant is charged
-                // for it; the breaker learns nothing (a cancellation is
-                // neither success nor failure).
-                self.run_faults.get_retries += get_retries;
-                s.events.push(at, Ev::SlotFreed);
-                s.ws.charge(tenant, at.saturating_sub(now));
+        let stop = self.device_attempt(s, &mut a, &ops);
+        if !matches!(stop, Ok(None)) {
+            self.release_parked();
+        }
+        let stop = stop?;
+        // With every breaker open the query completes on the host without
+        // touching a session slot; otherwise the tenant pays virtual time
+        // for exactly the device service the attempt consumed, however it
+        // ended — unless it never started.
+        let offered = a.offered;
+        if offered && !matches!(stop, Some(Stop::Full)) {
+            s.ws.charge(tenant, a.held.saturating_sub(now));
+        }
+        match stop {
+            None => self.complete(s, item, idx, a),
+            Some(Stop::Full) => self.defer(s, item, idx, now),
+            // Mid-flight abandonment: the driver closed the session at the
+            // cancel instant (and traced it). The slot held from `now` to
+            // `at` was real service; the breaker learns nothing (a
+            // cancellation is neither success nor failure).
+            Some(Stop::Canceled(at)) => {
                 let abandoned = ArrivalOutcome::Canceled(item.shed(idx, at));
                 s.acct.record(idx, tenant, abandoned);
-                return Ok(true);
             }
-            DevAttempt::Done(sid, out) => {
-                // Hold the session slot until its simulated finish.
-                s.events.push(out.finished_at, Ev::Close(sid));
-                Ok(out)
-            }
-            DevAttempt::Fault(fault) => Err(fault),
-        };
-        let Backend::Smart { shard, .. } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
-        match attempt {
-            Ok(out) => {
-                shard.settle_done(&out, stamp, now, &mut self.run_faults);
-                // Charge the tenant's virtual time for exactly the service
-                // the slot delivered.
-                s.ws.charge(tenant, out.finished_at.saturating_sub(now));
-                let done = self.device_completion(item, idx, out);
-                s.acct.complete(tenant, done);
-            }
-            Err(fault) => {
-                let Fallen { at, dead } =
-                    shard.settle_fault(fault, stamp, now, &mut self.run_faults);
-                // The driver closed the failed session on the abandon path,
-                // so its slot is free again at `at` — admit the next
-                // waiter, or it would be stranded and the workload could
-                // never drain. Either way the tenant pays virtual time for
-                // the device service the attempt consumed.
-                s.events.push(at, Ev::SlotFreed);
-                s.ws.charge(tenant, at.saturating_sub(now));
-                match dead {
-                    // Recoverable: degrade this one query to the host. The
-                    // timelines keep the wasted attempt, and the fallback
-                    // starts no earlier than the fault.
-                    None => {
-                        let done = self.host_completion(item, &op, idx, at)?;
-                        s.acct.complete(tenant, done);
-                    }
-                    // Unrecoverable: this one query dies, with the fault
-                    // spelled out; the workload carries on.
-                    Some(fault) => {
-                        let who = (&item.query.name, item.arrival);
-                        let error = RunErrorKind::Session(fault).into();
-                        s.acct.fail(idx, tenant, who, at, error);
-                    }
-                }
+            // This one query dies, with the fault spelled out; the workload
+            // carries on.
+            Some(Stop::Dead(at, fault)) => {
+                let who = (&item.query.name, item.arrival);
+                let error = RunErrorKind::Session(fault).into();
+                s.acct.fail(idx, tenant, who, at, error);
             }
         }
-        Ok(true)
+        Ok(offered)
     }
 
     /// Parks a device-routed arrival that found every session slot taken —
@@ -537,141 +523,59 @@ impl System {
         }
     }
 
-    /// Runs one workload query on the host route starting at `start`,
-    /// producing its completion record.
-    fn host_completion(
-        &mut self,
-        item: &WorkloadItem,
-        op: &QueryOp,
-        idx: usize,
-        start: SimTime,
-    ) -> Result<QueryCompletion, RunError> {
-        let mut result = self.run_host(op, &item.query, start)?;
-        let finished_at = start + result.elapsed;
-        let latency = finished_at.saturating_sub(item.arrival);
-        result.elapsed = latency;
-        self.query_span(idx, item.arrival, finished_at, Route::Host);
-        Ok(QueryCompletion {
-            index: idx,
-            query: Arc::clone(&item.query.name),
-            route: Route::Host,
-            arrival: item.arrival,
-            finished_at,
-            latency,
-            result,
-        })
-    }
-
-    /// The completion record of a device session that delivered `out`.
-    fn device_completion(
-        &self,
-        item: &WorkloadItem,
-        idx: usize,
-        out: SessionOutcome,
-    ) -> QueryCompletion {
+    /// Records the completion of a query whose every partial is gathered.
+    /// Finalization happens once, over the merged states, so
+    /// non-distributive aggregates like AVG stay exact across devices.
+    fn complete(&self, s: &mut Sched, item: &WorkloadItem, idx: usize, a: Attempt) {
+        let route = if a.device { Route::Device } else { Route::Host };
         let finalize = &item.query.finalize;
-        let (agg_values, scalar) = finalize.apply(out.aggs.as_deref().unwrap_or(&[]));
-        let latency = out.finished_at.saturating_sub(item.arrival);
-        self.query_span(idx, item.arrival, out.finished_at, Route::Device);
-        QueryCompletion {
+        let (agg_values, scalar) = finalize.apply(a.aggs.as_deref().unwrap_or(&[]));
+        let latency = a.t.saturating_sub(item.arrival);
+        // One lifetime span per query on its own session lane, so overlapped
+        // queries render as parallel lanes in Perfetto.
+        let args = [("device_route", if a.device { 1.0 } else { 0.0 })];
+        session_span(
+            &self.tracer,
+            idx as u32,
+            "query",
+            (item.arrival, a.t),
+            &args,
+        );
+        let done = QueryCompletion {
             index: idx,
             query: Arc::clone(&item.query.name),
-            route: Route::Device,
+            route,
             arrival: item.arrival,
-            finished_at: out.finished_at,
+            finished_at: a.t,
             latency,
             result: QueryResult {
-                rows: out.rows,
+                rows: a.rows,
                 agg_values,
                 scalar,
                 elapsed: latency,
-                work: out.work,
+                work: a.work,
             },
-        }
+        };
+        s.acct.complete(item.tenant as usize, done);
     }
+}
 
-    /// One device-route attempt at `now`, under the workload's interface
-    /// model and the item's cancellation instant. A full device is
-    /// reported as [`DevAttempt::Deferred`], not an error — the scheduler
-    /// queues the query for the next free slot. An attempt that never
-    /// reached a verdict (deferred or canceled) gives back the breaker's
-    /// HalfOpen probe slot if it held it.
-    fn device_attempt(
-        &mut self,
-        op: &QueryOp,
-        idx: usize,
-        now: SimTime,
-        cancel_at: SimTime,
-        interface: InterfaceMode,
-    ) -> Result<DevAttempt, RunError> {
-        let driver = SessionDriver::new(self.cfg.session_policy.clone())
-            .with_tracer(self.tracer.clone())
-            .with_lane(idx as u32);
-        let cmd_latency_ns = self.cfg.interface.command_latency_ns();
-        let Backend::Smart { shard, link } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
-        let opened = match interface {
-            InterfaceMode::Direct => driver.open(&mut shard.dev, op, now).map(|sid| (sid, now)),
-            InterfaceMode::Linked => {
-                driver.open_linked(&mut shard.dev, link, cmd_latency_ns, op, now)
-            }
-        };
-        let (sid, open_done) = match opened {
-            Ok(opened) => opened,
-            Err(fault)
-                if matches!(
-                    fault.error,
-                    SessionError::Device(DeviceError::TooManySessions)
-                ) =>
-            {
-                shard.breaker.probe_abandoned();
-                return Ok(DevAttempt::Deferred);
-            }
-            Err(fault) => return Ok(DevAttempt::Fault(fault)),
-        };
-        let deadline = open_done + self.cfg.session_policy.session_timeout;
-        let collected = match interface {
-            InterfaceMode::Direct => {
-                driver.collect_direct_cancellable(&mut shard.dev, sid, now, deadline, cancel_at)
-            }
-            InterfaceMode::Linked => driver.collect_linked_cancellable(
-                &mut shard.dev,
-                link,
-                &mut self.host_cpu,
-                sid,
-                now,
-                deadline,
-                cancel_at,
-            ),
-        };
-        Ok(match collected {
-            Ok(Collected::Done(out)) => DevAttempt::Done(sid, out),
-            Ok(Collected::Canceled { at, get_retries }) => {
-                shard.breaker.probe_abandoned();
-                DevAttempt::Canceled { at, get_retries }
-            }
-            Err(fault) => DevAttempt::Fault(fault),
-        })
-    }
-
-    /// Emits one per-query lifetime span on the query's session lane, so
-    /// overlapped queries render as parallel lanes in Perfetto.
-    fn query_span(&self, idx: usize, arrival: SimTime, finished: SimTime, route: Route) {
-        self.tracer.span(
-            TraceLevel::Protocol,
-            pid::SESSION,
-            idx as u32,
-            "query",
-            "session",
-            Interval {
-                start: arrival,
-                end: finished,
-            },
-            &[(
-                "device_route",
-                if route == Route::Device { 1.0 } else { 0.0 },
-            )],
-        );
-    }
+/// Emits one protocol-phase span `[start, end)` on a query's session lane.
+pub(super) fn session_span(
+    tracer: &Tracer,
+    lane: u32,
+    name: &str,
+    (start, end): (SimTime, SimTime),
+    args: &[(&str, f64)],
+) {
+    let iv = Interval { start, end };
+    tracer.span(
+        TraceLevel::Protocol,
+        pid::SESSION,
+        lane,
+        name,
+        "session",
+        iv,
+        args,
+    );
 }

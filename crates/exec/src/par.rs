@@ -28,32 +28,30 @@ where
 }
 
 /// Runs `f` on every item through its `&mut`, on at most `workers` scoped
-/// threads (contiguous chunks; inline when that is one thread), returning
-/// the results in input order. Items here are coarse — a whole device
-/// execution each — so unlike [`parallel_map`] there is no minimum batch.
+/// threads (contiguous chunks; inline when that is one thread). Items here
+/// are coarse — a whole device execution each — so unlike [`parallel_map`]
+/// there is no minimum batch. What an item produces it leaves in itself.
 ///
-/// Each call runs under `catch_unwind`: a panicking item yields
-/// `Err(message)` in its slot and every other item still completes.
-pub fn parallel_try_each_mut<T, U, F>(
-    items: &mut [T],
-    workers: usize,
-    f: F,
-) -> Vec<Result<U, String>>
+/// Each call runs under `catch_unwind`: every other item still completes,
+/// and the caught panics come back as `(item index, message)` in input
+/// order — an empty vector, which allocates nothing, when none did.
+pub fn parallel_try_each_mut<T, F>(items: &mut [T], workers: usize, f: F) -> Vec<(usize, String)>
 where
     T: Send,
-    U: Send,
-    F: Fn(&mut T) -> U + Sync,
+    F: Fn(&mut T) + Sync,
 {
-    let guarded = |item: &mut T| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(panic_message)
+    let guarded = |(i, item): (usize, &mut T)| {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
+        caught.err().map(|payload| (i, panic_message(payload)))
     };
     let workers = workers.clamp(1, items.len().max(1));
     if workers == 1 {
-        return items.iter_mut().map(guarded).collect();
+        return items.iter_mut().enumerate().filter_map(guarded).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    fork_join(items.chunks_mut(chunk), |chunk| {
-        chunk.iter_mut().map(guarded).collect()
+    let size = items.len().div_ceil(workers);
+    fork_join(items.chunks_mut(size).enumerate(), |(c, chunk)| {
+        let at = |(i, item)| guarded((c * size + i, item));
+        chunk.iter_mut().enumerate().filter_map(at).collect()
     })
 }
 
@@ -122,29 +120,21 @@ mod tests {
         let items: [u32; 0] = [];
         assert!(parallel_map(&items, 4, |&x| x).is_empty());
         let mut none: [u32; 0] = [];
-        assert!(parallel_try_each_mut(&mut none, 4, |x| *x).is_empty());
+        assert!(parallel_try_each_mut(&mut none, 4, |x| *x += 1).is_empty());
     }
 
     #[test]
     fn a_panicking_item_is_a_typed_error_and_the_rest_complete() {
         for workers in [1, 3, 16] {
             let mut items: Vec<u32> = (0..10).collect();
-            let out = parallel_try_each_mut(&mut items, workers, |x| {
+            let panics = parallel_try_each_mut(&mut items, workers, |x| {
                 assert!(*x != 4, "item {x} exploded");
                 *x += 100;
-                *x
             });
-            // Input order, one slot per item, the panic's text in its slot.
-            assert_eq!(out.len(), 10, "{workers} workers");
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Ok(v) => assert_eq!(*v, i as u32 + 100),
-                    Err(m) => {
-                        assert_eq!(i, 4);
-                        assert!(m.contains("item 4 exploded"), "{m}");
-                    }
-                }
-            }
+            // The one panic, under its item's index, with its text.
+            assert_eq!(panics.len(), 1, "{workers} workers");
+            assert_eq!(panics[0].0, 4, "{workers} workers");
+            assert!(panics[0].1.contains("item 4 exploded"), "{}", panics[0].1);
             // Every other item was mutated through its `&mut`.
             let expected: Vec<u32> = (0..10).map(|i| if i == 4 { 4 } else { i + 100 }).collect();
             assert_eq!(items, expected, "{workers} workers");

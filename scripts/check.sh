@@ -22,6 +22,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== code lines (scripts/loc.sh; report, not gate) =="
 scripts/loc.sh
 
+# One engine: each step of the run lifecycle and of the device attempt has
+# one call site in crates/core/src (non-test code, definitions and comments
+# aside). A second one means a second scheduler is growing back.
+echo "== one engine (call sites in crates/core/src) =="
+for call in 'settle_done(' 'settle_fault(' 'collect_linked' '.begin_run()' '.finish_run()'; do
+    # shellcheck disable=SC2046 # source paths have no spaces
+    n=$(awk -v call="${call}" '
+        FNR == 1 { tests = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && $1 !~ /^\/\// && index($0, call) && !index($0, "fn " call) { n++ }
+        END { print n + 0 }' $(find crates/core/src -name '*.rs'))
+    printf '%-16s %d\n' "${call}" "${n}"
+    [[ "${n}" -le 1 ]]
+done
+
 echo "== cargo doc --no-deps (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -5,8 +5,10 @@
 #
 # A code line is a non-blank line that does not start with `//`, before the
 # file's first `#[cfg(test)]`. Printed per library crate (src/ only), for
-# the nine together, and for the files that hold the operator path and the
-# session protocol. A report, not a gate.
+# the nine together, and for the files that hold the operator path, the
+# session protocol and the scheduling path (one host over 1..N Smart SSDs:
+# the system, its shards, the workload types, the scheduler with its device
+# attempt and report assembly, and the fleet view). A report, not a gate.
 
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -38,3 +40,14 @@ for f in device/src/runtime.rs query/src/engine.rs exec/src/par.rs exec/src/kern
 done
 printf '%-28s %6d\n' "operator path" "${path}"
 printf '%-28s %6d\n' "query/src/session.rs" "$(code_lines crates/query/src/session.rs)"
+
+echo
+path=0
+for f in core/src/system.rs core/src/shard.rs core/src/workload.rs core/src/workload/sched.rs \
+    core/src/workload/attempt.rs core/src/workload/report.rs core/src/fleet.rs; do
+    [[ -f "crates/${f}" ]] || continue
+    n=$(code_lines "crates/${f}")
+    printf '%-28s %6d\n' "${f}" "${n}"
+    path=$((path + n))
+done
+printf '%-28s %6d\n' "scheduling path" "${path}"

@@ -9,11 +9,12 @@
 
 use proptest::prelude::*;
 use smartssd::{
-    DeviceKind, FleetOptions, InterfaceMode, Layout, QueryResult, Route, RunOptions, SmartSsdFleet,
-    SystemBuilder, SystemConfig,
+    BreakerPolicy, BreakerState, DeviceKind, FleetOptions, InterfaceMode, Layout, QueryResult,
+    Route, RunOptions, SimTime, SmartSsdFleet, SystemBuilder, SystemConfig,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_query::{Finalize, OpTemplate, Query};
+use smartssd_sim::FaultPlan;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, Tuple};
 use std::sync::Arc;
@@ -243,5 +244,83 @@ fn mid_gather_fault_leaves_zero_open_sessions() {
             0,
             "device {d} leaked a session"
         );
+    }
+}
+
+/// The N = 1 oracle that pins the merge of the two engines: a one-device
+/// fleet over the linked protocol *is* a single system. Identically built
+/// and loaded, the two agree on every back-to-back cold run — elapsed time
+/// to the nanosecond, answers, every fault counter and the breaker state —
+/// clean, through a scripted mid-run crash, under a gray slowdown and with
+/// a device that crashes at every `OPEN`, breaker off and on. (Direct mode
+/// is not covered: a fleet's Direct still gathers over the link, a
+/// workload's does not.)
+#[test]
+fn one_device_fleet_equals_single_system() {
+    let rows: Vec<Tuple> = (0..120_000)
+        .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
+        .collect();
+    let query = agg_query(i64::MAX);
+    let forever = SimTime::from_secs(3600);
+    let scenarios = [
+        ("clean", FaultPlan::new(), 0),
+        (
+            "crash_at",
+            FaultPlan::new().crash_at(0, SimTime::from_millis(1)),
+            0,
+        ),
+        (
+            "slowdown",
+            FaultPlan::new().slowdown(0, 8, SimTime::ZERO, forever),
+            0,
+        ),
+        ("crash_rate", FaultPlan::new(), u32::MAX),
+    ];
+    // Wide enough a window that three faulted runs trip the breaker, short
+    // enough a cooldown that a later run is the HalfOpen probe; service
+    // times are sampled.
+    let tripping = BreakerPolicy {
+        window: SimTime::from_secs(1),
+        cooldown: SimTime::from_millis(100),
+        slow_trip_factor: 2,
+        baseline_samples: 2,
+        ..BreakerPolicy::enabled()
+    };
+    for (name, plan, crash_rate) in &scenarios {
+        for breaker in [BreakerPolicy::default(), tripping] {
+            let mut states = Vec::new();
+            let builder = || {
+                SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+                    .breaker(breaker)
+                    .tweak(|c| c.smart.fault_rates.crash_rate = *crash_rate)
+            };
+            let mut sys = builder().fault_plan(plan).build();
+            sys.load_table_rows("t", &schema(), rows.clone()).unwrap();
+            sys.finish_load();
+            let mut fleet = builder().build_fleet(1, FleetOptions::default());
+            fleet
+                .load_partitioned("t", &schema(), rows.clone())
+                .unwrap();
+            fleet.finish_load();
+            fleet.arm_fault_plan(plan);
+            for run in 0..8 {
+                let at = format!("{name}, breaker {}, run {run}", breaker.enabled);
+                sys.clear_cache();
+                fleet.clear_host_cache();
+                let one = sys.run(&query, RunOptions::routed(Route::Device)).unwrap();
+                let many = fleet.run_agg(&query).unwrap();
+                assert_eq!(many.result.elapsed, one.result.elapsed, "elapsed, {at}");
+                assert_eq!(many.result.agg_values, one.result.agg_values, "{at}");
+                assert_eq!(many.faults, one.faults, "fault counters, {at}");
+                assert_eq!(fleet.breaker_state(0), sys.breaker_state(), "{at}");
+                assert_eq!(many.shards[0].route, one.route, "route, {at}");
+                states.push(sys.breaker_state());
+            }
+            // The scenarios do what they say: crashes degrade every attempt
+            // and, counted, open the breaker; nothing else does.
+            let crashing = name.starts_with("crash");
+            let opened = states.contains(&BreakerState::Open);
+            assert_eq!(opened, crashing && breaker.enabled, "{name}: {states:?}");
+        }
     }
 }

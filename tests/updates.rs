@@ -94,6 +94,30 @@ fn dirty_table_forces_host_route() {
     assert_eq!(again.route, Route::Device);
 }
 
+/// Regression: a table loaded with zero rows has zero pages, so the table
+/// loaded after it starts at the same LBA. Dirt on the empty one must not
+/// reroute queries on its neighbour (the dirty rule once matched extents by
+/// `first_lba` alone).
+#[test]
+fn dirty_empty_table_does_not_reroute_its_neighbour() {
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).build();
+    sys.load_table_rows("empty", &schema(), rows(0, 1)).unwrap();
+    sys.load_table_rows("t", &schema(), rows(20_000, 1))
+        .unwrap();
+    sys.finish_load();
+    let catalog = sys.catalog();
+    assert_eq!(catalog.get("empty").unwrap().num_pages, 0);
+    let (empty, t) = (catalog.get("empty").unwrap(), catalog.get("t").unwrap());
+    assert_eq!(empty.first_lba, t.first_lba, "the reproduction's premise");
+    sys.mark_dirty("empty");
+    let r = sys.run(&sum_query(), RunOptions::default()).unwrap();
+    assert_eq!(r.route, Route::Device, "`t` is clean");
+    // The rule itself still holds for the table that *is* dirty.
+    sys.mark_dirty("t");
+    let r = sys.run(&sum_query(), RunOptions::default()).unwrap();
+    assert_eq!(r.route, Route::Host);
+}
+
 #[test]
 fn checkpoint_of_clean_table_is_noop() {
     let mut sys = smart_system(1_000);
