@@ -1567,17 +1567,13 @@ pub fn servescale_loads(tenants: usize, arrivals: usize, service: SimTime) -> Ve
 }
 
 /// Serving-scale sweep: streams multi-tenant serving days through
-/// [`System::run_serving`] (device-only timing, one session slot) with the
-/// keyed-min-heap admission engine, plus linear-scan reference cells — the
-/// pre-heap scheduler, kept as the executable specification — at the
-/// smaller stream size so the JSON carries its own speedup baseline.
-/// Simulated figures are deterministic in the seed, wall-clock figures are
-/// machine-dependent (hence not part of `all`). `--smoke` restricts the
-/// sweep to one tiny heap/scan pair (the CI floor test runs a debug
-/// binary).
+/// [`System::run_serving`] (device-only timing, one session slot) across
+/// tenant counts and stream sizes. Simulated figures are deterministic in
+/// the seed, wall-clock figures are machine-dependent (hence not part of
+/// `all`). `--smoke` restricts the sweep to one tiny cell (the CI floor
+/// test runs a debug binary).
 fn servescale(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
-        col("  engine", "  {:<6}").key("engine", 0),
         col("  tenants", "  {:>7}").key("tenants", 0),
         col("   arrivals", "  {:>9}").key("arrivals", 0),
         col("  completed", "  {:>9}").key("completed", 0),
@@ -1589,16 +1585,15 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
             .wall(),
         jcol("sim_ns_per_wall_sec", 1).wall(),
     ];
-    // Tenant counts per (arrivals, reference-engine) sweep.
-    let sweeps: &[(&[usize], usize, bool)] = if c.smoke {
-        &[(&[16], 2_000, false), (&[16], 2_000, true)]
+    // Tenant counts per stream size.
+    let sweeps: &[(&[usize], usize)] = if c.smoke {
+        &[(&[16], 2_000)]
     } else if c.quick {
-        &[(&[16, 4_096], 20_000, false), (&[16, 4_096], 20_000, true)]
+        &[(&[16, 4_096], 20_000)]
     } else {
         &[
-            (&[16, 256, 4_096, 10_000], 100_000, false),
-            (&[16, 256, 4_096, 10_000], 1_000_000, false),
-            (&[16, 256, 4_096, 10_000], 100_000, true),
+            (&[16, 256, 4_096, 10_000], 100_000),
+            (&[16, 256, 4_096, 10_000], 1_000_000),
         ]
     };
     let reps = if c.quick || c.smoke { 1 } else { 2 };
@@ -1607,9 +1602,7 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
     // is invariant to kernel-cost changes.
     let service = service_time(&mut servescale_system(seed), Route::Device)?;
     let mut rows = Vec::new();
-    // (reference, tenants, arrivals) -> arrivals per wall-second.
-    let mut rates = Vec::new();
-    for &(tenant_counts, arrivals, reference) in sweeps {
+    for &(tenant_counts, arrivals) in sweeps {
         for &tenants in tenant_counts {
             let loads = servescale_loads(tenants, arrivals, service);
             let total: usize = loads.iter().map(|l| l.count()).sum();
@@ -1617,15 +1610,11 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
                 reps,
                 || servescale_system(seed),
                 |sys| {
-                    let opts = WorkloadOptions::new()
-                        .interface(InterfaceMode::Direct)
-                        .reference_admission(reference);
+                    let opts = WorkloadOptions::new().interface(InterfaceMode::Direct);
                     sys.run_serving(&loads, seed, opts)
                 },
             )?;
-            rates.push((reference, tenants, total, total as f64 / wall));
             rows.push(row![
-                if reference { "scan" } else { "heap" },
                 tenants,
                 total,
                 rep.completions.len(),
@@ -1637,7 +1626,7 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
             ]);
         }
     }
-    let mut r = Report::new("Serving scale: multi-tenant arrivals per wall-second, heap vs scan");
+    let mut r = Report::new("Serving scale: multi-tenant arrivals per wall-second");
     r.field("quick", c.quick);
     r.field("smoke", c.smoke);
     r.field("query", "q6");
@@ -1648,27 +1637,6 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
     r.field("reps", reps);
     r.field("timing", "best wall-clock over reps");
     r.table("points", COLS, rows);
-    // The headline comparison: heap vs the linear-scan reference at every
-    // cell both engines ran.
-    let mut speedups = Vec::new();
-    for &(_, tenants, total, scan) in rates.iter().filter(|r| r.0) {
-        let heap = rates
-            .iter()
-            .find(|h| !h.0 && (h.1, h.2) == (tenants, total));
-        if let Some(&(.., heap)) = heap {
-            let x = heap / scan;
-            r.wall_note(format!(
-                "  heap vs scan at {tenants} tenants: {x:.1}x arrivals/s"
-            ));
-            speedups.push(format!(
-                "{{\"tenants\": {tenants}, \"heap_over_scan\": {x:.2}}}"
-            ));
-        }
-    }
-    if !speedups.is_empty() {
-        let list = Cell::Raw(format!("[{}]", speedups.join(", ")));
-        r.fields.push(("speedups", list, true));
-    }
     r.note("  (simulated figures are deterministic; wall-clock is machine-dependent)");
     r.note(format!("  wrote {}", c.bench));
     Ok(r)
@@ -1916,6 +1884,6 @@ registry! {
     "fleet" extra bench fleet "Q6 scatter/gather over 1-64 Smart SSDs + a one-dead-device degradation matrix"
     "serving" extra bench serving "Open-system Poisson load sweep (p99 knee) + multi-tenant WFQ/FIFO isolation matrix"
     "simspeed" extra bench simspeed "Wall-clock: simulator throughput on open Q6 streams (--smoke: smallest point)"
-    "servescale" extra bench servescale "Wall-clock: serving admission at scale, heap vs linear-scan engine (--smoke: one pair)"
+    "servescale" extra bench servescale "Wall-clock: serving admission at scale, tenants x stream size (--smoke: one cell)"
     "chaos" extra bench chaos "Scripted gray failures x defense stacks, measured at the victim tenant's p99"
 }

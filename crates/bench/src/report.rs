@@ -278,9 +278,6 @@ pub enum Block {
     /// A free-text line (or pre-formatted lines), without its trailing
     /// newline.
     Note(String),
-    /// A [`Block::Note`] derived from wall-clock measurements:
-    /// machine-dependent, dropped when masked.
-    WallNote(String),
     /// A table.
     Table(Table),
 }
@@ -292,9 +289,8 @@ pub struct Report {
     pub title: String,
     /// Notes and tables, in print order.
     pub body: Vec<Block>,
-    /// `BENCH_<name>.json` header fields, after `generated_by`:
-    /// `(key, value, wall-clock-derived)`.
-    pub fields: Vec<(&'static str, Cell, bool)>,
+    /// `BENCH_<name>.json` header fields, after `generated_by`.
+    pub fields: Vec<(&'static str, Cell)>,
     /// Extra artifact files: `(file name, contents)`.
     pub files: Vec<(String, String)>,
 }
@@ -313,11 +309,6 @@ impl Report {
         self.body.push(Block::Note(text.into()));
     }
 
-    /// Appends a free-text line derived from wall-clock measurements.
-    pub fn wall_note(&mut self, text: impl Into<String>) {
-        self.body.push(Block::WallNote(text.into()));
-    }
-
     /// Appends a table; `key` names its JSON array (empty = stdout only).
     pub fn table(&mut self, key: &'static str, cols: &'static [Col], rows: Vec<Vec<Cell>>) {
         self.body.push(Block::Table(Table { key, cols, rows }));
@@ -325,7 +316,7 @@ impl Report {
 
     /// Appends a `BENCH_<name>.json` header field.
     pub fn field(&mut self, key: &'static str, value: impl Into<Cell>) {
-        self.fields.push((key, value.into(), false));
+        self.fields.push((key, value.into()));
     }
 
     /// The table whose JSON array is `key`, if any.
@@ -342,14 +333,13 @@ impl Report {
         self.get(table).map_or(0.0, |t| t.lookup(filter, key))
     }
 
-    /// The stdout rendering. `mask` replaces wall-clock cells with `~` and
-    /// drops wall-clock notes, leaving only deterministic text.
+    /// The stdout rendering. `mask` replaces wall-clock cells with `~`,
+    /// leaving only deterministic text.
     pub fn text(&self, mask: bool) -> String {
         let mut out = format!("== {} ==\n", self.title);
         for block in &self.body {
             match block {
-                Block::WallNote(_) if mask => {}
-                Block::Note(text) | Block::WallNote(text) => {
+                Block::Note(text) => {
                     out.push_str(text);
                     out.push('\n');
                 }
@@ -363,10 +353,8 @@ impl Report {
     /// The `BENCH_<name>.json` rendering (`mask` as in [`Self::text`]).
     pub fn json(&self, name: &str, mask: bool) -> String {
         let mut parts = vec![format!("  \"generated_by\": \"repro {name}\"")];
-        for (key, value, wall) in &self.fields {
-            if !(mask && *wall) {
-                parts.push(format!("  \"{key}\": {}", value.json(0)));
-            }
+        for (key, value) in &self.fields {
+            parts.push(format!("  \"{key}\": {}", value.json(0)));
         }
         for block in &self.body {
             match block {

@@ -3,24 +3,25 @@
 //!
 //! [`WaitSet`] implements start-time fair queueing (SFQ) with strict
 //! priority lanes over per-tenant FIFO queues, or one global FIFO when
-//! fairness is off. The fair path has two interchangeable engines:
+//! fairness is off. There is one engine: a [`KeyedMinHeap`] holds one live
+//! entry per backlogged queue, keyed by the queue's *effective* grant key
+//! `(lane, max(vclock, finish[q]))` with the queue index as the heap's
+//! tie-break id — the `(lane, start_tag, tenant)` order a linear scan over
+//! the registry would grant in. Keys are monotone (the virtual clock and
+//! finish tags only grow), so a stored key is always a lower bound and the
+//! heap's refresh-on-pop lazy invalidation recovers the true minimum:
+//! storing the raw finish tag would *not* be enough, because two tenants
+//! whose tags are both below the virtual clock must tie-break by index, not
+//! by tag. Pop is O(log T) plus an amortized refresh per vclock overtake.
+//! Under fair queueing every tenant has its own queue; with fairness off
+//! all tenants share queue 0, the heap never holds more than that one entry
+//! and the grant order is arrival order.
 //!
-//! * **Heap** (the default): a [`KeyedMinHeap`] holds one live entry per
-//!   backlogged tenant, keyed by the tenant's *effective* grant key
-//!   `(lane, max(vclock, finish[t]))` with the tenant index as the heap's
-//!   tie-break id — exactly the linear scan's `(lane, start_tag, tenant)`
-//!   order. Keys are monotone (the virtual clock and finish tags only
-//!   grow), so a stored key is always a lower bound and the heap's
-//!   refresh-on-pop lazy invalidation recovers the true minimum: storing
-//!   the raw finish tag would *not* be enough, because two tenants whose
-//!   tags are both below the virtual clock must tie-break by index, not by
-//!   tag. Pop is O(log T) plus an amortized refresh per vclock overtake.
-//! * **Scan** (the `reference` engine): the original `min_by_key` linear
-//!   scan over every registered tenant, kept verbatim as the executable
-//!   specification. The differential proptests below replay random
-//!   push/pop/charge/cancel schedules through both engines and demand
-//!   grant-for-grant equality, which is what lets every golden stay
-//!   byte-identical while the default engine is O(log T).
+//! The executable specification is the test module's `ScanSet`, the
+//! `min_by_key` linear scan over every registered tenant that the heap
+//! replaced: the differential proptests below replay random
+//! push/pop/charge/cancel schedules through both and demand grant-for-grant
+//! equality (and, with fairness off, equality with a plain `VecDeque`).
 //!
 //! Entries are arena slot ids into a [`PendingSlab`], the PR 6-style slab
 //! that owns each deferred arrival's `WorkloadItem` and cancellation flag.
@@ -39,17 +40,6 @@ use std::collections::VecDeque;
 /// precision without floats (determinism) and a u128 never overflows on
 /// any representable workload.
 const WFQ_SCALE: u128 = 1 << 20;
-
-/// Which engine picks the next grant under fair queueing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Global FIFO across tenants (fair queueing off).
-    Fifo,
-    /// The reference linear scan: O(registered tenants) per pop.
-    Scan,
-    /// The indexed engine: O(log backlogged tenants) per pop.
-    Heap,
-}
 
 /// The waiting room for device session slots: per-tenant FIFO queues under
 /// start-time fair queueing (SFQ) with strict priority lanes, or one
@@ -73,10 +63,9 @@ enum Engine {
 /// the counters and [`WaitSet::pop`] skips (and reports) tombstones via
 /// its `dead` callback without ever scanning a queue.
 pub(crate) struct WaitSet {
-    /// Global arrival-order queue (fairness off): `(slab slot, tenant)`.
-    fifo: VecDeque<(u32, u32)>,
-    /// Per-tenant FIFO queues of slab slots (fairness on).
-    queues: Vec<VecDeque<u32>>,
+    /// FIFO queues of `(slab slot, tenant)`: one per tenant under fair
+    /// queueing, one shared by every tenant with fairness off.
+    queues: Vec<VecDeque<(u32, u32)>>,
     /// Waiting count per tenant, for per-tenant queue bounds (all modes).
     /// Counts only live (non-tombstone) waiters.
     waiting: Vec<usize>,
@@ -86,28 +75,22 @@ pub(crate) struct WaitSet {
     vclock: u128,
     lanes: Vec<u8>,
     weights: Vec<u64>,
-    engine: Engine,
     /// Live (non-tombstone) entries across all queues.
     len: usize,
-    /// One live entry per backlogged tenant, keyed by the effective grant
+    /// One live entry per backlogged queue, keyed by the effective grant
     /// key at push time (a lower bound on the current effective key).
     heap: KeyedMinHeap<(u8, u128)>,
-    /// Epoch per tenant: bumped whenever the tenant's live heap entry is
+    /// Epoch per queue: bumped whenever the queue's live heap entry is
     /// consumed or re-armed, so stale heap entries identify themselves.
     epoch: Vec<u32>,
 }
 
 impl WaitSet {
-    pub(crate) fn new(tenants: &[TenantSpec], fair: bool, reference: bool) -> Self {
+    pub(crate) fn new(tenants: &[TenantSpec], fair: bool) -> Self {
         let n = tenants.len().max(1);
-        let engine = match (fair, reference) {
-            (false, _) => Engine::Fifo,
-            (true, true) => Engine::Scan,
-            (true, false) => Engine::Heap,
-        };
+        let queues = if fair { n } else { 1 };
         Self {
-            fifo: VecDeque::new(),
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            queues: (0..queues).map(|_| VecDeque::new()).collect(),
             waiting: vec![0; n],
             finish: vec![0; n],
             vclock: 0,
@@ -118,42 +101,34 @@ impl WaitSet {
                 .chain([1])
                 .take(n)
                 .collect(),
-            engine,
             len: 0,
             heap: KeyedMinHeap::new(),
-            epoch: vec![0; n],
+            epoch: vec![0; queues],
         }
     }
 
-    /// The tenant's effective grant key right now: lane first, then its
-    /// start tag `max(vclock, finish)`. Monotone non-decreasing over the
-    /// life of a run — both components only grow.
-    fn key(&self, tenant: usize) -> (u8, u128) {
-        (self.lanes[tenant], self.vclock.max(self.finish[tenant]))
-    }
-
-    /// Arms (or re-arms) `tenant`'s live heap entry at its current key,
-    /// invalidating any previous entry via the epoch bump.
-    fn arm(&mut self, tenant: usize) {
-        self.epoch[tenant] = self.epoch[tenant].wrapping_add(1);
-        self.heap
-            .push(self.key(tenant), tenant as u32, self.epoch[tenant]);
+    /// Arms (or re-arms) queue `q`'s live heap entry at its current
+    /// effective grant key — lane first, then the start tag
+    /// `max(vclock, finish)`, both of which only grow over a run —
+    /// invalidating any previous entry via the epoch bump. The shared
+    /// queue of a fairness-off set borrows tenant 0's key; it has no rival
+    /// to be ordered against.
+    fn arm(&mut self, q: usize) {
+        self.epoch[q] = self.epoch[q].wrapping_add(1);
+        let key = (self.lanes[q], self.vclock.max(self.finish[q]));
+        self.heap.push(key, q as u32, self.epoch[q]);
     }
 
     /// Enqueues the waiter in `slot` for `tenant`.
     pub(crate) fn push(&mut self, slot: u32, tenant: usize) {
         self.waiting[tenant] += 1;
         self.len += 1;
-        match self.engine {
-            Engine::Fifo => self.fifo.push_back((slot, tenant as u32)),
-            Engine::Scan => self.queues[tenant].push_back(slot),
-            Engine::Heap => {
-                let newly_backlogged = self.queues[tenant].is_empty();
-                self.queues[tenant].push_back(slot);
-                if newly_backlogged {
-                    self.arm(tenant);
-                }
-            }
+        // The tenant's own queue, or the one shared queue (fairness off).
+        let q = tenant.min(self.queues.len() - 1);
+        let newly_backlogged = self.queues[q].is_empty();
+        self.queues[q].push_back((slot, tenant as u32));
+        if newly_backlogged {
+            self.arm(q);
         }
     }
 
@@ -167,94 +142,65 @@ impl WaitSet {
         self.len -= 1;
     }
 
-    /// The next waiter to admit: global FIFO order, or (lane, start tag,
-    /// tenant index)-minimal under fair queueing. `dead` is consulted for
-    /// every candidate entry: returning `true` marks it a tombstone (the
-    /// callback should release its slab slot) and the pop moves on —
-    /// tombstones were already un-counted by [`WaitSet::cancel`].
+    /// The next waiter to admit: the head of the (lane, start tag, queue
+    /// index)-minimal queue — global arrival order with fairness off.
+    /// `dead` is consulted for every candidate entry: returning `true`
+    /// marks it a tombstone (the callback should release its slab slot)
+    /// and the pop moves on — tombstones were already un-counted by
+    /// [`WaitSet::cancel`].
     pub(crate) fn pop(&mut self, mut dead: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
-        match self.engine {
-            Engine::Fifo => loop {
-                // `len > 0` live entries are queued and each iteration
-                // removes only a tombstone, so the FIFO is non-empty.
-                let (slot, t) = self.fifo.pop_front().expect("len counts live entries");
-                if dead(slot) {
-                    continue;
-                }
-                self.waiting[t as usize] -= 1;
-                self.len -= 1;
-                return Some(slot);
-            },
-            Engine::Scan => loop {
-                // A live entry sits in some tenant's queue (`len > 0`), so
-                // the filter keeps at least one tenant.
-                let t = (0..self.queues.len())
-                    .filter(|&t| !self.queues[t].is_empty())
-                    .min_by_key(|&t| (self.lanes[t], self.vclock.max(self.finish[t]), t))
-                    .expect("len counts live entries");
-                // `t` passed the `!is_empty()` filter just above.
-                let slot = self.queues[t].pop_front().expect("queue checked non-empty");
-                if dead(slot) {
-                    continue;
-                }
-                self.waiting[t] -= 1;
-                self.len -= 1;
-                return Some(slot);
-            },
-            Engine::Heap => loop {
-                let Self {
-                    heap,
-                    epoch,
-                    lanes,
-                    finish,
-                    vclock,
-                    queues,
-                    ..
-                } = self;
-                // A tenant's stored key can be stale low (the vclock may
-                // have overtaken its tag since the push); the heap
-                // refreshes such entries on the fly. Stored keys are
-                // always lower bounds, so an exact match is the true
-                // minimum — including the index tie-break, since a
-                // same-key rival with a smaller index would have had to
-                // store a strictly larger key to sort after this entry,
-                // and keys never shrink.
-                // Every tenant with a non-empty queue holds exactly one
-                // current-epoch heap entry (`push` arms on empty → non-empty,
-                // the re-arm below covers every pop that leaves entries),
-                // and `len > 0` means some queue is non-empty.
-                let t = heap
-                    .pop_min(|id, e| {
-                        let id = id as usize;
-                        if epoch[id] != e || queues[id].is_empty() {
-                            None
-                        } else {
-                            Some((lanes[id], (*vclock).max(finish[id])))
-                        }
-                    })
-                    .expect("len counts live entries, so a live heap entry exists")
-                    as usize;
-                // `pop_min`'s refresh just rejected every tenant whose
-                // queue is empty, so `t`'s is not.
-                let slot = self.queues[t]
-                    .pop_front()
-                    .expect("armed tenants have waiters");
-                // The pop consumed the tenant's live entry; re-arm while
-                // it still has queued waiters (tombstones included — they
-                // are discovered and skipped only when popped).
-                if !self.queues[t].is_empty() {
-                    self.arm(t);
-                }
-                if dead(slot) {
-                    continue;
-                }
-                self.waiting[t] -= 1;
-                self.len -= 1;
-                return Some(slot);
-            },
+        loop {
+            let Self {
+                heap,
+                epoch,
+                lanes,
+                finish,
+                vclock,
+                queues,
+                ..
+            } = self;
+            // A queue's stored key can be stale low (the vclock may have
+            // overtaken its tag since the push); the heap refreshes such
+            // entries on the fly. Stored keys are always lower bounds, so
+            // an exact match is the true minimum — including the index
+            // tie-break, since a same-key rival with a smaller index would
+            // have had to store a strictly larger key to sort after this
+            // entry, and keys never shrink.
+            // Every non-empty queue holds exactly one current-epoch heap
+            // entry (`push` arms on empty → non-empty, the re-arm below
+            // covers every pop that leaves entries), and `len > 0` means
+            // some queue is non-empty.
+            let q = heap
+                .pop_min(|id, e| {
+                    let id = id as usize;
+                    if epoch[id] != e || queues[id].is_empty() {
+                        None
+                    } else {
+                        Some((lanes[id], (*vclock).max(finish[id])))
+                    }
+                })
+                .expect("len counts live entries, so a live heap entry exists")
+                as usize;
+            // `pop_min`'s refresh just rejected every empty queue, so
+            // `q` is not one.
+            let (slot, tenant) = self.queues[q]
+                .pop_front()
+                .expect("armed queues have waiters");
+            // The pop consumed the queue's live entry; re-arm while it
+            // still has queued waiters (tombstones included — they are
+            // discovered and skipped only when popped).
+            if !self.queues[q].is_empty() {
+                self.arm(q);
+            }
+            if dead(slot) {
+                continue;
+            }
+            self.waiting[tenant as usize] -= 1;
+            self.len -= 1;
+            return Some(slot);
         }
     }
 
@@ -397,16 +343,99 @@ mod tests {
             .weight(weight)
     }
 
-    /// Replays one op schedule through an engine, returning the grant
-    /// sequence. Ops: (0, tenant, _) = push, (1, _, cost) = pop-and-charge
-    /// the granted tenant, (2, nth, _) = cancel the nth live waiter.
-    fn replay(
-        tenants: &[TenantSpec],
-        ops: &[(u8, usize, u64)],
-        reference: bool,
-    ) -> Vec<(u32, usize)> {
-        let t = tenants.len();
-        let mut ws = WaitSet::new(tenants, true, reference);
+    /// What a replayed schedule drives: [`WaitSet`] and its two oracles.
+    trait Waiters {
+        fn push(&mut self, slot: u32, tenant: usize);
+        fn cancel(&mut self, tenant: usize);
+        fn pop(&mut self, dead: impl FnMut(u32) -> bool) -> Option<u32>;
+        fn charge(&mut self, tenant: usize, cost: SimTime);
+    }
+
+    impl Waiters for WaitSet {
+        fn push(&mut self, slot: u32, tenant: usize) {
+            WaitSet::push(self, slot, tenant);
+        }
+        fn cancel(&mut self, tenant: usize) {
+            WaitSet::cancel(self, tenant);
+        }
+        fn pop(&mut self, dead: impl FnMut(u32) -> bool) -> Option<u32> {
+            WaitSet::pop(self, dead)
+        }
+        fn charge(&mut self, tenant: usize, cost: SimTime) {
+            WaitSet::charge(self, tenant, cost);
+        }
+    }
+
+    /// The fair-queueing specification: a `min_by_key` scan over every
+    /// registered tenant for the `(lane, start tag, tenant)`-minimal
+    /// backlogged one, O(registered tenants) per pop. This was the shipped
+    /// engine before the heap and is kept as written then.
+    struct ScanSet {
+        queues: Vec<VecDeque<u32>>,
+        finish: Vec<u128>,
+        vclock: u128,
+        lanes: Vec<u8>,
+        weights: Vec<u64>,
+    }
+
+    impl ScanSet {
+        fn new(tenants: &[TenantSpec]) -> Self {
+            Self {
+                queues: tenants.iter().map(|_| VecDeque::new()).collect(),
+                finish: vec![0; tenants.len()],
+                vclock: 0,
+                lanes: tenants.iter().map(|t| t.lane).collect(),
+                weights: tenants.iter().map(|t| t.weight).collect(),
+            }
+        }
+    }
+
+    impl Waiters for ScanSet {
+        fn push(&mut self, slot: u32, tenant: usize) {
+            self.queues[tenant].push_back(slot);
+        }
+        fn cancel(&mut self, _tenant: usize) {}
+        fn pop(&mut self, mut dead: impl FnMut(u32) -> bool) -> Option<u32> {
+            loop {
+                let t = (0..self.queues.len())
+                    .filter(|&t| !self.queues[t].is_empty())
+                    .min_by_key(|&t| (self.lanes[t], self.vclock.max(self.finish[t]), t))?;
+                let slot = self.queues[t].pop_front().expect("queue checked non-empty");
+                if !dead(slot) {
+                    return Some(slot);
+                }
+            }
+        }
+        fn charge(&mut self, tenant: usize, cost: SimTime) {
+            let start = self.vclock.max(self.finish[tenant]);
+            self.finish[tenant] =
+                start + cost.as_nanos() as u128 * WFQ_SCALE / u128::from(self.weights[tenant]);
+            self.vclock = start;
+        }
+    }
+
+    /// The fairness-off specification: arrival order, whoever the tenant.
+    impl Waiters for VecDeque<u32> {
+        fn push(&mut self, slot: u32, _tenant: usize) {
+            self.push_back(slot);
+        }
+        fn cancel(&mut self, _tenant: usize) {}
+        fn pop(&mut self, mut dead: impl FnMut(u32) -> bool) -> Option<u32> {
+            loop {
+                let slot = self.pop_front()?;
+                if !dead(slot) {
+                    return Some(slot);
+                }
+            }
+        }
+        fn charge(&mut self, _tenant: usize, _cost: SimTime) {}
+    }
+
+    /// Replays one op schedule over `t` tenants through `ws`, returning the
+    /// grant sequence. Ops: (0, tenant, _) = push, (1, _, cost) =
+    /// pop-and-charge the granted tenant, (2, nth, _) = cancel the nth live
+    /// waiter.
+    fn replay(ws: &mut impl Waiters, t: usize, ops: &[(u8, usize, u64)]) -> Vec<(u32, usize)> {
         let mut next_slot = 0u32;
         // (slot, tenant, dead) — shared notion of which entries are live.
         let mut entries: Vec<(u32, usize, bool)> = Vec::new();
@@ -465,8 +494,16 @@ mod tests {
             grants.push((slot, tenant));
             entries.retain(|e| e.0 != slot);
         }
-        assert!(ws.is_empty());
         grants
+    }
+
+    fn tenants_of(lanes: &[u8], weights: &[u64]) -> Vec<TenantSpec> {
+        lanes
+            .iter()
+            .zip(weights.iter().cycle())
+            .enumerate()
+            .map(|(i, (&l, &w))| TenantSpec::new(format!("t{i}")).lane(l).weight(w))
+            .collect()
     }
 
     proptest! {
@@ -481,17 +518,29 @@ mod tests {
             weights in proptest::collection::vec(1u64..16, 1..7),
             ops in proptest::collection::vec((0u8..3, 0usize..64, 0u64..10_000), 1..200),
         ) {
-            let tenants: Vec<TenantSpec> = lanes
-                .iter()
-                .zip(weights.iter().cycle())
-                .enumerate()
-                .map(|(i, (&l, &w))| {
-                    TenantSpec::new(format!("t{i}")).lane(l).weight(w)
-                })
-                .collect();
-            let scan = replay(&tenants, &ops, true);
-            let heap = replay(&tenants, &ops, false);
-            prop_assert_eq!(scan, heap);
+            let tenants = tenants_of(&lanes, &weights);
+            let t = tenants.len();
+            let scan = replay(&mut ScanSet::new(&tenants), t, &ops);
+            let mut ws = WaitSet::new(&tenants, true);
+            prop_assert_eq!(scan, replay(&mut ws, t, &ops));
+            prop_assert!(ws.is_empty());
+        }
+
+        /// FIFO rides the heap path too: with fairness off the grant order
+        /// is arrival order whatever the lanes, weights, charges and
+        /// cancellations — a plain `VecDeque` with tombstones skipped.
+        #[test]
+        fn fairness_off_waitset_is_a_plain_fifo(
+            lanes in proptest::collection::vec(0u8..3, 1..7),
+            weights in proptest::collection::vec(1u64..16, 1..7),
+            ops in proptest::collection::vec((0u8..3, 0usize..64, 0u64..10_000), 1..200),
+        ) {
+            let tenants = tenants_of(&lanes, &weights);
+            let t = tenants.len();
+            let model = replay(&mut VecDeque::new(), t, &ops);
+            let mut ws = WaitSet::new(&tenants, false);
+            prop_assert_eq!(model, replay(&mut ws, t, &ops));
+            prop_assert!(ws.is_empty());
         }
     }
 
@@ -502,9 +551,7 @@ mod tests {
     /// even though tenant 1's raw finish tag is smaller.
     #[test]
     fn vclock_clamp_tie_breaks_by_tenant_index_not_raw_tag() {
-        let tenants = [spec(0, 1), spec(0, 1), spec(0, 1)];
-        for reference in [true, false] {
-            let mut ws = WaitSet::new(&tenants, true, reference);
+        fn check(mut ws: impl Waiters, who: &str) {
             // Seed raw finish tags 0 < tag(1) < tag(0), then queue both
             // tenants while the virtual clock is still at zero — their
             // heap keys are armed with the raw tags.
@@ -521,16 +568,19 @@ mod tests {
             // Both effective start tags now clamp to the vclock: the tie
             // must break by tenant *index* (0 before 1), even though
             // tenant 1's raw tag — and its stale heap key — is smaller.
-            assert_eq!(ws.pop(|_| false), Some(4), "reference={reference}");
+            assert_eq!(ws.pop(|_| false), Some(4), "{who}");
             ws.charge(0, SimTime::from_nanos(1));
-            assert_eq!(ws.pop(|_| false), Some(3), "reference={reference}");
+            assert_eq!(ws.pop(|_| false), Some(3), "{who}");
         }
+        let tenants = [spec(0, 1), spec(0, 1), spec(0, 1)];
+        check(ScanSet::new(&tenants), "scan");
+        check(WaitSet::new(&tenants, true), "heap");
     }
 
     #[test]
     fn tombstones_are_skipped_and_released_lazily() {
         let tenants = [spec(0, 1), spec(0, 2)];
-        let mut ws = WaitSet::new(&tenants, true, false);
+        let mut ws = WaitSet::new(&tenants, true);
         ws.push(0, 0);
         ws.push(1, 0);
         ws.push(2, 1);

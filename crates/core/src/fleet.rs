@@ -530,6 +530,54 @@ mod tests {
         assert_eq!(plain_r.result.agg_values, armed_r.result.agg_values);
     }
 
+    /// Multi-tenant serving over a fleet rides the same scheduler as a
+    /// single device: a two-tenant stream (weights 4/1, lanes 0/1, the
+    /// batch tenant abandoning late arrivals) over four devices waits in
+    /// fair queueing for every device's slot at once, is canceled in the
+    /// queue or mid-flight, leaks no session, answers every completion
+    /// exactly as a lone query would, and replays bit-exact.
+    #[test]
+    fn two_tenant_serving_stream_over_a_four_device_system() {
+        use crate::serving::{TenantLoad, TenantSpec};
+        use crate::workload::WorkloadOptions;
+        const PER_TENANT: usize = 40;
+        let mut f = fleet(4, FleetOptions::default());
+        let unit = f.run_agg(&count_query()).unwrap().result.elapsed;
+        // Each tenant alone offers the fleet twice what it can serve.
+        let gap = SimTime::from_nanos(unit.as_nanos() / 8);
+        let load = |name: &str, weight, lane| {
+            let spec = TenantSpec::new(name).weight(weight).lane(lane);
+            TenantLoad::new(spec, count_query(), PER_TENANT, gap)
+        };
+        let loads = [
+            load("interactive", 4, 0),
+            load("batch", 1, 1).cancel_after(SimTime::from_nanos(unit.as_nanos() * 3)),
+        ];
+        let mut serve = || {
+            let rep = f
+                .sys
+                .run_serving(&loads, 42, WorkloadOptions::new())
+                .unwrap();
+            assert_eq!(f.sys.open_device_sessions(), 0, "no leaked session");
+            rep
+        };
+        let first = serve();
+        assert_eq!(first.outcomes.len(), 2 * PER_TENANT);
+        assert_eq!(
+            first.completions.len() as u64 + first.canceled,
+            2 * PER_TENANT as u64,
+            "every arrival completes or is abandoned"
+        );
+        assert_eq!(first.tenants[0].completed, PER_TENANT as u64);
+        assert!(first.canceled > 0, "the overloaded batch lane abandons");
+        for done in &first.completions {
+            assert_eq!(done.route, Route::Device);
+            assert_eq!(done.result.agg_values[0], N_ROWS as i128);
+            assert_eq!(done.result.agg_values[1], (0..N_ROWS as i128).sum::<i128>());
+        }
+        assert_eq!(format!("{first:?}"), format!("{:?}", serve()));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 

@@ -11,10 +11,10 @@
 //!   weighted-fair-queueing weight, a strict priority lane, and optional
 //!   per-tenant deadline and admission (queue-bound) overrides.
 //! * [`TenantLoad`] pairs a spec with the tenant's traffic: a query
-//!   template, a seeded [`ArrivalModel`] (uniform, Poisson or heavy-tailed
-//!   Pareto), a mean inter-arrival gap, an arrival count, and
-//!   an optional cancellation budget (arrivals are abandoned `cancel_after`
-//!   past their arrival, mid-flight if necessary).
+//!   template, a seeded [`ArrivalModel`] (uniform or Poisson), a mean
+//!   inter-arrival gap, an arrival count, and an optional cancellation
+//!   budget (arrivals are abandoned `cancel_after` past their arrival,
+//!   mid-flight if necessary).
 //! * [`ArrivalStream`] is a k-way merge cursor over the per-tenant
 //!   arrival generators: it yields `(submission index, item)` pairs in
 //!   arrival order while holding only one pending arrival per tenant, so
@@ -289,11 +289,6 @@ impl ArrivalStream {
         &self.specs
     }
 
-    /// Arrival time of the next item, without consuming it.
-    pub fn peek(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
-    }
-
     /// Yields the next arrival as `(submission index, item)`, in
     /// `(arrival, submission index)` order.
     pub fn next_arrival(&mut self) -> Option<(usize, WorkloadItem)> {
@@ -499,7 +494,7 @@ mod tests {
     #[test]
     fn dropping_a_tenant_leaves_other_streams_untouched() {
         let a = TenantLoad::new(TenantSpec::new("a"), q("qa"), 5, SimTime::from_nanos(1000))
-            .model(ArrivalModel::Pareto { alpha: 1.5 });
+            .model(ArrivalModel::Exponential);
         let b = TenantLoad::new(TenantSpec::new("b"), q("qb"), 5, SimTime::from_nanos(1000));
         let (both, _) = compose(&[a.clone(), b], 7);
         let (solo, _) = compose(&[a], 7);

@@ -168,9 +168,9 @@ impl Workload {
     }
 
     /// [`Workload::open_stream`] generalized over the arrival process:
-    /// gaps are drawn from `model` (Poisson or heavy-tailed Pareto — see
-    /// [`ArrivalModel`] for each model's moments). The
-    /// `Uniform` model reproduces `open_stream` bit-for-bit.
+    /// gaps are drawn from `model` (uniform or Poisson — see
+    /// [`ArrivalModel`] for each model's moments). The `Uniform` model
+    /// reproduces `open_stream` bit-for-bit.
     pub fn open_stream_with(
         query: &Query,
         n: usize,
@@ -265,7 +265,6 @@ pub struct WorkloadOptions {
     deadline: Option<SimTime>,
     tenants: Vec<TenantSpec>,
     fair: bool,
-    reference_admission: bool,
     brownout: Option<BrownoutPolicy>,
 }
 
@@ -280,7 +279,6 @@ impl Default for WorkloadOptions {
             // Weighted fair queueing is the default once tenants exist;
             // with one (implicit) tenant it degenerates to exact FIFO.
             fair: true,
-            reference_admission: false,
             brownout: None,
         }
     }
@@ -353,16 +351,6 @@ impl WorkloadOptions {
     /// so overload handling is unchanged unless asked for.
     pub fn brownout(mut self, policy: BrownoutPolicy) -> Self {
         self.brownout = Some(policy);
-        self
-    }
-
-    /// Selects the linear-scan reference admission engine instead of the
-    /// keyed min-heap. The two are grant-for-grant equivalent (pinned by
-    /// differential proptests); the reference exists as the executable
-    /// specification and for differential testing, not for production use.
-    #[doc(hidden)]
-    pub fn reference_admission(mut self, on: bool) -> Self {
-        self.reference_admission = on;
         self
     }
 

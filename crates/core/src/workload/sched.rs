@@ -1,6 +1,13 @@
 //! The event-loop scheduler behind [`System::run`], [`System::run_workload`]
-//! and [`System::run_serving`]: arrival sources, slot events, admission, and
-//! the dispatch of one arrival onto the host or the device route.
+//! and [`System::run_serving`]: slot events, admission, and the dispatch of
+//! one arrival onto the host or the device route.
+//!
+//! Arrivals reach the loop through one cursor: any iterator of
+//! `(submission index, item)` in `(arrival, submission index)` order, held
+//! in a `Peekable`. A materialized [`Workload`] is its item slice walked
+//! through a sorted index, a serving stream is [`ArrivalStream`]'s lazy
+//! k-way merge (one staged item per tenant, never the whole schedule), and a
+//! single query is `once(..)`.
 
 use super::attempt::{Attempt, AttemptRules, Stop};
 use super::report::{Acct, BROWNED_OUT, CANCELED, DEADLINE_MISSED, REJECTED};
@@ -16,6 +23,7 @@ use smartssd_exec::QueryOp;
 use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{EventQueue, FaultCounters, Interval, RunTrace, SimTime, TraceLevel, Tracer};
+use std::iter::{from_fn, once, Peekable};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -51,76 +59,6 @@ pub(super) enum Ev {
 /// its own extent of the table), shared so a dispatch can hold them without
 /// borrowing the scheduler state.
 type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
-
-/// Where arrivals come from: an eager, pre-materialized [`Workload`]
-/// walked in `(arrival, submission index)` order, or a lazy
-/// [`ArrivalStream`] whose k-way merge yields the identical sequence
-/// without ever holding more than one item per tenant in memory. The
-/// scheduler core is written against this enum so both entry points —
-/// [`System::run_workload`] and [`System::run_serving`] — share one merge
-/// loop, and the streaming path is pinned to the eager path by
-/// differential tests rather than by duplicated code.
-enum ArrivalSrc<'a> {
-    Eager {
-        items: &'a [WorkloadItem],
-        order: Vec<u32>,
-        cursor: usize,
-    },
-    Stream(ArrivalStream),
-}
-
-impl<'a> ArrivalSrc<'a> {
-    /// An eager source over `items`. Arrivals are a static schedule, so
-    /// they never live in the event heap: a cursor over the arrival order
-    /// replaces n heap entries, keeping the heap at O(max_sessions)
-    /// whatever the stream length. Sorting by (arrival, submission index)
-    /// means same-instant arrivals fire in submission order.
-    fn eager(items: &'a [WorkloadItem]) -> Self {
-        let mut order: Vec<u32> = (0..items.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (items[i as usize].arrival, i));
-        ArrivalSrc::Eager {
-            items,
-            order,
-            cursor: 0,
-        }
-    }
-
-    /// Total number of arrivals this source will yield.
-    fn total(&self) -> usize {
-        match self {
-            ArrivalSrc::Eager { items, .. } => items.len(),
-            ArrivalSrc::Stream(s) => s.total(),
-        }
-    }
-
-    /// Arrival instant of the next item, if any.
-    fn peek(&self) -> Option<SimTime> {
-        match self {
-            ArrivalSrc::Eager {
-                items,
-                order,
-                cursor,
-            } => order.get(*cursor).map(|&i| items[i as usize].arrival),
-            ArrivalSrc::Stream(s) => s.peek(),
-        }
-    }
-
-    /// Yields the next arrival as `(submission index, item)`.
-    fn next(&mut self) -> Option<(usize, WorkloadItem)> {
-        match self {
-            ArrivalSrc::Eager {
-                items,
-                order,
-                cursor,
-            } => {
-                let &i = order.get(*cursor)?;
-                *cursor += 1;
-                Some((i as usize, items[i as usize].clone()))
-            }
-            ArrivalSrc::Stream(s) => s.next_arrival(),
-        }
-    }
-}
 
 /// The run-scoped scheduler state: the options in force, the slot-event
 /// queue, the admission wait set with its parked arrivals, the resolve
@@ -191,8 +129,17 @@ impl System {
             let tenant = bad.tenant as usize;
             return Err(RunErrorKind::Config(ConfigError::UnknownTenant { tenant }).into());
         }
-        let src = ArrivalSrc::eager(workload.items());
-        self.run_arrivals(src, &opts)
+        // Arrivals are a static schedule, so they never live in the event
+        // heap: an index sorted by (arrival, submission index) — same-instant
+        // arrivals fire in submission order — keeps the heap at
+        // O(max_sessions) whatever the workload's length.
+        let items = workload.items();
+        let mut order: Vec<u32> = (0..items.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (items[i as usize].arrival, i));
+        let arrivals = order
+            .into_iter()
+            .map(|i| (i as usize, items[i as usize].clone()));
+        self.run_arrivals(arrivals, items.len(), &opts)
     }
 
     /// Runs an open serving stream without ever materializing it: the
@@ -212,19 +159,21 @@ impl System {
         mut opts: WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
         let tenant_base = opts.tenants.len() as u32;
-        let stream = ArrivalStream::with_base(loads, seed, tenant_base);
+        let mut stream = ArrivalStream::with_base(loads, seed, tenant_base);
         opts.tenants.extend(stream.specs().iter().cloned());
-        self.run_arrivals(ArrivalSrc::Stream(stream), &opts)
+        let total = stream.total();
+        self.run_arrivals(from_fn(|| stream.next_arrival()), total, &opts)
     }
 
-    /// Schedules `src` and reports on it; a failed run's error carries the
-    /// fault counters accumulated up to the failure.
+    /// Schedules `total` arrivals and reports on them; a failed run's
+    /// error carries the fault counters accumulated up to the failure.
     fn run_arrivals(
         &mut self,
-        src: ArrivalSrc,
+        arrivals: impl Iterator<Item = (usize, WorkloadItem)>,
+        total: usize,
         opts: &WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
-        self.schedule(src, opts, AttemptRules::of(opts.interface))
+        self.schedule(arrivals, total, opts, AttemptRules::of(opts.interface))
             .and_then(|acct| self.workload_report(acct, opts))
             .map_err(|e| self.with_faults(e))
     }
@@ -242,8 +191,7 @@ impl System {
     ) -> Result<(QueryCompletion, Transitions, RunTrace), RunError> {
         let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
         let wopts = WorkloadOptions::new().verbosity(opts.verbosity);
-        let src = ArrivalSrc::eager(std::slice::from_ref(&item));
-        let mut acct = self.schedule(src, &wopts, rules)?;
+        let mut acct = self.schedule(once((0, item)), 1, &wopts, rules)?;
         if let Some(dead) = acct.dead.take() {
             return Err(dead);
         }
@@ -258,15 +206,16 @@ impl System {
 
     /// The scheduler core shared by [`System::run`] and a fleet query (one
     /// arrival), [`System::run_workload`] (eager) and
-    /// [`System::run_serving`] (streaming): one merge loop over arrivals
-    /// and slot events, with in-flight waiters parked in a generational
-    /// slab and admission decided by the [`WaitSet`]'s keyed min-heap.
-    /// Returns the outcome accounting; the caller closes the run and
-    /// assembles its report. A run that aborts closes every session it
-    /// still holds open.
+    /// [`System::run_serving`] (streaming): one merge loop over `total`
+    /// arrivals, yielded in `(arrival, submission index)` order, and slot
+    /// events, with in-flight waiters parked in a generational slab and
+    /// admission decided by the [`WaitSet`]'s keyed min-heap. Returns the
+    /// outcome accounting; the caller closes the run and assembles its
+    /// report. A run that aborts closes every session it still holds open.
     fn schedule(
         &mut self,
-        src: ArrivalSrc,
+        arrivals: impl Iterator<Item = (usize, WorkloadItem)>,
+        total: usize,
         opts: &WorkloadOptions,
         rules: AttemptRules,
     ) -> Result<Acct, RunError> {
@@ -284,12 +233,12 @@ impl System {
             opts,
             rules,
             events: EventQueue::new(),
-            ws: WaitSet::new(&opts.tenants, opts.fair, opts.reference_admission),
+            ws: WaitSet::new(&opts.tenants, opts.fair),
             slab: PendingSlab::new(),
             ops: None,
-            acct: Acct::new(src.total(), opts.tenants.len(), self.tracer.clone()),
+            acct: Acct::new(total, opts.tenants.len(), self.tracer.clone()),
         };
-        let run = self.event_loop(&mut s, src);
+        let run = self.event_loop(&mut s, arrivals.peekable());
         if run.is_err() {
             while let Some((_, ev)) = s.events.pop() {
                 if let Ev::Close(d, sid) = ev {
@@ -304,20 +253,17 @@ impl System {
         run.map(|()| s.acct)
     }
 
-    /// Merges arrivals and slot events in time order until both run dry.
-    fn event_loop(&mut self, s: &mut Sched, mut src: ArrivalSrc) -> Result<(), RunError> {
+    /// Merges arrivals and slot events in time order until both run dry;
+    /// an arrival goes before an event of the same instant.
+    fn event_loop(
+        &mut self,
+        s: &mut Sched,
+        mut arrivals: Peekable<impl Iterator<Item = (usize, WorkloadItem)>>,
+    ) -> Result<(), RunError> {
         loop {
-            let arrive_next = match (src.peek(), s.events.peek_time()) {
-                (Some(at), next) => next.is_none_or(|t| at <= t),
-                (None, Some(_)) => false,
-                (None, None) => return Ok(()),
-            };
-            if arrive_next {
-                // `peek` just saw this arrival; a source that lies ends the
-                // loop and surfaces as a missing outcome, not a panic.
-                let Some((i, item)) = src.next() else {
-                    return Ok(());
-                };
+            let event_at = s.events.peek_time();
+            let due = |(_, it): &(usize, WorkloadItem)| event_at.is_none_or(|t| it.arrival <= t);
+            if let Some((i, item)) = arrivals.next_if(due) {
                 self.dispatch(s, &item, i, item.arrival)?;
                 continue;
             }

@@ -223,11 +223,6 @@ impl FlashTiming {
         self.dram.busy_total_ns()
     }
 
-    /// Bytes moved over the DRAM bus.
-    pub fn dram_bytes(&self) -> u64 {
-        self.dram.bytes_moved()
-    }
-
     /// Utilization of the DRAM bus over `[0, elapsed]`.
     pub fn dram_utilization(&self, elapsed: SimTime) -> f64 {
         self.dram.utilization(elapsed)

@@ -268,8 +268,8 @@ impl LatencyStats {
 /// The distribution of inter-arrival gaps drawn by [`ArrivalGen`].
 ///
 /// Every model is parameterized by the generator's `mean_gap` and hits that
-/// mean (exactly for the integer models, asymptotically for the float
-/// ones); they differ in their higher moments — which is the whole point of
+/// mean (exactly for the integer model, asymptotically for the float
+/// one); they differ in their higher moments — which is the whole point of
 /// an open-system serving experiment, since tail latency under load is
 /// driven by arrival burstiness, not the mean rate.
 ///
@@ -277,8 +277,7 @@ impl LatencyStats {
 /// |---|---|---|---|
 /// | `Uniform` | uniform on `[0, 2m)` | `m` | `m²/3` |
 /// | `Exponential` | `Exp(1/m)` (Poisson process) | `m` | `m²` |
-/// | `Pareto{alpha}` | Pareto, scale `m(α-1)/α` | `m` | `∞` for `α ≤ 2` |
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArrivalModel {
     /// Gaps uniform on `[0, 2 * mean_gap)` — the original model. Mean
     /// `mean_gap`, variance `mean_gap²/3`. Integer arithmetic only.
@@ -289,15 +288,6 @@ pub enum ArrivalModel {
     /// (coefficient of variation 1, burstier than `Uniform`). Uses one
     /// `f64` log per draw; still bit-reproducible for a fixed seed.
     Exponential,
-    /// Heavy-tailed Pareto gaps with shape `alpha` (> 1) and scale
-    /// `mean_gap * (alpha - 1) / alpha`, so the mean is `mean_gap`. For
-    /// `alpha <= 2` the variance is infinite: rare gigantic gaps separate
-    /// dense arrival trains — the classic flash-crowd shape. Uses one
-    /// `f64` power per draw; still bit-reproducible for a fixed seed.
-    Pareto {
-        /// Tail shape (> 1). Smaller is heavier; 1.5–2.5 is typical.
-        alpha: f64,
-    },
 }
 
 /// Deterministic inter-arrival generator for open-arrival workloads.
@@ -305,9 +295,9 @@ pub enum ArrivalModel {
 /// Gaps are drawn from a seeded xorshift64* generator shaped by an
 /// [`ArrivalModel`] (uniform by default), so the mean inter-arrival time is
 /// `mean_gap` and the stream is bit-reproducible for a fixed seed. The
-/// integer model (`Uniform`) never touches floating point; the
-/// float models (`Exponential`, `Pareto`) use one libm call per draw and
-/// are still deterministic for a fixed seed on a given platform.
+/// integer model (`Uniform`) never touches floating point; the float model
+/// (`Exponential`) uses one libm call per draw and is still deterministic
+/// for a fixed seed on a given platform.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     state: u64,
@@ -348,8 +338,8 @@ impl ArrivalGen {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
-    /// A draw in `(0, 1]`: 53 random bits, never exactly zero, so `ln` and
-    /// negative powers are always finite.
+    /// A draw in `(0, 1]`: 53 random bits, never exactly zero, so `ln` is
+    /// always finite.
     fn next_unit(&mut self) -> f64 {
         let bits = self.next_u64() >> 11;
         (bits + 1) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -368,21 +358,11 @@ impl ArrivalGen {
 
     /// Draws the next inter-arrival gap from the configured model.
     pub fn next_gap(&mut self) -> SimTime {
-        let mean = self.mean_gap.as_nanos();
         match self.model {
             ArrivalModel::Uniform => self.uniform_gap(),
             ArrivalModel::Exponential => {
                 // Inversion: -m * ln(U), U in (0, 1].
-                let draw = -(mean as f64) * self.next_unit().ln();
-                SimTime::from_nanos(draw.min(u64::MAX as f64) as u64)
-            }
-            ArrivalModel::Pareto { alpha } => {
-                // Inversion: scale * U^(-1/alpha), scale chosen so the mean
-                // is `mean_gap` (requires alpha > 1; flatter shapes are
-                // clamped just above it so the scale stays positive).
-                let a = alpha.max(1.000_001);
-                let scale = mean as f64 * (a - 1.0) / a;
-                let draw = scale * self.next_unit().powf(-1.0 / a);
+                let draw = -(self.mean_gap.as_nanos() as f64) * self.next_unit().ln();
                 SimTime::from_nanos(draw.min(u64::MAX as f64) as u64)
             }
         }
@@ -571,51 +551,35 @@ mod tests {
     /// Every model is seed-reproducible and seed-sensitive.
     #[test]
     fn all_models_are_seed_reproducible() {
-        let models = [
-            ArrivalModel::Uniform,
-            ArrivalModel::Exponential,
-            ArrivalModel::Pareto { alpha: 1.8 },
-        ];
-        for m in models {
+        for m in [ArrivalModel::Uniform, ArrivalModel::Exponential] {
             assert_eq!(gaps(m, 10_000, 5, 128), gaps(m, 10_000, 5, 128), "{m:?}");
             assert_ne!(gaps(m, 10_000, 5, 128), gaps(m, 10_000, 6, 128), "{m:?}");
         }
     }
 
     /// Pins the documented first two moments of each model: the sample
-    /// mean stays near `mean_gap` for all of them, and the variances
-    /// order as documented — uniform (m²/3) < exponential (m²) < Pareto
-    /// (infinite; its sample variance must dwarf exponential's).
+    /// mean stays near `mean_gap` for both, and the variances are the
+    /// documented uniform m²/3 and exponential m².
     #[test]
     fn model_moments_match_their_documentation() {
         const M: u64 = 100_000; // 100 µs mean gap
         const N: usize = 8_192;
         let uni = gaps(ArrivalModel::Uniform, M, 42, N);
         let exp = gaps(ArrivalModel::Exponential, M, 42, N);
-        let par = gaps(ArrivalModel::Pareto { alpha: 1.6 }, M, 42, N);
-        for (name, xs, tol) in [("uniform", &uni, 0.05), ("exponential", &exp, 0.05)] {
+        for (name, xs) in [("uniform", &uni), ("exponential", &exp)] {
             let m = mean_of(xs);
             assert!(
-                (m - M as f64).abs() < tol * M as f64,
+                (m - M as f64).abs() < 0.05 * M as f64,
                 "{name} mean {m} vs {M}"
             );
         }
-        // Pareto's mean converges slowly (infinite variance); allow a wide
-        // band but require it to be in the right decade.
-        let pm = mean_of(&par);
-        assert!(
-            pm > 0.4 * M as f64 && pm < 3.0 * M as f64,
-            "pareto mean {pm} vs {M}"
-        );
         let m2 = (M as f64) * (M as f64);
         let vu = variance_of(&uni);
         let ve = variance_of(&exp);
-        let vp = variance_of(&par);
         assert!((vu - m2 / 3.0).abs() < 0.1 * m2, "uniform var {vu}");
         assert!((ve - m2).abs() < 0.25 * m2, "exponential var {ve}");
-        assert!(vp > 3.0 * ve, "pareto tail must dominate: {vp} vs {ve}");
-        // Heavy tail in one number: the largest Pareto gap dwarfs the
-        // largest uniform gap (which is capped at 2m by construction).
-        assert!(par.iter().max() > uni.iter().max());
+        // The exponential tail is unbounded; uniform gaps are capped at 2m
+        // by construction.
+        assert!(exp.iter().max() > uni.iter().max());
     }
 }

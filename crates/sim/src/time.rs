@@ -65,12 +65,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Value in fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating difference `self - earlier`.
     #[inline]
     pub fn saturating_sub(self, earlier: SimTime) -> SimTime {

@@ -65,10 +65,6 @@ pub mod pid {
     pub const SESSION: u32 = 5;
     /// Planner route decisions.
     pub const PLANNER: u32 = 6;
-    /// Fleet coordinator: per-shard scatter/gather lanes. The `tid` under
-    /// this pid is the device index, so an N-device fleet renders one
-    /// timeline lane per device.
-    pub const FLEET: u32 = 7;
 
     /// Human-readable subsystem name for a pid.
     pub fn name(p: u32) -> &'static str {
@@ -80,7 +76,6 @@ pub mod pid {
             HOST_CPU => "host-cpu",
             SESSION => "session",
             PLANNER => "planner",
-            FLEET => "fleet",
             _ => "other",
         }
     }

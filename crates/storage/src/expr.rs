@@ -134,24 +134,7 @@ impl Expr {
     /// workload generators keep values far from the i64 edges, and the
     /// aggregate accumulators widen to i128.
     pub fn eval<R: RowAccessor + ?Sized>(&self, rows: &R, row: usize) -> i64 {
-        match self {
-            Expr::Col(c) => rows.i64_at(row, *c),
-            Expr::Lit(v) => *v,
-            Expr::Add(a, b) => a.eval(rows, row).wrapping_add(b.eval(rows, row)),
-            Expr::Sub(a, b) => a.eval(rows, row).wrapping_sub(b.eval(rows, row)),
-            Expr::Mul(a, b) => a.eval(rows, row).wrapping_mul(b.eval(rows, row)),
-            Expr::Case {
-                when,
-                then,
-                otherwise,
-            } => {
-                if when.eval(rows, row) {
-                    then.eval(rows, row)
-                } else {
-                    otherwise.eval(rows, row)
-                }
-            }
-        }
+        self.eval_counted(rows, row, &mut EvalCounts::default())
     }
 
     /// Number of nodes — the execution cost model charges cycles per node
@@ -275,24 +258,7 @@ impl Pred {
 
     /// Evaluates the predicate for `row` of `rows`.
     pub fn eval<R: RowAccessor + ?Sized>(&self, rows: &R, row: usize) -> bool {
-        match self {
-            Pred::Cmp(op, a, b) => op.matches(a.eval(rows, row).cmp(&b.eval(rows, row))),
-            Pred::StrCmp { col, op, lit } => {
-                let field = rows.field(row, *col);
-                // Compare against the literal as if padded to field width.
-                let n = lit.len().min(field.len());
-                let ord = field[..n].cmp(&lit[..n]).then_with(|| {
-                    // Remaining field bytes compare against implied padding.
-                    field[n..].cmp(&vec![b' '; field.len() - n][..])
-                });
-                op.matches(ord)
-            }
-            Pred::LikePrefix { col, prefix } => rows.field(row, *col).starts_with(prefix),
-            Pred::And(ps) => ps.iter().all(|p| p.eval(rows, row)),
-            Pred::Or(ps) => ps.iter().any(|p| p.eval(rows, row)),
-            Pred::Not(p) => !p.eval(rows, row),
-            Pred::Const(b) => *b,
-        }
+        self.eval_counted(rows, row, &mut EvalCounts::default())
     }
 
     /// Number of nodes, for the cost model.
@@ -475,10 +441,22 @@ impl Pred {
                         .cmp(&b.eval_counted(rows, row, counts)),
                 )
             }
-            Pred::StrCmp { .. } | Pred::LikePrefix { .. } => {
+            Pred::StrCmp { col, op, lit } => {
                 counts.atoms += 1;
                 counts.values += 1;
-                self.eval(rows, row)
+                let field = rows.field(row, *col);
+                // Compare against the literal as if padded to field width.
+                let n = lit.len().min(field.len());
+                let ord = field[..n].cmp(&lit[..n]).then_with(|| {
+                    // Remaining field bytes compare against implied padding.
+                    field[n..].cmp(&vec![b' '; field.len() - n][..])
+                });
+                op.matches(ord)
+            }
+            Pred::LikePrefix { col, prefix } => {
+                counts.atoms += 1;
+                counts.values += 1;
+                rows.field(row, *col).starts_with(prefix)
             }
             Pred::And(ps) => ps.iter().all(|p| p.eval_counted(rows, row, counts)),
             Pred::Or(ps) => ps.iter().any(|p| p.eval_counted(rows, row, counts)),

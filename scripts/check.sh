@@ -37,6 +37,14 @@ for call in 'settle_done(' 'settle_fault(' 'collect_linked' '.begin_run()' '.fin
     [[ "${n}" -le 1 ]]
 done
 
+# One arrival cursor, one admission engine: names deleted from the shipped
+# scheduler must not grow back anywhere in the crates' sources.
+echo "== deleted scheduler forks stay deleted (crates/*/src) =="
+if grep -rnE 'ArrivalSrc|reference_admission|Pareto' crates/*/src; then
+    echo "a deleted scheduler fork is back (see above)" >&2
+    exit 1
+fi
+
 echo "== cargo doc --no-deps (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -69,17 +77,17 @@ if [[ "${1:-}" != "fast" ]]; then
         "${repro[@]}" "${sub}" --quick
     done
 
-    # Tenant scaling, for the eye only: heap arrivals/s at the sweep's
-    # largest tenant count over the same engine at 16 tenants, both from the
+    # Tenant scaling, for the eye only: arrivals/s at the sweep's largest
+    # tenant count over the figure at 16 tenants, both from the
     # BENCH_servescale.json just written (same run, same machine). A cell is
     # 50 ms of wall clock, so single readings scatter (0.41-0.56 with
     # per-run work quadratic in tenants and one catalog resolution per
     # dispatch, 0.51-0.70 without); the property itself is held without a
     # clock by crates/bench/tests/servescale.rs and the try_validate /
     # ArrivalStream tests in crates/core.
-    echo "== serving tenant scaling (heap, largest tenant count / 16 tenants; informational) =="
+    echo "== serving tenant scaling (largest tenant count / 16 tenants; informational) =="
     awk '
-        /"engine": "heap"/ {
+        /"tenants": [0-9]+, "arrivals"/ {
             match($0, /"tenants": [0-9]+/)
             t = substr($0, RSTART + 11, RLENGTH - 11) + 0
             match($0, /"arrivals_per_sec": [0-9.]+/)

@@ -71,8 +71,7 @@ fn loads_of(tenants: &[TenantGen]) -> Vec<TenantLoad> {
                 .lane(lane);
             let model = match model {
                 0 => ArrivalModel::Uniform,
-                1 => ArrivalModel::Exponential,
-                _ => ArrivalModel::Pareto { alpha: 1.5 },
+                _ => ArrivalModel::Exponential,
             };
             let load = TenantLoad::new(spec, agg_query(cutoff), count, SimTime::from_nanos(gap))
                 .model(model);
@@ -133,7 +132,7 @@ proptest! {
         rows in prop::collection::vec(arb_row(), 50..200),
         tenants in prop::collection::vec(
             (-500i64..500, 1u64..8, 0u8..2, 1usize..4, 0u64..2_000_000,
-             0u8..3, prop::option::of(10_000u64..3_000_000)),
+             0u8..2, prop::option::of(10_000u64..3_000_000)),
             1..4),
         seed in any::<u64>(),
         max_sessions in 1usize..3,
@@ -289,7 +288,7 @@ proptest! {
         rows in prop::collection::vec(arb_row(), 50..150),
         tenants in prop::collection::vec(
             (-500i64..500, 1u64..8, 0u8..2, 1usize..5, 0u64..2_000_000,
-             0u8..3, prop::option::of(10_000u64..3_000_000)),
+             0u8..2, prop::option::of(10_000u64..3_000_000)),
             1..4),
         seed in any::<u64>(),
         max_sessions in 1usize..3,
@@ -307,30 +306,6 @@ proptest! {
             )
             .unwrap();
         assert_reports_identical(&eager, &streamed)?;
-    }
-
-    /// The keyed-min-heap admission engine replays the linear-scan
-    /// reference grant-for-grant at system level: same loads, same seed,
-    /// identical reports — under contention (one slot), mixed lanes and
-    /// weights, and live cancellation schedules.
-    #[test]
-    fn heap_admission_matches_reference_scan_end_to_end(
-        rows in prop::collection::vec(arb_row(), 50..150),
-        tenants in prop::collection::vec(
-            (-500i64..500, 1u64..8, 0u8..2, 1usize..6, 0u64..1_000_000,
-             0u8..3, prop::option::of(10_000u64..3_000_000)),
-            1..5),
-        seed in any::<u64>(),
-    ) {
-        let loads = loads_of(&tenants);
-        let opts = || WorkloadOptions::new().interface(InterfaceMode::Direct);
-        let heap = build_sys(&rows, 1)
-            .run_serving(&loads, seed, opts())
-            .unwrap();
-        let scan = build_sys(&rows, 1)
-            .run_serving(&loads, seed, opts().reference_admission(true))
-            .unwrap();
-        assert_reports_identical(&heap, &scan)?;
     }
 }
 
