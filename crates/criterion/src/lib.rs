@@ -4,7 +4,8 @@
 //! benchmark groups with throughput annotations, `BenchmarkId`, and the
 //! `criterion_group!`/`criterion_main!` macros. Measurement is plain
 //! wall-clock sampling (warm-up, then `sample_size` timed samples of a
-//! calibrated iteration count); results are printed as median with
+//! calibrated iteration count, or with `iter_batched` one timed call per
+//! sample after an untimed setup); results are printed as median with
 //! min/max spread. No plotting, no statistical regression analysis.
 //!
 //! CLI: a positional argument filters benchmarks by substring (same as
@@ -52,6 +53,13 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// How many inputs `iter_batched` prepares per timed batch. The shim times
+/// every call on an input of its own, so this is the only size it has.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    PerIteration,
+}
+
 /// Runs closures under timing; handed to bench closures as `&mut Bencher`.
 pub struct Bencher {
     /// Nanoseconds per iteration for each recorded sample.
@@ -61,6 +69,37 @@ pub struct Bencher {
 }
 
 impl Bencher {
+    fn samples_wanted(&self) -> usize {
+        if self.quick {
+            self.sample_size.clamp(3, 10)
+        } else {
+            self.sample_size
+        }
+    }
+
+    /// Times `routine` on a fresh `setup()` value per call; `setup` and the
+    /// drop of the routine's result are not timed. One warm-up call, then
+    /// one call per sample (no calibration: a routine that needs a setup
+    /// per call is long enough to time alone).
+    pub fn iter_batched<I, R, S: FnMut() -> I, F: FnMut(I) -> R>(
+        &mut self,
+        mut setup: S,
+        mut routine: F,
+        _size: BatchSize,
+    ) {
+        self.samples.clear();
+        for sample in 0..=self.samples_wanted() {
+            let input = setup();
+            let t = Instant::now();
+            let out = std::hint::black_box(routine(input));
+            let ns = t.elapsed().as_nanos() as f64;
+            drop(out);
+            if sample > 0 {
+                self.samples.push(ns);
+            }
+        }
+    }
+
     /// Times `f`, storing per-iteration nanoseconds across samples.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         // Warm-up and calibration: find an iteration count that runs
@@ -83,13 +122,8 @@ impl Bencher {
             }
             iters_per_sample = iters_per_sample.saturating_mul(2);
         }
-        let samples = if self.quick {
-            self.sample_size.clamp(3, 10)
-        } else {
-            self.sample_size
-        };
         self.samples.clear();
-        for _ in 0..samples {
+        for _ in 0..self.samples_wanted() {
             let t = Instant::now();
             for _ in 0..iters_per_sample {
                 std::hint::black_box(f());
@@ -292,6 +326,23 @@ mod tests {
         });
         assert!(!b.samples.is_empty());
         assert!(b.samples.iter().all(|&s| s >= 0.0));
+    }
+
+    #[test]
+    fn iter_batched_sets_up_once_per_timed_call() {
+        let mut b = Bencher {
+            samples: Vec::new(),
+            sample_size: 4,
+            quick: false,
+        };
+        let (mut setups, mut calls) = (0u32, 0u32);
+        b.iter_batched(|| setups += 1, |()| calls += 1, BatchSize::PerIteration);
+        assert_eq!(b.samples.len(), 4);
+        assert_eq!(
+            (setups, calls),
+            (5, 5),
+            "one warm-up call, then one per sample"
+        );
     }
 
     #[test]

@@ -279,15 +279,22 @@ pub fn scan_group_agg_page(
 /// width within one table) are interned back-to-back in one byte arena and
 /// aggregate states live in one contiguous array, so a group probe is a
 /// hash of raw key bytes plus at most a few slot comparisons — no per-row
-/// allocation and no tree walk. Output order stays deterministic:
-/// [`group_table_rows`] sorts entries by key bytes, which for fixed-width
-/// keys is exactly the order the previous `BTreeMap`-based table produced.
+/// allocation and no tree walk. A key of at most eight bytes (Q1's is two)
+/// is also kept zero-extended as one `u64`, so its probe is one multiply
+/// and word compares instead of a slice hash and `memcmp` calls. Output
+/// order stays deterministic: [`group_table_rows`] sorts entries by key
+/// bytes, which for fixed-width keys is exactly the order the previous
+/// `BTreeMap`-based table produced.
 #[derive(Debug, Clone, Default)]
 pub struct GroupTable {
     /// Probe table: entry index per slot, `u32::MAX` = empty. Power of two.
     slots: Vec<u32>,
-    /// Interned keys, `key_width` bytes per entry.
+    /// Interned keys, `key_width` bytes per entry: the source of output
+    /// rows and of their order.
     key_data: Vec<u8>,
+    /// The same keys as words, one per entry, when `key_width <= 8`
+    /// (empty otherwise): what a narrow-key probe compares.
+    key_words: Vec<u64>,
     /// Aggregate states, `num_aggs` per entry.
     states: Vec<AggState>,
     key_width: usize,
@@ -296,6 +303,14 @@ pub struct GroupTable {
 }
 
 const EMPTY_SLOT: u32 = u32::MAX;
+/// Odd multiplier of the key hash (2^64 / golden ratio).
+const KEY_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Up to eight key bytes, zero-extended, as one little-endian word.
+#[inline]
+fn key_word(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b))
+}
 
 impl GroupTable {
     /// An empty table; key width and aggregate count are fixed by the
@@ -319,15 +334,31 @@ impl GroupTable {
         self.key_width
     }
 
-    /// FNV-1a over the raw key bytes.
+    /// Whether keys fit one word and probe through `key_words`.
+    #[inline]
+    fn narrow(&self) -> bool {
+        self.key_width <= 8
+    }
+
+    /// Hash of the raw key bytes, a word at a time; a key of one word
+    /// costs one multiply. The slot is taken from the top bits, where a
+    /// multiply mixes best.
     #[inline]
     fn hash_key(key: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+        key.chunks(8)
+            .fold(0, |h, c| Self::hash_word(h, key_word(c)))
+    }
+
+    /// One step of the key hash: fold `word` into `h`.
+    #[inline]
+    fn hash_word(h: u64, word: u64) -> u64 {
+        (h.rotate_left(5) ^ word).wrapping_mul(KEY_MIX)
+    }
+
+    /// First slot to look at for a key of hash `h`.
+    #[inline]
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
     #[inline]
@@ -339,14 +370,15 @@ impl GroupTable {
         &self.states[e * self.num_aggs..(e + 1) * self.num_aggs]
     }
 
-    /// Slot holding `key`'s entry, or the empty slot where it belongs.
+    /// Slot holding the entry `is_key` accepts, or the empty slot where it
+    /// belongs, on the probe sequence of hash `h`.
     #[inline]
-    fn slot_for(&self, key: &[u8]) -> usize {
+    fn slot_for(&self, h: u64, is_key: impl Fn(usize) -> bool) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = Self::hash_key(key) as usize & mask;
+        let mut i = self.home(h);
         loop {
             let e = self.slots[i];
-            if e == EMPTY_SLOT || self.entry_key(e as usize) == key {
+            if e == EMPTY_SLOT || is_key(e as usize) {
                 return i;
             }
             i = (i + 1) & mask;
@@ -365,13 +397,18 @@ impl GroupTable {
         if (self.len + 1) * 10 > self.slots.len() * 7 {
             self.grow();
         }
-        let s = self.slot_for(key);
+        let word = self.narrow().then(|| key_word(key));
+        let s = match word {
+            Some(w) => self.slot_for(Self::hash_word(0, w), |e| self.key_words[e] == w),
+            None => self.slot_for(Self::hash_key(key), |e| self.entry_key(e) == key),
+        };
         if self.slots[s] != EMPTY_SLOT {
             return self.slots[s] as usize;
         }
         let e = self.len;
         self.slots[s] = e as u32;
         self.key_data.extend_from_slice(key);
+        self.key_words.extend(word);
         let st = new_states();
         if e == 0 {
             self.num_aggs = st.len();
@@ -395,7 +432,7 @@ impl GroupTable {
         self.slots.resize(cap, EMPTY_SLOT);
         let mask = cap - 1;
         for e in 0..self.len {
-            let mut i = Self::hash_key(self.entry_key(e)) as usize & mask;
+            let mut i = self.home(Self::hash_key(self.entry_key(e)));
             while self.slots[i] != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }
@@ -596,6 +633,28 @@ mod tests {
         }
         assert!(group_table_memory_bytes(&acc, 2) > 0);
         assert!(w.hash_probes >= 900);
+    }
+
+    /// Narrow keys (one packed word) and wide keys (slice compare) intern
+    /// the same way through several growths: one entry per distinct key, in
+    /// insertion order, found again on a second pass. Keys differ only in
+    /// their last byte, the zero-extended one of a narrow key's word.
+    #[test]
+    fn group_table_interns_narrow_and_wide_keys() {
+        for width in [0usize, 1, 3, 8, 9, 20] {
+            let distinct = if width == 0 { 1 } else { 200 };
+            let mut acc = GroupTable::new();
+            for k in (0..distinct).chain(0..distinct) {
+                let mut key = vec![0xAB; width];
+                if let Some(last) = key.last_mut() {
+                    *last = k as u8;
+                }
+                let e = acc.upsert_with(&key, || vec![AggState::new(AggFunc::Count)]);
+                assert_eq!(e, k, "width {width}");
+            }
+            assert_eq!(acc.len(), distinct, "width {width}");
+            assert_eq!(acc.key_width(), width);
+        }
     }
 
     #[test]

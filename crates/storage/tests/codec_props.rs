@@ -6,7 +6,7 @@
 //! word.
 
 use proptest::prelude::*;
-use smartssd_storage::page::{checksum, PAGE_HEADER_SIZE, PAGE_MAGIC};
+use smartssd_storage::page::{checksum64, page_digest, PAGE_HEADER_SIZE, PAGE_MAGIC};
 use smartssd_storage::{
     nsm, nsm::NsmReader, pax, pax::PaxReader, tuple, DataType, Datum, Layout, RowAccessor, Schema,
     TableBuilder, Tuple, PAGE_SIZE,
@@ -72,7 +72,7 @@ fn padded(d: &Datum, ty: DataType) -> Datum {
 /// The page image as the seal before single-pass sealing derived it: the
 /// body assembled in a buffer of its own (records plus slot directory for
 /// NSM, minipages back to back for PAX), copied into a zero-filled page,
-/// then the header. Bytes `8..12` (the checksum) are left zero.
+/// then the header. Bytes `8..16` (the digest) are left zero.
 fn two_buffer_image(layout: Layout, schema: &Schema, rows: &[Tuple]) -> Vec<u8> {
     let mut body = Vec::new();
     match layout {
@@ -126,11 +126,8 @@ proptest! {
             prop_assert_eq!(img.num_pages(), rows.len().div_ceil(per_page));
             for (page, chunk) in img.pages().iter().zip(rows.chunks(per_page)) {
                 let mut sealed = page.raw().to_vec();
-                prop_assert_eq!(
-                    page.stored_checksum(),
-                    checksum(&sealed[PAGE_HEADER_SIZE..])
-                );
-                sealed[8..12].fill(0);
+                prop_assert_eq!(page.stored_checksum(), page_digest(&sealed));
+                sealed[8..16].fill(0);
                 prop_assert!(
                     sealed == two_buffer_image(layout, &schema, chunk),
                     "{} page image drifted", layout
@@ -206,38 +203,38 @@ proptest! {
     }
 
     /// The kernel's one certain guarantee, on page-sized bodies: rewriting
-    /// any one aligned 4-byte word to any other value moves the checksum.
+    /// any one aligned 8-byte word to any other value moves the checksum.
     #[test]
     fn checksum_catches_any_single_word_change(
         body in prop::collection::vec(any::<u8>(), PAGE_SIZE - PAGE_HEADER_SIZE),
-        word in 0usize..(PAGE_SIZE - PAGE_HEADER_SIZE) / 4,
-        value in any::<u32>(),
+        word in 0usize..(PAGE_SIZE - PAGE_HEADER_SIZE) / 8,
+        value in any::<u64>(),
     ) {
-        let at = 4 * word..4 * word + 4;
+        let at = 8 * word..8 * word + 8;
         prop_assume!(body[at.clone()] != value.to_le_bytes());
         let mut changed = body.clone();
         changed[at].copy_from_slice(&value.to_le_bytes());
-        prop_assert!(checksum(&body) != checksum(&changed), "word {} -> {:#x}", word, value);
+        prop_assert!(checksum64(&body) != checksum64(&changed), "word {} -> {:#x}", word, value);
     }
 
-    /// Lengths around the 32-byte stripe, so the zero-padded final stripe
+    /// Lengths around the 64-byte stripe, so the zero-padded final stripe
     /// and the lengths that are no multiple of a word are covered: any
     /// single-byte change is caught, and the padding does not make a body
     /// alias the same body with a zero byte appended.
     #[test]
     fn checksum_catches_any_byte_change_at_any_length(
-        body in prop::collection::vec(any::<u8>(), 0..=97),
+        body in prop::collection::vec(any::<u8>(), 0..=193),
         at in any::<usize>(),
         flip in 1u8..=255,
     ) {
         let mut longer = body.clone();
         longer.push(0);
-        prop_assert!(checksum(&body) != checksum(&longer), "len {} + zero byte", body.len());
+        prop_assert!(checksum64(&body) != checksum64(&longer), "len {} + zero byte", body.len());
         if !body.is_empty() {
             let at = at % body.len();
             let mut changed = body.clone();
             changed[at] ^= flip;
-            prop_assert!(checksum(&body) != checksum(&changed), "len {} byte {}", body.len(), at);
+            prop_assert!(checksum64(&body) != checksum64(&changed), "len {} byte {}", body.len(), at);
         }
     }
 }

@@ -8,7 +8,7 @@
 use bytes::Bytes;
 use smartssd_storage::expr::CmpOp;
 use smartssd_storage::nsm::{NsmPageBuilder, NsmReader};
-use smartssd_storage::page::{checksum, PageBuf, PAGE_HEADER_SIZE};
+use smartssd_storage::page::{page_digest, PageBuf};
 use smartssd_storage::pax::{PaxPageBuilder, PaxReader};
 use smartssd_storage::{DataType, Datum, RowAccessor, Schema, PAGE_SIZE};
 use std::sync::Arc;
@@ -132,8 +132,8 @@ fn permute_slots(page: &PageBuf) -> PageBuf {
         // 17 is coprime with 41: a full-cycle permutation, no fixed stride.
         raw[slot(i)..slot(i) + 2].copy_from_slice(&old[(i * 17 + 5) % n]);
     }
-    let sum = checksum(&raw[PAGE_HEADER_SIZE..]);
-    raw[8..12].copy_from_slice(&sum.to_le_bytes());
+    let digest = page_digest(&raw);
+    raw[8..16].copy_from_slice(&digest.to_le_bytes());
     PageBuf::from_bytes(Bytes::from(raw)).expect("re-checksummed page validates")
 }
 

@@ -17,8 +17,8 @@ fn first_lineitem_page(layout: Layout) -> PageBuf {
 #[test]
 fn seeded_lineitem_page_checksums_are_pinned() {
     for (layout, tuples, sum) in [
-        (Layout::Nsm, 57, 0x51B9_A5D2u32),
-        (Layout::Pax, 57, 0x8258_35D2u32),
+        (Layout::Nsm, 57, 0xD206_78C9_56DC_4638u64),
+        (Layout::Pax, 57, 0xAC09_3056_6F49_4D5Cu64),
     ] {
         let page = first_lineitem_page(layout);
         assert_eq!(page.tuple_count(), tuples, "{layout} tuples per page");
@@ -27,7 +27,7 @@ fn seeded_lineitem_page_checksums_are_pinned() {
     }
 }
 
-/// The guarantee `page::checksum` documents, exhaustively on one page:
+/// The guarantee `page::checksum64` documents, exhaustively on one page:
 /// each of the 65,280 body bits, flipped alone, is a checksum mismatch.
 #[test]
 fn every_single_bit_flip_of_a_page_body_is_caught() {

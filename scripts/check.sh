@@ -45,6 +45,28 @@ if grep -rnE 'ArrivalSrc|reference_admission|Pareto' crates/*/src; then
     exit 1
 fi
 
+# `page::checksum` is checksum64 folded to 32 bits, kept for the frozen
+# benchmark's probe only: a fold gives up the single-word guarantee, so no
+# library code may call it (its definition, comments and the golden vector
+# in page.rs's test module aside). And the crates' sources hold no
+# `unsafe`; keep that a checked fact.
+echo "== no caller of the 32-bit checksum fold, no unsafe (crates/*/src) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /(^|[^_[:alnum:]])checksum\(/ && !/pub fn checksum\(/ {
+        print FILENAME ":" FNR ": " $0; n++
+    }
+    END { exit !n }' $(find crates/*/src -name '*.rs'); then
+    echo "library code calls page::checksum, the 32-bit fold (see above); use checksum64 or page_digest" >&2
+    exit 1
+fi
+if grep -rnw 'unsafe' crates/*/src; then
+    echo "unsafe under crates/*/src (see above)" >&2
+    exit 1
+fi
+
 echo "== cargo doc --no-deps (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
