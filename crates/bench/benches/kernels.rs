@@ -147,7 +147,7 @@ fn bench_filter_select(c: &mut Criterion) {
                 Datum::I32((hash(i, 2) % 11) as i32),
                 Datum::I32((hash(i, 3) % 50) as i32 + 1),
                 Datum::I64(i as i64),
-                Datum::str(""),
+                Datum::static_str(""),
             ] as Tuple
         }));
         b.finish()
@@ -307,20 +307,38 @@ fn bench_join_probe_q14(c: &mut Criterion) {
     group.finish();
 }
 
-/// Page codec throughput: building NSM vs PAX pages.
+/// A table load as `System::load_table_rows` runs it, in rows a second:
+/// rows generated one at a time and formatted into NSM or PAX pages, for
+/// LINEITEM (five short strings a row) and `Synthetic64_S` (64 integers).
+/// Generating inside the loop keeps each row in cache between generator and
+/// builder, as in a load.
 fn bench_page_build(c: &mut Criterion) {
+    use smartssd_workload::{synthetic, tpch};
     let mut group = c.benchmark_group("kernel/page_build");
-    let rows: Vec<Tuple> = smartssd_workload::tpch::lineitem_rows(0.002, 3).collect();
-    let schema = smartssd_workload::tpch::lineitem_schema();
-    for layout in [Layout::Nsm, Layout::Pax] {
-        group.throughput(Throughput::Elements(rows.len() as u64));
-        group.bench_function(BenchmarkId::from_parameter(layout), |b| {
-            b.iter(|| {
-                let mut t = TableBuilder::new("t", Arc::clone(&schema), layout);
-                t.extend(rows.iter().cloned());
-                t.finish().num_pages()
-            })
-        });
+    type Rows = fn() -> Box<dyn Iterator<Item = Tuple>>;
+    let tables: [(&str, Arc<Schema>, u64, Rows); 2] = [
+        ("lineitem", tpch::lineitem_schema(), 12_000, || {
+            Box::new(tpch::lineitem_rows(0.002, 3))
+        }),
+        (
+            "synthetic64_s",
+            synthetic::synthetic_schema(),
+            4_000,
+            || Box::new(synthetic::synthetic64_s(1e-5, 1e-3, 3)),
+        ),
+    ];
+    for (table, schema, rows, gen) in tables {
+        assert_eq!(gen().count() as u64, rows, "{table} row count");
+        group.throughput(Throughput::Elements(rows));
+        for layout in [Layout::Nsm, Layout::Pax] {
+            group.bench_function(BenchmarkId::new(table, layout), |b| {
+                b.iter(|| {
+                    let mut t = TableBuilder::new("t", Arc::clone(&schema), layout);
+                    t.extend(gen());
+                    t.finish().num_pages()
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -15,11 +15,12 @@ use smartssd_host::interface::{roadmap, RoadmapPoint};
 use smartssd_host::{io::IoError, InterfaceKind};
 use smartssd_query::{PlannerConfig, PlannerInputs, Query, Route};
 use smartssd_sim::{FaultPlan, SimTime};
-use smartssd_storage::{Layout, PAGE_SIZE};
+use smartssd_storage::{Layout, TableBuilder, TableImage, Tuple, PAGE_SIZE};
 use smartssd_workload::{
     join_query, q1, q14, q6, queries, synthetic::synthetic_schema, synthetic64_r, synthetic64_s,
     tpch,
 };
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What an experiment is handed: the scales `--quick` selects, the raw
 /// flags for experiments that size their own sweeps, and the name of the
@@ -88,30 +89,95 @@ enum Tables {
     Synth,
 }
 
+impl Tables {
+    /// The tables, in load order (which fixes their LBAs).
+    fn members(self) -> &'static [Table] {
+        match self {
+            Tables::Tpch => &[Table::Lineitem, Table::Part],
+            Tables::Lineitem => &[Table::Lineitem],
+            Tables::Synth => &[Table::SynthR, Table::SynthS],
+        }
+    }
+}
+
+/// One generated table.
+#[derive(Clone, Copy, PartialEq)]
+enum Table {
+    Lineitem,
+    Part,
+    SynthR,
+    SynthS,
+}
+
+impl Table {
+    fn name(self) -> &'static str {
+        match self {
+            Table::Lineitem => queries::LINEITEM,
+            Table::Part => queries::PART,
+            Table::SynthR => queries::SYNTH_R,
+            Table::SynthS => queries::SYNTH_S,
+        }
+    }
+
+    /// The scale of `s` this table is generated at.
+    fn scale(self, s: &Scales) -> f64 {
+        match self {
+            Table::Lineitem | Table::Part => s.tpch_sf,
+            Table::SynthR | Table::SynthS => s.synth_scale,
+        }
+    }
+
+    fn build(self, layout: Layout, scale: f64, seed: u64) -> TableImage {
+        let (schema, rows): (_, Box<dyn Iterator<Item = Tuple>>) = match self {
+            Table::Lineitem => (
+                tpch::lineitem_schema(),
+                Box::new(tpch::lineitem_rows(scale, seed)),
+            ),
+            Table::Part => (tpch::part_schema(), Box::new(tpch::part_rows(scale, seed))),
+            Table::SynthR => (synthetic_schema(), Box::new(synthetic64_r(scale, seed))),
+            Table::SynthS => (
+                synthetic_schema(),
+                Box::new(synthetic64_s(scale, scale, seed)),
+            ),
+        };
+        let mut b = TableBuilder::new(self.name(), schema, layout);
+        b.extend(rows);
+        b.finish()
+    }
+}
+
+/// What fixes a table image's bytes: the table, the layout, the scale (as
+/// bits) and the seed.
+type ImageKey = (Table, Layout, u64, u64);
+
+/// Every table image built in this process. Experiments load the same few
+/// tables into hundreds of systems; an image is immutable and its pages
+/// are reference counted, so each is built once and every load shares its
+/// pages. Loading a built image is what `System::load_table_rows` does
+/// after building it, so no figure moves.
+static IMAGES: Mutex<Vec<(ImageKey, Arc<TableImage>)>> = Mutex::new(Vec::new());
+
+/// The image of `table` at scale `s` in `layout`, built on first use.
+fn image(table: Table, layout: Layout, s: &Scales) -> Arc<TableImage> {
+    let scale = table.scale(s);
+    let key = (table, layout, scale.to_bits(), s.seed);
+    // The one update is a push of a finished entry, so the list is whole
+    // even if a thread panicked while holding the lock.
+    let mut images = IMAGES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, img)) = images.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(img);
+    }
+    let built = Arc::new(table.build(layout, scale, s.seed));
+    images.push((key, Arc::clone(&built)));
+    built
+}
+
 /// Builds `b` and loads `tables` at scale `s`, cold.
 fn load(b: SystemBuilder, tables: Tables, s: &Scales) -> Result<System, RunError> {
     let mut sys = b.build();
-    if let Tables::Synth = tables {
-        let (schema, scale) = (synthetic_schema(), s.synth_scale);
-        sys.load_table_rows(queries::SYNTH_R, &schema, synthetic64_r(scale, s.seed))?;
-        sys.load_table_rows(
-            queries::SYNTH_S,
-            &schema,
-            synthetic64_s(scale, scale, s.seed),
-        )?;
-    } else {
-        sys.load_table_rows(
-            queries::LINEITEM,
-            &tpch::lineitem_schema(),
-            tpch::lineitem_rows(s.tpch_sf, s.seed),
-        )?;
-        if let Tables::Tpch = tables {
-            sys.load_table_rows(
-                queries::PART,
-                &tpch::part_schema(),
-                tpch::part_rows(s.tpch_sf, s.seed),
-            )?;
-        }
+    let layout = sys.config().layout;
+    for &table in tables.members() {
+        sys.load_table(table.name(), &image(table, layout, s))?;
     }
     sys.finish_load();
     Ok(sys)

@@ -46,14 +46,13 @@
 //! `exec::par`'s chunked fork/join — at most `default_workers()` real
 //! threads a query, none on a one-CPU host — with bit-identical simulated
 //! results. A panic in a device's open is caught and surfaced as
-//! [`RunErrorKind::DeviceThread`](crate::RunErrorKind::DeviceThread) instead
-//! of aborting the process.
+//! [`RunErrorKind::DeviceThread`] instead of aborting the process.
 
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RunOptions, SystemBuilder};
 use crate::config::SystemConfig;
 pub use crate::shard::ShardOutcome;
-use crate::system::{RunError, System, Transitions};
+use crate::system::{RunError, RunErrorKind, System, Transitions};
 use crate::workload::{Acct, ArrivalOutcome, AttemptRules, InterfaceMode, QueryCompletion};
 use smartssd_device::SmartSsd;
 use smartssd_query::{Query, QueryResult, Route};
@@ -225,7 +224,10 @@ impl SmartSsdFleet {
     }
 
     /// Loads a table partitioned round-robin across the devices; each
-    /// device registers its own partition under the shared name.
+    /// device registers its own partition under the shared name. A row that
+    /// does not match `schema` is a [`RunErrorKind::Row`] naming its index
+    /// in `rows`, and no device is written: every partition is built before
+    /// the first is loaded.
     pub fn load_partitioned<I>(
         &mut self,
         name: &str,
@@ -242,11 +244,18 @@ impl SmartSsdFleet {
         for (i, row) in rows.into_iter().enumerate() {
             partitions[i % n].push(row);
         }
-        let first_lba = self.sys.next_lba;
+        let mut images = Vec::with_capacity(n);
         for (d, part) in partitions.into_iter().enumerate() {
             let mut b = TableBuilder::new(name, Arc::clone(schema), self.sys.cfg.layout);
-            b.extend(part);
-            self.sys.load_image(d, name, &b.finish(), first_lba)?;
+            b.try_extend(part).map_err(|mut e| {
+                e.row = e.row * n as u64 + d as u64;
+                RunError::from_kind(RunErrorKind::Row(e))
+            })?;
+            images.push(b.finish());
+        }
+        let first_lba = self.sys.next_lba;
+        for (d, img) in images.iter().enumerate() {
+            self.sys.load_image(d, name, img, first_lba)?;
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use smartssd_sim::{
     mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace,
     SimTime, TraceLevel, Tracer, UtilizationReport,
 };
-use smartssd_storage::{Layout, Schema, TableBuilder, TableImage, Tuple};
+use smartssd_storage::{Layout, RowError, Schema, TableBuilder, TableImage, Tuple};
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,6 +110,10 @@ pub enum RunErrorKind {
     ///
     /// [`SystemBuilder::try_build`]: crate::builder::SystemBuilder::try_build
     Config(crate::builder::ConfigError),
+    /// A row given to [`System::load_table_rows`] or
+    /// [`System::update_table_rows`] does not match the table's schema;
+    /// nothing was loaded.
+    Row(RowError),
 }
 
 impl fmt::Display for RunErrorKind {
@@ -132,6 +136,7 @@ impl fmt::Display for RunErrorKind {
             RunErrorKind::DeviceThread { device, message } => {
                 write!(f, "device {device} worker thread panicked: {message}")
             }
+            RunErrorKind::Row(e) => write!(f, "load: {e}"),
         }
     }
 }
@@ -385,7 +390,9 @@ impl System {
     }
 
     /// Builds a table in the system's configured layout from a row stream
-    /// and loads it.
+    /// and loads it. A row that does not match `schema` is a
+    /// [`RunErrorKind::Row`] naming it, and the system is left untouched:
+    /// the whole image is built before any page is written.
     pub fn load_table_rows<I>(
         &mut self,
         name: &str,
@@ -396,7 +403,8 @@ impl System {
         I: IntoIterator<Item = Tuple>,
     {
         let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
-        b.extend(rows);
+        b.try_extend(rows)
+            .map_err(|e| RunError::from_kind(RunErrorKind::Row(e)))?;
         let img = b.finish();
         self.load_table(name, &img)
     }
@@ -489,7 +497,9 @@ impl System {
     /// written to a fresh extent, the catalog re-points, and the old extent
     /// is trimmed (on flash, the stale pages become GC fodder). Timing of
     /// the rewrite is charged to the device and then reset, mirroring an
-    /// untimed maintenance window.
+    /// untimed maintenance window. A row that does not match the table's
+    /// schema is a [`RunErrorKind::Row`]; the catalog, the device, the buffer
+    /// pool and the dirty set are then as they were.
     pub fn update_table_rows<I>(&mut self, name: &str, rows: I) -> Result<(), RunError>
     where
         I: IntoIterator<Item = Tuple>,
@@ -900,6 +910,78 @@ mod tests {
             assert!(r.energy.system_kj() > r.energy.io_kj(), "{kind:?}");
             assert!(r.energy.over_idle_kj() > 0.0, "{kind:?}");
         }
+    }
+
+    /// A row of the wrong arity, an `I64` in an `Int32` column, an 11-byte
+    /// string in a `Char(10)` column, and PART rows given as LINEITEM: each
+    /// is a typed error naming the row and column, from both
+    /// `load_table_rows` and `update_table_rows`, and leaves the catalog,
+    /// the flash, the buffer pool and the dirty set as they were, so Q6
+    /// still answers from the old image.
+    #[test]
+    fn malformed_rows_are_typed_errors_that_change_nothing() {
+        use smartssd_storage::TupleError;
+        use smartssd_workload::tpch::{self, lineitem_cols as l};
+        use smartssd_workload::{q6, queries::LINEITEM};
+        let good = || tpch::lineitem_rows(0.001, 7);
+        let spliced = |f: &dyn Fn(&mut Tuple)| {
+            let mut rows: Vec<Tuple> = good().take(10).collect();
+            f(&mut rows[3]);
+            rows
+        };
+        let cases: [(Vec<Tuple>, u64, Option<usize>); 4] = [
+            (spliced(&|t| drop(t.pop())), 3, None),
+            (
+                spliced(&|t| t[l::LINENUMBER] = Datum::I64(1)),
+                3,
+                Some(l::LINENUMBER),
+            ),
+            (
+                spliced(&|t| t[l::SHIPMODE] = Datum::str("ELEVENBYTES")),
+                3,
+                Some(l::SHIPMODE),
+            ),
+            (tpch::part_rows(0.001, 7).collect(), 0, None),
+        ];
+        let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).build();
+        sys.load_table_rows(LINEITEM, &tpch::lineitem_schema(), good())
+            .unwrap();
+        sys.finish_load();
+        let old = sys.run(&q6(), RunOptions::default()).unwrap().result;
+        sys.warm_cache(LINEITEM, 1.0).unwrap();
+        sys.mark_dirty("other");
+        let extent = |sys: &System| {
+            let t = sys.catalog().get(LINEITEM).unwrap();
+            (t.first_lba, t.num_pages)
+        };
+        let before = extent(&sys);
+        let writes = sys.flash_mut().unwrap().stats().writes;
+        for (rows, row, col) in cases {
+            let errs = [
+                sys.load_table_rows("fresh", &tpch::lineitem_schema(), rows.clone()),
+                sys.update_table_rows(LINEITEM, rows),
+            ];
+            for err in errs.map(Result::unwrap_err) {
+                let RunErrorKind::Row(e) = err.kind() else {
+                    panic!("not a row error: {err}");
+                };
+                assert_eq!(e.row, row, "{err}");
+                match (&e.error, col) {
+                    (TupleError::Arity { expected: 16, .. }, None) => {}
+                    (TupleError::Mismatch { col: c, .. }, Some(col)) => assert_eq!(*c, col),
+                    _ => panic!("{err}"),
+                }
+            }
+            assert!(sys.catalog().get("fresh").is_none());
+            assert_eq!(extent(&sys), before);
+            assert_eq!(sys.flash_mut().unwrap().stats().writes, writes);
+            assert_eq!(sys.residency(LINEITEM), 1.0);
+            assert!(sys.is_dirty("other") && !sys.is_dirty(LINEITEM));
+        }
+        sys.clear_cache();
+        let now = sys.run(&q6(), RunOptions::default()).unwrap();
+        assert_eq!(now.result.agg_values, old.agg_values);
+        assert_eq!(now.route, Route::Device);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::expr::CmpOp;
 use crate::page::{le_i32, le_i64, le_u16, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
-use crate::tuple::encode;
+use crate::tuple::{write_row, FieldSlot, TupleError};
 use crate::types::{Datum, IntWidth};
 use crate::vector::compact_cmp;
 use std::sync::Arc;
@@ -26,9 +26,15 @@ pub fn capacity(tuple_width: usize) -> usize {
 }
 
 /// Builds NSM pages from a stream of tuples.
+///
+/// Records are staged back to back as they will lie on the page, each field
+/// written once at its final offset; `seal` hands the live records and slot
+/// directory to the page format.
 pub struct NsmPageBuilder {
     schema: Arc<Schema>,
-    /// Staged records, back to back.
+    /// Where each column's field lies in `records`.
+    fields: Box<[FieldSlot]>,
+    /// Records back to back, sized for a full page; the first `n` are live.
     records: Vec<u8>,
     /// The slot directory as it lies at the tail of the page (slot `i` at
     /// `PAGE_SIZE - 2 * (i + 1)`), sized for a full page: slot `i` sits at
@@ -41,15 +47,22 @@ pub struct NsmPageBuilder {
 impl NsmPageBuilder {
     /// Creates a builder for pages of the given schema.
     pub fn new(schema: Arc<Schema>) -> Self {
-        let cap = capacity(schema.tuple_width());
+        let width = schema.tuple_width();
+        let cap = capacity(width);
         assert!(
             cap >= 1,
-            "tuple of width {} does not fit on a {}B page",
-            schema.tuple_width(),
-            PAGE_SIZE
+            "tuple of width {width} does not fit on a {PAGE_SIZE}B page"
         );
+        let fields = (0..schema.len())
+            .map(|c| FieldSlot {
+                base: schema.offset(c),
+                stride: width,
+                ty: schema.column(c).ty,
+            })
+            .collect();
         Self {
-            records: Vec::with_capacity(cap * schema.tuple_width()),
+            fields,
+            records: vec![0; cap * width],
             slots: vec![0; 2 * cap],
             n: 0,
             capacity: cap,
@@ -72,28 +85,31 @@ impl NsmPageBuilder {
         self.n == 0
     }
 
-    /// Appends a tuple. Panics if the page is full — callers check
+    /// Appends a tuple, or returns why the schema cannot hold it and leaves
+    /// the page as it was. Panics if the page is full — callers check
     /// [`Self::has_room`] and seal first.
-    pub fn push(&mut self, tuple: &[Datum]) {
+    pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
         assert!(self.has_room(), "NSM page is full");
-        let off = (PAGE_HEADER_SIZE + self.records.len()) as u16;
-        encode(&self.schema, tuple, &mut self.records);
+        write_row(&self.schema, &self.fields, &mut self.records, self.n, tuple)?;
+        let off = (PAGE_HEADER_SIZE + self.n * self.schema.tuple_width()) as u16;
         self.n += 1;
         let pos = self.slots.len() - 2 * self.n;
         self.slots[pos..pos + 2].copy_from_slice(&off.to_le_bytes());
+        Ok(())
+    }
+
+    /// [`Self::try_push`] for rows known to match the schema. Panics if the
+    /// page is full or the row does not match.
+    pub fn push(&mut self, tuple: &[Datum]) {
+        self.try_push(tuple).expect("row matches the page's schema");
     }
 
     /// Seals the staged tuples into an immutable page and resets the
     /// builder for the next page.
     pub fn seal(&mut self) -> PageBuf {
+        let live_records = &self.records[..self.n * self.schema.tuple_width()];
         let live_slots = &self.slots[self.slots.len() - 2 * self.n..];
-        let page = PageBuf::format(
-            Layout::Nsm,
-            self.n as u16,
-            [self.records.as_slice()],
-            live_slots,
-        );
-        self.records.clear();
+        let page = PageBuf::format(Layout::Nsm, self.n as u16, [live_records], live_slots);
         self.n = 0;
         page
     }

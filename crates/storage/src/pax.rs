@@ -20,7 +20,8 @@ use crate::expr::CmpOp;
 use crate::page::{le_i32, le_i64, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
-use crate::types::{DataType, Datum, IntWidth};
+use crate::tuple::{write_row, FieldSlot, TupleError};
+use crate::types::{Datum, IntWidth};
 use crate::vector::compact_cmp;
 use std::sync::Arc;
 
@@ -32,12 +33,17 @@ pub fn capacity(tuple_width: usize) -> usize {
 
 /// Builds PAX pages from a stream of tuples.
 ///
-/// Tuples are staged column-wise; `seal` lays the minipages out back to
-/// back sized to the actual tuple count.
+/// Tuples are staged in one buffer laid out as a full page's body: column
+/// `c`'s minipage starts at `capacity * schema.offset(c)`, so each field is
+/// written once, at its final place. `seal` lays the minipages out back to
+/// back sized to the actual tuple count, which on a full page is the staged
+/// buffer as it is and on a short last page closes the gaps.
 pub struct PaxPageBuilder {
     schema: Arc<Schema>,
-    /// One staging buffer per column.
-    cols: Vec<Vec<u8>>,
+    /// Each column's minipage base in `minipages` and its width as stride.
+    fields: Box<[FieldSlot]>,
+    /// Every column's minipage, sized for a full page.
+    minipages: Vec<u8>,
     n: usize,
     capacity: usize,
 }
@@ -45,21 +51,26 @@ pub struct PaxPageBuilder {
 impl PaxPageBuilder {
     /// Creates a builder for pages of the given schema.
     pub fn new(schema: Arc<Schema>) -> Self {
-        let cap = capacity(schema.tuple_width());
+        let width = schema.tuple_width();
+        let cap = capacity(width);
         assert!(
             cap >= 1,
-            "tuple of width {} does not fit on a {}B page",
-            schema.tuple_width(),
-            PAGE_SIZE
+            "tuple of width {width} does not fit on a {PAGE_SIZE}B page"
         );
-        let cols = schema
+        let fields = schema
             .columns()
             .iter()
-            .map(|c| Vec::with_capacity(c.ty.width() * cap))
+            .enumerate()
+            .map(|(c, col)| FieldSlot {
+                base: cap * schema.offset(c),
+                stride: col.ty.width(),
+                ty: col.ty,
+            })
             .collect();
         Self {
             schema,
-            cols,
+            fields,
+            minipages: vec![0; cap * width],
             n: 0,
             capacity: cap,
         }
@@ -80,35 +91,36 @@ impl PaxPageBuilder {
         self.n == 0
     }
 
-    /// Appends a tuple. Panics if the page is full.
-    pub fn push(&mut self, tuple: &[Datum]) {
+    /// Appends a tuple, or returns why the schema cannot hold it and leaves
+    /// the page as it was. Panics if the page is full.
+    pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
         assert!(self.has_room(), "PAX page is full");
-        assert_eq!(tuple.len(), self.schema.len(), "tuple arity mismatch");
-        for ((datum, col), buf) in tuple
-            .iter()
-            .zip(self.schema.columns())
-            .zip(self.cols.iter_mut())
-        {
-            assert!(datum.fits(col.ty), "datum does not fit column {}", col.name);
-            match (datum, col.ty) {
-                (Datum::I32(v), DataType::Int32) => buf.extend_from_slice(&v.to_le_bytes()),
-                (Datum::I64(v), DataType::Int64) => buf.extend_from_slice(&v.to_le_bytes()),
-                (Datum::Str(b), DataType::Char(w)) => {
-                    buf.extend_from_slice(b);
-                    buf.resize(buf.len() + (w as usize - b.len()), b' ');
-                }
-                _ => unreachable!("fits() checked above"),
-            }
-        }
+        write_row(
+            &self.schema,
+            &self.fields,
+            &mut self.minipages,
+            self.n,
+            tuple,
+        )?;
         self.n += 1;
+        Ok(())
+    }
+
+    /// [`Self::try_push`] for rows known to match the schema. Panics if the
+    /// page is full or the row does not match.
+    pub fn push(&mut self, tuple: &[Datum]) {
+        self.try_push(tuple).expect("row matches the page's schema");
     }
 
     /// Seals the staged tuples into an immutable PAX page and resets the
-    /// builder.
+    /// builder: each column's first `n` values, minipage after minipage.
     pub fn seal(&mut self) -> PageBuf {
-        let minipages = self.cols.iter().map(Vec::as_slice);
-        let page = PageBuf::format(Layout::Pax, self.n as u16, minipages, &[]);
-        self.cols.iter_mut().for_each(Vec::clear);
+        let n = self.n;
+        let minipages = self
+            .fields
+            .iter()
+            .map(|f| &self.minipages[f.base..f.base + n * f.stride]);
+        let page = PageBuf::format(Layout::Pax, n as u16, minipages, &[]);
         self.n = 0;
         page
     }
@@ -204,6 +216,7 @@ impl RowAccessor for PaxReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::DataType;
 
     fn schema() -> std::sync::Arc<Schema> {
         Schema::from_pairs(&[

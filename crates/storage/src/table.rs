@@ -10,7 +10,8 @@ use crate::page::{Layout, PageBuf, PAGE_SIZE};
 use crate::pax::PaxPageBuilder;
 use crate::row::RowAccessor;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleError};
+use std::fmt;
 use std::sync::Arc;
 
 /// An immutable table: schema + layout + formatted pages.
@@ -83,6 +84,23 @@ impl TableImage {
     }
 }
 
+/// A row a [`TableBuilder`] could not store, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowError {
+    /// The row's index among all rows given to the builder, from 0.
+    pub row: u64,
+    /// What about it does not match the schema.
+    pub error: TupleError,
+}
+
+impl fmt::Display for RowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "row {}: {}", self.row, self.error)
+    }
+}
+
+impl std::error::Error for RowError {}
+
 enum OpenPage {
     Nsm(NsmPageBuilder),
     Pax(PaxPageBuilder),
@@ -103,10 +121,10 @@ impl OpenPage {
         }
     }
 
-    fn push(&mut self, t: &Tuple) {
+    fn try_push(&mut self, t: &Tuple) -> Result<(), TupleError> {
         match self {
-            OpenPage::Nsm(b) => b.push(t),
-            OpenPage::Pax(b) => b.push(t),
+            OpenPage::Nsm(b) => b.try_push(t),
+            OpenPage::Pax(b) => b.try_push(t),
         }
     }
 
@@ -149,7 +167,10 @@ impl TableBuilder {
     }
 
     /// Appends all tuples produced by `rows`, sealing pages as they fill.
-    pub fn extend<I>(&mut self, rows: I) -> &mut Self
+    /// Stops at the first row the schema cannot hold and returns it with
+    /// its index among all rows given to this builder; the rows before it
+    /// stay in the image, the rest are not read.
+    pub fn try_extend<I>(&mut self, rows: I) -> Result<&mut Self, RowError>
     where
         I: IntoIterator<Item = Tuple>,
     {
@@ -157,10 +178,23 @@ impl TableBuilder {
             if !self.open.has_room() {
                 self.pages.push(self.open.seal());
             }
-            self.open.push(&t);
+            self.open.try_push(&t).map_err(|error| RowError {
+                row: self.rows,
+                error,
+            })?;
             self.rows += 1;
         }
-        self
+        Ok(self)
+    }
+
+    /// [`Self::try_extend`] for rows known to match the schema. Panics on
+    /// the first row that does not.
+    pub fn extend<I>(&mut self, rows: I) -> &mut Self
+    where
+        I: IntoIterator<Item = Tuple>,
+    {
+        self.try_extend(rows)
+            .expect("rows match the table's schema")
     }
 
     /// Appends one tuple.
@@ -256,6 +290,42 @@ mod tests {
         assert_eq!(nsm.scan_tuples(), pax.scan_tuples());
         // PAX packs at least as densely (no slot array).
         assert!(pax.num_pages() <= nsm.num_pages());
+    }
+
+    /// A refused row names its index, keeps the rows before it, and leaves
+    /// nothing behind: going on after it builds the same pages as if it had
+    /// never been offered.
+    #[test]
+    fn refused_row_is_named_and_leaves_no_trace() {
+        use crate::tuple::TupleError;
+        let s = schema();
+        for layout in [Layout::Nsm, Layout::Pax] {
+            let mut bad = rows(600);
+            bad[400][1] = Datum::I32(7);
+            let mut b = TableBuilder::new("t", Arc::clone(&s), layout);
+            let err = b.try_extend(bad).err().expect("row 400 is refused");
+            assert_eq!(err.row, 400);
+            assert!(
+                matches!(err.error, TupleError::Mismatch { col: 1, .. }),
+                "{err}"
+            );
+            let err = b.try_extend([vec![Datum::I32(1)]]).err().unwrap();
+            assert_eq!(
+                err.to_string(),
+                "row 400: 1 fields for a schema of 2 columns"
+            );
+            b.extend(rows(600).into_iter().skip(400));
+            let mut clean = TableBuilder::new("t", Arc::clone(&s), layout);
+            clean.extend(rows(600));
+            let raw = |img: TableImage| {
+                assert_eq!(img.num_rows(), 600);
+                img.pages()
+                    .iter()
+                    .map(|p| p.raw().to_vec())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(raw(b.finish()), raw(clean.finish()), "{layout}");
+        }
     }
 
     #[test]

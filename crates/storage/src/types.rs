@@ -6,6 +6,7 @@
 //! day counts since an epoch. We therefore support exactly three physical
 //! types: 4-byte integers, 8-byte integers, and fixed-length byte strings.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Physical column type. All types have a fixed on-page width.
@@ -69,8 +70,11 @@ impl fmt::Display for DataType {
 
 /// A single column value.
 ///
-/// `Str` always carries exactly the column's declared width once it has been
-/// through a page codec; shorter strings are space padded on encode.
+/// A `Str` may be shorter than its column (the page builders space pad it)
+/// and comes back from a page at exactly the declared width. It either
+/// borrows static text — what the generators draw from their constant
+/// vocabularies, at no allocation — or owns its bytes. Equality, hashing and
+/// encoding look only at the bytes, never at which of the two it is.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Datum {
     /// 4-byte integer value.
@@ -78,13 +82,20 @@ pub enum Datum {
     /// 8-byte integer value.
     I64(i64),
     /// Fixed-width string value (raw bytes; trailing spaces are padding).
-    Str(Box<[u8]>),
+    Str(Cow<'static, [u8]>),
 }
 
 impl Datum {
-    /// Builds a string datum from text.
+    /// Builds a string datum that owns a copy of `s`. For text that lives
+    /// for the whole program use [`Datum::static_str`], which copies
+    /// nothing.
     pub fn str(s: &str) -> Self {
-        Datum::Str(s.as_bytes().into())
+        Datum::Str(Cow::Owned(s.as_bytes().to_vec()))
+    }
+
+    /// Builds a string datum that borrows static text.
+    pub const fn static_str(s: &'static str) -> Self {
+        Datum::Str(Cow::Borrowed(s.as_bytes()))
     }
 
     /// The datum's value as `i64`, widening `I32`. Panics on strings — the
@@ -144,6 +155,13 @@ impl From<i64> for Datum {
     }
 }
 
+/// Takes the string's buffer as the datum's bytes, without a copy.
+impl From<String> for Datum {
+    fn from(s: String) -> Self {
+        Datum::Str(Cow::Owned(s.into_bytes()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +192,24 @@ mod tests {
         assert!(Datum::str("abc").fits(DataType::Char(3)));
         assert!(Datum::str("abc").fits(DataType::Char(10)));
         assert!(!Datum::str("abcd").fits(DataType::Char(3)));
+    }
+
+    /// A tuple is a `Vec<Datum>`: borrowing strings must not widen it.
+    #[test]
+    fn datum_is_three_words() {
+        assert_eq!(std::mem::size_of::<Datum>(), 24);
+    }
+
+    #[test]
+    fn borrowed_and_owned_strings_are_the_same_datum() {
+        use std::hash::{BuildHasher, RandomState};
+        let (b, o) = (Datum::static_str("MAIL"), Datum::str("MAIL"));
+        assert!(matches!(&b, Datum::Str(Cow::Borrowed(_))));
+        assert!(matches!(&o, Datum::Str(Cow::Owned(_))));
+        assert_eq!(b, o);
+        let h = RandomState::new();
+        assert_eq!(h.hash_one(&b), h.hash_one(&o));
+        assert_eq!(Datum::from(String::from("MAIL")), b);
     }
 
     #[test]

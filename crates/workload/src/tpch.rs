@@ -152,14 +152,14 @@ pub fn lineitem_rows(sf: f64, seed: u64) -> impl Iterator<Item = Tuple> {
             Datum::I64(extprice),
             Datum::I32(discount),
             Datum::I32(tax),
-            Datum::str(returnflag),
-            Datum::str(linestatus),
+            Datum::static_str(returnflag),
+            Datum::static_str(linestatus),
             Datum::I32(shipdate),
             Datum::I32(commitdate),
             Datum::I32(receiptdate),
-            Datum::str(shipinstruct),
-            Datum::str(shipmode),
-            Datum::str("generated line item comment text"),
+            Datum::static_str(shipinstruct),
+            Datum::static_str(shipmode),
+            Datum::static_str("generated line item comment text"),
         ]
     })
 }
@@ -181,14 +181,14 @@ pub fn part_rows(sf: f64, seed: u64) -> impl Iterator<Item = Tuple> {
         let brand = format!("Brand#{}{}", rng.gen_range(1..=5), rng.gen_range(1..=5));
         vec![
             Datum::I64(partkey as i64),
-            Datum::str(&format!("part name {partkey}")),
-            Datum::str(&format!("Manufacturer#{}", rng.gen_range(1..=5))),
-            Datum::str(&brand),
-            Datum::str(&p_type),
+            Datum::from(format!("part name {partkey}")),
+            Datum::from(format!("Manufacturer#{}", rng.gen_range(1..=5))),
+            Datum::from(brand),
+            Datum::from(p_type),
             Datum::I32(rng.gen_range(1..=50)),
-            Datum::str(&container),
+            Datum::from(container),
             Datum::I64(retail_price_cents(partkey)),
-            Datum::str("part comment"),
+            Datum::static_str("part comment"),
         ]
     })
 }
@@ -288,6 +288,19 @@ mod tests {
     fn sf_scales_row_counts() {
         assert_eq!(lineitem_rows(0.002, 1).count(), 12_000);
         assert_eq!(part_rows(0.002, 1).count(), 400);
+    }
+
+    /// The five LINEITEM strings come from constant vocabularies and are
+    /// borrowed, so generating a row allocates only its `Vec`.
+    #[test]
+    fn lineitem_strings_borrow_static_text() {
+        for t in lineitem_rows(0.0002, 9) {
+            for d in &t {
+                if let Datum::Str(s) = d {
+                    assert!(matches!(s, std::borrow::Cow::Borrowed(_)), "{d} owned");
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,20 @@ if grep -rnw 'unsafe' crates/*/src; then
     exit 1
 fi
 
+# A string literal is static text: `Datum::static_str` borrows it, while
+# `Datum::str` copies it into an allocation per call (five a LINEITEM row
+# were most of a table load's heap traffic). Test modules aside.
+echo "== no string literal through the allocating Datum::str (crates/*/src) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /Datum::str\("/ { print FILENAME ":" FNR ": " $0; n++ }
+    END { exit !n }' $(find crates/*/src -name '*.rs'); then
+    echo "library code copies a string literal into a Datum (see above); use Datum::static_str" >&2
+    exit 1
+fi
+
 echo "== cargo doc --no-deps (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -87,6 +101,7 @@ if [[ "${1:-}" != "fast" ]]; then
     cargo bench -q -p smartssd-bench --bench kernels -- --quick group_agg
     cargo bench -q -p smartssd-bench --bench kernels -- --quick page_validate
     cargo bench -q -p smartssd-bench --bench kernels -- --quick join_probe
+    cargo bench -q -p smartssd-bench --bench kernels -- --quick page_build
     # Every repro subcommand that writes a BENCH_<sub>.json (trace also
     # writes trace_*.json), quick scale. The registry is the only list of
     # names: `repro list` prints name, scope, BENCH file (or -), about. A

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use smartssd::{
     BreakerPolicy, BreakerState, DeviceKind, FleetOptions, InterfaceMode, Layout, QueryResult,
-    Route, RunOptions, SimTime, SmartSsdFleet, SystemBuilder, SystemConfig,
+    Route, RunErrorKind, RunOptions, SimTime, SmartSsdFleet, SystemBuilder, SystemConfig,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_query::{Finalize, OpTemplate, Query};
@@ -220,6 +220,26 @@ fn more_devices_scale_down_elapsed_time() {
 #[should_panic(expected = "at least one device")]
 fn zero_devices_rejected() {
     SmartSsdFleet::new(0, SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax));
+}
+
+/// A row that does not match the schema is a typed error naming its index
+/// in the input, not a panic, and no device has been written.
+#[test]
+fn malformed_row_in_a_partitioned_load_is_named_and_writes_nothing() {
+    let mut rows: Vec<Tuple> = (0..1_000)
+        .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
+        .collect();
+    rows[517][0] = Datum::I64(1);
+    let mut fleet = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .build_fleet(4, FleetOptions::default());
+    let err = fleet.load_partitioned("t", &schema(), rows).unwrap_err();
+    let RunErrorKind::Row(e) = err.kind() else {
+        panic!("not a row error: {err}")
+    };
+    assert_eq!(e.row, 517, "{err}");
+    for d in 0..4 {
+        assert_eq!(fleet.device(d).flash.stats().writes, 0, "device {d}");
+    }
 }
 
 /// Regression: a fault mid-gather must not leak the sessions still open on
