@@ -383,7 +383,7 @@ impl SystemBuilder {
     /// front door; [`SystemBuilder::build`] panics on the same conditions.
     pub fn try_build(self) -> Result<System, ConfigError> {
         self.validate(self.cfg.device)?;
-        Ok(System::assemble(self.cfg, self.tracer, 1, true))
+        Ok(System::assemble(self.cfg, self.tracer, 1))
     }
 
     /// Shared configuration validation for [`SystemBuilder::try_build`] and
@@ -448,9 +448,8 @@ impl SystemBuilder {
 
     /// Assembles a [`SmartSsdFleet`] — a view over a [`System`] of `n` Smart
     /// SSDs — after validating the configuration, wiring the tracer into
-    /// the shared link and host CPU. The devices stay untraced: the scatter
-    /// runs them on worker threads, and a sink shared between threads would
-    /// record in a nondeterministic order.
+    /// the shared link, the host CPU and every device (one thread drives
+    /// them all, so a shared sink records in a deterministic order).
     /// Each device gets its own circuit breaker built from the configured
     /// [`BreakerPolicy`], its own crash domain, and its own host-side read
     /// state for block-path fallback. An empty fleet and a hedge factor
@@ -468,7 +467,7 @@ impl SystemBuilder {
             return Err(ConfigError::InvalidHedgeFactor);
         }
         self.cfg.device = DeviceKind::SmartSsd;
-        let sys = System::assemble(self.cfg, self.tracer, n, false);
+        let sys = System::assemble(self.cfg, self.tracer, n);
         Ok(SmartSsdFleet { sys, opts })
     }
 

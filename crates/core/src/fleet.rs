@@ -41,12 +41,10 @@
 //!   the partial. Hedging never changes answers, only timing (both compute
 //!   the same partial over the same rows).
 //!
-//! Device executions are embarrassingly parallel: each [`SmartSsd`] owns
-//! private timelines, so the scatter runs the open/execute phase through
-//! `exec::par`'s chunked fork/join — at most `default_workers()` real
-//! threads a query, none on a one-CPU host — with bit-identical simulated
-//! results. A panic in a device's open is caught and surfaced as
-//! [`RunErrorKind::DeviceThread`] instead of aborting the process.
+//! Each [`SmartSsd`] owns private timelines and the scheduler drives them
+//! all from its one thread, opening the shards in device order: the
+//! simulated devices run side by side in simulated time, and every device
+//! reports to the system's tracer in a deterministic order.
 
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RunOptions, SystemBuilder};

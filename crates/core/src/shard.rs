@@ -57,13 +57,10 @@ pub(crate) enum Phase {
     /// block path (its breaker said so). Also the resting state between
     /// attempts.
     Host,
-    /// The `OPEN` is on its way and reaches the device at `open_done`,
-    /// marshalled if it crossed the link.
-    Opening(Option<Vec<u8>>),
     /// The `OPEN` failed.
     Failed(SessionFault),
-    /// A live session.
-    Session(SessionId),
+    /// A live session, and the instant its `OPEN` completed.
+    Session(SessionId, SimTime),
 }
 
 /// One device plus the host-side state that goes with it.
@@ -80,9 +77,8 @@ pub(crate) struct Shard {
     /// Host-route per-LBA decode memo (the device route has its own inside
     /// `dev`).
     page_cache: PageDecodeCache,
-    /// The attempt in flight: its phase, and when its `OPEN` completes.
+    /// Where the attempt in flight stands here.
     pub(crate) phase: Phase,
-    pub(crate) open_done: SimTime,
     /// How the most recent attempt went here.
     pub(crate) last: ShardOutcome,
 }
@@ -97,7 +93,6 @@ impl Shard {
             host_faults: FaultCounters::default(),
             page_cache: PageDecodeCache::new(),
             phase: Phase::Host,
-            open_done: SimTime::ZERO,
             last: ShardOutcome { device, ..FRESH },
         }
     }
@@ -139,17 +134,18 @@ impl Shard {
     /// Books a device attempt that delivered its answer: the breaker
     /// learns a success and a service-time sample (a gray device opens it
     /// with zero hard failures), both stamped `stamp` on the breaker clock.
-    /// Service time runs from the `OPEN`'s completion: on a shared link an
-    /// `OPEN` queues behind its siblings', and that wait says nothing about
-    /// this device's health.
+    /// Service time runs from the `OPEN`'s completion at `open_done`: on a
+    /// shared link an `OPEN` queues behind its siblings', and that wait says
+    /// nothing about this device's health.
     pub(crate) fn settle_done(
         &mut self,
         out: &SessionOutcome,
+        open_done: SimTime,
         stamp: SimTime,
         faults: &mut FaultCounters,
     ) {
         self.breaker.record_success(stamp);
-        let service = out.finished_at.saturating_sub(self.open_done);
+        let service = out.finished_at.saturating_sub(open_done);
         if self.breaker.record_service_time(stamp, service) {
             faults.slow_trips += 1;
         }
@@ -160,10 +156,11 @@ impl Shard {
     /// session) — the single fallback rule every engine follows. The
     /// breaker learns a failure stamped `stamp` on its clock, and the
     /// retries and the time burned past `dispatched` (the attempt's start
-    /// on the run's timeline) are charged to `faults`. Malformed payloads
-    /// and invalid operators would fail on the host too, so they kill the
-    /// query; everything else (uncorrectable flash, resource rejection,
-    /// firmware crash, hang, timeout) degrades it to the host route.
+    /// on the run's timeline) are charged to `faults`. Malformed payloads,
+    /// invalid operators and unknown extents would fail on the host too (it
+    /// reads the same extent), so they kill the query; everything else
+    /// (uncorrectable flash, resource rejection, firmware crash, hang,
+    /// timeout) degrades it to the host route.
     ///
     /// Returns the earliest instant anything can happen after the fault —
     /// the driver's `CLOSE` frees the session's slot then, and a host
@@ -227,7 +224,10 @@ impl Shard {
 /// Whether a session failure may be recovered by re-running on the host.
 fn fault_is_recoverable(error: &SessionError) -> bool {
     match error {
-        SessionError::Device(e) => !matches!(e, DeviceError::Wire(_) | DeviceError::Validation(_)),
+        SessionError::Device(e) => !matches!(
+            e,
+            DeviceError::Wire(_) | DeviceError::Validation(_) | DeviceError::UnknownExtent { .. }
+        ),
         // A firmware crash killed the session, but the block path (and thus
         // the host route) is a separate failure domain.
         SessionError::DeviceReset { .. } => true,

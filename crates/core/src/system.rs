@@ -94,16 +94,6 @@ pub enum RunErrorKind {
         /// Submission index of the query left without an outcome.
         index: usize,
     },
-    /// A per-device worker thread panicked while executing a shard's
-    /// operator. The fleet coordinator catches the panic at join time and
-    /// surfaces it as a typed error (one sick shard must degrade the run,
-    /// not abort the whole process).
-    DeviceThread {
-        /// Index of the fleet device whose worker thread died.
-        device: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
     /// The run's options failed validation before any query started —
     /// the workload-level analogue of [`SystemBuilder::try_build`]
     /// rejecting a bad system configuration.
@@ -133,9 +123,6 @@ impl fmt::Display for RunErrorKind {
                 "scheduler invariant violated: query {index} neither completed nor was shed"
             ),
             RunErrorKind::Config(e) => write!(f, "config: {e}"),
-            RunErrorKind::DeviceThread { device, message } => {
-                write!(f, "device {device} worker thread panicked: {message}")
-            }
             RunErrorKind::Row(e) => write!(f, "load: {e}"),
         }
     }
@@ -280,10 +267,8 @@ pub struct System {
 impl System {
     /// Assembles the system — with `n` Smart SSDs if that is the device
     /// kind — and threads the tracer through the link, the host CPU and the
-    /// disk or SSD. The Smart SSDs report to it only when `traced`: the
-    /// scatter runs them on worker threads, and a sink shared between
-    /// threads would record in a nondeterministic order.
-    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer, n: usize, traced: bool) -> Self {
+    /// disk, SSD or every Smart SSD.
+    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer, n: usize) -> Self {
         let mbps = mb_per_sec(cfg.interface.effective_mbps());
         let mut link = Bus::new("host-interface", mbps, 0);
         link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
@@ -302,10 +287,8 @@ impl System {
             }
             DeviceKind::SmartSsd => {
                 let mut shards: Vec<Shard> = (0..n).map(|d| Shard::new(&cfg, d)).collect();
-                if traced {
-                    for shard in &mut shards {
-                        shard.dev.set_tracer(tracer.clone());
-                    }
+                for shard in &mut shards {
+                    shard.dev.set_tracer(tracer.clone());
                 }
                 Backend::Smart { shards, link }
             }
@@ -582,16 +565,6 @@ impl System {
         self.dirty.contains(table)
     }
 
-    /// Tables referenced by an operator.
-    fn op_tables(op: &QueryOp) -> Vec<&smartssd_exec::TableRef> {
-        match op {
-            QueryOp::Scan { table, .. }
-            | QueryOp::ScanAgg { table, .. }
-            | QueryOp::GroupAgg { table, .. } => vec![table],
-            QueryOp::Join { probe, spec } => vec![probe, &spec.build.table],
-        }
-    }
-
     /// Whether any table in the operator's input extents is dirty. Tables
     /// are matched by whole extent; an empty table has no pages to be stale
     /// and shares its `first_lba` with the table loaded after it.
@@ -600,7 +573,7 @@ impl System {
             return false;
         }
         let extent = |t: &smartssd_exec::TableRef| (t.first_lba, t.num_pages);
-        Self::op_tables(op).iter().any(|tref| {
+        op.tables().any(|tref| {
             tref.num_pages > 0
                 && self.dirty.iter().any(|name| {
                     let dirty = self.catalog().get(name);

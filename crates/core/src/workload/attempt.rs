@@ -13,15 +13,14 @@
 //! right after, a gated or faulted shard's host pass runs from `now` or from
 //! its fault — and every session holds its slot to its simulated finish.
 
-use super::sched::{session_span, Ev, Sched};
+use super::sched::{Ev, Sched};
 use super::InterfaceMode;
 use crate::shard::{Phase, ShardOutcome, FRESH};
 use crate::system::{Backend, RunError, RunErrorKind, System};
 use smartssd_device::DeviceError;
-use smartssd_exec::{default_workers, encode_op, parallel_try_each_mut, QueryOp, WorkCounts};
+use smartssd_exec::{QueryOp, WorkCounts};
 use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionError, SessionFault};
-use smartssd_sim::trace::pid;
-use smartssd_sim::{SimTime, TraceLevel};
+use smartssd_sim::SimTime;
 use smartssd_storage::expr::AggState;
 use smartssd_storage::Tuple;
 
@@ -140,7 +139,8 @@ pub(super) enum Stop {
 impl System {
     /// One device-route attempt at `a.now` over every Smart SSD of the
     /// system — one of them, or a fleet: scatter, hedge marking, then a
-    /// gather in device order. `None` means every partial is in `a`. An
+    /// gather in device order, every session driven by one driver on the
+    /// query's trace lane. `None` means every partial is in `a`. An
     /// attempt that stops early (or errs) leaves sessions parked; the
     /// caller releases them.
     pub(super) fn device_attempt(
@@ -149,31 +149,43 @@ impl System {
         a: &mut Attempt,
         ops: &[QueryOp],
     ) -> Result<Option<Stop>, RunError> {
-        if self.scatter(s, a, ops)? {
+        let driver = SessionDriver::new(self.cfg.session_policy.clone())
+            .with_tracer(self.tracer.clone())
+            .with_lane(a.lane);
+        if self.scatter(s, a, ops, &driver)? {
             return Ok(Some(Stop::Full));
         }
         a.hedge_over = self.hedge_threshold(s);
         for (d, op) in ops.iter().enumerate() {
-            if let Some(stop) = self.gather_shard(s, a, d, op)? {
+            if let Some(stop) = self.gather_shard(s, a, d, op, &driver)? {
                 return Ok(Some(stop));
             }
         }
         Ok(None)
     }
 
-    /// Scatter: routes every shard (a device whose breaker is Open goes
-    /// straight to the host block path, with no device traffic at all),
-    /// ships the `OPEN`s — serialized on the shared link in device order,
-    /// if they cross it — and starts the device executions. Every live
-    /// session is parked in its shard and every failed `OPEN` in its, to
-    /// be judged at that shard's turn in the gather; a worker panic aborts
-    /// the run. Returns whether a device had no free slot, which defers
-    /// the whole query.
-    fn scatter(&mut self, s: &Sched, a: &mut Attempt, ops: &[QueryOp]) -> Result<bool, RunError> {
+    /// Scatter, in device order: each shard's breaker gates it (an Open
+    /// one goes straight to the host block path, with no device traffic at
+    /// all), then its `OPEN` is posted at the dispatch instant — over the
+    /// shared link if it crosses it — and the device starts executing. A
+    /// device's open touches only that device, so transfer-then-open per
+    /// shard charges the link as all transfers then all opens would. Every
+    /// live session is parked in its shard and every failed `OPEN` in its,
+    /// to be judged at that shard's turn in the gather. Returns whether a
+    /// device had no free slot, which defers the whole query — after every
+    /// admitted shard's `OPEN` has been made.
+    fn scatter(
+        &mut self,
+        s: &Sched,
+        a: &mut Attempt,
+        ops: &[QueryOp],
+        driver: &SessionDriver,
+    ) -> Result<bool, RunError> {
         let cmd_latency = self.cfg.interface.command_latency_ns();
         let Backend::Smart { shards, link } = &mut self.backend else {
             return Err(RunErrorKind::NotSmart.into());
         };
+        let mut full = false;
         for (shard, op) in shards.iter_mut().zip(ops) {
             shard.last = ShardOutcome {
                 device: shard.last.device,
@@ -183,56 +195,14 @@ impl System {
                 continue;
             }
             a.offered = true;
-            shard.open_done = a.now;
-            let wire = s.rules.open_linked.then(|| encode_op(op));
-            if let Some(payload) = &wire {
-                let bytes = payload.len();
-                let sent = link.transfer_with_setup(a.now, bytes as u64, cmd_latency);
-                shard.open_done = sent.end;
-                let args = [("payload_bytes", bytes as f64)];
-                session_span(&self.tracer, a.lane, "OPEN", (a.now, sent.end), &args);
-            }
-            shard.phase = Phase::Opening(wire);
-        }
-        // All devices unmarshal and execute their operators concurrently,
-        // chunked over at most `default_workers()` threads (inline when
-        // that is one). Each device's simulation is private, so real
-        // threads are safe and the outcome is deterministic. A panic in one
-        // device's open is caught and surfaced as a typed error.
-        let panics = parallel_try_each_mut(shards, default_workers(), |shard| {
-            let Phase::Opening(wire) = &mut shard.phase else {
-                return;
+            let wire = s.rules.open_linked.then_some((&mut *link, cmd_latency));
+            shard.phase = match driver.open_session(&mut shard.dev, wire, op, a.now) {
+                Ok((sid, open_done)) => Phase::Session(sid, open_done),
+                Err(fault) => {
+                    full |= fault.error == SessionError::Device(DeviceError::TooManySessions);
+                    Phase::Failed(fault)
+                }
             };
-            let opened = match wire.take() {
-                Some(payload) => shard.dev.open_raw(&payload, shard.open_done),
-                None => shard.dev.open(&ops[shard.last.device], shard.open_done),
-            };
-            shard.phase = match opened {
-                Ok(sid) => Phase::Session(sid),
-                Err(e) => Phase::Failed(SessionFault {
-                    wasted: shard.open_done.max(SessionDriver::error_time(&e)),
-                    error: SessionDriver::classify(e),
-                    get_retries: 0,
-                }),
-            };
-        });
-        if let Some((device, message)) = panics.into_iter().next() {
-            return Err(RunErrorKind::DeviceThread { device, message }.into());
-        }
-        let mut full = false;
-        for shard in shards.iter() {
-            if let Phase::Failed(fault) = &shard.phase {
-                (self.tracer).instant(
-                    TraceLevel::Protocol,
-                    pid::SESSION,
-                    a.lane,
-                    "session-fault",
-                    "session",
-                    fault.wasted,
-                    &[("get_retries", 0.0)],
-                );
-                full |= fault.error == SessionError::Device(DeviceError::TooManySessions);
-            }
         }
         Ok(full)
     }
@@ -249,7 +219,7 @@ impl System {
         let shards = self.backend.shards().iter();
         let mut etas: Vec<SimTime> = shards
             .filter_map(|shard| match shard.phase {
-                Phase::Session(sid) => shard.dev.session_eta(sid),
+                Phase::Session(sid, _) => shard.dev.session_eta(sid),
                 _ => None,
             })
             .collect();
@@ -285,36 +255,28 @@ impl System {
         a: &mut Attempt,
         d: usize,
         op: &QueryOp,
+        driver: &SessionDriver,
     ) -> Result<Option<Stop>, RunError> {
         let Backend::Smart { shards, link } = &mut self.backend else {
             return Err(RunErrorKind::NotSmart.into());
         };
         let shard = &mut shards[d];
-        let sid = match std::mem::replace(&mut shard.phase, Phase::Host) {
-            Phase::Session(sid) => sid,
+        let (sid, open_done) = match std::mem::replace(&mut shard.phase, Phase::Host) {
+            Phase::Session(sid, open_done) => (sid, open_done),
             Phase::Failed(fault) => return self.fall_back(s, a, d, op, fault, None),
             Phase::Host => {
                 let raw = self.run_host(d, op, a.now)?;
                 a.take_host(&mut self.backend.shards_mut()[d].last, raw);
                 return Ok(None);
             }
-            // The scatter leaves no shard mid-`OPEN`.
-            Phase::Opening(_) => return Err(s.acct.invariant_violated()),
         };
-        let driver = SessionDriver::new(self.cfg.session_policy.clone())
-            .with_tracer(self.tracer.clone())
-            .with_lane(a.lane);
-        let deadline = shard.open_done + self.cfg.session_policy.session_timeout;
+        let deadline = open_done + driver.policy.session_timeout;
         let marked = a.hedge_over.is_some_and(|over| {
             let eta = shard.dev.session_eta(sid);
             eta.is_some_and(|eta| eta.as_nanos() as f64 > over)
         });
-        let (dev, cpu) = (&mut shard.dev, &mut self.host_cpu);
-        let collected = if s.rules.get_linked {
-            driver.collect_linked_cancellable(dev, link, cpu, sid, a.t, deadline, a.cancel_at)
-        } else {
-            driver.collect_direct_cancellable(dev, sid, a.t, deadline, a.cancel_at)
-        };
+        let io = s.rules.get_linked.then_some((link, &mut self.host_cpu));
+        let collected = driver.collect_session(&mut shard.dev, io, sid, a.t, deadline, a.cancel_at);
         let hedge = marked.then(|| self.launch_hedge(a, d, op)).flatten();
         let shard = &mut self.backend.shards_mut()[d];
         match collected {
@@ -322,7 +284,7 @@ impl System {
                 // Hold the session slot until its simulated finish.
                 s.events.push(out.finished_at, Ev::Close(d as u32, sid));
                 a.held = a.held.max(out.finished_at);
-                shard.settle_done(&out, a.stamp, &mut self.run_faults);
+                shard.settle_done(&out, open_done, a.stamp, &mut self.run_faults);
                 match hedge {
                     // The host copy won the race; answers are identical,
                     // only timing moves.
@@ -389,7 +351,7 @@ impl System {
     /// whose attempt reached no verdict.
     pub(super) fn release_parked(&mut self) {
         for shard in self.backend.shards_mut() {
-            if let Phase::Session(sid) = shard.phase {
+            if let Phase::Session(sid, _) = shard.phase {
                 let _ = shard.dev.close(sid);
             }
             if !matches!(shard.phase, Phase::Host) {

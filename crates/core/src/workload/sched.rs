@@ -507,7 +507,7 @@ impl System {
 }
 
 /// Emits one protocol-phase span `[start, end)` on a query's session lane.
-pub(super) fn session_span(
+fn session_span(
     tracer: &Tracer,
     lane: u32,
     name: &str,

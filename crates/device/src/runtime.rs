@@ -27,8 +27,9 @@ use smartssd_sim::{CpuModel, FaultCounters, SimTime};
 use smartssd_storage::expr::ExprError;
 use smartssd_storage::page::PageError;
 use smartssd_storage::{PageBuf, PageDecodeCache, TableImage};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Deterministic xorshift64 stream for crash injection; the seed is fixed
 /// so runs replay bit-exactly.
@@ -88,6 +89,14 @@ pub enum DeviceError {
     UnknownSession(u32),
     /// The operator parameters failed validation.
     Validation(ExprError),
+    /// The operator names a table extent — first LBA, page count, layout
+    /// and schema — that no [`SmartSsd::load_table`] wrote.
+    UnknownExtent {
+        /// First LBA of the named extent.
+        lba: u64,
+        /// Its page count.
+        pages: u64,
+    },
     /// Flash read failure that survived the firmware's retry.
     Flash(FlashError),
     /// A page failed integrity validation after the flash read.
@@ -127,6 +136,12 @@ impl fmt::Display for DeviceError {
             }
             DeviceError::UnknownSession(id) => write!(f, "unknown session {id}"),
             DeviceError::Validation(e) => write!(f, "invalid operator: {e}"),
+            DeviceError::UnknownExtent { lba, pages } => {
+                write!(
+                    f,
+                    "no table of that schema and layout at {pages} pages from LBA {lba}"
+                )
+            }
             DeviceError::Flash(e) => write!(f, "flash: {e}"),
             DeviceError::Page(e) => write!(f, "page: {e}"),
             DeviceError::DeviceReset { at, until } => write!(
@@ -171,6 +186,10 @@ pub struct SmartSsd {
     cpu: CpuModel,
     sessions: HashMap<u32, Session>,
     next_id: u32,
+    /// Every table [`SmartSsd::load_table`] wrote and no later load
+    /// overwrote, by `(first_lba, num_pages)`: the only extents an `OPEN`
+    /// may name.
+    tables: BTreeMap<(u64, u64), TableRef>,
     total_work: WorkCounts,
     faults: FaultCounters,
     /// Shared-scan window, keyed by LBA. Populated only when
@@ -213,6 +232,7 @@ impl SmartSsd {
             cpu,
             sessions: HashMap::new(),
             next_id: 1,
+            tables: BTreeMap::new(),
             total_work: WorkCounts::default(),
             faults: FaultCounters::default(),
             share_cache: HashMap::new(),
@@ -289,22 +309,46 @@ impl SmartSsd {
 
     /// Loads a table image onto the device starting at `first_lba`,
     /// returning the [`TableRef`] the host will embed in `OPEN` parameters.
+    /// A table it overwrites, in whole or in part, can no longer be opened.
     pub fn load_table(
         &mut self,
         img: &TableImage,
         first_lba: u64,
     ) -> Result<TableRef, DeviceError> {
+        let tref = TableRef {
+            first_lba,
+            num_pages: img.num_pages() as u64,
+            schema: img.schema().clone(),
+            layout: img.layout(),
+        };
+        let end = first_lba.saturating_add(tref.num_pages);
+        self.tables
+            .retain(|&(first, n), _| first.max(first_lba) >= end.min(first.saturating_add(n)));
         for (i, page) in img.pages().iter().enumerate() {
             self.flash
                 .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO)
                 .map_err(DeviceError::Flash)?;
         }
-        Ok(TableRef {
-            first_lba,
-            num_pages: img.num_pages() as u64,
-            schema: img.schema().clone(),
-            layout: img.layout(),
-        })
+        self.tables
+            .insert((first_lba, tref.num_pages), tref.clone());
+        Ok(tref)
+    }
+
+    /// Whether every table `op` names is one this device loaded, with the
+    /// schema and layout it was loaded with: an extent past the end of the
+    /// LBA space, a page count no allocation could hold, or pages decoded
+    /// under the wrong schema would otherwise reach the operator.
+    fn check_extents(&self, op: &QueryOp) -> Result<(), DeviceError> {
+        for t in op.tables() {
+            let (lba, pages) = (t.first_lba, t.num_pages);
+            let same = self.tables.get(&(lba, pages)).is_some_and(|l| {
+                l.layout == t.layout && (Arc::ptr_eq(&l.schema, &t.schema) || l.schema == t.schema)
+            });
+            if !same {
+                return Err(DeviceError::UnknownExtent { lba, pages });
+            }
+        }
+        Ok(())
     }
 
     /// Page reads served out of the shared-scan window since the last
@@ -396,6 +440,7 @@ impl SmartSsd {
         if self.sessions.len() >= self.cfg.max_sessions {
             return Err(DeviceError::TooManySessions);
         }
+        self.check_extents(op)?;
         op.validate().map_err(DeviceError::Validation)?;
         // The id is reserved before execution so shared-scan entries can be
         // tagged with their owner; it is only consumed on success.
@@ -710,7 +755,6 @@ mod tests {
     use smartssd_exec::spec::{BuildSide, ColRef, JoinSpec, ScanAggSpec, ScanSpec};
     use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
     use smartssd_storage::{DataType, Datum, Layout, Schema, TableBuilder, Tuple};
-    use std::sync::Arc;
 
     fn device() -> SmartSsd {
         SmartSsd::new(FlashConfig::default(), DeviceConfig::default())
@@ -1026,6 +1070,24 @@ mod tests {
                 aggs: vec![AggSpec::count()],
             },
         }
+    }
+
+    #[test]
+    fn a_load_over_part_of_a_table_retires_its_extent() {
+        let mut dev = device();
+        let old = dev.load_table(&small_table(Layout::Nsm, 2_000), 0).unwrap();
+        let at = old.num_pages / 2;
+        assert!(at > 0, "the new table must overlap the old one's tail");
+        let new = dev.load_table(&small_table(Layout::Pax, 500), at).unwrap();
+        assert_eq!(
+            dev.open(&count_op(old.clone()), SimTime::ZERO).unwrap_err(),
+            DeviceError::UnknownExtent {
+                lba: old.first_lba,
+                pages: old.num_pages,
+            }
+        );
+        let sid = dev.open(&count_op(new), SimTime::ZERO).unwrap();
+        dev.close(sid).unwrap();
     }
 
     #[test]

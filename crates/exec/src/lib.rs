@@ -38,7 +38,7 @@ pub use kernels::{
     group_table_memory_bytes, group_table_rows, page_reader, scan_agg_page, scan_group_agg_page,
     scan_page, GroupTable, ScanScratch,
 };
-pub use par::{default_workers, parallel_map, parallel_try_each_mut};
+pub use par::{default_workers, parallel_map};
 pub use spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, QueryOp, ScanAggSpec, ScanSpec, TableRef,
 };

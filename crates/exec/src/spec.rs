@@ -164,20 +164,26 @@ impl JoinSpec {
     }
 
     /// Validates the spec against the probe schema (the build schema is
-    /// carried inside `build.table`).
+    /// carried inside `build.table`): join keys are integer columns, and
+    /// the payload carries each build column at most once.
     pub fn validate(&self, probe: &Schema) -> Result<(), smartssd_storage::expr::ExprError> {
         use smartssd_storage::expr::ExprError;
         self.probe_pred.validate(probe)?;
-        if self.probe_key >= probe.len() {
-            return Err(ExprError::ColumnOutOfRange(self.probe_key));
-        }
         let build_schema = &self.build.table.schema;
-        if self.build.key_col >= build_schema.len() {
-            return Err(ExprError::ColumnOutOfRange(self.build.key_col));
+        for (schema, key) in [(probe, self.probe_key), (build_schema, self.build.key_col)] {
+            if key >= schema.len() {
+                return Err(ExprError::ColumnOutOfRange(key));
+            }
+            if let smartssd_storage::DataType::Char(_) = schema.column(key).ty {
+                return Err(ExprError::CharInNumericContext(key));
+            }
         }
-        for &p in &self.build.payload {
+        for (i, &p) in self.build.payload.iter().enumerate() {
             if p >= build_schema.len() {
                 return Err(ExprError::ColumnOutOfRange(p));
+            }
+            if self.build.payload[..i].contains(&p) {
+                return Err(ExprError::DuplicateColumn(p));
             }
         }
         match &self.output {
@@ -250,21 +256,28 @@ impl QueryOp {
         }
     }
 
-    /// Total pages this operation will read from the device.
-    pub fn input_pages(&self) -> u64 {
-        match self {
+    /// The tables this operation reads: its input, then a join's build
+    /// side.
+    pub fn tables(&self) -> impl Iterator<Item = &TableRef> {
+        let (input, build) = match self {
             QueryOp::Scan { table, .. }
             | QueryOp::ScanAgg { table, .. }
-            | QueryOp::GroupAgg { table, .. } => table.num_pages,
-            QueryOp::Join { probe, spec } => probe.num_pages + spec.build.table.num_pages,
-        }
+            | QueryOp::GroupAgg { table, .. } => (table, None),
+            QueryOp::Join { probe, spec } => (probe, Some(&spec.build.table)),
+        };
+        std::iter::once(input).chain(build)
+    }
+
+    /// Total pages this operation will read from the device.
+    pub fn input_pages(&self) -> u64 {
+        self.tables().map(|t| t.num_pages).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartssd_storage::expr::{CmpOp, Expr};
+    use smartssd_storage::expr::{CmpOp, Expr, ExprError};
     use smartssd_storage::DataType;
 
     fn probe_schema() -> Arc<Schema> {
@@ -345,6 +358,28 @@ mod tests {
         spec.probe_key = 0;
         spec.output = JoinOutput::Project(vec![ColRef::Build(5)]);
         assert!(spec.validate(&probe).is_err());
+        spec.output = JoinOutput::Project(vec![]);
+        spec.probe_key = 2;
+        assert_eq!(
+            spec.validate(&probe),
+            Err(ExprError::CharInNumericContext(2))
+        );
+        spec.probe_key = 0;
+        spec.build.payload = vec![1, 1];
+        assert_eq!(spec.validate(&probe), Err(ExprError::DuplicateColumn(1)));
+    }
+
+    #[test]
+    fn group_agg_spec_rejects_a_repeated_key() {
+        let spec = GroupAggSpec {
+            pred: Pred::Const(true),
+            group_by: vec![2, 0, 2],
+            aggs: vec![],
+        };
+        assert_eq!(
+            spec.validate(&probe_schema()),
+            Err(ExprError::DuplicateColumn(2))
+        );
     }
 
     #[test]
@@ -412,7 +447,7 @@ mod tests {
 pub struct GroupAggSpec {
     /// Row filter.
     pub pred: Pred,
-    /// Grouping columns, by input-schema index (any type).
+    /// Grouping columns, by input-schema index (any type, each once).
     pub group_by: Vec<usize>,
     /// Aggregates computed per group.
     pub aggs: Vec<AggSpec>,
@@ -450,9 +485,12 @@ impl GroupAggSpec {
             // Scalar aggregation should use `ScanAggSpec`.
             return Err(ExprError::ColumnOutOfRange(usize::MAX));
         }
-        for &c in &self.group_by {
+        for (i, &c) in self.group_by.iter().enumerate() {
             if c >= input.len() {
                 return Err(ExprError::ColumnOutOfRange(c));
+            }
+            if self.group_by[..i].contains(&c) {
+                return Err(ExprError::DuplicateColumn(c));
             }
         }
         for a in &self.aggs {

@@ -34,6 +34,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// Nesting deeper than the decoder permits (stack protection).
     TooDeep,
+    /// The columns make no schema (none, or two named alike).
+    BadSchema,
 }
 
 impl fmt::Display for WireError {
@@ -44,6 +46,7 @@ impl fmt::Display for WireError {
             WireError::BadLength(n) => write!(f, "implausible length {n}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
             WireError::TooDeep => write!(f, "expression nesting too deep"),
+            WireError::BadSchema => write!(f, "no columns, or two named alike"),
         }
     }
 }
@@ -342,16 +345,13 @@ impl<'a> Dec<'a> {
 
     fn schema(&mut self) -> Result<Arc<Schema>, WireError> {
         let n = self.len()?;
-        if n == 0 {
-            return Err(WireError::BadLength(0));
-        }
         let mut cols = Vec::with_capacity(n);
         for _ in 0..n {
             let name = String::from_utf8_lossy(self.bytes()?).into_owned();
             let ty = self.datatype()?;
             cols.push(Column::new(name, ty));
         }
-        Ok(Schema::new(cols))
+        Schema::try_new(cols).map_err(|_| WireError::BadSchema)
     }
 
     fn table(&mut self) -> Result<TableRef, WireError> {
@@ -698,8 +698,27 @@ mod tests {
         bytes.extend_from_slice(&42u64.to_le_bytes()); // first_lba
         bytes.extend_from_slice(&1u64.to_le_bytes()); // num_pages
         bytes.push(0); // layout NSM
+        let mut empty = bytes.clone();
         bytes.extend_from_slice(&(u64::MAX).to_le_bytes()); // column count
         assert!(matches!(decode_op(&bytes), Err(WireError::BadLength(_))));
+        empty.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(decode_op(&empty).unwrap_err(), WireError::BadSchema);
+    }
+
+    #[test]
+    fn duplicate_column_names_rejected() {
+        let op = QueryOp::Scan {
+            table: sample_table(),
+            spec: ScanSpec {
+                pred: Pred::Const(true),
+                project: vec![0],
+            },
+        };
+        let mut bytes = encode_op(&op);
+        // Rename column `v` to `k`.
+        let v = bytes.iter().position(|&b| b == b'v').unwrap();
+        bytes[v] = b'k';
+        assert_eq!(decode_op(&bytes).unwrap_err(), WireError::BadSchema);
     }
 
     #[test]

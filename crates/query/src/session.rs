@@ -270,8 +270,7 @@ impl SessionDriver {
 
     /// Runs one full session over the host interface: the `OPEN` payload
     /// and every result batch cross `link`, and the host pays a per-batch
-    /// receive/merge cost on `host_cpu`. This is the protocol loop the
-    /// system façade uses for device-routed queries.
+    /// receive/merge cost on `host_cpu`.
     pub fn run_linked(
         &self,
         dev: &mut SmartSsd,
@@ -280,140 +279,123 @@ impl SessionDriver {
         cmd_latency_ns: u64,
         op: &QueryOp,
     ) -> Result<SessionOutcome, SessionFault> {
-        let (sid, open_done) = self.open_linked(dev, link, cmd_latency_ns, op, SimTime::ZERO)?;
-        let deadline = open_done + self.policy.session_timeout;
+        let (sid, open_done) =
+            self.open_session(dev, Some((&mut *link, cmd_latency_ns)), op, SimTime::ZERO)?;
         // Polling starts at time zero (not at `open_done`): the first poll
         // comes back `Running` with the device's readiness hint and the
         // clock jumps there, exactly as the original inline loop did.
-        let out = self.collect_linked(dev, link, host_cpu, sid, SimTime::ZERO, deadline)?;
+        let io = Some((link, host_cpu));
+        self.collect_and_close(dev, io, sid, SimTime::ZERO, open_done)
+    }
+
+    /// `OPEN` at simulated time `at`. With `link` — the host interface and
+    /// its per-command latency — the marshalled operator crosses it first
+    /// (paper Section 3) and the device unmarshals it; without, the session
+    /// opens in place at `at`. Either way the device validates the operator
+    /// and starts executing. Returns the session and the instant the `OPEN`
+    /// completed; a failed `OPEN` is a fault carrying the time it wasted.
+    pub fn open_session(
+        &self,
+        dev: &mut SmartSsd,
+        link: Option<(&mut Bus, u64)>,
+        op: &QueryOp,
+        at: SimTime,
+    ) -> Result<(SessionId, SimTime), SessionFault> {
+        let (opened, done) = match link {
+            Some((link, cmd_latency_ns)) => {
+                let payload = smartssd_exec::encode_op(op);
+                let bytes = payload.len() as u64;
+                let done = link.transfer_with_setup(at, bytes, cmd_latency_ns).end;
+                self.phase("OPEN", at, done, &[("payload_bytes", bytes as f64)]);
+                (dev.open_raw(&payload, done), done)
+            }
+            None => (dev.open(op, at), at),
+        };
+        opened
+            .map(|sid| (sid, done))
+            .map_err(|e| self.device_fault(dev, None, e, done, 0))
+    }
+
+    /// Polls a session from `from` until the device reports `Done` — or,
+    /// if the collection clock reaches `cancel_at` first, stops polling
+    /// and `CLOSE`s the session there: its slot is free from `cancel_at`
+    /// on, and device batches never consumed are work genuinely saved.
+    /// `SimTime::MAX` makes it a plain collection. With `io` — the host
+    /// interface and the CPU that receives results — every batch crosses
+    /// the link and costs the host a receive/merge, and the per-batch
+    /// protocol phases are traced; without, a batch is consumed silently at
+    /// its `ready_at`. `deadline` is the absolute timeout instant. A
+    /// completed session is left **open**, so a scheduler can hold its slot
+    /// until the simulated close; a canceled or faulted one has been closed
+    /// (best-effort: a crashed device may already have dropped it).
+    pub fn collect_session(
+        &self,
+        dev: &mut SmartSsd,
+        mut io: Option<(&mut Bus, &mut CpuModel)>,
+        sid: SessionId,
+        from: SimTime,
+        deadline: SimTime,
+        cancel_at: SimTime,
+    ) -> Result<Collected, SessionFault> {
+        let mut c = Collection {
+            t: from,
+            ..Collection::default()
+        };
+        while c.t < cancel_at {
+            if self.poll(dev, &mut io, sid, deadline, &mut c)? {
+                return Ok(Collected::Done(SessionOutcome {
+                    work: dev.session_work(sid).copied().unwrap_or_default(),
+                    finished_at: c.t,
+                    get_retries: c.get_retries,
+                    rows: c.rows,
+                    aggs: c.aggs,
+                }));
+            }
+        }
+        let _ = dev.close(sid);
+        let get_retries = c.get_retries;
+        self.instant(
+            "canceled",
+            cancel_at,
+            &[("get_retries", get_retries as f64)],
+        );
+        Ok(Collected::Canceled {
+            at: cancel_at,
+            get_retries,
+        })
+    }
+
+    /// Collects a session opened at `opened_at` to completion from `from`,
+    /// under the policy's timeout, and `CLOSE`s it.
+    fn collect_and_close(
+        &self,
+        dev: &mut SmartSsd,
+        io: Option<(&mut Bus, &mut CpuModel)>,
+        sid: SessionId,
+        from: SimTime,
+        opened_at: SimTime,
+    ) -> Result<SessionOutcome, SessionFault> {
+        let deadline = opened_at + self.policy.session_timeout;
+        let out = match self.collect_session(dev, io, sid, from, deadline, SimTime::MAX)? {
+            Collected::Done(out) => out,
+            // Only a clock saturated at `SimTime::MAX` reaches the cancel
+            // instant: the session's time budget is gone.
+            Collected::Canceled { at, get_retries } => {
+                let timeout = SessionError::Timeout { at };
+                return Err(self.abandon(dev, None, timeout, at, get_retries));
+            }
+        };
         self.close(dev, sid, &out)?;
         Ok(out)
     }
 
-    /// `OPEN` over the host interface at simulated time `at`: the
-    /// marshalled operator crosses `link` (paper Section 3), then the
-    /// device unmarshals, validates, and starts executing. Returns the
-    /// session and the time the `OPEN` completed.
-    pub fn open_linked(
-        &self,
-        dev: &mut SmartSsd,
-        link: &mut Bus,
-        cmd_latency_ns: u64,
-        op: &QueryOp,
-        at: SimTime,
-    ) -> Result<(SessionId, SimTime), SessionFault> {
-        let payload = smartssd_exec::encode_op(op);
-        let open_done = link
-            .transfer_with_setup(at, payload.len() as u64, cmd_latency_ns)
-            .end;
-        self.phase(
-            "OPEN",
-            at,
-            open_done,
-            &[("payload_bytes", payload.len() as f64)],
-        );
-        match dev.open_raw(&payload, open_done) {
-            Ok(sid) => Ok((sid, open_done)),
-            Err(e) => {
-                let wasted = open_done.max(Self::error_time(&e));
-                Err(self.abandon(dev, None, Self::classify(e), wasted, 0))
-            }
-        }
-    }
-
-    /// Polls a linked session to completion from simulated time `from`,
-    /// charging every batch to the interface and the host CPU. The session
-    /// is left **open** on success (so a concurrent scheduler can hold its
-    /// slot until the simulated close time); on failure it has been
-    /// abandoned and closed. `deadline` is the absolute timeout instant.
-    pub fn collect_linked(
-        &self,
-        dev: &mut SmartSsd,
-        link: &mut Bus,
-        host_cpu: &mut CpuModel,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-    ) -> Result<SessionOutcome, SessionFault> {
-        self.collect(dev, Some((link, host_cpu)), sid, from, deadline)
-    }
-
-    /// [`SessionDriver::collect_linked`] with mid-flight cancellation: if
-    /// the collection clock would pass `cancel_at` before the session
-    /// completes, the host stops polling and `CLOSE`s the session there
-    /// instead — the session slot is free from `cancel_at` on, and device
-    /// batches never consumed are work genuinely saved.
-    #[allow(clippy::too_many_arguments)] // the linked path's full resource set
-    pub fn collect_linked_cancellable(
-        &self,
-        dev: &mut SmartSsd,
-        link: &mut Bus,
-        host_cpu: &mut CpuModel,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-        cancel_at: SimTime,
-    ) -> Result<Collected, SessionFault> {
-        self.collect_cancellable(dev, Some((link, host_cpu)), sid, from, deadline, cancel_at)
-    }
-
-    /// [`SessionDriver::collect_linked_cancellable`] without interface
-    /// modelling: batch consumption is instantaneous at `ready_at` and the
-    /// per-batch protocol phases are not traced.
-    pub fn collect_direct_cancellable(
-        &self,
-        dev: &mut SmartSsd,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-        cancel_at: SimTime,
-    ) -> Result<Collected, SessionFault> {
-        self.collect_cancellable(dev, None, sid, from, deadline, cancel_at)
-    }
-
-    /// Polls a session from `from` until the device reports `Done`.
-    fn collect(
-        &self,
-        dev: &mut SmartSsd,
-        mut io: HostIo<'_>,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-    ) -> Result<SessionOutcome, SessionFault> {
-        let mut c = Collection::starting(from);
-        while !self.poll(dev, &mut io, sid, deadline, &mut c)? {}
-        Ok(c.finish(dev, sid))
-    }
-
-    /// [`Self::collect`], giving up with an early `CLOSE` once the
-    /// collection clock reaches `cancel_at`.
-    fn collect_cancellable(
-        &self,
-        dev: &mut SmartSsd,
-        mut io: HostIo<'_>,
-        sid: SessionId,
-        from: SimTime,
-        deadline: SimTime,
-        cancel_at: SimTime,
-    ) -> Result<Collected, SessionFault> {
-        let mut c = Collection::starting(from);
-        while c.t < cancel_at {
-            if self.poll(dev, &mut io, sid, deadline, &mut c)? {
-                return Ok(Collected::Done(c.finish(dev, sid)));
-            }
-        }
-        Ok(self.cancel(dev, sid, cancel_at, c.get_retries))
-    }
-
-    /// One `GET` at the collection clock — the step both modes share.
-    /// Returns `true` once the device reports `Done`. With `io`, a batch
-    /// crosses the interface and costs the host a receive/merge, and the
-    /// per-batch protocol phases are traced; without it a batch is consumed
-    /// instantaneously at its `ready_at`, silently.
+    /// One `GET` at the collection clock, with or without `io` as in
+    /// [`Self::collect_session`]. Returns `true` once the device reports
+    /// `Done`.
     fn poll(
         &self,
         dev: &mut SmartSsd,
-        io: &mut HostIo<'_>,
+        io: &mut Option<(&mut Bus, &mut CpuModel)>,
         sid: SessionId,
         deadline: SimTime,
         c: &mut Collection,
@@ -463,32 +445,13 @@ impl SessionDriver {
                 }
             }
             Ok(GetResponse::Done) => return Ok(true),
-            Err(e) => {
-                let wasted = c.t.max(Self::error_time(&e));
-                let err = Self::classify(e);
-                return Err(self.abandon(dev, Some(sid), err, wasted, c.get_retries));
-            }
+            Err(e) => return Err(self.device_fault(dev, Some(sid), e, c.t, c.get_retries)),
         }
         if c.t > deadline {
             let err = SessionError::Timeout { at: c.t };
             return Err(self.abandon(dev, Some(sid), err, c.t, c.get_retries));
         }
         Ok(false)
-    }
-
-    /// Early `CLOSE` on the cancel path: closes the session (best-effort —
-    /// a crashed device may already have dropped it) and emits the
-    /// protocol instant at the cancel time.
-    fn cancel(
-        &self,
-        dev: &mut SmartSsd,
-        sid: SessionId,
-        at: SimTime,
-        get_retries: u64,
-    ) -> Collected {
-        let _ = dev.close(sid);
-        self.instant("canceled", at, &[("get_retries", get_retries as f64)]);
-        Collected::Canceled { at, get_retries }
     }
 
     /// `CLOSE`s a successfully collected session, emitting the protocol
@@ -499,16 +462,10 @@ impl SessionDriver {
         sid: SessionId,
         out: &SessionOutcome,
     ) -> Result<(), SessionFault> {
-        if let Err(e) = dev.close(sid) {
-            return Err(self.abandon(
-                dev,
-                None,
-                Self::classify(e),
-                out.finished_at,
-                out.get_retries,
-            ));
-        }
-        self.instant("CLOSE", out.finished_at, &[]);
+        let (at, retries) = (out.finished_at, out.get_retries);
+        dev.close(sid)
+            .map_err(|e| self.device_fault(dev, None, e, at, retries))?;
+        self.instant("CLOSE", at, &[]);
         Ok(())
     }
 
@@ -521,10 +478,7 @@ impl SessionDriver {
         op: &QueryOp,
         now: SimTime,
     ) -> Result<SessionId, SessionFault> {
-        dev.open(op, now).map_err(|e| {
-            let wasted = now.max(Self::error_time(&e));
-            self.abandon(dev, None, Self::classify(e), wasted, 0)
-        })
+        self.open_session(dev, None, op, now).map(|(sid, _)| sid)
     }
 
     /// Polls a session opened with [`SessionDriver::open`] to completion
@@ -536,42 +490,38 @@ impl SessionDriver {
         sid: SessionId,
         opened_at: SimTime,
     ) -> Result<SessionOutcome, SessionFault> {
-        let deadline = opened_at + self.policy.session_timeout;
-        let out = self.collect(dev, None, sid, opened_at, deadline)?;
-        self.close(dev, sid, &out)?;
-        Ok(out)
+        self.collect_and_close(dev, None, sid, opened_at, opened_at)
     }
 
-    /// Simulated time embedded in an error, if the device reported one —
-    /// lets the fault carry how long the failed attempt actually took. A
-    /// crash's `at` (not `until`) is used: the host route does not need the
-    /// smart runtime, so a fallback can start the moment the crash is seen.
-    pub fn error_time(e: &DeviceError) -> SimTime {
-        match e {
-            DeviceError::RetriesExhausted { at, .. } => *at,
+    /// Abandons the session on a device error seen at `at`, lifted into
+    /// the session-level vocabulary: a firmware reset gets its own typed
+    /// variant (so routing layers can treat the whole-device failure domain
+    /// specially); everything else stays a wrapped device error. The fault
+    /// wastes time up to the error's own instant when it carries a later
+    /// one, so it says how long the failed attempt actually took.
+    fn device_fault(
+        &self,
+        dev: &mut SmartSsd,
+        sid: Option<SessionId>,
+        e: DeviceError,
+        at: SimTime,
+        get_retries: u64,
+    ) -> SessionFault {
+        let wasted = match &e {
+            DeviceError::RetriesExhausted { at: failed, .. } => at.max(*failed),
             // Crashed firmware can't answer: the host learns the session is
             // dead only when the reset completes and the device reports it,
             // so the whole downtime is wasted on whoever was talking to it.
-            DeviceError::DeviceReset { until, .. } => *until,
-            _ => SimTime::ZERO,
-        }
-    }
-
-    /// Lifts a device error into the session-level vocabulary: a firmware
-    /// reset gets its own typed variant (so routing layers can treat the
-    /// whole-device failure domain specially); everything else stays a
-    /// wrapped device error.
-    pub fn classify(e: DeviceError) -> SessionError {
-        match e {
+            DeviceError::DeviceReset { until, .. } => at.max(*until),
+            _ => at,
+        };
+        let error = match e {
             DeviceError::DeviceReset { until, .. } => SessionError::DeviceReset { until },
             other => SessionError::Device(other),
-        }
+        };
+        self.abandon(dev, sid, error, wasted, get_retries)
     }
 }
-
-/// The host's side of the link, when results cross it: the interface and
-/// the CPU that receives them. `None` collects without interface modelling.
-type HostIo<'a> = Option<(&'a mut Bus, &'a mut CpuModel)>;
 
 /// A collection in progress: what has been gathered so far, the collection
 /// clock, the consecutive stalled polls and the retries they cost.
@@ -582,25 +532,6 @@ struct Collection {
     t: SimTime,
     stalls: u32,
     get_retries: u64,
-}
-
-impl Collection {
-    fn starting(from: SimTime) -> Self {
-        Self {
-            t: from,
-            ..Self::default()
-        }
-    }
-
-    fn finish(self, dev: &SmartSsd, sid: SessionId) -> SessionOutcome {
-        SessionOutcome {
-            rows: self.rows,
-            aggs: self.aggs,
-            work: dev.session_work(sid).copied().unwrap_or_default(),
-            finished_at: self.t,
-            get_retries: self.get_retries,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -738,7 +669,7 @@ mod tests {
         let sid = driver.open(&mut dev, &op, SimTime::ZERO).unwrap();
         let cancel_at = SimTime::from_nanos(10);
         let got = driver
-            .collect_direct_cancellable(&mut dev, sid, SimTime::ZERO, SimTime::MAX, cancel_at)
+            .collect_session(&mut dev, None, sid, SimTime::ZERO, SimTime::MAX, cancel_at)
             .unwrap();
         match got {
             Collected::Canceled { at, .. } => assert_eq!(at, cancel_at),
@@ -757,7 +688,14 @@ mod tests {
         let op = count_op(tref);
         let sid = driver.open(&mut dev, &op, SimTime::ZERO).unwrap();
         let got = driver
-            .collect_direct_cancellable(&mut dev, sid, SimTime::ZERO, SimTime::MAX, SimTime::MAX)
+            .collect_session(
+                &mut dev,
+                None,
+                sid,
+                SimTime::ZERO,
+                SimTime::MAX,
+                SimTime::MAX,
+            )
             .unwrap();
         let Collected::Done(out) = got else {
             panic!("MAX cancel must never fire");

@@ -341,6 +341,8 @@ pub enum ExprError {
     CharInNumericContext(usize),
     /// Numeric column used where a char is required.
     NumericInStringContext(usize),
+    /// A column listed twice where each must appear once.
+    DuplicateColumn(usize),
 }
 
 impl fmt::Display for ExprError {
@@ -353,6 +355,7 @@ impl fmt::Display for ExprError {
             ExprError::NumericInStringContext(c) => {
                 write!(f, "numeric column {c} used in string context")
             }
+            ExprError::DuplicateColumn(c) => write!(f, "column {c} listed twice"),
         }
     }
 }

@@ -39,13 +39,19 @@ pub struct Schema {
 impl Schema {
     /// Builds a schema from columns. Panics on empty or duplicate names.
     pub fn new(columns: Vec<Column>) -> Arc<Self> {
-        assert!(!columns.is_empty(), "schema needs at least one column");
+        Self::try_new(columns).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Schema::new`] for columns from outside the program: an empty or
+    /// duplicate-named column list is an error that says why, not a panic.
+    pub fn try_new(columns: Vec<Column>) -> Result<Arc<Self>, String> {
+        if columns.is_empty() {
+            return Err("schema needs at least one column".into());
+        }
         for (i, c) in columns.iter().enumerate() {
-            assert!(
-                !columns[..i].iter().any(|p| p.name == c.name),
-                "duplicate column name {:?}",
-                c.name
-            );
+            if columns[..i].iter().any(|p| p.name == c.name) {
+                return Err(format!("duplicate column name {:?}", c.name));
+            }
         }
         let mut offsets = Vec::with_capacity(columns.len() + 1);
         let mut off = 0usize;
@@ -54,7 +60,7 @@ impl Schema {
             off += c.ty.width();
         }
         offsets.push(off);
-        Arc::new(Self { columns, offsets })
+        Ok(Arc::new(Self { columns, offsets }))
     }
 
     /// Convenience constructor from `(name, type)` pairs.

@@ -26,7 +26,7 @@ scripts/loc.sh
 # one call site in crates/core/src (non-test code, definitions and comments
 # aside). A second one means a second scheduler is growing back.
 echo "== one engine (call sites in crates/core/src) =="
-for call in 'settle_done(' 'settle_fault(' 'collect_linked' '.begin_run()' '.finish_run()'; do
+for call in 'settle_done(' 'settle_fault(' 'collect_session(' '.begin_run()' '.finish_run()'; do
     # shellcheck disable=SC2046 # source paths have no spaces
     n=$(awk -v call="${call}" '
         FNR == 1 { tests = 0 }
@@ -36,6 +36,33 @@ for call in 'settle_done(' 'settle_fault(' 'collect_linked' '.begin_run()' '.fin
     printf '%-16s %d\n' "${call}" "${n}"
     [[ "${n}" -le 1 ]]
 done
+
+# One thread, one OPEN: the scheduler drives every device of a system from
+# its event loop, so threads and panic guards live only in exec::par (the
+# fork/join the frozen benchmark prices), and the scheduler opens sessions
+# only through the session driver, which marshals the operator itself.
+# Non-test code, comments aside.
+echo "== threads only in exec::par, no OPEN of its own in crates/core/src =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /std::thread|catch_unwind/ && FILENAME != "crates/exec/src/par.rs" {
+        print FILENAME ":" FNR ": " $0; n++
+    }
+    END { exit !n }' $(find crates/*/src -name '*.rs'); then
+    echo "a thread or a panic guard outside crates/exec/src/par.rs (see above)" >&2
+    exit 1
+fi
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /encode_op\(|open_raw\(/ { print FILENAME ":" FNR ": " $0; n++ }
+    END { exit !n }' $(find crates/core/src -name '*.rs'); then
+    echo "crates/core/src marshals or opens a session itself (see above); use SessionDriver::open_session" >&2
+    exit 1
+fi
 
 # One arrival cursor, one admission engine: names deleted from the shipped
 # scheduler must not grow back anywhere in the crates' sources.

@@ -156,8 +156,7 @@ proptest! {
     }
 }
 
-/// Thread-parallel device execution must not cost determinism: two
-/// identical fleets produce byte-identical reports, timing included.
+/// Two identical fleets produce byte-identical reports, timing included.
 #[test]
 fn fleet_runs_are_deterministic() {
     let rows: Vec<Tuple> = (0..50_000)

@@ -1,15 +1,16 @@
 //! Integration tests of the session protocol and failure handling across
 //! the device/host boundary.
 
+use proptest::prelude::*;
 use smartssd::{DeviceKind, Layout, Route, RunOptions, SystemConfig};
-use smartssd_device::{DeviceConfig, DeviceError, GetResponse, SmartSsd};
-use smartssd_exec::spec::{ScanAggSpec, ScanSpec};
-use smartssd_exec::QueryOp;
+use smartssd_device::{DeviceConfig, DeviceError, GetResponse, SessionId, SmartSsd};
+use smartssd_exec::spec::{BuildSide, ColRef, GroupAggSpec, JoinSpec, ScanAggSpec, ScanSpec};
+use smartssd_exec::{encode_op, JoinOutput, QueryOp, TableRef};
 use smartssd_flash::FlashConfig;
 use smartssd_query::{Finalize, OpTemplate, PlannerConfig, PlannerInputs, Query};
 use smartssd_sim::SimTime;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
-use smartssd_storage::{DataType, Datum, Schema, Tuple};
+use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
 fn small_schema() -> Arc<Schema> {
@@ -416,4 +417,222 @@ fn retry_exhaustion_surfaces_as_typed_error_not_panic() {
     }
     // The failed OPEN left no session behind; all slots stay available.
     assert!(dev.session_work(smartssd_device::SessionId(0)).is_none());
+}
+
+/// Polls a session to `Done`, jumping to each readiness hint, and closes it.
+fn drain_and_close(dev: &mut SmartSsd, sid: SessionId) {
+    let mut t = SimTime::ZERO;
+    loop {
+        match dev.get(sid, t).expect("a live session answers GET") {
+            GetResponse::Running { ready_at } => t = ready_at,
+            GetResponse::Batch(b) => t = t.max(b.ready_at),
+            GetResponse::Done => break,
+        }
+    }
+    dev.close(sid).expect("close");
+}
+
+/// A device holding the same 2,000 rows `(k int32, v int64, s char(10))`
+/// as an NSM table and a PAX table, and the table refs its loads returned.
+fn two_layout_device() -> (SmartSsd, TableRef, TableRef) {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("v", DataType::Int64),
+        ("s", DataType::Char(10)),
+    ]);
+    let rows = || {
+        (0..2_000).map(|k| {
+            let s = format!("s{:04}", k % 50);
+            vec![Datum::I32(k), Datum::I64(i64::from(k) * 7), Datum::str(&s)]
+        })
+    };
+    let mut dev = SmartSsd::new(FlashConfig::default(), DeviceConfig::default());
+    let [nsm, pax] = [Layout::Nsm, Layout::Pax].map(|layout| {
+        let mut b = TableBuilder::new("t", Arc::clone(&schema), layout);
+        b.extend(rows());
+        b.finish()
+    });
+    let nsm = dev.load_table(&nsm, 0).unwrap();
+    let pax = dev.load_table(&pax, nsm.num_pages).unwrap();
+    dev.reset_timing();
+    (dev, nsm, pax)
+}
+
+/// One operator of every kind over [`two_layout_device`]'s tables, each
+/// touching predicates, projections, aggregates, group keys and join keys.
+fn every_kind_of_op(nsm: &TableRef, pax: &TableRef) -> Vec<QueryOp> {
+    let join = |output| QueryOp::Join {
+        probe: nsm.clone(),
+        spec: JoinSpec {
+            build: BuildSide {
+                table: pax.clone(),
+                key_col: 0,
+                payload: vec![1, 2],
+            },
+            probe_key: 0,
+            probe_pred: Pred::Cmp(CmpOp::Lt, Expr::col(1), Expr::lit(1_000)),
+            filter_first: true,
+            output,
+        },
+    };
+    vec![
+        QueryOp::Scan {
+            table: nsm.clone(),
+            spec: ScanSpec {
+                pred: Pred::And(vec![
+                    Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(500)),
+                    Pred::LikePrefix {
+                        col: 2,
+                        prefix: b"s00".as_slice().into(),
+                    },
+                ]),
+                project: vec![2, 0, 1],
+            },
+        },
+        QueryOp::ScanAgg {
+            table: pax.clone(),
+            spec: ScanAggSpec {
+                pred: Pred::Or(vec![
+                    Pred::Cmp(CmpOp::Ge, Expr::col(1), Expr::lit(10)),
+                    Pred::StrCmp {
+                        col: 2,
+                        op: CmpOp::Eq,
+                        lit: b"s0001".as_slice().into(),
+                    },
+                ]),
+                aggs: vec![
+                    AggSpec::sum(Expr::col(1).mul(Expr::lit(100).sub(Expr::col(0)))),
+                    AggSpec::count(),
+                    AggSpec::min(Expr::col(0)),
+                    AggSpec::max(Expr::col(1)),
+                ],
+            },
+        },
+        QueryOp::GroupAgg {
+            table: pax.clone(),
+            spec: GroupAggSpec {
+                pred: Pred::Const(true),
+                group_by: vec![2, 0],
+                aggs: vec![AggSpec::sum(Expr::col(1)), AggSpec::count()],
+            },
+        },
+        join(JoinOutput::Project(vec![
+            ColRef::Probe(1),
+            ColRef::Build(0),
+            ColRef::Build(1),
+        ])),
+        join(JoinOutput::Aggregate(vec![AggSpec::sum(Expr::col(3))])),
+    ]
+}
+
+/// `op` with its (input) table swapped for `table`.
+fn naming(op: &QueryOp, table: TableRef) -> QueryOp {
+    let mut op = op.clone();
+    match &mut op {
+        QueryOp::Scan { table: t, .. }
+        | QueryOp::ScanAgg { table: t, .. }
+        | QueryOp::GroupAgg { table: t, .. }
+        | QueryOp::Join { probe: t, .. } => *t = table,
+    }
+    op
+}
+
+/// An `OPEN` that decodes and validates but names an extent the device
+/// never loaded — past the end of the LBA space, a page count no buffer
+/// could hold, the right pages under the wrong schema — is a typed error
+/// before any read or allocation, on either layout and either entry point,
+/// and opens nothing.
+#[test]
+fn an_open_naming_an_unloaded_extent_is_a_typed_error() {
+    let (mut dev, nsm, pax) = two_layout_device();
+    let ops = every_kind_of_op(&nsm, &pax);
+    let schema = |cols: &[(&str, DataType)]| Schema::from_pairs(cols);
+    for (scan, real) in [(&ops[0], &nsm), (&naming(&ops[0], pax.clone()), &pax)] {
+        let wide = schema(&[("w", DataType::Char(4000)), ("v", DataType::Int64)]);
+        let tail = schema(&[("v", DataType::Int64), ("c", DataType::Char(200))]);
+        let bad = [
+            TableRef {
+                first_lba: u64::MAX - 1,
+                num_pages: 5,
+                ..real.clone()
+            },
+            TableRef {
+                num_pages: 1 << 62,
+                ..real.clone()
+            },
+            TableRef {
+                schema: wide,
+                ..real.clone()
+            },
+            TableRef {
+                schema: tail,
+                ..real.clone()
+            },
+        ];
+        for table in bad {
+            let (lba, pages) = (table.first_lba, table.num_pages);
+            let mut op = naming(scan, table);
+            if let QueryOp::Scan { spec, .. } = &mut op {
+                spec.pred = Pred::Const(true);
+                spec.project = vec![1];
+            }
+            let want = DeviceError::UnknownExtent { lba, pages };
+            let at = format!("{:?} {lba} {pages}", real.layout);
+            assert_eq!(dev.open(&op, SimTime::ZERO).unwrap_err(), want, "{at}");
+            let raw = dev.open_raw(&encode_op(&op), SimTime::ZERO);
+            assert_eq!(raw.unwrap_err(), want, "{at}");
+            assert_eq!(dev.open_sessions(), 0, "{at}");
+        }
+    }
+    // The extents as loaded still open, through either entry point.
+    for op in &ops {
+        let sid = dev.open_raw(&encode_op(op), SimTime::ZERO).unwrap();
+        drain_and_close(&mut dev, sid);
+    }
+}
+
+/// Whether the device answered `payload` with a session that runs to
+/// completion, or with a typed error that left no session open.
+fn opens_or_rejects_cleanly(dev: &mut SmartSsd, payload: &[u8]) -> bool {
+    match dev.open_raw(payload, SimTime::ZERO) {
+        Ok(sid) => {
+            drain_and_close(dev, sid);
+            true
+        }
+        Err(_) => dev.open_sessions() == 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The device survives malformed host commands: in an encoded operator
+    /// of every kind, a single-byte flip at any offset, and a `u64`
+    /// overwrite at any offset — with a drawn word and with the small
+    /// values that land on column indices and counts — each opens a
+    /// session that runs to completion or is a typed error that leaves no
+    /// session open. Never a panic.
+    #[test]
+    fn a_corrupted_open_payload_is_a_session_or_a_typed_error(
+        mask in 1u8..=255,
+        word in any::<u64>(),
+    ) {
+        let (mut dev, nsm, pax) = two_layout_device();
+        for (k, op) in every_kind_of_op(&nsm, &pax).iter().enumerate() {
+            let clean = encode_op(op);
+            for i in 0..clean.len() {
+                let mut flipped = clean.clone();
+                flipped[i] ^= mask;
+                prop_assert!(opens_or_rejects_cleanly(&mut dev, &flipped), "op {k}, byte {i}");
+            }
+            for i in 0..clean.len() - 7 {
+                for w in [word, 0, 1, 2, u64::MAX] {
+                    let mut overwritten = clean.clone();
+                    overwritten[i..i + 8].copy_from_slice(&w.to_le_bytes());
+                    let at = format!("op {k}, {w:#x} at byte {i}");
+                    prop_assert!(opens_or_rejects_cleanly(&mut dev, &overwritten), "{at}");
+                }
+            }
+        }
+    }
 }

@@ -4,9 +4,10 @@
 
 use smartssd::Query;
 use smartssd::{
-    ChromeTraceSink, CounterSink, DeviceKind, Layout, Route, RunOptions, RunReport, System,
-    SystemBuilder, TraceSink,
+    ChromeTraceSink, CounterSink, DeviceKind, FleetOptions, FleetReport, Layout, Route, RunOptions,
+    RunReport, SimTime, SmartSsdFleet, System, SystemBuilder, TraceSink,
 };
+use smartssd_sim::FaultPlan;
 use smartssd_workload::{q14, q6, queries, tpch};
 
 const SF: f64 = 0.005; // 30k LINEITEM rows
@@ -135,6 +136,64 @@ fn counter_sink_matches_utilization_report() {
             );
         }
     }
+}
+
+/// Q6 on a 4-device linked fleet with hedging on and device 2 eight times
+/// slow, built by `builder` (which attaches the sink, if any). Returns the
+/// report and each device's CPU busy time.
+fn gray_fleet_run(builder: SystemBuilder) -> (FleetReport, Vec<u64>) {
+    let opts = FleetOptions {
+        hedge: true,
+        ..FleetOptions::default()
+    };
+    let mut fleet: SmartSsdFleet = builder.build_fleet(4, opts);
+    fleet
+        .load_partitioned(
+            queries::LINEITEM,
+            &tpch::lineitem_schema(),
+            tpch::lineitem_rows(SF, SEED),
+        )
+        .unwrap();
+    fleet.finish_load();
+    let forever = SimTime::from_secs(3600);
+    fleet.arm_fault_plan(&FaultPlan::new().slowdown(2, 8, SimTime::ZERO, forever));
+    let rep = fleet.run_agg(&q6()).unwrap();
+    let busy = (0..4).map(|d| fleet.device(d).cpu().busy_total_ns());
+    (rep, busy.collect())
+}
+
+/// Fleet devices report to the system's tracer. One thread drives them
+/// all, so the trace is byte-identical build to build; attaching a sink
+/// moves no simulated figure; and the device-CPU counter is the sum over
+/// the devices' own CPUs.
+#[test]
+fn fleet_devices_are_traced_deterministically_without_perturbing_the_run() {
+    let builder = || SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax);
+    let (plain, plain_busy) = gray_fleet_run(builder());
+    assert!(plain.faults.hedges >= 1, "the slow device is hedged");
+    let (counted, busy) = gray_fleet_run(builder().trace(CounterSink::new()));
+    let (chrome, _) = gray_fleet_run(builder().trace(ChromeTraceSink::new()));
+    let (again, _) = gray_fleet_run(builder().trace(ChromeTraceSink::new()));
+    let json = chrome.trace.chrome_json().expect("chrome trace present");
+    assert_eq!(
+        Some(json),
+        again.trace.chrome_json(),
+        "chrome trace differs"
+    );
+    for traced in [&counted, &chrome] {
+        assert_eq!(traced.result.elapsed, plain.result.elapsed);
+        assert_eq!(traced.result.agg_values, plain.result.agg_values);
+        assert_eq!(
+            format!("{:?}", traced.shards),
+            format!("{:?}", plain.shards)
+        );
+        assert_eq!(traced.faults, plain.faults);
+    }
+    assert_eq!(busy, plain_busy);
+    let counters = counted.trace.counters().expect("counter trace present");
+    let device_cpu = counters.busy_ns("device-cpu");
+    assert!(device_cpu > 0, "fleet devices report to the tracer");
+    assert_eq!(device_cpu, busy.iter().sum::<u64>());
 }
 
 /// `effective_mbps` signals an unmeasurable (zero-length) run with `None`
