@@ -14,6 +14,8 @@ pub enum DeviceKind {
     /// "A 146GB 10K RPM SAS HDD".
     Hdd,
     /// "A 400GB SAS SSD" — regular block device, host executes queries.
+    /// The Smart SSD is "prototyped on the same SSD", so this is a
+    /// one-device Smart SSD array whose device route is refused.
     Ssd,
     /// "A Smart SSD prototyped on the same SSD as above" — queries can be
     /// pushed into the device.

@@ -39,7 +39,8 @@
 //!
 //! There is one host and one execution path. A [`System`] holds 1..N Smart
 //! SSDs behind one host link (the paper's Section 4.3 array; a single
-//! device is the array with one member), and [`System::run`] is a
+//! device is the array with one member, and the SAS SSD baseline is that
+//! member with its device route refused), and [`System::run`] is a
 //! one-arrival workload over the event-loop scheduler behind
 //! [`System::run_workload`] and [`System::run_serving`] (see [`workload`]),
 //! whose device attempt scatters a query over every device of the system

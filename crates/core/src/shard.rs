@@ -1,18 +1,20 @@
-//! One Smart SSD and everything the host keeps for it — the unit a
+//! One flash device and everything the host keeps for it — the unit a
 //! [`System`](crate::System) holds 1..N of.
 //!
 //! The paper's Section 4.3 coordinator "stages computation across an array
-//! of Smart SSDs"; a single system is that array with one member. Whatever
-//! the host does *per device* therefore lives here, once: the block-path
-//! read state its host route uses, the circuit breaker that gates its
-//! device route, where the scheduler's device attempt in flight stands on
-//! it, and the rule for settling that attempt — breaker and fault
-//! bookkeeping, then either the answer, a host re-run, or a dead query.
+//! of Smart SSDs"; a single system is that array with one member, and the
+//! SAS SSD baseline is that member with its device route refused (the
+//! prototype is "the same SSD" with a runtime added, so its block path is
+//! this one). Whatever the host does *per device* therefore lives here,
+//! once: the block-path read state its host route uses, the circuit breaker
+//! that gates its device route, where the scheduler's device attempt in
+//! flight stands on it, and the rule for settling that attempt — breaker and
+//! fault bookkeeping, then either the answer, a host re-run, or a dead query.
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::config::SystemConfig;
+use crate::config::{DeviceKind, SystemConfig};
 use crate::system::RunError;
-use smartssd_device::{DeviceError, SessionId, SmartSsd};
+use smartssd_device::{DeviceConfig, DeviceError, SessionId, SmartSsd};
 use smartssd_exec::QueryOp;
 use smartssd_host::{BufferPool, CommandState, LinkedFlashView, PageSource};
 use smartssd_query::{HostEngine, RawRun, Route, SessionError, SessionFault, SessionOutcome};
@@ -85,8 +87,14 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub(crate) fn new(cfg: &SystemConfig, device: usize) -> Self {
+        // A plain SSD never opens a session, so its runtime is the default
+        // one whatever `cfg.smart` says (only a Smart SSD's is validated).
+        let runtime = match cfg.device {
+            DeviceKind::SmartSsd => cfg.smart.clone(),
+            _ => DeviceConfig::default(),
+        };
         Self {
-            dev: SmartSsd::new(cfg.flash.clone(), cfg.smart.clone()),
+            dev: SmartSsd::new(cfg.flash.clone(), runtime),
             breaker: CircuitBreaker::new(cfg.breaker),
             pool: BufferPool::new(cfg.bufferpool_pages),
             cmd: CommandState::default(),

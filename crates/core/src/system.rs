@@ -1,6 +1,8 @@
-//! The assembled test bed: one host, its storage — a disk, an SSD, or 1..N
-//! Smart SSDs behind one link — a catalog per device, and the machinery to
-//! run a query on either side and meter it.
+//! The assembled test bed: one host, its storage — a disk, or 1..N flash
+//! devices behind one link — a catalog per device, and the machinery to run
+//! a query on either side and meter it. The SAS SSD baseline is the flash
+//! backend with one device whose device route is refused: its host route is
+//! the Smart SSD's, read for read.
 
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RoutePolicy, RunOptions};
@@ -10,7 +12,7 @@ use crate::workload::{AttemptRules, InterfaceMode};
 use smartssd_device::DeviceError;
 use smartssd_exec::QueryOp;
 use smartssd_flash::FlashSsd;
-use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource, SsdHostPath};
+use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
     Query, QueryResult, RawRun, Route, SessionFault,
@@ -207,29 +209,26 @@ pub(crate) type Transitions = Vec<(usize, BreakerTransition)>;
 #[allow(clippy::large_enum_variant)] // one backend exists per System; no dense collections of these
 pub(crate) enum Backend {
     Hdd(HddHostPath),
-    Ssd(SsdHostPath),
-    /// The paper's Section 4.3 array: 1..N Smart SSDs behind one shared
-    /// host link. A single-device system is the array with one member.
-    Smart {
-        shards: Vec<Shard>,
-        link: Bus,
-    },
+    /// The paper's Section 4.3 array: 1..N flash devices behind the
+    /// system's one host link. A single-device system is the array with one
+    /// member; a SAS SSD is that member with its device route refused.
+    Flash(Vec<Shard>),
 }
 
 impl Backend {
-    /// The Smart SSDs (none on a disk or a plain SSD).
+    /// The flash devices (none on a disk).
     pub(crate) fn shards(&self) -> &[Shard] {
         match self {
-            Backend::Smart { shards, .. } => shards,
-            _ => &[],
+            Backend::Flash(shards) => shards,
+            Backend::Hdd(_) => &[],
         }
     }
 
-    /// The Smart SSDs, mutably.
+    /// The flash devices, mutably.
     pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
         match self {
-            Backend::Smart { shards, .. } => shards,
-            _ => &mut [],
+            Backend::Flash(shards) => shards,
+            Backend::Hdd(_) => &mut [],
         }
     }
 }
@@ -242,6 +241,9 @@ impl Backend {
 pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) backend: Backend,
+    /// The host interface every flash device shares (a disk folds its link
+    /// into the drive's own timing and never touches it).
+    pub(crate) link: Bus,
     pub(crate) host_cpu: CpuModel,
     /// One catalog per device, by device index: a table partitioned over N
     /// Smart SSDs has its own extent on each. A query resolves to one
@@ -265,9 +267,9 @@ pub struct System {
 }
 
 impl System {
-    /// Assembles the system — with `n` Smart SSDs if that is the device
-    /// kind — and threads the tracer through the link, the host CPU and the
-    /// disk, SSD or every Smart SSD.
+    /// Assembles the system — with `n` flash devices unless it is a disk —
+    /// and threads the tracer through the link, the host CPU and the disk or
+    /// every flash device.
     pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer, n: usize) -> Self {
         let mbps = mb_per_sec(cfg.interface.effective_mbps());
         let mut link = Bus::new("host-interface", mbps, 0);
@@ -279,23 +281,18 @@ impl System {
                 HddModel::new(cfg.hdd.clone()),
                 cfg.bufferpool_pages,
             )),
-            DeviceKind::Ssd => {
-                let flash = FlashSsd::new(cfg.flash.clone());
-                let mut path = SsdHostPath::new(flash, cfg.interface, cfg.bufferpool_pages);
-                path.set_tracer(tracer.clone());
-                Backend::Ssd(path)
-            }
-            DeviceKind::SmartSsd => {
+            DeviceKind::Ssd | DeviceKind::SmartSsd => {
                 let mut shards: Vec<Shard> = (0..n).map(|d| Shard::new(&cfg, d)).collect();
                 for shard in &mut shards {
                     shard.dev.set_tracer(tracer.clone());
                 }
-                Backend::Smart { shards, link }
+                Backend::Flash(shards)
             }
         };
         Self {
             catalogs: vec![Catalog::new(); backend.shards().len().max(1)],
             backend,
+            link,
             host_cpu,
             next_lba: 0,
             dirty: std::collections::HashSet::new(),
@@ -356,14 +353,7 @@ impl System {
                         .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO);
                 }
             }
-            Backend::Ssd(path) => {
-                for (i, page) in img.pages().iter().enumerate() {
-                    path.ssd
-                        .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO)
-                        .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                }
-            }
-            Backend::Smart { shards, .. } => {
+            Backend::Flash(shards) => {
                 shards[d].dev.load_table(img, first_lba)?;
             }
         }
@@ -411,13 +401,10 @@ impl System {
     /// Clears all timelines and counters (between runs).
     pub(crate) fn reset_run_timing(&mut self) {
         self.host_cpu.reset();
+        self.link.reset();
         match &mut self.backend {
             Backend::Hdd(p) => p.reset_timing(),
-            Backend::Ssd(p) => p.reset_timing(),
-            Backend::Smart { shards, link } => {
-                shards.iter_mut().for_each(Shard::reset_timing);
-                link.reset();
-            }
+            Backend::Flash(shards) => shards.iter_mut().for_each(Shard::reset_timing),
         }
     }
 
@@ -425,8 +412,7 @@ impl System {
     pub fn clear_cache(&mut self) {
         match &mut self.backend {
             Backend::Hdd(p) => p.pool.clear(),
-            Backend::Ssd(p) => p.pool.clear(),
-            Backend::Smart { shards, .. } => shards.iter_mut().for_each(|s| s.pool.clear()),
+            Backend::Flash(shards) => shards.iter_mut().for_each(|s| s.pool.clear()),
         }
     }
 
@@ -435,8 +421,7 @@ impl System {
     pub(crate) fn pool(&self) -> &BufferPool {
         match &self.backend {
             Backend::Hdd(p) => &p.pool,
-            Backend::Ssd(p) => &p.pool,
-            Backend::Smart { shards, .. } => &shards[0].pool,
+            Backend::Flash(shards) => &shards[0].pool,
         }
     }
 
@@ -455,12 +440,9 @@ impl System {
                 Backend::Hdd(p) => {
                     p.read_page(lba, SimTime::ZERO)?;
                 }
-                Backend::Ssd(p) => {
-                    p.read_page(lba, SimTime::ZERO)?;
-                }
-                Backend::Smart { shards, link } => {
+                Backend::Flash(shards) => {
                     shards[0]
-                        .host_view(link, self.cfg.interface.command_latency_ns())
+                        .host_view(&mut self.link, self.cfg.interface.command_latency_ns())
                         .read_page(lba, SimTime::ZERO)?;
                 }
             }
@@ -518,9 +500,11 @@ impl System {
     }
 
     /// Checkpoints a table: charges the write-back of its pages to the
-    /// device and clears the dirty flag, making pushdown legal again.
+    /// device and clears the dirty flag, making pushdown legal again — only
+    /// once every page is written, so a failed checkpoint leaves the table
+    /// dirty.
     pub fn checkpoint(&mut self, table: &str) -> Result<(), RunError> {
-        if !self.dirty.remove(table) {
+        if !self.dirty.contains(table) {
             return Ok(());
         }
         let tref = self
@@ -539,25 +523,27 @@ impl System {
             }
         } else if let Some(flash) = self.flash_mut() {
             for lba in lbas {
+                // What a checkpoint writes is the buffer pool's copy, which
+                // here is the stored page: it is taken as is, not read. A
+                // modelled read can fail or come back corrupted, and a
+                // corrupted copy written back would stick.
                 let (data, _) = flash
-                    .read(lba, SimTime::ZERO)
+                    .peek_page(lba)
                     .map_err(|e| RunError::from(IoError::Flash(e)))?;
                 flash
                     .write(lba, data, SimTime::ZERO)
                     .map_err(|e| RunError::from(IoError::Flash(e)))?;
             }
         }
+        self.dirty.remove(table);
         self.reset_run_timing();
         Ok(())
     }
 
-    /// The flash device behind an SSD or Smart SSD system.
+    /// The (first) flash device, unless a disk backs the system.
     fn flash_mut(&mut self) -> Option<&mut FlashSsd> {
-        match &mut self.backend {
-            Backend::Hdd(_) => None,
-            Backend::Ssd(path) => Some(&mut path.ssd),
-            Backend::Smart { shards, .. } => Some(&mut shards[0].dev.flash),
-        }
+        let first = self.backend.shards_mut().first_mut();
+        first.map(|s| &mut s.dev.flash)
     }
 
     /// Whether a table currently has uncheckpointed updates.
@@ -613,30 +599,33 @@ impl System {
     /// Resolves the route a policy picks for an operator, applying the
     /// dirty-data correctness rule: a dirty input means the on-device copy
     /// is stale, so the device route is not available (Section 4.3) —
-    /// before any cost consideration.
-    pub(crate) fn resolve_route(&self, op: &QueryOp, policy: &RoutePolicy) -> Route {
+    /// before any cost consideration. Only a Smart SSD has a device route:
+    /// elsewhere the natural and planned routes are the host, and a forced
+    /// device route on clean data is refused before anything runs.
+    pub(crate) fn resolve_route(
+        &self,
+        op: &QueryOp,
+        policy: &RoutePolicy,
+    ) -> Result<Route, RunError> {
+        let smart = self.cfg.device == DeviceKind::SmartSsd;
         let requested = match policy {
-            RoutePolicy::Natural => match self.cfg.device {
-                DeviceKind::SmartSsd => Route::Device,
-                _ => Route::Host,
-            },
+            RoutePolicy::Natural | RoutePolicy::Planned(_) if !smart => Route::Host,
+            RoutePolicy::Natural => Route::Device,
             RoutePolicy::Force(r) => *r,
             RoutePolicy::Planned(p) => self.plan_route(op, &p.planner, &p.inputs),
         };
-        if requested == Route::Device && self.op_touches_dirty(op) {
-            Route::Host
+        if requested == Route::Host || self.op_touches_dirty(op) {
+            Ok(Route::Host)
+        } else if smart {
+            Ok(Route::Device)
         } else {
-            requested
+            Err(RunErrorKind::NotSmart.into())
         }
     }
 
-    /// Planner-decided routing (Smart SSD systems only consult the
-    /// planner; others always use the host). Residency comes from the
-    /// actual buffer pool, not the caller.
+    /// Planner-decided routing. Residency comes from the actual buffer
+    /// pool, not the caller.
     fn plan_route(&self, op: &QueryOp, planner: &PlannerConfig, inputs: &PlannerInputs) -> Route {
-        if self.cfg.device != DeviceKind::SmartSsd {
-            return Route::Host;
-        }
         let mut inputs = inputs.clone();
         inputs.residency = match op {
             QueryOp::Scan { table, .. }
@@ -692,8 +681,8 @@ impl System {
         let (cpu, cfg, tracer) = (&mut self.host_cpu, &self.cfg, &self.tracer);
         match &mut self.backend {
             Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now),
-            Backend::Ssd(path) => host_pass(path, cpu, cfg, tracer, op, now),
-            Backend::Smart { shards, link } => {
+            Backend::Flash(shards) => {
+                let link = &mut self.link;
                 let mut view = shards[d].host_view(link, cfg.interface.command_latency_ns());
                 host_pass(&mut view, cpu, cfg, tracer, op, now)
             }
@@ -704,9 +693,6 @@ impl System {
     /// device's live view.
     pub(crate) fn current_faults(&self) -> FaultCounters {
         let mut faults = self.run_faults;
-        if let Backend::Ssd(p) = &self.backend {
-            faults.absorb(&p.fault_counters());
-        }
         let shards = self.backend.shards().iter();
         shards.for_each(|s| faults.absorb(&s.faults()));
         faults
@@ -722,15 +708,14 @@ impl System {
     ) -> RunReport {
         let elapsed = result.elapsed;
         let host_busy = self.host_cpu.busy_total_ns();
-        let (device_busy, link_busy, device_cpu) = match &self.backend {
-            Backend::Hdd(p) => (p.device_busy_ns(), 0, None),
-            Backend::Ssd(p) => (p.device_busy_ns(), p.link_busy_ns(), None),
-            // Energy and utilization are metered for the paper's one-device
-            // test bed.
-            Backend::Smart { shards, link } => (
+        let link_busy = self.link.busy_total_ns();
+        // Energy and utilization are metered for the paper's one-device test
+        // bed; only a Smart SSD's embedded CPU is a component of the meter.
+        let (device_busy, device_cpu) = match &self.backend {
+            Backend::Hdd(p) => (p.hdd.busy_total_ns(), None),
+            Backend::Flash(shards) => (
                 shards[0].dev.flash.dram_busy_ns(),
-                link.busy_total_ns(),
-                Some(shards[0].dev.cpu()),
+                (self.cfg.device == DeviceKind::SmartSsd).then(|| shards[0].dev.cpu()),
             ),
         };
         let pw = &self.cfg.power;

@@ -16,7 +16,7 @@
 use super::sched::{Ev, Sched};
 use super::InterfaceMode;
 use crate::shard::{Phase, ShardOutcome, FRESH};
-use crate::system::{Backend, RunError, RunErrorKind, System};
+use crate::system::{RunError, System};
 use smartssd_device::DeviceError;
 use smartssd_exec::{QueryOp, WorkCounts};
 use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionError, SessionFault};
@@ -152,7 +152,7 @@ impl System {
         let driver = SessionDriver::new(self.cfg.session_policy.clone())
             .with_tracer(self.tracer.clone())
             .with_lane(a.lane);
-        if self.scatter(s, a, ops, &driver)? {
+        if self.scatter(s, a, ops, &driver) {
             return Ok(Some(Stop::Full));
         }
         a.hedge_over = self.hedge_threshold(s);
@@ -180,13 +180,10 @@ impl System {
         a: &mut Attempt,
         ops: &[QueryOp],
         driver: &SessionDriver,
-    ) -> Result<bool, RunError> {
+    ) -> bool {
         let cmd_latency = self.cfg.interface.command_latency_ns();
-        let Backend::Smart { shards, link } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
         let mut full = false;
-        for (shard, op) in shards.iter_mut().zip(ops) {
+        for (shard, op) in self.backend.shards_mut().iter_mut().zip(ops) {
             shard.last = ShardOutcome {
                 device: shard.last.device,
                 ..FRESH
@@ -195,7 +192,7 @@ impl System {
                 continue;
             }
             a.offered = true;
-            let wire = s.rules.open_linked.then_some((&mut *link, cmd_latency));
+            let wire = s.rules.open_linked.then_some((&mut self.link, cmd_latency));
             shard.phase = match driver.open_session(&mut shard.dev, wire, op, a.now) {
                 Ok((sid, open_done)) => Phase::Session(sid, open_done),
                 Err(fault) => {
@@ -204,7 +201,7 @@ impl System {
                 }
             };
         }
-        Ok(full)
+        full
     }
 
     /// Hedge marking: ranks live sessions by the device's own completion
@@ -257,10 +254,7 @@ impl System {
         op: &QueryOp,
         driver: &SessionDriver,
     ) -> Result<Option<Stop>, RunError> {
-        let Backend::Smart { shards, link } = &mut self.backend else {
-            return Err(RunErrorKind::NotSmart.into());
-        };
-        let shard = &mut shards[d];
+        let shard = &mut self.backend.shards_mut()[d];
         let (sid, open_done) = match std::mem::replace(&mut shard.phase, Phase::Host) {
             Phase::Session(sid, open_done) => (sid, open_done),
             Phase::Failed(fault) => return self.fall_back(s, a, d, op, fault, None),
@@ -275,7 +269,8 @@ impl System {
             let eta = shard.dev.session_eta(sid);
             eta.is_some_and(|eta| eta.as_nanos() as f64 > over)
         });
-        let io = s.rules.get_linked.then_some((link, &mut self.host_cpu));
+        let host = (&mut self.link, &mut self.host_cpu);
+        let io = s.rules.get_linked.then_some(host);
         let collected = driver.collect_session(&mut shard.dev, io, sid, a.t, deadline, a.cancel_at);
         let hedge = marked.then(|| self.launch_hedge(a, d, op)).flatten();
         let shard = &mut self.backend.shards_mut()[d];

@@ -7,7 +7,7 @@ use super::{
     WorkloadReport,
 };
 use crate::serving::TenantReport;
-use crate::system::{Backend, RunError, RunErrorKind, System};
+use crate::system::{RunError, RunErrorKind, System};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{LatencyStats, SimTime, TraceLevel, Tracer};
 use std::sync::Arc;
@@ -219,10 +219,7 @@ impl System {
             0.0
         };
         let shards = self.backend.shards();
-        let flash_reads = match &self.backend {
-            Backend::Ssd(p) => p.ssd.stats().reads,
-            _ => shards.iter().map(|s| s.dev.flash.stats().reads).sum(),
-        };
+        let flash_reads = shards.iter().map(|s| s.dev.flash.stats().reads).sum();
         let shared_hits = shards.iter().map(|s| s.dev.shared_hits()).sum();
         let (breaker_transitions, trace) =
             self.end_run("workload", makespan, &[("queries", n as f64)]);

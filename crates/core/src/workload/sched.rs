@@ -388,7 +388,7 @@ impl System {
         };
         // The route is one decision for the whole query, made on the first
         // device's extents (the only ones on a single-device system).
-        if self.resolve_route(&ops[0], &item.route) == Route::Host {
+        if self.resolve_route(&ops[0], &item.route)? == Route::Host {
             for (d, op) in ops.iter().enumerate() {
                 let raw = self.run_host(d, op, now)?;
                 a.take(raw.rows, Some(raw.aggs), &raw.work, raw.end);

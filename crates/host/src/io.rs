@@ -1,13 +1,17 @@
 //! Host read paths: storage device + interface + buffer pool composed into
 //! a page stream for the query engine.
 //!
-//! The regular SSD/HDD baselines read pages across the host interface into
-//! the buffer pool and process them on the host CPU. The paths here charge
-//! that data movement: flash/disk mechanism time, then the interface bus.
-//! Like the paper's measurement setup, sequential reads are issued as
-//! 32-page (256 KB) commands, so the per-command protocol latency is
-//! amortized — that is what lets SAS 6 Gbps achieve its full 550 MB/s in
-//! Table 2.
+//! The host route reads pages across the host interface into the buffer
+//! pool and processes them on the host CPU. The paths here charge that data
+//! movement: flash/disk mechanism time, then the interface bus. Like the
+//! paper's measurement setup, sequential reads are issued as 32-page
+//! (256 KB) commands, so the per-command protocol latency is amortized —
+//! that is what lets SAS 6 Gbps achieve its full 550 MB/s in Table 2.
+//!
+//! There is one flash path, [`LinkedFlashView`]: every part borrowed, so the
+//! SAS SSD baseline, a Smart SSD's host route and [`SsdHostPath`] (which
+//! owns its parts) all read through it. The disk has its own,
+//! [`HddHostPath`].
 
 use crate::bufferpool::BufferPool;
 use crate::hdd::HddModel;
@@ -70,12 +74,6 @@ pub trait PageSource {
     /// Reads one page; returns the page and the simulated time at which it
     /// is available to the consumer.
     fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError>;
-
-    /// Busy time of the storage device mechanism so far (energy meter).
-    fn device_busy_ns(&self) -> u64;
-
-    /// Busy time of the host interface link so far (energy meter).
-    fn link_busy_ns(&self) -> u64;
 }
 
 /// I/O-command batching state: tracks whether the next page continues the
@@ -107,76 +105,10 @@ impl CommandState {
     }
 }
 
-/// Shared host read logic: pool hit, flash read under a bounded transparent
-/// retry policy, interface transfer with batched command setup, pool insert.
-///
-/// Retries cover both uncorrectable device errors and checksum mismatches
-/// after transfer (silent corruption that escaped the device ECC), as a
-/// real driver + DBMS pair would. Each retry is issued at the *failed
-/// attempt's completion time* — an uncorrectable read held the device until
-/// `failed_at`, and a checksum mismatch is only seen once the page crossed
-/// the link — so recovery latency is charged to the run.
-#[allow(clippy::too_many_arguments)]
-fn read_via_link(
-    ssd: &mut FlashSsd,
-    link: &mut Bus,
-    pool: &mut BufferPool,
-    cmd: &mut CommandState,
-    cmd_latency_ns: u64,
-    faults: &mut FaultCounters,
-    page_cache: &mut PageDecodeCache,
-    lba: u64,
-    now: SimTime,
-) -> Result<(PageBuf, SimTime), IoError> {
-    if let Some(page) = pool.get(lba) {
-        return Ok((page, now));
-    }
-    let mut t = now;
-    let mut attempts = 0u32;
-    loop {
-        let cause = match ssd.read(lba, t) {
-            Ok((data, iv)) => {
-                let setup = cmd.setup_ns(lba, cmd_latency_ns);
-                let link_iv = link.transfer_with_setup(iv.end, PAGE_SIZE as u64, setup);
-                // Pointer-identity memo: repeated reads of an unchanged LBA
-                // skip re-walking the 8 KB checksum; a rewritten or corrupt
-                // buffer misses the memo and is validated for real.
-                match page_cache.decode(lba, data) {
-                    Ok(page) => {
-                        pool.insert(lba, page.clone());
-                        return Ok((page, link_iv.end));
-                    }
-                    Err(e) => {
-                        // The DBMS checksum catches the escape only after
-                        // the transfer: re-read from the link completion.
-                        faults.escapes_detected += 1;
-                        t = link_iv.end;
-                        IoError::Page(e)
-                    }
-                }
-            }
-            Err(FlashError::Uncorrectable { lba, failed_at }) => {
-                // The failed device attempt completed at failed_at; the
-                // driver retry starts there, not at the original `now`.
-                t = failed_at;
-                IoError::Flash(FlashError::Uncorrectable { lba, failed_at })
-            }
-            Err(e) => return Err(IoError::Flash(e)),
-        };
-        if attempts >= HOST_READ_RETRY_LIMIT {
-            return Err(IoError::RetriesExhausted {
-                lba,
-                attempts,
-                cause: Box::new(cause),
-            });
-        }
-        attempts += 1;
-        faults.read_retries += 1;
-    }
-}
-
-/// SSD behind a host interface with a buffer pool — the paper's "regular
-/// SSD" baseline data path.
+/// SSD behind a host interface with a buffer pool, owned: the standalone
+/// composition Table 2's external-bandwidth measurement reads through. It
+/// reads through a [`LinkedFlashView`] over its own parts, so it charges
+/// exactly what a `System`'s flash devices charge on the host route.
 pub struct SsdHostPath {
     /// The flash device.
     pub ssd: FlashSsd,
@@ -211,55 +143,26 @@ impl SsdHostPath {
         self.cmd.reset();
         self.faults = FaultCounters::default();
     }
-
-    /// Attaches a tracer to the flash data path and the host interface link.
-    pub fn set_tracer(&mut self, tracer: smartssd_sim::Tracer) {
-        self.ssd.set_tracer(tracer.clone());
-        self.link
-            .set_tracer(tracer, smartssd_sim::trace::pid::INTERFACE, 0);
-    }
-
-    /// Fault/recovery counters since the last timing reset: the flash
-    /// device's ECC events merged with the driver's retry and
-    /// escape-detection counts.
-    pub fn fault_counters(&self) -> FaultCounters {
-        let stats = self.ssd.stats();
-        FaultCounters {
-            ecc_retries: stats.ecc_retries,
-            ecc_failures: stats.ecc_failures,
-            ..self.faults
-        }
-    }
 }
 
 impl PageSource for SsdHostPath {
     fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError> {
-        read_via_link(
-            &mut self.ssd,
-            &mut self.link,
-            &mut self.pool,
-            &mut self.cmd,
-            self.cmd_latency_ns,
-            &mut self.faults,
-            &mut self.page_cache,
-            lba,
-            now,
-        )
-    }
-
-    fn device_busy_ns(&self) -> u64 {
-        self.ssd.dram_busy_ns()
-    }
-
-    fn link_busy_ns(&self) -> u64 {
-        self.link.busy_total_ns()
+        LinkedFlashView {
+            ssd: &mut self.ssd,
+            link: &mut self.link,
+            pool: &mut self.pool,
+            cmd: &mut self.cmd,
+            cmd_latency_ns: self.cmd_latency_ns,
+            faults: &mut self.faults,
+            page_cache: &mut self.page_cache,
+        }
+        .read_page(lba, now)
     }
 }
 
-/// A borrowed host read path over a flash device owned elsewhere (the Smart
-/// SSD backend uses this when the planner routes a query to the host, or as
-/// the fallback after a device-side failure such as a memory-grant
-/// rejection).
+/// The host read path over a flash device: every part borrowed, so the
+/// device can be owned elsewhere — by a Smart SSD, or by a plain SSD that is
+/// a Smart SSD whose device route is refused.
 pub struct LinkedFlashView<'a> {
     /// The borrowed flash device.
     pub ssd: &'a mut FlashSsd,
@@ -278,26 +181,66 @@ pub struct LinkedFlashView<'a> {
 }
 
 impl PageSource for LinkedFlashView<'_> {
+    /// Pool hit, flash read under a bounded transparent retry policy,
+    /// interface transfer with batched command setup, pool insert.
+    ///
+    /// Retries cover both uncorrectable device errors and checksum
+    /// mismatches after transfer (silent corruption that escaped the device
+    /// ECC), as a real driver + DBMS pair would. Each retry is issued at the
+    /// *failed attempt's completion time* — an uncorrectable read held the
+    /// device until `failed_at`, and a checksum mismatch is only seen once
+    /// the page crossed the link — so recovery latency is charged to the
+    /// run.
     fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError> {
-        read_via_link(
-            self.ssd,
-            self.link,
-            self.pool,
-            self.cmd,
-            self.cmd_latency_ns,
-            self.faults,
-            self.page_cache,
-            lba,
-            now,
-        )
-    }
-
-    fn device_busy_ns(&self) -> u64 {
-        self.ssd.dram_busy_ns()
-    }
-
-    fn link_busy_ns(&self) -> u64 {
-        self.link.busy_total_ns()
+        if let Some(page) = self.pool.get(lba) {
+            return Ok((page, now));
+        }
+        let mut t = now;
+        let mut attempts = 0u32;
+        loop {
+            let cause = match self.ssd.read(lba, t) {
+                Ok((data, iv)) => {
+                    let setup = self.cmd.setup_ns(lba, self.cmd_latency_ns);
+                    let link_iv = self
+                        .link
+                        .transfer_with_setup(iv.end, PAGE_SIZE as u64, setup);
+                    // Pointer-identity memo: repeated reads of an unchanged
+                    // LBA skip re-walking the 8 KB checksum; a rewritten or
+                    // corrupt buffer misses the memo and is validated for
+                    // real.
+                    match self.page_cache.decode(lba, data) {
+                        Ok(page) => {
+                            self.pool.insert(lba, page.clone());
+                            return Ok((page, link_iv.end));
+                        }
+                        Err(e) => {
+                            // The DBMS checksum catches the escape only
+                            // after the transfer: re-read from the link
+                            // completion.
+                            self.faults.escapes_detected += 1;
+                            t = link_iv.end;
+                            IoError::Page(e)
+                        }
+                    }
+                }
+                Err(FlashError::Uncorrectable { lba, failed_at }) => {
+                    // The failed device attempt completed at failed_at; the
+                    // driver retry starts there, not at the original `now`.
+                    t = failed_at;
+                    IoError::Flash(FlashError::Uncorrectable { lba, failed_at })
+                }
+                Err(e) => return Err(IoError::Flash(e)),
+            };
+            if attempts >= HOST_READ_RETRY_LIMIT {
+                return Err(IoError::RetriesExhausted {
+                    lba,
+                    attempts,
+                    cause: Box::new(cause),
+                });
+            }
+            attempts += 1;
+            self.faults.read_retries += 1;
+        }
     }
 }
 
@@ -338,14 +281,6 @@ impl PageSource for HddHostPath {
         let page = self.page_cache.decode(lba, data).map_err(IoError::Page)?;
         self.pool.insert(lba, page.clone());
         Ok((page, iv.end))
-    }
-
-    fn device_busy_ns(&self) -> u64 {
-        self.hdd.busy_total_ns()
-    }
-
-    fn link_busy_ns(&self) -> u64 {
-        0
     }
 }
 

@@ -7,7 +7,8 @@
 //! bed (Section 4.1.2): the SAS/SATA/PCIe host interface behind the LSI HBA
 //! ([`interface`]), the 10K RPM SAS HDD baseline ([`hdd`]), the DBMS buffer
 //! pool ([`bufferpool`]), and the host read paths that compose them into a
-//! [`io::PageSource`] the query engine can stream pages from.
+//! [`io::PageSource`] the query engine can stream pages from — one over
+//! flash, one over the disk.
 
 pub mod bufferpool;
 pub mod hdd;

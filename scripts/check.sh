@@ -64,6 +64,30 @@ if awk '
     exit 1
 fi
 
+# One flash host path: a System reads every flash device — the Smart SSDs
+# and the SAS SSD baseline, a one-device array with its device route
+# refused — through a shard's LinkedFlashView, whose read_page is the host
+# crate's one flash read loop, so no host read skips its retries or its
+# checksum; SsdHostPath, which owns its parts for
+# Table 2 and the frozen benchmark, reads through the same view. Non-test
+# code, comments aside.
+echo "== one flash host path (crates/core/src reads no flash itself, one flash read loop) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /SsdHostPath|flash\.read\(/ { print FILENAME ":" FNR ": " $0; n++ }
+    END { exit !n }' $(find crates/core/src -name '*.rs'); then
+    echo "crates/core/src reads flash around the block path (see above); read through Shard::host_view" >&2
+    exit 1
+fi
+reads=$(awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    !tests && $1 !~ /^\/\// && /ssd\.read\(/ { n++ }
+    END { print n + 0 }' crates/host/src/io.rs)
+printf '%-16s %d\n' 'ssd.read(' "${reads}"
+[[ "${reads}" -eq 1 ]]
+
 # One arrival cursor, one admission engine: names deleted from the shipped
 # scheduler must not grow back anywhere in the crates' sources.
 echo "== deleted scheduler forks stay deleted (crates/*/src) =="

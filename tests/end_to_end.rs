@@ -3,8 +3,8 @@
 //! executor.
 
 use smartssd::{
-    DeviceKind, Layout, Route, RoutePolicy, RunOptions, SimTime, System, SystemBuilder, Workload,
-    WorkloadOptions,
+    ChromeTraceSink, DeviceKind, Layout, Route, RoutePolicy, RunErrorKind, RunOptions, SimTime,
+    System, SystemBuilder, Workload, WorkloadOptions,
 };
 use smartssd_storage::Tuple;
 use smartssd_workload::{
@@ -17,7 +17,11 @@ const SYNTH: f64 = 0.0001; // 40k S rows, 100 R rows
 const SEED: u64 = 7;
 
 fn tpch_system(kind: DeviceKind, layout: Layout) -> System {
-    let mut sys = SystemBuilder::new(kind, layout).build();
+    load_tpch(SystemBuilder::new(kind, layout))
+}
+
+fn load_tpch(b: SystemBuilder) -> System {
+    let mut sys = b.build();
     sys.load_table_rows(
         queries::LINEITEM,
         &tpch::lineitem_schema(),
@@ -210,6 +214,55 @@ fn hdd_is_much_slower_than_both_ssds() {
     let t_ssd = ssd.run(&q, RunOptions::default()).unwrap().result.elapsed;
     let ratio = t_hdd.as_secs_f64() / t_ssd.as_secs_f64();
     assert!(ratio > 4.0, "HDD/SSD ratio {ratio:.1}");
+}
+
+/// The SAS SSD baseline is the Smart SSD with its device route refused (the
+/// paper's prototype is "the same SSD" with a runtime added): on the same
+/// tables, under injected ECC retries, failures and escapes, cold and half
+/// cached, its natural run equals the Smart SSD's forced host run to the
+/// nanosecond — answer, work, fault counters, host CPU, flash and link
+/// meters — and to the byte of its Chrome trace; only a Smart SSD meters an
+/// embedded CPU. A device route on it is refused before anything runs.
+#[test]
+fn sas_ssd_is_the_smart_ssds_host_route() {
+    for layout in [Layout::Nsm, Layout::Pax] {
+        let [mut ssd, mut smart] = [DeviceKind::Ssd, DeviceKind::SmartSsd].map(|kind| {
+            let b = SystemBuilder::new(kind, layout).fault_rates(1 << 28, 1 << 26, 1 << 26);
+            load_tpch(b.trace(ChromeTraceSink::new()))
+        });
+        for (query, warm) in [(q6(), 0.0), (q14(), 0.0), (q1(), 0.5), (q6(), 0.5)] {
+            let cell = format!("{} on {layout}, {warm} cached", query.name);
+            for sys in [&mut ssd, &mut smart] {
+                sys.clear_cache();
+                sys.warm_cache(queries::LINEITEM, warm).unwrap();
+            }
+            let a = ssd.run(&query, RunOptions::default()).unwrap();
+            let b = smart.run(&query, RunOptions::routed(Route::Host)).unwrap();
+            assert_eq!((a.route, b.route), (Route::Host, Route::Host), "{cell}");
+            assert_eq!(a.result.elapsed, b.result.elapsed, "{cell}");
+            assert_eq!(a.result.agg_values, b.result.agg_values, "{cell}");
+            assert_eq!(a.result.rows, b.result.rows, "{cell}");
+            assert_eq!(a.result.work, b.result.work, "{cell}");
+            assert_eq!(a.faults, b.faults, "{cell}");
+            assert!(
+                a.faults.read_retries > 0 && a.faults.ecc_retries > 0,
+                "{cell}"
+            );
+            for meter in ["host-cpu-thread", "io-device", "host-interface"] {
+                let util = |r: &smartssd::RunReport| r.util.utilization(meter);
+                assert_eq!(util(&a), util(&b), "{cell}: {meter}");
+            }
+            assert_eq!(a.util.utilization("device-cpu"), None, "{cell}");
+            assert!(a.trace.chrome_json().is_some(), "{cell}");
+            assert_eq!(a.trace.chrome_json(), b.trace.chrome_json(), "{cell}");
+        }
+        let err = ssd
+            .run(&q6(), RunOptions::routed(Route::Device))
+            .unwrap_err();
+        assert!(matches!(err.kind(), RunErrorKind::NotSmart));
+        assert!(!err.fault_counters().any(), "nothing ran: {err}");
+        assert_eq!(ssd.open_device_sessions(), 0);
+    }
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Differential fault-injection tests.
 //!
 //! The contract of the recovery machinery (device `read_page`, host
-//! `read_via_link`, and the query-layer `SessionDriver`): injected flash
-//! faults may cost *simulated time*, and are counted in [`FaultCounters`],
-//! but they never change query answers and never break determinism.
+//! `LinkedFlashView::read_page`, and the query-layer `SessionDriver`):
+//! injected flash faults may cost *simulated time*, and are counted in
+//! [`FaultCounters`], but they never change query answers and never break
+//! determinism.
 
 use proptest::prelude::*;
 use smartssd::{
@@ -70,10 +71,10 @@ fn expected_sum() -> i128 {
 }
 
 /// Shared assertion for both read paths (device `read_page` under
-/// `Route::Device`, host `read_via_link` under `Route::Host`): when every
-/// read suffers one recoverable uncorrectable error, the retries are posted
-/// at the failed reads' completion times, so recovery shows up as strictly
-/// more simulated elapsed time — never as a changed answer.
+/// `Route::Device`, host `LinkedFlashView::read_page` under `Route::Host`):
+/// when every read suffers one recoverable uncorrectable error, the retries
+/// are posted at the failed reads' completion times, so recovery shows up as
+/// strictly more simulated elapsed time — never as a changed answer.
 fn assert_recovery_is_charged(route: Route) {
     let clean = run_case(FlashConfig::default(), route, |_| {}).unwrap();
     let faulty = run_case(

@@ -172,3 +172,45 @@ fn updates_work_on_plain_ssd_too() {
         (0..1_000i128).map(|k| k * 7).sum::<i128>()
     );
 }
+
+/// A checkpoint writes back the pages as stored, with no modelled read: with
+/// the first read of every page uncorrectable, or a quarter of all reads
+/// silently corrupted, it still succeeds and clears the flag, and the table
+/// answers as before on every route. (It once read each page raw, so it
+/// aborted on the first uncorrectable read with the table already marked
+/// clean, and wrote corrupted copies back for good.)
+#[test]
+fn checkpoint_writes_back_true_pages_under_read_faults() {
+    let want = (0..20_000i128).sum::<i128>();
+    for (ecc_fail, silent) in [(u32::MAX, 0), (0, u32::MAX / 4)] {
+        for kind in [DeviceKind::SmartSsd, DeviceKind::Ssd] {
+            let cell = format!("{kind:?}, ecc_fail {ecc_fail}, silent {silent}");
+            let mut sys = SystemBuilder::new(kind, Layout::Pax)
+                .fault_rates(0, ecc_fail, silent)
+                .build();
+            sys.load_table_rows("t", &schema(), rows(20_000, 1))
+                .unwrap();
+            sys.finish_load();
+            sys.mark_dirty("t");
+            sys.checkpoint("t")
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(!sys.is_dirty("t"), "{cell}");
+            for _ in 0..3 {
+                sys.clear_cache();
+                let r = sys.run(&sum_query(), RunOptions::default());
+                let r = r.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(r.result.agg_values[0], want, "{cell}");
+            }
+        }
+    }
+}
+
+/// A checkpoint that fails leaves the table dirty: pushdown stays refused
+/// until a checkpoint has actually written the pages back.
+#[test]
+fn failed_checkpoint_leaves_the_table_dirty() {
+    let mut sys = smart_system(1_000);
+    sys.mark_dirty("ghost");
+    assert!(sys.checkpoint("ghost").is_err(), "no such table");
+    assert!(sys.is_dirty("ghost"));
+}
