@@ -8,8 +8,8 @@ use crate::row;
 use crate::scale::Scales;
 use smartssd::{
     compose, ArrivalModel, BreakerPolicy, BrownoutPolicy, ChromeTraceSink, CounterSink, DeviceKind,
-    FleetOptions, InterfaceMode, RunError, RunOptions, RunReport, SmartSsdFleet, System,
-    SystemBuilder, TenantLoad, TenantSpec, Workload, WorkloadOptions, WorkloadReport,
+    InterfaceMode, RunError, RunOptions, RunReport, System, SystemBuilder, TenantLoad, TenantSpec,
+    Workload, WorkloadOptions, WorkloadReport,
 };
 use smartssd_host::interface::{roadmap, RoadmapPoint};
 use smartssd_host::{io::IoError, InterfaceKind};
@@ -504,18 +504,9 @@ fn scan_sweep(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// Builds a LINEITEM-loaded fleet of `n` Smart SSDs, cold.
-fn tpch_fleet(
-    n: usize,
-    s: &Scales,
-    interface: InterfaceMode,
-    breaker: bool,
-) -> Result<SmartSsdFleet, RunError> {
-    let opts = FleetOptions {
-        interface,
-        ..FleetOptions::default()
-    };
-    let mut b = smart();
+/// Builds a LINEITEM-loaded array of `n` Smart SSDs, cold.
+fn tpch_fleet(n: usize, s: &Scales, breaker: bool) -> Result<System, RunError> {
+    let mut b = smart().devices(n);
     if breaker {
         let mut pol = BreakerPolicy::enabled();
         // A dead-device probe costs a full firmware reset wait (~5 ms,
@@ -524,7 +515,7 @@ fn tpch_fleet(
         pol.cooldown = SimTime::from_micros(1_000_000);
         b = b.breaker(pol);
     }
-    let mut fleet = b.build_fleet(n, opts);
+    let mut fleet = b.build();
     fleet.load_partitioned(
         queries::LINEITEM,
         &tpch::lineitem_schema(),
@@ -534,17 +525,14 @@ fn tpch_fleet(
     Ok(fleet)
 }
 
-/// One cold scattered Q6 per fleet size in `counts`: rows of devices,
-/// elapsed seconds, and speedup over the first size.
-fn fleet_scaling(
-    s: &Scales,
-    counts: &[usize],
-    interface: InterfaceMode,
-) -> Result<Vec<Vec<Cell>>, RunError> {
+/// One cold scattered Q6 per array size in `counts`, over the linked
+/// protocol: rows of devices, elapsed seconds, and speedup over the first
+/// size.
+fn fleet_scaling(s: &Scales, counts: &[usize]) -> Result<Vec<Vec<Cell>>, RunError> {
     let mut rows = Vec::new();
     let mut base = None;
     for &n in counts {
-        let rep = tpch_fleet(n, s, interface, false)?.run_agg(&q6())?;
+        let rep = tpch_fleet(n, s, false)?.run(&q6(), RunOptions::routed(Route::Device))?;
         let t = rep.result.elapsed.as_secs_f64();
         rows.push(row![n, t, *base.get_or_insert(t) / t]);
     }
@@ -552,16 +540,16 @@ fn fleet_scaling(
 }
 
 /// Discussion-section extension: Q6-shaped aggregation over a LINEITEM
-/// partitioned across an array of Smart SSDs — a fleet whose sessions open
-/// in place at time zero (`InterfaceMode::Direct`), the minimal coordinator
-/// the paper sketches.
+/// partitioned across an array of Smart SSDs, the coordinator the paper
+/// sketches, over the full linked protocol — the first rows of `fleet`'s
+/// scaling sweep.
 fn array(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
         col("  devices", "  {:>7}"),
         col("   elapsed[s]", "   {:>9.3}"),
         col("   speedup", "   {:>6.2}x"),
     ];
-    let rows = fleet_scaling(&c.scales, &[1, 2, 4, 8], InterfaceMode::Direct)?;
+    let rows = fleet_scaling(&c.scales, &[1, 2, 4, 8])?;
     let mut r = Report::new("Discussion: Q6 across an array of Smart SSDs");
     r.table("", COLS, rows);
     Ok(r)
@@ -1163,7 +1151,7 @@ fn fleet(c: &Ctx) -> Result<Report, RunError> {
     let (devices, stream_len) = (16usize, if c.quick { 16 } else { 32 });
 
     // Sweep 1: scaling. Pure scatter/gather over the full protocol.
-    let scaling = fleet_scaling(s, &[1, 2, 4, 8, 16, 32, 64], InterfaceMode::Linked)?;
+    let scaling = fleet_scaling(s, &[1, 2, 4, 8, 16, 32, 64])?;
 
     // Sweep 2: degradation under a crashed device.
     let stream: Vec<_> = (0..stream_len).map(|_| q6()).collect();
@@ -1175,15 +1163,15 @@ fn fleet(c: &Ctx) -> Result<Report, RunError> {
         ("one-dead", 1, false),
         ("one-dead", 1, true),
     ] {
-        let mut fleet = tpch_fleet(devices, s, InterfaceMode::Linked, breaker)?;
+        let mut fleet = tpch_fleet(devices, s, breaker)?;
         for d in 0..dead {
             fleet.device_mut(d).config_mut().fault_rates.crash_rate = u32::MAX;
         }
         let rep = fleet.run_stream(&stream)?;
         // Answer check: one more Q6 after the stream, against the healthy
         // fleet's answer.
-        fleet.clear_host_cache();
-        let check = fleet.run_agg(&q6())?.result;
+        fleet.clear_cache();
+        let check = fleet.run(&q6(), RunOptions::routed(Route::Device))?.result;
         let answer = (check.agg_values, check.scalar);
         let matches = answer == *clean.get_or_insert_with(|| answer.clone());
         if dead == 0 {
@@ -1935,7 +1923,7 @@ registry! {
     "tab3" all - tab3 "Table 3: Q6 elapsed time and energy on HDD / SSD / Smart SSD"
     "plans" all - plans "Figures 4 & 6: the pushdown query plans, as text"
     "scan-sweep" all - scan_sweep "[7]'s single-table scan sweep: selectivity x aggregation"
-    "array" all - array "Discussion: Q6 across an array of 1-8 Smart SSDs (direct sessions)"
+    "array" all - array "Discussion: Q6 across an array of 1-8 Smart SSDs (linked protocol)"
     "cache" all - cache "Discussion: planner-routed Q6 vs buffer-pool residency"
     "device-scaling" all - device_scaling "Section 5: Q6 speedup vs device cores, clock and internal path"
     "interface" all - interface "Section 3/5: pushdown benefit vs host interface generation"

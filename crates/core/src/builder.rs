@@ -2,14 +2,13 @@
 //! [`System::run`].
 //!
 //! [`SystemBuilder`] is the one front door for assembling a test bed: device
-//! kind, page layout, component scales, session recovery policy, injected
-//! fault rates, and — new in this layer — the trace sink that observes the
-//! run. [`RunOptions`] carries everything that varies per run: the route
-//! policy and the trace verbosity.
+//! kind and count, page layout, component scales, session recovery policy,
+//! injected faults, the device-route defenses (breaker, hedging), and the
+//! trace sink that observes the run. [`RunOptions`] carries everything that
+//! varies per run: the route policy and the trace verbosity.
 
 use crate::breaker::BreakerPolicy;
-use crate::config::{DeviceKind, SystemConfig};
-use crate::fleet::{FleetOptions, SmartSsdFleet};
+use crate::config::{DeviceKind, HedgePolicy, SystemConfig};
 use crate::system::System;
 use smartssd_device::DeviceConfig;
 use smartssd_flash::FlashConfig;
@@ -86,76 +85,68 @@ pub enum ConfigError {
         /// The rule that failed.
         broken: &'static str,
     },
-    /// A fleet needs at least one device.
-    EmptyFleet,
-    /// The fleet's hedge trigger factor is negative or not finite.
+    /// A system needs at least one device, and a disk system exactly one.
+    DeviceCount {
+        /// The configured count.
+        devices: usize,
+    },
+    /// The hedge trigger factor is negative or not finite.
     InvalidHedgeFactor,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::BackoffCapBelowPoll { cap, poll } => write!(
-                f,
-                "session policy backoff_cap ({cap}) is below poll_backoff ({poll})"
-            ),
-            ConfigError::ZeroBreakerWindow => {
-                write!(f, "an enabled breaker needs a nonzero failure window")
-            }
-            ConfigError::ZeroBreakerThreshold => {
-                write!(
+        let rule = match *self {
+            Self::BackoffCapBelowPoll { cap, poll } => {
+                return write!(
                     f,
-                    "an enabled breaker needs a failure threshold of at least 1"
+                    "session policy backoff_cap ({cap}) is below poll_backoff ({poll})"
                 )
             }
-            ConfigError::InfiniteBreakerCooldown => {
-                write!(f, "an enabled breaker needs a finite probe cooldown")
-            }
-            ConfigError::ZeroBreakerBaseline => {
-                write!(
-                    f,
-                    "an enabled slow-trip rule needs at least one baseline sample"
-                )
-            }
-            ConfigError::ZeroBrownoutThreshold => {
-                write!(
-                    f,
-                    "a brownout policy needs a waiting threshold of at least 1"
-                )
-            }
-            ConfigError::ZeroTenantWeight { tenant } => {
-                write!(
+            Self::ZeroTenantWeight { tenant } => {
+                return write!(
                     f,
                     "tenant {tenant} has weight zero and could never be scheduled"
                 )
             }
-            ConfigError::DuplicateTenant { tenant } => {
-                write!(f, "tenant {tenant} duplicates an earlier tenant's name")
+            Self::DuplicateTenant { tenant } => {
+                return write!(f, "tenant {tenant} duplicates an earlier tenant's name")
             }
-            ConfigError::UnknownTenant { tenant } => {
-                write!(f, "workload item references unregistered tenant {tenant}")
+            Self::UnknownTenant { tenant } => {
+                return write!(f, "workload item references unregistered tenant {tenant}")
             }
-            ConfigError::ZeroSessionSlots => {
-                write!(f, "a Smart SSD needs at least one session slot")
+            Self::ResultBufferTooSmall { bytes } => {
+                return write!(
+                    f,
+                    "result buffer of {bytes} bytes is below one 4096-byte block"
+                )
             }
-            ConfigError::ZeroDeviceCores => {
-                write!(f, "a Smart SSD needs at least one device core")
+            Self::FlashGeometry { broken } => return write!(f, "flash geometry: {broken}"),
+            Self::DeviceCount { devices } => {
+                return write!(
+                    f,
+                    "{devices} devices: a system needs at least one device, a disk exactly one"
+                )
             }
-            ConfigError::ZeroDeviceClock => {
-                write!(f, "a Smart SSD's device clock must be positive")
+            Self::ZeroBreakerWindow => "an enabled breaker needs a nonzero failure window",
+            Self::ZeroBreakerThreshold => {
+                "an enabled breaker needs a failure threshold of at least 1"
             }
-            ConfigError::ResultBufferTooSmall { bytes } => write!(
-                f,
-                "result buffer of {bytes} bytes is below one 4096-byte block"
-            ),
-            ConfigError::ZeroHostCores => write!(f, "the host needs at least one CPU core"),
-            ConfigError::ZeroHostClock => write!(f, "the host CPU clock must be positive"),
-            ConfigError::FlashGeometry { broken } => write!(f, "flash geometry: {broken}"),
-            ConfigError::EmptyFleet => write!(f, "a fleet needs at least one device"),
-            ConfigError::InvalidHedgeFactor => {
-                write!(f, "hedge_factor must be finite and non-negative")
+            Self::InfiniteBreakerCooldown => "an enabled breaker needs a finite probe cooldown",
+            Self::ZeroBreakerBaseline => {
+                "an enabled slow-trip rule needs at least one baseline sample"
             }
-        }
+            Self::ZeroBrownoutThreshold => {
+                "a brownout policy needs a waiting threshold of at least 1"
+            }
+            Self::ZeroSessionSlots => "a Smart SSD needs at least one session slot",
+            Self::ZeroDeviceCores => "a Smart SSD needs at least one device core",
+            Self::ZeroDeviceClock => "a Smart SSD's device clock must be positive",
+            Self::ZeroHostCores => "the host needs at least one CPU core",
+            Self::ZeroHostClock => "the host CPU clock must be positive",
+            Self::InvalidHedgeFactor => "the hedge factor must be finite and non-negative",
+        };
+        f.write_str(rule)
     }
 }
 
@@ -249,6 +240,7 @@ impl RunOptions {
 pub struct SystemBuilder {
     cfg: SystemConfig,
     tracer: Tracer,
+    plan: Option<FaultPlan>,
 }
 
 impl SystemBuilder {
@@ -262,7 +254,26 @@ impl SystemBuilder {
         Self {
             cfg,
             tracer: Tracer::none(),
+            plan: None,
         }
+    }
+
+    /// Sets the number of flash devices behind the host link: the paper's
+    /// Section 4.3 array. Each device gets its own circuit breaker, crash
+    /// domain, catalog and host-side read state; one thread drives them
+    /// all, so a shared trace sink records in a deterministic order. Load a
+    /// table across them with [`System::load_partitioned`].
+    pub fn devices(mut self, n: usize) -> Self {
+        self.cfg.devices = n;
+        self
+    }
+
+    /// Enables hedged shard reads on the device route (see
+    /// [`HedgePolicy`]), for single runs, workloads and serving streams
+    /// alike.
+    pub fn hedge(mut self, policy: HedgePolicy) -> Self {
+        self.cfg.hedge = Some(policy);
+        self
     }
 
     /// Replaces the flash geometry/timing (SSD and Smart SSD systems).
@@ -348,16 +359,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Arms a scripted gray-failure plan on the (single) device: the
-    /// plan's device-0 view is split between the flash path (slowdown
-    /// windows, ECC bursts) and the smart runtime (crash instants, CPU
-    /// slowdowns). An empty plan is the default and changes nothing.
-    /// Fleets arm per-device views through
-    /// [`SmartSsdFleet::arm_fault_plan`](crate::SmartSsdFleet::arm_fault_plan).
+    /// Arms a scripted gray-failure plan at assembly, exactly as
+    /// [`System::arm_fault_plan`] arms it on a built system: each device
+    /// gets the plan's view of it. An empty plan changes nothing.
     pub fn fault_plan(mut self, plan: &FaultPlan) -> Self {
-        let view = plan.for_device(0);
-        self.cfg.flash.fault_plan = view.clone();
-        self.cfg.smart.fault_plan = view;
+        self.plan = Some(plan.clone());
         self
     }
 
@@ -382,29 +388,41 @@ impl SystemBuilder {
     /// tracer into every timeline-owning component. This is the checked
     /// front door; [`SystemBuilder::build`] panics on the same conditions.
     pub fn try_build(self) -> Result<System, ConfigError> {
-        self.validate(self.cfg.device)?;
-        Ok(System::assemble(self.cfg, self.tracer, 1))
+        self.validate()?;
+        let mut sys = System::assemble(self.cfg, self.tracer);
+        if let Some(plan) = &self.plan {
+            sys.arm_fault_plan(plan);
+        }
+        Ok(sys)
     }
 
-    /// Shared configuration validation for [`SystemBuilder::try_build`] and
-    /// [`SystemBuilder::try_build_fleet`], ahead of every component's own
-    /// construction-time assertions. The flash geometry and the Smart SSD
-    /// runtime resources are checked only when a `device` of that kind is
-    /// what the build instantiates.
-    fn validate(&self, device: DeviceKind) -> Result<(), ConfigError> {
-        if self.cfg.host_cpu_cores == 0 {
+    /// Configuration validation for [`SystemBuilder::try_build`], ahead of
+    /// every component's own construction-time assertions. The flash
+    /// geometry and the Smart SSD runtime resources are checked only when a
+    /// device of that kind is what the build instantiates.
+    fn validate(&self) -> Result<(), ConfigError> {
+        let cfg = &self.cfg;
+        let (device, devices) = (cfg.device, cfg.devices);
+        if devices == 0 || (device == DeviceKind::Hdd && devices > 1) {
+            return Err(ConfigError::DeviceCount { devices });
+        }
+        if cfg
+            .hedge
+            .is_some_and(|h| !(h.factor.is_finite() && h.factor >= 0.0))
+        {
+            return Err(ConfigError::InvalidHedgeFactor);
+        }
+        if cfg.host_cpu_cores == 0 {
             return Err(ConfigError::ZeroHostCores);
         }
-        if self.cfg.host_cpu_hz == 0 {
+        if cfg.host_cpu_hz == 0 {
             return Err(ConfigError::ZeroHostClock);
         }
         if device != DeviceKind::Hdd {
-            self.cfg
-                .flash
-                .check()
-                .map_err(|broken| ConfigError::FlashGeometry { broken })?;
+            let flash = cfg.flash.check();
+            flash.map_err(|broken| ConfigError::FlashGeometry { broken })?;
         }
-        let dev = &self.cfg.smart;
+        let dev = &cfg.smart;
         if device == DeviceKind::SmartSsd {
             if dev.cpu_cores == 0 {
                 return Err(ConfigError::ZeroDeviceCores);
@@ -421,14 +439,14 @@ impl SystemBuilder {
                 });
             }
         }
-        let sp = &self.cfg.session_policy;
+        let sp = &cfg.session_policy;
         if sp.backoff_cap < sp.poll_backoff {
             return Err(ConfigError::BackoffCapBelowPoll {
                 cap: sp.backoff_cap,
                 poll: sp.poll_backoff,
             });
         }
-        let br = &self.cfg.breaker;
+        let br = &cfg.breaker;
         if br.enabled {
             if br.window == SimTime::ZERO {
                 return Err(ConfigError::ZeroBreakerWindow);
@@ -444,43 +462,6 @@ impl SystemBuilder {
             }
         }
         Ok(())
-    }
-
-    /// Assembles a [`SmartSsdFleet`] — a view over a [`System`] of `n` Smart
-    /// SSDs — after validating the configuration, wiring the tracer into
-    /// the shared link, the host CPU and every device (one thread drives
-    /// them all, so a shared sink records in a deterministic order).
-    /// Each device gets its own circuit breaker built from the configured
-    /// [`BreakerPolicy`], its own crash domain, and its own host-side read
-    /// state for block-path fallback. An empty fleet and a hedge factor
-    /// that is negative or not finite are configuration errors too.
-    pub fn try_build_fleet(
-        mut self,
-        n: usize,
-        opts: FleetOptions,
-    ) -> Result<SmartSsdFleet, ConfigError> {
-        self.validate(DeviceKind::SmartSsd)?;
-        if n == 0 {
-            return Err(ConfigError::EmptyFleet);
-        }
-        if !(opts.hedge_factor.is_finite() && opts.hedge_factor >= 0.0) {
-            return Err(ConfigError::InvalidHedgeFactor);
-        }
-        self.cfg.device = DeviceKind::SmartSsd;
-        let sys = System::assemble(self.cfg, self.tracer, n);
-        Ok(SmartSsdFleet { sys, opts })
-    }
-
-    /// Assembles a [`SmartSsdFleet`] of `n` devices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`ConfigError`]) or
-    /// `n == 0`; use [`SystemBuilder::try_build_fleet`] to handle
-    /// configuration errors as values.
-    pub fn build_fleet(self, n: usize, opts: FleetOptions) -> SmartSsdFleet {
-        self.try_build_fleet(n, opts)
-            .unwrap_or_else(|e| panic!("invalid system configuration: {e}"))
     }
 
     /// Assembles the system and wires the tracer into every
@@ -601,7 +582,7 @@ mod tests {
 
     /// The checked front door returns every degenerate Smart SSD runtime
     /// configuration as a value instead of reaching the device's
-    /// construction-time assertions — for a single system and for a fleet.
+    /// construction-time assertions — for one device and for an array.
     #[test]
     fn try_build_rejects_degenerate_device_resources() {
         type Tweak = fn(&mut SystemConfig);
@@ -617,8 +598,8 @@ mod tests {
         for (tweak, want) in cases {
             let smart = || SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).tweak(tweak);
             assert_eq!(smart().try_build().map(|_| ()).unwrap_err(), want);
-            let fleet = smart().try_build_fleet(2, FleetOptions::default());
-            assert_eq!(fleet.map(|_| ()).unwrap_err(), want);
+            let array = smart().devices(2).try_build();
+            assert_eq!(array.map(|_| ()).unwrap_err(), want);
             // A system that never instantiates the Smart SSD runtime does
             // not care what its (unused) configuration says.
             assert!(SystemBuilder::new(DeviceKind::Ssd, Layout::Pax)
@@ -683,10 +664,11 @@ mod tests {
                     .try_build();
                 assert_eq!(got.map(|_| ()).unwrap_err(), want, "{device:?}");
             }
-            let fleet = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+            let array = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
                 .tweak(tweak)
-                .try_build_fleet(2, FleetOptions::default());
-            assert_eq!(fleet.map(|_| ()).unwrap_err(), want);
+                .devices(2)
+                .try_build();
+            assert_eq!(array.map(|_| ()).unwrap_err(), want);
             // An HDD system has a host CPU but never instantiates flash.
             let hdd = SystemBuilder::new(DeviceKind::Hdd, Layout::Pax)
                 .tweak(tweak)
@@ -699,29 +681,50 @@ mod tests {
         }
     }
 
+    /// No device at all, or more than one disk, is a value from
+    /// `try_build` and a panic from `build`; 1..N flash devices build.
     #[test]
-    fn try_build_fleet_rejects_an_empty_fleet() {
-        let err = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
-            .try_build_fleet(0, FleetOptions::default())
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err, ConfigError::EmptyFleet);
-        assert!(err.to_string().contains("at least one device"));
+    fn try_build_rejects_a_bad_device_count() {
+        for (kind, devices) in [
+            (DeviceKind::SmartSsd, 0),
+            (DeviceKind::Hdd, 0),
+            (DeviceKind::Hdd, 2),
+        ] {
+            let b = || SystemBuilder::new(kind, Layout::Pax).devices(devices);
+            let err = b().try_build().map(|_| ()).unwrap_err();
+            assert_eq!(err, ConfigError::DeviceCount { devices }, "{kind:?}");
+            assert!(err.to_string().contains("at least one device"));
+            let panicked = std::panic::catch_unwind(|| b().build());
+            assert!(panicked.is_err(), "{kind:?} x {devices}");
+        }
+        for kind in [DeviceKind::SmartSsd, DeviceKind::Ssd] {
+            let sys = SystemBuilder::new(kind, Layout::Pax).devices(3).build();
+            assert_eq!(sys.config().devices, 3);
+        }
     }
 
     #[test]
-    fn try_build_fleet_rejects_a_junk_hedge_factor() {
-        for hedge_factor in [-0.5, f64::NAN, f64::INFINITY] {
-            let opts = FleetOptions {
-                hedge_factor,
-                ..FleetOptions::default()
+    fn try_build_rejects_a_junk_hedge_factor() {
+        for factor in [-0.5, f64::NAN, f64::INFINITY] {
+            let policy = HedgePolicy {
+                factor,
+                ..HedgePolicy::default()
             };
-            let err = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
-                .try_build_fleet(4, opts)
-                .map(|_| ())
-                .unwrap_err();
-            assert_eq!(err, ConfigError::InvalidHedgeFactor, "{hedge_factor}");
+            let b = || {
+                SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+                    .devices(4)
+                    .hedge(policy)
+            };
+            let err = b().try_build().map(|_| ()).unwrap_err();
+            assert_eq!(err, ConfigError::InvalidHedgeFactor, "{factor}");
+            assert!(std::panic::catch_unwind(|| b().build()).is_err());
         }
+        let zero = HedgePolicy {
+            factor: 0.0,
+            budget: 0,
+        };
+        let b = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).hedge(zero);
+        assert_eq!(b.build().config().hedge, Some(zero));
     }
 
     #[test]

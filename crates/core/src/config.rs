@@ -92,11 +92,46 @@ impl PowerParams {
     }
 }
 
+/// Hedged shard reads ([`SystemBuilder::hedge`](crate::SystemBuilder::hedge)):
+/// at the gather, every live device session whose completion estimate
+/// exceeds `factor` times the *median* estimate is raced by a host
+/// block-path re-run of its shard — the shape a gray array needs, where
+/// several shards may limp at once. Hedging never changes answers (both
+/// copies compute the same partial), only timing, and a hedge burns real
+/// link and host-CPU time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HedgePolicy {
+    /// Trigger: a shard is hedged when its completion estimate exceeds
+    /// this times the median across live sessions. `0.0` hedges every live
+    /// shard the budget allows. Must be finite and non-negative.
+    pub factor: f64,
+    /// Retry budget: at most this many hedges per device attempt, so a
+    /// gray array cannot amplify itself into a retry storm; further
+    /// laggards are counted as denied and simply gathered.
+    pub budget: u32,
+}
+
+impl Default for HedgePolicy {
+    fn default() -> Self {
+        Self {
+            factor: 1.5,
+            budget: 2,
+        }
+    }
+}
+
 /// Full system description: the paper's test bed in one struct.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Storage device under test.
     pub device: DeviceKind,
+    /// Flash devices behind the host link: 1 is the paper's test bed, N the
+    /// Section 4.3 array a table is partitioned across
+    /// ([`System::load_partitioned`](crate::System::load_partitioned)). A
+    /// disk system has exactly one.
+    pub devices: usize,
+    /// Hedged shard reads on the device route; off (`None`) by default.
+    pub hedge: Option<HedgePolicy>,
     /// Page layout tables are loaded with (NSM or PAX).
     pub layout: smartssd_storage::Layout,
     /// Flash geometry/timing (SSD and Smart SSD).
@@ -138,6 +173,8 @@ impl SystemConfig {
     pub fn new(device: DeviceKind, layout: smartssd_storage::Layout) -> Self {
         Self {
             device,
+            devices: 1,
+            hedge: None,
             layout,
             flash: FlashConfig::default(),
             smart: DeviceConfig::default(),

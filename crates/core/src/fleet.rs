@@ -1,371 +1,77 @@
-//! A fleet of Smart SSDs coordinated by the host — the paper's parallel-DBMS
-//! sketch (Section 4.3) built on every fault-tolerance layer the test bed
-//! has grown since the single-device protocol.
-//!
-//! The Discussion section imagines "the host machine ... simply be\[ing\] the
-//! coordinator that stages computation across an array of Smart SSDs, making
-//! the system look like a parallel DBMS with the master node being the host
-//! server, and the worker nodes ... being the Smart SSDs." That coordinator
-//! is [`System`]: it holds 1..N Smart SSDs behind one host link, and its
-//! scheduler's device attempt scatters a query over all of them and gathers
-//! the partials (`workload/sched.rs`). [`SmartSsdFleet`] is a view over a
-//! `System` built with N devices — it owns no link, host CPU, tracer, fault
-//! counters or breaker clock of its own — plus the [`FleetOptions`] its
-//! queries run under. A fleet query is a one-arrival workload at time zero,
-//! exactly as [`System::run`] is:
-//!
-//! - **Sharding.** A table is horizontally partitioned round-robin across N
-//!   devices; each device holds its own partition image and catalog entry
-//!   under the shared table name.
-//! - **Scatter.** Each query fans out as one pushdown session per shard,
-//!   driven by the session protocol under the configured
-//!   [`SessionPolicy`](smartssd_query::SessionPolicy)
-//!   (bounded `GET` retries, exponential backoff, session timeout). In
-//!   [`InterfaceMode::Linked`] the `OPEN` payloads serialize over the shared
-//!   host link, exactly like single-device device-routed runs; in
-//!   [`InterfaceMode::Direct`] sessions open in place at time zero (the
-//!   `repro array` experiment's shape).
-//! - **Gather.** Aggregate partials return over the shared link (the bus
-//!   serializes them) and merge on the host; finalization happens once, on
-//!   the merged states, so non-distributive aggregates like AVG stay exact.
-//! - **Failure awareness.** Every device carries its own
-//!   [`CircuitBreaker`](crate::CircuitBreaker) and is its own crash domain:
-//!   a recoverable session fault (uncorrectable flash, firmware crash, hang,
-//!   timeout) degrades *that shard only* to the host block path — a
-//!   separate failure domain that survives firmware crashes — while the
-//!   other N−1 shards proceed on the device route. One dead device out of
-//!   16 costs roughly one shard of throughput, not an outage.
-//! - **Hedged reads.** Optionally, every live shard whose completion
-//!   estimate lags the fleet median is raced by a host block-path re-run,
-//!   under a fleet-wide retry budget; whichever copy finishes first supplies
-//!   the partial. Hedging never changes answers, only timing (both compute
-//!   the same partial over the same rows).
-//!
-//! Each [`SmartSsd`] owns private timelines and the scheduler drives them
-//! all from its one thread, opening the shards in device order: the
-//! simulated devices run side by side in simulated time, and every device
-//! reports to the system's tracer in a deterministic order.
+//! The old fleet front door, kept only for the frozen benchmark that still
+//! imports it: a thin shim over [`System`]. An N-device Smart SSD array is an
+//! ordinary `System` — built with [`SystemBuilder::devices`] (and
+//! [`SystemBuilder::hedge`]), loaded with [`System::load_partitioned`], and
+//! queried with [`System::run`] on a forced device route — and everything
+//! else in the workspace uses that API.
 
-use crate::breaker::{BreakerState, BreakerTransition};
-use crate::builder::{RunOptions, SystemBuilder};
-use crate::config::SystemConfig;
-pub use crate::shard::ShardOutcome;
-use crate::system::{RunError, RunErrorKind, System, Transitions};
-use crate::workload::{Acct, ArrivalOutcome, AttemptRules, InterfaceMode, QueryCompletion};
-use smartssd_device::SmartSsd;
-use smartssd_query::{Query, QueryResult, Route};
-use smartssd_sim::{FaultCounters, FaultPlan, LatencyStats, RunTrace, SimTime, Tracer};
-use smartssd_storage::{Schema, TableBuilder, Tuple};
-use std::sync::Arc;
+use crate::{HedgePolicy, InterfaceMode, Query, Route, RunError, RunOptions};
+use crate::{RunReport, System, SystemBuilder};
 
-/// Coordinator knobs for a [`SmartSsdFleet`].
+#[doc(hidden)]
+pub type SmartSsdFleet = System;
+
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
-    /// How sessions reach the devices. [`InterfaceMode::Linked`] (the
-    /// default) marshals every `OPEN` over the shared host link before the
-    /// device starts executing — the full protocol. [`InterfaceMode::Direct`]
-    /// opens sessions in place at time zero; results crossing the link on
-    /// gather are charged identically in both modes.
     pub interface: InterfaceMode,
-    /// Hedged shard reads: every live shard whose device-side completion
-    /// estimate exceeds `hedge_factor` times the *median* estimate is raced
-    /// by a host block-path re-run, guarded by the retry budget — the shape
-    /// a gray fleet needs, where several shards may limp at once. Hedging
-    /// never changes answers — both copies compute the same partial — only
-    /// timing. Off by default (a hedge burns real link and host-CPU time).
     pub hedge: bool,
-    /// Hedge trigger: a shard is hedged when its completion estimate
-    /// exceeds `hedge_factor` times the median estimate across live
-    /// shards. `0.0` hedges every live shard the budget allows.
     pub hedge_factor: f64,
-    /// Retry budget: at most this many hedges are launched per query run.
-    /// The budget is fleet-wide, so a gray fleet cannot amplify itself into
-    /// a retry storm — once it is spent, further laggards are simply
-    /// gathered.
     pub hedge_budget: u32,
 }
 
+#[doc(hidden)]
 impl Default for FleetOptions {
     fn default() -> Self {
+        let hedge = HedgePolicy::default();
         Self {
             interface: InterfaceMode::Linked,
             hedge: false,
-            hedge_factor: 1.5,
-            hedge_budget: 2,
+            hedge_factor: hedge.factor,
+            hedge_budget: hedge.budget,
         }
     }
 }
 
-/// Everything one fleet query run produced.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// The merged query result; `elapsed` is the coordinator's completion
-    /// time (slowest shard + gather).
-    pub result: QueryResult,
-    /// Per-shard routes, finish times, and recovery actions.
-    pub shards: Vec<ShardOutcome>,
-    /// Faults absorbed across every device and every host-side read path.
-    pub faults: FaultCounters,
-    /// Per-device breaker transitions, re-based onto this run's timeline.
-    pub breaker_transitions: Vec<(usize, BreakerTransition)>,
-    /// The run's trace, if a sink was attached.
-    pub trace: RunTrace,
-}
-
-/// Summary of a closed-loop query stream on the fleet (queries run
-/// back-to-back; breaker state persists across queries on the fleet's
-/// monotone breaker clock; host-side caches are cleared before each query —
-/// the cold-run protocol every reproduced figure uses).
-#[derive(Debug, Clone)]
-pub struct FleetStreamReport {
-    /// One terminal [`ArrivalOutcome`] per stream query, in submission
-    /// order — the same exhaustive outcome type
-    /// [`WorkloadReport`](crate::WorkloadReport) uses, recorded through the
-    /// same accounting, so fleet streams and single-device workloads share
-    /// one vocabulary. In a closed-loop stream each query "arrives" when
-    /// its predecessor finishes; a query that dies on an unrecoverable
-    /// error is recorded as [`ArrivalOutcome::Failed`] and ends the stream
-    /// (the partial report is still returned).
-    pub outcomes: Vec<ArrivalOutcome>,
-    /// Queries that failed on an unrecoverable error (0 or 1: a failure
-    /// ends the stream).
-    pub failed: u64,
-    /// Queries completed.
-    pub queries: usize,
-    /// Sum of per-query completion times (closed-loop makespan).
-    pub makespan: SimTime,
-    /// Completed queries per simulated second.
-    pub throughput_qps: f64,
-    /// Per-query latency summary.
-    pub latency: LatencyStats,
-    /// Faults absorbed across the whole stream.
-    pub faults: FaultCounters,
-    /// Shard runs that ended on the host route (breaker quarantine or
-    /// per-shard fallback).
-    pub host_shard_runs: u64,
-    /// Shards that degraded mid-run after a recoverable session fault.
-    pub fallbacks: u64,
-}
-
-/// A host coordinating N Smart SSDs as one parallel query engine: a view
-/// over a [`System`] built with N devices.
-pub struct SmartSsdFleet {
-    pub(crate) sys: System,
-    pub(crate) opts: FleetOptions,
-}
-
-impl SmartSsdFleet {
-    /// Builds a fleet of `n` identical devices with default coordinator
-    /// options.
+#[doc(hidden)]
+impl SystemBuilder {
+    /// `devices(n)` plus the hedge policy `opts` describes.
     ///
     /// # Panics
     ///
-    /// Like [`SystemBuilder::build_fleet`], on an invalid configuration or
-    /// `n == 0`.
-    pub fn new(n: usize, cfg: SystemConfig) -> Self {
-        Self::with_options(n, cfg, FleetOptions::default())
-    }
-
-    /// Builds a fleet of `n` identical devices.
-    ///
-    /// # Panics
-    ///
-    /// Like [`SystemBuilder::build_fleet`], on an invalid configuration or
-    /// `n == 0`.
-    pub fn with_options(n: usize, cfg: SystemConfig, opts: FleetOptions) -> Self {
-        SystemBuilder::from_config(cfg).build_fleet(n, opts)
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.sys.backend.shards().len()
-    }
-
-    /// Whether the fleet is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The coordinator options.
-    pub fn options(&self) -> &FleetOptions {
-        &self.opts
-    }
-
-    /// One device, by index (diagnostics: open-session counts, fault
-    /// counters).
-    pub fn device(&self, d: usize) -> &SmartSsd {
-        &self.sys.backend.shards()[d].dev
-    }
-
-    /// One device, mutably — the fault-injection hook experiments use to
-    /// degrade a single fleet member (e.g. arm its crash rate).
-    pub fn device_mut(&mut self, d: usize) -> &mut SmartSsd {
-        &mut self.sys.backend.shards_mut()[d].dev
-    }
-
-    /// Arms a scripted gray-failure plan across the fleet: each device
-    /// gets its own per-device view, split between its flash path
-    /// (slowdown windows, ECC bursts) and its smart runtime (crash
-    /// instants, CPU slowdowns). An empty plan disarms. Scenarios replay
-    /// bit-exactly — the plan carries no randomness at all.
-    pub fn arm_fault_plan(&mut self, plan: &FaultPlan) {
-        for (d, shard) in self.sys.backend.shards_mut().iter_mut().enumerate() {
-            let view = plan.for_device(d);
-            shard.dev.flash.arm_fault_plan(view.clone());
-            shard.dev.config_mut().fault_plan = view;
-        }
-    }
-
-    /// Device `d`'s breaker state.
-    pub fn breaker_state(&self, d: usize) -> BreakerState {
-        self.sys.backend.shards()[d].breaker.state()
-    }
-
-    /// Loads a table partitioned round-robin across the devices; each
-    /// device registers its own partition under the shared name. A row that
-    /// does not match `schema` is a [`RunErrorKind::Row`] naming its index
-    /// in `rows`, and no device is written: every partition is built before
-    /// the first is loaded.
-    pub fn load_partitioned<I>(
-        &mut self,
-        name: &str,
-        schema: &Arc<Schema>,
-        rows: I,
-    ) -> Result<(), RunError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let n = self.len();
-        // Buffer each partition's rows, then build its pages in one pass,
-        // so a device's pages sit together in memory.
-        let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        for (i, row) in rows.into_iter().enumerate() {
-            partitions[i % n].push(row);
-        }
-        let mut images = Vec::with_capacity(n);
-        for (d, part) in partitions.into_iter().enumerate() {
-            let mut b = TableBuilder::new(name, Arc::clone(schema), self.sys.cfg.layout);
-            b.try_extend(part).map_err(|mut e| {
-                e.row = e.row * n as u64 + d as u64;
-                RunError::from_kind(RunErrorKind::Row(e))
-            })?;
-            images.push(b.finish());
-        }
-        let first_lba = self.sys.next_lba;
-        for (d, img) in images.iter().enumerate() {
-            self.sys.load_image(d, name, img, first_lba)?;
-        }
-        Ok(())
-    }
-
-    /// Ends the load phase: discards load-time timing on every device, the
-    /// link, and the host CPU.
-    pub fn finish_load(&mut self) {
-        self.sys.finish_load();
-    }
-
-    /// Empties every shard's host-side buffer pool (cold-run protocol).
-    pub fn clear_host_cache(&mut self) {
-        self.sys.clear_cache();
-    }
-
-    /// One query as one arrival at time zero on the system's scheduler,
-    /// forced onto the device route of every shard.
-    fn run_one(
-        &mut self,
-        query: &Query,
-    ) -> Result<(QueryCompletion, Transitions, RunTrace), RunError> {
-        let rules = AttemptRules {
-            open_linked: self.opts.interface == InterfaceMode::Linked,
-            // The paper's minimal coordinator opens in place, but results
-            // still return over the one link the devices share.
-            get_linked: true,
-            hedge: (self.opts.hedge).then_some((self.opts.hedge_factor, self.opts.hedge_budget)),
-        };
-        let run = RunOptions::routed(Route::Device);
-        let done = self.sys.run_single(query, run, rules);
-        done.map_err(|e| self.sys.with_faults(e))
-    }
-
-    /// Runs an aggregation query across every shard and merges the partials
-    /// on the host. Per-run timing starts at zero (timing state is reset;
-    /// breaker state persists on the system's monotone clock).
-    pub fn run_agg(&mut self, query: &Query) -> Result<FleetReport, RunError> {
-        let (done, breaker_transitions, trace) = self.run_one(query)?;
-        let shards = self.sys.backend.shards().iter();
-        Ok(FleetReport {
-            result: done.result,
-            shards: shards.map(|s| s.last.clone()).collect(),
-            faults: self.sys.current_faults(),
-            breaker_transitions,
-            trace,
-        })
-    }
-
-    /// Runs `queries` back-to-back as a closed-loop stream: each query's
-    /// timing starts at zero, breaker state carries across queries on the
-    /// system's monotone clock, and host-side caches are cleared before
-    /// each query (the cold-run protocol). Returns throughput and latency
-    /// over the whole stream, plus one [`ArrivalOutcome`] per query on the
-    /// stream's cumulative timeline (query `i` "arrives" when query `i-1`
-    /// finishes). A query that dies on an unrecoverable error becomes an
-    /// [`ArrivalOutcome::Failed`] outcome and ends the stream early; the
-    /// report still covers everything that ran, so `Ok` is returned and
-    /// the failure is visible in `outcomes`/`failed` rather than erasing
-    /// the completed work.
-    pub fn run_stream(&mut self, queries: &[Query]) -> Result<FleetStreamReport, RunError> {
-        let mut acct = Acct::new(queries.len(), 0, Tracer::none());
-        let mut faults = FaultCounters::default();
-        let (mut host_shard_runs, mut fallbacks) = (0, 0);
-        for (i, q) in queries.iter().enumerate() {
-            self.clear_host_cache();
-            let arrival = acct.makespan;
-            let mut done = match self.run_one(q) {
-                Ok((done, ..)) => done,
-                Err(e) => {
-                    faults.absorb(e.fault_counters());
-                    acct.fail(i, 0, (&q.name, arrival), arrival, e);
-                    break;
-                }
-            };
-            faults.absorb(&self.sys.current_faults());
-            let shards = self.sys.backend.shards().iter().map(|s| &s.last);
-            host_shard_runs += shards.clone().filter(|s| s.route == Route::Host).count() as u64;
-            fallbacks += shards.filter(|s| s.fell_back).count() as u64;
-            (done.index, done.arrival) = (i, arrival);
-            done.finished_at = arrival + done.latency;
-            acct.complete(0, done);
-        }
-        let secs = acct.makespan.as_secs_f64();
-        let throughput_qps = if secs > 0.0 {
-            acct.total.completed as f64 / secs
-        } else {
-            0.0
-        };
-        Ok(FleetStreamReport {
-            queries: acct.total.completed as usize,
-            // A failure ends the stream early, leaving the tail unrecorded.
-            outcomes: acct.outcomes.into_iter().flatten().collect(),
-            failed: acct.total.failed,
-            makespan: acct.makespan,
-            throughput_qps,
-            latency: LatencyStats::from_sample(&acct.total.latencies),
-            faults,
-            host_shard_runs,
-            fallbacks,
-        })
+    /// On an invalid configuration, and on any interface but the linked
+    /// protocol, the only one an array runs.
+    pub fn build_fleet(self, n: usize, opts: FleetOptions) -> System {
+        assert_eq!(opts.interface, InterfaceMode::Linked, "arrays run linked");
+        let (factor, budget) = (opts.hedge_factor, opts.hedge_budget);
+        let hedge = opts.hedge.then_some(HedgePolicy { factor, budget });
+        self.devices(n).tweak(|c| c.hedge = hedge).build()
     }
 }
 
+#[doc(hidden)]
+impl System {
+    /// [`System::run`] with the device route forced.
+    pub fn run_agg(&mut self, query: &Query) -> Result<RunReport, RunError> {
+        self.run(query, RunOptions::routed(Route::Device))
+    }
+}
+
+/// The array behaviors the shim's callers rely on, through the `System`
+/// API: hedging, scripted gray failures, and serving over four devices.
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::DeviceKind;
+    use crate::builder::{RunOptions, SystemBuilder};
+    use crate::config::{DeviceKind, HedgePolicy, SystemConfig};
+    use crate::serving::{TenantLoad, TenantSpec};
+    use crate::system::{RunReport, System};
+    use crate::workload::{WorkloadOptions, WorkloadReport};
     use smartssd_exec::spec::ScanAggSpec;
-    use smartssd_query::{Finalize, OpTemplate};
-    use smartssd_sim::FaultPlan;
+    use smartssd_query::{Finalize, OpTemplate, Query, QueryResult, Route};
+    use smartssd_sim::{FaultPlan, SimTime};
     use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
-    use smartssd_storage::{DataType, Datum, Layout};
+    use smartssd_storage::{DataType, Datum, Layout, Schema, Tuple};
+    use std::sync::Arc;
 
     const N_ROWS: i32 = 120_000;
 
@@ -393,28 +99,39 @@ mod tests {
         }
     }
 
-    fn fleet(n: usize, opts: FleetOptions) -> SmartSsdFleet {
-        fleet_with(
-            n,
-            opts,
-            SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax),
-        )
+    fn smart() -> SystemBuilder {
+        SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
     }
 
-    fn fleet_with(n: usize, opts: FleetOptions, cfg: SystemConfig) -> SmartSsdFleet {
-        let mut fleet = SmartSsdFleet::with_options(n, cfg, opts);
-        fleet.load_partitioned("t", &schema(), rows()).unwrap();
-        fleet.finish_load();
-        fleet
+    /// An `n`-device array built by `b`, the table partitioned across it.
+    fn array_with(b: SystemBuilder, n: usize) -> System {
+        let mut sys = b.devices(n).build();
+        sys.load_partitioned("t", &schema(), rows()).unwrap();
+        sys.finish_load();
+        sys
     }
 
-    fn assert_answers(r: &FleetReport) {
-        assert_eq!(r.result.agg_values[0], N_ROWS as i128);
-        assert_eq!(r.result.agg_values[1], (0..N_ROWS as i128).sum::<i128>());
+    fn array(n: usize) -> System {
+        array_with(smart(), n)
+    }
+
+    fn hedged(policy: HedgePolicy, cfg: SystemConfig) -> SystemBuilder {
+        SystemBuilder::from_config(cfg).hedge(policy)
+    }
+
+    /// One query with the device route forced on every shard.
+    fn run(sys: &mut System) -> RunReport {
+        let forced = RunOptions::routed(Route::Device);
+        sys.run(&count_query(), forced).unwrap()
+    }
+
+    fn assert_answers(r: &QueryResult) {
+        assert_eq!(r.agg_values[0], N_ROWS as i128);
+        assert_eq!(r.agg_values[1], (0..N_ROWS as i128).sum::<i128>());
     }
 
     /// The whole-run window every scenario below uses: comfortably longer
-    /// than any fleet run over this table.
+    /// than any array run over this table.
     fn all_run() -> (SimTime, SimTime) {
         (SimTime::ZERO, SimTime::from_secs(3600))
     }
@@ -440,19 +157,16 @@ mod tests {
         // shard's flash timelines, so the healthy-but-slow session still
         // delivers first — the race is visible in the counters, and the
         // answer is untouched either way.
-        let opts = FleetOptions {
-            hedge: true,
-            ..FleetOptions::default()
-        };
-        let mut hedged = fleet_with(4, opts, weak_cpu_cfg());
-        hedged.arm_fault_plan(&plan);
-        let hedged_r = hedged.run_agg(&count_query()).unwrap();
-        assert_answers(&hedged_r);
-        assert_eq!(hedged_r.faults.hedges, 1, "only the gray shard is raced");
-        assert_eq!(hedged_r.faults.hedge_denied, 0);
-        assert!(hedged_r.shards[2].hedged);
+        let b = hedged(HedgePolicy::default(), weak_cpu_cfg());
+        let mut sys = array_with(b, 4);
+        sys.arm_fault_plan(&plan);
+        let r = run(&mut sys);
+        assert_answers(&r.result);
+        assert_eq!(r.faults.hedges, 1, "only the gray shard is raced");
+        assert_eq!(r.faults.hedge_denied, 0);
+        assert!(r.shards[2].hedged);
         assert!(
-            hedged_r.shards.iter().filter(|s| s.hedged).count() == 1,
+            r.shards.iter().filter(|s| s.hedged).count() == 1,
             "healthy shards are never hedged"
         );
     }
@@ -467,14 +181,10 @@ mod tests {
         let plan = FaultPlan::new()
             .slowdown(2, 8, from, until)
             .crash_at(2, SimTime::from_millis(1));
-        let opts = FleetOptions {
-            hedge: true,
-            ..FleetOptions::default()
-        };
-        let mut f = fleet_with(4, opts, weak_cpu_cfg());
-        f.arm_fault_plan(&plan);
-        let r = f.run_agg(&count_query()).unwrap();
-        assert_answers(&r);
+        let mut sys = array_with(hedged(HedgePolicy::default(), weak_cpu_cfg()), 4);
+        sys.arm_fault_plan(&plan);
+        let r = run(&mut sys);
+        assert_answers(&r.result);
         assert_eq!(r.faults.hedges, 1);
         assert_eq!(r.faults.hedge_wins, 1);
         assert!(r.shards[2].hedged && r.shards[2].hedge_won);
@@ -485,18 +195,16 @@ mod tests {
 
     #[test]
     fn hedge_budget_bounds_the_race_count() {
-        // hedge_factor 0 marks every live shard; a budget of 1 allows
-        // exactly one race and counts every denial.
-        let opts = FleetOptions {
-            hedge: true,
-            hedge_factor: 0.0,
-            hedge_budget: 1,
-            ..FleetOptions::default()
+        // Factor 0 marks every live shard; a budget of 1 allows exactly one
+        // race and counts every denial.
+        let policy = HedgePolicy {
+            factor: 0.0,
+            budget: 1,
         };
-        let mut f = fleet(4, opts);
-        let r = f.run_agg(&count_query()).unwrap();
-        assert_answers(&r);
-        assert_eq!(r.faults.hedges, 1, "budget caps hedges fleet-wide");
+        let cfg = SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax);
+        let r = run(&mut array_with(hedged(policy, cfg), 4));
+        assert_answers(&r.result);
+        assert_eq!(r.faults.hedges, 1, "the budget caps hedges per attempt");
         assert_eq!(r.faults.hedge_denied, 3);
         assert_eq!(r.shards.iter().filter(|s| s.hedged).count(), 1);
     }
@@ -504,22 +212,21 @@ mod tests {
     #[test]
     fn scripted_slowdown_slows_the_fleet_and_replays_bit_exact() {
         let (from, until) = all_run();
-        let mut clean = fleet(4, FleetOptions::default());
-        let clean_r = clean.run_agg(&count_query()).unwrap();
-        assert_answers(&clean_r);
+        let clean = run(&mut array(4));
+        assert_answers(&clean.result);
 
-        let mut gray = fleet(4, FleetOptions::default());
+        let mut gray = array(4);
         gray.arm_fault_plan(&FaultPlan::new().slowdown(1, 8, from, until));
-        let first = gray.run_agg(&count_query()).unwrap();
-        assert_answers(&first);
+        let first = run(&mut gray);
+        assert_answers(&first.result);
         assert!(
-            first.result.elapsed > clean_r.result.elapsed,
+            first.result.elapsed > clean.result.elapsed,
             "an 8x gray device must slow the gather"
         );
         // Only device 1 is afflicted; the others finish on clean timing.
-        assert!(first.shards[1].finished_at > clean_r.shards[1].finished_at);
-        // Same plan, same fleet, second run: bit-exact replay.
-        let second = gray.run_agg(&count_query()).unwrap();
+        assert!(first.shards[1].finished_at > clean.shards[1].finished_at);
+        // Same plan, same array, second run: bit-exact replay.
+        let second = run(&mut gray);
         assert_eq!(first.result.elapsed, second.result.elapsed);
         for (a, b) in first.shards.iter().zip(second.shards.iter()) {
             assert_eq!(a.finished_at, b.finished_at);
@@ -528,29 +235,46 @@ mod tests {
 
     #[test]
     fn empty_plan_changes_nothing() {
-        let mut plain = fleet(4, FleetOptions::default());
-        let plain_r = plain.run_agg(&count_query()).unwrap();
-        let mut armed = fleet(4, FleetOptions::default());
+        let plain = run(&mut array(4));
+        let mut armed = array(4);
         armed.arm_fault_plan(&FaultPlan::new());
-        let armed_r = armed.run_agg(&count_query()).unwrap();
-        assert_eq!(plain_r.result.elapsed, armed_r.result.elapsed);
-        assert_eq!(plain_r.result.agg_values, armed_r.result.agg_values);
+        let armed = run(&mut armed);
+        assert_eq!(plain.result.elapsed, armed.result.elapsed);
+        assert_eq!(plain.result.agg_values, armed.result.agg_values);
     }
 
-    /// Multi-tenant serving over a fleet rides the same scheduler as a
-    /// single device: a two-tenant stream (weights 4/1, lanes 0/1, the
-    /// batch tenant abandoning late arrivals) over four devices waits in
-    /// fair queueing for every device's slot at once, is canceled in the
-    /// queue or mid-flight, leaks no session, answers every completion
-    /// exactly as a lone query would, and replays bit-exact.
+    /// A plan given to the builder arms each device with its own view,
+    /// exactly as `arm_fault_plan` does on the built system: the two agree
+    /// to the nanosecond, and only the named device's CPU works longer than
+    /// on a clean array.
     #[test]
-    fn two_tenant_serving_stream_over_a_four_device_system() {
-        use crate::serving::{TenantLoad, TenantSpec};
-        use crate::workload::WorkloadOptions;
+    fn builder_fault_plan_arms_each_device_its_own_view() {
+        let (from, until) = all_run();
+        let plan = FaultPlan::new().slowdown(2, 8, from, until);
+        let mut clean = array(4);
+        let mut built = array_with(smart().fault_plan(&plan), 4);
+        let mut armed = array(4);
+        armed.arm_fault_plan(&plan);
+        let (c, b, a) = (run(&mut clean), run(&mut built), run(&mut armed));
+        assert_answers(&b.result);
+        assert_eq!(b.result.elapsed, a.result.elapsed);
+        assert_eq!(format!("{:?}", b.shards), format!("{:?}", a.shards));
+        assert!(b.result.elapsed > c.result.elapsed);
+        let busy = |sys: &System, d| sys.device(d).cpu().busy_total_ns();
+        for d in 0..4 {
+            assert_eq!(busy(&built, d), busy(&armed, d), "device {d}");
+            let slowed = busy(&built, d) > busy(&clean, d);
+            assert_eq!(slowed, d == 2, "device {d}");
+        }
+    }
+
+    /// A two-tenant stream (weights 4/1, lanes 0/1, the batch tenant
+    /// abandoning late arrivals), each tenant alone offering four devices
+    /// twice what they can serve. Checks that no session leaks, that
+    /// every completion answers exactly as a lone query would, and that a
+    /// cold replay is `Debug`-identical; returns the report.
+    fn serve_two_tenants(sys: &mut System, unit: SimTime) -> WorkloadReport {
         const PER_TENANT: usize = 40;
-        let mut f = fleet(4, FleetOptions::default());
-        let unit = f.run_agg(&count_query()).unwrap().result.elapsed;
-        // Each tenant alone offers the fleet twice what it can serve.
         let gap = SimTime::from_nanos(unit.as_nanos() / 8);
         let load = |name: &str, weight, lane| {
             let spec = TenantSpec::new(name).weight(weight).lane(lane);
@@ -561,11 +285,11 @@ mod tests {
             load("batch", 1, 1).cancel_after(SimTime::from_nanos(unit.as_nanos() * 3)),
         ];
         let mut serve = || {
-            let rep = f
-                .sys
-                .run_serving(&loads, 42, WorkloadOptions::new())
-                .unwrap();
-            assert_eq!(f.sys.open_device_sessions(), 0, "no leaked session");
+            // A hedge's host copy fills its shard's buffer pool; a replay
+            // starts from the same cold pool.
+            sys.clear_cache();
+            let rep = sys.run_serving(&loads, 42, WorkloadOptions::new()).unwrap();
+            assert_eq!(sys.open_device_sessions(), 0, "no leaked session");
             rep
         };
         let first = serve();
@@ -579,10 +303,38 @@ mod tests {
         assert!(first.canceled > 0, "the overloaded batch lane abandons");
         for done in &first.completions {
             assert_eq!(done.route, Route::Device);
-            assert_eq!(done.result.agg_values[0], N_ROWS as i128);
-            assert_eq!(done.result.agg_values[1], (0..N_ROWS as i128).sum::<i128>());
+            assert_answers(&done.result);
         }
         assert_eq!(format!("{first:?}"), format!("{:?}", serve()));
+        first
+    }
+
+    /// Multi-tenant serving over an array rides the same scheduler as a
+    /// single device: it waits in fair queueing for every device's slot at
+    /// once and is canceled in the queue or mid-flight.
+    #[test]
+    fn two_tenant_serving_stream_over_a_four_device_system() {
+        let mut sys = array(4);
+        let unit = run(&mut sys).result.elapsed;
+        let rep = serve_two_tenants(&mut sys, unit);
+        assert_eq!(rep.faults.hedges, 0);
+    }
+
+    /// The same stream with one device 8x slow and every live shard
+    /// hedged: serving hedges through the same device attempt a single run
+    /// does, and answers, session hygiene and replay hold.
+    #[test]
+    fn hedged_two_tenant_serving_stream_over_a_gray_four_device_system() {
+        let unit = run(&mut array(4)).result.elapsed;
+        let (from, until) = all_run();
+        let plan = FaultPlan::new().slowdown(1, 8, from, until);
+        let policy = HedgePolicy {
+            factor: 0.0,
+            ..HedgePolicy::default()
+        };
+        let mut sys = array_with(smart().hedge(policy).fault_plan(&plan), 4);
+        let rep = serve_two_tenants(&mut sys, unit);
+        assert!(rep.faults.hedges > 0, "{:?}", rep.faults);
     }
 
     proptest::proptest! {
@@ -590,9 +342,9 @@ mod tests {
 
         /// Hedging's retry budget is a hard cap, never a target: under any
         /// mix of per-shard slowdowns, hedge aggressiveness, and budget
-        /// size, the fleet launches at most `hedge_budget` host copies
-        /// (the rest are counted as denied), the answer stays bit-exact,
-        /// and a replay reproduces the run to the nanosecond.
+        /// size, an attempt launches at most `budget` host copies (the
+        /// rest are counted as denied), the answer stays bit-exact, and a
+        /// replay reproduces the run to the nanosecond.
         #[test]
         fn hedges_never_exceed_the_retry_budget(
             factors in proptest::collection::vec(1u32..12, 4),
@@ -607,25 +359,23 @@ mod tests {
                     plan = plan.slowdown(d, f, from, until);
                 }
             }
-            let opts = FleetOptions {
-                hedge: true,
-                hedge_factor: hedge_factor as f64 * 0.5,
-                hedge_budget: budget,
-                ..FleetOptions::default()
+            let policy = HedgePolicy {
+                factor: hedge_factor as f64 * 0.5,
+                budget,
             };
             let cfg = if weak_cpu {
                 weak_cpu_cfg()
             } else {
                 SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax)
             };
-            let run = || {
-                let mut f = fleet_with(factors.len(), opts.clone(), cfg.clone());
-                f.arm_fault_plan(&plan);
-                f.run_agg(&count_query()).unwrap()
+            let once = || {
+                let mut sys = array_with(hedged(policy, cfg.clone()), factors.len());
+                sys.arm_fault_plan(&plan);
+                run(&mut sys)
             };
-            let r = run();
+            let r = once();
 
-            assert_answers(&r);
+            assert_answers(&r.result);
             let hedged = r.shards.iter().filter(|s| s.hedged).count() as u64;
             proptest::prop_assert_eq!(r.faults.hedges, hedged);
             proptest::prop_assert!(
@@ -641,9 +391,9 @@ mod tests {
                 proptest::prop_assert_eq!(r.faults.hedges, budget as u64);
             }
 
-            // Bit-exact replay on an identically built fleet, hedging
+            // Bit-exact replay on an identically built array, hedging
             // decisions included.
-            let again = run();
+            let again = once();
             proptest::prop_assert_eq!(again.result.elapsed, r.result.elapsed);
             proptest::prop_assert_eq!(again.faults, r.faults);
             for (a, b) in r.shards.iter().zip(again.shards.iter()) {

@@ -37,18 +37,40 @@
 //! println!("Q6 on the Smart SSD: {}", report.result.elapsed);
 //! ```
 //!
-//! There is one host and one execution path. A [`System`] holds 1..N Smart
-//! SSDs behind one host link (the paper's Section 4.3 array; a single
-//! device is the array with one member, and the SAS SSD baseline is that
-//! member with its device route refused), and [`System::run`] is a
-//! one-arrival workload over the event-loop scheduler behind
-//! [`System::run_workload`] and [`System::run_serving`] (see [`workload`]),
-//! whose device attempt scatters a query over every device of the system
-//! and gathers the partials. The multi-device [`SmartSsdFleet`] (see
-//! [`fleet`]) is a view over an N-device `System`; a fleet query is one
-//! more one-arrival workload. Every attempt is settled by the same rule: a
-//! recoverable fault re-runs that device's share on the host from the fault
-//! instant, so recovery is paid in simulated time and energy, never hidden.
+//! There is one host type and one execution path. A [`System`] holds 1..N
+//! Smart SSDs behind one host link ([`SystemBuilder::devices`]; the paper's
+//! Section 4.3 array, where "the host machine ... \[is\] the coordinator
+//! that stages computation across an array of Smart SSDs". A single device
+//! is the array with one member, and the SAS SSD baseline is that member
+//! with its device route refused). [`System::run`] is a one-arrival
+//! workload over the event-loop scheduler behind [`System::run_workload`]
+//! and [`System::run_serving`] (see [`workload`]), whose device attempt
+//! scatters a query over every device of the system and gathers the
+//! partials; [`RunReport::shards`] says how each device's share went. Every
+//! attempt is settled by the same rule: a recoverable fault re-runs that
+//! device's share on the host from the fault instant, so recovery is paid
+//! in simulated time and energy, never hidden. Two defenses guard the
+//! device route, both set on the builder: a per-device
+//! [`CircuitBreaker`] and hedged shard reads ([`HedgePolicy`]).
+//!
+//! ```
+//! use smartssd::{DeviceKind, HedgePolicy, Route, RunOptions, SystemBuilder};
+//! use smartssd_storage::Layout;
+//! use smartssd_workload::{q6, queries, tpch};
+//!
+//! let mut array = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+//!     .devices(4)
+//!     .hedge(HedgePolicy::default())
+//!     .build();
+//! array.load_partitioned(
+//!     queries::LINEITEM,
+//!     &tpch::lineitem_schema(),
+//!     tpch::lineitem_rows(0.001, 42),
+//! ).unwrap();
+//! array.finish_load();
+//! let report = array.run(&q6(), RunOptions::routed(Route::Device)).unwrap();
+//! assert_eq!(report.shards.len(), 4);
+//! ```
 //!
 //! To watch where the simulated time goes, attach a sink:
 //!
@@ -78,6 +100,7 @@ mod shard;
 pub mod breaker;
 pub mod builder;
 pub mod config;
+#[doc(hidden)]
 pub mod fleet;
 pub mod serving;
 pub mod system;
@@ -85,14 +108,16 @@ pub mod workload;
 
 pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
 pub use builder::{ConfigError, PlannedRoute, RoutePolicy, RunOptions, SystemBuilder};
-pub use config::{DeviceKind, PowerParams, SystemConfig};
-pub use fleet::{FleetOptions, FleetReport, FleetStreamReport, ShardOutcome, SmartSsdFleet};
+pub use config::{DeviceKind, HedgePolicy, PowerParams, SystemConfig};
+#[doc(hidden)]
+pub use fleet::*;
 pub use serving::{compose, ArrivalStream, TenantLoad, TenantReport, TenantSpec};
+pub use shard::ShardOutcome;
 pub use smartssd_sim::ArrivalModel;
 pub use system::{RunError, RunErrorKind, RunReport, System};
 pub use workload::{
     ArrivalOutcome, BrownoutPolicy, FailedQuery, InterfaceMode, QueryCompletion, ShedQuery,
-    Workload, WorkloadItem, WorkloadOptions, WorkloadReport,
+    StreamReport, Workload, WorkloadItem, WorkloadOptions, WorkloadReport,
 };
 
 pub use smartssd_sim::LatencyStats;

@@ -199,15 +199,15 @@ impl Shard {
 
     /// Drains the breaker transitions recorded since `base` (the breaker
     /// clock at the start of the current run) into `out`, re-based onto the
-    /// run's own timeline and tagged with this device's index, and emits
-    /// each one as a trace instant on the device's lane of the RUN track.
+    /// run's own timeline, and emits each one as a trace instant on this
+    /// device's lane of the RUN track.
     pub(crate) fn drain_breaker_transitions(
         &mut self,
         base: SimTime,
         tracer: &Tracer,
-        out: &mut Vec<(usize, BreakerTransition)>,
+        out: &mut Vec<BreakerTransition>,
     ) {
-        let d = self.last.device;
+        let (level, lane) = (TraceLevel::Protocol, self.last.device as u32);
         for t in self.breaker.take_transitions() {
             let at = t.at.saturating_sub(base);
             let name = match t.to {
@@ -215,16 +215,8 @@ impl Shard {
                 BreakerState::Open => "breaker-open",
                 BreakerState::HalfOpen => "breaker-half-open",
             };
-            tracer.instant(
-                TraceLevel::Protocol,
-                pid::RUN,
-                d as u32,
-                name,
-                "run",
-                at,
-                &[],
-            );
-            out.push((d, BreakerTransition { at, to: t.to }));
+            tracer.instant(level, pid::RUN, lane, name, "run", at, &[]);
+            out.push(BreakerTransition { at, to: t.to });
         }
     }
 }

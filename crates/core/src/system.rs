@@ -7,9 +7,8 @@
 use crate::breaker::{BreakerState, BreakerTransition};
 use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
-use crate::shard::{host_pass, Shard};
-use crate::workload::{AttemptRules, InterfaceMode};
-use smartssd_device::DeviceError;
+use crate::shard::{host_pass, Shard, ShardOutcome};
+use smartssd_device::{DeviceError, SmartSsd};
 use smartssd_exec::QueryOp;
 use smartssd_flash::FlashSsd;
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
@@ -20,8 +19,8 @@ use smartssd_query::{
 use smartssd_sim::energy::{ComponentDraw, Subsystem};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
-    mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, Interval, PowerModel, RunTrace,
-    SimTime, TraceLevel, Tracer, UtilizationReport,
+    mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, FaultPlan, Interval, PowerModel,
+    RunTrace, SimTime, TraceLevel, Tracer, UtilizationReport,
 };
 use smartssd_storage::{Layout, RowError, Schema, TableBuilder, TableImage, Tuple};
 use std::fmt;
@@ -46,8 +45,13 @@ pub struct RunReport {
     /// Per-component utilization (why this configuration is fast or slow).
     pub util: UtilizationReport,
     /// Faults absorbed along the way: ECC events, re-reads, `GET` retries,
-    /// fallbacks, and wasted simulated time. All zero on a clean run.
+    /// fallbacks, hedges, and wasted simulated time. All zero on a clean
+    /// run.
     pub faults: FaultCounters,
+    /// How each flash device's share went — route, finish time, fallback,
+    /// hedge — in device order (one entry on the paper's test bed, none on
+    /// a disk).
+    pub shards: Vec<ShardOutcome>,
     /// The run's trace, as produced by the sink attached at build time:
     /// [`RunTrace::None`] without a sink, counters from a
     /// [`smartssd_sim::CounterSink`], or Chrome `trace_event` JSON from a
@@ -203,9 +207,6 @@ impl From<IoError> for RunError {
     }
 }
 
-/// Breaker transitions of a run, each tagged with its device's index.
-pub(crate) type Transitions = Vec<(usize, BreakerTransition)>;
-
 #[allow(clippy::large_enum_variant)] // one backend exists per System; no dense collections of these
 pub(crate) enum Backend {
     Hdd(HddHostPath),
@@ -267,10 +268,10 @@ pub struct System {
 }
 
 impl System {
-    /// Assembles the system — with `n` flash devices unless it is a disk —
-    /// and threads the tracer through the link, the host CPU and the disk or
+    /// Assembles the system — a disk, or `cfg.devices` flash devices — and
+    /// threads the tracer through the link, the host CPU and the disk or
     /// every flash device.
-    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer, n: usize) -> Self {
+    pub(crate) fn assemble(cfg: SystemConfig, tracer: Tracer) -> Self {
         let mbps = mb_per_sec(cfg.interface.effective_mbps());
         let mut link = Bus::new("host-interface", mbps, 0);
         link.set_tracer(tracer.clone(), pid::INTERFACE, 0);
@@ -282,7 +283,8 @@ impl System {
                 cfg.bufferpool_pages,
             )),
             DeviceKind::Ssd | DeviceKind::SmartSsd => {
-                let mut shards: Vec<Shard> = (0..n).map(|d| Shard::new(&cfg, d)).collect();
+                let mut shards: Vec<Shard> =
+                    (0..cfg.devices).map(|d| Shard::new(&cfg, d)).collect();
                 for shard in &mut shards {
                     shard.dev.set_tracer(tracer.clone());
                 }
@@ -303,11 +305,44 @@ impl System {
         }
     }
 
-    /// The circuit breaker's current routing state (always `Closed` on
-    /// non-smart systems, which have no device route to gate).
-    pub fn breaker_state(&self) -> BreakerState {
-        let first = self.backend.shards().first();
-        first.map_or(BreakerState::Closed, |s| s.breaker.state())
+    /// Device `d`'s circuit-breaker state (always `Closed` on a disk, which
+    /// has no device route to gate).
+    pub fn breaker_state(&self, d: usize) -> BreakerState {
+        let shard = self.backend.shards().get(d);
+        shard.map_or(BreakerState::Closed, |s| s.breaker.state())
+    }
+
+    /// Flash device `d` (diagnostics: open sessions, flash statistics,
+    /// CPU busy time).
+    ///
+    /// # Panics
+    ///
+    /// On a disk system, or if `d` is not below [`SystemConfig::devices`].
+    pub fn device(&self, d: usize) -> &SmartSsd {
+        &self.backend.shards()[d].dev
+    }
+
+    /// Flash device `d`, mutably — the hook that degrades one member of an
+    /// array (e.g. arms its crash rate).
+    ///
+    /// # Panics
+    ///
+    /// As [`System::device`].
+    pub fn device_mut(&mut self, d: usize) -> &mut SmartSsd {
+        &mut self.backend.shards_mut()[d].dev
+    }
+
+    /// Arms a scripted gray-failure plan: device `d` gets the plan's view
+    /// of it, split between its flash path (slowdown windows, ECC bursts)
+    /// and its runtime (crash instants, CPU slowdowns). An empty plan
+    /// disarms. Scenarios replay bit-exactly: the plan carries no
+    /// randomness.
+    pub fn arm_fault_plan(&mut self, plan: &FaultPlan) {
+        for (d, shard) in self.backend.shards_mut().iter_mut().enumerate() {
+            let view = plan.for_device(d);
+            shard.dev.flash.arm_fault_plan(view.clone());
+            shard.dev.config_mut().fault_plan = view;
+        }
     }
 
     /// System configuration.
@@ -380,6 +415,44 @@ impl System {
             .map_err(|e| RunError::from_kind(RunErrorKind::Row(e)))?;
         let img = b.finish();
         self.load_table(name, &img)
+    }
+
+    /// Loads a table partitioned round-robin across the flash devices; each
+    /// registers its own partition under the shared name (on one device,
+    /// this is [`System::load_table_rows`]). A row that does not match
+    /// `schema` is a [`RunErrorKind::Row`] naming its index in `rows`, and
+    /// no device is written: every partition is built before the first is
+    /// loaded.
+    pub fn load_partitioned<I>(
+        &mut self,
+        name: &str,
+        schema: &Arc<Schema>,
+        rows: I,
+    ) -> Result<(), RunError>
+    where
+        I: IntoIterator<Item = Tuple>,
+    {
+        let n = self.catalogs.len();
+        // Buffer each partition's rows, then build its pages in one pass,
+        // so a device's pages sit together in memory.
+        let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+        for (i, row) in rows.into_iter().enumerate() {
+            partitions[i % n].push(row);
+        }
+        let mut images = Vec::with_capacity(n);
+        for (d, part) in partitions.into_iter().enumerate() {
+            let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
+            b.try_extend(part).map_err(|mut e| {
+                e.row = e.row * n as u64 + d as u64;
+                RunError::from_kind(RunErrorKind::Row(e))
+            })?;
+            images.push(b.finish());
+        }
+        let first_lba = self.next_lba;
+        for (d, img) in images.iter().enumerate() {
+            self.load_image(d, name, img, first_lba)?;
+        }
+        Ok(())
     }
 
     /// Ends the load phase: clears all timing state so the next run starts
@@ -584,8 +657,8 @@ impl System {
     /// [`RunReport::trace`]; on failure the returned [`RunError`] carries
     /// the fault counters accumulated so far.
     pub fn run(&mut self, query: &Query, opts: RunOptions) -> Result<RunReport, RunError> {
-        let (done, _, trace) = self
-            .run_single(query, opts, AttemptRules::of(InterfaceMode::Linked))
+        let (done, trace) = self
+            .run_single(query, opts)
             .map_err(|e| self.with_faults(e))?;
         Ok(self.finish_report(query, done.route, done.result, trace))
     }
@@ -640,14 +713,14 @@ impl System {
     /// Closes a run of length `end`: emits its single top-level span on the
     /// RUN track (so the trace's root covers exactly the run), advances the
     /// breakers' monotone clock past it, and pulls every device's breaker
-    /// transitions (re-based onto the run's timeline, tagged with the
-    /// device index) into the trace and the report.
+    /// transitions (re-based onto the run's timeline, in device order) into
+    /// the trace and the report.
     pub(crate) fn end_run(
         &mut self,
         name: &str,
         end: SimTime,
         args: &[(&str, f64)],
-    ) -> (Transitions, RunTrace) {
+    ) -> (Vec<BreakerTransition>, RunTrace) {
         let iv = Interval {
             start: SimTime::ZERO,
             end,
@@ -754,6 +827,7 @@ impl System {
             util.record("device-cpu", cpu.busy_total_ns(), cpu.cores());
         }
         let faults = self.current_faults();
+        let shards = self.backend.shards().iter().map(|s| s.last.clone());
         RunReport {
             query: Arc::clone(&query.name),
             device: self.cfg.device,
@@ -763,6 +837,7 @@ impl System {
             energy,
             util,
             faults,
+            shards: shards.collect(),
             trace,
         }
     }

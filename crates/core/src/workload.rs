@@ -555,12 +555,43 @@ pub struct WorkloadReport {
     pub trace: RunTrace,
 }
 
+/// Summary of a closed-loop query stream
+/// ([`System::run_stream`](crate::System::run_stream)): queries run
+/// back-to-back on the device route, breaker state persists across them on
+/// the system's monotone breaker clock, and host-side caches are cleared
+/// before each query — the cold-run protocol every reproduced figure uses.
+#[derive(Debug, Clone, Default)]
+pub struct StreamReport {
+    /// One terminal [`ArrivalOutcome`] per stream query, in submission
+    /// order, recorded through the same accounting as a
+    /// [`WorkloadReport`]. In a closed loop each query "arrives" when its
+    /// predecessor finishes; a query that dies on an unrecoverable error is
+    /// recorded as [`ArrivalOutcome::Failed`] and ends the stream (the
+    /// partial report is still returned).
+    pub outcomes: Vec<ArrivalOutcome>,
+    /// Queries that failed on an unrecoverable error (0 or 1: a failure
+    /// ends the stream).
+    pub failed: u64,
+    /// Queries completed.
+    pub queries: usize,
+    /// Sum of per-query completion times (closed-loop makespan).
+    pub makespan: SimTime,
+    /// Completed queries per simulated second.
+    pub throughput_qps: f64,
+    /// Per-query latency summary.
+    pub latency: LatencyStats,
+    /// Faults absorbed across the whole stream.
+    pub faults: FaultCounters,
+    /// Shard runs that ended on the host route (breaker quarantine or
+    /// per-shard fallback).
+    pub host_shard_runs: u64,
+    /// Shards that degraded mid-run after a recoverable session fault.
+    pub fallbacks: u64,
+}
+
 mod attempt;
 mod report;
 mod sched;
-
-pub(crate) use attempt::AttemptRules;
-pub(crate) use report::Acct;
 
 #[cfg(test)]
 mod tests {

@@ -1,20 +1,22 @@
 //! The device-route attempt: one query scattered over every Smart SSD of the
 //! system it runs on and its partials gathered back — the single
-//! implementation behind a one-device [`System::run`], every arrival of a
-//! workload, and a fleet query.
+//! implementation behind [`System::run`] on one device or an array, and
+//! every arrival of a workload.
 //!
 //! The order of charges on the shared resources *is* the model. At the
 //! dispatch instant `now`: each device's breaker gates its shard; the
 //! `OPEN`s of the admitted shards are serialized on the host link in device
-//! order (if they cross it); the devices execute; then the host gathers in
-//! device order behind a frontier that starts at `now` — a shard's result
-//! batches cross the link and cost host CPU from the frontier on (if they
-//! cross it), a marked laggard's host copy is posted at the same frontier
+//! order; the devices execute; then the host gathers in device order behind
+//! a frontier that starts at `now` — a shard's result batches cross the
+//! link and cost host CPU from the frontier on, a marked laggard's host copy
+//! ([`HedgePolicy`](crate::HedgePolicy)) is posted at the same frontier
 //! right after, a gated or faulted shard's host pass runs from `now` or from
 //! its fault — and every session holds its slot to its simulated finish.
+//! Under [`InterfaceMode::Direct`](super::InterfaceMode::Direct) nothing
+//! crosses the link: sessions open in place and a batch is consumed the
+//! moment it is ready.
 
 use super::sched::{Ev, Sched};
-use super::InterfaceMode;
 use crate::shard::{Phase, ShardOutcome, FRESH};
 use crate::system::{RunError, System};
 use smartssd_device::DeviceError;
@@ -23,38 +25,6 @@ use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionError, Sess
 use smartssd_sim::SimTime;
 use smartssd_storage::expr::AggState;
 use smartssd_storage::Tuple;
-
-/// What a run fixes about every device attempt it makes: which halves of
-/// the session protocol cross the host link, and whether laggard shards
-/// are hedged. Two booleans, because "direct" means two things: the
-/// concurrent-sessions experiments isolate device-internal contention
-/// (nothing crosses), the paper's minimal array coordinator opens in place
-/// but still gathers over the one link the devices share.
-#[derive(Clone, Copy)]
-pub(crate) struct AttemptRules {
-    /// The marshalled `OPEN` crosses the link; otherwise sessions open in
-    /// place at the dispatch instant.
-    pub(crate) open_linked: bool,
-    /// Result batches cross the link and cost the host a receive/merge;
-    /// otherwise a batch is consumed in place the moment it is ready.
-    pub(crate) get_linked: bool,
-    /// Hedged shard reads: the trigger factor over the median completion
-    /// estimate, and the hedges one attempt may launch.
-    pub(crate) hedge: Option<(f64, u32)>,
-}
-
-impl AttemptRules {
-    /// A workload's interface mode: everything crosses the link or nothing
-    /// does, and nothing is hedged.
-    pub(crate) fn of(interface: InterfaceMode) -> Self {
-        let linked = interface == InterfaceMode::Linked;
-        Self {
-            open_linked: linked,
-            get_linked: linked,
-            hedge: None,
-        }
-    }
-}
 
 /// One query's dispatch in flight: its fixed coordinates and the merge in
 /// progress while its partials are gathered in device order.
@@ -109,7 +79,7 @@ impl Attempt {
     }
 
     /// Folds a host block-path pass into the merge as `shard`'s partial.
-    fn take_host(&mut self, shard: &mut ShardOutcome, raw: RawRun) {
+    pub(super) fn take_host(&mut self, shard: &mut ShardOutcome, raw: RawRun) {
         shard.route = Route::Host;
         shard.finished_at = raw.end;
         self.take(raw.rows, Some(raw.aggs), &raw.work, raw.end);
@@ -138,7 +108,7 @@ pub(super) enum Stop {
 
 impl System {
     /// One device-route attempt at `a.now` over every Smart SSD of the
-    /// system — one of them, or a fleet: scatter, hedge marking, then a
+    /// system — one of them, or an array: scatter, hedge marking, then a
     /// gather in device order, every session driven by one driver on the
     /// query's trace lane. `None` means every partial is in `a`. An
     /// attempt that stops early (or errs) leaves sessions parked; the
@@ -155,7 +125,7 @@ impl System {
         if self.scatter(s, a, ops, &driver) {
             return Ok(Some(Stop::Full));
         }
-        a.hedge_over = self.hedge_threshold(s);
+        a.hedge_over = self.hedge_threshold();
         for (d, op) in ops.iter().enumerate() {
             if let Some(stop) = self.gather_shard(s, a, d, op, &driver)? {
                 return Ok(Some(stop));
@@ -192,7 +162,7 @@ impl System {
                 continue;
             }
             a.offered = true;
-            let wire = s.rules.open_linked.then_some((&mut self.link, cmd_latency));
+            let wire = s.linked.then_some((&mut self.link, cmd_latency));
             shard.phase = match driver.open_session(&mut shard.dev, wire, op, a.now) {
                 Ok((sid, open_done)) => Phase::Session(sid, open_done),
                 Err(fault) => {
@@ -211,8 +181,8 @@ impl System {
     /// — is a laggard worth racing. This catches *several* limping shards
     /// at once, the shape a gray device's slowdown window produces. None
     /// with hedging off or below two live sessions.
-    fn hedge_threshold(&self, s: &Sched) -> Option<f64> {
-        let (factor, _) = s.rules.hedge?;
+    fn hedge_threshold(&self) -> Option<f64> {
+        let factor = self.cfg.hedge?.factor;
         let shards = self.backend.shards().iter();
         let mut etas: Vec<SimTime> = shards
             .filter_map(|shard| match shard.phase {
@@ -231,7 +201,7 @@ impl System {
     /// the attempt's retry budget is not spent. The host copy is posted at
     /// the same instant as the shard's gather, racing the device session
     /// for the same partial; both sides' resource use is charged — that is
-    /// the price of hedging. A denied hedge is counted: a fleet that wants
+    /// the price of hedging. A denied hedge is counted: an array that wants
     /// to hedge but can't is a tuning signal, not a silent no-op.
     fn launch_hedge(&mut self, a: &mut Attempt, d: usize, op: &QueryOp) -> Option<RawRun> {
         if a.hedges_left == 0 {
@@ -270,7 +240,7 @@ impl System {
             eta.is_some_and(|eta| eta.as_nanos() as f64 > over)
         });
         let host = (&mut self.link, &mut self.host_cpu);
-        let io = s.rules.get_linked.then_some(host);
+        let io = s.linked.then_some(host);
         let collected = driver.collect_session(&mut shard.dev, io, sid, a.t, deadline, a.cancel_at);
         let hedge = marked.then(|| self.launch_hedge(a, d, op)).flatten();
         let shard = &mut self.backend.shards_mut()[d];

@@ -49,7 +49,8 @@ impl Tally {
 /// never re-walks the outcome array. The aggregates are order-independent
 /// (sums, max, and selection percentiles over the full sample), so
 /// recording at decision time is bit-identical to end-of-run passes. The
-/// fleet's closed-loop stream records through the same accounting.
+/// closed loop of [`System::run_stream`] records through the same
+/// accounting.
 pub(crate) struct Acct {
     pub(crate) outcomes: Vec<Option<ArrivalOutcome>>,
     recorded: usize,
@@ -158,6 +159,15 @@ impl Acct {
     }
 }
 
+/// `n` per second of `span`, 0 over an empty span.
+pub(super) fn per_sec(n: u64, span: SimTime) -> f64 {
+    if span > SimTime::ZERO {
+        n as f64 / span.as_secs_f64()
+    } else {
+        0.0
+    }
+}
+
 /// Why an arrival was shed, as a `(trace instant, outcome)` pair.
 pub(super) type Shed = (&'static str, fn(ShedQuery) -> ArrivalOutcome);
 pub(super) const CANCELED: Shed = ("canceled", ArrivalOutcome::Canceled);
@@ -213,11 +223,7 @@ impl System {
             _ => None,
         }));
         let makespan = acct.makespan;
-        let throughput_qps = if makespan > SimTime::ZERO {
-            completions.len() as f64 / makespan.as_secs_f64()
-        } else {
-            0.0
-        };
+        let throughput_qps = per_sec(acct.total.completed, makespan);
         let shards = self.backend.shards();
         let flash_reads = shards.iter().map(|s| s.dev.flash.stats().reads).sum();
         let shared_hits = shards.iter().map(|s| s.dev.shared_hits()).sum();
@@ -239,7 +245,7 @@ impl System {
             canceled: acct.total.canceled,
             failed: acct.total.failed,
             tenants,
-            breaker_transitions: breaker_transitions.into_iter().map(|(_, t)| t).collect(),
+            breaker_transitions,
             trace,
         })
     }

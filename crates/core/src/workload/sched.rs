@@ -9,20 +9,24 @@
 //! k-way merge (one staged item per tenant, never the whole schedule), and a
 //! single query is `once(..)`.
 
-use super::attempt::{Attempt, AttemptRules, Stop};
-use super::report::{Acct, BROWNED_OUT, CANCELED, DEADLINE_MISSED, REJECTED};
+use super::attempt::{Attempt, Stop};
+use super::report::{per_sec, Acct, BROWNED_OUT, CANCELED, DEADLINE_MISSED, REJECTED};
 use super::{
-    ArrivalOutcome, QueryCompletion, Workload, WorkloadItem, WorkloadOptions, WorkloadReport,
+    ArrivalOutcome, InterfaceMode, QueryCompletion, StreamReport, Workload, WorkloadItem,
+    WorkloadOptions, WorkloadReport,
 };
 use crate::admit::{Pending, PendingSlab, WaitSet};
 use crate::builder::{ConfigError, RunOptions};
 use crate::serving::{ArrivalStream, TenantLoad};
-use crate::system::{RunError, RunErrorKind, System, Transitions};
+use crate::shard::{ShardOutcome, FRESH};
+use crate::system::{RunError, RunErrorKind, System};
 use smartssd_device::SessionId;
 use smartssd_exec::QueryOp;
 use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::trace::pid;
-use smartssd_sim::{EventQueue, FaultCounters, Interval, RunTrace, SimTime, TraceLevel, Tracer};
+use smartssd_sim::{
+    EventQueue, FaultCounters, Interval, LatencyStats, RunTrace, SimTime, TraceLevel, Tracer,
+};
 use std::iter::{from_fn, once, Peekable};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -65,7 +69,9 @@ type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
 /// memo, and the outcome accounting.
 pub(super) struct Sched<'o> {
     opts: &'o WorkloadOptions,
-    pub(super) rules: AttemptRules,
+    /// The run's [`InterfaceMode`] is `Linked`: `OPEN`s and result batches
+    /// cross the host link.
+    pub(super) linked: bool,
     pub(super) events: EventQueue<Ev>,
     ws: WaitSet,
     slab: PendingSlab,
@@ -173,25 +179,23 @@ impl System {
         total: usize,
         opts: &WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
-        self.schedule(arrivals, total, opts, AttemptRules::of(opts.interface))
+        self.schedule(arrivals, total, opts)
             .and_then(|acct| self.workload_report(acct, opts))
             .map_err(|e| self.with_faults(e))
     }
 
-    /// The engine of [`System::run`] and of a fleet query: `query` as a
-    /// one-arrival workload at time zero, its device attempts under
-    /// `rules`. A dead arrival comes back as its typed error rather than
-    /// an outcome; a completed one with the run's per-device breaker
-    /// transitions and trace.
+    /// The engine of [`System::run`] and [`System::run_stream`]: `query` as
+    /// a one-arrival workload at time zero over the linked protocol. A dead
+    /// arrival comes back as its typed error rather than an outcome; a
+    /// completed one with the run's trace.
     pub(crate) fn run_single(
         &mut self,
         query: &Query,
         opts: RunOptions,
-        rules: AttemptRules,
-    ) -> Result<(QueryCompletion, Transitions, RunTrace), RunError> {
+    ) -> Result<(QueryCompletion, RunTrace), RunError> {
         let item = WorkloadItem::plain(Arc::new(query.clone()), opts.route, SimTime::ZERO);
         let wopts = WorkloadOptions::new().verbosity(opts.verbosity);
-        let mut acct = self.schedule(once((0, item)), 1, &wopts, rules)?;
+        let mut acct = self.schedule(once((0, item)), 1, &wopts)?;
         if let Some(dead) = acct.dead.take() {
             return Err(dead);
         }
@@ -200,12 +204,58 @@ impl System {
         let Some(ArrivalOutcome::Completed(done)) = acct.outcomes[0].take() else {
             return Err(RunErrorKind::SchedulerInvariant { index: 0 }.into());
         };
-        let (transitions, trace) = self.end_run("run", done.latency, &[]);
-        Ok((Arc::unwrap_or_clone(done), transitions, trace))
+        let (_, trace) = self.end_run("run", done.latency, &[]);
+        Ok((Arc::unwrap_or_clone(done), trace))
     }
 
-    /// The scheduler core shared by [`System::run`] and a fleet query (one
-    /// arrival), [`System::run_workload`] (eager) and
+    /// Runs `queries` back-to-back as a closed-loop stream, each forced
+    /// onto the device route: each query's timing starts at zero, breaker
+    /// state carries across queries on the system's monotone clock, and
+    /// host-side caches are cleared before each query (the cold-run
+    /// protocol). Returns throughput and latency over the whole stream,
+    /// plus one [`ArrivalOutcome`] per query on the stream's cumulative
+    /// timeline (query `i` "arrives" when query `i-1` finishes). A query
+    /// that dies on an unrecoverable error becomes an
+    /// [`ArrivalOutcome::Failed`] outcome and ends the stream early; the
+    /// report still covers everything that ran, so `Ok` is returned and the
+    /// failure is visible in `outcomes`/`failed` rather than erasing the
+    /// completed work.
+    pub fn run_stream(&mut self, queries: &[Query]) -> Result<StreamReport, RunError> {
+        let mut acct = Acct::new(queries.len(), 0, Tracer::none());
+        let mut rep = StreamReport::default();
+        for (i, q) in queries.iter().enumerate() {
+            self.clear_cache();
+            let arrival = acct.makespan;
+            let mut done = match self.run_single(q, RunOptions::routed(Route::Device)) {
+                Ok((done, _)) => done,
+                Err(e) => {
+                    let e = self.with_faults(e);
+                    rep.faults.absorb(e.fault_counters());
+                    acct.fail(i, 0, (&q.name, arrival), arrival, e);
+                    break;
+                }
+            };
+            rep.faults.absorb(&self.current_faults());
+            for shard in self.backend.shards().iter().map(|s| &s.last) {
+                rep.host_shard_runs += u64::from(shard.route == Route::Host);
+                rep.fallbacks += u64::from(shard.fell_back);
+            }
+            (done.index, done.arrival) = (i, arrival);
+            done.finished_at = arrival + done.latency;
+            acct.complete(0, done);
+        }
+        rep.queries = acct.total.completed as usize;
+        rep.failed = acct.total.failed;
+        rep.makespan = acct.makespan;
+        rep.throughput_qps = per_sec(acct.total.completed, acct.makespan);
+        rep.latency = LatencyStats::from_sample(&acct.total.latencies);
+        // A failure ends the stream early, leaving the tail unrecorded.
+        rep.outcomes = acct.outcomes.into_iter().flatten().collect();
+        Ok(rep)
+    }
+
+    /// The scheduler core shared by [`System::run`] (one arrival),
+    /// [`System::run_workload`] (eager) and
     /// [`System::run_serving`] (streaming): one merge loop over `total`
     /// arrivals, yielded in `(arrival, submission index)` order, and slot
     /// events, with in-flight waiters parked in a generational slab and
@@ -217,7 +267,6 @@ impl System {
         arrivals: impl Iterator<Item = (usize, WorkloadItem)>,
         total: usize,
         opts: &WorkloadOptions,
-        rules: AttemptRules,
     ) -> Result<Acct, RunError> {
         opts.try_validate()
             .map_err(|e| RunError::from_kind(RunErrorKind::Config(e)))?;
@@ -231,7 +280,7 @@ impl System {
         }
         let mut s = Sched {
             opts,
-            rules,
+            linked: opts.interface == InterfaceMode::Linked,
             events: EventQueue::new(),
             ws: WaitSet::new(&opts.tenants, opts.fair),
             slab: PendingSlab::new(),
@@ -383,7 +432,7 @@ impl System {
             cancel_at: item.cancel_at.unwrap_or(SimTime::MAX),
             t: now,
             held: now,
-            hedges_left: s.rules.hedge.map_or(0, |(_, budget)| budget),
+            hedges_left: self.cfg.hedge.map_or(0, |h| h.budget),
             ..Attempt::default()
         };
         // The route is one decision for the whole query, made on the first
@@ -391,7 +440,12 @@ impl System {
         if self.resolve_route(&ops[0], &item.route)? == Route::Host {
             for (d, op) in ops.iter().enumerate() {
                 let raw = self.run_host(d, op, now)?;
-                a.take(raw.rows, Some(raw.aggs), &raw.work, raw.end);
+                let mut last = ShardOutcome { device: d, ..FRESH };
+                a.take_host(&mut last, raw);
+                // A disk has no shard to record its pass on.
+                if let Some(shard) = self.backend.shards_mut().get_mut(d) {
+                    shard.last = last;
+                }
             }
             self.complete(s, item, idx, a);
             return Ok(false);
@@ -479,14 +533,12 @@ impl System {
         let latency = a.t.saturating_sub(item.arrival);
         // One lifetime span per query on its own session lane, so overlapped
         // queries render as parallel lanes in Perfetto.
+        let (start, end) = (item.arrival, a.t);
         let args = [("device_route", if a.device { 1.0 } else { 0.0 })];
-        session_span(
-            &self.tracer,
-            idx as u32,
-            "query",
-            (item.arrival, a.t),
-            &args,
-        );
+        let (level, lane) = (TraceLevel::Protocol, idx as u32);
+        let iv = Interval { start, end };
+        self.tracer
+            .span(level, pid::SESSION, lane, "query", "session", iv, &args);
         let done = QueryCompletion {
             index: idx,
             query: Arc::clone(&item.query.name),
@@ -504,24 +556,4 @@ impl System {
         };
         s.acct.complete(item.tenant as usize, done);
     }
-}
-
-/// Emits one protocol-phase span `[start, end)` on a query's session lane.
-fn session_span(
-    tracer: &Tracer,
-    lane: u32,
-    name: &str,
-    (start, end): (SimTime, SimTime),
-    args: &[(&str, f64)],
-) {
-    let iv = Interval { start, end };
-    tracer.span(
-        TraceLevel::Protocol,
-        pid::SESSION,
-        lane,
-        name,
-        "session",
-        iv,
-        args,
-    );
 }

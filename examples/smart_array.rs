@@ -11,7 +11,7 @@
 //! cargo run --release --example smart_array
 //! ```
 
-use smartssd::{DeviceKind, FleetOptions, InterfaceMode, Layout, SmartSsdFleet, SystemConfig};
+use smartssd::{DeviceKind, Layout, Route, RunOptions, SystemBuilder};
 use smartssd_workload::{q6, queries, tpch};
 
 const SF: f64 = 0.02;
@@ -23,13 +23,9 @@ fn main() {
     let mut base = None;
     let mut reference_sum = None;
     for n in [1usize, 2, 4, 8] {
-        // The minimal coordinator: sessions open in place at time zero.
-        let opts = FleetOptions {
-            interface: InterfaceMode::Direct,
-            ..FleetOptions::default()
-        };
-        let cfg = SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax);
-        let mut arr = SmartSsdFleet::with_options(n, cfg, opts);
+        let mut arr = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+            .devices(n)
+            .build();
         arr.load_partitioned(
             queries::LINEITEM,
             &tpch::lineitem_schema(),
@@ -37,7 +33,8 @@ fn main() {
         )
         .expect("load");
         arr.finish_load();
-        let r = arr.run_agg(&q6()).expect("array q6").result;
+        let forced = RunOptions::routed(Route::Device);
+        let r = arr.run(&q6(), forced).expect("array q6").result;
         let secs = r.elapsed.as_secs_f64();
         let base_secs = *base.get_or_insert(secs);
         // Partitioning must never change the answer.

@@ -96,6 +96,18 @@ if grep -rnE 'ArrivalSrc|reference_admission|Pareto' crates/*/src; then
     exit 1
 fi
 
+# One host type: an N-device Smart SSD array is a System (devices(n),
+# load_partitioned, run with the device route forced). The old fleet front
+# door survives only as crates/core/src/fleet.rs, a shim for the frozen
+# benchmark; nothing else in the crates, the tests or the examples may name
+# it, and the fleet-only wire mode stays deleted.
+echo "== fleet shim serves benchmark/ only (crates/*/src, tests, examples) =="
+fleet_names='SmartSsdFleet|FleetOptions|build_fleet|run_agg|AttemptRules'
+if grep -rnE "${fleet_names}" crates/*/src tests examples | grep -v '^crates/core/src/fleet.rs:'; then
+    echo "the fleet shim is named outside crates/core/src/fleet.rs (see above); use the System API" >&2
+    exit 1
+fi
+
 # `page::checksum` is checksum64 folded to 32 bits, kept for the frozen
 # benchmark's probe only: a fold gives up the single-word guarantee, so no
 # library code may call it (its definition, comments and the golden vector

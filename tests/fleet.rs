@@ -1,16 +1,18 @@
-//! Differential tests of the Smart-SSD fleet coordinator.
+//! Differential tests of an N-device Smart SSD array: a `System` built with
+//! `SystemBuilder::devices(n)` and loaded with `load_partitioned`.
 //!
-//! The fleet's load-bearing property: scatter/gather over N shards is an
+//! The array's load-bearing property: scatter/gather over N shards is an
 //! *answer-preserving* transformation. For any table contents, any shard
 //! count, either interface mode, with or without hedging, and under
-//! injected device crashes, the merged fleet answer is bit-identical to a
+//! injected device crashes, the merged answer is bit-identical to a
 //! single-device run of the same query. Faults and hedging may move
 //! timing; they must never move answers.
 
 use proptest::prelude::*;
 use smartssd::{
-    BreakerPolicy, BreakerState, DeviceKind, FleetOptions, InterfaceMode, Layout, QueryResult,
-    Route, RunErrorKind, RunOptions, SimTime, SmartSsdFleet, SystemBuilder, SystemConfig,
+    BreakerPolicy, BreakerState, DeviceKind, HedgePolicy, InterfaceMode, Layout, QueryResult,
+    Route, RoutePolicy, RunErrorKind, RunOptions, RunReport, SimTime, System, SystemBuilder,
+    Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_query::{Finalize, OpTemplate, Query};
@@ -76,21 +78,33 @@ fn single_device_reference(rows: &[Tuple], query: &Query) -> QueryResult {
         .result
 }
 
-fn build_fleet(n: usize, opts: FleetOptions, rows: &[Tuple]) -> SmartSsdFleet {
-    let mut fleet = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).build_fleet(n, opts);
-    fleet
-        .load_partitioned("t", &schema(), rows.to_vec())
-        .unwrap();
-    fleet.finish_load();
-    fleet
+/// An `n`-device array over `rows`, hedging every live shard when `hedge`.
+fn array(n: usize, hedge: bool, rows: &[Tuple]) -> System {
+    let every_shard = HedgePolicy {
+        factor: 0.0,
+        ..HedgePolicy::default()
+    };
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(n)
+        .tweak(|c| c.hedge = hedge.then_some(every_shard))
+        .build();
+    sys.load_partitioned("t", &schema(), rows.to_vec()).unwrap();
+    sys.finish_load();
+    sys
+}
+
+/// `query` with the device route forced on every shard.
+fn run_device(sys: &mut System, query: &Query) -> RunReport {
+    sys.run(query, RunOptions::routed(Route::Device)).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fleet merged answers == single-device answers for any shard count,
-    /// interface mode, hedging setting, and crash schedule — and no run,
-    /// faulted or clean, leaves a session open anywhere.
+    /// Merged answers == single-device answers for any shard count,
+    /// interface mode (a one-item workload), hedging setting, and crash
+    /// schedule — and no run, faulted or clean, leaves a session open
+    /// anywhere.
     #[test]
     fn fleet_matches_single_device_for_any_shape(
         rows in prop::collection::vec(arb_row(), 1..400),
@@ -102,31 +116,28 @@ proptest! {
         crash_sel in 0usize..=16,
     ) {
         let crash = crash_sel.checked_sub(1);
-        let opts = FleetOptions {
-            interface: if linked { InterfaceMode::Linked } else { InterfaceMode::Direct },
-            hedge,
-            // Force the hedging path whenever it is enabled at all.
-            hedge_factor: 0.0,
-            ..FleetOptions::default()
-        };
+        let interface = if linked { InterfaceMode::Linked } else { InterfaceMode::Direct };
         for query in [agg_query(cutoff), ratio_query(cutoff)] {
             let expect = single_device_reference(&rows, &query);
-            let mut fleet = build_fleet(n_dev, opts.clone(), &rows);
+            // Hedging, when on, races every live shard.
+            let mut sys = array(n_dev, hedge, &rows);
             if let Some(c) = crash {
                 // One crashed device out of N degrades its shard to the
                 // host path; answers must not move.
-                fleet.device_mut(c % n_dev).config_mut().fault_rates.crash_rate = u32::MAX;
+                sys.device_mut(c % n_dev).config_mut().fault_rates.crash_rate = u32::MAX;
             }
-            let r = fleet.run_agg(&query).unwrap();
-            prop_assert_eq!(&r.result.agg_values, &expect.agg_values, "aggs, {}", query.name);
-            prop_assert_eq!(r.result.scalar, expect.scalar, "scalar, {}", query.name);
+            let mut one = Workload::new();
+            one.push(query.clone(), RoutePolicy::Force(Route::Device), SimTime::ZERO);
+            let rep = sys.run_workload(&one, WorkloadOptions::new().interface(interface)).unwrap();
+            let r = &rep.completions[0].result;
+            prop_assert_eq!(&r.agg_values, &expect.agg_values, "aggs, {}", query.name);
+            prop_assert_eq!(r.scalar, expect.scalar, "scalar, {}", query.name);
             if crash.is_some() {
-                let c = crash.unwrap() % n_dev;
-                prop_assert_eq!(r.shards[c].route, Route::Host, "crashed shard must degrade");
-                prop_assert!(r.faults.device_crashes >= 1);
+                prop_assert!(rep.faults.fallbacks >= 1, "crashed shard must degrade");
+                prop_assert!(rep.faults.device_crashes >= 1);
             }
             for d in 0..n_dev {
-                prop_assert_eq!(fleet.device(d).open_sessions(), 0, "device {} leaked", d);
+                prop_assert_eq!(sys.device(d).open_sessions(), 0, "device {} leaked", d);
             }
         }
     }
@@ -141,12 +152,10 @@ proptest! {
         cutoff in -400i64..400,
     ) {
         let query = agg_query(cutoff);
-        let base = FleetOptions { hedge: false, ..FleetOptions::default() };
-        let hedged = FleetOptions { hedge: true, hedge_factor: 0.0, ..FleetOptions::default() };
-        let mut plain = build_fleet(n_dev, base, &rows);
-        let mut racing = build_fleet(n_dev, hedged, &rows);
-        let a = plain.run_agg(&query).unwrap();
-        let b = racing.run_agg(&query).unwrap();
+        let mut plain = array(n_dev, false, &rows);
+        let mut racing = array(n_dev, true, &rows);
+        let a = run_device(&mut plain, &query);
+        let b = run_device(&mut racing, &query);
         prop_assert_eq!(&a.result.agg_values, &b.result.agg_values);
         prop_assert_eq!(a.result.scalar, b.result.scalar);
         prop_assert!(b.faults.hedges >= 1, "factor 0.0 must force a hedge");
@@ -156,7 +165,7 @@ proptest! {
     }
 }
 
-/// Two identical fleets produce byte-identical reports, timing included.
+/// Two identical arrays produce byte-identical reports, timing included.
 #[test]
 fn fleet_runs_are_deterministic() {
     let rows: Vec<Tuple> = (0..50_000)
@@ -164,13 +173,7 @@ fn fleet_runs_are_deterministic() {
         .collect();
     let query = agg_query(400);
     let run = |hedge: bool| {
-        let opts = FleetOptions {
-            hedge,
-            hedge_factor: 0.0,
-            ..FleetOptions::default()
-        };
-        let mut fleet = build_fleet(8, opts, &rows);
-        let r = fleet.run_agg(&query).unwrap();
+        let r = run_device(&mut array(8, hedge, &rows), &query);
         (
             r.result.agg_values.clone(),
             r.result.elapsed,
@@ -184,17 +187,13 @@ fn fleet_runs_are_deterministic() {
     assert_eq!(run(true), run(true));
 }
 
-/// The paper's minimal coordinator (`repro array`): sessions open in place
-/// at time zero and the gather is serial over the shared link.
-fn direct_fleet(n: usize, n_rows: i32) -> SmartSsdFleet {
+/// The paper's coordinator (`repro array`): `OPEN`s and the gather are
+/// serial over the shared link.
+fn counting_array(n: usize, n_rows: i32) -> System {
     let rows: Vec<Tuple> = (0..n_rows)
         .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
         .collect();
-    let opts = FleetOptions {
-        interface: InterfaceMode::Direct,
-        ..FleetOptions::default()
-    };
-    build_fleet(n, opts, &rows)
+    array(n, false, &rows)
 }
 
 #[test]
@@ -202,8 +201,8 @@ fn more_devices_scale_down_elapsed_time() {
     let times: Vec<_> = [1usize, 2, 4]
         .iter()
         .map(|&n| {
-            let mut fleet = direct_fleet(n, 400_000);
-            fleet.run_agg(&agg_query(i64::MAX)).unwrap().result.elapsed
+            let mut sys = counting_array(n, 400_000);
+            run_device(&mut sys, &agg_query(i64::MAX)).result.elapsed
         })
         .collect();
     assert!(
@@ -218,7 +217,9 @@ fn more_devices_scale_down_elapsed_time() {
 #[test]
 #[should_panic(expected = "at least one device")]
 fn zero_devices_rejected() {
-    SmartSsdFleet::new(0, SystemConfig::new(DeviceKind::SmartSsd, Layout::Pax));
+    SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(0)
+        .build();
 }
 
 /// A row that does not match the schema is a typed error naming its index
@@ -229,15 +230,16 @@ fn malformed_row_in_a_partitioned_load_is_named_and_writes_nothing() {
         .map(|k| vec![Datum::I32(k), Datum::I64(k as i64)])
         .collect();
     rows[517][0] = Datum::I64(1);
-    let mut fleet = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
-        .build_fleet(4, FleetOptions::default());
-    let err = fleet.load_partitioned("t", &schema(), rows).unwrap_err();
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(4)
+        .build();
+    let err = sys.load_partitioned("t", &schema(), rows).unwrap_err();
     let RunErrorKind::Row(e) = err.kind() else {
         panic!("not a row error: {err}")
     };
     assert_eq!(e.row, 517, "{err}");
     for d in 0..4 {
-        assert_eq!(fleet.device(d).flash.stats().writes, 0, "device {d}");
+        assert_eq!(sys.device(d).flash.stats().writes, 0, "device {d}");
     }
 }
 
@@ -245,35 +247,36 @@ fn malformed_row_in_a_partitioned_load_is_named_and_writes_nothing() {
 /// not-yet-gathered devices.
 #[test]
 fn mid_gather_fault_leaves_zero_open_sessions() {
-    let mut fleet = direct_fleet(4, 40_000);
+    let mut sys = counting_array(4, 40_000);
     // Break device 1's shard on *both* routes: trim a partition page from
     // its flash so the device-side scan fails at open (recoverable — the
     // shard degrades to the host path) and the host fallback then fails
     // hard on the same unmapped page. Devices 0, 2, and 3 still open
     // healthy sessions; the run error must not leak them.
-    fleet.device_mut(1).flash.trim(0).unwrap();
-    let err = fleet.run_agg(&agg_query(i64::MAX)).unwrap_err();
+    sys.device_mut(1).flash.trim(0).unwrap();
+    let err = sys
+        .run(&agg_query(i64::MAX), RunOptions::routed(Route::Device))
+        .unwrap_err();
     assert!(
         err.fault_counters().fallbacks >= 1,
         "expected a fallback attempt"
     );
     for d in 0..4 {
         assert_eq!(
-            fleet.device(d).open_sessions(),
+            sys.device(d).open_sessions(),
             0,
             "device {d} leaked a session"
         );
     }
 }
 
-/// The N = 1 oracle that pins the merge of the two engines: a one-device
-/// fleet over the linked protocol *is* a single system. Identically built
-/// and loaded, the two agree on every back-to-back cold run — elapsed time
-/// to the nanosecond, answers, every fault counter and the breaker state —
+/// The N = 1 oracle: a one-device array, loaded by `load_partitioned` and
+/// armed by `arm_fault_plan` after the load, *is* the default system loaded
+/// by `load_table_rows` with the plan given to the builder. The two agree
+/// on every back-to-back cold run — elapsed time to the nanosecond,
+/// answers, every fault counter, the breaker state and the shard's route —
 /// clean, through a scripted mid-run crash, under a gray slowdown and with
-/// a device that crashes at every `OPEN`, breaker off and on. (Direct mode
-/// is not covered: a fleet's Direct still gathers over the link, a
-/// workload's does not.)
+/// a device that crashes at every `OPEN`, breaker off and on.
 #[test]
 fn one_device_fleet_equals_single_system() {
     let rows: Vec<Tuple> = (0..120_000)
@@ -316,24 +319,25 @@ fn one_device_fleet_equals_single_system() {
             let mut sys = builder().fault_plan(plan).build();
             sys.load_table_rows("t", &schema(), rows.clone()).unwrap();
             sys.finish_load();
-            let mut fleet = builder().build_fleet(1, FleetOptions::default());
-            fleet
+            let mut array = builder().devices(1).build();
+            array
                 .load_partitioned("t", &schema(), rows.clone())
                 .unwrap();
-            fleet.finish_load();
-            fleet.arm_fault_plan(plan);
+            array.finish_load();
+            array.arm_fault_plan(plan);
             for run in 0..8 {
                 let at = format!("{name}, breaker {}, run {run}", breaker.enabled);
                 sys.clear_cache();
-                fleet.clear_host_cache();
-                let one = sys.run(&query, RunOptions::routed(Route::Device)).unwrap();
-                let many = fleet.run_agg(&query).unwrap();
+                array.clear_cache();
+                let one = run_device(&mut sys, &query);
+                let many = run_device(&mut array, &query);
                 assert_eq!(many.result.elapsed, one.result.elapsed, "elapsed, {at}");
                 assert_eq!(many.result.agg_values, one.result.agg_values, "{at}");
                 assert_eq!(many.faults, one.faults, "fault counters, {at}");
-                assert_eq!(fleet.breaker_state(0), sys.breaker_state(), "{at}");
+                assert_eq!(array.breaker_state(0), sys.breaker_state(0), "{at}");
                 assert_eq!(many.shards[0].route, one.route, "route, {at}");
-                states.push(sys.breaker_state());
+                assert_eq!(format!("{:?}", many.shards), format!("{:?}", one.shards));
+                states.push(sys.breaker_state(0));
             }
             // The scenarios do what they say: crashes degrade every attempt
             // and, counted, open the breaker; nothing else does.

@@ -8,7 +8,7 @@
 //! local to this test binary; the budget covers the peak over all its
 //! threads.
 
-use smartssd::{DeviceKind, FleetOptions, Layout, SystemBuilder};
+use smartssd::{DeviceKind, Layout, Route, RunOptions, SystemBuilder};
 use smartssd_workload::{q6, queries, tpch};
 use std::alloc::{GlobalAlloc, Layout as MemLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +71,7 @@ fn sixty_four_devices_build_load_and_answer_within_budget() {
 
     let before = LIVE.load(Ordering::Relaxed);
     let builder = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).bufferpool_pages(1_024);
-    let mut fleet = builder.build_fleet(DEVICES, FleetOptions::default());
+    let mut array = builder.devices(DEVICES).build();
     let built = LIVE.load(Ordering::Relaxed) - before;
     assert!(
         built <= BUILD_BUDGET,
@@ -79,17 +79,17 @@ fn sixty_four_devices_build_load_and_answer_within_budget() {
     );
 
     let schema = tpch::lineitem_schema();
-    fleet
+    array
         .load_partitioned(queries::LINEITEM, &schema, tpch::lineitem_rows(0.01, 42))
         .unwrap();
-    fleet.finish_load();
-    let answer = fleet.run_agg(&q6()).unwrap();
+    array.finish_load();
+    let answer = array.run(&q6(), RunOptions::routed(Route::Device)).unwrap();
     drop(answer);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(
         peak <= LOADED_BUDGET,
         "peak of {peak} bytes over build, load and one query"
     );
-    // The counter counts: the fleet holds at least its blocks' counters.
+    // The counter counts: the array holds at least its blocks' counters.
     assert!(built >= DEVICES as u64 * 8_192 * 8, "{built}");
 }

@@ -4,8 +4,8 @@
 
 use smartssd::Query;
 use smartssd::{
-    ChromeTraceSink, CounterSink, DeviceKind, FleetOptions, FleetReport, Layout, Route, RunOptions,
-    RunReport, SimTime, SmartSsdFleet, System, SystemBuilder, TraceSink,
+    ChromeTraceSink, CounterSink, DeviceKind, HedgePolicy, Layout, Route, RunOptions, RunReport,
+    SimTime, System, SystemBuilder, TraceSink,
 };
 use smartssd_sim::FaultPlan;
 use smartssd_workload::{q14, q6, queries, tpch};
@@ -138,15 +138,11 @@ fn counter_sink_matches_utilization_report() {
     }
 }
 
-/// Q6 on a 4-device linked fleet with hedging on and device 2 eight times
-/// slow, built by `builder` (which attaches the sink, if any). Returns the
-/// report and each device's CPU busy time.
-fn gray_fleet_run(builder: SystemBuilder) -> (FleetReport, Vec<u64>) {
-    let opts = FleetOptions {
-        hedge: true,
-        ..FleetOptions::default()
-    };
-    let mut fleet: SmartSsdFleet = builder.build_fleet(4, opts);
+/// Q6 on a 4-device array with hedging on and device 2 eight times slow,
+/// built by `builder` (which attaches the sink, if any). Returns the report
+/// and each device's CPU busy time.
+fn gray_fleet_run(builder: SystemBuilder) -> (RunReport, Vec<u64>) {
+    let mut fleet = builder.devices(4).hedge(HedgePolicy::default()).build();
     fleet
         .load_partitioned(
             queries::LINEITEM,
@@ -157,7 +153,7 @@ fn gray_fleet_run(builder: SystemBuilder) -> (FleetReport, Vec<u64>) {
     fleet.finish_load();
     let forever = SimTime::from_secs(3600);
     fleet.arm_fault_plan(&FaultPlan::new().slowdown(2, 8, SimTime::ZERO, forever));
-    let rep = fleet.run_agg(&q6()).unwrap();
+    let rep = fleet.run(&q6(), RunOptions::routed(Route::Device)).unwrap();
     let busy = (0..4).map(|d| fleet.device(d).cpu().busy_total_ns());
     (rep, busy.collect())
 }
