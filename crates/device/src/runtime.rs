@@ -29,6 +29,7 @@ use smartssd_storage::page::PageError;
 use smartssd_storage::{PageBuf, PageDecodeCache, TableImage};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Deterministic xorshift64 stream for crash injection; the seed is fixed
@@ -616,64 +617,6 @@ impl SmartSsd {
         Ok((page, at))
     }
 
-    /// Reads every page of `table`, all issued at `now`, returning each
-    /// validated page with its DRAM-arrival time. With a `shared_owner` the
-    /// reads go through the shared-scan window as that session.
-    ///
-    /// When the flash path is clean — no error injection, no pending
-    /// retry/scrub, no tracer, and the shared-scan window not in play —
-    /// the whole run is posted as one batched timeline charge
-    /// ([`FlashSsd::charge_reads`]), bit-identical to the page-at-a-time
-    /// loop but without per-page bookkeeping. Payloads are fetched and
-    /// validated *before* anything is charged, so a page that fails
-    /// validation simply falls back to the sequential loop (the only path
-    /// that can observe and account per-page faults) with no timeline
-    /// state to unwind.
-    fn read_table_pages(
-        &mut self,
-        table: &TableRef,
-        now: SimTime,
-        shared_owner: Option<u32>,
-    ) -> Result<Vec<(PageBuf, SimTime)>, DeviceError> {
-        if shared_owner.is_none() && self.flash.can_batch_reads() {
-            if let Some(pages) = self.read_table_batched(table, now) {
-                return Ok(pages);
-            }
-        }
-        let mut pages = Vec::with_capacity(table.num_pages as usize);
-        for lba in table.lbas() {
-            pages.push(match shared_owner {
-                Some(owner) => self.read_page_shared(lba, now, owner)?,
-                None => self.read_page(lba, now)?,
-            });
-        }
-        Ok(pages)
-    }
-
-    /// The batched form of [`Self::read_table_pages`]: every page fetched
-    /// and validated, then the whole run charged at once — or `None`, with
-    /// nothing charged, if any page is unmapped or fails validation.
-    fn read_table_batched(
-        &mut self,
-        table: &TableRef,
-        now: SimTime,
-    ) -> Option<Vec<(PageBuf, SimTime)>> {
-        let n = table.num_pages as usize;
-        let (mut bufs, mut coords) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for lba in table.lbas() {
-            let (data, coord) = self.flash.peek_page(lba).ok()?;
-            bufs.push(self.page_cache.decode(lba, data).ok()?);
-            coords.push(coord);
-        }
-        let ivs = self.flash.charge_reads(&coords, now);
-        Some(
-            bufs.into_iter()
-                .zip(ivs)
-                .map(|(p, iv)| (p, iv.end))
-                .collect(),
-        )
-    }
-
     /// Executes an operator, producing the session's batch queue. Execution
     /// is computed eagerly with simulated timestamps; the protocol replays
     /// it to the host through `GET` polls. `owner` is the session id the
@@ -713,20 +656,64 @@ impl OpSite for DeviceSite<'_> {
     type Instant = SimTime;
     type Error = DeviceError;
 
+    /// With a `shareable` read and shared scans on, every page goes through
+    /// the shared-scan window as this session. A `GroupAgg` stream is never
+    /// shareable: which pages it reads depends on where (or whether) its
+    /// grant aborts, not a clean prefix a peer could safely fan out.
+    ///
+    /// Otherwise, while the flash path is clean (no error injection, no
+    /// pending retry or scrub, no tracer), each page is peeked and
+    /// validated without a modelled read and consumed at once, and the
+    /// consumed run is then posted as one batched timeline charge
+    /// ([`FlashSsd::charge_reads`]), bit-identical to reading it page by
+    /// page. An unmapped page, or one that fails its checksum, ends the
+    /// batch there: the rest of the table goes through
+    /// [`OpSite::read_page`] and its retry policy, the only path that can
+    /// observe and account per-page faults.
     fn read_table(
         &mut self,
         table: &TableRef,
         at: SimTime,
         shareable: bool,
-    ) -> Result<Vec<(PageBuf, SimTime)>, DeviceError> {
-        let shared = shareable && self.dev.cfg.shared_scans;
-        self.dev
-            .read_table_pages(table, at, shared.then_some(self.owner))
+        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
+    ) -> Result<Vec<SimTime>, DeviceError> {
+        let shared = (shareable && self.dev.cfg.shared_scans).then_some(self.owner);
+        let mut lbas = table.lbas();
+        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
+        if shared.is_none() && self.dev.flash.can_batch_reads() {
+            let mut coords = Vec::with_capacity(table.num_pages as usize);
+            for lba in table.lbas() {
+                let Ok((data, coord)) = self.dev.flash.peek_page(lba) else {
+                    break;
+                };
+                let Ok(page) = self.dev.page_cache.decode(lba, data) else {
+                    break;
+                };
+                coords.push(coord);
+                // The page-by-page reads below start after the batch.
+                lbas.start = lba + 1;
+                if consume(self, &page).is_break() {
+                    lbas.end = lbas.start;
+                    break;
+                }
+            }
+            let ivs = self.dev.flash.charge_reads(&coords, at);
+            arrivals.extend(ivs.iter().map(|iv| iv.end));
+        }
+        for lba in lbas {
+            let (page, arrived) = match shared {
+                Some(owner) => self.dev.read_page_shared(lba, at, owner)?,
+                None => self.read_page(lba, at)?,
+            };
+            arrivals.push(arrived);
+            if consume(self, &page).is_break() {
+                break;
+            }
+        }
+        Ok(arrivals)
     }
 
-    /// Never through the shared-scan window: the page-at-a-time reader is
-    /// `GroupAgg`, and which pages it reads depends on where (or whether)
-    /// its grant aborts — not a clean prefix a peer could safely fan out.
+    /// The firmware's read: one page under its bounded retry policy.
     fn read_page(&mut self, lba: u64, at: SimTime) -> Result<(PageBuf, SimTime), DeviceError> {
         self.dev.read_page(lba, at)
     }

@@ -6,10 +6,12 @@
 //! differ between the two environments: how pages are read and when they
 //! arrive, what a [`WorkCounts`] receipt costs and on which processor, how
 //! much memory an operator may hold, and how large a result batch may grow
-//! before it is cut. Each arm of [`run_op`] is a plain serial page loop on
-//! one [`ScanScratch`]; the parallelism the figures depend on (flash
-//! channels, device cores, host DOP) is modelled inside the site's
-//! timelines, not executed here.
+//! before it is cut. Each arm of [`run_op`] is one serial page stream on
+//! one [`ScanScratch`]: the site validates each page and hands it straight
+//! to the kernel, so a page leaves memory once, and the kernel's receipts
+//! are charged afterwards, each at its page's arrival. The parallelism the
+//! figures depend on (flash channels, device cores, host DOP) is modelled
+//! inside the site's timelines, not executed here.
 
 use crate::join::{probe_page, projected_row_bytes, JoinHashTable, JoinSink};
 use crate::kernels::{group_table_memory_bytes, group_table_rows, GroupTable, ScanScratch};
@@ -17,6 +19,7 @@ use crate::spec::{JoinOutput, QueryOp, TableRef};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::AggState;
 use smartssd_storage::{PageBuf, Tuple};
+use std::ops::ControlFlow;
 
 /// Where an operator runs: what [`run_op`] needs from its environment.
 ///
@@ -37,17 +40,31 @@ pub trait OpSite {
         at: Self::Instant,
     ) -> Result<(PageBuf, Self::Instant), Self::Error>;
 
-    /// Reads every page of `table` in LBA order, all issued at `at`.
-    /// `shareable` marks a read whose page set does not depend on the data
-    /// (a full scan), which a site may serve from a concurrent execution's
-    /// read; a site may also batch the whole run. By default, page by page.
+    /// Streams the pages of `table` in LBA order, all issued at `at`: each
+    /// page is validated and handed to `consume`, with the site for grant
+    /// checks, before the next is read. A `Break` from `consume` ends the
+    /// stream; no later page is read. Returns the arrival instant of every
+    /// page consumed, in order. `shareable` marks a read whose page set
+    /// does not depend on the data (a full scan), which a site may serve
+    /// from a concurrent execution's read; a site may also charge the
+    /// stream's timing as one batch. By default, [`Self::read_page`] then
+    /// `consume`, page by page.
     fn read_table(
         &mut self,
         table: &TableRef,
         at: Self::Instant,
         _shareable: bool,
-    ) -> Result<Vec<(PageBuf, Self::Instant)>, Self::Error> {
-        table.lbas().map(|lba| self.read_page(lba, at)).collect()
+        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
+    ) -> Result<Vec<Self::Instant>, Self::Error> {
+        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
+        for lba in table.lbas() {
+            let (page, arrived) = self.read_page(lba, at)?;
+            arrivals.push(arrived);
+            if consume(self, &page).is_break() {
+                break;
+            }
+        }
+        Ok(arrivals)
     }
 
     /// Executes `work` on the site's processor, no earlier than `at`, and
@@ -95,30 +112,35 @@ pub struct OpRun<I> {
     pub work: WorkCounts,
 }
 
-/// A run in progress: the site, the receipts so far, the batches cut so
-/// far, and the completion instant of the latest charge.
-struct Run<'s, S: OpSite> {
-    site: &'s mut S,
+/// A run in progress: one receipt per page consumed and not yet charged
+/// (88 bytes a page), the batches cut so far with the index of the page
+/// each was cut after, the sum of every receipt charged, and the
+/// completion instant of the latest charge.
+struct Run<I> {
+    receipts: Vec<WorkCounts>,
+    full: Vec<ResultBatch<I>>,
+    cuts: Vec<usize>,
     work: WorkCounts,
-    full: Vec<ResultBatch<S::Instant>>,
-    done: S::Instant,
+    done: I,
 }
 
-impl<S: OpSite> Run<'_, S> {
-    /// Runs one kernel call, charges its receipt at `at` (the arrival of
-    /// the pages it consumed) and adds the receipt to the run's total.
-    fn charged<T>(&mut self, at: S::Instant, kernel: impl FnOnce(&mut WorkCounts) -> T) -> T {
+impl<I: Copy> Run<I> {
+    /// Runs one kernel call (a page's, or the join build's) and keeps its
+    /// receipt for [`Run::charge`].
+    fn kernel<T>(&mut self, kernel: impl FnOnce(&mut WorkCounts) -> T) -> T {
         let mut w = WorkCounts::default();
         let out = kernel(&mut w);
-        self.done = self.site.charge(at, &w);
-        self.work.absorb(&w);
+        self.receipts.push(w);
         out
     }
 
-    /// Cuts `rows` into a batch once they fill the site's result buffer.
-    fn cut_if_full(&mut self, rows: &mut Vec<Tuple>, row_bytes: u64) {
+    /// Cuts `rows` into a batch after the page whose receipt was kept last,
+    /// once they fill `cut_bytes`; [`Run::charge`] stamps it with that
+    /// page's completion.
+    fn cut_if_full(&mut self, rows: &mut Vec<Tuple>, row_bytes: u64, cut_bytes: u64) {
         let bytes = rows.len() as u64 * row_bytes;
-        if bytes >= self.site.batch_cut_bytes() {
+        if bytes >= cut_bytes {
+            self.cuts.push(self.receipts.len() - 1);
             self.full.push(ResultBatch {
                 rows: std::mem::take(rows),
                 aggs: None,
@@ -127,60 +149,91 @@ impl<S: OpSite> Run<'_, S> {
             });
         }
     }
+
+    /// Charges the kept receipts in page order, each at its page's
+    /// arrival, and stamps each batch cut after a page with that page's
+    /// completion.
+    fn charge<S: OpSite<Instant = I>>(&mut self, site: &mut S, arrivals: &[I]) {
+        debug_assert_eq!(self.receipts.len(), arrivals.len(), "one receipt a page");
+        let mut cuts = self.cuts.drain(..).zip(&mut self.full).peekable();
+        for (i, (w, &at)) in self.receipts.drain(..).zip(arrivals).enumerate() {
+            self.done = site.charge(at, &w);
+            self.work.absorb(&w);
+            if let Some((_, batch)) = cuts.next_if(|&(page, _)| page == i) {
+                batch.ready_at = self.done;
+            }
+        }
+    }
 }
 
 /// Executes `op` (already validated) on `site`, starting at `now`.
 ///
-/// Per page, in page order: the kernel runs, then its own receipt is
-/// charged at the page's arrival instant. `Scan`, `ScanAgg` and both join
-/// phases post all their reads up front; `GroupAgg` reads page by page,
-/// because its grant check runs after every page and a refused grant must
-/// leave the remaining pages unread.
+/// Each table is one stream from [`OpSite::read_table`]: the kernel runs on
+/// each page as it is handed over and its receipt is kept. When the stream
+/// ends, the receipts are charged in page order, each at its own page's
+/// arrival instant. Row streams are cut into batches as they fill
+/// [`OpSite::batch_cut_bytes`], each stamped with the completion of the
+/// page that filled it. `GroupAgg` checks its grant after every page, and a
+/// refusal ends the stream: the refusing page is charged and no later page
+/// is read. A join reads its probe side only once its build is charged and
+/// granted.
 pub fn run_op<S: OpSite>(
     site: &mut S,
     op: &QueryOp,
     now: S::Instant,
 ) -> Result<OpRun<S::Instant>, S::Error> {
     let mut scratch = ScanScratch::new();
+    let pages = op.tables().map(|t| t.num_pages as usize).max();
     let mut run = Run {
-        site,
-        work: WorkCounts::default(),
+        receipts: Vec::with_capacity(pages.unwrap_or(0)),
         full: Vec::new(),
+        cuts: Vec::new(),
+        work: WorkCounts::default(),
         done: now,
     };
+    let cut_bytes = site.batch_cut_bytes();
     let (rows, aggs, row_bytes) = match op {
         QueryOp::Scan { table, spec } => {
             let schema = &table.schema;
             let row_bytes = spec.row_bytes(schema);
             let mut rows = Vec::new();
-            for (page, at) in run.site.read_table(table, now, true)? {
-                run.charged(at, |w| scratch.scan_page(&page, schema, spec, &mut rows, w));
-                run.cut_if_full(&mut rows, row_bytes);
-            }
+            let arrivals = site.read_table(table, now, true, |_, page| {
+                run.kernel(|w| scratch.scan_page(page, schema, spec, &mut rows, w));
+                run.cut_if_full(&mut rows, row_bytes, cut_bytes);
+                ControlFlow::Continue(())
+            })?;
+            run.charge(site, &arrivals);
             (rows, None, row_bytes)
         }
         QueryOp::ScanAgg { table, spec } => {
             let mut states: Vec<AggState> =
                 spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            for (page, at) in run.site.read_table(table, now, true)? {
-                run.charged(at, |w| {
-                    scratch.scan_agg_page(&page, &table.schema, spec, &mut states, w)
-                });
-            }
+            let arrivals = site.read_table(table, now, true, |_, page| {
+                run.kernel(|w| scratch.scan_agg_page(page, &table.schema, spec, &mut states, w));
+                ControlFlow::Continue(())
+            })?;
+            run.charge(site, &arrivals);
             (Vec::new(), Some(states), 0)
         }
         QueryOp::GroupAgg { table, spec } => {
             let mut acc = GroupTable::new();
-            for lba in table.lbas() {
-                let (page, at) = run.site.read_page(lba, now)?;
-                run.charged(at, |w| {
-                    scratch.scan_group_agg_page(&page, &table.schema, spec, &mut acc, w)
-                });
+            let mut refused = None;
+            let arrivals = site.read_table(table, now, false, |site, page| {
+                run.kernel(|w| scratch.scan_group_agg_page(page, &table.schema, spec, &mut acc, w));
                 // The group table lives in the execution's memory grant: a
                 // high-cardinality grouping aborts mid-scan, exactly when
                 // the site runs out.
-                run.site
-                    .check_grant(group_table_memory_bytes(&acc, spec.aggs.len()))?;
+                match site.check_grant(group_table_memory_bytes(&acc, spec.aggs.len())) {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(e) => {
+                        refused = Some(e);
+                        ControlFlow::Break(())
+                    }
+                }
+            })?;
+            run.charge(site, &arrivals);
+            if let Some(e) = refused {
+                return Err(e);
             }
             let rows = group_table_rows(&acc, &spec.key_schema(&table.schema));
             let row_bytes = spec.output_schema(&table.schema).tuple_width() as u64;
@@ -189,13 +242,16 @@ pub fn run_op<S: OpSite>(
         QueryOp::Join { probe, spec } => {
             // Build phase (Figures 4 and 6): read the small table and build
             // the hash table once its last page has arrived.
-            let build = run.site.read_table(&spec.build.table, now, false)?;
-            let build_ready = build.iter().fold(now, |t, &(_, at)| t.max(at));
-            let ht = run.charged(build_ready, |w| {
-                JoinHashTable::build(build.iter().map(|(page, _)| page), &spec.build, w)
-            });
+            let mut build = Vec::new();
+            let arrivals = site.read_table(&spec.build.table, now, false, |_, page| {
+                build.push(page.clone());
+                ControlFlow::Continue(())
+            })?;
+            let build_ready = arrivals.iter().fold(now, |t, &at| t.max(at));
+            let ht = run.kernel(|w| JoinHashTable::build(&build, &spec.build, w));
             drop(build);
-            run.site.check_grant(ht.memory_bytes())?;
+            run.charge(site, &[build_ready]);
+            site.check_grant(ht.memory_bytes())?;
             // Probe phase: reads are issued when the build completes.
             let joined = spec.joined_schema(&probe.schema);
             // An aggregating join streams no rows.
@@ -206,12 +262,12 @@ pub fn run_op<S: OpSite>(
                 JoinOutput::Aggregate(_) => 0,
             };
             let mut sink = JoinSink::new(spec);
-            for (page, at) in run.site.read_table(probe, run.done, false)? {
-                run.charged(at, |w| {
-                    probe_page(&page, &probe.schema, spec, &ht, &joined, &mut sink, w)
-                });
-                run.cut_if_full(&mut sink.rows, row_bytes);
-            }
+            let arrivals = site.read_table(probe, run.done, false, |_, page| {
+                run.kernel(|w| probe_page(page, &probe.schema, spec, &ht, &joined, &mut sink, w));
+                run.cut_if_full(&mut sink.rows, row_bytes, cut_bytes);
+                ControlFlow::Continue(())
+            })?;
+            run.charge(site, &arrivals);
             let aggregates = matches!(spec.output, JoinOutput::Aggregate(_));
             (sink.rows, aggregates.then_some(sink.aggs), row_bytes)
         }

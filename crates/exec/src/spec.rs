@@ -25,7 +25,7 @@ pub struct TableRef {
 
 impl TableRef {
     /// Iterates the table's LBAs in storage order.
-    pub fn lbas(&self) -> impl Iterator<Item = u64> {
+    pub fn lbas(&self) -> std::ops::Range<u64> {
         self.first_lba..self.first_lba + self.num_pages
     }
 }

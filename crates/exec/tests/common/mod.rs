@@ -10,11 +10,14 @@
 use smartssd_exec::{OpSite, TableRef, WorkCounts};
 use smartssd_storage::{PageBuf, TableImage};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Ticks one page read occupies the channel.
 pub const READ_TICKS: u64 = 100;
 
-/// One call the driver made on the site.
+/// One call the driver made on the site. A streamed table read logs
+/// `ReadTable`, then one `ReadPage` per page, each before that page is
+/// handed to the driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Call {
     ReadTable {
@@ -84,12 +87,6 @@ impl RecordingSite {
         }
     }
 
-    fn fetch(&mut self, lba: u64, at: u64) -> Result<(PageBuf, u64), Refused> {
-        let page = self.pages.get(&lba).ok_or(Refused::Unmapped(lba))?;
-        self.channel_free = self.channel_free.max(at) + READ_TICKS;
-        Ok((page.clone(), self.channel_free))
-    }
-
     /// The receipts charged so far, in order.
     pub fn charges(&self) -> Vec<WorkCounts> {
         self.calls
@@ -108,25 +105,33 @@ impl OpSite for RecordingSite {
 
     fn read_page(&mut self, lba: u64, at: u64) -> Result<(PageBuf, u64), Refused> {
         self.calls.push(Call::ReadPage { lba, at });
-        self.fetch(lba, at)
+        let page = self.pages.get(&lba).ok_or(Refused::Unmapped(lba))?;
+        self.channel_free = self.channel_free.max(at) + READ_TICKS;
+        Ok((page.clone(), self.channel_free))
     }
 
+    /// The trait's default page loop, with the stream's opening logged.
     fn read_table(
         &mut self,
         table: &TableRef,
         at: u64,
         shareable: bool,
-    ) -> Result<Vec<(PageBuf, u64)>, Refused> {
+        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
+    ) -> Result<Vec<u64>, Refused> {
         self.calls.push(Call::ReadTable {
             first_lba: table.first_lba,
             at,
             shareable,
         });
-        let mut pages = Vec::with_capacity(table.num_pages as usize);
+        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
         for lba in table.lbas() {
-            pages.push(self.fetch(lba, at)?);
+            let (page, arrived) = self.read_page(lba, at)?;
+            arrivals.push(arrived);
+            if consume(self, &page).is_break() {
+                break;
+            }
         }
-        Ok(pages)
+        Ok(arrivals)
     }
 
     fn charge(&mut self, at: u64, work: &WorkCounts) -> u64 {

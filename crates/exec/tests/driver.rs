@@ -3,12 +3,13 @@
 //! [`run_op`] is the one loop both engines run; what it asks of an
 //! [`OpSite`](smartssd_exec::OpSite), and in which order, *is* the simulated
 //! timing. Each test runs one operator on the recording fake and compares
-//! the whole call sequence: which reads (and whether shareable), one charge
-//! per page in page order at that page's arrival with that page's own
-//! receipt, the join's build charged before the probe side is read, the
-//! grant checked after the build and after every `GroupAgg` page (and
-//! nothing read after a refusal), and row streams cut at the configured
-//! batch size.
+//! the whole call sequence: which tables are streamed (and whether
+//! shareably), every page read issued at the stream's start, then one
+//! charge per page in page order at that page's arrival with that page's
+//! own receipt; the join's build charged before the probe side is read; the
+//! grant checked after the build and after every `GroupAgg` page as it is
+//! consumed (and nothing read after a refusal); and row streams cut at the
+//! configured batch size, each batch stamped with its page's completion.
 
 mod common;
 
@@ -35,9 +36,10 @@ fn table(layout: Layout, n: i32) -> TableImage {
     b.finish()
 }
 
-/// The calls a full-table read followed by one charge per page must make:
-/// the i-th page arrives `READ_TICKS * (i + 1)` after `at` on the idle
-/// channel and is charged there with `receipts[i]`.
+/// The calls a streamed table read followed by one charge per page must
+/// make: the stream opens, every page is read issued at `at`, and once the
+/// stream ends the i-th page, which arrived `READ_TICKS * (i + 1)` after
+/// `at` on the idle channel, is charged there with `receipts[i]`.
 fn table_scan_calls(
     first_lba: u64,
     at: u64,
@@ -49,6 +51,8 @@ fn table_scan_calls(
         at,
         shareable,
     }];
+    let pages = receipts.len() as u64;
+    calls.extend((first_lba..first_lba + pages).map(|lba| Call::ReadPage { lba, at }));
     let mut cpu_free = 0;
     for (i, w) in receipts.iter().enumerate() {
         let arrival = at + READ_TICKS * (i as u64 + 1);
@@ -68,11 +72,15 @@ fn charge(cpu_free: &mut u64, arrival: u64, w: &WorkCounts) -> Call {
     }
 }
 
-fn charge_done(call: &Call) -> u64 {
-    match call {
-        Call::Charge { done, .. } => *done,
-        other => panic!("not a charge: {other:?}"),
-    }
+/// The completion instant of every charge in `calls`, in order.
+fn charge_dones(calls: &[Call]) -> Vec<u64> {
+    calls
+        .iter()
+        .filter_map(|c| match c {
+            Call::Charge { done, .. } => Some(*done),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -106,12 +114,13 @@ fn scan_charges_each_page_at_its_arrival_and_cuts_batches_at_the_buffer_size() {
 
         // Batches: cut after the first page that brings the pending rows to
         // the buffer size, stamped with that page's completion.
+        let dones = charge_dones(&want);
         let mut pending = 0u64;
         let mut cuts = Vec::new();
         for (i, n) in page_rows.iter().enumerate() {
             pending += *n as u64;
             if pending * 8 >= site.cut {
-                cuts.push((pending, charge_done(&want[i + 1])));
+                cuts.push((pending, dones[i]));
                 pending = 0;
             }
         }
@@ -125,7 +134,7 @@ fn scan_charges_each_page_at_its_arrival_and_cuts_batches_at_the_buffer_size() {
         }
         assert_eq!(run.last.rows.len() as u64, pending);
         assert_eq!(run.last.bytes, pending * 8);
-        assert_eq!(run.last.ready_at, charge_done(want.last().unwrap()));
+        assert_eq!(run.last.ready_at, *dones.last().unwrap());
         let got: Vec<Tuple> = run
             .full
             .into_iter()
@@ -166,7 +175,7 @@ fn scan_agg_reads_shareably_and_returns_one_batch_of_partials() {
     assert!(run.last.rows.is_empty());
     assert_eq!(run.last.aggs, Some(states));
     assert_eq!(run.last.bytes, 32);
-    assert_eq!(run.last.ready_at, charge_done(want.last().unwrap()));
+    assert_eq!(run.last.ready_at, *charge_dones(&want).last().unwrap());
 }
 
 fn group_spec() -> GroupAggSpec {
@@ -201,7 +210,7 @@ fn group_residency(img: &TableImage, spec: &GroupAggSpec) -> Vec<u64> {
 }
 
 #[test]
-fn group_agg_interleaves_read_charge_and_grant_check_page_by_page() {
+fn group_agg_checks_the_grant_after_every_page_and_charges_each_page_at_its_arrival() {
     let img = grouped_table();
     let spec = group_spec();
     let mut site = RecordingSite::new();
@@ -209,20 +218,31 @@ fn group_agg_interleaves_read_charge_and_grant_check_page_by_page() {
     let resident = group_residency(&img, &spec);
     assert!(resident.len() >= 4 && resident.windows(2).all(|w| w[0] < w[1]));
     let mut acc = RefGroupTable::new();
-    let mut want = Vec::new();
-    let mut cpu_free = 0;
+    // Never shareable: which pages it reads depends on the grant.
+    let mut want = vec![Call::ReadTable {
+        first_lba: 40,
+        at: NOW,
+        shareable: false,
+    }];
+    let mut receipts = Vec::new();
     for (i, p) in img.pages().iter().enumerate() {
         let mut w = WorkCounts::default();
         scan_group_agg_page_rowwise(p, img.schema(), &spec, &mut acc, &mut w);
-        // Every read is issued at `NOW`; the serial channel spaces arrivals.
+        receipts.push(w);
+        // Each page is read and consumed, and the grant checked on what it
+        // grew the table to, before the next page is read.
         want.push(Call::ReadPage {
             lba: 40 + i as u64,
             at: NOW,
         });
-        want.push(charge(&mut cpu_free, NOW + READ_TICKS * (i as u64 + 1), &w));
         want.push(Call::Grant {
             resident: resident[i],
         });
+    }
+    // Every read is issued at `NOW`; the serial channel spaces arrivals.
+    let mut cpu_free = 0;
+    for (i, w) in receipts.iter().enumerate() {
+        want.push(charge(&mut cpu_free, NOW + READ_TICKS * (i as u64 + 1), w));
     }
     let op = QueryOp::GroupAgg {
         table: tref,
@@ -263,12 +283,25 @@ fn group_agg_reads_nothing_after_a_refused_grant() {
         })
         .collect();
     assert_eq!(reads, [0, 1, 2], "pages past the refusal stay unread");
-    assert_eq!(
-        site.calls.last(),
-        Some(&Call::Grant {
-            resident: resident[2]
+    // The refusal ends the stream; the three pages read, the refusing one
+    // included, are then charged at their arrivals.
+    let refusal = site
+        .calls
+        .iter()
+        .position(|c| {
+            c == &Call::Grant {
+                resident: resident[2],
+            }
         })
-    );
+        .expect("the refused grant check");
+    let arrivals: Vec<u64> = site.calls[refusal + 1..]
+        .iter()
+        .map(|c| match c {
+            Call::Charge { at, .. } => *at,
+            other => panic!("only charges follow the refusal, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(arrivals, [1, 2, 3].map(|i| NOW + READ_TICKS * i));
 }
 
 const BUILD_LBA: u64 = 0;
@@ -324,35 +357,60 @@ fn join_charges_the_build_then_checks_the_grant_then_reads_the_probe_side() {
 
     let run = run_op(&mut site, &op, NOW).unwrap();
 
-    // Build: one read of the whole table, one charge once its last page
+    // Build: one stream of the whole table, one charge once its last page
     // has arrived, then the grant check on the hash table.
-    let build_ready = NOW + READ_TICKS * build.num_pages() as u64;
+    let build_pages = build.num_pages() as u64;
+    let build_ready = NOW + READ_TICKS * build_pages;
     let mut cpu_free = 0;
     let build_charge = charge(&mut cpu_free, build_ready, &build_w);
     let build_done = cpu_free;
-    let mut want = vec![
-        Call::ReadTable {
-            first_lba: BUILD_LBA,
-            at: NOW,
-            shareable: false,
-        },
-        build_charge,
-        Call::Grant {
-            resident: ht.memory_bytes(),
-        },
-        // Probe: read only now, issued at the build's completion.
-        Call::ReadTable {
-            first_lba: PROBE_LBA,
-            at: build_done,
-            shareable: false,
-        },
-    ];
+    let mut want = vec![Call::ReadTable {
+        first_lba: BUILD_LBA,
+        at: NOW,
+        shareable: false,
+    }];
+    want.extend((0..build_pages).map(|i| Call::ReadPage {
+        lba: BUILD_LBA + i,
+        at: NOW,
+    }));
+    want.push(build_charge);
+    want.push(Call::Grant {
+        resident: ht.memory_bytes(),
+    });
+    // Probe: streamed only now, issued at the build's completion.
+    want.push(Call::ReadTable {
+        first_lba: PROBE_LBA,
+        at: build_done,
+        shareable: false,
+    });
+    want.extend((0..receipts.len() as u64).map(|i| Call::ReadPage {
+        lba: PROBE_LBA + i,
+        at: build_done,
+    }));
+    let mut probe_dones = Vec::new();
     for (i, w) in receipts.iter().enumerate() {
         let arrival = build_done + READ_TICKS * (i as u64 + 1);
         want.push(charge(&mut cpu_free, arrival, w));
+        probe_dones.push(cpu_free);
     }
     assert_eq!(site.calls, want);
 
+    // Each batch is cut after the probe page that fills the buffer and is
+    // stamped with that page's completion.
+    let (mut pending, mut cuts) = (0, Vec::new());
+    for (i, w) in receipts.iter().enumerate() {
+        pending += w.out_tuples;
+        if pending * 12 >= site.cut {
+            cuts.push((pending, probe_dones[i]));
+            pending = 0;
+        }
+    }
+    let got: Vec<(u64, u64)> = run
+        .full
+        .iter()
+        .map(|b| (b.rows.len() as u64, b.ready_at))
+        .collect();
+    assert_eq!(got, cuts);
     assert!(!run.full.is_empty(), "1,500 rows of 12 bytes cross the cut");
     for batch in &run.full {
         assert!(batch.bytes >= site.cut);
@@ -377,16 +435,28 @@ fn join_does_not_read_the_probe_side_after_a_refused_build_grant() {
     let (op, ..) = join_op(&mut site, output);
     let err = run_op(&mut site, &op, NOW).unwrap_err();
     assert!(matches!(err, Refused::Grant { resident } if resident > 1_000));
-    assert_eq!(site.calls.len(), 3, "{:?}", site.calls);
-    assert!(matches!(
+    // The build stream, its one charge, the refused grant check, and no
+    // read of the probe side.
+    let build_pages = site.calls.len() - 3;
+    assert!(build_pages >= 2, "{:?}", site.calls);
+    assert_eq!(
         site.calls[0],
         Call::ReadTable {
             first_lba: BUILD_LBA,
-            ..
+            at: NOW,
+            shareable: false,
         }
-    ));
-    assert!(matches!(site.calls[1], Call::Charge { .. }));
-    assert!(matches!(site.calls[2], Call::Grant { .. }));
+    );
+    assert!(site.calls[1..=build_pages]
+        .iter()
+        .enumerate()
+        .all(|(i, c)| c
+            == &Call::ReadPage {
+                lba: BUILD_LBA + i as u64,
+                at: NOW
+            }));
+    assert!(matches!(site.calls[build_pages + 1], Call::Charge { .. }));
+    assert!(matches!(site.calls[build_pages + 2], Call::Grant { .. }));
 }
 
 #[test]

@@ -168,7 +168,7 @@ fn driver_q6_allocations(layout: Layout, times: usize) -> u64 {
         site.load_pages(&img.pages()[..PAGES], (t * PAGES) as u64);
     }
     // The fake's own log must not grow inside the measured call.
-    site.calls.reserve(2 + times * PAGES);
+    site.calls.reserve(1 + 2 * times * PAGES);
     let table = TableRef {
         first_lba: 0,
         num_pages: (times * PAGES) as u64,

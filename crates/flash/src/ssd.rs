@@ -317,11 +317,12 @@ impl FlashSsd {
     /// or counting the read — the planning half of a batched read. Returns
     /// the payload and the physical `(channel, chip)` the page lives on.
     ///
-    /// A caller that peeks a run of pages, validates them, and then posts
-    /// [`Self::charge_reads`] for the same coordinates performs exactly the
-    /// reads the sequential loop would; if validation fails midway, nothing
-    /// has been charged and the caller can fall back to [`Self::read`] with
-    /// no state to unwind.
+    /// A caller that peeks and validates a run of pages one at a time,
+    /// consuming each as it goes, and then posts [`Self::charge_reads`] for
+    /// the consumed run's coordinates performs exactly the reads the
+    /// sequential loop would. If a page fails to peek or validate, the run
+    /// ends before it: the caller charges the run so far and reads the rest
+    /// through [`Self::read`], with no state to unwind.
     pub fn peek_page(&self, lba: u64) -> Result<(Bytes, (u16, u16)), FlashError> {
         if lba >= self.ftl.logical_pages() {
             return Err(FlashError::LbaOutOfRange(lba));

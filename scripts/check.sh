@@ -88,6 +88,27 @@ reads=$(awk '
 printf '%-16s %d\n' 'ssd.read(' "${reads}"
 [[ "${reads}" -eq 1 ]]
 
+# One table read loop: a site streams a table's pages into the operator's
+# kernel one at a time (OpSite::read_table takes a consumer), so a page is
+# validated and consumed while it is still in cache. A reader that collects
+# the whole table first — the deleted read_table_pages / read_table_batched,
+# or a read_table returning a vector of pages — would read every cold page
+# from memory twice. Non-test code, comments aside.
+echo "== one table read loop (crates/*/src) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0; sig = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    tests || $1 ~ /^\/\// { next }
+    /read_table_batched|read_table_pages/ { print FILENAME ":" FNR ": " $0; n++ }
+    /fn read_table\(/ { sig = 1 }
+    sig && /Vec<\(PageBuf/ { print FILENAME ":" FNR ": " $0; n++ }
+    sig && /[{;][[:space:]]*$/ { sig = 0 }
+    END { exit !n }' $(find crates/*/src -name '*.rs'); then
+    echo "a collect-all table reader is back (see above); stream pages through OpSite::read_table" >&2
+    exit 1
+fi
+
 # One arrival cursor, one admission engine: names deleted from the shipped
 # scheduler must not grow back anywhere in the crates' sources.
 echo "== deleted scheduler forks stay deleted (crates/*/src) =="
