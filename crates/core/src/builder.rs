@@ -13,7 +13,7 @@ use crate::system::System;
 use smartssd_device::DeviceConfig;
 use smartssd_flash::FlashConfig;
 use smartssd_host::{HddConfig, InterfaceKind};
-use smartssd_query::{PlannerConfig, PlannerInputs, Route, SessionPolicy};
+use smartssd_query::{PlannerConfig, PlannerInputs, Route};
 use smartssd_sim::{FaultPlan, SimTime, TraceLevel, TraceSink, Tracer};
 use smartssd_storage::Layout;
 use std::fmt;
@@ -23,14 +23,6 @@ use std::fmt;
 /// misbehaving) deep inside a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The session policy's backoff cap is below its first backoff step, so
-    /// the exponential backoff could never take even one step.
-    BackoffCapBelowPoll {
-        /// The configured cap.
-        cap: SimTime,
-        /// The configured first step.
-        poll: SimTime,
-    },
     /// An enabled breaker with a zero failure window can never accumulate
     /// the failures needed to trip.
     ZeroBreakerWindow,
@@ -97,12 +89,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let rule = match *self {
-            Self::BackoffCapBelowPoll { cap, poll } => {
-                return write!(
-                    f,
-                    "session policy backoff_cap ({cap}) is below poll_backoff ({poll})"
-                )
-            }
             Self::ZeroTenantWeight { tenant } => {
                 return write!(
                     f,
@@ -217,12 +203,6 @@ impl RunOptions {
             ..Self::default()
         }
     }
-
-    /// Set the trace verbosity for this run.
-    pub fn with_verbosity(mut self, level: TraceLevel) -> Self {
-        self.verbosity = level;
-        self
-    }
 }
 
 /// Builder for a [`System`]: configuration knobs plus the trace sink.
@@ -316,12 +296,6 @@ impl SystemBuilder {
     /// Sets the buffer pool capacity, in pages.
     pub fn bufferpool_pages(mut self, pages: usize) -> Self {
         self.cfg.bufferpool_pages = pages;
-        self
-    }
-
-    /// Sets the session recovery policy for device-routed queries.
-    pub fn session_policy(mut self, policy: SessionPolicy) -> Self {
-        self.cfg.session_policy = policy;
         self
     }
 
@@ -439,13 +413,6 @@ impl SystemBuilder {
                 });
             }
         }
-        let sp = &cfg.session_policy;
-        if sp.backoff_cap < sp.poll_backoff {
-            return Err(ConfigError::BackoffCapBelowPoll {
-                cap: sp.backoff_cap,
-                poll: sp.poll_backoff,
-            });
-        }
         let br = &cfg.breaker;
         if br.enabled {
             if br.window == SimTime::ZERO {
@@ -511,20 +478,6 @@ mod tests {
         let opts = RunOptions::default();
         assert!(matches!(opts.route, RoutePolicy::Natural));
         assert_eq!(opts.verbosity, smartssd_sim::TraceLevel::Full);
-    }
-
-    #[test]
-    fn try_build_rejects_inverted_backoff() {
-        let err = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
-            .tweak(|c| {
-                c.session_policy.poll_backoff = SimTime::from_nanos(100);
-                c.session_policy.backoff_cap = SimTime::from_nanos(10);
-            })
-            .try_build()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::BackoffCapBelowPoll { .. }));
-        assert!(err.to_string().contains("backoff_cap"));
     }
 
     #[test]

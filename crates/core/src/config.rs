@@ -157,10 +157,8 @@ pub struct SystemConfig {
     pub host_costs: CostTable,
     /// Wall-plug power model.
     pub power: PowerParams,
-    /// Session recovery policy for device-routed queries: `GET` retry
-    /// budget and backoff, per-session timeout, and whether a fallback run
-    /// carries the wasted device time into its elapsed time. Defaults
-    /// preserve the fault-free protocol bit-for-bit.
+    /// Session recovery policy for device-routed queries: the per-session
+    /// timeout. The default (no timeout) never changes a run.
     pub session_policy: SessionPolicy,
     /// Health-aware routing policy: the circuit breaker that stops sending
     /// queries to a device that keeps crashing. Disabled by default, so

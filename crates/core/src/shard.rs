@@ -157,18 +157,18 @@ impl Shard {
         if self.breaker.record_service_time(stamp, service) {
             faults.slow_trips += 1;
         }
-        faults.get_retries += out.get_retries;
     }
 
     /// Books a faulted device attempt (the driver has already closed the
     /// session) — the single fallback rule every engine follows. The
-    /// breaker learns a failure stamped `stamp` on its clock, and the
-    /// retries and the time burned past `dispatched` (the attempt's start
-    /// on the run's timeline) are charged to `faults`. Malformed payloads,
-    /// invalid operators and unknown extents would fail on the host too (it
-    /// reads the same extent), so they kill the query; everything else
-    /// (uncorrectable flash, resource rejection, firmware crash, hang,
-    /// timeout) degrades it to the host route.
+    /// breaker learns a failure stamped `stamp` on its clock, and the time
+    /// burned past `dispatched` (the attempt's start on the run's timeline)
+    /// is charged to `faults`. Malformed payloads, invalid operators and
+    /// unknown extents would fail on the host too (it reads the same
+    /// extent), so they kill the query; everything else (uncorrectable
+    /// flash, resource rejection, firmware crash, a `GET` that stalls at
+    /// the device's readiness hint, timeout) degrades it to the host
+    /// route.
     ///
     /// Returns the earliest instant anything can happen after the fault —
     /// the driver's `CLOSE` frees the session's slot then, and a host
@@ -183,7 +183,6 @@ impl Shard {
         faults: &mut FaultCounters,
     ) -> (SimTime, Option<SessionFault>) {
         self.breaker.record_failure(stamp);
-        faults.get_retries += fault.get_retries;
         // `fault.wasted` is an absolute instant; only the time past the
         // dispatch was actually burned.
         faults.wasted_ns += fault.wasted.saturating_sub(dispatched).as_nanos();

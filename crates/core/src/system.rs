@@ -157,13 +157,8 @@ impl RunError {
         &self.kind
     }
 
-    /// Consumes the error, returning the failure kind.
-    pub fn into_kind(self) -> RunErrorKind {
-        self.kind
-    }
-
-    /// Faults absorbed before the failure: ECC events, re-reads, `GET`
-    /// retries, and the simulated time wasted on abandoned attempts.
+    /// Faults absorbed before the failure: ECC events, re-reads, fallbacks,
+    /// and the simulated time wasted on abandoned attempts.
     pub fn fault_counters(&self) -> &FaultCounters {
         &self.faults
     }

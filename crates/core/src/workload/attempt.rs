@@ -268,9 +268,8 @@ impl System {
             }
             // An attempt that never reached a verdict gives back the
             // breaker's HalfOpen probe slot.
-            Ok(Collected::Canceled { at, get_retries }) => {
+            Ok(Collected::Canceled { at }) => {
                 shard.breaker.probe_abandoned();
-                self.run_faults.get_retries += get_retries;
                 a.slot_freed(s, at);
                 Ok(Some(Stop::Canceled(at)))
             }

@@ -5,18 +5,17 @@
 //! assume those calls succeed — sessions are rejected when thread or memory
 //! grants run out, and a mid-scan flash failure kills the session outright.
 //! [`SessionDriver`] wraps the protocol with the recovery discipline the
-//! paper's Discussion expects the host to keep: bounded `GET` retries with
-//! exponential backoff, a per-session simulated-time budget, and a typed
-//! [`SessionFault`] on failure that carries the simulated time the failed
-//! attempt burned, so the caller can degrade to host execution without
-//! losing the cost of the detour.
+//! paper's Discussion expects the host to keep: a per-session simulated-time
+//! budget, and a typed [`SessionFault`] on failure that carries the simulated
+//! time the failed attempt burned, so the caller can degrade to host
+//! execution without losing the cost of the detour.
 //!
-//! With the default [`SessionPolicy`] the driver's happy path is
-//! *bit-identical* to the inline protocol loops it replaced: the first poll
-//! after a `Running { ready_at }` hint is posted at
-//! `ready_at.max(t + 1ns)`, backoff only engages on consecutive stalled
-//! polls (which a healthy device never produces), and the timeout defaults
-//! to infinity.
+//! The device computes a session's batch queue when it is opened, so a
+//! `Running { ready_at }` answer names the exact instant the front batch is
+//! ready: the driver posts its next `GET` there, and that `GET` gets the
+//! batch. A second `Running` in a row means the device broke that promise,
+//! and the session is abandoned as [`SessionError::Hung`]. The timeout
+//! defaults to infinity.
 
 use smartssd_device::{DeviceError, GetResponse, SessionId, SmartSsd};
 use smartssd_exec::{QueryOp, WorkCounts};
@@ -26,23 +25,10 @@ use smartssd_storage::expr::AggState;
 use smartssd_storage::Tuple;
 use std::fmt;
 
-/// Recovery knobs for one session. Defaults preserve the protocol's
-/// original timing exactly; they only change behavior when the device
-/// misbehaves.
+/// Recovery policy for one session. The default never changes the
+/// protocol's timing.
 #[derive(Debug, Clone)]
 pub struct SessionPolicy {
-    /// Consecutive `GET` polls that may come back `Running` *after* the
-    /// device's own readiness hint before the driver declares the session
-    /// hung. A healthy device never stalls a poll posted at its hint, so
-    /// this bound is never reached in normal operation.
-    pub max_get_retries: u32,
-    /// Minimum spacing between a poll and the previous response. Doubles
-    /// on every consecutive stalled poll (exponential backoff), capped at
-    /// [`SessionPolicy::backoff_cap`]. The 1 ns default reproduces the
-    /// original inline loops bit-for-bit.
-    pub poll_backoff: SimTime,
-    /// Upper bound on the backoff step.
-    pub backoff_cap: SimTime,
     /// Simulated-time budget from `OPEN` to the final `Done`. Exceeding it
     /// abandons the session with [`SessionError::Timeout`].
     pub session_timeout: SimTime,
@@ -51,9 +37,6 @@ pub struct SessionPolicy {
 impl Default for SessionPolicy {
     fn default() -> Self {
         Self {
-            max_get_retries: 64,
-            poll_backoff: SimTime::from_nanos(1),
-            backoff_cap: SimTime::from_millis(1),
             session_timeout: SimTime::MAX,
         }
     }
@@ -69,12 +52,10 @@ pub enum SessionError {
         /// Simulated time at which the budget ran out.
         at: SimTime,
     },
-    /// `GET` stalled past the retry budget: the device kept answering
-    /// `Running` at its own readiness hints.
+    /// A `GET` posted at the device's own readiness hint came back
+    /// `Running` again.
     Hung {
-        /// Stalled polls spent before giving up.
-        stalled_polls: u32,
-        /// Simulated time of the final stalled poll.
+        /// Simulated time of the stalled poll.
         at: SimTime,
     },
     /// The device firmware crashed (or is still resetting): this session —
@@ -92,10 +73,10 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::Device(e) => write!(f, "device: {e}"),
             SessionError::Timeout { at } => write!(f, "session timed out at {at}"),
-            SessionError::Hung { stalled_polls, at } => {
+            SessionError::Hung { at } => {
                 write!(
                     f,
-                    "session hung after {stalled_polls} stalled GETs (at {at})"
+                    "session hung: GET at its readiness hint stalled (at {at})"
                 )
             }
             SessionError::DeviceReset { until } => {
@@ -109,9 +90,8 @@ impl fmt::Display for SessionError {
 }
 
 /// A failed session, with the accounting the caller needs to degrade
-/// gracefully: the simulated time the attempt burned and the `GET` retries
-/// it spent before giving up. The driver has already `CLOSE`d the session
-/// (best-effort) by the time this is returned.
+/// gracefully: the simulated time the attempt burned. The driver has
+/// already `CLOSE`d the session (best-effort) by the time this is returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionFault {
     /// What went wrong.
@@ -119,17 +99,11 @@ pub struct SessionFault {
     /// Simulated time burned on the failed attempt — the earliest moment a
     /// host-side fallback can start.
     pub wasted: SimTime,
-    /// Stalled `GET` polls repeated before the failure.
-    pub get_retries: u64,
 }
 
 impl fmt::Display for SessionFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} (wasted {}, {} GET retries)",
-            self.error, self.wasted, self.get_retries
-        )
+        write!(f, "{} (wasted {})", self.error, self.wasted)
     }
 }
 
@@ -152,8 +126,6 @@ pub enum Collected {
     Canceled {
         /// The simulated instant the `CLOSE` took effect.
         at: SimTime,
-        /// Stalled `GET` polls spent before the cancel.
-        get_retries: u64,
     },
 }
 
@@ -168,8 +140,6 @@ pub struct SessionOutcome {
     pub work: WorkCounts,
     /// Simulated time at which the host finished consuming the results.
     pub finished_at: SimTime,
-    /// Stalled `GET` polls absorbed along the way (0 on a healthy device).
-    pub get_retries: u64,
 }
 
 /// Drives OPEN/GET/CLOSE against a [`SmartSsd`] under a [`SessionPolicy`].
@@ -191,9 +161,8 @@ impl SessionDriver {
         }
     }
 
-    /// Attaches a tracer: protocol phases (OPEN, per-batch GET, CLOSE),
-    /// stalled-poll retries and backoff waits are emitted under the session
-    /// pid.
+    /// Attaches a tracer: protocol phases (OPEN, per-batch GET and the
+    /// waits between them, CLOSE) are emitted under the session pid.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -234,15 +203,6 @@ impl SessionDriver {
         );
     }
 
-    /// Backoff step for the given number of consecutive stalled polls.
-    /// `backoff_cap >= poll_backoff` is validated at build time, so the cap
-    /// applies unclamped here.
-    fn backoff_step(&self, stalls: u32) -> SimTime {
-        let base = self.policy.poll_backoff.as_nanos().max(1);
-        let step = base.saturating_mul(1u64 << stalls.min(20));
-        SimTime::from_nanos(step).min(self.policy.backoff_cap)
-    }
-
     /// Best-effort CLOSE on the abandon path: the session may already be
     /// gone (e.g. the OPEN itself failed), which is fine.
     fn abandon(
@@ -251,21 +211,12 @@ impl SessionDriver {
         sid: Option<SessionId>,
         error: SessionError,
         wasted: SimTime,
-        get_retries: u64,
     ) -> SessionFault {
         if let Some(sid) = sid {
             let _ = dev.close(sid);
         }
-        self.instant(
-            "session-fault",
-            wasted,
-            &[("get_retries", get_retries as f64)],
-        );
-        SessionFault {
-            error,
-            wasted,
-            get_retries,
-        }
+        self.instant("session-fault", wasted, &[]);
+        SessionFault { error, wasted }
     }
 
     /// Runs one full session over the host interface: the `OPEN` payload
@@ -313,7 +264,7 @@ impl SessionDriver {
         };
         opened
             .map(|sid| (sid, done))
-            .map_err(|e| self.device_fault(dev, None, e, done, 0))
+            .map_err(|e| self.device_fault(dev, None, e, done))
     }
 
     /// Polls a session from `from` until the device reports `Done` — or,
@@ -346,23 +297,14 @@ impl SessionDriver {
                 return Ok(Collected::Done(SessionOutcome {
                     work: dev.session_work(sid).copied().unwrap_or_default(),
                     finished_at: c.t,
-                    get_retries: c.get_retries,
                     rows: c.rows,
                     aggs: c.aggs,
                 }));
             }
         }
         let _ = dev.close(sid);
-        let get_retries = c.get_retries;
-        self.instant(
-            "canceled",
-            cancel_at,
-            &[("get_retries", get_retries as f64)],
-        );
-        Ok(Collected::Canceled {
-            at: cancel_at,
-            get_retries,
-        })
+        self.instant("canceled", cancel_at, &[]);
+        Ok(Collected::Canceled { at: cancel_at })
     }
 
     /// Collects a session opened at `opened_at` to completion from `from`,
@@ -380,9 +322,9 @@ impl SessionDriver {
             Collected::Done(out) => out,
             // Only a clock saturated at `SimTime::MAX` reaches the cancel
             // instant: the session's time budget is gone.
-            Collected::Canceled { at, get_retries } => {
+            Collected::Canceled { at } => {
                 let timeout = SessionError::Timeout { at };
-                return Err(self.abandon(dev, None, timeout, at, get_retries));
+                return Err(self.abandon(dev, None, timeout, at));
             }
         };
         self.close(dev, sid, &out)?;
@@ -402,30 +344,19 @@ impl SessionDriver {
     ) -> Result<bool, SessionFault> {
         match dev.get(sid, c.t) {
             Ok(GetResponse::Running { ready_at }) => {
-                if c.stalls > 0 {
-                    // The device's own hint did not pan out: a genuine
-                    // retry, spaced by exponential backoff.
-                    c.get_retries += 1;
-                    if io.is_some() {
-                        self.instant("get-retry", c.t, &[("stalls", c.stalls as f64)]);
-                    }
-                    if c.stalls > self.policy.max_get_retries {
-                        let err = SessionError::Hung {
-                            stalled_polls: c.stalls,
-                            at: c.t,
-                        };
-                        return Err(self.abandon(dev, Some(sid), err, c.t, c.get_retries));
-                    }
+                if c.waited {
+                    // The poll at the device's own hint found no batch.
+                    let err = SessionError::Hung { at: c.t };
+                    return Err(self.abandon(dev, Some(sid), err, c.t));
                 }
-                let next = ready_at.max(c.t + self.backoff_step(c.stalls));
                 if io.is_some() {
-                    self.phase("GET-wait", c.t, next, &[("stalls", c.stalls as f64)]);
+                    self.phase("GET-wait", c.t, ready_at, &[]);
                 }
-                c.t = next;
-                c.stalls += 1;
+                c.t = ready_at;
+                c.waited = true;
             }
             Ok(GetResponse::Batch(batch)) => {
-                c.stalls = 0;
+                c.waited = false;
                 let ready = c.t.max(batch.ready_at);
                 c.t = match io {
                     Some((link, host_cpu)) => {
@@ -445,11 +376,11 @@ impl SessionDriver {
                 }
             }
             Ok(GetResponse::Done) => return Ok(true),
-            Err(e) => return Err(self.device_fault(dev, Some(sid), e, c.t, c.get_retries)),
+            Err(e) => return Err(self.device_fault(dev, Some(sid), e, c.t)),
         }
         if c.t > deadline {
             let err = SessionError::Timeout { at: c.t };
-            return Err(self.abandon(dev, Some(sid), err, c.t, c.get_retries));
+            return Err(self.abandon(dev, Some(sid), err, c.t));
         }
         Ok(false)
     }
@@ -462,9 +393,9 @@ impl SessionDriver {
         sid: SessionId,
         out: &SessionOutcome,
     ) -> Result<(), SessionFault> {
-        let (at, retries) = (out.finished_at, out.get_retries);
+        let at = out.finished_at;
         dev.close(sid)
-            .map_err(|e| self.device_fault(dev, None, e, at, retries))?;
+            .map_err(|e| self.device_fault(dev, None, e, at))?;
         self.instant("CLOSE", at, &[]);
         Ok(())
     }
@@ -505,7 +436,6 @@ impl SessionDriver {
         sid: Option<SessionId>,
         e: DeviceError,
         at: SimTime,
-        get_retries: u64,
     ) -> SessionFault {
         let wasted = match &e {
             DeviceError::RetriesExhausted { at: failed, .. } => at.max(*failed),
@@ -519,19 +449,19 @@ impl SessionDriver {
             DeviceError::DeviceReset { until, .. } => SessionError::DeviceReset { until },
             other => SessionError::Device(other),
         };
-        self.abandon(dev, sid, error, wasted, get_retries)
+        self.abandon(dev, sid, error, wasted)
     }
 }
 
 /// A collection in progress: what has been gathered so far, the collection
-/// clock, the consecutive stalled polls and the retries they cost.
+/// clock, and whether the last poll came back `Running` (so the clock now
+/// stands at the device's readiness hint).
 #[derive(Default)]
 struct Collection {
     rows: Vec<Tuple>,
     aggs: Option<Vec<AggState>>,
     t: SimTime,
-    stalls: u32,
-    get_retries: u64,
+    waited: bool,
 }
 
 #[cfg(test)]
@@ -579,7 +509,6 @@ mod tests {
             .run_linked(&mut dev, &mut link, &mut cpu, 20_000, &count_op(tref))
             .unwrap();
         assert_eq!(out.aggs.unwrap()[0].finish(), 20_000);
-        assert_eq!(out.get_retries, 0, "healthy device must not stall polls");
         assert!(out.finished_at > SimTime::ZERO);
     }
 
@@ -601,7 +530,6 @@ mod tests {
         let mut cpu = CpuModel::new("host-cpu", 8, 2_260_000_000);
         let driver = SessionDriver::new(SessionPolicy {
             session_timeout: SimTime::from_nanos(1),
-            ..SessionPolicy::default()
         });
         let fault = driver
             .run_linked(&mut dev, &mut link, &mut cpu, 20_000, &count_op(tref))
@@ -619,7 +547,6 @@ mod tests {
         );
         let strict = SessionDriver::new(SessionPolicy {
             session_timeout: SimTime::from_nanos(1),
-            ..SessionPolicy::default()
         });
         let op = count_op(tref1);
         assert!(strict
@@ -649,7 +576,6 @@ mod tests {
             fault.error,
             SessionError::Device(DeviceError::TooManySessions)
         );
-        assert_eq!(fault.get_retries, 0);
     }
 
     #[test]
@@ -702,18 +628,5 @@ mod tests {
         };
         assert_eq!(out.aggs.as_ref().unwrap()[0].finish(), 10_000);
         driver.close(&mut dev, sid, &out).unwrap();
-    }
-
-    #[test]
-    fn backoff_steps_double_and_cap() {
-        let driver = SessionDriver::new(SessionPolicy {
-            poll_backoff: SimTime::from_nanos(4),
-            backoff_cap: SimTime::from_nanos(10),
-            ..SessionPolicy::default()
-        });
-        assert_eq!(driver.backoff_step(0), SimTime::from_nanos(4));
-        assert_eq!(driver.backoff_step(1), SimTime::from_nanos(8));
-        assert_eq!(driver.backoff_step(2), SimTime::from_nanos(10)); // capped
-        assert_eq!(driver.backoff_step(63), SimTime::from_nanos(10));
     }
 }

@@ -10,9 +10,8 @@ use std::fmt;
 ///
 /// Counters are additive across layers — the flash emulator contributes the
 /// ECC events, the device/host read paths contribute re-reads and detected
-/// escapes, the session driver contributes `GET` retries, and the system
-/// façade contributes fallbacks and the simulated time wasted on failed
-/// device attempts.
+/// escapes, and the system façade contributes fallbacks, the simulated time
+/// wasted on failed device attempts, and the breaker and hedge counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Correctable read errors recovered by the device's own ECC re-read.
@@ -25,8 +24,6 @@ pub struct FaultCounters {
     /// Page re-reads issued by the device firmware or host driver to
     /// recover from a surfaced error or a detected escape.
     pub read_retries: u64,
-    /// `GET` polls the session driver had to repeat before a batch arrived.
-    pub get_retries: u64,
     /// Device-route runs that degraded to host-side execution.
     pub fallbacks: u64,
     /// Simulated time burned on failed device attempts before a fallback,
@@ -58,7 +55,6 @@ impl FaultCounters {
         self.ecc_failures += other.ecc_failures;
         self.escapes_detected += other.escapes_detected;
         self.read_retries += other.read_retries;
-        self.get_retries += other.get_retries;
         self.fallbacks += other.fallbacks;
         self.wasted_ns += other.wasted_ns;
         self.device_crashes += other.device_crashes;
@@ -75,73 +71,29 @@ impl FaultCounters {
         *self != FaultCounters::default()
     }
 
-    /// Total recovery actions taken (retries of any kind plus fallbacks).
-    pub fn recoveries(&self) -> u64 {
-        self.ecc_retries + self.read_retries + self.get_retries + self.fallbacks
-    }
-
     /// Renders the counters as a JSON object (the schema documented in
-    /// README/EXPERIMENTS: every field a non-negative integer). The
-    /// resilience counters (`slow_trips`, `hedges`, `hedge_wins`,
-    /// `hedge_denied`) are emitted only when one of them is nonzero, so
-    /// artifacts from runs with the defenses off keep their historical
-    /// byte-exact shape.
+    /// README/EXPERIMENTS): every field, in declaration order, as a
+    /// non-negative integer.
     pub fn to_json(&self) -> String {
-        let resilience =
-            if (self.slow_trips | self.hedges | self.hedge_wins | self.hedge_denied) > 0 {
-                format!(
-                    ", \"slow_trips\": {}, \"hedges\": {}, \"hedge_wins\": {}, \
-                 \"hedge_denied\": {}",
-                    self.slow_trips, self.hedges, self.hedge_wins, self.hedge_denied
-                )
-            } else {
-                String::new()
-            };
         format!(
             "{{\"ecc_retries\": {}, \"ecc_failures\": {}, \"escapes_detected\": {}, \
-             \"read_retries\": {}, \"get_retries\": {}, \"fallbacks\": {}, \
-             \"wasted_ns\": {}, \"device_crashes\": {}, \"killed_sessions\": {}, \
-             \"reset_downtime_ns\": {}{resilience}}}",
+             \"read_retries\": {}, \"fallbacks\": {}, \"wasted_ns\": {}, \
+             \"device_crashes\": {}, \"killed_sessions\": {}, \"reset_downtime_ns\": {}, \
+             \"slow_trips\": {}, \"hedges\": {}, \"hedge_wins\": {}, \"hedge_denied\": {}}}",
             self.ecc_retries,
             self.ecc_failures,
             self.escapes_detected,
             self.read_retries,
-            self.get_retries,
             self.fallbacks,
             self.wasted_ns,
             self.device_crashes,
             self.killed_sessions,
-            self.reset_downtime_ns
+            self.reset_downtime_ns,
+            self.slow_trips,
+            self.hedges,
+            self.hedge_wins,
+            self.hedge_denied
         )
-    }
-}
-
-impl fmt::Display for FaultCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ecc retries {}, ecc failures {}, escapes detected {}, read retries {}, \
-             get retries {}, fallbacks {}, wasted {}, crashes {}, killed sessions {}, \
-             reset downtime {}",
-            self.ecc_retries,
-            self.ecc_failures,
-            self.escapes_detected,
-            self.read_retries,
-            self.get_retries,
-            self.fallbacks,
-            SimTime::from_nanos(self.wasted_ns),
-            self.device_crashes,
-            self.killed_sessions,
-            SimTime::from_nanos(self.reset_downtime_ns)
-        )?;
-        if (self.slow_trips | self.hedges | self.hedge_wins | self.hedge_denied) > 0 {
-            write!(
-                f,
-                ", slow trips {}, hedges {} ({} won, {} denied)",
-                self.slow_trips, self.hedges, self.hedge_wins, self.hedge_denied
-            )?;
-        }
-        Ok(())
     }
 }
 

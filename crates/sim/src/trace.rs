@@ -61,7 +61,7 @@ pub mod pid {
     pub const INTERFACE: u32 = 3;
     /// Host CPU cores.
     pub const HOST_CPU: u32 = 4;
-    /// Session protocol phases (OPEN/GET/CLOSE, retries, backoff waits).
+    /// Session protocol phases (OPEN, GET and the waits between, CLOSE).
     pub const SESSION: u32 = 5;
     /// Planner route decisions.
     pub const PLANNER: u32 = 6;

@@ -117,6 +117,15 @@ if grep -rnE 'ArrivalSrc|reference_admission|Pareto' crates/*/src; then
     exit 1
 fi
 
+# One GET rule: the driver posts each GET at the device's readiness hint,
+# which always gets the batch, so the stall-retry path, its knobs and its
+# counter stay deleted.
+echo "== GET stall-retry path stays deleted (crates/*/src) =="
+if grep -rnE 'get_retries|poll_backoff|backoff_cap|max_get_retries|BackoffCapBelowPoll|backoff_step' crates/*/src; then
+    echo "the deleted GET stall-retry path is back (see above)" >&2
+    exit 1
+fi
+
 # One host type: an N-device Smart SSD array is a System (devices(n),
 # load_partitioned, run with the device route forced). The old fleet front
 # door survives only as crates/core/src/fleet.rs, a shim for the frozen
@@ -189,23 +198,27 @@ if [[ "${1:-}" != "fast" ]]; then
     # Every repro subcommand that writes a BENCH_<sub>.json (trace also
     # writes trace_*.json), quick scale. The registry is the only list of
     # names: `repro list` prints name, scope, BENCH file (or -), about. A
-    # failed or aborted experiment exits non-zero and fails the gate.
+    # failed or aborted experiment exits non-zero and fails the gate. The
+    # files land in target/repro-smoke, so the tracked full-scale BENCH
+    # files in the repo root are left as they are.
     repro=(cargo run -q --release -p smartssd-bench --bin repro --)
     subs=$("${repro[@]}" list | awk -F'\t' '$3 != "-" { print $1 }')
     [[ -n "${subs}" ]]
+    smoke=target/repro-smoke
+    mkdir -p "${smoke}"
     for sub in ${subs}; do
-        echo "== repro ${sub} --quick (BENCH_${sub}.json) =="
-        "${repro[@]}" "${sub}" --quick
+        echo "== repro ${sub} --quick (${smoke}/BENCH_${sub}.json) =="
+        (cd "${smoke}" && "${repro[@]}" "${sub}" --quick)
     done
 
     # Tenant scaling, for the eye only: arrivals/s at the sweep's largest
     # tenant count over the figure at 16 tenants, both from the
-    # BENCH_servescale.json just written (same run, same machine). A cell is
-    # 50 ms of wall clock, so single readings scatter (0.41-0.56 with
-    # per-run work quadratic in tenants and one catalog resolution per
-    # dispatch, 0.51-0.70 without); the property itself is held without a
-    # clock by crates/bench/tests/servescale.rs and the try_validate /
-    # ArrivalStream tests in crates/core.
+    # BENCH_servescale.json just written in target/repro-smoke (same run,
+    # same machine). A cell is 50 ms of wall clock, so single readings
+    # scatter (0.41-0.56 with per-run work quadratic in tenants and one
+    # catalog resolution per dispatch, 0.51-0.70 without); the property
+    # itself is held without a clock by crates/bench/tests/servescale.rs and
+    # the try_validate / ArrivalStream tests in crates/core.
     echo "== serving tenant scaling (largest tenant count / 16 tenants; informational) =="
     awk '
         /"tenants": [0-9]+, "arrivals"/ {
@@ -219,7 +232,7 @@ if [[ "${1:-}" != "fast" ]]; then
         END {
             if (!(16 in rate) || max <= 16) exit 1
             printf "  %.2f (%.0f/s at %d tenants, %.0f/s at 16)\n", rate[max] / rate[16], rate[max], max, rate[16]
-        }' BENCH_servescale.json
+        }' "${smoke}/BENCH_servescale.json"
 fi
 
 echo "OK"

@@ -8,13 +8,13 @@
 
 use proptest::prelude::*;
 use smartssd::{
-    DeviceKind, Layout, Route, RoutePolicy, RunOptions, RunReport, System, SystemBuilder,
-    SystemConfig, Workload, WorkloadOptions,
+    BreakerPolicy, DeviceKind, Layout, Route, RoutePolicy, RunOptions, RunReport, System,
+    SystemBuilder, SystemConfig, Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_flash::{FlashConfig, FlashSsd};
 use smartssd_query::{Finalize, OpTemplate, Query};
-use smartssd_sim::SimTime;
+use smartssd_sim::{FaultPlan, SimTime};
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
 use smartssd_storage::page::PageError;
 use smartssd_storage::{pax, DataType, Datum, PageBuf, Schema, TableBuilder, Tuple};
@@ -269,8 +269,35 @@ fn saturated_escapes_are_all_detected_on_both_routes() {
     }
 }
 
+/// The keys of a flat JSON object, in order.
+fn json_keys(json: &str) -> Vec<&str> {
+    json.split('"').skip(1).step_by(2).collect()
+}
+
+/// One schema for the fault counters: every run prints the same 13 keys in
+/// the same order, whether it was clean, absorbed escapes, or tripped the
+/// breaker on a slow device.
 #[test]
 fn fault_counters_json_has_every_field() {
+    const KEYS: [&str; 13] = [
+        "ecc_retries",
+        "ecc_failures",
+        "escapes_detected",
+        "read_retries",
+        "fallbacks",
+        "wasted_ns",
+        "device_crashes",
+        "killed_sessions",
+        "reset_downtime_ns",
+        "slow_trips",
+        "hedges",
+        "hedge_wins",
+        "hedge_denied",
+    ];
+    let clean = run_case(FlashConfig::default(), Route::Device, |_| {}).unwrap();
+    assert!(!clean.faults.any());
+    assert_eq!(json_keys(&clean.faults.to_json()), KEYS);
+
     let faulty = FlashConfig {
         silent_corruption_rate: u32::MAX / 8,
         ..FlashConfig::default()
@@ -278,27 +305,39 @@ fn fault_counters_json_has_every_field() {
     let r = run_case(faulty, Route::Device, |_| {}).unwrap();
     assert!(r.faults.escapes_detected > 0);
     let json = r.faults.to_json();
-    for key in [
-        "ecc_retries",
-        "ecc_failures",
-        "escapes_detected",
-        "read_retries",
-        "get_retries",
-        "fallbacks",
-        "wasted_ns",
-        "device_crashes",
-        "killed_sessions",
-        "reset_downtime_ns",
-    ] {
-        assert!(
-            json.contains(&format!("\"{key}\": ")),
-            "missing {key}: {json}"
-        );
-    }
+    assert_eq!(json_keys(&json), KEYS);
     assert!(json.contains(&format!(
         "\"escapes_detected\": {}",
         r.faults.escapes_detected
     )));
+
+    // Eight spaced device arrivals; the device turns 8x slow after the
+    // breaker's two baseline samples, so the latency rule trips it.
+    let gap = SimTime::from_nanos(clean.result.elapsed.as_nanos() * 4);
+    let slow_from = SimTime::from_nanos(gap.as_nanos() * 2);
+    let plan = FaultPlan::new().slowdown(0, 8, slow_from, SimTime::from_secs(3600));
+    let breaker = BreakerPolicy {
+        slow_trip_factor: 2,
+        baseline_samples: 2,
+        ..BreakerPolicy::enabled()
+    };
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .breaker(breaker)
+        .fault_plan(&plan)
+        .build();
+    sys.load_table_rows("t", &small_schema(), rows(N_ROWS))
+        .unwrap();
+    sys.finish_load();
+    let mut w = Workload::new();
+    for i in 0..8 {
+        let at = SimTime::from_nanos(gap.as_nanos() * i);
+        w.push(sum_query(), RoutePolicy::Force(Route::Device), at);
+    }
+    let rep = sys.run_workload(&w, WorkloadOptions::default()).unwrap();
+    assert!(rep.faults.slow_trips > 0, "{:?}", rep.faults);
+    let json = rep.faults.to_json();
+    assert_eq!(json_keys(&json), KEYS);
+    assert!(json.contains(&format!("\"slow_trips\": {}", rep.faults.slow_trips)));
 }
 
 proptest! {
