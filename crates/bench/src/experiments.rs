@@ -525,31 +525,25 @@ fn tpch_fleet(n: usize, s: &Scales, breaker: bool) -> Result<System, RunError> {
     Ok(fleet)
 }
 
-/// One cold scattered Q6 per array size in `counts`, over the linked
-/// protocol: rows of devices, elapsed seconds, and speedup over the first
-/// size.
-fn fleet_scaling(s: &Scales, counts: &[usize]) -> Result<Vec<Vec<Cell>>, RunError> {
-    let mut rows = Vec::new();
-    let mut base = None;
-    for &n in counts {
-        let rep = tpch_fleet(n, s, false)?.run(&q6(), RunOptions::routed(Route::Device))?;
-        let t = rep.result.elapsed.as_secs_f64();
-        rows.push(row![n, t, *base.get_or_insert(t) / t]);
-    }
-    Ok(rows)
-}
-
-/// Discussion-section extension: Q6-shaped aggregation over a LINEITEM
-/// partitioned across an array of Smart SSDs, the coordinator the paper
-/// sketches, over the full linked protocol — the first rows of `fleet`'s
-/// scaling sweep.
+/// Discussion-section extension (paper Section 4.3): Q6-shaped aggregation
+/// over a LINEITEM partitioned across an array of 1 to 64 Smart SSDs, the
+/// coordinator the paper sketches, scattered and gathered over the full
+/// linked protocol — one cold run per array size, speedup measured
+/// against the single device. Gather serialization on the one shared link
+/// caps the deepest fan-out.
 fn array(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
         col("  devices", "  {:>7}"),
-        col("   elapsed[s]", "   {:>9.3}"),
+        col("   elapsed[s]", "   {:>10.6}"),
         col("   speedup", "   {:>6.2}x"),
     ];
-    let rows = fleet_scaling(&c.scales, &[1, 2, 4, 8])?;
+    let mut rows = Vec::new();
+    let mut base = None;
+    for n in [1usize, 2, 4, 8, 16, 32, 64] {
+        let rep = tpch_fleet(n, &c.scales, false)?.run(&q6(), RunOptions::routed(Route::Device))?;
+        let t = rep.result.elapsed.as_secs_f64();
+        rows.push(row![n, t, *base.get_or_insert(t) / t]);
+    }
     let mut r = Report::new("Discussion: Q6 across an array of Smart SSDs");
     r.table("", COLS, rows);
     Ok(r)
@@ -669,48 +663,22 @@ fn interface(c: &Ctx) -> Result<Report, RunError> {
 /// N simultaneous Q6 pushdown sessions under device-only timing: a
 /// [`Workload::burst`] with the interface taken out of the picture, so the
 /// curve isolates device-internal contention (embedded CPU and flash
-/// path), with scan sharing on or off and optionally a scaled device CPU
-/// (`cores_mhz`).
+/// path), with scan sharing on or off, on a device of `cores` at `mhz`.
 fn q6_burst(
     s: &Scales,
     n: usize,
     shared: bool,
-    cores_mhz: Option<(usize, u64)>,
+    (cores, mhz): (usize, u64),
 ) -> Result<WorkloadReport, RunError> {
     let b = smart().shared_scans(shared).tweak(|cfg| {
         cfg.smart.max_sessions = n.max(4);
-        if let Some((cores, mhz)) = cores_mhz {
-            cfg.smart.cpu_cores = cores;
-            cfg.smart.cpu_hz = mhz * 1_000_000;
-        }
+        cfg.smart.cpu_cores = cores;
+        cfg.smart.cpu_hz = mhz * 1_000_000;
     });
     load(b, Tables::Lineitem, s)?.run_workload(
         &Workload::burst(&q6(), n),
         WorkloadOptions::new().interface(InterfaceMode::Direct),
     )
-}
-
-/// "Considering the impact of concurrent queries" is on the paper's
-/// research-opportunities list (Section 5). N identical Q6 sessions open
-/// simultaneously on one device and share its CPU and flash path; the
-/// slowdown is normalized against the single-session makespan.
-fn concurrent(c: &Ctx) -> Result<Report, RunError> {
-    const COLS: &[Col] = &[
-        col("  sessions", "  {:>8}"),
-        col("   makespan[s]", "   {:>10.3}"),
-        col("   vs single", "   {:>7.2}x"),
-    ];
-    let mut rows = Vec::new();
-    let mut base = None;
-    for n in [1usize, 2, 4] {
-        let t = q6_burst(&c.scales, n, false, None)?.makespan.as_secs_f64();
-        rows.push(row![n, t, t / *base.get_or_insert(t)]);
-    }
-    let mut r = Report::new("Section 5: concurrent pushdown sessions on one device (Q6)");
-    r.table("", COLS, rows);
-    r.note("  (sessions share the embedded CPU and flash path: concurrency");
-    r.note("   serializes — one of the open problems the paper lists)");
-    Ok(r)
 }
 
 /// Ablation the paper's setup invites: its baseline runs the scan on one
@@ -777,114 +745,12 @@ fn q1_groups(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// Minimum wall-clock milliseconds over `reps` passes of `page` across
-/// every page of `img`, each pass starting from a fresh `new()` accumulator.
-fn time_pages<A>(
-    reps: u32,
-    img: &smartssd_storage::TableImage,
-    new: impl Fn() -> A,
-    mut page: impl FnMut(&smartssd_storage::PageBuf, &mut A, &mut smartssd_exec::WorkCounts),
-) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        let (mut acc, mut work) = (new(), smartssd_exec::WorkCounts::default());
-        for p in img.pages() {
-            page(p, &mut acc, &mut work);
-        }
-        std::hint::black_box(&mut acc);
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Wall-clock-times the vectorized Q6/Q1 scan kernels against the
-/// tuple-at-a-time reference kernels. Timings are machine-dependent, so
-/// they live only in the BENCH file; stdout stays deterministic.
-fn kernels(c: &Ctx) -> Result<Report, RunError> {
-    use smartssd_exec::kernels::{scan_agg_page, scan_group_agg_page, GroupTable};
-    use smartssd_exec::reference::{
-        scan_agg_page_rowwise, scan_group_agg_page_rowwise, RefGroupTable,
-    };
-    use smartssd_exec::spec::{GroupAggSpec, ScanAggSpec};
-    use smartssd_storage::expr::{AggFunc, AggSpec, AggState, CmpOp, Expr, Pred};
-    const COLS: &[Col] = &[
-        jcol("name", 0),
-        jcol("layout", 0),
-        jcol("vectorized_ms", 3).wall(),
-        jcol("rowwise_ms", 3).wall(),
-        jcol("speedup", 2).wall(),
-    ];
-    let (rows, reps): (u64, u32) = if c.quick { (12_000, 3) } else { (60_000, 7) };
-    let q6 = ScanAggSpec {
-        pred: Pred::And(vec![
-            Pred::range_half_open(10, 731, 1096),
-            Pred::between_exclusive(6, 5, 7),
-            Pred::Cmp(CmpOp::Lt, Expr::col(4), Expr::lit(24)),
-        ]),
-        aggs: vec![AggSpec::sum(Expr::col(5).mul(Expr::col(6)))],
-    };
-    let q1 = GroupAggSpec {
-        pred: Pred::Cmp(CmpOp::Le, Expr::col(10), Expr::lit(2_437)),
-        group_by: vec![8, 9],
-        aggs: vec![
-            AggSpec::sum(Expr::col(4)),
-            AggSpec::sum(Expr::col(5)),
-            AggSpec::sum(Expr::col(5).mul(Expr::lit(100).sub(Expr::col(6)))),
-            AggSpec::count(),
-        ],
-    };
-    let sum = || vec![AggState::new(AggFunc::Sum)];
-    let mut benches = Vec::new();
-    for layout in [Layout::Nsm, Layout::Pax] {
-        let mut b = smartssd_storage::TableBuilder::new("l", tpch::lineitem_schema(), layout);
-        b.extend(tpch::lineitem_rows(rows as f64 / 6_000_000.0, 7));
-        let img = b.finish();
-        let s = img.schema();
-        let scan = [
-            time_pages(reps, &img, sum, |p, a, w| scan_agg_page(p, s, &q6, a, w)),
-            time_pages(reps, &img, sum, |p, a, w| {
-                scan_agg_page_rowwise(p, s, &q6, a, w)
-            }),
-        ];
-        let group = [
-            time_pages(reps, &img, GroupTable::new, |p, a, w| {
-                scan_group_agg_page(p, s, &q1, a, w)
-            }),
-            time_pages(reps, &img, RefGroupTable::new, |p, a, w| {
-                scan_group_agg_page_rowwise(p, s, &q1, a, w)
-            }),
-        ];
-        for (name, [vec_ms, row_ms]) in
-            [("kernel/scan_agg_q6", scan), ("kernel/group_agg_q1", group)]
-        {
-            benches.push(row![
-                name,
-                format!("{layout:?}"),
-                vec_ms,
-                row_ms,
-                row_ms / vec_ms
-            ]);
-        }
-    }
-    let mut r = Report::new("Kernel micro-benchmarks (vectorized vs tuple-at-a-time)");
-    r.field("quick", c.quick);
-    r.field("rows", rows);
-    r.field("reps", reps);
-    r.field("timing", "min wall-clock ms");
-    r.table("benches", COLS, benches);
-    r.note(format!(
-        "  wrote {} ({rows} rows, min over {reps} reps per kernel)",
-        c.bench
-    ));
-    Ok(r)
-}
-
-/// Fault-injection observability: Q6 pushdown under increasing injected
-/// fault rates. Recovery is about *time*, never answers — every scenario
-/// must produce rows and aggregates bit-identical to the clean run, while
-/// the counters and elapsed times show what the recovery machinery paid.
-fn faults(c: &Ctx) -> Result<Report, RunError> {
+/// The `chaos` report's first fault table: one cold Q6 pushdown per
+/// injected flash-fault rate. Recovery is about *time*, never answers —
+/// every scenario must produce rows and aggregates bit-identical to the
+/// clean run, while the counters and elapsed times show what the recovery
+/// machinery paid.
+fn flash_rates(c: &Ctx, r: &mut Report) -> Result<(), RunError> {
     const COLS: &[Col] = &[
         col("  scenario          ", "  {:<18}").key("scenario", 0),
         jcol("ecc_retry_rate", 0),
@@ -928,15 +794,15 @@ fn faults(c: &Ctx) -> Result<Report, RunError> {
             Cell::Raw(f.to_json()),
         ]);
     }
-    let mut r = Report::new("Fault injection: Q6 pushdown under injected flash faults");
-    r.table("scenarios", COLS, rows);
+    r.note("  flash-fault rates (one cold Q6 pushdown per scenario):");
+    r.table("flash_rates", COLS, rows);
     r.note("  (results are bit-identical under faults; recovery costs time, not answers)");
-    r.note(format!("  wrote {}", c.bench));
-    Ok(r)
+    Ok(())
 }
 
-/// The workload-level concurrency experiment: N simultaneous Q6 pushdown
-/// sessions, with device-side scan sharing off vs on, on two devices.
+/// Section 5's "impact of concurrent queries": N simultaneous Q6 pushdown
+/// sessions on one device, device-side scan sharing off vs on, on two
+/// devices; each curve's slowdown is against its single-session makespan.
 ///
 /// On the paper-era prototype (2 cores at 400 MHz) the embedded CPU is the
 /// bottleneck at ~99% utilization, so sharing the flash reads barely bends
@@ -973,7 +839,7 @@ fn concurrency(c: &Ctx) -> Result<Report, RunError> {
         for shared in [false, true] {
             let mut base = None;
             for n in [1usize, 2, 4, 8] {
-                let rep = q6_burst(&c.scales, n, shared, Some((cores, mhz)))?;
+                let rep = q6_burst(&c.scales, n, shared, (cores, mhz))?;
                 let t = rep.makespan.as_secs_f64();
                 rows.push(row![
                     config,
@@ -1012,17 +878,17 @@ fn matches_clean(clean: &mut Option<Vec<i128>>, rep: &WorkloadReport) -> bool {
     !rep.completions.is_empty() && answers().all(|a| a == baseline)
 }
 
-/// Graceful degradation under sustained device faults (robustness
-/// extension; not a paper figure): a 16-query Q6 open stream over the
-/// linked protocol, swept across crash/ECC fault rates with the circuit
-/// breaker off and on. With the breaker off every arrival still probes the
+/// The `chaos` report's second fault table: graceful degradation under
+/// sustained device faults. A 16-query Q6 open stream over the linked
+/// protocol, swept across crash/ECC fault rates with the circuit breaker
+/// off and on. With the breaker off every arrival still probes the
 /// crashing firmware, pays the wasted `OPEN` transfer plus reset downtime,
 /// and only then falls back to the host; with it on, sustained failures
 /// trip the breaker and later arrivals route straight to the host-side
 /// block path (a separate failure domain), so throughput degrades smoothly
 /// instead of cliff-collapsing. Completed answers stay bit-identical to
 /// the clean run in every cell.
-fn degrade(c: &Ctx) -> Result<Report, RunError> {
+fn crash_rates(c: &Ctx, r: &mut Report) -> Result<(), RunError> {
     const COLS: &[Col] = &[
         col("  scenario   ", "  {:<11}").key("scenario", 0),
         jcol("crash_rate", 0),
@@ -1102,35 +968,25 @@ fn degrade(c: &Ctx) -> Result<Report, RunError> {
             ]);
         }
     }
-    let mut r = Report::new("Graceful degradation: Q6 stream under sustained device faults");
-    r.field("query", "q6");
-    r.table("scenarios", COLS, rows);
+    r.note(format!(
+        "  device crash rates ({n}-query Q6 open stream, breaker off vs on):"
+    ));
+    r.table("crash_rates", COLS, rows);
     r.note("  (completed answers stay bit-identical in every cell; the breaker trades");
     r.note("   wasted device probes for straight-to-host routing once the device is sick)");
-    r.note(format!("  wrote {}", c.bench));
-    Ok(r)
+    Ok(())
 }
 
-/// Parallel-DBMS extension (paper Section 4.3): Q6 scattered across a fleet
-/// of Smart SSDs over the full linked session protocol, gathered and merged
-/// on the host.
-///
-/// Two sweeps: (1) scaling — one cold Q6 per shard count from 1 to 64,
-/// speedup measured against the single-device fleet; and (2) degradation —
-/// a Q6 stream on a 16-device fleet, healthy vs one crashed device, breaker
-/// off vs on. With the breaker off every query keeps probing the dead
-/// device and pays its firmware reset latency before falling back; with it
-/// on the breaker trips after the first failures and later queries route
-/// that shard straight to the host block path — a separate failure domain —
-/// so one dead device out of 16 costs about one shard of throughput, not an
-/// outage.
-fn fleet(c: &Ctx) -> Result<Report, RunError> {
-    const SCALING: &[Col] = &[
-        col("  devices", "  {:>7}").key("devices", 0),
-        col("   elapsed[s]", "   {:>10.6}").key("elapsed_secs", 9),
-        col("   speedup", "   {:>6.2}x").key("speedup", 6),
-    ];
-    const DEGRADATION: &[Col] = &[
+/// The `chaos` report's third fault table: a Q6 stream on a 16-device
+/// array (paper Section 4.3's parallel DBMS of Smart SSDs), healthy vs one
+/// crashed device, breaker off vs on. With the breaker off every query
+/// keeps probing the dead device and pays its firmware reset latency
+/// before falling back; with it on the breaker trips after the first
+/// failures and later queries route that shard straight to the host block
+/// path — a separate failure domain — so one dead device out of 16 costs
+/// about one shard of throughput, not an outage.
+fn dead_device(c: &Ctx, r: &mut Report) -> Result<(), RunError> {
+    const COLS: &[Col] = &[
         col("  scenario ", "  {:<9}").key("scenario", 0),
         col("  breaker", "  {:>7}")
             .key("breaker", 0)
@@ -1149,14 +1005,9 @@ fn fleet(c: &Ctx) -> Result<Report, RunError> {
     ];
     let s = &c.scales;
     let (devices, stream_len) = (16usize, if c.quick { 16 } else { 32 });
-
-    // Sweep 1: scaling. Pure scatter/gather over the full protocol.
-    let scaling = fleet_scaling(s, &[1, 2, 4, 8, 16, 32, 64])?;
-
-    // Sweep 2: degradation under a crashed device.
     let stream: Vec<_> = (0..stream_len).map(|_| q6()).collect();
-    let mut degradation = Vec::new();
-    let mut healthy_qps = 0.0;
+    let mut rows = Vec::new();
+    let mut healthy_qps = None;
     let mut clean = None;
     for (label, dead, breaker) in [
         ("healthy", 0usize, false),
@@ -1174,12 +1025,11 @@ fn fleet(c: &Ctx) -> Result<Report, RunError> {
         let check = fleet.run(&q6(), RunOptions::routed(Route::Device))?.result;
         let answer = (check.agg_values, check.scalar);
         let matches = answer == *clean.get_or_insert_with(|| answer.clone());
-        if dead == 0 {
-            healthy_qps = rep.throughput_qps;
-        }
-        // The ideal degraded throughput: healthy scaled by alive/total.
-        let ideal = healthy_qps * (devices - dead) as f64 / devices as f64;
-        degradation.push(row![
+        // The ideal degraded throughput: healthy (the first row) scaled by
+        // alive/total.
+        let healthy = *healthy_qps.get_or_insert(rep.throughput_qps);
+        let ideal = healthy * (devices - dead) as f64 / devices as f64;
+        rows.push(row![
             label,
             breaker,
             dead,
@@ -1197,19 +1047,13 @@ fn fleet(c: &Ctx) -> Result<Report, RunError> {
             Cell::Raw(rep.faults.to_json()),
         ]);
     }
-    let mut r = Report::new("Fleet: Q6 scatter/gather across N Smart SSDs (linked protocol)");
-    r.field("query", "q6");
-    r.field("degrade_devices", devices);
-    r.table("scaling", SCALING, scaling);
-    r.note("");
     r.note(format!(
-        "  degradation matrix ({devices} devices, {stream_len}-query Q6 stream):"
+        "  one dead array device ({devices} devices, {stream_len}-query Q6 stream):"
     ));
-    r.table("degradation", DEGRADATION, degradation);
+    r.table("fleet", COLS, rows);
     r.note("  (one dead device out of 16 costs about one shard of throughput; the");
     r.note("   breaker trades per-query dead-device probes for straight-to-host routing)");
-    r.note(format!("  wrote {}", c.bench));
-    Ok(r)
+    Ok(())
 }
 
 /// Composes `loads` into one workload and registers every tenant on `opts`.
@@ -1696,13 +1540,16 @@ fn servescale(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// Gray-failure chaos matrix (robustness extension; not a paper figure):
-/// scripted [`FaultPlan`] scenarios crossed with defense stacks, measured at
-/// the victim tenant's tail.
+/// Every fault matrix over Q6 (robustness extension; not a paper figure),
+/// in four tables: injected flash-fault rates ([`flash_rates`]), device
+/// crash rates under a breaker ([`crash_rates`]), one dead device of a
+/// 16-device array ([`dead_device`]), and last the gray-failure chaos
+/// matrix — scripted [`FaultPlan`] scenarios crossed with defense stacks,
+/// measured at the victim tenant's tail.
 ///
-/// A high-weight `interactive` tenant (the victim whose p99 we protect)
-/// and a low-weight `batch` tenant together offer ~50% of the single-slot
-/// device capacity. Each scenario scripts one gray failure — a 4x or 16x
+/// In the chaos matrix a high-weight `interactive` tenant (the victim
+/// whose p99 we protect) and a low-weight `batch` tenant together offer
+/// ~50% of the single-slot device capacity. Each scenario scripts one gray failure — a 4x or 16x
 /// firmware slowdown that opens after a healthy calibration head and never
 /// heals, a mid-stream firmware crash, or a persistent ECC burst doubling
 /// every read — and replays the *identical* arrival schedule under three
@@ -1854,10 +1701,17 @@ fn chaos(c: &Ctx) -> Result<Report, RunError> {
             ]);
         }
     }
-    let mut r = Report::new("Chaos: scripted gray failures vs layered defenses (Q6, two tenants)");
+    let mut r = Report::new("Chaos: Q6 under flash faults, device crashes and gray failures");
     r.field("query", "q6");
     r.field("service_time_ms", Cell::Raw(format!("{:.6}", ms(unit))));
     r.field("victim", "interactive");
+    flash_rates(c, &mut r)?;
+    r.note("");
+    crash_rates(c, &mut r)?;
+    r.note("");
+    dead_device(c, &mut r)?;
+    r.note("");
+    r.note("  gray failures x defense stacks (two tenants, global FIFO front door):");
     r.note(format!(
         "  service time (device-route Q6): {:.3} ms",
         ms(unit)
@@ -1884,31 +1738,18 @@ fn chaos(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// `true` for the registry keywords that set a flag (`all`, `bench`).
-macro_rules! flag {
-    (all) => {
-        true
-    };
-    (bench) => {
-        true
-    };
-    ($other:tt) => {
-        false
-    };
-}
-
 macro_rules! registry {
     ($($name:literal $scope:tt $bench:tt $run:ident $about:literal)*) => {
-        /// Every `repro` subcommand, in `repro all` print order: `all` runs
-        /// the `all`-scope entries; `extra` ones run only by name (their
-        /// output is machine- or fault-dependent, so the clean reproduction
-        /// transcript stays bit-identical). `bench` entries write their
-        /// report to `BENCH_<name>.json` in the current directory.
+        /// Every `repro` subcommand, in `repro all` print order. `all`
+        /// entries (the paper's figures and the extensions answering its
+        /// questions) are deterministic and pinned by the `repro --quick all`
+        /// golden; `extra` ones (wall-clock sweeps, fault matrices, traces,
+        /// serving) run only by name. `bench` writes `BENCH_<name>.json`.
         pub static REGISTRY: &[Experiment] = &[$(Experiment {
             name: $name,
             about: $about,
-            in_all: flag!($scope),
-            bench: flag!($bench),
+            in_all: matches!(stringify!($scope).as_bytes(), b"all"),
+            bench: matches!(stringify!($bench).as_bytes(), b"bench"),
             run: $run,
         }),*];
     };
@@ -1923,21 +1764,16 @@ registry! {
     "tab3" all - tab3 "Table 3: Q6 elapsed time and energy on HDD / SSD / Smart SSD"
     "plans" all - plans "Figures 4 & 6: the pushdown query plans, as text"
     "scan-sweep" all - scan_sweep "[7]'s single-table scan sweep: selectivity x aggregation"
-    "array" all - array "Discussion: Q6 across an array of 1-8 Smart SSDs (linked protocol)"
+    "array" all - array "Discussion: Q6 across an array of 1-64 Smart SSDs (linked protocol)"
     "cache" all - cache "Discussion: planner-routed Q6 vs buffer-pool residency"
     "device-scaling" all - device_scaling "Section 5: Q6 speedup vs device cores, clock and internal path"
     "interface" all - interface "Section 3/5: pushdown benefit vs host interface generation"
-    "concurrent" all - concurrent "Section 5: 1-4 concurrent pushdown sessions on one device"
+    "concurrency" all bench concurrency "Section 5: 1-8 concurrent Q6 sessions on one device, scan sharing off vs on"
     "host-parallel" all - host_parallel "Ablation: parallel host scan vs pushdown"
     "q1" all - q1_groups "Extension: grouped aggregation (TPC-H Q1) pushdown"
-    "kernels" all bench kernels "Wall-clock: vectorized vs tuple-at-a-time scan kernels (timings only in the JSON)"
-    "faults" extra bench faults "Q6 pushdown under injected flash-fault rates, with per-scenario fault counters"
     "trace" extra bench trace "Traced Q6 device/host run pair + 4-query workload; also writes trace_*.json (Perfetto)"
-    "concurrency" extra bench concurrency "N concurrent Q6 sessions, scan sharing off vs on, prototype vs scaled device"
-    "degrade" extra bench degrade "Q6 open stream under swept crash/ECC fault rates, circuit breaker off vs on"
-    "fleet" extra bench fleet "Q6 scatter/gather over 1-64 Smart SSDs + a one-dead-device degradation matrix"
     "serving" extra bench serving "Open-system Poisson load sweep (p99 knee) + multi-tenant WFQ/FIFO isolation matrix"
     "simspeed" extra bench simspeed "Wall-clock: simulator throughput on open Q6 streams (--smoke: smallest point)"
     "servescale" extra bench servescale "Wall-clock: serving admission at scale, tenants x stream size (--smoke: one cell)"
-    "chaos" extra bench chaos "Scripted gray failures x defense stacks, measured at the victim tenant's p99"
+    "chaos" extra bench chaos "Q6 fault matrices: flash/crash rates, a dead array device, gray failures x defenses"
 }

@@ -310,7 +310,17 @@ impl Report {
     }
 
     /// Appends a table; `key` names its JSON array (empty = stdout only).
+    ///
+    /// # Panics
+    ///
+    /// If the report already holds a table under the non-empty `key`:
+    /// [`Self::get`] finds the first, so a second would be unreachable.
     pub fn table(&mut self, key: &'static str, cols: &'static [Col], rows: Vec<Vec<Cell>>) {
+        assert!(
+            key.is_empty() || self.get(key).is_none(),
+            "report {:?} already has a table {key:?}",
+            self.title
+        );
         self.body.push(Block::Table(Table { key, cols, rows }));
     }
 
@@ -363,5 +373,30 @@ impl Report {
             }
         }
         format!("{{\n{}\n}}\n", parts.join(",\n"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COLS: &[Col] = &[col("  n", "  {}").key("n", 0)];
+
+    #[test]
+    #[should_panic(expected = "already has a table \"points\"")]
+    fn a_second_table_under_one_key_panics() {
+        let mut r = Report::new("t");
+        r.table("points", COLS, vec![crate::row![1u64]]);
+        r.table("points", COLS, vec![crate::row![2u64]]);
+    }
+
+    #[test]
+    fn stdout_only_tables_may_share_the_empty_key() {
+        let mut r = Report::new("t");
+        r.table("", COLS, vec![crate::row![1u64]]);
+        r.table("", COLS, vec![crate::row![2u64]]);
+        r.table("points", COLS, vec![crate::row![3u64]]);
+        assert_eq!(r.lookup("points", &[], "n"), 3.0);
+        assert_eq!(r.text(false), "== t ==\n  n\n  1\n  n\n  2\n  n\n  3\n\n");
     }
 }

@@ -51,22 +51,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The subcommands outside `all`, plus `kernels` (whose BENCH file `all`
-/// does not pin): `--quick` stdout, then the BENCH file, then a digest of
-/// every extra artifact — rendered in-process from the same registry entry
-/// and renderer the binary uses, with the columns, notes and header fields
-/// marked wall-clock masked out. Each golden was captured from the
-/// pre-registry `repro` binary's output.
+/// Every subcommand that writes a BENCH file: those outside `all`, plus
+/// `concurrency` (an `all` entry whose BENCH file `all` does not pin):
+/// `--quick` stdout, then the BENCH file, then a digest of every extra
+/// artifact — rendered in-process from the same registry entry and renderer
+/// the binary uses, with the columns, notes and header fields marked
+/// wall-clock masked out. Each golden was captured from the pre-registry
+/// `repro` binary's output.
 #[test]
 fn every_subcommand_outside_all_is_bit_identical_to_golden() {
     // (name, --smoke)
     for (name, smoke) in [
-        ("kernels", false),
-        ("faults", false),
-        ("trace", false),
         ("concurrency", false),
-        ("degrade", false),
-        ("fleet", false),
+        ("trace", false),
         ("serving", false),
         ("simspeed", true),
         ("servescale", true),
