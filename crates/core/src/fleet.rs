@@ -68,7 +68,7 @@ mod tests {
     use crate::workload::{WorkloadOptions, WorkloadReport};
     use smartssd_exec::spec::ScanAggSpec;
     use smartssd_query::{Finalize, OpTemplate, Query, QueryResult, Route};
-    use smartssd_sim::{FaultPlan, SimTime};
+    use smartssd_sim::{CounterSink, FaultPlan, SimTime, TraceLevel};
     use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
     use smartssd_storage::{DataType, Datum, Layout, Schema, Tuple};
     use std::sync::Arc;
@@ -270,9 +270,10 @@ mod tests {
 
     /// A two-tenant stream (weights 4/1, lanes 0/1, the batch tenant
     /// abandoning late arrivals), each tenant alone offering four devices
-    /// twice what they can serve. Checks that no session leaks, that
-    /// every completion answers exactly as a lone query would, and that a
-    /// cold replay is `Debug`-identical; returns the report.
+    /// twice what they can serve, traced at protocol level. Checks that no
+    /// session leaks, that every completion answers exactly as a lone query
+    /// would, and that a cold replay is `Debug`-identical; returns the
+    /// report.
     fn serve_two_tenants(sys: &mut System, unit: SimTime) -> WorkloadReport {
         const PER_TENANT: usize = 40;
         let gap = SimTime::from_nanos(unit.as_nanos() / 8);
@@ -288,7 +289,8 @@ mod tests {
             // A hedge's host copy fills its shard's buffer pool; a replay
             // starts from the same cold pool.
             sys.clear_cache();
-            let rep = sys.run_serving(&loads, 42, WorkloadOptions::new()).unwrap();
+            let opts = WorkloadOptions::new().verbosity(TraceLevel::Protocol);
+            let rep = sys.run_serving(&loads, 42, opts).unwrap();
             assert_eq!(sys.open_device_sessions(), 0, "no leaked session");
             rep
         };
@@ -311,13 +313,16 @@ mod tests {
 
     /// Multi-tenant serving over an array rides the same scheduler as a
     /// single device: it waits in fair queueing for every device's slot at
-    /// once and is canceled in the queue or mid-flight.
+    /// once, parks before sending any `OPEN` a full device would refuse,
+    /// and is canceled in the queue or mid-flight.
     #[test]
     fn two_tenant_serving_stream_over_a_four_device_system() {
-        let mut sys = array(4);
+        let mut sys = array_with(smart().trace(CounterSink::new()), 4);
         let unit = run(&mut sys).result.elapsed;
         let rep = serve_two_tenants(&mut sys, unit);
         assert_eq!(rep.faults.hedges, 0);
+        let trace = rep.trace.counters().expect("a protocol-level trace");
+        assert_eq!(trace.instant_count("session-fault"), 0, "a refused OPEN");
     }
 
     /// The same stream with one device 8x slow and every live shard

@@ -177,21 +177,43 @@ impl TenantLoad {
     }
 }
 
-/// One tenant's half-open position in an [`ArrivalStream`]: its seeded
-/// generator, the query template (shared with every tenant running an
-/// equal one), and the arrival currently staged in the merge heap.
+/// One tenant's position in an [`ArrivalStream`]: the fields every arrival
+/// reads and writes — its seeded generator, the staged arrival's clock and
+/// submission index, and how many arrivals are left — plus the index of
+/// its [`Profile`].
 struct TenantCursor {
     gen: ArrivalGen,
-    query: Arc<Query>,
-    route: RoutePolicy,
-    cancel_after: Option<SimTime>,
-    /// Arrivals not yet yielded (including the staged one).
-    remaining: usize,
     /// Cumulative arrival clock: the staged arrival's absolute time.
     clock: SimTime,
     /// Submission index of the staged arrival (tenant-major numbering,
     /// matching [`compose`]'s item order exactly).
     next_idx: u64,
+    /// Arrivals not yet yielded (including the staged one).
+    remaining: usize,
+    profile: u32,
+}
+
+/// What every arrival of a tenant carries: the query template, the route
+/// policy and the cancellation budget. Consecutive tenants whose loads
+/// agree on all three share one profile, and equal templates share one
+/// `Arc<Query>` across profiles.
+struct Profile {
+    query: Arc<Query>,
+    route: RoutePolicy,
+    cancel_after: Option<SimTime>,
+}
+
+impl Profile {
+    /// Whether `load`'s arrivals carry exactly this profile. A planned
+    /// route carries its own planner inputs and never matches.
+    fn serves(&self, load: &TenantLoad) -> bool {
+        let same_route = match (&self.route, &load.route) {
+            (RoutePolicy::Natural, RoutePolicy::Natural) => true,
+            (RoutePolicy::Force(a), RoutePolicy::Force(b)) => a == b,
+            _ => false,
+        };
+        same_route && self.cancel_after == load.cancel_after && *self.query == load.query
+    }
 }
 
 /// A k-way merge cursor over per-tenant arrival generators: yields every
@@ -210,11 +232,13 @@ struct TenantCursor {
 /// [`WorkloadItem::query`], whichever tenant it belongs to.
 pub struct ArrivalStream {
     cursors: Vec<TenantCursor>,
-    /// Min-heap of staged arrivals: `(arrival, submission index, tenant)`.
-    /// The submission index is globally unique, so ordering is total and
-    /// deterministic; it also encodes the tenant-major tie-break.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    specs: Vec<TenantSpec>,
+    profiles: Vec<Profile>,
+    /// Min-heap of staged arrivals: `(arrival, tenant)`. A tenant stages
+    /// one arrival at a time and submission indices are tenant-major, so
+    /// the tenant orders same-instant arrivals exactly as their submission
+    /// indices do: the order is total, deterministic and the
+    /// `(arrival, submission index)` one, in 16 bytes an entry.
+    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
     total: usize,
     tenant_base: u32,
 }
@@ -235,44 +259,48 @@ impl ArrivalStream {
     /// shares one `Arc<Query>`, so 10^4 tenants running Q6 store one
     /// template and the scheduler — which memoizes catalog resolution by
     /// `Arc` pointer — resolves it once per run, not once per tenant
-    /// switch. Hashed, so setup stays one pass over the loads even when
-    /// every template is distinct.
+    /// switch. A tenant whose load matches the previous tenant's profile
+    /// costs one comparison; any other template is hashed, so setup stays
+    /// one pass over the loads even when every template is distinct.
     pub(crate) fn with_base(loads: &[TenantLoad], seed: u64, tenant_base: u32) -> Self {
         let mut templates: HashMap<&Query, Arc<Query>> = HashMap::new();
+        let mut profiles: Vec<Profile> = Vec::new();
         let mut cursors = Vec::with_capacity(loads.len());
-        let mut specs = Vec::with_capacity(loads.len());
         let mut heap = BinaryHeap::with_capacity(loads.len());
         let mut base = 0u64;
         for (t, load) in loads.iter().enumerate() {
-            specs.push(load.spec.clone());
+            if !profiles.last().is_some_and(|p| p.serves(load)) {
+                let query = templates
+                    .entry(&load.query)
+                    .or_insert_with(|| Arc::new(load.query.clone()));
+                profiles.push(Profile {
+                    query: Arc::clone(query),
+                    route: load.route.clone(),
+                    cancel_after: load.cancel_after,
+                });
+            }
             // Golden-ratio stride keeps per-tenant sub-seeds well separated
             // even for adjacent tenant indices (ArrivalGen scrambles
             // further).
             let sub_seed = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut cursor = TenantCursor {
                 gen: ArrivalGen::with_model(load.mean_gap, sub_seed, load.model),
-                query: Arc::clone(
-                    templates
-                        .entry(&load.query)
-                        .or_insert_with(|| Arc::new(load.query.clone())),
-                ),
-                route: load.route.clone(),
-                cancel_after: load.cancel_after,
-                remaining: load.count,
                 clock: SimTime::ZERO,
                 next_idx: base,
+                remaining: load.count,
+                profile: profiles.len() as u32 - 1,
             };
             if cursor.remaining > 0 {
                 cursor.clock += cursor.gen.next_gap();
-                heap.push(Reverse((cursor.clock, cursor.next_idx, t as u32)));
+                heap.push(Reverse((cursor.clock, t as u32)));
             }
             cursors.push(cursor);
             base += load.count as u64;
         }
         Self {
             cursors,
+            profiles,
             heap,
-            specs,
             total: base as usize,
             tenant_base,
         }
@@ -284,28 +312,25 @@ impl ArrivalStream {
         self.total
     }
 
-    /// The tenant registry the stream was built from, in load order.
-    pub fn specs(&self) -> &[TenantSpec] {
-        &self.specs
-    }
-
     /// Yields the next arrival as `(submission index, item)`, in
     /// `(arrival, submission index)` order.
     pub fn next_arrival(&mut self) -> Option<(usize, WorkloadItem)> {
-        let Reverse((at, idx, t)) = self.heap.pop()?;
+        let Reverse((at, t)) = self.heap.pop()?;
         let cursor = &mut self.cursors[t as usize];
+        let idx = cursor.next_idx;
+        let profile = &self.profiles[cursor.profile as usize];
         let item = WorkloadItem {
-            query: Arc::clone(&cursor.query),
-            route: cursor.route.clone(),
+            query: Arc::clone(&profile.query),
+            route: profile.route.clone(),
             arrival: at,
             tenant: self.tenant_base + t,
-            cancel_at: cursor.cancel_after.map(|b| at + b),
+            cancel_at: profile.cancel_after.map(|b| at + b),
         };
         cursor.remaining -= 1;
         if cursor.remaining > 0 {
             cursor.clock += cursor.gen.next_gap();
             cursor.next_idx += 1;
-            self.heap.push(Reverse((cursor.clock, cursor.next_idx, t)));
+            self.heap.push(Reverse((cursor.clock, t)));
         }
         Some((idx as usize, item))
     }
@@ -328,7 +353,7 @@ impl ArrivalStream {
 /// does not need to be materialized at all.
 pub fn compose(loads: &[TenantLoad], seed: u64) -> (Workload, Vec<TenantSpec>) {
     let mut stream = ArrivalStream::new(loads, seed);
-    let specs = stream.specs().to_vec();
+    let specs = loads.iter().map(|l| l.spec.clone()).collect();
     let mut items: Vec<Option<WorkloadItem>> = (0..stream.total()).map(|_| None).collect();
     while let Some((idx, item)) = stream.next_arrival() {
         items[idx] = Some(item);

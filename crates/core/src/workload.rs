@@ -383,7 +383,7 @@ impl WorkloadOptions {
 
     /// The deadline that applies to `tenant`: its own, else the
     /// workload-level default.
-    fn deadline_for(&self, tenant: usize) -> Option<SimTime> {
+    pub(super) fn deadline_for(&self, tenant: usize) -> Option<SimTime> {
         self.tenants
             .get(tenant)
             .and_then(|t| t.deadline)
@@ -392,7 +392,7 @@ impl WorkloadOptions {
 
     /// The queue bound that applies to `tenant`: its own, else the
     /// workload-level default.
-    fn queue_bound_for(&self, tenant: usize) -> Option<usize> {
+    pub(super) fn queue_bound_for(&self, tenant: usize) -> Option<usize> {
         self.tenants
             .get(tenant)
             .and_then(|t| t.queue_bound)

@@ -4,11 +4,13 @@
 //! every arrival of a workload.
 //!
 //! The order of charges on the shared resources *is* the model. At the
-//! dispatch instant `now`: each device's breaker gates its shard; the
-//! `OPEN`s of the admitted shards are serialized on the host link in device
-//! order; the devices execute; then the host gathers in device order behind
-//! a frontier that starts at `now` — a shard's result batches cross the
-//! link and cost host CPU from the frontier on, a marked laggard's host copy
+//! dispatch instant `now`: each device's breaker gates its shard; if an
+//! admitted shard's device has no free session slot the query parks, with
+//! nothing sent; otherwise the `OPEN`s of the admitted shards are
+//! serialized on the host link in device order; the devices execute; then
+//! the host gathers in device order behind a frontier that starts at `now`
+//! — a shard's result batches cross the link and cost host CPU from the
+//! frontier on, a marked laggard's host copy
 //! ([`HedgePolicy`](crate::HedgePolicy)) is posted at the same frontier
 //! right after, a gated or faulted shard's host pass runs from `now` or from
 //! its fault — and every session holds its slot to its simulated finish.
@@ -19,9 +21,8 @@
 use super::sched::{Ev, Sched};
 use crate::shard::{Phase, ShardOutcome, FRESH};
 use crate::system::{RunError, System};
-use smartssd_device::DeviceError;
 use smartssd_exec::{QueryOp, WorkCounts};
-use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionError, SessionFault};
+use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionFault};
 use smartssd_sim::SimTime;
 use smartssd_storage::expr::AggState;
 use smartssd_storage::Tuple;
@@ -119,12 +120,13 @@ impl System {
         a: &mut Attempt,
         ops: &[QueryOp],
     ) -> Result<Option<Stop>, RunError> {
+        if self.admit_shards(a) {
+            return Ok(Some(Stop::Full));
+        }
         let driver = SessionDriver::new(self.cfg.session_policy.clone())
             .with_tracer(self.tracer.clone())
             .with_lane(a.lane);
-        if self.scatter(s, a, ops, &driver) {
-            return Ok(Some(Stop::Full));
-        }
+        self.scatter(s, a, ops, &driver);
         a.hedge_over = self.hedge_threshold();
         for (d, op) in ops.iter().enumerate() {
             if let Some(stop) = self.gather_shard(s, a, d, op, &driver)? {
@@ -134,44 +136,53 @@ impl System {
         Ok(None)
     }
 
-    /// Scatter, in device order: each shard's breaker gates it (an Open
-    /// one goes straight to the host block path, with no device traffic at
-    /// all), then its `OPEN` is posted at the dispatch instant — over the
-    /// shared link if it crosses it — and the device starts executing. A
-    /// device's open touches only that device, so transfer-then-open per
-    /// shard charges the link as all transfers then all opens would. Every
-    /// live session is parked in its shard and every failed `OPEN` in its,
-    /// to be judged at that shard's turn in the gather. Returns whether a
-    /// device had no free slot, which defers the whole query — after every
-    /// admitted shard's `OPEN` has been made.
-    fn scatter(
-        &mut self,
-        s: &Sched,
-        a: &mut Attempt,
-        ops: &[QueryOp],
-        driver: &SessionDriver,
-    ) -> bool {
-        let cmd_latency = self.cfg.interface.command_latency_ns();
+    /// Admission, in device order: each shard's breaker gates it (an Open
+    /// one goes to the host block path, with no device traffic at all),
+    /// and every admitted shard's device must have a free session slot.
+    /// Returns whether one had none: the whole query then parks before any
+    /// `OPEN` is sent, and every HalfOpen probe handed out is given back.
+    fn admit_shards(&mut self, a: &mut Attempt) -> bool {
         let mut full = false;
-        for (shard, op) in self.backend.shards_mut().iter_mut().zip(ops) {
+        for shard in self.backend.shards_mut() {
+            let admitted = shard.breaker.allows_device(a.stamp);
+            let route = if admitted { Route::Device } else { Route::Host };
+            let device = shard.last.device;
             shard.last = ShardOutcome {
-                device: shard.last.device,
+                device,
+                route,
                 ..FRESH
             };
-            if !shard.breaker.allows_device(a.stamp) {
+            a.offered |= admitted;
+            full |= admitted && shard.dev.free_slots() == 0;
+        }
+        if full {
+            let admitted = self.backend.shards_mut().iter_mut();
+            for shard in admitted.filter(|shard| shard.last.route == Route::Device) {
+                shard.breaker.probe_abandoned();
+            }
+        }
+        full
+    }
+
+    /// Scatter, in device order: each admitted shard's `OPEN` is posted at
+    /// the dispatch instant — over the shared link if it crosses it — and
+    /// the device starts executing. A device's open touches only that
+    /// device, so transfer-then-open per shard charges the link as all
+    /// transfers then all opens would. Every live session is parked in its
+    /// shard and every failed `OPEN` in its, to be judged at that shard's
+    /// turn in the gather.
+    fn scatter(&mut self, s: &Sched, a: &Attempt, ops: &[QueryOp], driver: &SessionDriver) {
+        let cmd_latency = self.cfg.interface.command_latency_ns();
+        for (shard, op) in self.backend.shards_mut().iter_mut().zip(ops) {
+            if shard.last.route == Route::Host {
                 continue;
             }
-            a.offered = true;
             let wire = s.linked.then_some((&mut self.link, cmd_latency));
             shard.phase = match driver.open_session(&mut shard.dev, wire, op, a.now) {
                 Ok((sid, open_done)) => Phase::Session(sid, open_done),
-                Err(fault) => {
-                    full |= fault.error == SessionError::Device(DeviceError::TooManySessions);
-                    Phase::Failed(fault)
-                }
+                Err(fault) => Phase::Failed(fault),
             };
         }
-        full
     }
 
     /// Hedge marking: ranks live sessions by the device's own completion

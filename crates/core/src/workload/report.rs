@@ -12,25 +12,21 @@ use smartssd_sim::trace::pid;
 use smartssd_sim::{LatencyStats, SimTime, TraceLevel, Tracer};
 use std::sync::Arc;
 
-/// Outcome tallies: [`Acct`] keeps one for the whole run and one per
+/// Outcome counts: [`Acct`] keeps one for the whole run and one per
 /// registered tenant.
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 pub(crate) struct Tally {
     pub(crate) completed: u64,
     rejected: u64,
     deadline_missed: u64,
     canceled: u64,
     pub(crate) failed: u64,
-    pub(crate) latencies: Vec<SimTime>,
 }
 
 impl Tally {
     fn count(&mut self, o: &ArrivalOutcome) {
         match o {
-            ArrivalOutcome::Completed(c) => {
-                self.completed += 1;
-                self.latencies.push(c.latency);
-            }
+            ArrivalOutcome::Completed(_) => self.completed += 1,
             ArrivalOutcome::Rejected(_) => self.rejected += 1,
             ArrivalOutcome::DeadlineMissed(_) => self.deadline_missed += 1,
             ArrivalOutcome::Canceled(_) => self.canceled += 1,
@@ -44,13 +40,13 @@ impl Tally {
 }
 
 /// One-pass report accounting: every outcome is recorded exactly once, at
-/// the moment it is decided, updating the run's tally, the makespan, and
-/// (when a registry exists) the owning tenant's tally — so report assembly
-/// never re-walks the outcome array. The aggregates are order-independent
-/// (sums, max, and selection percentiles over the full sample), so
-/// recording at decision time is bit-identical to end-of-run passes. The
-/// closed loop of [`System::run_stream`] records through the same
-/// accounting.
+/// the moment it is decided, updating the run's counts, the makespan, the
+/// completion log and (when a registry exists) the owning tenant's counts
+/// — so report assembly never re-walks the outcome array. The aggregates
+/// are order-independent (sums, max, and selection percentiles over the
+/// full sample), so recording at decision time is bit-identical to
+/// end-of-run passes. The closed loop of [`System::run_stream`] records
+/// through the same accounting.
 pub(crate) struct Acct {
     pub(crate) outcomes: Vec<Option<ArrivalOutcome>>,
     recorded: usize,
@@ -58,6 +54,11 @@ pub(crate) struct Acct {
     pub(crate) makespan: SimTime,
     /// Empty when no tenant registry exists (no per-tenant reports).
     tenants: Vec<Tally>,
+    /// Every completion's latency in record order, and beside it, with a
+    /// registry, its tenant: one flat log, bucketed by tenant once, when
+    /// the report is built.
+    pub(crate) latencies: Vec<SimTime>,
+    latency_tenants: Vec<u32>,
     /// The typed error behind the most recent [`ArrivalOutcome::Failed`]
     /// (whose public record carries only its text): [`System::run`]'s
     /// contract returns it instead of an outcome.
@@ -74,7 +75,11 @@ impl Acct {
             recorded: 0,
             total: Tally::default(),
             makespan: SimTime::ZERO,
-            tenants: (0..registered).map(|_| Tally::default()).collect(),
+            tenants: vec![Tally::default(); registered],
+            // Sized for every arrival completing, so the log never leaves
+            // a trail of outgrown buffers behind it.
+            latencies: Vec::with_capacity(total),
+            latency_tenants: Vec::with_capacity(if registered > 0 { total } else { 0 }),
             dead: None,
             tracer,
         }
@@ -83,6 +88,10 @@ impl Acct {
     pub(super) fn record(&mut self, index: usize, tenant: usize, o: ArrivalOutcome) {
         if let ArrivalOutcome::Completed(c) = &o {
             self.makespan = self.makespan.max(c.finished_at);
+            self.latencies.push(c.latency);
+            if !self.tenants.is_empty() {
+                self.latency_tenants.push(tenant as u32);
+            }
         }
         self.total.count(&o);
         if let Some(t) = self.tenants.get_mut(tenant) {
@@ -157,6 +166,35 @@ impl Acct {
         self.record(index, tenant, ArrivalOutcome::Failed(failed));
         self.dead = Some(error);
     }
+
+    /// Each registered tenant's latency summary: the completion log is
+    /// bucketed by tenant in one counting pass (each tenant's cursor starts
+    /// at its bucket's end and walks back to its start), then summarized
+    /// bucket by bucket in place.
+    fn tenant_latencies(&self) -> Vec<LatencyStats> {
+        let mut cursor: Vec<usize> = self
+            .tenants
+            .iter()
+            .scan(0, |end, t| {
+                *end += t.completed as usize;
+                Some(*end)
+            })
+            .collect();
+        let mut buf = vec![SimTime::ZERO; self.latency_tenants.len()];
+        for (&t, &latency) in self.latency_tenants.iter().zip(&self.latencies).rev() {
+            cursor[t as usize] -= 1;
+            buf[cursor[t as usize]] = latency;
+        }
+        let mut rest = &mut buf[..];
+        self.tenants
+            .iter()
+            .map(|t| {
+                let (bucket, tail) = std::mem::take(&mut rest).split_at_mut(t.completed as usize);
+                rest = tail;
+                LatencyStats::from_buffer(bucket)
+            })
+            .collect()
+    }
 }
 
 /// `n` per second of `span`, 0 over an empty span.
@@ -181,7 +219,7 @@ impl System {
     /// was decided, so assembly never re-walks the outcome array.
     pub(super) fn workload_report(
         &mut self,
-        acct: Acct,
+        mut acct: Acct,
         opts: &WorkloadOptions,
     ) -> Result<WorkloadReport, RunError> {
         let n = acct.outcomes.len();
@@ -196,16 +234,16 @@ impl System {
         // in place — no second outcome array is ever allocated or copied.
         // The expect cannot fire: `record` fills one hole per count, and
         // the count was just checked against the length.
-        let outcomes: Vec<ArrivalOutcome> = acct
-            .outcomes
+        let outcomes: Vec<ArrivalOutcome> = std::mem::take(&mut acct.outcomes)
             .into_iter()
             .map(|o| o.expect("recorded count checked above"))
             .collect();
         let tenants: Vec<TenantReport> = opts
             .tenants
             .iter()
-            .zip(acct.tenants)
-            .map(|(s, a)| TenantReport {
+            .zip(&acct.tenants)
+            .zip(acct.tenant_latencies())
+            .map(|((s, a), latency)| TenantReport {
                 name: s.name.clone(),
                 arrivals: a.arrivals(),
                 completed: a.completed,
@@ -213,7 +251,7 @@ impl System {
                 deadline_missed: a.deadline_missed,
                 canceled: a.canceled,
                 failed: a.failed,
-                latency: LatencyStats::from_sample(&a.latencies),
+                latency,
             })
             .collect();
         let mut completions: Vec<Arc<QueryCompletion>> =
@@ -232,7 +270,7 @@ impl System {
         Ok(WorkloadReport {
             makespan,
             throughput_qps,
-            latency: LatencyStats::from_sample(&acct.total.latencies),
+            latency: LatencyStats::from_buffer(&mut acct.latencies),
             flash_reads,
             shared_hits,
             pool_hits: self.pool().hits(),

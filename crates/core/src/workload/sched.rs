@@ -64,11 +64,15 @@ pub(super) enum Ev {
 /// borrowing the scheduler state.
 type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
 
-/// The run-scoped scheduler state: the options in force, the slot-event
-/// queue, the admission wait set with its parked arrivals, the resolve
-/// memo, and the outcome accounting.
+/// The run-scoped scheduler state: the options in force, each tenant's
+/// limits, the slot-event queue, the admission wait set with its parked
+/// arrivals, the resolve memo, and the outcome accounting.
 pub(super) struct Sched<'o> {
     opts: &'o WorkloadOptions,
+    /// Each tenant's start-of-service deadline and queue bound, resolved
+    /// against the workload-level defaults once per run, so a dispatch or
+    /// a park reads one dense entry instead of the tenant registry.
+    limits: Vec<(Option<SimTime>, Option<usize>)>,
     /// The run's [`InterfaceMode`] is `Linked`: `OPEN`s and result batches
     /// cross the host link.
     pub(super) linked: bool,
@@ -148,12 +152,17 @@ impl System {
         self.run_arrivals(arrivals, items.len(), &opts)
     }
 
-    /// Runs an open serving stream without ever materializing it: the
-    /// per-tenant arrival generators are merged lazily, so memory stays
-    /// O(tenants + in-flight) however many arrivals the stream carries.
-    /// Equivalent to `run_workload(&compose(loads, seed), ..)` with the
-    /// loads' tenants appended to `opts` — bit-for-bit, pinned by
-    /// differential tests — at a fraction of the footprint.
+    /// Runs an open serving stream without ever materializing its
+    /// schedule: the per-tenant arrival generators are merged lazily, so
+    /// the stream itself holds one staged arrival per tenant and the
+    /// scheduler only what is waiting or in flight. The report is not that
+    /// small: until it is built the run retains one outcome per arrival,
+    /// and every completion with its full [`QueryResult`] (rows, aggregate
+    /// values, work receipt), plus one logged latency per completion — so
+    /// memory grows with the arrivals the stream carries. Equivalent to
+    /// `run_workload(&compose(loads, seed), ..)` with the loads' tenants
+    /// appended to `opts` — bit-for-bit, pinned by differential tests —
+    /// without the materialized workload.
     ///
     /// The loads' tenant specs are registered automatically (after any
     /// tenants already in `opts`, matching [`crate::serving::compose`]'s
@@ -166,7 +175,7 @@ impl System {
     ) -> Result<WorkloadReport, RunError> {
         let tenant_base = opts.tenants.len() as u32;
         let mut stream = ArrivalStream::with_base(loads, seed, tenant_base);
-        opts.tenants.extend(stream.specs().iter().cloned());
+        opts.tenants.extend(loads.iter().map(|l| l.spec.clone()));
         let total = stream.total();
         self.run_arrivals(from_fn(|| stream.next_arrival()), total, &opts)
     }
@@ -248,7 +257,7 @@ impl System {
         rep.failed = acct.total.failed;
         rep.makespan = acct.makespan;
         rep.throughput_qps = per_sec(acct.total.completed, acct.makespan);
-        rep.latency = LatencyStats::from_sample(&acct.total.latencies);
+        rep.latency = LatencyStats::from_buffer(&mut acct.latencies);
         // A failure ends the stream early, leaving the tail unrecorded.
         rep.outcomes = acct.outcomes.into_iter().flatten().collect();
         Ok(rep)
@@ -278,8 +287,12 @@ impl System {
         for shard in self.backend.shards_mut() {
             shard.breaker.take_transitions();
         }
+        let limits = (0..opts.tenants.len().max(1))
+            .map(|t| (opts.deadline_for(t), opts.queue_bound_for(t)))
+            .collect();
         let mut s = Sched {
             opts,
+            limits,
             linked: opts.interface == InterfaceMode::Linked,
             events: EventQueue::new(),
             ws: WaitSet::new(&opts.tenants, opts.fair),
@@ -371,7 +384,7 @@ impl System {
                 s.acct.shed(CANCELED, j, item, now);
                 continue;
             }
-            let deadline = s.opts.deadline_for(item.tenant as usize);
+            let (deadline, _) = s.limits[item.tenant as usize];
             if deadline.is_some_and(|d| now > item.arrival + d) {
                 s.acct.shed(DEADLINE_MISSED, j, item, now);
                 continue;
@@ -490,7 +503,7 @@ impl System {
     /// without limit.
     fn defer(&mut self, s: &mut Sched, item: &WorkloadItem, idx: usize, now: SimTime) {
         let tenant = item.tenant as usize;
-        let bound = s.opts.queue_bound_for(tenant);
+        let (_, bound) = s.limits[tenant];
         if bound.is_some_and(|b| s.ws.waiting_for(tenant) >= b) {
             s.acct.shed(REJECTED, idx, item, now);
             return;

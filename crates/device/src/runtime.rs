@@ -21,7 +21,7 @@
 //! engine; this module supplies its device-side [`OpSite`].
 
 use crate::config::DeviceConfig;
-use smartssd_exec::{run_op, OpSite, QueryOp, TableRef, WorkCounts};
+use smartssd_exec::{run_op, OpScratch, OpSite, QueryOp, TableRef, WorkCounts};
 use smartssd_flash::{FlashConfig, FlashError, FlashSsd};
 use smartssd_sim::{CpuModel, FaultCounters, SimTime};
 use smartssd_storage::expr::ExprError;
@@ -164,7 +164,12 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
+/// One session slot: the id of the session holding it (0 when free, ids
+/// start at 1), its batch queue and its work receipt. A slot and its queue
+/// outlive their session, so a warm device opens one without allocating.
+#[derive(Default)]
 struct Session {
+    id: u32,
     queue: VecDeque<ResultBatch>,
     work: WorkCounts,
 }
@@ -185,7 +190,8 @@ pub struct SmartSsd {
     /// The underlying flash device (shared with normal block traffic).
     pub flash: FlashSsd,
     cpu: CpuModel,
-    sessions: HashMap<u32, Session>,
+    /// The session slots, grown to the most ever open at once.
+    sessions: Vec<Session>,
     next_id: u32,
     /// Every table [`SmartSsd::load_table`] wrote and no later load
     /// overwrote, by `(first_lba, num_pages)`: the only extents an `OPEN`
@@ -221,6 +227,10 @@ pub struct SmartSsd {
     /// rewritten or corrupted buffer is always re-validated; not timing
     /// state, so it survives [`SmartSsd::reset_timing`].
     page_cache: PageDecodeCache,
+    /// The operator driver's buffers and a batched read's page coordinates,
+    /// kept from one execution to the next.
+    scratch: OpScratch<SimTime>,
+    coords: Vec<(u16, u16)>,
 }
 
 impl SmartSsd {
@@ -231,7 +241,7 @@ impl SmartSsd {
         Self {
             flash: FlashSsd::new(flash_cfg),
             cpu,
-            sessions: HashMap::new(),
+            sessions: Vec::new(),
             next_id: 1,
             tables: BTreeMap::new(),
             total_work: WorkCounts::default(),
@@ -244,6 +254,8 @@ impl SmartSsd {
             reset_victims: HashSet::new(),
             plan_crash_cursor: 0,
             page_cache: PageDecodeCache::new(),
+            scratch: OpScratch::default(),
+            coords: Vec::new(),
             cfg,
         }
     }
@@ -264,7 +276,20 @@ impl SmartSsd {
     /// regression tests assert this returns to zero after every run,
     /// including error paths.
     pub fn open_sessions(&self) -> usize {
-        self.sessions.len()
+        self.sessions.iter().filter(|s| s.id != 0).count()
+    }
+
+    /// Session slots an `OPEN` could take now: a host that finds none parks
+    /// its query instead of sending an `OPEN` the device would refuse.
+    pub fn free_slots(&self) -> usize {
+        self.cfg.max_sessions.saturating_sub(self.open_sessions())
+    }
+
+    /// The slot of live session `sid`.
+    fn slot_of(&self, sid: SessionId) -> Result<usize, DeviceError> {
+        let live = |s: &Session| s.id == sid.0 && sid.0 != 0;
+        let slot = self.sessions.iter().position(live);
+        slot.ok_or(DeviceError::UnknownSession(sid.0))
     }
 
     /// Device-side completion estimate for a live session: the readiness
@@ -273,9 +298,8 @@ impl SmartSsd {
     /// never consumes a batch, so a coordinator can rank shards by expected
     /// finish (straggler detection) without perturbing the protocol.
     pub fn session_eta(&self, sid: SessionId) -> Option<SimTime> {
-        self.sessions
-            .get(&sid.0)
-            .and_then(|s| s.queue.back().map(|b| b.ready_at))
+        let slot = self.slot_of(sid).ok()?;
+        self.sessions[slot].queue.back().map(|b| b.ready_at)
     }
 
     /// The embedded CPU (utilization/energy accounting).
@@ -403,10 +427,12 @@ impl SmartSsd {
     fn crash(&mut self, now: SimTime) -> DeviceError {
         let until = now + self.cfg.fault_rates.reset_latency;
         self.faults.device_crashes += 1;
-        self.faults.killed_sessions += self.sessions.len() as u64;
         self.faults.reset_downtime_ns += self.cfg.fault_rates.reset_latency.as_nanos();
-        self.reset_victims.extend(self.sessions.keys().copied());
-        self.sessions.clear();
+        for s in self.sessions.iter_mut().filter(|s| s.id != 0) {
+            self.faults.killed_sessions += 1;
+            self.reset_victims.insert(std::mem::take(&mut s.id));
+            s.queue.clear();
+        }
         self.share_cache.clear();
         self.share_owner_pages.clear();
         self.reset_done = until;
@@ -438,7 +464,7 @@ impl SmartSsd {
         {
             return Err(self.crash(now));
         }
-        if self.sessions.len() >= self.cfg.max_sessions {
+        if self.free_slots() == 0 {
             return Err(DeviceError::TooManySessions);
         }
         self.check_extents(op)?;
@@ -446,20 +472,34 @@ impl SmartSsd {
         // The id is reserved before execution so shared-scan entries can be
         // tagged with their owner; it is only consumed on success.
         let id = self.next_id;
-        match self.execute(op, now, id) {
-            Ok((queue, work)) => {
-                self.next_id += 1;
-                self.total_work.absorb(&work);
-                self.sessions.insert(id, Session { queue, work });
-                Ok(SessionId(id))
-            }
-            Err(e) => {
-                // A failed OPEN holds no grants: drop any shared-scan
-                // ownership the partial execution registered.
-                self.release_shared(id);
-                Err(e)
-            }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let run = run_op(&mut DeviceSite { dev: self, id }, op, now, &mut scratch);
+        self.scratch = scratch;
+        // A failed OPEN holds no grants: drop any shared-scan ownership the
+        // partial execution registered.
+        let mut run = run.inspect_err(|_| self.release_shared(id))?;
+        if let QueryOp::GroupAgg { .. } = op {
+            // Group rows materialize after the scan, outside any page's
+            // receipt: the session's work records them, no cycles are due.
+            run.work.out_tuples += run.last.rows.len() as u64;
+            run.work.out_bytes += run.last.bytes;
         }
+        self.next_id += 1;
+        self.total_work.absorb(&run.work);
+        if self.sessions.iter().all(|s| s.id != 0) {
+            self.sessions.push(Session::default());
+        }
+        // The device computes the whole batch queue now, with simulated
+        // timestamps; `GET` polls replay it to the host.
+        let s = self
+            .sessions
+            .iter_mut()
+            .find(|s| s.id == 0)
+            .expect("a free slot");
+        (s.id, s.work) = (id, run.work);
+        s.queue.extend(run.full);
+        s.queue.push_back(run.last);
+        Ok(SessionId(id))
     }
 
     /// `OPEN`, from the raw command payload as it crosses the SAS link:
@@ -481,10 +521,8 @@ impl SmartSsd {
                 until: self.reset_done,
             });
         }
-        let session = self
-            .sessions
-            .get_mut(&sid.0)
-            .ok_or(DeviceError::UnknownSession(sid.0))?;
+        let slot = self.slot_of(sid)?;
+        let session = &mut self.sessions[slot];
         match session.queue.front() {
             None => Ok(GetResponse::Done),
             Some(b) if b.ready_at > now => Ok(GetResponse::Running {
@@ -504,10 +542,10 @@ impl SmartSsd {
         if self.reset_victims.remove(&sid.0) {
             return Ok(());
         }
-        self.sessions
-            .remove(&sid.0)
-            .map(|_| ())
-            .ok_or(DeviceError::UnknownSession(sid.0))?;
+        let slot = self.slot_of(sid)?;
+        let s = &mut self.sessions[slot];
+        s.id = 0;
+        s.queue.clear();
         self.release_shared(sid.0);
         Ok(())
     }
@@ -532,7 +570,7 @@ impl SmartSsd {
 
     /// Work receipt of a live session (diagnostics).
     pub fn session_work(&self, sid: SessionId) -> Option<&WorkCounts> {
-        self.sessions.get(&sid.0).map(|s| &s.work)
+        Some(&self.sessions[self.slot_of(sid).ok()?].work)
     }
 
     /// Reads one page through the internal data path under a single bounded
@@ -616,29 +654,6 @@ impl SmartSsd {
         self.share_owner_pages.entry(owner).or_default().push(lba);
         Ok((page, at))
     }
-
-    /// Executes an operator, producing the session's batch queue. Execution
-    /// is computed eagerly with simulated timestamps; the protocol replays
-    /// it to the host through `GET` polls. `owner` is the session id the
-    /// OPEN reserved, used to tag shared-scan pages.
-    fn execute(
-        &mut self,
-        op: &QueryOp,
-        now: SimTime,
-        owner: u32,
-    ) -> Result<(VecDeque<ResultBatch>, WorkCounts), DeviceError> {
-        let mut run = run_op(&mut DeviceSite { dev: self, owner }, op, now)?;
-        if let QueryOp::GroupAgg { .. } = op {
-            // Group rows materialize after the scan, outside any page's
-            // receipt: the session's work records them, no cycles are due.
-            run.work.out_tuples += run.last.rows.len() as u64;
-            run.work.out_bytes += run.last.bytes;
-        }
-        let mut queue = VecDeque::with_capacity(run.full.len() + 1);
-        queue.extend(run.full);
-        queue.push_back(run.last);
-        Ok((queue, run.work))
-    }
 }
 
 /// The device as [`run_op`] sees it: reads go through the internal data
@@ -648,8 +663,9 @@ impl SmartSsd {
 /// buffer.
 struct DeviceSite<'a> {
     dev: &'a mut SmartSsd,
-    /// The session the OPEN reserved; shared-scan pages are tagged with it.
-    owner: u32,
+    /// The session id the OPEN reserved; shared-scan pages are tagged with
+    /// it.
+    id: u32,
 }
 
 impl OpSite for DeviceSite<'_> {
@@ -675,13 +691,13 @@ impl OpSite for DeviceSite<'_> {
         table: &TableRef,
         at: SimTime,
         shareable: bool,
+        arrivals: &mut Vec<SimTime>,
         mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<Vec<SimTime>, DeviceError> {
-        let shared = (shareable && self.dev.cfg.shared_scans).then_some(self.owner);
+    ) -> Result<(), DeviceError> {
+        let shared = (shareable && self.dev.cfg.shared_scans).then_some(self.id);
         let mut lbas = table.lbas();
-        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
         if shared.is_none() && self.dev.flash.can_batch_reads() {
-            let mut coords = Vec::with_capacity(table.num_pages as usize);
+            self.dev.coords.clear();
             for lba in table.lbas() {
                 let Ok((data, coord)) = self.dev.flash.peek_page(lba) else {
                     break;
@@ -689,7 +705,7 @@ impl OpSite for DeviceSite<'_> {
                 let Ok(page) = self.dev.page_cache.decode(lba, data) else {
                     break;
                 };
-                coords.push(coord);
+                self.dev.coords.push(coord);
                 // The page-by-page reads below start after the batch.
                 lbas.start = lba + 1;
                 if consume(self, &page).is_break() {
@@ -697,7 +713,7 @@ impl OpSite for DeviceSite<'_> {
                     break;
                 }
             }
-            let ivs = self.dev.flash.charge_reads(&coords, at);
+            let ivs = self.dev.flash.charge_batch(&self.dev.coords, at);
             arrivals.extend(ivs.iter().map(|iv| iv.end));
         }
         for lba in lbas {
@@ -710,7 +726,7 @@ impl OpSite for DeviceSite<'_> {
                 break;
             }
         }
-        Ok(arrivals)
+        Ok(())
     }
 
     /// The firmware's read: one page under its bounded retry policy.

@@ -43,10 +43,10 @@ pub trait OpSite {
     /// Streams the pages of `table` in LBA order, all issued at `at`: each
     /// page is validated and handed to `consume`, with the site for grant
     /// checks, before the next is read. A `Break` from `consume` ends the
-    /// stream; no later page is read. Returns the arrival instant of every
-    /// page consumed, in order. `shareable` marks a read whose page set
-    /// does not depend on the data (a full scan), which a site may serve
-    /// from a concurrent execution's read; a site may also charge the
+    /// stream; no later page is read. Appends the arrival instant of every
+    /// page consumed to `arrivals`, in order. `shareable` marks a read whose
+    /// page set does not depend on the data (a full scan), which a site may
+    /// serve from a concurrent execution's read; a site may also charge the
     /// stream's timing as one batch. By default, [`Self::read_page`] then
     /// `consume`, page by page.
     fn read_table(
@@ -54,9 +54,9 @@ pub trait OpSite {
         table: &TableRef,
         at: Self::Instant,
         _shareable: bool,
+        arrivals: &mut Vec<Self::Instant>,
         mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<Vec<Self::Instant>, Self::Error> {
-        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
+    ) -> Result<(), Self::Error> {
         for lba in table.lbas() {
             let (page, arrived) = self.read_page(lba, at)?;
             arrivals.push(arrived);
@@ -64,7 +64,7 @@ pub trait OpSite {
                 break;
             }
         }
-        Ok(arrivals)
+        Ok(())
     }
 
     /// Executes `work` on the site's processor, no earlier than `at`, and
@@ -112,19 +112,51 @@ pub struct OpRun<I> {
     pub work: WorkCounts,
 }
 
-/// A run in progress: one receipt per page consumed and not yet charged
-/// (88 bytes a page), the batches cut so far with the index of the page
-/// each was cut after, the sum of every receipt charged, and the
-/// completion instant of the latest charge.
-struct Run<I> {
+/// The buffers one operator execution works in, kept by a site that runs
+/// many: the kernels' scratch, one receipt per page consumed and not yet
+/// charged (88 bytes a page), and those pages' arrival instants. A warm
+/// scratch runs a scan without touching the heap beyond its output.
+#[derive(Default)]
+pub struct OpScratch<I> {
+    scan: ScanScratch,
     receipts: Vec<WorkCounts>,
+    arrivals: Vec<I>,
+}
+
+impl<I: Copy> OpScratch<I> {
+    /// Starts a run of `op` at `now` on these buffers: empties what a run
+    /// that failed mid-stream left behind, makes room for a receipt and an
+    /// arrival per page, and lends out the kernels' scratch and the
+    /// arrivals beside the run that keeps the receipts.
+    fn start(&mut self, op: &QueryOp, now: I) -> (&mut ScanScratch, Run<'_, I>, &mut Vec<I>) {
+        let pages = op.tables().map(|t| t.num_pages as usize).max();
+        self.receipts.clear();
+        self.receipts.reserve(pages.unwrap_or(0));
+        self.arrivals.clear();
+        self.arrivals.reserve(pages.unwrap_or(0));
+        let run = Run {
+            receipts: &mut self.receipts,
+            full: Vec::new(),
+            cuts: Vec::new(),
+            work: WorkCounts::default(),
+            done: now,
+        };
+        (&mut self.scan, run, &mut self.arrivals)
+    }
+}
+
+/// A run in progress: the receipts kept in the scratch, the batches cut so
+/// far with the index of the page each was cut after, the sum of every
+/// receipt charged, and the completion instant of the latest charge.
+struct Run<'s, I> {
+    receipts: &'s mut Vec<WorkCounts>,
     full: Vec<ResultBatch<I>>,
     cuts: Vec<usize>,
     work: WorkCounts,
     done: I,
 }
 
-impl<I: Copy> Run<I> {
+impl<I: Copy> Run<'_, I> {
     /// Runs one kernel call (a page's, or the join build's) and keeps its
     /// receipt for [`Run::charge`].
     fn kernel<T>(&mut self, kernel: impl FnOnce(&mut WorkCounts) -> T) -> T {
@@ -151,12 +183,12 @@ impl<I: Copy> Run<I> {
     }
 
     /// Charges the kept receipts in page order, each at its page's
-    /// arrival, and stamps each batch cut after a page with that page's
-    /// completion.
-    fn charge<S: OpSite<Instant = I>>(&mut self, site: &mut S, arrivals: &[I]) {
+    /// arrival (both drained), and stamps each batch cut after a page with
+    /// that page's completion.
+    fn charge<S: OpSite<Instant = I>>(&mut self, site: &mut S, arrivals: &mut Vec<I>) {
         debug_assert_eq!(self.receipts.len(), arrivals.len(), "one receipt a page");
         let mut cuts = self.cuts.drain(..).zip(&mut self.full).peekable();
-        for (i, (w, &at)) in self.receipts.drain(..).zip(arrivals).enumerate() {
+        for (i, (w, at)) in self.receipts.drain(..).zip(arrivals.drain(..)).enumerate() {
             self.done = site.charge(at, &w);
             self.work.absorb(&w);
             if let Some((_, batch)) = cuts.next_if(|&(page, _)| page == i) {
@@ -176,49 +208,42 @@ impl<I: Copy> Run<I> {
 /// page that filled it. `GroupAgg` checks its grant after every page, and a
 /// refusal ends the stream: the refusing page is charged and no later page
 /// is read. A join reads its probe side only once its build is charged and
-/// granted.
+/// granted. Every buffer the loop needs comes from `scratch`.
 pub fn run_op<S: OpSite>(
     site: &mut S,
     op: &QueryOp,
     now: S::Instant,
+    scratch: &mut OpScratch<S::Instant>,
 ) -> Result<OpRun<S::Instant>, S::Error> {
-    let mut scratch = ScanScratch::new();
-    let pages = op.tables().map(|t| t.num_pages as usize).max();
-    let mut run = Run {
-        receipts: Vec::with_capacity(pages.unwrap_or(0)),
-        full: Vec::new(),
-        cuts: Vec::new(),
-        work: WorkCounts::default(),
-        done: now,
-    };
+    let (scratch, mut run, arrivals) = scratch.start(op, now);
     let cut_bytes = site.batch_cut_bytes();
     let (rows, aggs, row_bytes) = match op {
         QueryOp::Scan { table, spec } => {
             let schema = &table.schema;
             let row_bytes = spec.row_bytes(schema);
             let mut rows = Vec::new();
-            let arrivals = site.read_table(table, now, true, |_, page| {
+            site.read_table(table, now, true, arrivals, |_, page| {
                 run.kernel(|w| scratch.scan_page(page, schema, spec, &mut rows, w));
                 run.cut_if_full(&mut rows, row_bytes, cut_bytes);
                 ControlFlow::Continue(())
             })?;
-            run.charge(site, &arrivals);
+            run.charge(site, arrivals);
             (rows, None, row_bytes)
         }
         QueryOp::ScanAgg { table, spec } => {
             let mut states: Vec<AggState> =
                 spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            let arrivals = site.read_table(table, now, true, |_, page| {
+            site.read_table(table, now, true, arrivals, |_, page| {
                 run.kernel(|w| scratch.scan_agg_page(page, &table.schema, spec, &mut states, w));
                 ControlFlow::Continue(())
             })?;
-            run.charge(site, &arrivals);
+            run.charge(site, arrivals);
             (Vec::new(), Some(states), 0)
         }
         QueryOp::GroupAgg { table, spec } => {
             let mut acc = GroupTable::new();
             let mut refused = None;
-            let arrivals = site.read_table(table, now, false, |site, page| {
+            site.read_table(table, now, false, arrivals, |site, page| {
                 run.kernel(|w| scratch.scan_group_agg_page(page, &table.schema, spec, &mut acc, w));
                 // The group table lives in the execution's memory grant: a
                 // high-cardinality grouping aborts mid-scan, exactly when
@@ -231,7 +256,7 @@ pub fn run_op<S: OpSite>(
                     }
                 }
             })?;
-            run.charge(site, &arrivals);
+            run.charge(site, arrivals);
             if let Some(e) = refused {
                 return Err(e);
             }
@@ -243,14 +268,15 @@ pub fn run_op<S: OpSite>(
             // Build phase (Figures 4 and 6): read the small table and build
             // the hash table once its last page has arrived.
             let mut build = Vec::new();
-            let arrivals = site.read_table(&spec.build.table, now, false, |_, page| {
+            site.read_table(&spec.build.table, now, false, arrivals, |_, page| {
                 build.push(page.clone());
                 ControlFlow::Continue(())
             })?;
-            let build_ready = arrivals.iter().fold(now, |t, &at| t.max(at));
+            let build_ready = arrivals.drain(..).fold(now, |t, at| t.max(at));
+            arrivals.push(build_ready);
             let ht = run.kernel(|w| JoinHashTable::build(&build, &spec.build, w));
             drop(build);
-            run.charge(site, &[build_ready]);
+            run.charge(site, arrivals);
             site.check_grant(ht.memory_bytes())?;
             // Probe phase: reads are issued when the build completes.
             let joined = spec.joined_schema(&probe.schema);
@@ -262,12 +288,12 @@ pub fn run_op<S: OpSite>(
                 JoinOutput::Aggregate(_) => 0,
             };
             let mut sink = JoinSink::new(spec);
-            let arrivals = site.read_table(probe, run.done, false, |_, page| {
+            site.read_table(probe, run.done, false, arrivals, |_, page| {
                 run.kernel(|w| probe_page(page, &probe.schema, spec, &ht, &joined, &mut sink, w));
                 run.cut_if_full(&mut sink.rows, row_bytes, cut_bytes);
                 ControlFlow::Continue(())
             })?;
-            run.charge(site, &arrivals);
+            run.charge(site, arrivals);
             let aggregates = matches!(spec.output, JoinOutput::Aggregate(_));
             (sink.rows, aggregates.then_some(sink.aggs), row_bytes)
         }

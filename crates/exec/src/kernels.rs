@@ -8,11 +8,12 @@
 //! [`crate::reference`] for differential testing), so simulated timings are
 //! unchanged — only host wall-clock improves.
 //!
-//! Every buffer a page kernel needs lives in a [`ScanScratch`]. The rule is
-//! one scratch per operator execution: [`crate::driver::run_op`] makes it
-//! when the operator starts and every page of that execution reuses it, so
-//! a warm scan allocates nothing per page. The free functions
-//! ([`scan_agg_page`] and friends) run one page on a fresh scratch.
+//! Every buffer a page kernel needs lives in a [`ScanScratch`]. Every page
+//! of an execution reuses the one in [`crate::driver::run_op`]'s
+//! [`crate::driver::OpScratch`], and a site that keeps that across
+//! executions reuses it across operators too, so a warm scan allocates
+//! nothing per page. The free functions ([`scan_agg_page`] and friends) run
+//! one page on a fresh scratch.
 
 use crate::spec::{GroupAggSpec, ScanAggSpec, ScanSpec};
 use crate::work::WorkCounts;
@@ -104,10 +105,11 @@ pub(crate) fn count_tuples(w: &mut WorkCounts, layout: Layout, n: u64) {
     }
 }
 
-/// The buffers of one operator execution's page kernels: the selection
+/// The buffers of an operator execution's page kernels: the selection
 /// vector, the evaluator's temporaries, aggregate inputs, and the group
 /// keys and probe results of a grouped page. Contents never carry from one
-/// page to the next — only capacity does.
+/// page to the next — only capacity does. An empty one allocates nothing
+/// until a page needs a buffer.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     sel: SelectionVector,
@@ -118,11 +120,6 @@ pub struct ScanScratch {
 }
 
 impl ScanScratch {
-    /// An empty scratch (allocates nothing until a page needs a buffer).
-    pub fn new() -> Self {
-        ScanScratch::default()
-    }
-
     /// Opens `page`, charges its visit to `w` and leaves in `self.sel` the
     /// rows satisfying `pred`.
     fn filter_page<'a>(
@@ -239,17 +236,6 @@ impl ScanScratch {
     }
 }
 
-/// [`ScanScratch::scan_page`] on a fresh scratch.
-pub fn scan_page(
-    page: &PageBuf,
-    schema: &Schema,
-    spec: &ScanSpec,
-    out: &mut Vec<Tuple>,
-    w: &mut WorkCounts,
-) -> usize {
-    ScanScratch::new().scan_page(page, schema, spec, out, w)
-}
-
 /// [`ScanScratch::scan_agg_page`] on a fresh scratch.
 pub fn scan_agg_page(
     page: &PageBuf,
@@ -258,7 +244,7 @@ pub fn scan_agg_page(
     states: &mut [AggState],
     w: &mut WorkCounts,
 ) {
-    ScanScratch::new().scan_agg_page(page, schema, spec, states, w)
+    ScanScratch::default().scan_agg_page(page, schema, spec, states, w)
 }
 
 /// [`ScanScratch::scan_group_agg_page`] on a fresh scratch.
@@ -269,7 +255,7 @@ pub fn scan_group_agg_page(
     acc: &mut GroupTable,
     w: &mut WorkCounts,
 ) {
-    ScanScratch::new().scan_group_agg_page(page, schema, spec, acc, w)
+    ScanScratch::default().scan_group_agg_page(page, schema, spec, acc, w)
 }
 
 /// Accumulator for grouped aggregation: encoded group key (concatenated
@@ -547,7 +533,7 @@ mod tests {
             let mut out = Vec::new();
             let mut w = WorkCounts::default();
             for p in img.pages() {
-                scan_page(p, img.schema(), &spec, &mut out, &mut w);
+                ScanScratch::default().scan_page(p, img.schema(), &spec, &mut out, &mut w);
             }
             assert_eq!(out.len(), 10);
             assert_eq!(out[3], vec![Datum::I64(6)]);
@@ -597,7 +583,7 @@ mod tests {
         let mut out = Vec::new();
         let mut w = WorkCounts::default();
         for p in img.pages() {
-            scan_page(p, img.schema(), &spec, &mut out, &mut w);
+            ScanScratch::default().scan_page(p, img.schema(), &spec, &mut out, &mut w);
         }
         assert!(out.is_empty());
         assert_eq!(w.out_tuples, 0);
@@ -672,7 +658,7 @@ mod tests {
         let mut out = Vec::new();
         let mut w = WorkCounts::default();
         for p in img.pages() {
-            scan_page(p, img.schema(), &spec, &mut out, &mut w);
+            ScanScratch::default().scan_page(p, img.schema(), &spec, &mut out, &mut w);
         }
         assert_eq!(w.pred_atoms, 110); // 100 first atoms + 10 second atoms
     }

@@ -32,13 +32,13 @@ pub mod spec;
 pub mod wire;
 pub mod work;
 
-pub use driver::{run_op, OpRun, OpSite, ResultBatch};
+pub use driver::{run_op, OpRun, OpScratch, OpSite, ResultBatch};
 pub use join::{JoinHashTable, JoinSink};
 pub use kernels::{
     group_table_memory_bytes, group_table_rows, page_reader, scan_agg_page, scan_group_agg_page,
-    scan_page, GroupTable, ScanScratch,
+    GroupTable, ScanScratch,
 };
-pub use par::{default_workers, parallel_map};
+pub use par::parallel_map;
 pub use spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, QueryOp, ScanAggSpec, ScanSpec, TableRef,
 };

@@ -19,7 +19,8 @@ use std::collections::BTreeMap;
 /// Reference group accumulator: encoded key -> one state per aggregate.
 pub type RefGroupTable = BTreeMap<Vec<u8>, Vec<AggState>>;
 
-/// Row-at-a-time filter + project (reference for [`crate::scan_page`]).
+/// Row-at-a-time filter + project (reference for
+/// [`ScanScratch::scan_page`](crate::ScanScratch::scan_page)).
 pub fn scan_page_rowwise(
     page: &PageBuf,
     schema: &Schema,

@@ -116,14 +116,14 @@ impl OpSite for RecordingSite {
         table: &TableRef,
         at: u64,
         shareable: bool,
+        arrivals: &mut Vec<u64>,
         mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<Vec<u64>, Refused> {
+    ) -> Result<(), Refused> {
         self.calls.push(Call::ReadTable {
             first_lba: table.first_lba,
             at,
             shareable,
         });
-        let mut arrivals = Vec::with_capacity(table.num_pages as usize);
         for lba in table.lbas() {
             let (page, arrived) = self.read_page(lba, at)?;
             arrivals.push(arrived);
@@ -131,7 +131,7 @@ impl OpSite for RecordingSite {
                 break;
             }
         }
-        Ok(arrivals)
+        Ok(())
     }
 
     fn charge(&mut self, at: u64, work: &WorkCounts) -> u64 {

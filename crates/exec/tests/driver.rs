@@ -22,7 +22,7 @@ use smartssd_exec::reference::{
 use smartssd_exec::spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
 };
-use smartssd_exec::{group_table_memory_bytes, run_op, GroupTable, QueryOp, WorkCounts};
+use smartssd_exec::{group_table_memory_bytes, run_op, GroupTable, OpScratch, QueryOp, WorkCounts};
 use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Layout, Schema, TableBuilder, TableImage, Tuple};
 
@@ -106,7 +106,7 @@ fn scan_charges_each_page_at_its_arrival_and_cuts_batches_at_the_buffer_size() {
             table: tref,
             spec: spec.clone(),
         };
-        let run = run_op(&mut site, &op, NOW).unwrap();
+        let run = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap();
 
         let want = table_scan_calls(7, NOW, true, &receipts);
         assert_eq!(site.calls, want, "{layout:?}");
@@ -168,7 +168,7 @@ fn scan_agg_reads_shareably_and_returns_one_batch_of_partials() {
         receipts.push(w);
     }
     let op = QueryOp::ScanAgg { table: tref, spec };
-    let run = run_op(&mut site, &op, NOW).unwrap();
+    let run = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap();
     let want = table_scan_calls(0, NOW, true, &receipts);
     assert_eq!(site.calls, want);
     assert!(run.full.is_empty());
@@ -248,7 +248,7 @@ fn group_agg_checks_the_grant_after_every_page_and_charges_each_page_at_its_arri
         table: tref,
         spec: spec.clone(),
     };
-    let run = run_op(&mut site, &op, NOW).unwrap();
+    let run = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap();
     assert_eq!(site.calls, want);
     assert!(run.full.is_empty());
     assert_eq!(run.last.rows.len(), acc.len());
@@ -267,7 +267,7 @@ fn group_agg_reads_nothing_after_a_refused_grant() {
     // The table fits through page 1 and outgrows the grant on page 2.
     site.grant = resident[1];
     let op = QueryOp::GroupAgg { table: tref, spec };
-    let err = run_op(&mut site, &op, NOW).unwrap_err();
+    let err = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap_err();
     assert_eq!(
         err,
         Refused::Grant {
@@ -355,7 +355,7 @@ fn join_charges_the_build_then_checks_the_grant_then_reads_the_probe_side() {
     }
     assert_eq!(sink.rows.len(), 1_500);
 
-    let run = run_op(&mut site, &op, NOW).unwrap();
+    let run = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap();
 
     // Build: one stream of the whole table, one charge once its last page
     // has arrived, then the grant check on the hash table.
@@ -433,7 +433,7 @@ fn join_does_not_read_the_probe_side_after_a_refused_build_grant() {
     site.grant = 1_000;
     let output = JoinOutput::Aggregate(vec![AggSpec::count()]);
     let (op, ..) = join_op(&mut site, output);
-    let err = run_op(&mut site, &op, NOW).unwrap_err();
+    let err = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap_err();
     assert!(matches!(err, Refused::Grant { resident } if resident > 1_000));
     // The build stream, its one charge, the refused grant check, and no
     // read of the probe side.
@@ -465,7 +465,7 @@ fn aggregating_join_returns_one_batch_of_partials() {
     site.cut = 1;
     let output = JoinOutput::Aggregate(vec![AggSpec::count(), AggSpec::sum(Expr::col(2))]);
     let (op, ..) = join_op(&mut site, output);
-    let run = run_op(&mut site, &op, NOW).unwrap();
+    let run = run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap();
     assert!(run.full.is_empty() && run.last.rows.is_empty());
     let aggs = run.last.aggs.expect("partials");
     assert_eq!(aggs[0].finish(), 1_500);
@@ -491,7 +491,7 @@ fn a_failed_read_surfaces_as_the_sites_error() {
         },
     };
     assert_eq!(
-        run_op(&mut site, &op, NOW).unwrap_err(),
+        run_op(&mut site, &op, NOW, &mut OpScratch::default()).unwrap_err(),
         Refused::Unmapped(unmapped)
     );
     assert!(

@@ -6,16 +6,19 @@
 //! heap at all — on either layout. The same holds one level up, through
 //! [`run_op`] on the recording fake site: whatever a driver call allocates
 //! (its scratch, the states, the page list), it allocates once, not per
-//! page. An aggregating join probe is held to the same rule through the
-//! scratch its [`JoinSink`] carries. The counting allocator is local to
-//! this test binary, and counts per thread so the tests cannot see each
-//! other (or the harness).
+//! page, and a call on an [`OpScratch`] an earlier call left warm allocates
+//! only its partial-aggregate states. An aggregating join probe is held to
+//! the same rule through the scratch its [`JoinSink`] carries. The counting
+//! allocator is local to this test binary, and counts per thread so the
+//! tests cannot see each other (or the harness).
 
 mod common;
 
 use common::RecordingSite;
 use smartssd_exec::join::probe_page;
-use smartssd_exec::{run_op, JoinHashTable, JoinSink, QueryOp, ScanScratch, TableRef, WorkCounts};
+use smartssd_exec::{
+    run_op, JoinHashTable, JoinSink, OpScratch, QueryOp, ScanScratch, TableRef, WorkCounts,
+};
 use smartssd_storage::expr::AggState;
 use smartssd_storage::{Layout, TableBuilder, TableImage};
 use smartssd_workload::{q14, q6, queries, tpch};
@@ -65,7 +68,7 @@ fn warm_q6_pass_allocations(layout: Layout) -> u64 {
     let pages = &img.pages()[..PAGES];
     let mut states: Vec<AggState> = spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
     let mut w = WorkCounts::default();
-    let mut scratch = ScanScratch::new();
+    let mut scratch = ScanScratch::default();
     let mut pass = |scratch: &mut ScanScratch| {
         for p in pages {
             scratch.scan_agg_page(p, img.schema(), &spec, &mut states, &mut w);
@@ -152,10 +155,11 @@ fn warm_aggregating_probe_allocates_nothing() {
     }
 }
 
-/// Allocations of one Q6 [`run_op`] call over the first 100 LINEITEM pages
-/// presented `times` over (so later pages find the scratch already sized
-/// by identical earlier ones).
-fn driver_q6_allocations(layout: Layout, times: usize) -> u64 {
+/// Allocations of two Q6 [`run_op`] calls on one [`OpScratch`] over the
+/// first 100 LINEITEM pages presented `times` over (so later pages find the
+/// scratch already sized by identical earlier ones): the first call on a
+/// fresh scratch, the second on the scratch the first left warm.
+fn driver_q6_allocations(layout: Layout, times: usize) -> (u64, u64) {
     const PAGES: usize = 100;
     let smartssd_query::OpTemplate::ScanAgg { spec, .. } = q6().op else {
         unreachable!("Q6 is a scan-aggregate")
@@ -167,8 +171,8 @@ fn driver_q6_allocations(layout: Layout, times: usize) -> u64 {
     for t in 0..times {
         site.load_pages(&img.pages()[..PAGES], (t * PAGES) as u64);
     }
-    // The fake's own log must not grow inside the measured call.
-    site.calls.reserve(1 + 2 * times * PAGES);
+    // The fake's own log must not grow inside the measured calls.
+    site.calls.reserve(2 * (1 + 2 * times * PAGES));
     let table = TableRef {
         first_lba: 0,
         num_pages: (times * PAGES) as u64,
@@ -176,24 +180,30 @@ fn driver_q6_allocations(layout: Layout, times: usize) -> u64 {
         layout,
     };
     let op = QueryOp::ScanAgg { table, spec };
-    let before = ALLOCS.with(Cell::get);
-    let run = run_op(&mut site, &op, 0).unwrap();
-    let allocations = ALLOCS.with(Cell::get) - before;
-    assert_eq!(run.work.pages, (times * PAGES) as u64);
-    assert!(
-        run.work.agg_updates > 0,
-        "Q6 selected nothing on {layout:?}"
-    );
-    allocations
+    let mut scratch = OpScratch::default();
+    let mut call = || {
+        let before = ALLOCS.with(Cell::get);
+        let run = run_op(&mut site, &op, 0, &mut scratch).unwrap();
+        let allocations = ALLOCS.with(Cell::get) - before;
+        assert_eq!(run.work.pages, (times * PAGES) as u64);
+        assert!(
+            run.work.agg_updates > 0,
+            "Q6 selected nothing on {layout:?}"
+        );
+        allocations
+    };
+    (call(), call())
 }
 
 #[test]
 fn a_driver_pass_allocates_per_call_not_per_page() {
     for layout in [Layout::Pax, Layout::Nsm] {
-        let once = driver_q6_allocations(layout, 1);
+        let (cold, warm) = driver_q6_allocations(layout, 1);
         // Scratch buffers, the states, the page list: a handful, and the
         // same handful over twice the pages.
-        assert!((1..16).contains(&once), "{layout:?}: {once} allocations");
-        assert_eq!(driver_q6_allocations(layout, 2), once, "{layout:?}");
+        assert!((1..16).contains(&cold), "{layout:?}: {cold} allocations");
+        assert_eq!(driver_q6_allocations(layout, 2).0, cold, "{layout:?}");
+        // On a warm scratch only the partial-aggregate states are new.
+        assert_eq!(warm, 1, "{layout:?}");
     }
 }

@@ -28,7 +28,7 @@ use smartssd_exec::reference::{
 use smartssd_exec::spec::{
     BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
 };
-use smartssd_exec::{run_op, QueryOp, TableRef, WorkCounts};
+use smartssd_exec::{run_op, OpScratch, QueryOp, TableRef, WorkCounts};
 use smartssd_storage::expr::EvalCounts;
 use smartssd_storage::expr::{AggSpec, AggState, CmpOp, Expr, Pred};
 use smartssd_storage::{
@@ -389,7 +389,7 @@ proptest! {
     /// `scan_page` ≡ `scan_page_rowwise`: rows, qualifying count, receipts.
     #[test]
     fn scan_matches_reference(case in arb_case()) {
-        let mut scratch = ScanScratch::new();
+        let mut scratch = ScanScratch::default();
         for layout in [Layout::Nsm, Layout::Pax] {
             let img = build(&case, layout);
             let spec = ScanSpec { pred: case.pred.clone(), project: case.project.clone() };
@@ -410,7 +410,7 @@ proptest! {
     /// `scan_agg_page` ≡ `scan_agg_page_rowwise`: states and receipts.
     #[test]
     fn scan_agg_matches_reference(case in arb_case()) {
-        let mut scratch = ScanScratch::new();
+        let mut scratch = ScanScratch::default();
         for layout in [Layout::Nsm, Layout::Pax] {
             let img = build(&case, layout);
             let spec = ScanAggSpec { pred: case.pred.clone(), aggs: case.aggs.clone() };
@@ -432,7 +432,7 @@ proptest! {
     /// open-addressing table to the `BTreeMap` reference.
     #[test]
     fn group_agg_matches_reference(case in arb_case()) {
-        let mut scratch = ScanScratch::new();
+        let mut scratch = ScanScratch::default();
         for layout in [Layout::Nsm, Layout::Pax] {
             let img = build(&case, layout);
             let spec = GroupAggSpec {
@@ -478,7 +478,7 @@ proptest! {
                 w_r.push(w);
             }
             let op = QueryOp::Scan { table: table.clone(), spec };
-            let run = run_op(&mut site, &op, 0).unwrap();
+            let run = run_op(&mut site, &op, 0, &mut OpScratch::default()).unwrap();
             let rows_v: Vec<Tuple> =
                 run.full.into_iter().flat_map(|b| b.rows).chain(run.last.rows).collect();
             prop_assert_eq!(rows_v, rows_r);
@@ -496,7 +496,7 @@ proptest! {
             }
             site.calls.clear();
             let op = QueryOp::ScanAgg { table: table.clone(), spec };
-            let run = run_op(&mut site, &op, 0).unwrap();
+            let run = run_op(&mut site, &op, 0, &mut OpScratch::default()).unwrap();
             prop_assert_eq!(run.last.aggs, Some(st_r));
             prop_assert_eq!(run.work, total(&w_r));
             prop_assert_eq!(site.charges(), w_r);
@@ -516,7 +516,7 @@ proptest! {
             let groups_r = ref_group_table_rows(&acc_r, &spec.key_schema(schema));
             site.calls.clear();
             let op = QueryOp::GroupAgg { table, spec };
-            let run = run_op(&mut site, &op, 0).unwrap();
+            let run = run_op(&mut site, &op, 0, &mut OpScratch::default()).unwrap();
             prop_assert_eq!(run.last.rows, groups_r);
             prop_assert_eq!(run.work, total(&w_r));
             prop_assert_eq!(site.charges(), w_r);
@@ -551,7 +551,7 @@ fn q6_on_lineitem_counts_equal_the_rowwise_reference() {
 
         let (mut ev_v, mut ev_r) = (EvalCounts::default(), EvalCounts::default());
         let (mut kept_v, mut kept_r) = (0, 0);
-        let mut scratch = ScanScratch::new();
+        let mut scratch = ScanScratch::default();
         let mut st_v: Vec<AggState> = spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
         let mut st_r = st_v.clone();
         let (mut w_v, mut w_r) = (WorkCounts::default(), WorkCounts::default());

@@ -338,6 +338,13 @@ impl FlashSsd {
     /// debug assertion): with injection disabled, [`Self::read`] is exactly
     /// "fetch payload + charge timing + count", which this call completes.
     pub fn charge_reads(&mut self, coords: &[(u16, u16)], now: SimTime) -> Vec<Interval> {
+        self.charge_batch(coords, now).to_vec()
+    }
+
+    /// [`Self::charge_reads`] without the copy: the intervals stay in the
+    /// timing model's scratch, valid until the next batch, so a caller that
+    /// charges batch after batch allocates nothing.
+    pub fn charge_batch(&mut self, coords: &[(u16, u16)], now: SimTime) -> &[Interval] {
         debug_assert!(self.can_batch_reads(), "batched charge with injection live");
         self.stats.reads += coords.len() as u64;
         self.timing.read_pages(coords, now)

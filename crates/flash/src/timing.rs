@@ -25,8 +25,8 @@ pub struct FlashTiming {
     dram: Bus,
     tracer: Tracer,
     /// Scratch for [`Self::read_pages`] (per-chip page counts, batch
-    /// handles, and assignment cursors), held across calls so the batched
-    /// path allocates nothing per run.
+    /// handles, assignment cursors, and the intervals it returns), held
+    /// across calls so the batched path allocates nothing per run.
     scratch: BatchScratch,
 }
 
@@ -35,6 +35,7 @@ struct BatchScratch {
     per_chip_count: Vec<u64>,
     batches: Vec<Option<smartssd_sim::BatchIntervals>>,
     taken: Vec<u64>,
+    out: Vec<Interval>,
 }
 
 impl FlashTiming {
@@ -136,8 +137,9 @@ impl FlashTiming {
     /// and the same final timeline states as the loop.
     ///
     /// The caller must check [`Self::tracer_quiet`] first: this path emits
-    /// no per-transfer spans.
-    pub fn read_pages(&mut self, coords: &[(u16, u16)], now: SimTime) -> Vec<Interval> {
+    /// no per-transfer spans. Returns one interval per coordinate, in the
+    /// timing's own scratch (valid until the next batch).
+    pub fn read_pages(&mut self, coords: &[(u16, u16)], now: SimTime) -> &[Interval] {
         debug_assert!(self.tracer_quiet(), "batched reads skip trace spans");
         debug_assert!(
             !self.cfg.fault_plan.perturbs_reads(),
@@ -145,26 +147,30 @@ impl FlashTiming {
         );
         let svc = self.channel_service_ns();
         // Stage 1: cell reads. Group each chip's pages (they keep their
-        // relative order) into one homogeneous occupy_batch.
+        // relative order) into one homogeneous occupy_batch; chips are
+        // independent timelines, so the order chips are posted in does not
+        // matter. The per-chip scratch is sized once and left zeroed by
+        // every batch, which touches only the chips it reads.
         let n_chips = self.chips.len();
-        self.scratch.per_chip_count.clear();
-        self.scratch.per_chip_count.resize(n_chips, 0);
-        self.scratch.batches.clear();
-        self.scratch.batches.resize(n_chips, None);
-        self.scratch.taken.clear();
-        self.scratch.taken.resize(n_chips, 0);
+        if self.scratch.taken.len() != n_chips {
+            self.scratch.per_chip_count = vec![0; n_chips];
+            self.scratch.batches = vec![None; n_chips];
+            self.scratch.taken = vec![0; n_chips];
+        }
         for &(ch, chip) in coords {
             let ci = self.chip_idx(ch, chip);
             self.scratch.per_chip_count[ci] += 1;
         }
-        for ci in 0..n_chips {
-            let count = self.scratch.per_chip_count[ci];
-            if count > 0 {
+        for &(ch, chip) in coords {
+            let ci = self.chip_idx(ch, chip);
+            if self.scratch.batches[ci].is_none() {
+                let count = self.scratch.per_chip_count[ci];
                 self.scratch.batches[ci] =
                     Some(self.chips[ci].occupy_batch(now, self.cfg.t_read_ns, count));
             }
         }
-        let mut out = Vec::with_capacity(coords.len());
+        let mut out = std::mem::take(&mut self.scratch.out);
+        out.clear();
         for &(ch, chip) in coords {
             let ci = self.chip_idx(ch, chip);
             let k = self.scratch.taken[ci];
@@ -174,6 +180,12 @@ impl FlashTiming {
                 start: cell.start,
                 end: cell.end,
             });
+        }
+        for &(ch, chip) in coords {
+            let ci = self.chip_idx(ch, chip);
+            self.scratch.per_chip_count[ci] = 0;
+            self.scratch.batches[ci] = None;
+            self.scratch.taken[ci] = 0;
         }
         // Stage 2: channel transfers in page order, each gated on its cell
         // read's completion.
@@ -186,7 +198,8 @@ impl FlashTiming {
             let dma = self.dram.transfer(iv.end, self.cfg.page_size as u64);
             iv.end = dma.end;
         }
-        out
+        self.scratch.out = out;
+        &self.scratch.out
     }
 
     /// Charges one page program: DMA from DRAM, channel transfer, die tPROG.

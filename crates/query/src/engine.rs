@@ -10,7 +10,7 @@
 //! Section 4.2.2.1).
 
 use crate::plan::Finalize;
-use smartssd_exec::{run_op, CostTable, OpSite, QueryOp, WorkCounts};
+use smartssd_exec::{run_op, CostTable, OpScratch, OpSite, QueryOp, WorkCounts};
 use smartssd_host::{io::IoError, PageSource};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{CpuModel, Interval, SimTime, TraceLevel, Tracer};
@@ -206,7 +206,7 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
             next_thread: 0,
             end: now,
         };
-        let run = run_op(&mut site, op, now)?;
+        let run = run_op(&mut site, op, now, &mut OpScratch::default())?;
         let end = site.end;
         let opname = match op {
             QueryOp::Scan { .. } => "host-scan",

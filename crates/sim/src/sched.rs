@@ -225,11 +225,16 @@ impl LatencyStats {
     /// ties land in, so the result is bit-identical to sorting and
     /// indexing — the tie-pinning test below holds this invariant.
     pub fn from_sample(sample: &[SimTime]) -> Self {
-        if sample.is_empty() {
+        Self::from_buffer(&mut sample.to_vec())
+    }
+
+    /// [`LatencyStats::from_sample`] with `buf` itself as the scratch
+    /// buffer: the same summary, with no copy, leaving `buf` reordered.
+    pub fn from_buffer(buf: &mut [SimTime]) -> Self {
+        if buf.is_empty() {
             return Self::default();
         }
-        let n = sample.len();
-        let mut buf: Vec<SimTime> = sample.to_vec();
+        let n = buf.len();
         // Nearest-rank percentile: the smallest value with at least q*n
         // samples at or below it, i.e. order statistic ceil(q*n) (1-based).
         let idx = |q_num: usize, q_den: usize| (n * q_num).div_ceil(q_den).max(1) - 1;
@@ -245,10 +250,10 @@ impl LatencyStats {
         } else {
             *buf[i95 + 1..].select_nth_unstable(i99 - i95 - 1).1
         };
-        let mut min = sample[0];
-        let mut max = sample[0];
+        let mut min = buf[0];
+        let mut max = buf[0];
         let mut total: u128 = 0;
-        for t in sample {
+        for t in buf.iter() {
             min = min.min(*t);
             max = max.max(*t);
             total += t.as_nanos() as u128;

@@ -11,9 +11,9 @@
 
 use proptest::prelude::*;
 use smartssd::{
-    compose, ArrivalModel, ArrivalOutcome, DeviceKind, InterfaceMode, Layout, Route, RoutePolicy,
-    RunOptions, SimTime, System, SystemBuilder, TenantLoad, TenantSpec, Workload, WorkloadItem,
-    WorkloadOptions, WorkloadReport,
+    compose, ArrivalModel, ArrivalOutcome, CounterSink, DeviceKind, InterfaceMode, LatencyStats,
+    Layout, Route, RoutePolicy, RunOptions, SimTime, System, SystemBuilder, TenantLoad, TenantSpec,
+    TraceLevel, Workload, WorkloadItem, WorkloadOptions, WorkloadReport,
 };
 use smartssd_exec::spec::ScanAggSpec;
 use smartssd_query::{Finalize, OpTemplate, Query};
@@ -345,4 +345,134 @@ fn assert_reports_identical(
         prop_assert_eq!(x.latency.p99, y.latency.p99);
     }
     Ok(())
+}
+
+/// A saturated stream — one session slot per device, eight tenants
+/// together offering twice what the slot serves, every arrival abandoned
+/// after eight service times — over one and four devices and both
+/// interfaces. An arrival that finds a device full parks before any
+/// `OPEN`, so a protocol-level trace holds no refused `OPEN` (each would
+/// leave a `session-fault` instant), every arrival has exactly one
+/// outcome, and no session outlives the run.
+#[test]
+fn a_saturated_stream_parks_before_any_open() {
+    let rows: Vec<Tuple> = (0..2_000)
+        .map(|k| vec![Datum::I32(k % 1000 - 500), Datum::I64(k as i64)])
+        .collect();
+    for devices in [1, 4] {
+        for interface in [InterfaceMode::Direct, InterfaceMode::Linked] {
+            let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+                .devices(devices)
+                .tweak(|c| c.smart.max_sessions = 1)
+                .trace(CounterSink::new())
+                .build();
+            sys.load_partitioned("t", &schema(), rows.clone()).unwrap();
+            sys.finish_load();
+            let forced = RunOptions::routed(Route::Device);
+            let service = sys.run(&agg_query(0), forced).unwrap().result.elapsed;
+            const TENANTS: u64 = 8;
+            let gap = SimTime::from_nanos(service.as_nanos() * TENANTS / 2);
+            let loads: Vec<TenantLoad> = (0..TENANTS)
+                .map(|i| {
+                    let spec = TenantSpec::new(format!("t{i}")).weight(1 + i % 3);
+                    TenantLoad::new(spec, agg_query(0), 25, gap)
+                        .model(ArrivalModel::Exponential)
+                        .cancel_after(SimTime::from_nanos(service.as_nanos() * 8))
+                })
+                .collect();
+            let opts = WorkloadOptions::new()
+                .interface(interface)
+                .verbosity(TraceLevel::Protocol);
+            let rep = sys.run_serving(&loads, 7, opts).unwrap();
+            let case = format!("{devices} device(s), {interface:?}");
+
+            let trace = rep.trace.counters().expect("a protocol-level trace");
+            assert_eq!(trace.instant_count("session-fault"), 0, "{case}");
+            assert!(rep.canceled > 0, "{case}: the stream must saturate");
+            let total = loads.iter().map(TenantLoad::count).sum::<usize>();
+            let indices: BTreeSet<usize> = rep.outcomes.iter().map(ArrivalOutcome::index).collect();
+            assert_eq!(rep.outcomes.len(), total, "{case}");
+            assert_eq!(indices.len(), total, "{case}: one outcome per arrival");
+            assert_eq!(sys.open_device_sessions(), 0, "{case}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Per-tenant reports are a pure function of the outcome log: for any
+    /// tenant mix — weights, lanes, abandonment, queue bounds, deadlines —
+    /// each `TenantReport` equals its recomputation from
+    /// `report.outcomes` (indices are tenant-major): the counts by kind,
+    /// and the latency summary over that tenant's completions.
+    #[test]
+    fn tenant_reports_match_the_outcome_log(
+        rows in prop::collection::vec(arb_row(), 50..150),
+        tenants in prop::collection::vec(
+            ((-500i64..500, 1u64..8, 0u8..3, 1usize..12, 0u64..1_000_000, 0u8..2),
+             (prop::option::of(10_000u64..3_000_000),
+              prop::option::of(0usize..4), prop::option::of(0u64..2_000_000))),
+            1..6),
+        seed in any::<u64>(),
+        max_sessions in 1usize..3,
+        direct in any::<bool>(),
+    ) {
+        let interface = if direct { InterfaceMode::Direct } else { InterfaceMode::Linked };
+        let loads: Vec<TenantLoad> = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &((cutoff, weight, lane, count, gap, model), (cancel, bound, deadline)))| {
+                let mut spec = TenantSpec::new(format!("t{i}")).weight(weight).lane(lane);
+                if let Some(b) = bound {
+                    spec = spec.queue_bound(b);
+                }
+                if let Some(d) = deadline {
+                    spec = spec.deadline(SimTime::from_nanos(d));
+                }
+                let model = if model == 0 { ArrivalModel::Uniform } else { ArrivalModel::Exponential };
+                let load = TenantLoad::new(spec, agg_query(cutoff), count, SimTime::from_nanos(gap))
+                    .model(model);
+                match cancel {
+                    Some(c) => load.cancel_after(SimTime::from_nanos(c)),
+                    None => load,
+                }
+            })
+            .collect();
+        let rep = build_sys(&rows, max_sessions)
+            .run_serving(&loads, seed, WorkloadOptions::new().interface(interface))
+            .unwrap();
+
+        let mut counts = vec![(0u64, 0u64, 0u64, 0u64, 0u64); loads.len()];
+        let mut latencies = vec![Vec::new(); loads.len()];
+        let first: Vec<usize> = loads
+            .iter()
+            .scan(0, |next, l| {
+                let first = *next;
+                *next += l.count();
+                Some(first)
+            })
+            .collect();
+        for o in &rep.outcomes {
+            let t = first.partition_point(|&f| f <= o.index()) - 1;
+            let c = &mut counts[t];
+            match o {
+                ArrivalOutcome::Completed(done) => {
+                    c.0 += 1;
+                    latencies[t].push(done.latency);
+                }
+                ArrivalOutcome::Rejected(_) => c.1 += 1,
+                ArrivalOutcome::DeadlineMissed(_) => c.2 += 1,
+                ArrivalOutcome::Canceled(_) => c.3 += 1,
+                ArrivalOutcome::Failed(_) => c.4 += 1,
+            }
+        }
+        prop_assert_eq!(rep.tenants.len(), loads.len());
+        for (t, tr) in rep.tenants.iter().enumerate() {
+            let got = (tr.completed, tr.rejected, tr.deadline_missed, tr.canceled, tr.failed);
+            prop_assert_eq!(got, counts[t], "tenant {} counts", t);
+            prop_assert_eq!(tr.arrivals, loads[t].count() as u64, "tenant {} arrivals", t);
+            prop_assert_eq!(tr.latency, LatencyStats::from_sample(&latencies[t]), "tenant {}", t);
+        }
+    }
 }
