@@ -219,10 +219,10 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a recoverable device fault (crash, timeout, hang — anything
-    /// the host recovers from by rerouting). Trips the breaker when the
-    /// windowed count reaches the threshold, or immediately if the fault
-    /// was the HalfOpen probe.
+    /// Records a recoverable device fault (crash, exhausted retries, hang —
+    /// anything the host recovers from by rerouting). Trips the breaker
+    /// when the windowed count reaches the threshold, or immediately if the
+    /// fault was the HalfOpen probe.
     pub fn record_failure(&mut self, now: SimTime) {
         if !self.policy.enabled {
             return;

@@ -2,17 +2,16 @@
 //! [`System::run`].
 //!
 //! [`SystemBuilder`] is the one front door for assembling a test bed: device
-//! kind and count, page layout, component scales, session recovery policy,
-//! injected faults, the device-route defenses (breaker, hedging), and the
-//! trace sink that observes the run. [`RunOptions`] carries everything that
-//! varies per run: the route policy and the trace verbosity.
+//! kind and count, page layout, component scales, injected faults, the
+//! device-route defenses (breaker, hedging), and the trace sink that
+//! observes the run. [`RunOptions`] carries everything that varies per run:
+//! the route policy and the trace verbosity.
 
 use crate::breaker::BreakerPolicy;
 use crate::config::{DeviceKind, HedgePolicy, SystemConfig};
 use crate::system::System;
-use smartssd_device::DeviceConfig;
 use smartssd_flash::FlashConfig;
-use smartssd_host::{HddConfig, InterfaceKind};
+use smartssd_host::InterfaceKind;
 use smartssd_query::{PlannerConfig, PlannerInputs, Route};
 use smartssd_sim::{FaultPlan, SimTime, TraceLevel, TraceSink, Tracer};
 use smartssd_storage::Layout;
@@ -262,40 +261,15 @@ impl SystemBuilder {
         self
     }
 
-    /// Replaces the Smart SSD runtime resources.
-    pub fn smart(mut self, smart: DeviceConfig) -> Self {
-        self.cfg.smart = smart;
-        self
-    }
-
-    /// Replaces the HDD parameters.
-    pub fn hdd(mut self, hdd: HddConfig) -> Self {
-        self.cfg.hdd = hdd;
-        self
-    }
-
     /// Sets the host interface generation.
     pub fn interface(mut self, interface: InterfaceKind) -> Self {
         self.cfg.interface = interface;
         self
     }
 
-    /// Sets the host CPU core count and clock.
-    pub fn host_cpu(mut self, cores: usize, hz: u64) -> Self {
-        self.cfg.host_cpu_cores = cores;
-        self.cfg.host_cpu_hz = hz;
-        self
-    }
-
     /// Sets the host degree of parallelism for host-routed execution.
     pub fn host_dop(mut self, dop: usize) -> Self {
         self.cfg.host_dop = dop;
-        self
-    }
-
-    /// Sets the buffer pool capacity, in pages.
-    pub fn bufferpool_pages(mut self, pages: usize) -> Self {
-        self.cfg.bufferpool_pages = pages;
         self
     }
 
@@ -454,11 +428,13 @@ mod tests {
     fn builder_setters_land_in_config() {
         let sys = SystemBuilder::new(DeviceKind::Ssd, Layout::Nsm)
             .interface(InterfaceKind::Sas12)
-            .host_cpu(4, 3_000_000_000)
             .host_dop(8)
-            .bufferpool_pages(1024)
             .fault_rates(1, 2, 3)
-            .tweak(|c| c.power.system_idle_w = 200.0)
+            .tweak(|c| {
+                c.host_cpu_cores = 4;
+                c.bufferpool_pages = 1024;
+                c.power.system_idle_w = 200.0;
+            })
             .build();
         let c = sys.config();
         assert_eq!(c.device, DeviceKind::Ssd);

@@ -5,7 +5,6 @@ use smartssd_device::DeviceConfig;
 use smartssd_exec::CostTable;
 use smartssd_flash::FlashConfig;
 use smartssd_host::{HddConfig, InterfaceKind};
-use smartssd_query::SessionPolicy;
 
 /// Which storage device backs the system — the paper's three test devices
 /// (Section 4.1.2).
@@ -157,9 +156,6 @@ pub struct SystemConfig {
     pub host_costs: CostTable,
     /// Wall-plug power model.
     pub power: PowerParams,
-    /// Session recovery policy for device-routed queries: the per-session
-    /// timeout. The default (no timeout) never changes a run.
-    pub session_policy: SessionPolicy,
     /// Health-aware routing policy: the circuit breaker that stops sending
     /// queries to a device that keeps crashing. Disabled by default, so
     /// routing (and every existing figure) is unchanged.
@@ -184,7 +180,6 @@ impl SystemConfig {
             host_dop: 1,
             host_costs: CostTable::host(),
             power: PowerParams::default(),
-            session_policy: SessionPolicy::default(),
             breaker: BreakerPolicy::default(),
         }
     }

@@ -8,8 +8,8 @@
 //! shape:
 //!
 //! * [`TenantSpec`] names one tenant and carries its QoS contract: a
-//!   weighted-fair-queueing weight, a strict priority lane, and optional
-//!   per-tenant deadline and admission (queue-bound) overrides.
+//!   weighted-fair-queueing weight, a strict priority lane, and an
+//!   optional per-tenant admission (queue-bound) override.
 //! * [`TenantLoad`] pairs a spec with the tenant's traffic: a query
 //!   template, a seeded [`ArrivalModel`] (uniform or Poisson), a mean
 //!   inter-arrival gap, an arrival count, and an optional cancellation
@@ -51,12 +51,10 @@ use std::sync::Arc;
 ///
 /// ```
 /// use smartssd::serving::TenantSpec;
-/// use smartssd::SimTime;
 ///
 /// let t = TenantSpec::new("interactive")
 ///     .weight(4)
 ///     .lane(0)
-///     .deadline(SimTime::from_millis(50))
 ///     .queue_bound(32);
 /// assert_eq!(t.name(), "interactive");
 /// ```
@@ -65,19 +63,17 @@ pub struct TenantSpec {
     pub(crate) name: String,
     pub(crate) weight: u64,
     pub(crate) lane: u8,
-    pub(crate) deadline: Option<SimTime>,
     pub(crate) queue_bound: Option<usize>,
 }
 
 impl TenantSpec {
-    /// A tenant with default QoS: weight 1, lane 0, no per-tenant deadline
-    /// or queue bound (the workload-level knobs apply, if set).
+    /// A tenant with default QoS: weight 1, lane 0, no per-tenant queue
+    /// bound (the workload-level one applies, if set).
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             weight: 1,
             lane: 0,
-            deadline: None,
             queue_bound: None,
         }
     }
@@ -96,13 +92,6 @@ impl TenantSpec {
     /// share slots *within* a lane. Lane 0 is the most urgent.
     pub fn lane(mut self, lane: u8) -> Self {
         self.lane = lane;
-        self
-    }
-
-    /// Per-tenant start-of-service deadline, overriding the workload-level
-    /// [`WorkloadOptions::deadline`](crate::WorkloadOptions::deadline).
-    pub fn deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 

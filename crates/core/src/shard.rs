@@ -167,8 +167,7 @@ impl Shard {
     /// unknown extents would fail on the host too (it reads the same
     /// extent), so they kill the query; everything else (uncorrectable
     /// flash, resource rejection, firmware crash, a `GET` that stalls at
-    /// the device's readiness hint, timeout) degrades it to the host
-    /// route.
+    /// the device's readiness hint) degrades it to the host route.
     ///
     /// Returns the earliest instant anything can happen after the fault —
     /// the driver's `CLOSE` frees the session's slot then, and a host
@@ -230,7 +229,7 @@ fn fault_is_recoverable(error: &SessionError) -> bool {
         // A firmware crash killed the session, but the block path (and thus
         // the host route) is a separate failure domain.
         SessionError::DeviceReset { .. } => true,
-        SessionError::Timeout { .. } | SessionError::Hung { .. } => true,
+        SessionError::Hung { .. } => true,
     }
 }
 

@@ -10,7 +10,6 @@ use crate::config::{DeviceKind, SystemConfig};
 use crate::shard::{host_pass, Shard, ShardOutcome};
 use smartssd_device::{DeviceError, SmartSsd};
 use smartssd_exec::QueryOp;
-use smartssd_flash::FlashSsd;
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
@@ -428,6 +427,10 @@ impl System {
         I: IntoIterator<Item = Tuple>,
     {
         let n = self.catalogs.len();
+        if n == 1 {
+            // The rows stream straight into the one image.
+            return self.load_table_rows(name, schema, rows);
+        }
         // Buffer each partition's rows, then build its pages in one pass,
         // so a device's pages sit together in memory.
         let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
@@ -526,30 +529,33 @@ impl System {
             .map_or(0.0, |tref| self.residency_of(tref))
     }
 
-    /// Replaces a table's contents with a new row set: the new image is
-    /// written to a fresh extent, the catalog re-points, and the old extent
-    /// is trimmed (on flash, the stale pages become GC fodder). Timing of
-    /// the rewrite is charged to the device and then reset, mirroring an
-    /// untimed maintenance window. A row that does not match the table's
-    /// schema is a [`RunErrorKind::Row`]; the catalog, the device, the buffer
-    /// pool and the dirty set are then as they were.
+    /// Replaces a table's contents with a new row set, partitioned over
+    /// the flash devices as [`System::load_partitioned`] does: each device's
+    /// new image is written to a fresh extent, its catalog re-points, and
+    /// its old extent is trimmed (on flash, the stale pages become GC
+    /// fodder). Timing of the rewrite is charged to the devices and then
+    /// reset, mirroring an untimed maintenance window. A row that does not
+    /// match the table's schema is a [`RunErrorKind::Row`]; the catalogs,
+    /// the devices, the buffer pool and the dirty set are then as they were.
     pub fn update_table_rows<I>(&mut self, name: &str, rows: I) -> Result<(), RunError>
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let old = self
+        let schema = self
             .catalog()
             .get(name)
-            .cloned()
+            .map(|t| Arc::clone(&t.schema))
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(name.into())))?;
-        let schema = old.schema.clone();
-        self.load_table_rows(name, &schema, rows)?;
-        // Invalidate the old extent.
-        if let Some(flash) = self.flash_mut() {
-            for lba in old.first_lba..old.first_lba + old.num_pages {
-                flash
-                    .trim(lba)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
+        let old: Vec<_> = self
+            .catalogs
+            .iter()
+            .map(|c| c.get(name).map(extent))
+            .collect();
+        self.load_partitioned(name, &schema, rows)?;
+        for (shard, old) in self.backend.shards_mut().iter_mut().zip(old) {
+            for lba in old.unwrap_or_default() {
+                let trimmed = shard.dev.flash.trim(lba);
+                trimmed.map_err(|e| RunError::from(IoError::Flash(e)))?;
             }
         }
         // Cached pages of the old extent are stale now.
@@ -567,51 +573,51 @@ impl System {
         self.dirty.insert(table.to_string());
     }
 
-    /// Checkpoints a table: charges the write-back of its pages to the
-    /// device and clears the dirty flag, making pushdown legal again — only
-    /// once every page is written, so a failed checkpoint leaves the table
-    /// dirty.
+    /// Checkpoints a table: charges the write-back of its pages to every
+    /// device that holds a share of it and clears the dirty flag, making
+    /// pushdown legal again — only once every page is written, so a failed
+    /// checkpoint leaves the table dirty.
     pub fn checkpoint(&mut self, table: &str) -> Result<(), RunError> {
         if !self.dirty.contains(table) {
             return Ok(());
         }
-        let tref = self
+        let lbas = self
             .catalog()
             .get(table)
-            .cloned()
+            .map(extent)
             .ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
-        // Re-write the extent through the device's write path (the data is
-        // unchanged in this model; the cost is what matters).
-        let lbas = tref.first_lba..tref.first_lba + tref.num_pages;
-        if let Backend::Hdd(path) = &mut self.backend {
-            for lba in lbas {
-                if let Some((data, _)) = path.hdd.read(lba, SimTime::ZERO) {
-                    path.hdd.write(lba, data, SimTime::ZERO);
+        // Re-write the extents through the devices' write paths (the data
+        // is unchanged in this model; the cost is what matters).
+        match &mut self.backend {
+            Backend::Hdd(path) => {
+                for lba in lbas {
+                    if let Some((data, _)) = path.hdd.read(lba, SimTime::ZERO) {
+                        path.hdd.write(lba, data, SimTime::ZERO);
+                    }
                 }
             }
-        } else if let Some(flash) = self.flash_mut() {
-            for lba in lbas {
-                // What a checkpoint writes is the buffer pool's copy, which
-                // here is the stored page: it is taken as is, not read. A
-                // modelled read can fail or come back corrupted, and a
-                // corrupted copy written back would stick.
-                let (data, _) = flash
-                    .peek_page(lba)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
-                flash
-                    .write(lba, data, SimTime::ZERO)
-                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
+            Backend::Flash(shards) => {
+                for (shard, catalog) in shards.iter_mut().zip(&self.catalogs) {
+                    let flash = &mut shard.dev.flash;
+                    for lba in catalog.get(table).map(extent).unwrap_or_default() {
+                        // What a checkpoint writes is the buffer pool's
+                        // copy, which here is the stored page: it is taken
+                        // as is, not read. A modelled read can fail or come
+                        // back corrupted, and a corrupted copy written back
+                        // would stick.
+                        let (data, _) = flash
+                            .peek_page(lba)
+                            .map_err(|e| RunError::from(IoError::Flash(e)))?;
+                        flash
+                            .write(lba, data, SimTime::ZERO)
+                            .map_err(|e| RunError::from(IoError::Flash(e)))?;
+                    }
+                }
             }
         }
         self.dirty.remove(table);
         self.reset_run_timing();
         Ok(())
-    }
-
-    /// The (first) flash device, unless a disk backs the system.
-    fn flash_mut(&mut self) -> Option<&mut FlashSsd> {
-        let first = self.backend.shards_mut().first_mut();
-        first.map(|s| &mut s.dev.flash)
     }
 
     /// Whether a table currently has uncheckpointed updates.
@@ -626,7 +632,6 @@ impl System {
         if self.dirty.is_empty() {
             return false;
         }
-        let extent = |t: &smartssd_exec::TableRef| (t.first_lba, t.num_pages);
         op.tables().any(|tref| {
             tref.num_pages > 0
                 && self.dirty.iter().any(|name| {
@@ -838,6 +843,11 @@ impl System {
     }
 }
 
+/// The LBAs a table occupies.
+fn extent(t: &smartssd_exec::TableRef) -> std::ops::Range<u64> {
+    t.first_lba..t.first_lba + t.num_pages
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,7 +993,7 @@ mod tests {
             (t.first_lba, t.num_pages)
         };
         let before = extent(&sys);
-        let writes = sys.flash_mut().unwrap().stats().writes;
+        let writes = sys.device(0).flash.stats().writes;
         for (rows, row, col) in cases {
             let errs = [
                 sys.load_table_rows("fresh", &tpch::lineitem_schema(), rows.clone()),
@@ -1002,7 +1012,7 @@ mod tests {
             }
             assert!(sys.catalog().get("fresh").is_none());
             assert_eq!(extent(&sys), before);
-            assert_eq!(sys.flash_mut().unwrap().stats().writes, writes);
+            assert_eq!(sys.device(0).flash.stats().writes, writes);
             assert_eq!(sys.residency(LINEITEM), 1.0);
             assert!(sys.is_dirty("other") && !sys.is_dirty(LINEITEM));
         }

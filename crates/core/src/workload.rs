@@ -31,8 +31,8 @@
 //! (see [`crate::serving`]): items may be tagged with a tenant from the
 //! [`WorkloadOptions::tenant`] registry, session-slot admission is
 //! weighted fair queueing with strict priority lanes (or plain FIFO with
-//! [`WorkloadOptions::fair_queueing`]`(false)`), per-tenant deadlines and
-//! queue bounds override the workload-level knobs, and an item's
+//! [`WorkloadOptions::fair_queueing`]`(false)`), per-tenant queue bounds
+//! override the workload-level one, and an item's
 //! [`WorkloadItem::cancel_at`] instant abandons it — mid-flight if it
 //! holds a device session, whose slot frees at the cancel instant.
 //!
@@ -44,9 +44,7 @@ use crate::breaker::BreakerTransition;
 use crate::builder::{ConfigError, RoutePolicy};
 use crate::serving::{TenantReport, TenantSpec};
 use smartssd_query::{Query, QueryResult, Route};
-use smartssd_sim::{
-    ArrivalGen, ArrivalModel, FaultCounters, LatencyStats, RunTrace, SimTime, TraceLevel,
-};
+use smartssd_sim::{ArrivalGen, FaultCounters, LatencyStats, RunTrace, SimTime, TraceLevel};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -108,8 +106,7 @@ impl WorkloadItem {
 ///
 /// Build one explicitly with [`Workload::push`], as a burst of simultaneous
 /// arrivals with [`Workload::burst`], as a seeded open-arrival stream with
-/// [`Workload::open_stream`] (or [`Workload::open_stream_with`] for a
-/// non-uniform [`ArrivalModel`]), or from per-tenant loads with
+/// [`Workload::open_stream`], or from per-tenant loads with
 /// [`crate::serving::compose`]. Arrival times need not be sorted — the
 /// scheduler orders events itself — but same-instant arrivals are served in
 /// item order, so the stream is reproducible either way.
@@ -164,23 +161,9 @@ impl Workload {
     /// `mean_gap` and a fixed seed reproduces the schedule exactly. All
     /// items share one query `Arc`.
     pub fn open_stream(query: &Query, n: usize, mean_gap: SimTime, seed: u64) -> Self {
-        Self::open_stream_with(query, n, mean_gap, seed, ArrivalModel::Uniform)
-    }
-
-    /// [`Workload::open_stream`] generalized over the arrival process:
-    /// gaps are drawn from `model` (uniform or Poisson — see
-    /// [`ArrivalModel`] for each model's moments). The `Uniform` model
-    /// reproduces `open_stream` bit-for-bit.
-    pub fn open_stream_with(
-        query: &Query,
-        n: usize,
-        mean_gap: SimTime,
-        seed: u64,
-        model: ArrivalModel,
-    ) -> Self {
         let shared = Arc::new(query.clone());
         let mut w = Self::new();
-        for arrival in ArrivalGen::with_model(mean_gap, seed, model).arrivals(n) {
+        for arrival in ArrivalGen::new(mean_gap, seed).arrivals(n) {
             let item = WorkloadItem::plain(Arc::clone(&shared), RoutePolicy::Natural, arrival);
             w.items.push(item);
         }
@@ -317,8 +300,7 @@ impl WorkloadOptions {
     /// Start-of-service deadline, measured from each query's arrival: a
     /// queued query whose turn comes after `arrival + deadline` is shed
     /// with [`ArrivalOutcome::DeadlineMissed`] instead of starting
-    /// hopelessly late. A tenant's [`TenantSpec::deadline`] overrides it.
-    /// Unset never sheds on time.
+    /// hopelessly late. Unset never sheds on time.
     pub fn deadline(mut self, deadline: SimTime) -> Self {
         self.deadline = Some(deadline);
         self
@@ -379,15 +361,6 @@ impl WorkloadOptions {
             }
         }
         Ok(self)
-    }
-
-    /// The deadline that applies to `tenant`: its own, else the
-    /// workload-level default.
-    pub(super) fn deadline_for(&self, tenant: usize) -> Option<SimTime> {
-        self.tenants
-            .get(tenant)
-            .and_then(|t| t.deadline)
-            .or(self.deadline)
     }
 
     /// The queue bound that applies to `tenant`: its own, else the
@@ -451,7 +424,8 @@ pub struct FailedQuery {
     /// When the query arrived.
     pub arrival: SimTime,
     /// When the failure was established (the fault's absolute instant for
-    /// a session fault; the dispatch instant for a resolution error).
+    /// a session fault; the failed host pass's start for a read failure;
+    /// the dispatch instant for a resolution error).
     pub failed_at: SimTime,
     /// Human-readable failure reason.
     pub reason: String,
@@ -473,16 +447,16 @@ pub enum ArrivalOutcome {
     /// Shed at arrival: the device was full and the wait queue was at its
     /// bound ([`WorkloadOptions::queue_bound`] or the tenant's override).
     Rejected(ShedQuery),
-    /// Shed when its turn came: it had waited past its deadline
-    /// ([`WorkloadOptions::deadline`] or the tenant's override) before
-    /// service could begin.
+    /// Shed when its turn came: it had waited past the
+    /// [`WorkloadOptions::deadline`] before service could begin.
     DeadlineMissed(ShedQuery),
     /// Abandoned at its [`WorkloadItem::cancel_at`] instant — before
     /// service if it was still waiting, or mid-flight with its device
     /// session closed early and the slot freed at the cancel instant.
     Canceled(ShedQuery),
     /// Died on an unrecoverable fault (wire corruption, validation
-    /// failure, or a resolution error); the rest of the workload ran on.
+    /// failure, a host read that exhausted its retries, or a resolution
+    /// error); the rest of the workload ran on.
     Failed(FailedQuery),
 }
 
@@ -926,16 +900,6 @@ mod tests {
         assert_ne!(at(&a), at(&c));
         assert_eq!(a.len(), 16);
         assert!(!a.is_empty());
-        // The generalized constructor reproduces the uniform stream
-        // bit-for-bit.
-        let d = Workload::open_stream_with(
-            &q,
-            16,
-            SimTime::from_nanos(50_000),
-            3,
-            ArrivalModel::Uniform,
-        );
-        assert_eq!(at(&a), at(&d));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use super::sched::{Ev, Sched};
 use crate::shard::{Phase, ShardOutcome, FRESH};
-use crate::system::{RunError, System};
+use crate::system::{RunError, RunErrorKind, System};
 use smartssd_exec::{QueryOp, WorkCounts};
 use smartssd_query::{Collected, RawRun, Route, SessionDriver, SessionFault};
 use smartssd_sim::SimTime;
@@ -103,8 +103,9 @@ pub(super) enum Stop {
     Full,
     /// The client's cancel instant passed mid-flight.
     Canceled(SimTime),
-    /// An unrecoverable fault killed the query at this instant.
-    Dead(SimTime, SessionFault),
+    /// The query died at this instant: an unrecoverable session fault, or
+    /// a host pass that failed.
+    Dead(SimTime, RunError),
 }
 
 impl System {
@@ -112,28 +113,24 @@ impl System {
     /// system — one of them, or an array: scatter, hedge marking, then a
     /// gather in device order, every session driven by one driver on the
     /// query's trace lane. `None` means every partial is in `a`. An
-    /// attempt that stops early (or errs) leaves sessions parked; the
-    /// caller releases them.
+    /// attempt that stops early leaves sessions parked; the caller
+    /// releases them.
     pub(super) fn device_attempt(
         &mut self,
         s: &mut Sched,
         a: &mut Attempt,
         ops: &[QueryOp],
-    ) -> Result<Option<Stop>, RunError> {
+    ) -> Option<Stop> {
         if self.admit_shards(a) {
-            return Ok(Some(Stop::Full));
+            return Some(Stop::Full);
         }
-        let driver = SessionDriver::new(self.cfg.session_policy.clone())
+        let driver = SessionDriver::default()
             .with_tracer(self.tracer.clone())
             .with_lane(a.lane);
         self.scatter(s, a, ops, &driver);
         a.hedge_over = self.hedge_threshold();
-        for (d, op) in ops.iter().enumerate() {
-            if let Some(stop) = self.gather_shard(s, a, d, op, &driver)? {
-                return Ok(Some(stop));
-            }
-        }
-        Ok(None)
+        let mut shards = ops.iter().enumerate();
+        shards.find_map(|(d, op)| self.gather_shard(s, a, d, op, &driver))
     }
 
     /// Admission, in device order: each shard's breaker gates it (an Open
@@ -234,25 +231,20 @@ impl System {
         d: usize,
         op: &QueryOp,
         driver: &SessionDriver,
-    ) -> Result<Option<Stop>, RunError> {
+    ) -> Option<Stop> {
         let shard = &mut self.backend.shards_mut()[d];
         let (sid, open_done) = match std::mem::replace(&mut shard.phase, Phase::Host) {
             Phase::Session(sid, open_done) => (sid, open_done),
             Phase::Failed(fault) => return self.fall_back(s, a, d, op, fault, None),
-            Phase::Host => {
-                let raw = self.run_host(d, op, a.now)?;
-                a.take_host(&mut self.backend.shards_mut()[d].last, raw);
-                return Ok(None);
-            }
+            Phase::Host => return self.host_partial(a, d, op, a.now),
         };
-        let deadline = open_done + driver.policy.session_timeout;
         let marked = a.hedge_over.is_some_and(|over| {
             let eta = shard.dev.session_eta(sid);
             eta.is_some_and(|eta| eta.as_nanos() as f64 > over)
         });
         let host = (&mut self.link, &mut self.host_cpu);
         let io = s.linked.then_some(host);
-        let collected = driver.collect_session(&mut shard.dev, io, sid, a.t, deadline, a.cancel_at);
+        let collected = driver.collect_session(&mut shard.dev, io, sid, a.t, a.cancel_at);
         let hedge = marked.then(|| self.launch_hedge(a, d, op)).flatten();
         let shard = &mut self.backend.shards_mut()[d];
         match collected {
@@ -275,14 +267,14 @@ impl System {
                         a.take(out.rows, out.aggs, &out.work, out.finished_at);
                     }
                 }
-                Ok(None)
+                None
             }
             // An attempt that never reached a verdict gives back the
             // breaker's HalfOpen probe slot.
             Ok(Collected::Canceled { at }) => {
                 shard.breaker.probe_abandoned();
                 a.slot_freed(s, at);
-                Ok(Some(Stop::Canceled(at)))
+                Some(Stop::Canceled(at))
             }
             Err(fault) => self.fall_back(s, a, d, op, fault, hedge),
         }
@@ -302,22 +294,41 @@ impl System {
         op: &QueryOp,
         fault: SessionFault,
         hedge: Option<RawRun>,
-    ) -> Result<Option<Stop>, RunError> {
+    ) -> Option<Stop> {
         let shard = &mut self.backend.shards_mut()[d];
         let (at, dead) = shard.settle_fault(fault, a.stamp, a.now, &mut self.run_faults);
         a.slot_freed(s, at);
         if let Some(fault) = dead {
-            return Ok(Some(Stop::Dead(at, fault)));
+            return Some(Stop::Dead(at, RunErrorKind::Session(fault).into()));
         }
         shard.last.fell_back = true;
         shard.last.hedge_won = hedge.is_some();
         self.run_faults.hedge_wins += u64::from(hedge.is_some());
-        let raw = match hedge {
-            Some(raw) => raw,
-            None => self.run_host(d, op, at)?,
-        };
-        a.take_host(&mut self.backend.shards_mut()[d].last, raw);
-        Ok(None)
+        match hedge {
+            Some(raw) => {
+                a.take_host(&mut shard.last, raw);
+                None
+            }
+            None => self.host_partial(a, d, op, at),
+        }
+    }
+
+    /// Shard `d`'s partial from a host block-path pass started at `at`. A
+    /// pass that fails kills the query there.
+    fn host_partial(
+        &mut self,
+        a: &mut Attempt,
+        d: usize,
+        op: &QueryOp,
+        at: SimTime,
+    ) -> Option<Stop> {
+        match self.run_host(d, op, at) {
+            Ok(raw) => {
+                a.take_host(&mut self.backend.shards_mut()[d].last, raw);
+                None
+            }
+            Err(e) => Some(Stop::Dead(at, e)),
+        }
     }
 
     /// Ends an attempt that stopped short: `CLOSE`s every session still

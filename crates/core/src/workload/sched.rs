@@ -65,14 +65,14 @@ pub(super) enum Ev {
 type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
 
 /// The run-scoped scheduler state: the options in force, each tenant's
-/// limits, the slot-event queue, the admission wait set with its parked
+/// queue bound, the slot-event queue, the admission wait set with its parked
 /// arrivals, the resolve memo, and the outcome accounting.
 pub(super) struct Sched<'o> {
     opts: &'o WorkloadOptions,
-    /// Each tenant's start-of-service deadline and queue bound, resolved
-    /// against the workload-level defaults once per run, so a dispatch or
-    /// a park reads one dense entry instead of the tenant registry.
-    limits: Vec<(Option<SimTime>, Option<usize>)>,
+    /// Each tenant's queue bound, resolved against the workload-level
+    /// default once per run, so a park reads one dense entry instead of the
+    /// tenant registry.
+    bounds: Vec<Option<usize>>,
     /// The run's [`InterfaceMode`] is `Linked`: `OPEN`s and result batches
     /// cross the host link.
     pub(super) linked: bool,
@@ -115,8 +115,8 @@ impl System {
     /// registry (plain FIFO with fairness off or no tenants). A
     /// recoverable mid-run session fault degrades that one query to the
     /// host route (its latency absorbs the wasted device time); an
-    /// unrecoverable fault fails that one query
-    /// ([`ArrivalOutcome::Failed`]) and the workload carries on. Only
+    /// unrecoverable fault, or a host pass that fails, fails that one
+    /// query ([`ArrivalOutcome::Failed`]) and the workload carries on. Only
     /// infrastructure errors — an invalid configuration, a failed `CLOSE`,
     /// a scheduler invariant violation — abort the run with a
     /// [`RunError`].
@@ -287,12 +287,12 @@ impl System {
         for shard in self.backend.shards_mut() {
             shard.breaker.take_transitions();
         }
-        let limits = (0..opts.tenants.len().max(1))
-            .map(|t| (opts.deadline_for(t), opts.queue_bound_for(t)))
+        let bounds = (0..opts.tenants.len().max(1))
+            .map(|t| opts.queue_bound_for(t))
             .collect();
         let mut s = Sched {
             opts,
-            limits,
+            bounds,
             linked: opts.interface == InterfaceMode::Linked,
             events: EventQueue::new(),
             ws: WaitSet::new(&opts.tenants, opts.fair),
@@ -384,8 +384,7 @@ impl System {
                 s.acct.shed(CANCELED, j, item, now);
                 continue;
             }
-            let (deadline, _) = s.limits[item.tenant as usize];
-            if deadline.is_some_and(|d| now > item.arrival + d) {
+            if s.opts.deadline.is_some_and(|d| now > item.arrival + d) {
                 s.acct.shed(DEADLINE_MISSED, j, item, now);
                 continue;
             }
@@ -452,7 +451,14 @@ impl System {
         // device's extents (the only ones on a single-device system).
         if self.resolve_route(&ops[0], &item.route)? == Route::Host {
             for (d, op) in ops.iter().enumerate() {
-                let raw = self.run_host(d, op, now)?;
+                let raw = match self.run_host(d, op, now) {
+                    Ok(raw) => raw,
+                    Err(e) => {
+                        s.acct
+                            .fail(idx, tenant, (&item.query.name, item.arrival), now, e);
+                        return Ok(false);
+                    }
+                };
                 let mut last = ShardOutcome { device: d, ..FRESH };
                 a.take_host(&mut last, raw);
                 // A disk has no shard to record its pass on.
@@ -464,10 +470,9 @@ impl System {
             return Ok(false);
         }
         let stop = self.device_attempt(s, &mut a, &ops);
-        if !matches!(stop, Ok(None)) {
+        if stop.is_some() {
             self.release_parked();
         }
-        let stop = stop?;
         // With every breaker open the query completes on the host without
         // touching a session slot; otherwise the tenant pays virtual time
         // for exactly the device service the attempt consumed, however it
@@ -489,10 +494,9 @@ impl System {
             }
             // This one query dies, with the fault spelled out; the workload
             // carries on.
-            Some(Stop::Dead(at, fault)) => {
-                let who = (&item.query.name, item.arrival);
-                let error = RunErrorKind::Session(fault).into();
-                s.acct.fail(idx, tenant, who, at, error);
+            Some(Stop::Dead(at, error)) => {
+                s.acct
+                    .fail(idx, tenant, (&item.query.name, item.arrival), at, error);
             }
         }
         Ok(offered)
@@ -503,8 +507,7 @@ impl System {
     /// without limit.
     fn defer(&mut self, s: &mut Sched, item: &WorkloadItem, idx: usize, now: SimTime) {
         let tenant = item.tenant as usize;
-        let (_, bound) = s.limits[tenant];
-        if bound.is_some_and(|b| s.ws.waiting_for(tenant) >= b) {
+        if s.bounds[tenant].is_some_and(|b| s.ws.waiting_for(tenant) >= b) {
             s.acct.shed(REJECTED, idx, item, now);
             return;
         }

@@ -27,12 +27,6 @@ pub struct DeviceConfig {
     /// Result buffer size: a `GET` retrieves at most this many bytes of
     /// output per poll (the protocol rides on fixed-size block transfers).
     pub result_buffer_bytes: u64,
-    /// Firmware page-read retries before a read error is surfaced to the
-    /// host as [`crate::DeviceError::RetriesExhausted`]. Each retry is
-    /// posted at the failed attempt's completion time, so recovery latency
-    /// is charged. The emulated media always recovers on the first retry,
-    /// so the default suffices; set to 0 in tests to force exhaustion.
-    pub read_retry_limit: u32,
     /// Device-side shared scans (MQO-style fan-out): when enabled,
     /// concurrent scan sessions over the same extent reuse each other's
     /// page reads — each flash page is fetched once and fanned out from
@@ -65,7 +59,6 @@ impl Default for DeviceConfig {
             session_memory_bytes: 256 * 1024 * 1024,
             max_sessions: 4,
             result_buffer_bytes: 8 * 1024 * 1024,
-            read_retry_limit: 2,
             shared_scans: false,
             fault_rates: FaultRates::default(),
             fault_plan: DeviceFaultPlan::default(),

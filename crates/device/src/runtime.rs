@@ -22,7 +22,7 @@
 
 use crate::config::DeviceConfig;
 use smartssd_exec::{run_op, OpScratch, OpSite, QueryOp, TableRef, WorkCounts};
-use smartssd_flash::{FlashConfig, FlashError, FlashSsd};
+use smartssd_flash::{FlashConfig, FlashError, FlashSsd, READ_RETRY_LIMIT};
 use smartssd_sim::{CpuModel, FaultCounters, SimTime};
 use smartssd_storage::expr::ExprError;
 use smartssd_storage::page::PageError;
@@ -608,7 +608,7 @@ impl SmartSsd {
                 }
                 Err(e) => return Err(DeviceError::Flash(e)),
             };
-            if attempts >= self.cfg.read_retry_limit {
+            if attempts >= READ_RETRY_LIMIT {
                 return Err(DeviceError::RetriesExhausted {
                     lba,
                     attempts,

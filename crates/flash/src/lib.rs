@@ -34,3 +34,10 @@ pub mod timing;
 
 pub use config::FlashConfig;
 pub use ssd::{FlashError, FlashSsd, FlashStats};
+
+/// Page-read retries before a read error is surfaced: the budget of both
+/// retry loops over this flash, the device firmware's and the host
+/// driver's. Each retry is posted at the failed attempt's completion time,
+/// so recovery latency is charged. The emulated media recovers on the first
+/// retry, so only a page stored corrupted exhausts it.
+pub const READ_RETRY_LIMIT: u32 = 2;

@@ -16,18 +16,13 @@
 use crate::bufferpool::BufferPool;
 use crate::hdd::HddModel;
 use crate::interface::InterfaceKind;
-use smartssd_flash::{FlashError, FlashSsd};
+use smartssd_flash::{FlashError, FlashSsd, READ_RETRY_LIMIT};
 use smartssd_sim::{mb_per_sec, Bus, FaultCounters, SimTime};
 use smartssd_storage::{page::PageError, PageBuf, PageDecodeCache, PAGE_SIZE};
 use std::fmt;
 
 /// Pages per host I/O command (the paper's 32-page / 256 KB unit).
 pub const PAGES_PER_COMMAND: u64 = 32;
-
-/// Driver-level page-read retries before the error is surfaced to the DBMS
-/// as [`IoError::RetriesExhausted`]. The emulated media always recovers on
-/// the first retry, so this bound is never hit in normal operation.
-pub const HOST_READ_RETRY_LIMIT: u32 = 2;
 
 /// Errors surfaced by a host read path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,7 +226,7 @@ impl PageSource for LinkedFlashView<'_> {
                 }
                 Err(e) => return Err(IoError::Flash(e)),
             };
-            if attempts >= HOST_READ_RETRY_LIMIT {
+            if attempts >= READ_RETRY_LIMIT {
                 return Err(IoError::RetriesExhausted {
                     lba,
                     attempts,

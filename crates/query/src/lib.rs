@@ -25,10 +25,9 @@
 //!   those rules with an analytic cost model over the same cost tables the
 //!   engines use;
 //! * [`session`] — the fault-tolerant OPEN/GET/CLOSE driver: one `GET` at
-//!   each readiness hint the device gives, a per-session timeout, and typed
-//!   faults carrying the simulated time a failed device attempt burned, so
-//!   callers can degrade to host execution without losing the cost of the
-//!   detour.
+//!   each readiness hint the device gives, and typed faults carrying the
+//!   simulated time a failed device attempt burned, so callers can degrade
+//!   to host execution without losing the cost of the detour.
 
 pub mod engine;
 pub mod plan;

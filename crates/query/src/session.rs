@@ -5,17 +5,17 @@
 //! assume those calls succeed — sessions are rejected when thread or memory
 //! grants run out, and a mid-scan flash failure kills the session outright.
 //! [`SessionDriver`] wraps the protocol with the recovery discipline the
-//! paper's Discussion expects the host to keep: a per-session simulated-time
-//! budget, and a typed [`SessionFault`] on failure that carries the simulated
-//! time the failed attempt burned, so the caller can degrade to host
-//! execution without losing the cost of the detour.
+//! paper's Discussion expects the host to keep: a typed [`SessionFault`] on
+//! failure that carries the simulated time the failed attempt burned, so
+//! the caller can degrade to host execution without losing the cost of the
+//! detour.
 //!
 //! The device computes a session's batch queue when it is opened, so a
 //! `Running { ready_at }` answer names the exact instant the front batch is
 //! ready: the driver posts its next `GET` there, and that `GET` gets the
 //! batch. A second `Running` in a row means the device broke that promise,
-//! and the session is abandoned as [`SessionError::Hung`]. The timeout
-//! defaults to infinity.
+//! and the session is abandoned as [`SessionError::Hung`]. A collection
+//! stops at one instant only, the caller's cancel instant.
 
 use smartssd_device::{DeviceError, GetResponse, SessionId, SmartSsd};
 use smartssd_exec::{QueryOp, WorkCounts};
@@ -25,33 +25,17 @@ use smartssd_storage::expr::AggState;
 use smartssd_storage::Tuple;
 use std::fmt;
 
-/// Recovery policy for one session. The default never changes the
-/// protocol's timing.
-#[derive(Debug, Clone)]
-pub struct SessionPolicy {
-    /// Simulated-time budget from `OPEN` to the final `Done`. Exceeding it
-    /// abandons the session with [`SessionError::Timeout`].
-    pub session_timeout: SimTime,
-}
-
-impl Default for SessionPolicy {
-    fn default() -> Self {
-        Self {
-            session_timeout: SimTime::MAX,
-        }
-    }
-}
+/// Kept so existing callers of [`SessionDriver::new`] still build; the
+/// driver has no knobs.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct SessionPolicy;
 
 /// Why a session was abandoned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
     /// The device rejected or failed the session.
     Device(DeviceError),
-    /// The session exceeded its simulated-time budget.
-    Timeout {
-        /// Simulated time at which the budget ran out.
-        at: SimTime,
-    },
     /// A `GET` posted at the device's own readiness hint came back
     /// `Running` again.
     Hung {
@@ -72,7 +56,6 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::Device(e) => write!(f, "device: {e}"),
-            SessionError::Timeout { at } => write!(f, "session timed out at {at}"),
             SessionError::Hung { at } => {
                 write!(
                     f,
@@ -142,23 +125,17 @@ pub struct SessionOutcome {
     pub finished_at: SimTime,
 }
 
-/// Drives OPEN/GET/CLOSE against a [`SmartSsd`] under a [`SessionPolicy`].
+/// Drives OPEN/GET/CLOSE against a [`SmartSsd`].
 #[derive(Debug, Clone, Default)]
 pub struct SessionDriver {
-    /// The recovery policy applied to every session this driver runs.
-    pub policy: SessionPolicy,
     tracer: Tracer,
     lane: u32,
 }
 
 impl SessionDriver {
-    /// A driver with the given policy.
-    pub fn new(policy: SessionPolicy) -> Self {
-        Self {
-            policy,
-            tracer: Tracer::none(),
-            lane: 0,
-        }
+    /// An untraced driver on lane 0 (the same as `default()`).
+    pub fn new(_: SessionPolicy) -> Self {
+        Self::default()
     }
 
     /// Attaches a tracer: protocol phases (OPEN, per-batch GET and the
@@ -230,13 +207,12 @@ impl SessionDriver {
         cmd_latency_ns: u64,
         op: &QueryOp,
     ) -> Result<SessionOutcome, SessionFault> {
-        let (sid, open_done) =
+        let (sid, _) =
             self.open_session(dev, Some((&mut *link, cmd_latency_ns)), op, SimTime::ZERO)?;
-        // Polling starts at time zero (not at `open_done`): the first poll
-        // comes back `Running` with the device's readiness hint and the
-        // clock jumps there, exactly as the original inline loop did.
-        let io = Some((link, host_cpu));
-        self.collect_and_close(dev, io, sid, SimTime::ZERO, open_done)
+        // Polling starts at time zero (not when the `OPEN` completed): the
+        // first poll comes back `Running` with the device's readiness hint
+        // and the clock jumps there.
+        self.collect_and_close(dev, Some((link, host_cpu)), sid, SimTime::ZERO)
     }
 
     /// `OPEN` at simulated time `at`. With `link` — the host interface and
@@ -275,17 +251,16 @@ impl SessionDriver {
     /// interface and the CPU that receives results — every batch crosses
     /// the link and costs the host a receive/merge, and the per-batch
     /// protocol phases are traced; without, a batch is consumed silently at
-    /// its `ready_at`. `deadline` is the absolute timeout instant. A
-    /// completed session is left **open**, so a scheduler can hold its slot
-    /// until the simulated close; a canceled or faulted one has been closed
-    /// (best-effort: a crashed device may already have dropped it).
+    /// its `ready_at`. A completed session is left **open**, so a scheduler
+    /// can hold its slot until the simulated close; a canceled or faulted
+    /// one has been closed (best-effort: a crashed device may already have
+    /// dropped it).
     pub fn collect_session(
         &self,
         dev: &mut SmartSsd,
         mut io: Option<(&mut Bus, &mut CpuModel)>,
         sid: SessionId,
         from: SimTime,
-        deadline: SimTime,
         cancel_at: SimTime,
     ) -> Result<Collected, SessionFault> {
         let mut c = Collection {
@@ -293,7 +268,7 @@ impl SessionDriver {
             ..Collection::default()
         };
         while c.t < cancel_at {
-            if self.poll(dev, &mut io, sid, deadline, &mut c)? {
+            if self.poll(dev, &mut io, sid, &mut c)? {
                 return Ok(Collected::Done(SessionOutcome {
                     work: dev.session_work(sid).copied().unwrap_or_default(),
                     finished_at: c.t,
@@ -307,24 +282,20 @@ impl SessionDriver {
         Ok(Collected::Canceled { at: cancel_at })
     }
 
-    /// Collects a session opened at `opened_at` to completion from `from`,
-    /// under the policy's timeout, and `CLOSE`s it.
+    /// Collects a session to completion from `from` and `CLOSE`s it.
     fn collect_and_close(
         &self,
         dev: &mut SmartSsd,
         io: Option<(&mut Bus, &mut CpuModel)>,
         sid: SessionId,
         from: SimTime,
-        opened_at: SimTime,
     ) -> Result<SessionOutcome, SessionFault> {
-        let deadline = opened_at + self.policy.session_timeout;
-        let out = match self.collect_session(dev, io, sid, from, deadline, SimTime::MAX)? {
+        let out = match self.collect_session(dev, io, sid, from, SimTime::MAX)? {
             Collected::Done(out) => out,
             // Only a clock saturated at `SimTime::MAX` reaches the cancel
-            // instant: the session's time budget is gone.
+            // instant: the device never finished.
             Collected::Canceled { at } => {
-                let timeout = SessionError::Timeout { at };
-                return Err(self.abandon(dev, None, timeout, at));
+                return Err(self.abandon(dev, None, SessionError::Hung { at }, at));
             }
         };
         self.close(dev, sid, &out)?;
@@ -339,7 +310,6 @@ impl SessionDriver {
         dev: &mut SmartSsd,
         io: &mut Option<(&mut Bus, &mut CpuModel)>,
         sid: SessionId,
-        deadline: SimTime,
         c: &mut Collection,
     ) -> Result<bool, SessionFault> {
         match dev.get(sid, c.t) {
@@ -377,10 +347,6 @@ impl SessionDriver {
             }
             Ok(GetResponse::Done) => return Ok(true),
             Err(e) => return Err(self.device_fault(dev, Some(sid), e, c.t)),
-        }
-        if c.t > deadline {
-            let err = SessionError::Timeout { at: c.t };
-            return Err(self.abandon(dev, Some(sid), err, c.t));
         }
         Ok(false)
     }
@@ -421,7 +387,7 @@ impl SessionDriver {
         sid: SessionId,
         opened_at: SimTime,
     ) -> Result<SessionOutcome, SessionFault> {
-        self.collect_and_close(dev, None, sid, opened_at, opened_at)
+        self.collect_and_close(dev, None, sid, opened_at)
     }
 
     /// Abandons the session on a device error seen at `at`, lifted into
@@ -523,39 +489,49 @@ mod tests {
         assert_eq!(out.aggs.unwrap()[0].finish(), 10_000);
     }
 
+    /// A session abandoned mid-collection after a successful `OPEN`: a
+    /// firmware crash scripted halfway through the scan kills it at the
+    /// next `GET`, the fault wastes the whole reset, and a single-slot
+    /// device takes a fresh session once the reset is over.
     #[test]
-    fn timeout_abandons_and_closes_session() {
-        let (mut dev, tref) = loaded(FlashConfig::default(), DeviceConfig::default(), 50_000);
+    fn mid_collection_crash_abandons_the_session() {
         let mut link = Bus::new("host-interface", mb_per_sec(550), 0);
         let mut cpu = CpuModel::new("host-cpu", 8, 2_260_000_000);
-        let driver = SessionDriver::new(SessionPolicy {
-            session_timeout: SimTime::from_nanos(1),
-        });
-        let fault = driver
-            .run_linked(&mut dev, &mut link, &mut cpu, 20_000, &count_op(tref))
-            .unwrap_err();
-        assert!(matches!(fault.error, SessionError::Timeout { .. }));
-        // The abandoned session was closed: a fresh one can open even on a
-        // single-slot device.
-        let (mut dev1, tref1) = loaded(
+        let driver = SessionDriver::default();
+        let single = || DeviceConfig {
+            max_sessions: 1,
+            ..DeviceConfig::default()
+        };
+        let (mut dev, tref) = loaded(FlashConfig::default(), single(), 50_000);
+        let op = count_op(tref);
+        let healthy = driver
+            .run_linked(&mut dev, &mut link, &mut cpu, 20_000, &op)
+            .unwrap();
+        let crash_at = SimTime::from_nanos(healthy.finished_at.as_nanos() / 2);
+        let plan = smartssd_sim::FaultPlan::new().crash_at(0, crash_at);
+        let (mut dev, tref) = loaded(
             FlashConfig::default(),
             DeviceConfig {
-                max_sessions: 1,
-                ..DeviceConfig::default()
+                fault_plan: plan.for_device(0),
+                ..single()
             },
-            1_000,
+            50_000,
         );
-        let strict = SessionDriver::new(SessionPolicy {
-            session_timeout: SimTime::from_nanos(1),
-        });
-        let op = count_op(tref1);
-        assert!(strict
-            .run_linked(&mut dev1, &mut link, &mut cpu, 20_000, &op)
-            .is_err());
-        let relaxed = SessionDriver::default();
-        relaxed
-            .run_linked(&mut dev1, &mut link, &mut cpu, 20_000, &op)
-            .unwrap();
+        let op = count_op(tref);
+        link.reset();
+        cpu.reset();
+        let fault = driver
+            .run_linked(&mut dev, &mut link, &mut cpu, 20_000, &op)
+            .unwrap_err();
+        let SessionError::DeviceReset { until } = fault.error else {
+            panic!("expected a firmware reset, got {fault}");
+        };
+        assert!(until > crash_at);
+        assert_eq!(fault.wasted, until);
+        assert_eq!(dev.open_sessions(), 0);
+        let sid = driver.open(&mut dev, &op, until).unwrap();
+        let out = driver.drain_direct(&mut dev, sid, until).unwrap();
+        assert_eq!(out.aggs.unwrap()[0].finish(), 50_000);
     }
 
     #[test]
@@ -595,7 +571,7 @@ mod tests {
         let sid = driver.open(&mut dev, &op, SimTime::ZERO).unwrap();
         let cancel_at = SimTime::from_nanos(10);
         let got = driver
-            .collect_session(&mut dev, None, sid, SimTime::ZERO, SimTime::MAX, cancel_at)
+            .collect_session(&mut dev, None, sid, SimTime::ZERO, cancel_at)
             .unwrap();
         match got {
             Collected::Canceled { at, .. } => assert_eq!(at, cancel_at),
@@ -614,14 +590,7 @@ mod tests {
         let op = count_op(tref);
         let sid = driver.open(&mut dev, &op, SimTime::ZERO).unwrap();
         let got = driver
-            .collect_session(
-                &mut dev,
-                None,
-                sid,
-                SimTime::ZERO,
-                SimTime::MAX,
-                SimTime::MAX,
-            )
+            .collect_session(&mut dev, None, sid, SimTime::ZERO, SimTime::MAX)
             .unwrap();
         let Collected::Done(out) = got else {
             panic!("MAX cancel must never fire");

@@ -126,6 +126,17 @@ if grep -rnE 'get_retries|poll_backoff|backoff_cap|max_get_retries|BackoffCapBel
     exit 1
 fi
 
+# No knob without a workload: options only tests ever set stay deleted —
+# the session timeout, the firmware's own retry budget (both read paths
+# share smartssd_flash::READ_RETRY_LIMIT), the per-tenant deadline and the
+# uncalled open_stream_with.
+echo "== test-only knobs stay deleted (crates/*/src) =="
+knobs='session_timeout|session_policy|read_retry_limit|HOST_READ_RETRY_LIMIT|SessionError::Timeout|deadline_for|open_stream_with'
+if grep -rnE "${knobs}" crates/*/src; then
+    echo "a deleted test-only knob is back (see above)" >&2
+    exit 1
+fi
+
 # One host type: an N-device Smart SSD array is a System (devices(n),
 # load_partitioned, run with the device route forced). The old fleet front
 # door survives only as crates/core/src/fleet.rs, a shim for the frozen

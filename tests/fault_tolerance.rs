@@ -8,11 +8,11 @@
 
 use proptest::prelude::*;
 use smartssd::{
-    BreakerPolicy, DeviceKind, Layout, Route, RoutePolicy, RunOptions, RunReport, System,
-    SystemBuilder, SystemConfig, Workload, WorkloadOptions,
+    ArrivalOutcome, BreakerPolicy, DeviceKind, Layout, Route, RoutePolicy, RunErrorKind,
+    RunOptions, RunReport, System, SystemBuilder, SystemConfig, Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::ScanAggSpec;
-use smartssd_flash::{FlashConfig, FlashSsd};
+use smartssd_flash::{FlashConfig, FlashSsd, READ_RETRY_LIMIT};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_sim::{FaultPlan, SimTime};
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
@@ -31,10 +31,14 @@ fn rows(n: i32) -> impl Iterator<Item = Tuple> {
 }
 
 fn sum_query() -> Query {
+    sum_over("t")
+}
+
+fn sum_over(table: &str) -> Query {
     Query {
         name: "fault sum".into(),
         op: OpTemplate::ScanAgg {
-            table: "t".into(),
+            table: table.into(),
             spec: ScanAggSpec {
                 pred: Pred::Const(true),
                 aggs: vec![AggSpec::sum(Expr::col(1)), AggSpec::count()],
@@ -116,21 +120,45 @@ fn host_read_retries_are_charged_at_failure_time() {
     assert_recovery_is_charged(Route::Host);
 }
 
+/// The standard system with its buffer pool warmed by a full pass, then
+/// page `at` of the table stored corrupted on flash: the device spends its
+/// `READ_RETRY_LIMIT` retries on that page and gives up, while the host
+/// answers from its fresher pool copy (the paper's Section 4.3 situation).
+fn stale_flash_system(at: u64) -> System {
+    let mut sys = faulty_system(FlashConfig::default(), |_| {});
+    sys.warm_cache("t", 1.0).unwrap();
+    let lba = sys.catalog().get("t").unwrap().first_lba + at;
+    let flash = &mut sys.device_mut(0).flash;
+    let (stored, _) = flash.peek_page(lba).unwrap();
+    let bad = PageBuf::from_bytes(stored).unwrap().corrupted(0, 1);
+    flash.write(lba, bad.raw().clone(), SimTime::ZERO).unwrap();
+    sys.finish_load();
+    sys
+}
+
+/// The standard system with a firmware crash scripted halfway through a
+/// healthy device run: the session opens, and a later `GET` finds the
+/// firmware resetting.
+fn mid_collection_crash_system() -> System {
+    let mut sys = faulty_system(FlashConfig::default(), |_| {});
+    let healthy = sys.run(&sum_query(), RunOptions::routed(Route::Device));
+    let half = SimTime::from_nanos(healthy.unwrap().result.elapsed.as_nanos() / 2);
+    let mut sys = faulty_system(FlashConfig::default(), |_| {});
+    sys.arm_fault_plan(&FaultPlan::new().crash_at(0, half));
+    sys
+}
+
 #[test]
 fn retry_exhaustion_falls_back_to_host() {
-    // A zero retry budget turns the first uncorrectable error into
+    // A page stored corrupted exhausts the device's retry budget:
     // `RetriesExhausted`; the session driver closes the session and the
-    // system transparently re-runs on the host (whose own retry budget is
-    // fixed and nonzero, so it succeeds).
-    let faulty = FlashConfig {
-        ecc_fail_rate: u32::MAX,
-        ..FlashConfig::default()
-    };
-    let r = run_case(faulty, Route::Device, |cfg| {
-        cfg.smart.read_retry_limit = 0;
-    })
-    .unwrap();
+    // system transparently re-runs on the host, which holds the page in
+    // its pool.
+    let r = stale_flash_system(3)
+        .run(&sum_query(), RunOptions::routed(Route::Device))
+        .unwrap();
     assert_eq!(r.route, Route::Host, "run must degrade to the host");
+    assert_eq!(r.faults.read_retries, u64::from(READ_RETRY_LIMIT));
     assert_eq!(r.result.agg_values[0], expected_sum());
     assert_eq!(r.faults.fallbacks, 1);
     assert!(
@@ -149,23 +177,24 @@ fn retry_exhaustion_falls_back_to_host() {
 /// counters — and neither leaves a session open.
 #[test]
 fn faulted_single_run_equals_one_arrival_workload() {
-    type Tweak = fn(&mut SystemConfig);
-    let exhaustion: Tweak = |cfg| {
-        cfg.flash.ecc_fail_rate = u32::MAX;
-        cfg.smart.read_retry_limit = 0;
+    type Setup = fn() -> System;
+    let exhaustion: Setup = || stale_flash_system(3);
+    let mid_collection: Setup = mid_collection_crash_system;
+    let crash: Setup = || {
+        faulty_system(FlashConfig::default(), |cfg| {
+            cfg.smart.fault_rates.crash_rate = u32::MAX;
+        })
     };
-    let timeout: Tweak = |cfg| cfg.session_policy.session_timeout = SimTime::from_nanos(1);
-    let crash: Tweak = |cfg| cfg.smart.fault_rates.crash_rate = u32::MAX;
-    for (name, tweak) in [
+    for (name, setup) in [
         ("retry exhaustion", exhaustion),
-        ("session timeout", timeout),
+        ("crash mid-collection", mid_collection),
         ("firmware crash", crash),
     ] {
-        let mut single_sys = faulty_system(FlashConfig::default(), tweak);
+        let mut single_sys = setup();
         let single = single_sys
             .run(&sum_query(), RunOptions::routed(Route::Device))
             .unwrap();
-        let mut workload_sys = faulty_system(FlashConfig::default(), tweak);
+        let mut workload_sys = setup();
         let mut w = Workload::new();
         w.push(
             sum_query(),
@@ -193,15 +222,77 @@ fn faulted_single_run_equals_one_arrival_workload() {
     }
 }
 
+/// A session abandoned after a successful `OPEN`: the crash kills it at a
+/// later `GET`, and the query re-runs on the host after the reset.
 #[test]
-fn session_timeout_falls_back_to_host() {
-    let r = run_case(FlashConfig::default(), Route::Device, |cfg| {
-        cfg.session_policy.session_timeout = SimTime::from_nanos(1);
-    })
-    .unwrap();
+fn mid_collection_crash_falls_back_to_host() {
+    let r = mid_collection_crash_system()
+        .run(&sum_query(), RunOptions::routed(Route::Device))
+        .unwrap();
     assert_eq!(r.route, Route::Host);
     assert_eq!(r.result.agg_values[0], expected_sum());
     assert_eq!(r.faults.fallbacks, 1);
+    assert_eq!(r.faults.device_crashes, 1);
+    assert!(r.faults.wasted_ns > 0);
+}
+
+/// A host pass that fails ends only its own arrival. Three arrivals scan
+/// `good`, `bad`, `good` at 0, 1 and 2 ms, and page 1 of `bad` is stored
+/// corrupted, so no route can read it: the host route exhausts its read
+/// retries, and the device route exhausts the firmware's, then fails over
+/// to the host, which does too. The two good answers still come back, the
+/// bad arrival is `Failed` with the host's error, and no session is left
+/// open. A single run of the bad query returns that error, typed.
+#[test]
+fn a_failed_host_pass_fails_only_its_arrival() {
+    let mut b = TableBuilder::new("bad", small_schema(), Layout::Pax);
+    b.extend(rows(N_ROWS));
+    let bad = b.finish();
+    for route in [Route::Host, Route::Device] {
+        let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).build();
+        sys.load_table_rows("good", &small_schema(), rows(N_ROWS))
+            .unwrap();
+        sys.load_table("bad", &bad).unwrap();
+        let lba = sys.catalog().get("bad").unwrap().first_lba + 1;
+        let corrupted = bad.pages()[1].corrupted(0, 1);
+        let flash = &mut sys.device_mut(0).flash;
+        flash
+            .write(lba, corrupted.raw().clone(), SimTime::ZERO)
+            .unwrap();
+        sys.finish_load();
+
+        let mut w = Workload::new();
+        for (i, table) in ["good", "bad", "good"].into_iter().enumerate() {
+            let at = SimTime::from_millis(i as u64);
+            w.push(sum_over(table), RoutePolicy::Force(route), at);
+        }
+        let rep = sys.run_workload(&w, WorkloadOptions::default()).unwrap();
+        assert_eq!(rep.completions.len(), 2, "{route:?}");
+        for done in &rep.completions {
+            assert_eq!(done.result.agg_values[0], expected_sum(), "{route:?}");
+        }
+        let ArrivalOutcome::Failed(failed) = &rep.outcomes[1] else {
+            panic!("{route:?}: the bad arrival must fail");
+        };
+        assert!(
+            failed
+                .reason
+                .starts_with("engine: io: read retries exhausted"),
+            "{route:?}: {}",
+            failed.reason
+        );
+        assert_eq!(rep.failed, 1, "{route:?}");
+        assert_eq!(sys.open_device_sessions(), 0, "{route:?}");
+
+        let err = sys
+            .run(&sum_over("bad"), RunOptions::routed(route))
+            .unwrap_err();
+        assert!(
+            matches!(err.kind(), RunErrorKind::Engine(_)),
+            "{route:?}: {err}"
+        );
+        assert_eq!(err.to_string(), failed.reason, "{route:?}");
+    }
 }
 
 /// Saturated silent corruption: the first read of every page is an ECC

@@ -70,7 +70,8 @@ fn sixty_four_devices_build_load_and_answer_within_budget() {
     const LOADED_BUDGET: u64 = BUILD_BUDGET + 3 * 1_053 * 8_192;
 
     let before = LIVE.load(Ordering::Relaxed);
-    let builder = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).bufferpool_pages(1_024);
+    let builder =
+        SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).tweak(|c| c.bufferpool_pages = 1_024);
     let mut array = builder.devices(DEVICES).build();
     let built = LIVE.load(Ordering::Relaxed) - before;
     assert!(

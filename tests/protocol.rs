@@ -372,22 +372,19 @@ fn get_after_done_stays_done_until_close() {
 
 #[test]
 fn retry_exhaustion_surfaces_as_typed_error_not_panic() {
-    // With a zero retry budget every injected uncorrectable error becomes
+    // A page stored corrupted fails its checksum on every read, so the
+    // firmware spends its whole retry budget on it and returns
     // `RetriesExhausted` carrying the failure's LBA, budget, and completion
     // time — the host-visible contract the fallback path is built on.
-    let mut dev = SmartSsd::new(
-        FlashConfig {
-            ecc_fail_rate: u32::MAX,
-            ..FlashConfig::default()
-        },
-        DeviceConfig {
-            read_retry_limit: 0,
-            ..DeviceConfig::default()
-        },
-    );
+    let mut dev = SmartSsd::new(FlashConfig::default(), DeviceConfig::default());
     let mut b = smartssd_storage::TableBuilder::new("t", small_schema(), Layout::Pax);
     b.extend(rows(1_000));
-    let tref = dev.load_table(&b.finish(), 0).unwrap();
+    let img = b.finish();
+    let tref = dev.load_table(&img, 0).unwrap();
+    let bad = img.pages()[1].corrupted(0, 1);
+    dev.flash
+        .write(1, bad.raw().clone(), SimTime::ZERO)
+        .unwrap();
     dev.reset_timing();
     let op = QueryOp::ScanAgg {
         table: tref,
@@ -401,16 +398,17 @@ fn retry_exhaustion_surfaces_as_typed_error_not_panic() {
     let err = dev.open(&op, SimTime::ZERO).unwrap_err();
     match err {
         DeviceError::RetriesExhausted {
+            lba,
             attempts,
             at,
             cause,
-            ..
         } => {
-            assert_eq!(attempts, 0);
+            assert_eq!(lba, 1);
+            assert_eq!(attempts, smartssd_flash::READ_RETRY_LIMIT);
             assert!(at > SimTime::ZERO, "failure time must be charged");
             assert!(matches!(
                 *cause,
-                DeviceError::Flash(smartssd_flash::FlashError::Uncorrectable { .. })
+                DeviceError::Page(smartssd_storage::page::PageError::ChecksumMismatch { .. })
             ));
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),

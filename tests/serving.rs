@@ -402,18 +402,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Per-tenant reports are a pure function of the outcome log: for any
-    /// tenant mix — weights, lanes, abandonment, queue bounds, deadlines —
-    /// each `TenantReport` equals its recomputation from
-    /// `report.outcomes` (indices are tenant-major): the counts by kind,
-    /// and the latency summary over that tenant's completions.
+    /// tenant mix — weights, lanes, abandonment, queue bounds — and any
+    /// start-of-service deadline, each `TenantReport` equals its
+    /// recomputation from `report.outcomes` (indices are tenant-major): the
+    /// counts by kind, and the latency summary over that tenant's
+    /// completions.
     #[test]
     fn tenant_reports_match_the_outcome_log(
         rows in prop::collection::vec(arb_row(), 50..150),
         tenants in prop::collection::vec(
             ((-500i64..500, 1u64..8, 0u8..3, 1usize..12, 0u64..1_000_000, 0u8..2),
-             (prop::option::of(10_000u64..3_000_000),
-              prop::option::of(0usize..4), prop::option::of(0u64..2_000_000))),
+             (prop::option::of(10_000u64..3_000_000), prop::option::of(0usize..4))),
             1..6),
+        deadline in prop::option::of(0u64..2_000_000),
         seed in any::<u64>(),
         max_sessions in 1usize..3,
         direct in any::<bool>(),
@@ -422,13 +423,10 @@ proptest! {
         let loads: Vec<TenantLoad> = tenants
             .iter()
             .enumerate()
-            .map(|(i, &((cutoff, weight, lane, count, gap, model), (cancel, bound, deadline)))| {
+            .map(|(i, &((cutoff, weight, lane, count, gap, model), (cancel, bound)))| {
                 let mut spec = TenantSpec::new(format!("t{i}")).weight(weight).lane(lane);
                 if let Some(b) = bound {
                     spec = spec.queue_bound(b);
-                }
-                if let Some(d) = deadline {
-                    spec = spec.deadline(SimTime::from_nanos(d));
                 }
                 let model = if model == 0 { ArrivalModel::Uniform } else { ArrivalModel::Exponential };
                 let load = TenantLoad::new(spec, agg_query(cutoff), count, SimTime::from_nanos(gap))
@@ -439,9 +437,11 @@ proptest! {
                 }
             })
             .collect();
-        let rep = build_sys(&rows, max_sessions)
-            .run_serving(&loads, seed, WorkloadOptions::new().interface(interface))
-            .unwrap();
+        let mut opts = WorkloadOptions::new().interface(interface);
+        if let Some(d) = deadline {
+            opts = opts.deadline(SimTime::from_nanos(d));
+        }
+        let rep = build_sys(&rows, max_sessions).run_serving(&loads, seed, opts).unwrap();
 
         let mut counts = vec![(0u64, 0u64, 0u64, 0u64, 0u64); loads.len()];
         let mut latencies = vec![Vec::new(); loads.len()];

@@ -57,6 +57,49 @@ fn update_replaces_contents_on_both_routes() {
     }
 }
 
+/// On an array the update lands partitioned like the load: every device
+/// re-points its own catalog at its new share and trims its own old
+/// extent, so both routes answer from the new rows alone (the update once
+/// wrote the whole new image to device 0 and left devices 1-3 answering
+/// from their stale partitions). A checkpoint rewrites every device's
+/// share.
+#[test]
+fn update_on_an_array_replaces_every_partition() {
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(4)
+        .build();
+    sys.load_partitioned("t", &schema(), rows(10_000, 1))
+        .unwrap();
+    sys.finish_load();
+    let old = sys.catalog().get("t").unwrap().first_lba;
+    sys.update_table_rows("t", rows(5_000, 10)).unwrap();
+    let want = (0..5_000i128).map(|k| k * 10).sum::<i128>();
+    let check = |sys: &mut System| {
+        for route in [Route::Device, Route::Host] {
+            sys.clear_cache();
+            let r = sys.run(&sum_query(), RunOptions::routed(route)).unwrap();
+            assert_eq!(r.result.agg_values[1], 5_000, "route {route:?}");
+            assert_eq!(r.result.agg_values[0], want, "route {route:?}");
+        }
+    };
+    check(&mut sys);
+    for d in 0..4 {
+        let stale = sys.device(d).flash.peek_page(old);
+        assert!(stale.is_err(), "device {d} kept its old extent");
+    }
+    sys.mark_dirty("t");
+    sys.checkpoint("t").unwrap();
+    check(&mut sys);
+    // The checkpoint reads every device's share: with the first page of
+    // the last device's share trimmed behind the system's back (every share
+    // starts at the same LBA), it fails and the table stays dirty.
+    let first = sys.catalog().get("t").unwrap().first_lba;
+    sys.device_mut(3).flash.trim(first).unwrap();
+    sys.mark_dirty("t");
+    assert!(sys.checkpoint("t").is_err());
+    assert!(sys.is_dirty("t"));
+}
+
 #[test]
 fn update_trims_old_extent_for_gc() {
     let mut sys = smart_system(50_000);
