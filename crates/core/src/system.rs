@@ -9,7 +9,7 @@ use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
 use crate::shard::{host_pass, Shard, ShardOutcome};
 use smartssd_device::{DeviceError, SmartSsd};
-use smartssd_exec::QueryOp;
+use smartssd_exec::{QueryOp, TableRef};
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
@@ -23,6 +23,7 @@ use smartssd_sim::{
 };
 use smartssd_storage::{Layout, RowError, Schema, TableBuilder, TableImage, Tuple};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Everything measured about one query run — one bar of one figure of the
@@ -109,6 +110,17 @@ pub enum RunErrorKind {
     /// [`System::update_table_rows`] does not match the table's schema;
     /// nothing was loaded.
     Row(RowError),
+    /// An array of more than one device was asked for what only one device
+    /// answers: a grouped aggregation or a join (the host merges no group
+    /// rows by key, and each device would join against its own slice of
+    /// the build table), or a prebuilt image, which only one device can
+    /// hold. Refused before anything runs or is written.
+    NotOnArray {
+        /// The operator (`GroupAgg`, `Join`) or `load_table`.
+        what: &'static str,
+        /// Devices in the array.
+        devices: usize,
+    },
 }
 
 impl fmt::Display for RunErrorKind {
@@ -129,6 +141,9 @@ impl fmt::Display for RunErrorKind {
             ),
             RunErrorKind::Config(e) => write!(f, "config: {e}"),
             RunErrorKind::Row(e) => write!(f, "load: {e}"),
+            RunErrorKind::NotOnArray { what, devices } => {
+                write!(f, "{what} is not supported on a {devices}-device array")
+            }
         }
     }
 }
@@ -344,13 +359,21 @@ impl System {
         &self.cfg
     }
 
-    /// The table catalog.
+    /// The first device's table catalog (on an array, every device
+    /// registers each table under the same name and first LBA).
     pub fn catalog(&self) -> &Catalog {
         &self.catalogs[0]
     }
 
-    /// Loads a prebuilt table image onto the device and registers it.
+    /// Loads a prebuilt table image onto the device and registers it. An
+    /// array of more than one device is [`RunErrorKind::NotOnArray`]: load
+    /// its rows with [`System::load_partitioned`].
     pub fn load_table(&mut self, name: &str, img: &TableImage) -> Result<(), RunError> {
+        let devices = self.catalogs.len();
+        if devices > 1 {
+            let what = "load_table";
+            return Err(RunErrorKind::NotOnArray { what, devices }.into());
+        }
         self.load_image(0, name, img, self.next_lba)
     }
 
@@ -369,7 +392,7 @@ impl System {
                 got: img.layout(),
             }));
         }
-        let tref = smartssd_exec::TableRef {
+        let tref = TableRef {
             first_lba,
             num_pages: img.num_pages() as u64,
             schema: img.schema().clone(),
@@ -392,9 +415,8 @@ impl System {
     }
 
     /// Builds a table in the system's configured layout from a row stream
-    /// and loads it. A row that does not match `schema` is a
-    /// [`RunErrorKind::Row`] naming it, and the system is left untouched:
-    /// the whole image is built before any page is written.
+    /// and loads it: [`System::load_partitioned`], so an array's devices
+    /// each hold their share.
     pub fn load_table_rows<I>(
         &mut self,
         name: &str,
@@ -404,16 +426,12 @@ impl System {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
-        b.try_extend(rows)
-            .map_err(|e| RunError::from_kind(RunErrorKind::Row(e)))?;
-        let img = b.finish();
-        self.load_table(name, &img)
+        self.load_partitioned(name, schema, rows)
     }
 
     /// Loads a table partitioned round-robin across the flash devices; each
-    /// registers its own partition under the shared name (on one device,
-    /// this is [`System::load_table_rows`]). A row that does not match
+    /// registers its own partition under the shared name (on one device the
+    /// rows stream straight into one image). A row that does not match
     /// `schema` is a [`RunErrorKind::Row`] naming its index in `rows`, and
     /// no device is written: every partition is built before the first is
     /// loaded.
@@ -426,26 +444,21 @@ impl System {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let n = self.catalogs.len();
-        if n == 1 {
-            // The rows stream straight into the one image.
-            return self.load_table_rows(name, schema, rows);
-        }
-        // Buffer each partition's rows, then build its pages in one pass,
-        // so a device's pages sit together in memory.
-        let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        for (i, row) in rows.into_iter().enumerate() {
-            partitions[i % n].push(row);
-        }
-        let mut images = Vec::with_capacity(n);
-        for (d, part) in partitions.into_iter().enumerate() {
-            let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
-            b.try_extend(part).map_err(|mut e| {
-                e.row = e.row * n as u64 + d as u64;
-                RunError::from_kind(RunErrorKind::Row(e))
-            })?;
-            images.push(b.finish());
-        }
+        let (n, layout) = (self.catalogs.len(), self.cfg.layout);
+        let images = if n == 1 {
+            vec![build_share(name, schema, layout, (0, 1), rows)?]
+        } else {
+            // Buffer each partition's rows, then build its pages in one
+            // pass, so a device's pages sit together in memory.
+            let mut partitions: Vec<Vec<Tuple>> = vec![Vec::new(); n];
+            for (i, row) in rows.into_iter().enumerate() {
+                partitions[i % n].push(row);
+            }
+            let parts = partitions.into_iter().enumerate();
+            parts
+                .map(|(d, part)| build_share(name, schema, layout, (d, n), part))
+                .collect::<Result<Vec<_>, _>>()?
+        };
         let first_lba = self.next_lba;
         for (d, img) in images.iter().enumerate() {
             self.load_image(d, name, img, first_lba)?;
@@ -487,34 +500,35 @@ impl System {
         }
     }
 
-    /// The host buffer pool, whatever device backs the system (the first
-    /// device's, should there be several).
-    pub(crate) fn pool(&self) -> &BufferPool {
-        match &self.backend {
-            Backend::Hdd(p) => &p.pool,
-            Backend::Flash(shards) => &shards[0].pool,
-        }
+    /// The host buffer pools, one per device (a disk's one).
+    pub(crate) fn pools(&self) -> impl Iterator<Item = &BufferPool> {
+        let disk = match &self.backend {
+            Backend::Hdd(p) => Some(&p.pool),
+            Backend::Flash(_) => None,
+        };
+        disk.into_iter()
+            .chain(self.backend.shards().iter().map(|s| &s.pool))
     }
 
-    /// Pre-reads the first `fraction` of a table into the buffer pool (the
-    /// Discussion-section cache experiments). Timing of the warm-up is
-    /// discarded.
+    /// Pre-reads the first `fraction` of each device's share of a table
+    /// into that device's buffer pool (the Discussion-section cache
+    /// experiments). Timing of the warm-up is discarded.
     pub fn warm_cache(&mut self, table: &str, fraction: f64) -> Result<(), RunError> {
-        let tref = self
-            .catalog()
-            .get(table)
-            .cloned()
-            .ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
-        let n = (tref.num_pages as f64 * fraction.clamp(0.0, 1.0)) as u64;
-        for lba in tref.first_lba..tref.first_lba + n {
-            match &mut self.backend {
-                Backend::Hdd(p) => {
-                    p.read_page(lba, SimTime::ZERO)?;
-                }
-                Backend::Flash(shards) => {
-                    shards[0]
-                        .host_view(&mut self.link, self.cfg.interface.command_latency_ns())
-                        .read_page(lba, SimTime::ZERO)?;
+        let fraction = fraction.clamp(0.0, 1.0);
+        for d in 0..self.catalogs.len() {
+            let tref = self.catalogs[d].get(table);
+            let tref = tref.ok_or_else(|| RunError::from(PlanError::UnknownTable(table.into())))?;
+            let n = (tref.num_pages as f64 * fraction) as u64;
+            for lba in tref.first_lba..tref.first_lba + n {
+                match &mut self.backend {
+                    Backend::Hdd(p) => {
+                        p.read_page(lba, SimTime::ZERO)?;
+                    }
+                    Backend::Flash(shards) => {
+                        shards[d]
+                            .host_view(&mut self.link, self.cfg.interface.command_latency_ns())
+                            .read_page(lba, SimTime::ZERO)?;
+                    }
                 }
             }
         }
@@ -522,11 +536,21 @@ impl System {
         Ok(())
     }
 
-    /// Fraction of a table currently resident in the buffer pool.
+    /// Fraction of a table currently resident in the buffer pools, over
+    /// every device's share.
     pub fn residency(&self, table: &str) -> f64 {
-        self.catalog()
-            .get(table)
-            .map_or(0.0, |tref| self.residency_of(tref))
+        self.residency_over(self.catalogs.iter().map(|c| c.get(table)))
+    }
+
+    /// Fraction of the given per-device extents (by device index) resident
+    /// in each device's buffer pool.
+    fn residency_over<'a>(&self, trefs: impl Iterator<Item = Option<&'a TableRef>>) -> f64 {
+        let extents = self.pools().zip(trefs).filter_map(|(p, t)| Some((p, t?)));
+        let (resident, pages) = extents.fold((0, 0), |(r, n), (pool, t)| {
+            (r + pool.resident(t.first_lba, t.num_pages), n + t.num_pages)
+        });
+        // No pages means none resident: 0 / 1.
+        resident as f64 / pages.max(1) as f64
     }
 
     /// Replaces a table's contents with a new row set, partitioned over
@@ -669,6 +693,26 @@ impl System {
         e
     }
 
+    /// Resolves a query against every device's catalog: one operator per
+    /// device, over that device's share of the tables. On more than one
+    /// device a grouped aggregation or a join is [`RunErrorKind::NotOnArray`]
+    /// before any `OPEN`: the gather appends each device's group rows
+    /// unmerged, and each device would build on its own slice of the build
+    /// table only.
+    pub(crate) fn resolve_ops(&self, query: &Query) -> Result<Rc<[QueryOp]>, RunError> {
+        let devices = self.catalogs.len();
+        let what = match query.op {
+            QueryOp::GroupAgg { .. } => Some("GroupAgg"),
+            QueryOp::Join { .. } => Some("Join"),
+            QueryOp::Scan { .. } | QueryOp::ScanAgg { .. } => None,
+        };
+        if let Some(what) = what.filter(|_| devices > 1) {
+            return Err(RunErrorKind::NotOnArray { what, devices }.into());
+        }
+        let ops = self.catalogs.iter().map(|c| query.resolve(c));
+        Ok(ops.collect::<Result<_, _>>()?)
+    }
+
     /// Resolves the route a policy picks for an operator, applying the
     /// dirty-data correctness rule: a dirty input means the on-device copy
     /// is stale, so the device route is not available (Section 4.3) —
@@ -677,7 +721,7 @@ impl System {
     /// device route on clean data is refused before anything runs.
     pub(crate) fn resolve_route(
         &self,
-        op: &QueryOp,
+        ops: &[QueryOp],
         policy: &RoutePolicy,
     ) -> Result<Route, RunError> {
         let smart = self.cfg.device == DeviceKind::SmartSsd;
@@ -685,9 +729,9 @@ impl System {
             RoutePolicy::Natural | RoutePolicy::Planned(_) if !smart => Route::Host,
             RoutePolicy::Natural => Route::Device,
             RoutePolicy::Force(r) => *r,
-            RoutePolicy::Planned(p) => self.plan_route(op, &p.planner, &p.inputs),
+            RoutePolicy::Planned(p) => self.plan_route(ops, &p.planner, &p.inputs),
         };
-        if requested == Route::Host || self.op_touches_dirty(op) {
+        if requested == Route::Host || self.op_touches_dirty(&ops[0]) {
             Ok(Route::Host)
         } else if smart {
             Ok(Route::Device)
@@ -696,17 +740,18 @@ impl System {
         }
     }
 
-    /// Planner-decided routing. Residency comes from the actual buffer
-    /// pool, not the caller.
-    fn plan_route(&self, op: &QueryOp, planner: &PlannerConfig, inputs: &PlannerInputs) -> Route {
+    /// Planner-decided routing over the first device's operator.
+    /// Residency of the streamed table comes from every device's actual
+    /// buffer pool, not the caller.
+    fn plan_route(
+        &self,
+        ops: &[QueryOp],
+        planner: &PlannerConfig,
+        inputs: &PlannerInputs,
+    ) -> Route {
         let mut inputs = inputs.clone();
-        inputs.residency = match op {
-            QueryOp::Scan { table, .. }
-            | QueryOp::ScanAgg { table, .. }
-            | QueryOp::GroupAgg { table, .. } => self.residency_of(table),
-            QueryOp::Join { probe, .. } => self.residency_of(probe),
-        };
-        let (route, _est) = choose_route_traced(op, planner, &inputs, &self.tracer);
+        inputs.residency = self.residency_over(ops.iter().map(|op| op.tables().next()));
+        let (route, _est) = choose_route_traced(&ops[0], planner, &inputs, &self.tracer);
         route
     }
 
@@ -734,10 +779,6 @@ impl System {
             shard.drain_breaker_transitions(base, &self.tracer, &mut transitions);
         }
         (transitions, self.tracer.finish_run())
-    }
-
-    fn residency_of(&self, tref: &smartssd_exec::TableRef) -> f64 {
-        self.pool().residency(tref.first_lba, tref.num_pages)
     }
 
     /// One host-route pass over device `d`'s share of the data, started at
@@ -843,8 +884,26 @@ impl System {
     }
 }
 
+/// Builds share `d` of a table loaded round-robin over `n` devices from
+/// that share's rows; a malformed row is named by its index in the whole
+/// load.
+fn build_share(
+    name: &str,
+    schema: &Arc<Schema>,
+    layout: Layout,
+    (d, n): (usize, usize),
+    rows: impl IntoIterator<Item = Tuple>,
+) -> Result<TableImage, RunError> {
+    let mut b = TableBuilder::new(name, Arc::clone(schema), layout);
+    b.try_extend(rows).map_err(|mut e| {
+        e.row = e.row * n as u64 + d as u64;
+        RunError::from_kind(RunErrorKind::Row(e))
+    })?;
+    Ok(b.finish())
+}
+
 /// The LBAs a table occupies.
-fn extent(t: &smartssd_exec::TableRef) -> std::ops::Range<u64> {
+fn extent(t: &TableRef) -> std::ops::Range<u64> {
     t.first_lba..t.first_lba + t.num_pages
 }
 

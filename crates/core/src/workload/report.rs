@@ -8,6 +8,7 @@ use super::{
 };
 use crate::serving::TenantReport;
 use crate::system::{RunError, RunErrorKind, System};
+use smartssd_host::BufferPool;
 use smartssd_sim::trace::pid;
 use smartssd_sim::{LatencyStats, SimTime, TraceLevel, Tracer};
 use std::sync::Arc;
@@ -273,8 +274,8 @@ impl System {
             latency: LatencyStats::from_buffer(&mut acct.latencies),
             flash_reads,
             shared_hits,
-            pool_hits: self.pool().hits(),
-            pool_misses: self.pool().misses(),
+            pool_hits: self.pools().map(BufferPool::hits).sum(),
+            pool_misses: self.pools().map(BufferPool::misses).sum(),
             faults: self.current_faults(),
             completions,
             outcomes,

@@ -418,12 +418,7 @@ impl System {
         }
         let ops = match &s.ops {
             Some((key, ops)) if Arc::ptr_eq(key, &item.query) => Rc::clone(ops),
-            _ => match self
-                .catalogs
-                .iter()
-                .map(|c| item.query.resolve(c))
-                .collect()
-            {
+            _ => match self.resolve_ops(&item.query) {
                 Ok(ops) => {
                     s.ops = Some((Arc::clone(&item.query), Rc::clone(&ops)));
                     ops
@@ -432,7 +427,7 @@ impl System {
                     // A query that doesn't resolve fails alone; the rest of
                     // the workload is unaffected (no slot was taken).
                     let who = (&item.query.name, item.arrival);
-                    s.acct.fail(idx, tenant, who, now, RunError::from(e));
+                    s.acct.fail(idx, tenant, who, now, e);
                     return Ok(false);
                 }
             },
@@ -447,9 +442,10 @@ impl System {
             hedges_left: self.cfg.hedge.map_or(0, |h| h.budget),
             ..Attempt::default()
         };
-        // The route is one decision for the whole query, made on the first
-        // device's extents (the only ones on a single-device system).
-        if self.resolve_route(&ops[0], &item.route)? == Route::Host {
+        // The route is one decision for the whole query: the dirty rule and
+        // the cost estimate read the first device's extents (the only ones
+        // on a single-device system), the residency every device's pool.
+        if self.resolve_route(&ops, &item.route)? == Route::Host {
             for (d, op) in ops.iter().enumerate() {
                 let raw = match self.run_host(d, op, now) {
                     Ok(raw) => raw,

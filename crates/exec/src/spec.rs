@@ -103,10 +103,10 @@ pub enum ColRef {
 /// The paper's joins build on the small table (Synthetic64_R, PART) because
 /// its hash table fits in memory (Sections 4.2.2.1/4.2.2.2); in the pushdown
 /// plans of Figures 4 and 6 the build happens inside the device.
-#[derive(Debug, Clone)]
-pub struct BuildSide {
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct BuildSide<T = TableRef> {
     /// The build table (on the same device).
-    pub table: TableRef,
+    pub table: T,
     /// Equi-join key column in the build schema.
     pub key_col: usize,
     /// Payload columns (by build-schema index) carried into the output.
@@ -131,10 +131,10 @@ pub enum JoinOutput {
 }
 
 /// Simple hash join: build on the small table, stream the big table.
-#[derive(Debug, Clone)]
-pub struct JoinSpec {
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct JoinSpec<T = TableRef> {
     /// Build side.
-    pub build: BuildSide,
+    pub build: BuildSide<T>,
     /// Equi-join key column in the probe schema.
     pub probe_key: usize,
     /// Predicate over probe rows.
@@ -212,19 +212,24 @@ impl JoinSpec {
 }
 
 /// A pushdown operation, as carried by the `OPEN` command.
-#[derive(Debug, Clone)]
-pub enum QueryOp {
+///
+/// `T` is how the operator names its tables: a [`TableRef`] (where the
+/// table lives and how to decode it) in the physical operator both engines
+/// execute, a table name in a query template. The template and the operator
+/// are one type, so an operator is defined once.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum QueryOp<T = TableRef> {
     /// Filtered, projected scan of one table; streams rows back.
     Scan {
         /// Input table.
-        table: TableRef,
+        table: T,
         /// Scan parameters.
         spec: ScanSpec,
     },
     /// Filtered aggregation over one table; streams aggregate partials.
     ScanAgg {
         /// Input table.
-        table: TableRef,
+        table: T,
         /// Aggregation parameters.
         spec: ScanAggSpec,
     },
@@ -232,17 +237,65 @@ pub enum QueryOp {
     /// group.
     GroupAgg {
         /// Input table.
-        table: TableRef,
+        table: T,
         /// Grouped-aggregation parameters.
         spec: GroupAggSpec,
     },
     /// Hash join with the probe table streamed; build side read in-device.
     Join {
         /// Probe-side (large) table.
-        probe: TableRef,
+        probe: T,
         /// Join parameters.
-        spec: JoinSpec,
+        spec: JoinSpec<T>,
     },
+}
+
+impl<T> QueryOp<T> {
+    /// The tables this operation reads: its input (or probe) table, then a
+    /// join's build side.
+    pub fn tables(&self) -> impl Iterator<Item = &T> {
+        let (input, build) = match self {
+            QueryOp::Scan { table, .. }
+            | QueryOp::ScanAgg { table, .. }
+            | QueryOp::GroupAgg { table, .. } => (table, None),
+            QueryOp::Join { probe, spec } => (probe, Some(&spec.build.table)),
+        };
+        std::iter::once(input).chain(build)
+    }
+
+    /// The same operation over other table handles: `f` maps each table in
+    /// [`QueryOp::tables`] order, so the input (or probe) table's error is
+    /// the one reported when both would fail.
+    pub fn try_map<U, E>(&self, mut f: impl FnMut(&T) -> Result<U, E>) -> Result<QueryOp<U>, E> {
+        Ok(match self {
+            QueryOp::Scan { table, spec } => QueryOp::Scan {
+                table: f(table)?,
+                spec: spec.clone(),
+            },
+            QueryOp::ScanAgg { table, spec } => QueryOp::ScanAgg {
+                table: f(table)?,
+                spec: spec.clone(),
+            },
+            QueryOp::GroupAgg { table, spec } => QueryOp::GroupAgg {
+                table: f(table)?,
+                spec: spec.clone(),
+            },
+            QueryOp::Join { probe, spec } => QueryOp::Join {
+                probe: f(probe)?,
+                spec: JoinSpec {
+                    build: BuildSide {
+                        table: f(&spec.build.table)?,
+                        key_col: spec.build.key_col,
+                        payload: spec.build.payload.clone(),
+                    },
+                    probe_key: spec.probe_key,
+                    probe_pred: spec.probe_pred.clone(),
+                    filter_first: spec.filter_first,
+                    output: spec.output.clone(),
+                },
+            },
+        })
+    }
 }
 
 impl QueryOp {
@@ -254,18 +307,6 @@ impl QueryOp {
             QueryOp::GroupAgg { table, spec } => spec.validate(&table.schema),
             QueryOp::Join { probe, spec } => spec.validate(&probe.schema),
         }
-    }
-
-    /// The tables this operation reads: its input, then a join's build
-    /// side.
-    pub fn tables(&self) -> impl Iterator<Item = &TableRef> {
-        let (input, build) = match self {
-            QueryOp::Scan { table, .. }
-            | QueryOp::ScanAgg { table, .. }
-            | QueryOp::GroupAgg { table, .. } => (table, None),
-            QueryOp::Join { probe, spec } => (probe, Some(&spec.build.table)),
-        };
-        std::iter::once(input).chain(build)
     }
 
     /// Total pages this operation will read from the device.

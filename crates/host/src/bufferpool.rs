@@ -88,15 +88,10 @@ impl BufferPool {
         self.map.contains_key(&lba)
     }
 
-    /// Fraction of the given LBA range currently resident.
-    pub fn residency(&self, first_lba: u64, num_pages: u64) -> f64 {
-        if num_pages == 0 {
-            return 0.0;
-        }
-        let resident = (first_lba..first_lba + num_pages)
-            .filter(|&l| self.contains(l))
-            .count();
-        resident as f64 / num_pages as f64
+    /// Pages of the given LBA range currently resident.
+    pub fn resident(&self, first_lba: u64, num_pages: u64) -> u64 {
+        let range = first_lba..first_lba + num_pages;
+        range.filter(|&l| self.contains(l)).count() as u64
     }
 
     /// Inserts a page read from storage, evicting with the clock hand if
@@ -210,9 +205,9 @@ mod tests {
         for lba in 0..5u64 {
             bp.insert(lba, some_page());
         }
-        assert!((bp.residency(0, 10) - 0.5).abs() < 1e-9);
-        assert_eq!(bp.residency(100, 10), 0.0);
-        assert_eq!(bp.residency(0, 0), 0.0);
+        assert_eq!(bp.resident(0, 10), 5);
+        assert_eq!(bp.resident(100, 10), 0);
+        assert_eq!(bp.resident(0, 0), 0);
     }
 
     #[test]

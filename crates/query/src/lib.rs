@@ -9,10 +9,11 @@
 //! the SSD using the API described in Section 3" (Section 4.1.2). This crate
 //! is that special path, generalized:
 //!
-//! * [`plan`] — named query templates over catalog tables, resolved into the
-//!   physical [`smartssd_exec::QueryOp`] that either engine executes, plus a
-//!   host-side finalize step (e.g. Q14's `100 * sum_a / sum_b`) and a plan
-//!   pretty-printer (Figures 4 and 6 are plan diagrams);
+//! * [`plan`] — query templates (the physical [`smartssd_exec::QueryOp`]
+//!   over table names), resolved into the operator that either engine
+//!   executes, plus a host-side finalize step (e.g. Q14's
+//!   `100 * sum_a / sum_b`) and a plan pretty-printer (Figures 4 and 6 are
+//!   plan diagrams);
 //! * [`engine`] — the host execution engine: streams pages from a
 //!   [`smartssd_host::PageSource`] (SSD-behind-interface or HDD), runs the
 //!   shared operator kernels on a single host thread, and prices the work
@@ -22,8 +23,9 @@
 //!   4.3) lists the rules a real optimizer would need: don't push when data
 //!   is cached in the buffer pool, don't push updates or data newer than the
 //!   on-device copy, weigh device-CPU saturation. The planner implements
-//!   those rules with an analytic cost model over the same cost tables the
-//!   engines use;
+//!   the cost rules with an analytic model over the same cost tables the
+//!   engines use; the stale-data rule is the system's, applied before any
+//!   cost;
 //! * [`session`] — the fault-tolerant OPEN/GET/CLOSE driver: one `GET` at
 //!   each readiness hint the device gives, and typed faults carrying the
 //!   simulated time a failed device attempt burned, so callers can degrade

@@ -1,8 +1,6 @@
 //! Query templates, catalog resolution, finalization, and plan printing.
 
-use smartssd_exec::spec::{
-    BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
-};
+use smartssd_exec::spec::{ColRef, JoinOutput};
 use smartssd_exec::{QueryOp, TableRef};
 use smartssd_storage::expr::{AggState, Pred};
 use std::collections::HashMap;
@@ -40,52 +38,9 @@ impl Catalog {
     }
 }
 
-/// A query operator template over *named* tables; becomes a concrete
-/// [`QueryOp`] once resolved against a catalog.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum OpTemplate {
-    /// Filter + project scan.
-    Scan {
-        /// Input table name.
-        table: String,
-        /// Scan parameters.
-        spec: ScanSpec,
-    },
-    /// Filter + aggregate scan (Q6).
-    ScanAgg {
-        /// Input table name.
-        table: String,
-        /// Aggregation parameters.
-        spec: ScanAggSpec,
-    },
-    /// Filter + group-by + aggregate scan (Q1).
-    GroupAgg {
-        /// Input table name.
-        table: String,
-        /// Grouped-aggregation parameters.
-        spec: GroupAggSpec,
-    },
-    /// Simple hash join (Figures 4/6).
-    Join {
-        /// Probe-side (large) table name.
-        probe: String,
-        /// Build-side (small) table name.
-        build: String,
-        /// Build key column.
-        build_key: usize,
-        /// Build payload columns.
-        build_payload: Vec<usize>,
-        /// Probe key column.
-        probe_key: usize,
-        /// Predicate over probe rows.
-        probe_pred: Pred,
-        /// Whether the predicate runs below the join (Figure 4) or above it
-        /// (Figure 6).
-        filter_first: bool,
-        /// Output shape.
-        output: JoinOutput,
-    },
-}
+/// A query operator template: the physical operator over *named* tables,
+/// which becomes a concrete [`QueryOp`] once resolved against a catalog.
+pub type OpTemplate = QueryOp<String>;
 
 /// How the host turns retrieved aggregate partials into the reported value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -162,49 +117,12 @@ impl Query {
     /// Resolves the template against a catalog into the physical operator
     /// both engines execute.
     pub fn resolve(&self, catalog: &Catalog) -> Result<QueryOp, PlanError> {
-        let lookup = |name: &str| {
+        let op = self.op.try_map(|name| {
             catalog
                 .get(name)
                 .cloned()
-                .ok_or_else(|| PlanError::UnknownTable(name.to_string()))
-        };
-        let op = match &self.op {
-            OpTemplate::Scan { table, spec } => QueryOp::Scan {
-                table: lookup(table)?,
-                spec: spec.clone(),
-            },
-            OpTemplate::ScanAgg { table, spec } => QueryOp::ScanAgg {
-                table: lookup(table)?,
-                spec: spec.clone(),
-            },
-            OpTemplate::GroupAgg { table, spec } => QueryOp::GroupAgg {
-                table: lookup(table)?,
-                spec: spec.clone(),
-            },
-            OpTemplate::Join {
-                probe,
-                build,
-                build_key,
-                build_payload,
-                probe_key,
-                probe_pred,
-                filter_first,
-                output,
-            } => QueryOp::Join {
-                probe: lookup(probe)?,
-                spec: JoinSpec {
-                    build: BuildSide {
-                        table: lookup(build)?,
-                        key_col: *build_key,
-                        payload: build_payload.clone(),
-                    },
-                    probe_key: *probe_key,
-                    probe_pred: probe_pred.clone(),
-                    filter_first: *filter_first,
-                    output: output.clone(),
-                },
-            },
-        };
+                .ok_or_else(|| PlanError::UnknownTable(name.clone()))
+        })?;
         op.validate()
             .map_err(|e| PlanError::Invalid(e.to_string()))?;
         Ok(op)
@@ -213,73 +131,54 @@ impl Query {
     /// Pretty-prints the plan tree as executed in the Smart SSD, in the
     /// style of the paper's Figures 4 and 6 (host on top, device below).
     pub fn describe_pushdown(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("-- {} (Smart SSD plan) --\n", self.name));
-        s.push_str("HOST:   collect results via GET\n");
-        match &self.op {
-            OpTemplate::Scan { table, spec } => {
-                s.push_str("DEVICE: Project\n");
-                s.push_str(&format!(
-                    "          Filter [{} atoms]\n",
-                    spec.pred.num_atoms()
-                ));
-                s.push_str(&format!("            Scan {table}\n"));
-            }
-            OpTemplate::ScanAgg { table, spec } => {
-                s.push_str(&format!("DEVICE: Aggregate [{} aggs]\n", spec.aggs.len()));
-                s.push_str(&format!(
-                    "          Filter [{} atoms]\n",
-                    spec.pred.num_atoms()
-                ));
-                s.push_str(&format!("            Scan {table}\n"));
-            }
-            OpTemplate::GroupAgg { table, spec } => {
-                s.push_str(&format!(
-                    "DEVICE: GroupAggregate [{} keys, {} aggs]\n",
+        let filter = |p: &Pred| format!("Filter [{} atoms]", p.num_atoms());
+        // The device's plan: its root, then the two levels under it; a
+        // join's lower level carries the probe scan and the build beside it.
+        let (root, upper, lower) = match &self.op {
+            QueryOp::Scan { table, spec } => (
+                "DEVICE: Project".to_string(),
+                filter(&spec.pred),
+                format!("Scan {table}"),
+            ),
+            QueryOp::ScanAgg { table, spec } => (
+                format!("DEVICE: Aggregate [{} aggs]", spec.aggs.len()),
+                filter(&spec.pred),
+                format!("Scan {table}"),
+            ),
+            QueryOp::GroupAgg { table, spec } => (
+                format!(
+                    "DEVICE: GroupAggregate [{} keys, {} aggs]",
                     spec.group_by.len(),
                     spec.aggs.len()
-                ));
-                s.push_str(&format!(
-                    "          Filter [{} atoms]\n",
-                    spec.pred.num_atoms()
-                ));
-                s.push_str(&format!("            Scan {table}\n"));
-            }
-            OpTemplate::Join {
-                probe,
-                build,
-                probe_pred,
-                filter_first,
-                output,
-                ..
-            } => {
-                match output {
-                    JoinOutput::Project(cols) => {
-                        s.push_str(&format!("DEVICE: Project [{} cols]\n", cols.len()))
-                    }
+                ),
+                filter(&spec.pred),
+                format!("Scan {table}"),
+            ),
+            QueryOp::Join { probe, spec } => {
+                let root = match &spec.output {
+                    JoinOutput::Project(cols) => format!("DEVICE: Project [{} cols]", cols.len()),
                     JoinOutput::Aggregate(aggs) => {
-                        s.push_str(&format!("DEVICE: Aggregate [{} aggs]\n", aggs.len()))
+                        format!("DEVICE: Aggregate [{} aggs]", aggs.len())
                     }
-                }
-                if *filter_first {
-                    s.push_str("          HashJoin (probe)\n");
-                    s.push_str(&format!(
-                        "            Filter [{} atoms]\n",
-                        probe_pred.num_atoms()
-                    ));
-                    s.push_str(&format!("              Scan {probe}\n"));
+                };
+                let (join, filter) = ("HashJoin (probe)".to_string(), filter(&spec.probe_pred));
+                let (upper, lower) = if spec.filter_first {
+                    (join, filter)
                 } else {
-                    s.push_str(&format!(
-                        "          Filter [{} atoms]\n",
-                        probe_pred.num_atoms()
-                    ));
-                    s.push_str("            HashJoin (probe)\n");
-                    s.push_str(&format!("              Scan {probe}\n"));
-                }
-                s.push_str(&format!("          HashBuild <- Scan {build}\n"));
+                    (filter, join)
+                };
+                let build = &spec.build.table;
+                let lower = format!(
+                    "{lower}\n              Scan {probe}\n          HashBuild <- Scan {build}"
+                );
+                (root, upper, lower)
             }
-        }
-        s
+        };
+        format!(
+            "-- {} (Smart SSD plan) --\nHOST:   collect results via GET\n\
+             {root}\n          {upper}\n            {lower}\n",
+            self.name
+        )
     }
 }
 
@@ -296,6 +195,7 @@ pub fn build_col(i: usize) -> ColRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartssd_exec::spec::{BuildSide, JoinSpec, ScanAggSpec};
     use smartssd_storage::expr::{AggFunc, AggSpec, CmpOp, Expr};
     use smartssd_storage::{DataType, Layout, Schema};
 
@@ -399,13 +299,17 @@ mod tests {
             name: "join".into(),
             op: OpTemplate::Join {
                 probe: "t".into(),
-                build: "r".into(),
-                build_key: 0,
-                build_payload: vec![1],
-                probe_key: 0,
-                probe_pred: Pred::Const(true),
-                filter_first: true,
-                output: JoinOutput::Project(vec![probe_col(0), build_col(0)]),
+                spec: JoinSpec {
+                    build: BuildSide {
+                        table: "r".into(),
+                        key_col: 0,
+                        payload: vec![1],
+                    },
+                    probe_key: 0,
+                    probe_pred: Pred::Const(true),
+                    filter_first: true,
+                    output: JoinOutput::Project(vec![probe_col(0), build_col(0)]),
+                },
             },
             finalize: Finalize::Rows,
         };
@@ -418,6 +322,78 @@ mod tests {
         let filter_pos = d.find("Filter").unwrap();
         let join_pos = d.find("HashJoin").unwrap();
         assert!(filter_pos > join_pos);
+    }
+
+    #[test]
+    fn plan_description_of_single_table_operators() {
+        let pred = Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(5));
+        let scan = Query {
+            name: "scan".into(),
+            op: OpTemplate::Scan {
+                table: "t".into(),
+                spec: smartssd_exec::spec::ScanSpec {
+                    pred: pred.clone(),
+                    project: vec![1],
+                },
+            },
+            finalize: Finalize::Rows,
+        };
+        let group = Query {
+            name: "group".into(),
+            op: OpTemplate::GroupAgg {
+                table: "t".into(),
+                spec: smartssd_exec::spec::GroupAggSpec {
+                    pred,
+                    group_by: vec![0],
+                    aggs: vec![AggSpec::count()],
+                },
+            },
+            finalize: Finalize::Rows,
+        };
+        let body = "\n          Filter [1 atoms]\n            Scan t\n";
+        let head = |name: &str| {
+            format!("-- {name} (Smart SSD plan) --\nHOST:   collect results via GET\n")
+        };
+        assert_eq!(
+            scan.describe_pushdown(),
+            head("scan") + "DEVICE: Project" + body
+        );
+        assert_eq!(
+            group.describe_pushdown(),
+            head("group") + "DEVICE: GroupAggregate [1 keys, 1 aggs]" + body
+        );
+    }
+
+    #[test]
+    fn unknown_probe_is_reported_before_unknown_build() {
+        let join = |probe: &str, build: &str| Query {
+            name: "join".into(),
+            op: OpTemplate::Join {
+                probe: probe.into(),
+                spec: JoinSpec {
+                    build: BuildSide {
+                        table: build.into(),
+                        key_col: 0,
+                        payload: vec![1],
+                    },
+                    probe_key: 0,
+                    probe_pred: Pred::Const(true),
+                    filter_first: true,
+                    output: JoinOutput::Project(vec![probe_col(0), build_col(0)]),
+                },
+            },
+            finalize: Finalize::Rows,
+        };
+        let err = |q: Query| q.resolve(&catalog()).unwrap_err();
+        let unknown = |t: &str| PlanError::UnknownTable(t.into());
+        assert_eq!(err(join("p?", "b?")), unknown("p?"));
+        assert_eq!(err(join("t", "b?")), unknown("b?"));
+        match join("t", "r").resolve(&catalog()).unwrap() {
+            QueryOp::Join { probe, spec } => {
+                assert_eq!((probe.num_pages, spec.build.table.num_pages), (10, 2));
+            }
+            _ => panic!("wrong op"),
+        }
     }
 
     #[test]

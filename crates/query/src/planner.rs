@@ -8,7 +8,9 @@
 //! the result-transfer volume erases the bandwidth advantage. The paper
 //! leaves "extending the query optimizer to push operations to the Smart
 //! SSD" as future work — this module is that extension, kept deliberately
-//! analytic so its decisions are explainable.
+//! analytic so its decisions are explainable. It weighs cost only: the
+//! stale-data rule is correctness, not cost, and lives in `System`, which
+//! routes a query over a dirty table to the host before any planner runs.
 
 use smartssd_exec::spec::JoinOutput;
 use smartssd_exec::{CostTable, QueryOp};
@@ -70,12 +72,6 @@ pub struct PlannerInputs {
     pub selectivity: f64,
     /// Average tuples per input page.
     pub tuples_per_page: f64,
-    /// Whether the on-device copy may be stale (uncheckpointed updates) —
-    /// pushdown is then incorrect, not merely slow.
-    pub data_mutable: bool,
-    /// Whether the workload benefits from host execution warming the cache
-    /// for subsequent queries (Section 4.3's second consideration).
-    pub prefer_cache_warming: bool,
 }
 
 impl Default for PlannerInputs {
@@ -84,8 +80,6 @@ impl Default for PlannerInputs {
             residency: 0.0,
             selectivity: 0.1,
             tuples_per_page: 50.0,
-            data_mutable: false,
-            prefer_cache_warming: false,
         }
     }
 }
@@ -199,28 +193,19 @@ pub fn estimate(op: &QueryOp, cfg: &PlannerConfig, inputs: &PlannerInputs) -> Co
     }
 }
 
-/// Applies the paper's correctness/policy rules, then the cost comparison.
+/// Applies the paper's residency rule, then the cost comparison.
 pub fn choose_route(
     op: &QueryOp,
     cfg: &PlannerConfig,
     inputs: &PlannerInputs,
 ) -> (Route, CostEstimate) {
     let est = estimate(op, cfg, inputs);
-    // Rule 1: a fresher copy may exist only in the buffer pool; pushing
-    // would read stale data (correctness, not cost).
-    if inputs.data_mutable {
-        return (Route::Host, est);
-    }
-    // Rule 2: the workload wants the cache warmed for subsequent queries.
-    if inputs.prefer_cache_warming {
-        return (Route::Host, est);
-    }
-    // Rule 3: data (mostly) cached already — the interface is no longer the
+    // Rule 1: data (mostly) cached already — the interface is no longer the
     // bottleneck, so pushdown forfeits its advantage.
     if inputs.residency > cfg.residency_cutoff {
         return (Route::Host, est);
     }
-    // Rule 4: analytic cost comparison.
+    // Rule 2: analytic cost comparison.
     if est.device_secs < est.host_secs {
         (Route::Device, est)
     } else {
@@ -327,30 +312,6 @@ mod tests {
         let op = scan_agg(Layout::Pax, 10_000);
         let inputs = PlannerInputs {
             residency: 0.9,
-            ..PlannerInputs::default()
-        };
-        let (route, _) = choose_route(&op, &PlannerConfig::default(), &inputs);
-        assert_eq!(route, Route::Host);
-    }
-
-    #[test]
-    fn mutable_data_never_pushes() {
-        let op = scan_agg(Layout::Pax, 10_000);
-        let inputs = PlannerInputs {
-            data_mutable: true,
-            ..PlannerInputs::default()
-        };
-        let (route, est) = choose_route(&op, &PlannerConfig::default(), &inputs);
-        assert_eq!(route, Route::Host);
-        // Even though the device would have been faster.
-        assert!(est.device_secs < est.host_secs);
-    }
-
-    #[test]
-    fn cache_warming_preference_wins() {
-        let op = scan_agg(Layout::Pax, 10_000);
-        let inputs = PlannerInputs {
-            prefer_cache_warming: true,
             ..PlannerInputs::default()
         };
         let (route, _) = choose_route(&op, &PlannerConfig::default(), &inputs);

@@ -1,6 +1,6 @@
 //! Property tests of the pushdown planner: its estimates must be monotone
-//! in the obvious directions and its correctness rules must never be
-//! overridden by cost.
+//! in the obvious directions and its route must follow them unless the
+//! residency rule fires.
 
 use proptest::prelude::*;
 use smartssd_exec::spec::{ScanAggSpec, TableRef};
@@ -35,8 +35,6 @@ fn arb_inputs() -> impl Strategy<Value = PlannerInputs> {
             residency,
             selectivity,
             tuples_per_page: tpp,
-            data_mutable: false,
-            prefer_cache_warming: false,
         }
     })
 }
@@ -73,15 +71,6 @@ proptest! {
         prop_assert!(warm.host_secs <= cold.host_secs + 1e-12);
         // Residency is a host-side cache; device time must not change.
         prop_assert!((warm.device_secs - cold.device_secs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mutable_data_always_routes_host(inputs in arb_inputs()) {
-        let cfg = PlannerConfig::default();
-        let op = scan_agg(10_000, Layout::Pax, 3);
-        let dirty = PlannerInputs { data_mutable: true, ..inputs };
-        let (route, _) = choose_route(&op, &cfg, &dirty);
-        prop_assert_eq!(route, Route::Host);
     }
 
     #[test]

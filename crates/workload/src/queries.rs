@@ -6,7 +6,9 @@
 use crate::dates::date_to_days;
 use crate::synthetic::SEL_DOMAIN;
 use crate::tpch::{lineitem_cols as l, part_cols as p};
-use smartssd_exec::spec::{ColRef, GroupAggSpec, JoinOutput, ScanAggSpec, ScanSpec};
+use smartssd_exec::spec::{
+    BuildSide, ColRef, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec,
+};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 
@@ -89,17 +91,24 @@ pub fn q14() -> Query {
         name: "TPC-H Q14".into(),
         op: OpTemplate::Join {
             probe: LINEITEM.into(),
-            build: PART.into(),
-            build_key: p::PARTKEY,
-            build_payload: vec![p::TYPE],
-            probe_key: l::PARTKEY,
-            probe_pred: Pred::range_half_open(
-                l::SHIPDATE,
-                date_to_days(1995, 9, 1),
-                date_to_days(1995, 10, 1),
-            ),
-            filter_first: false,
-            output: JoinOutput::Aggregate(vec![AggSpec::sum(promo_case), AggSpec::sum(revenue())]),
+            spec: JoinSpec {
+                build: BuildSide {
+                    table: PART.into(),
+                    key_col: p::PARTKEY,
+                    payload: vec![p::TYPE],
+                },
+                probe_key: l::PARTKEY,
+                probe_pred: Pred::range_half_open(
+                    l::SHIPDATE,
+                    date_to_days(1995, 9, 1),
+                    date_to_days(1995, 10, 1),
+                ),
+                filter_first: false,
+                output: JoinOutput::Aggregate(vec![
+                    AggSpec::sum(promo_case),
+                    AggSpec::sum(revenue()),
+                ]),
+            },
         },
         finalize: Finalize::RatioPct { num: 0, den: 1 },
     }
@@ -166,13 +175,17 @@ pub fn join_query(selectivity: f64) -> Query {
         name: format!("join sel={:.0}%", selectivity * 100.0).into(),
         op: OpTemplate::Join {
             probe: SYNTH_S.into(),
-            build: SYNTH_R.into(),
-            build_key: 0,           // R.col_1
-            build_payload: vec![1], // R.col_2
-            probe_key: 1,           // S.col_2
-            probe_pred: Pred::Cmp(CmpOp::Lt, Expr::col(2), Expr::lit(cutoff)),
-            filter_first: true,
-            output: JoinOutput::Project(vec![ColRef::Probe(0), ColRef::Build(0)]),
+            spec: JoinSpec {
+                build: BuildSide {
+                    table: SYNTH_R.into(),
+                    key_col: 0,       // R.col_1
+                    payload: vec![1], // R.col_2
+                },
+                probe_key: 1, // S.col_2
+                probe_pred: Pred::Cmp(CmpOp::Lt, Expr::col(2), Expr::lit(cutoff)),
+                filter_first: true,
+                output: JoinOutput::Project(vec![ColRef::Probe(0), ColRef::Build(0)]),
+            },
         },
         finalize: Finalize::Rows,
     }
@@ -268,8 +281,8 @@ mod tests {
 
     #[test]
     fn q14_is_probe_first_per_figure6() {
-        if let OpTemplate::Join { filter_first, .. } = q14().op {
-            assert!(!filter_first);
+        if let OpTemplate::Join { spec, .. } = q14().op {
+            assert!(!spec.filter_first);
         } else {
             panic!("q14 must be a join");
         }
@@ -279,14 +292,9 @@ mod tests {
     fn join_query_is_filter_first_per_figure4() {
         let q = join_query(0.01);
         q.resolve(&catalog()).unwrap();
-        if let OpTemplate::Join {
-            filter_first,
-            probe_pred,
-            ..
-        } = &q.op
-        {
-            assert!(*filter_first);
-            assert_eq!(probe_pred.num_atoms(), 1);
+        if let OpTemplate::Join { spec, .. } = &q.op {
+            assert!(spec.filter_first);
+            assert_eq!(spec.probe_pred.num_atoms(), 1);
         } else {
             panic!("must be a join");
         }
@@ -296,12 +304,10 @@ mod tests {
     fn join_query_selectivity_monotone_in_cutoff() {
         // Higher selectivity -> larger literal cutoff.
         let extract = |q: &Query| -> i64 {
-            if let OpTemplate::Join {
-                probe_pred: Pred::Cmp(_, _, Expr::Lit(v)),
-                ..
-            } = &q.op
-            {
-                return *v;
+            if let OpTemplate::Join { spec, .. } = &q.op {
+                if let Pred::Cmp(_, _, Expr::Lit(v)) = spec.probe_pred {
+                    return v;
+                }
             }
             panic!("unexpected shape");
         };

@@ -137,6 +137,16 @@ if grep -rnE "${knobs}" crates/*/src; then
     exit 1
 fi
 
+# One operator type: a query template is the physical operator over table
+# names (OpTemplate = QueryOp<String>), so an operator is defined once. The
+# planner weighs cost only (the stale-data rule is the system's), and an
+# array's table state is every device's, with no first-device pool accessor.
+echo "== one operator type, no test-only planner knobs, no first-device pool (crates/*/src) =="
+if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|fn pool\(' crates/*/src; then
+    echo "a deleted second operator enum, planner knob or first-device pool accessor is back (see above)" >&2
+    exit 1
+fi
+
 # One host type: an N-device Smart SSD array is a System (devices(n),
 # load_partitioned, run with the device route forced). The old fleet front
 # door survives only as crates/core/src/fleet.rs, a shim for the frozen

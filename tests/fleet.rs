@@ -2,11 +2,12 @@
 //! `SystemBuilder::devices(n)` and loaded with `load_partitioned`.
 //!
 //! The array's load-bearing property: scatter/gather over N shards is an
-//! *answer-preserving* transformation. For any table contents, any shard
-//! count, either interface mode, with or without hedging, and under
-//! injected device crashes, the merged answer is bit-identical to a
-//! single-device run of the same query. Faults and hedging may move
-//! timing; they must never move answers.
+//! *answer-preserving* transformation for the scan-aggregates it answers.
+//! For any table contents, any shard count, either interface mode, with or
+//! without hedging, and under injected device crashes, the merged answer is
+//! bit-identical to a single-device run of the same query. Faults and
+//! hedging may move timing; they must never move answers. What an array
+//! cannot merge — group-bys and joins — it refuses before any `OPEN`.
 
 use proptest::prelude::*;
 use smartssd::{
@@ -14,8 +15,8 @@ use smartssd::{
     Route, RoutePolicy, RunErrorKind, RunOptions, RunReport, SimTime, System, SystemBuilder,
     Workload, WorkloadOptions,
 };
-use smartssd_exec::spec::ScanAggSpec;
-use smartssd_query::{Finalize, OpTemplate, Query};
+use smartssd_exec::spec::{BuildSide, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec};
+use smartssd_query::{Finalize, OpTemplate, PlannerConfig, PlannerInputs, Query};
 use smartssd_sim::FaultPlan;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, Tuple};
@@ -345,5 +346,186 @@ fn one_device_fleet_equals_single_system() {
             let opened = states.contains(&BreakerState::Open);
             assert_eq!(opened, crashing && breaker.enabled, "{name}: {states:?}");
         }
+    }
+}
+
+/// `GROUP BY g` with `COUNT(*)` and `SUM(v)` over table `g`.
+fn group_query() -> Query {
+    Query {
+        name: "fleet group".into(),
+        op: OpTemplate::GroupAgg {
+            table: "g".into(),
+            spec: GroupAggSpec {
+                pred: Pred::Const(true),
+                group_by: vec![0],
+                aggs: vec![AggSpec::count(), AggSpec::sum(Expr::col(1))],
+            },
+        },
+        finalize: Finalize::Rows,
+    }
+}
+
+/// `COUNT(*)` and `SUM(r.pay)` over `s JOIN r ON s.k = r.id`.
+fn join_query() -> Query {
+    Query {
+        name: "fleet join".into(),
+        op: OpTemplate::Join {
+            probe: "s".into(),
+            spec: JoinSpec {
+                build: BuildSide {
+                    table: "r".into(),
+                    key_col: 0,
+                    payload: vec![1],
+                },
+                probe_key: 0,
+                probe_pred: Pred::Const(true),
+                filter_first: true,
+                // Joined schema: s.k, s.v, then r.pay at index 2.
+                output: JoinOutput::Aggregate(vec![AggSpec::count(), AggSpec::sum(Expr::col(2))]),
+            },
+        },
+        finalize: Finalize::AggRow,
+    }
+}
+
+/// An `n`-device array holding the group and join inputs: `g` is 8,000
+/// rows `(i mod 3, i)`, build `r` is 200 rows `(id, pay = id)`, probe `s`
+/// is 8,000 rows `((7i + 3) mod 200, i)`.
+fn group_join_array(n: usize) -> System {
+    let pair = |k: i64, v: i64| vec![Datum::I32(k as i32), Datum::I64(v)];
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(n)
+        .build();
+    let tables: [(&str, Vec<Tuple>); 3] = [
+        ("g", (0..8_000).map(|i| pair(i % 3, i)).collect()),
+        ("r", (0..200).map(|i| pair(i, i)).collect()),
+        (
+            "s",
+            (0..8_000).map(|i| pair((7 * i + 3) % 200, i)).collect(),
+        ),
+    ];
+    for (name, rows) in tables {
+        sys.load_partitioned(name, &schema(), rows).unwrap();
+    }
+    sys.finish_load();
+    sys
+}
+
+/// An array answers scans and scan-aggregates only. Its gather appends each
+/// device's group rows without merging them by key, and each device would
+/// join its probe slice against its own slice of the build table, so on
+/// more than one device a grouped aggregation or a join is refused before
+/// any `OPEN`, on either route, and in a workload that arrival fails alone.
+/// On one device both answer.
+#[test]
+fn an_array_refuses_group_by_and_join_on_both_routes() {
+    let count = |q: &Query| Query {
+        name: "fleet count".into(),
+        op: OpTemplate::ScanAgg {
+            table: q.op.tables().next().unwrap().clone(),
+            spec: ScanAggSpec {
+                pred: Pred::Const(true),
+                aggs: vec![AggSpec::count()],
+            },
+        },
+        finalize: Finalize::AggRow,
+    };
+    for n in [1, 2, 4] {
+        let mut sys = group_join_array(n);
+        for (query, what) in [(group_query(), "GroupAgg"), (join_query(), "Join")] {
+            for route in [Route::Device, Route::Host] {
+                let run = sys.run(&query, RunOptions::routed(route));
+                if n == 1 {
+                    let r = run.unwrap().result;
+                    if what == "Join" {
+                        assert_eq!(r.agg_values, vec![8_000, 796_000], "{route:?}");
+                    } else {
+                        let counts: Vec<_> = r.rows.iter().map(|t| t[1].as_i64()).collect();
+                        assert_eq!(counts, vec![2_667, 2_667, 2_666], "{route:?}");
+                    }
+                    continue;
+                }
+                let err = run.unwrap_err();
+                let RunErrorKind::NotOnArray { what: w, devices } = err.kind() else {
+                    panic!("{what} on {n} devices, {route:?}: {err}")
+                };
+                assert_eq!((*w, *devices), (what, n), "{err}");
+            }
+            let mut w = Workload::new();
+            w.push(
+                query.clone(),
+                RoutePolicy::Force(Route::Device),
+                SimTime::ZERO,
+            );
+            w.push(
+                count(&query),
+                RoutePolicy::Force(Route::Device),
+                SimTime::ZERO,
+            );
+            let rep = sys.run_workload(&w, WorkloadOptions::new()).unwrap();
+            assert_eq!(rep.failed, u64::from(n > 1), "{what} on {n} devices");
+            assert_eq!(rep.completions.len(), 1 + usize::from(n == 1));
+            assert_eq!(
+                rep.completions.last().unwrap().result.agg_values,
+                vec![8_000]
+            );
+            assert_eq!(sys.open_device_sessions(), 0);
+        }
+    }
+}
+
+/// An array's table state is every device's: a full warm-up caches every
+/// device's share, so a host pass then reads no flash, and the pool
+/// counters count every device's pool. A table loaded from rows lands on
+/// every device, and a prebuilt image, which only one device can hold, is
+/// refused.
+#[test]
+fn an_array_warms_and_counts_every_devices_share() {
+    let rows = || (0..40_000).map(|k| vec![Datum::I32(k % 1_000), Datum::I64(k as i64)]);
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(4)
+        .build();
+    sys.load_partitioned("t", &schema(), rows()).unwrap();
+    sys.load_table_rows("u", &schema(), rows()).unwrap();
+    let share = sys.catalog().get("t").unwrap().num_pages;
+    let mut img = smartssd_storage::TableBuilder::new("v", schema(), Layout::Pax);
+    img.extend(rows());
+    let err = sys.load_table("v", &img.finish()).unwrap_err();
+    assert!(
+        matches!(
+            err.kind(),
+            RunErrorKind::NotOnArray {
+                what: "load_table",
+                devices: 4
+            }
+        ),
+        "{err}"
+    );
+    sys.finish_load();
+    sys.warm_cache("t", 1.0).unwrap();
+    assert_eq!(sys.residency("t"), 1.0);
+    assert_eq!(sys.residency("u"), 0.0);
+    let mut w = Workload::new();
+    w.push(
+        agg_query(i64::MAX),
+        RoutePolicy::Force(Route::Host),
+        SimTime::ZERO,
+    );
+    let rep = sys.run_workload(&w, WorkloadOptions::new()).unwrap();
+    assert_eq!(rep.completions[0].result.agg_values[0], 40_000);
+    assert_eq!(rep.flash_reads, 0, "a warm array read flash");
+    assert_eq!((rep.pool_hits, rep.pool_misses), (4 * share, 4 * share));
+    // The planner reads the same residency: fully cached stays on the host.
+    let planned = RunOptions::planned(PlannerConfig::default(), PlannerInputs::default());
+    let r = sys.run(&agg_query(i64::MAX), planned).unwrap();
+    assert_eq!(r.route, Route::Host);
+    let mut u = agg_query(i64::MAX);
+    let OpTemplate::ScanAgg { table, .. } = &mut u.op else {
+        unreachable!()
+    };
+    *table = "u".into();
+    for route in [Route::Device, Route::Host] {
+        let r = sys.run(&u, RunOptions::routed(route)).unwrap().result;
+        assert_eq!(r.agg_values[0], 40_000, "{route:?}");
     }
 }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
-use smartssd_exec::spec::{ColRef, JoinOutput, ScanAggSpec, ScanSpec};
+use smartssd_exec::spec::{BuildSide, ColRef, JoinOutput, JoinSpec, ScanAggSpec, ScanSpec};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, Tuple};
@@ -181,13 +181,17 @@ proptest! {
             name: "prop join".into(),
             op: OpTemplate::Join {
                 probe: "probe".into(),
-                build: "build".into(),
-                build_key: 0,
-                build_payload: vec![1],
-                probe_key: 0,
-                probe_pred: Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(cutoff)),
-                filter_first,
-                output: JoinOutput::Project(vec![ColRef::Probe(1), ColRef::Build(0)]),
+                spec: JoinSpec {
+                    build: BuildSide {
+                        table: "build".into(),
+                        key_col: 0,
+                        payload: vec![1],
+                    },
+                    probe_key: 0,
+                    probe_pred: Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(cutoff)),
+                    filter_first,
+                    output: JoinOutput::Project(vec![ColRef::Probe(1), ColRef::Build(0)]),
+                },
             },
             finalize: Finalize::Rows,
         };

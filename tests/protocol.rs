@@ -116,16 +116,20 @@ fn memory_grant_rejection_falls_back_to_host_in_system() {
         name: "fallback join".into(),
         op: OpTemplate::Join {
             probe: "probe".into(),
-            build: "build".into(),
-            build_key: 0,
-            build_payload: vec![1],
-            probe_key: 0,
-            probe_pred: Pred::Const(true),
-            filter_first: true,
-            output: smartssd_exec::JoinOutput::Project(vec![
-                smartssd_exec::ColRef::Probe(0),
-                smartssd_exec::ColRef::Build(0),
-            ]),
+            spec: JoinSpec {
+                build: BuildSide {
+                    table: "build".into(),
+                    key_col: 0,
+                    payload: vec![1],
+                },
+                probe_key: 0,
+                probe_pred: Pred::Const(true),
+                filter_first: true,
+                output: smartssd_exec::JoinOutput::Project(vec![
+                    smartssd_exec::ColRef::Probe(0),
+                    smartssd_exec::ColRef::Build(0),
+                ]),
+            },
         },
         finalize: Finalize::Rows,
     };

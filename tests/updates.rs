@@ -3,7 +3,7 @@
 //! extent), dirty tracking, and the pushdown-forbidden-while-dirty rule.
 
 use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
-use smartssd_exec::spec::ScanAggSpec;
+use smartssd_exec::spec::{BuildSide, JoinSpec, ScanAggSpec};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, Tuple};
@@ -181,16 +181,20 @@ fn dirty_join_input_forces_host_route() {
         name: "join".into(),
         op: OpTemplate::Join {
             probe: "probe".into(),
-            build: "build".into(),
-            build_key: 0,
-            build_payload: vec![1],
-            probe_key: 0,
-            probe_pred: Pred::Const(true),
-            filter_first: true,
-            output: smartssd_exec::JoinOutput::Project(vec![
-                smartssd_exec::ColRef::Probe(0),
-                smartssd_exec::ColRef::Build(0),
-            ]),
+            spec: JoinSpec {
+                build: BuildSide {
+                    table: "build".into(),
+                    key_col: 0,
+                    payload: vec![1],
+                },
+                probe_key: 0,
+                probe_pred: Pred::Const(true),
+                filter_first: true,
+                output: smartssd_exec::JoinOutput::Project(vec![
+                    smartssd_exec::ColRef::Probe(0),
+                    smartssd_exec::ColRef::Build(0),
+                ]),
+            },
         },
         finalize: Finalize::Rows,
     };
