@@ -1,6 +1,6 @@
 //! Simulator-throughput benchmarks: the `simspeed/*` group tracks how fast
-//! the hot path (arrival cursor, batched flash charges, Arc-shared queries,
-//! allocation-free report assembly) chews through an open Q6 arrival stream.
+//! the hot path (arrival cursor, Arc-shared queries, allocation-free report
+//! assembly) chews through an open Q6 arrival stream.
 //!
 //! Simulated figures are deterministic; only wall-clock time varies. The
 //! stream sizes are kept small enough for Criterion's iteration counts —

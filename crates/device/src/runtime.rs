@@ -29,7 +29,6 @@ use smartssd_storage::page::PageError;
 use smartssd_storage::{PageBuf, PageDecodeCache, TableImage};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Deterministic xorshift64 stream for crash injection; the seed is fixed
@@ -227,10 +226,8 @@ pub struct SmartSsd {
     /// rewritten or corrupted buffer is always re-validated; not timing
     /// state, so it survives [`SmartSsd::reset_timing`].
     page_cache: PageDecodeCache,
-    /// The operator driver's buffers and a batched read's page coordinates,
-    /// kept from one execution to the next.
+    /// The operator driver's buffers, kept from one execution to the next.
     scratch: OpScratch<SimTime>,
-    coords: Vec<(u16, u16)>,
 }
 
 impl SmartSsd {
@@ -255,7 +252,6 @@ impl SmartSsd {
             plan_crash_cursor: 0,
             page_cache: PageDecodeCache::new(),
             scratch: OpScratch::default(),
-            coords: Vec::new(),
             cfg,
         }
     }
@@ -672,66 +668,20 @@ impl OpSite for DeviceSite<'_> {
     type Instant = SimTime;
     type Error = DeviceError;
 
-    /// With a `shareable` read and shared scans on, every page goes through
-    /// the shared-scan window as this session. A `GroupAgg` stream is never
-    /// shareable: which pages it reads depends on where (or whether) its
-    /// grant aborts, not a clean prefix a peer could safely fan out.
-    ///
-    /// Otherwise, while the flash path is clean (no error injection, no
-    /// pending retry or scrub, no tracer), each page is peeked and
-    /// validated without a modelled read and consumed at once, and the
-    /// consumed run is then posted as one batched timeline charge
-    /// ([`FlashSsd::charge_reads`]), bit-identical to reading it page by
-    /// page. An unmapped page, or one that fails its checksum, ends the
-    /// batch there: the rest of the table goes through
-    /// [`OpSite::read_page`] and its retry policy, the only path that can
-    /// observe and account per-page faults.
-    fn read_table(
+    /// The firmware's read: one page under its bounded retry policy. With
+    /// a `shareable` read and shared scans on, the page goes through the
+    /// shared-scan window as this session.
+    fn read_page(
         &mut self,
-        table: &TableRef,
+        lba: u64,
         at: SimTime,
         shareable: bool,
-        arrivals: &mut Vec<SimTime>,
-        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<(), DeviceError> {
-        let shared = (shareable && self.dev.cfg.shared_scans).then_some(self.id);
-        let mut lbas = table.lbas();
-        if shared.is_none() && self.dev.flash.can_batch_reads() {
-            self.dev.coords.clear();
-            for lba in table.lbas() {
-                let Ok((data, coord)) = self.dev.flash.peek_page(lba) else {
-                    break;
-                };
-                let Ok(page) = self.dev.page_cache.decode(lba, data) else {
-                    break;
-                };
-                self.dev.coords.push(coord);
-                // The page-by-page reads below start after the batch.
-                lbas.start = lba + 1;
-                if consume(self, &page).is_break() {
-                    lbas.end = lbas.start;
-                    break;
-                }
-            }
-            let ivs = self.dev.flash.charge_batch(&self.dev.coords, at);
-            arrivals.extend(ivs.iter().map(|iv| iv.end));
+    ) -> Result<(PageBuf, SimTime), DeviceError> {
+        if shareable && self.dev.cfg.shared_scans {
+            self.dev.read_page_shared(lba, at, self.id)
+        } else {
+            self.dev.read_page(lba, at)
         }
-        for lba in lbas {
-            let (page, arrived) = match shared {
-                Some(owner) => self.dev.read_page_shared(lba, at, owner)?,
-                None => self.read_page(lba, at)?,
-            };
-            arrivals.push(arrived);
-            if consume(self, &page).is_break() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// The firmware's read: one page under its bounded retry policy.
-    fn read_page(&mut self, lba: u64, at: SimTime) -> Result<(PageBuf, SimTime), DeviceError> {
-        self.dev.read_page(lba, at)
     }
 
     fn charge(&mut self, at: SimTime, work: &WorkCounts) -> SimTime {

@@ -1,10 +1,10 @@
 //! A warm device session allocates nothing of its own.
 //!
-//! The device keeps its session slots, its operator driver's buffers and
-//! its batched-read buffers from one `OPEN` to the next. So once a device
-//! has run one Q6 session, a second `OPEN` → `GET`s → `CLOSE` over the
-//! same table touches the heap once: for the partial-aggregate vector its
-//! result batch carries to the host. The counting allocator is local to
+//! The device keeps its session slots and its operator driver's buffers
+//! from one `OPEN` to the next. So once a device has run one Q6 session, a
+//! second `OPEN` → `GET`s → `CLOSE` over the same table touches the heap
+//! once: for the partial-aggregate vector its result batch carries to the
+//! host. The counting allocator is local to
 //! this test binary, and counts per thread so the tests cannot see each
 //! other (or the harness).
 

@@ -7,8 +7,9 @@
 //! arrive, what a [`WorkCounts`] receipt costs and on which processor, how
 //! much memory an operator may hold, and how large a result batch may grow
 //! before it is cut. Each arm of [`run_op`] is one serial page stream on
-//! one [`ScanScratch`]: the site validates each page and hands it straight
-//! to the kernel, so a page leaves memory once, and the kernel's receipts
+//! one [`ScanScratch`], read by the one table loop here: the site reads and
+//! validates a page, the loop hands it straight to the kernel before the
+//! next is read, so a page leaves memory once, and the kernel's receipts
 //! are charged afterwards, each at its page's arrival. The parallelism the
 //! figures depend on (flash channels, device cores, host DOP) is modelled
 //! inside the site's timelines, not executed here.
@@ -33,39 +34,15 @@ pub trait OpSite {
     type Error;
 
     /// Reads the one page at `lba`, issued at `at`, returning it with its
-    /// arrival instant.
+    /// arrival instant. `shareable` marks a read whose page set does not
+    /// depend on the data (a full scan), which a site may serve from a
+    /// concurrent execution's read of the same page.
     fn read_page(
         &mut self,
         lba: u64,
         at: Self::Instant,
+        shareable: bool,
     ) -> Result<(PageBuf, Self::Instant), Self::Error>;
-
-    /// Streams the pages of `table` in LBA order, all issued at `at`: each
-    /// page is validated and handed to `consume`, with the site for grant
-    /// checks, before the next is read. A `Break` from `consume` ends the
-    /// stream; no later page is read. Appends the arrival instant of every
-    /// page consumed to `arrivals`, in order. `shareable` marks a read whose
-    /// page set does not depend on the data (a full scan), which a site may
-    /// serve from a concurrent execution's read; a site may also charge the
-    /// stream's timing as one batch. By default, [`Self::read_page`] then
-    /// `consume`, page by page.
-    fn read_table(
-        &mut self,
-        table: &TableRef,
-        at: Self::Instant,
-        _shareable: bool,
-        arrivals: &mut Vec<Self::Instant>,
-        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<(), Self::Error> {
-        for lba in table.lbas() {
-            let (page, arrived) = self.read_page(lba, at)?;
-            arrivals.push(arrived);
-            if consume(self, &page).is_break() {
-                break;
-            }
-        }
-        Ok(())
-    }
 
     /// Executes `work` on the site's processor, no earlier than `at`, and
     /// returns the instant it completes.
@@ -198,12 +175,38 @@ impl<I: Copy> Run<'_, I> {
     }
 }
 
+/// Streams the pages of `table` in LBA order, each read through
+/// [`OpSite::read_page`] issued at `at`, and hands each to `consume` (with
+/// the site, for grant checks) before the next is read. A `Break` from
+/// `consume` ends the stream; no later page is read. Appends the arrival
+/// instant of every page consumed to `arrivals`, in order.
+fn read_table<S: OpSite>(
+    site: &mut S,
+    table: &TableRef,
+    at: S::Instant,
+    shareable: bool,
+    arrivals: &mut Vec<S::Instant>,
+    mut consume: impl FnMut(&mut S, &PageBuf) -> ControlFlow<()>,
+) -> Result<(), S::Error> {
+    for lba in table.lbas() {
+        let (page, arrived) = site.read_page(lba, at, shareable)?;
+        arrivals.push(arrived);
+        if consume(site, &page).is_break() {
+            break;
+        }
+    }
+    Ok(())
+}
+
 /// Executes `op` (already validated) on `site`, starting at `now`.
 ///
-/// Each table is one stream from [`OpSite::read_table`]: the kernel runs on
-/// each page as it is handed over and its receipt is kept. When the stream
-/// ends, the receipts are charged in page order, each at its own page's
-/// arrival instant. Row streams are cut into batches as they fill
+/// Each table is one stream from `read_table`, the one table loop: the
+/// kernel runs on each page as it is handed over and its receipt is kept.
+/// A full scan (`Scan`, `ScanAgg`) reads shareably; a `GroupAgg` stream
+/// never does, since which pages it reads depends on where its grant
+/// aborts, and neither does a join. When the stream ends, the receipts are
+/// charged in page order, each at its own page's arrival instant. Row
+/// streams are cut into batches as they fill
 /// [`OpSite::batch_cut_bytes`], each stamped with the completion of the
 /// page that filled it. `GroupAgg` checks its grant after every page, and a
 /// refusal ends the stream: the refusing page is charged and no later page
@@ -222,7 +225,7 @@ pub fn run_op<S: OpSite>(
             let schema = &table.schema;
             let row_bytes = spec.row_bytes(schema);
             let mut rows = Vec::new();
-            site.read_table(table, now, true, arrivals, |_, page| {
+            read_table(site, table, now, true, arrivals, |_, page| {
                 run.kernel(|w| scratch.scan_page(page, schema, spec, &mut rows, w));
                 run.cut_if_full(&mut rows, row_bytes, cut_bytes);
                 ControlFlow::Continue(())
@@ -233,7 +236,7 @@ pub fn run_op<S: OpSite>(
         QueryOp::ScanAgg { table, spec } => {
             let mut states: Vec<AggState> =
                 spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            site.read_table(table, now, true, arrivals, |_, page| {
+            read_table(site, table, now, true, arrivals, |_, page| {
                 run.kernel(|w| scratch.scan_agg_page(page, &table.schema, spec, &mut states, w));
                 ControlFlow::Continue(())
             })?;
@@ -243,7 +246,7 @@ pub fn run_op<S: OpSite>(
         QueryOp::GroupAgg { table, spec } => {
             let mut acc = GroupTable::new();
             let mut refused = None;
-            site.read_table(table, now, false, arrivals, |site, page| {
+            read_table(site, table, now, false, arrivals, |site, page| {
                 run.kernel(|w| scratch.scan_group_agg_page(page, &table.schema, spec, &mut acc, w));
                 // The group table lives in the execution's memory grant: a
                 // high-cardinality grouping aborts mid-scan, exactly when
@@ -268,7 +271,7 @@ pub fn run_op<S: OpSite>(
             // Build phase (Figures 4 and 6): read the small table and build
             // the hash table once its last page has arrived.
             let mut build = Vec::new();
-            site.read_table(&spec.build.table, now, false, arrivals, |_, page| {
+            read_table(site, &spec.build.table, now, false, arrivals, |_, page| {
                 build.push(page.clone());
                 ControlFlow::Continue(())
             })?;
@@ -288,7 +291,7 @@ pub fn run_op<S: OpSite>(
                 JoinOutput::Aggregate(_) => 0,
             };
             let mut sink = JoinSink::new(spec);
-            site.read_table(probe, run.done, false, arrivals, |_, page| {
+            read_table(site, probe, run.done, false, arrivals, |_, page| {
                 run.kernel(|w| probe_page(page, &probe.schema, spec, &ht, &joined, &mut sink, w));
                 run.cut_if_full(&mut sink.rows, row_bytes, cut_bytes);
                 ControlFlow::Continue(())

@@ -10,24 +10,18 @@
 use smartssd_exec::{OpSite, TableRef, WorkCounts};
 use smartssd_storage::{PageBuf, TableImage};
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 
 /// Ticks one page read occupies the channel.
 pub const READ_TICKS: u64 = 100;
 
-/// One call the driver made on the site. A streamed table read logs
-/// `ReadTable`, then one `ReadPage` per page, each before that page is
-/// handed to the driver.
+/// One call the driver made on the site. A streamed table read logs one
+/// `ReadPage` per page, each before that page is handed to the kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Call {
-    ReadTable {
-        first_lba: u64,
-        at: u64,
-        shareable: bool,
-    },
     ReadPage {
         lba: u64,
         at: u64,
+        shareable: bool,
     },
     Charge {
         at: u64,
@@ -103,35 +97,11 @@ impl OpSite for RecordingSite {
     type Instant = u64;
     type Error = Refused;
 
-    fn read_page(&mut self, lba: u64, at: u64) -> Result<(PageBuf, u64), Refused> {
-        self.calls.push(Call::ReadPage { lba, at });
+    fn read_page(&mut self, lba: u64, at: u64, shareable: bool) -> Result<(PageBuf, u64), Refused> {
+        self.calls.push(Call::ReadPage { lba, at, shareable });
         let page = self.pages.get(&lba).ok_or(Refused::Unmapped(lba))?;
         self.channel_free = self.channel_free.max(at) + READ_TICKS;
         Ok((page.clone(), self.channel_free))
-    }
-
-    /// The trait's default page loop, with the stream's opening logged.
-    fn read_table(
-        &mut self,
-        table: &TableRef,
-        at: u64,
-        shareable: bool,
-        arrivals: &mut Vec<u64>,
-        mut consume: impl FnMut(&mut Self, &PageBuf) -> ControlFlow<()>,
-    ) -> Result<(), Refused> {
-        self.calls.push(Call::ReadTable {
-            first_lba: table.first_lba,
-            at,
-            shareable,
-        });
-        for lba in table.lbas() {
-            let (page, arrived) = self.read_page(lba, at)?;
-            arrivals.push(arrived);
-            if consume(self, &page).is_break() {
-                break;
-            }
-        }
-        Ok(())
     }
 
     fn charge(&mut self, at: u64, work: &WorkCounts) -> u64 {

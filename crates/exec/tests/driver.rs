@@ -3,8 +3,8 @@
 //! [`run_op`] is the one loop both engines run; what it asks of an
 //! [`OpSite`](smartssd_exec::OpSite), and in which order, *is* the simulated
 //! timing. Each test runs one operator on the recording fake and compares
-//! the whole call sequence: which tables are streamed (and whether
-//! shareably), every page read issued at the stream's start, then one
+//! the whole call sequence: which pages are read (and whether shareably),
+//! every page read issued at its stream's start, then one
 //! charge per page in page order at that page's arrival with that page's
 //! own receipt; the join's build charged before the probe side is read; the
 //! grant checked after the build and after every `GroupAgg` page as it is
@@ -37,28 +37,32 @@ fn table(layout: Layout, n: i32) -> TableImage {
 }
 
 /// The calls a streamed table read followed by one charge per page must
-/// make: the stream opens, every page is read issued at `at`, and once the
-/// stream ends the i-th page, which arrived `READ_TICKS * (i + 1)` after
-/// `at` on the idle channel, is charged there with `receipts[i]`.
+/// make: every page is read in LBA order, issued at the stream's start
+/// `at`, and once the stream ends the i-th page, which arrived
+/// `READ_TICKS * (i + 1)` after `at` on the idle channel, is charged there
+/// with `receipts[i]`.
 fn table_scan_calls(
     first_lba: u64,
     at: u64,
     shareable: bool,
     receipts: &[WorkCounts],
 ) -> Vec<Call> {
-    let mut calls = vec![Call::ReadTable {
-        first_lba,
-        at,
-        shareable,
-    }];
     let pages = receipts.len() as u64;
-    calls.extend((first_lba..first_lba + pages).map(|lba| Call::ReadPage { lba, at }));
+    let mut calls = reads(first_lba, pages, at, shareable);
     let mut cpu_free = 0;
     for (i, w) in receipts.iter().enumerate() {
         let arrival = at + READ_TICKS * (i as u64 + 1);
         calls.push(charge(&mut cpu_free, arrival, w));
     }
     calls
+}
+
+/// One stream's reads: `pages` pages from `first_lba` on, every one issued
+/// at the stream's start `at`.
+fn reads(first_lba: u64, pages: u64, at: u64, shareable: bool) -> Vec<Call> {
+    (first_lba..first_lba + pages)
+        .map(|lba| Call::ReadPage { lba, at, shareable })
+        .collect()
 }
 
 /// The charge the fake's serial processor (free from `cpu_free` on) makes
@@ -219,11 +223,7 @@ fn group_agg_checks_the_grant_after_every_page_and_charges_each_page_at_its_arri
     assert!(resident.len() >= 4 && resident.windows(2).all(|w| w[0] < w[1]));
     let mut acc = RefGroupTable::new();
     // Never shareable: which pages it reads depends on the grant.
-    let mut want = vec![Call::ReadTable {
-        first_lba: 40,
-        at: NOW,
-        shareable: false,
-    }];
+    let mut want = Vec::new();
     let mut receipts = Vec::new();
     for (i, p) in img.pages().iter().enumerate() {
         let mut w = WorkCounts::default();
@@ -234,6 +234,7 @@ fn group_agg_checks_the_grant_after_every_page_and_charges_each_page_at_its_arri
         want.push(Call::ReadPage {
             lba: 40 + i as u64,
             at: NOW,
+            shareable: false,
         });
         want.push(Call::Grant {
             resident: resident[i],
@@ -364,29 +365,13 @@ fn join_charges_the_build_then_checks_the_grant_then_reads_the_probe_side() {
     let mut cpu_free = 0;
     let build_charge = charge(&mut cpu_free, build_ready, &build_w);
     let build_done = cpu_free;
-    let mut want = vec![Call::ReadTable {
-        first_lba: BUILD_LBA,
-        at: NOW,
-        shareable: false,
-    }];
-    want.extend((0..build_pages).map(|i| Call::ReadPage {
-        lba: BUILD_LBA + i,
-        at: NOW,
-    }));
+    let mut want = reads(BUILD_LBA, build_pages, NOW, false);
     want.push(build_charge);
     want.push(Call::Grant {
         resident: ht.memory_bytes(),
     });
     // Probe: streamed only now, issued at the build's completion.
-    want.push(Call::ReadTable {
-        first_lba: PROBE_LBA,
-        at: build_done,
-        shareable: false,
-    });
-    want.extend((0..receipts.len() as u64).map(|i| Call::ReadPage {
-        lba: PROBE_LBA + i,
-        at: build_done,
-    }));
+    want.extend(reads(PROBE_LBA, receipts.len() as u64, build_done, false));
     let mut probe_dones = Vec::new();
     for (i, w) in receipts.iter().enumerate() {
         let arrival = build_done + READ_TICKS * (i as u64 + 1);
@@ -437,26 +422,14 @@ fn join_does_not_read_the_probe_side_after_a_refused_build_grant() {
     assert!(matches!(err, Refused::Grant { resident } if resident > 1_000));
     // The build stream, its one charge, the refused grant check, and no
     // read of the probe side.
-    let build_pages = site.calls.len() - 3;
+    let build_pages = site.calls.len() - 2;
     assert!(build_pages >= 2, "{:?}", site.calls);
     assert_eq!(
-        site.calls[0],
-        Call::ReadTable {
-            first_lba: BUILD_LBA,
-            at: NOW,
-            shareable: false,
-        }
+        site.calls[..build_pages],
+        reads(BUILD_LBA, build_pages as u64, NOW, false)
     );
-    assert!(site.calls[1..=build_pages]
-        .iter()
-        .enumerate()
-        .all(|(i, c)| c
-            == &Call::ReadPage {
-                lba: BUILD_LBA + i as u64,
-                at: NOW
-            }));
-    assert!(matches!(site.calls[build_pages + 1], Call::Charge { .. }));
-    assert!(matches!(site.calls[build_pages + 2], Call::Grant { .. }));
+    assert!(matches!(site.calls[build_pages], Call::Charge { .. }));
+    assert!(matches!(site.calls[build_pages + 1], Call::Grant { .. }));
 }
 
 #[test]

@@ -24,18 +24,6 @@ pub struct FlashTiming {
     /// The single shared DRAM DMA bus.
     dram: Bus,
     tracer: Tracer,
-    /// Scratch for [`Self::read_pages`] (per-chip page counts, batch
-    /// handles, assignment cursors, and the intervals it returns), held
-    /// across calls so the batched path allocates nothing per run.
-    scratch: BatchScratch,
-}
-
-#[derive(Default)]
-struct BatchScratch {
-    per_chip_count: Vec<u64>,
-    batches: Vec<Option<smartssd_sim::BatchIntervals>>,
-    taken: Vec<u64>,
-    out: Vec<Interval>,
 }
 
 impl FlashTiming {
@@ -47,7 +35,6 @@ impl FlashTiming {
             channels: vec![Timeline::new(); cfg.channels],
             dram: Bus::new("flash-dram", cfg.dram_bw, cfg.dram_latency_ns),
             tracer: Tracer::none(),
-            scratch: BatchScratch::default(),
         }
     }
 
@@ -111,95 +98,6 @@ impl FlashTiming {
             start: cell.start,
             end: dma.end,
         }
-    }
-
-    /// True when no tracer wants per-transfer spans, so a batched charge
-    /// (which would emit spans in a different interleaving) is
-    /// indistinguishable from the page-at-a-time path.
-    pub fn tracer_quiet(&self) -> bool {
-        !self.tracer.active(TraceLevel::Full)
-    }
-
-    /// Charges a batch of page reads issued at the same instant, one per
-    /// `(channel, chip)` coordinate, in coordinate order. Returns each
-    /// page's issue-to-DRAM interval — bit-identical to calling
-    /// [`Self::read_page`] in a loop.
-    ///
-    /// Equivalence: the per-page loop interleaves occupies on chip,
-    /// channel, and DRAM timelines, but each timeline's state depends only
-    /// on the sequence of `(earliest, service)` requests *it* receives, and
-    /// those sequences are unchanged by regrouping across distinct
-    /// timelines. So the charge runs in three stages — every chip first
-    /// (per-chip runs are homogeneous `(now, t_read)` batches, posted with
-    /// [`Timeline::occupy_batch`]), then every channel in page order (each
-    /// page's transfer starts no earlier than its cell read's end), then
-    /// the shared DRAM bus in page order — and produces the same intervals
-    /// and the same final timeline states as the loop.
-    ///
-    /// The caller must check [`Self::tracer_quiet`] first: this path emits
-    /// no per-transfer spans. Returns one interval per coordinate, in the
-    /// timing's own scratch (valid until the next batch).
-    pub fn read_pages(&mut self, coords: &[(u16, u16)], now: SimTime) -> &[Interval] {
-        debug_assert!(self.tracer_quiet(), "batched reads skip trace spans");
-        debug_assert!(
-            !self.cfg.fault_plan.perturbs_reads(),
-            "batched reads bypass scripted slowdowns/bursts; gate on can_batch_reads"
-        );
-        let svc = self.channel_service_ns();
-        // Stage 1: cell reads. Group each chip's pages (they keep their
-        // relative order) into one homogeneous occupy_batch; chips are
-        // independent timelines, so the order chips are posted in does not
-        // matter. The per-chip scratch is sized once and left zeroed by
-        // every batch, which touches only the chips it reads.
-        let n_chips = self.chips.len();
-        if self.scratch.taken.len() != n_chips {
-            self.scratch.per_chip_count = vec![0; n_chips];
-            self.scratch.batches = vec![None; n_chips];
-            self.scratch.taken = vec![0; n_chips];
-        }
-        for &(ch, chip) in coords {
-            let ci = self.chip_idx(ch, chip);
-            self.scratch.per_chip_count[ci] += 1;
-        }
-        for &(ch, chip) in coords {
-            let ci = self.chip_idx(ch, chip);
-            if self.scratch.batches[ci].is_none() {
-                let count = self.scratch.per_chip_count[ci];
-                self.scratch.batches[ci] =
-                    Some(self.chips[ci].occupy_batch(now, self.cfg.t_read_ns, count));
-            }
-        }
-        let mut out = std::mem::take(&mut self.scratch.out);
-        out.clear();
-        for &(ch, chip) in coords {
-            let ci = self.chip_idx(ch, chip);
-            let k = self.scratch.taken[ci];
-            self.scratch.taken[ci] += 1;
-            let cell = self.scratch.batches[ci].expect("chip has a batch").get(k);
-            out.push(Interval {
-                start: cell.start,
-                end: cell.end,
-            });
-        }
-        for &(ch, chip) in coords {
-            let ci = self.chip_idx(ch, chip);
-            self.scratch.per_chip_count[ci] = 0;
-            self.scratch.batches[ci] = None;
-            self.scratch.taken[ci] = 0;
-        }
-        // Stage 2: channel transfers in page order, each gated on its cell
-        // read's completion.
-        for (iv, &(ch, _)) in out.iter_mut().zip(coords) {
-            let xfer = self.channels[ch as usize].occupy(iv.end, svc);
-            iv.end = xfer.end;
-        }
-        // Stage 3: the shared DRAM bus in page order.
-        for iv in out.iter_mut() {
-            let dma = self.dram.transfer(iv.end, self.cfg.page_size as u64);
-            iv.end = dma.end;
-        }
-        self.scratch.out = out;
-        &self.scratch.out
     }
 
     /// Charges one page program: DMA from DRAM, channel transfer, die tPROG.

@@ -120,7 +120,13 @@ impl<S: PageSource> OpSite for HostSite<'_, S> {
     type Instant = SimTime;
     type Error = EngineError;
 
-    fn read_page(&mut self, lba: u64, at: SimTime) -> Result<(PageBuf, SimTime), EngineError> {
+    /// The host has no shared-scan window: every read is its own.
+    fn read_page(
+        &mut self,
+        lba: u64,
+        at: SimTime,
+        _shareable: bool,
+    ) -> Result<(PageBuf, SimTime), EngineError> {
         Ok(self.source.read_page(lba, at)?)
     }
 

@@ -174,8 +174,8 @@ impl FaultPlan {
 /// runtime actually consult on their hot paths. Slowdowns and ECC bursts are
 /// consumed by the flash layer; crash instants by the device runtime.
 ///
-/// Empty (the default) means "consult nothing": the read path keeps its
-/// batched fast path and draws no conclusions.
+/// Empty (the default) scripts nothing: every read sees a slowdown factor
+/// of 1 and no burst, so the device times its reads as a healthy one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceFaultPlan {
     /// (factor, from, until) slowdown windows.
@@ -190,13 +190,6 @@ impl DeviceFaultPlan {
     /// Whether this device's plan scripts nothing.
     pub fn is_empty(&self) -> bool {
         self.slowdowns.is_empty() && self.crashes.is_empty() && self.bursts.is_empty()
-    }
-
-    /// Whether any event perturbs the *read path* (slowdown or ECC burst).
-    /// While true, the flash layer must take the sequential per-page path so
-    /// each read observes the factor/burst in effect at its own start time.
-    pub fn perturbs_reads(&self) -> bool {
-        !self.slowdowns.is_empty() || !self.bursts.is_empty()
     }
 
     /// The occupancy multiplier in effect at `at` (1 = healthy). When
@@ -237,7 +230,6 @@ mod tests {
         assert!(plan.is_empty());
         let dev = plan.for_device(0);
         assert!(dev.is_empty());
-        assert!(!dev.perturbs_reads());
         assert_eq!(dev.slowdown_factor(SimTime::from_secs(1)), 1);
         assert!(!dev.ecc_burst_hits(42, SimTime::from_secs(1)));
         assert!(dev.crashes().is_empty());
@@ -251,10 +243,8 @@ mod tests {
             .ecc_burst(1, 100..200, SimTime::ZERO, SimTime::from_millis(50));
         let d0 = plan.for_device(0);
         assert_eq!(d0.crashes(), &[SimTime::from_millis(5)]);
-        assert!(!d0.perturbs_reads());
         let d1 = plan.for_device(1);
         assert!(d1.crashes().is_empty());
-        assert!(d1.perturbs_reads());
         assert_eq!(d1.slowdown_factor(SimTime::from_millis(15)), 4);
         assert!(d1.ecc_burst_hits(150, SimTime::from_millis(1)));
     }

@@ -68,6 +68,10 @@ impl Timeline {
     /// the same way: `busy_until` advances by `n*service` past the first
     /// start, `busy_total_ns` grows by `n*service` (saturating, as the loop
     /// would saturate), and `requests` by `n`.
+    ///
+    /// Kept with its equivalence tests beside
+    /// [`TimelineBank::occupy_batch`], the frozen benchmark's probe; no
+    /// library code calls it (`scripts/check.sh`).
     pub fn occupy_batch(&mut self, earliest: SimTime, service_ns: u64, n: u64) -> BatchIntervals {
         if n == 0 {
             return BatchIntervals {
@@ -126,7 +130,8 @@ impl Timeline {
 /// The service intervals produced by one [`Timeline::occupy_batch`] call.
 ///
 /// Back-to-back homogeneous service means interval `k` is pure arithmetic
-/// on the first start time; nothing is allocated per request.
+/// on the first start time; nothing is allocated per request. Kept only
+/// with that call; no library code names it (`scripts/check.sh`).
 #[derive(Debug, Clone, Copy)]
 pub struct BatchIntervals {
     first_start: SimTime,
@@ -219,6 +224,9 @@ impl TimelineBank {
     /// `(busy_until, lane_index)` pops the same lane the sequential loop's
     /// `min_by_key` scan would pick (lowest index on ties), but each
     /// selection costs `O(log lanes)` instead of a full lane scan.
+    ///
+    /// Kept only for the frozen benchmark's `sim.bank_batch_ns_per_interval`
+    /// probe; `scripts/check.sh` keeps library code off it.
     pub fn occupy_batch(
         &mut self,
         earliest: SimTime,

@@ -573,8 +573,7 @@ impl Tracer {
     ///
     /// A sink reporting [`TraceSink::is_null`] collapses to the no-sink
     /// tracer: the zero-alloc fast path for "tracing explicitly off" is
-    /// identical to never attaching a sink, and batched hot paths that gate
-    /// on [`Tracer::active`] stay enabled.
+    /// identical to never attaching a sink.
     pub fn new(sink: impl TraceSink + 'static) -> Self {
         if sink.is_null() {
             return Self::none();
@@ -600,7 +599,7 @@ impl Tracer {
     }
 
     /// True when events at `level` would actually be recorded — lets hot
-    /// paths skip work (or pick batched code paths) when nobody listens.
+    /// paths skip building an event when nobody listens.
     #[inline]
     pub fn active(&self, level: TraceLevel) -> bool {
         match &self.handle {

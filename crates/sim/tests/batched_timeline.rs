@@ -1,12 +1,13 @@
 //! Differential property tests: batched timeline advancement must be
-//! bit-identical to the per-page sequential loop it replaces.
+//! bit-identical to the per-request sequential loop.
 //!
-//! The hot-path overhaul posts homogeneous page reads through
-//! [`Timeline::occupy_batch`] / [`TimelineBank::occupy_batch`] instead of
-//! one `occupy` call per page. These tests drive both formulations with the
-//! same arbitrary schedule — interleaving single requests and batches so the
-//! batch calls start from every reachable timeline state — and require exact
-//! equality of every interval, the busy totals, the busy-until frontier, and
+//! [`Timeline::occupy_batch`] / [`TimelineBank::occupy_batch`] post `n`
+//! homogeneous requests in one call instead of `n` `occupy` calls. No
+//! library code calls them; they are kept for the frozen benchmark's bank
+//! probe. These tests drive both formulations with the same arbitrary
+//! schedule — interleaving single requests and batches so the batch calls
+//! start from every reachable timeline state — and require exact equality
+//! of every interval, the busy totals, the busy-until frontier, and
 //! utilization. No tolerance: a one-nanosecond divergence would break the
 //! simulator's reproducibility guarantee.
 

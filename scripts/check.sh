@@ -88,24 +88,60 @@ reads=$(awk '
 printf '%-16s %d\n' 'ssd.read(' "${reads}"
 [[ "${reads}" -eq 1 ]]
 
-# One table read loop: a site streams a table's pages into the operator's
-# kernel one at a time (OpSite::read_table takes a consumer), so a page is
-# validated and consumed while it is still in cache. A reader that collects
-# the whole table first — the deleted read_table_pages / read_table_batched,
-# or a read_table returning a vector of pages — would read every cold page
-# from memory twice. Non-test code, comments aside.
-echo "== one table read loop (crates/*/src) =="
+# One table read loop: the operator driver's private read_table in
+# crates/exec/src/driver.rs streams a table's pages into the operator's
+# kernel one at a time, each read through OpSite::read_page, so a page is
+# validated and consumed while it is still in cache. No site may define a
+# read_table of its own, and a reader that collects the whole table first —
+# the deleted read_table_pages / read_table_batched, or a read_table
+# returning a vector of pages — would read every cold page from memory
+# twice. Non-test code, comments aside.
+echo "== one table read loop, the driver's (crates/*/src) =="
 # shellcheck disable=SC2046 # source paths have no spaces
 if awk '
     FNR == 1 { tests = 0; sig = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
     tests || $1 ~ /^\/\// { next }
     /read_table_batched|read_table_pages/ { print FILENAME ":" FNR ": " $0; n++ }
+    /fn read_table\(/ && FILENAME != "crates/exec/src/driver.rs" { print FILENAME ":" FNR ": " $0; n++ }
     /fn read_table\(/ { sig = 1 }
     sig && /Vec<\(PageBuf/ { print FILENAME ":" FNR ": " $0; n++ }
     sig && /[{;][[:space:]]*$/ { sig = 0 }
     END { exit !n }' $(find crates/*/src -name '*.rs'); then
-    echo "a collect-all table reader is back (see above); stream pages through OpSite::read_table" >&2
+    echo "a second table reader is back (see above); stream pages through the driver's read_table" >&2
+    exit 1
+fi
+
+# One page read on the device: every page goes through the firmware's read
+# and its retry policy, clean or faulted, traced or not. The batched
+# table-read timing, its seven-term gate and its helpers stay deleted.
+echo "== batched table-read timing stays deleted (crates/*/src) =="
+batch='can_batch_reads|charge_batch|fn read_pages|tracer_quiet|perturbs_reads|BatchScratch'
+if grep -rnE "${batch}" crates/*/src; then
+    echo "the deleted batched table-read timing is back (see above); read page by page" >&2
+    exit 1
+fi
+
+# FlashSsd::charge_reads, Timeline::occupy_batch, TimelineBank::occupy_batch
+# and BatchIntervals are kept for the frozen benchmark's probes only
+# (flash.charge_batch_ns_per_page, sim.bank_batch_ns_per_interval): no
+# library code, test or example may call them. Their definitions (the
+# BatchIntervals type lives in timeline.rs, re-exported from sim's lib.rs),
+# the crates' own test modules and the proptest that holds the batched
+# timelines to the sequential loop, crates/sim/tests/batched_timeline.rs,
+# are exempt. Comments aside.
+echo "== no caller of the benchmark-only batch shims (crates, tests, examples) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    tests || $1 ~ /^\/\// || FILENAME == "crates/sim/tests/batched_timeline.rs" { next }
+    /[.:]charge_reads\(|[.:]occupy_batch\(/ { print FILENAME ":" FNR ": " $0; n++ }
+    /BatchIntervals/ && FILENAME != "crates/sim/src/timeline.rs" && !/^pub use timeline::/ {
+        print FILENAME ":" FNR ": " $0; n++
+    }
+    END { exit !n }' $(find crates/*/src crates/*/tests crates/*/benches tests examples src -name '*.rs'); then
+    echo "code calls a benchmark-only batch shim (see above); read or occupy one page at a time" >&2
     exit 1
 fi
 

@@ -1,12 +1,12 @@
 //! The streamed table read, on both routes.
 //!
-//! On clean flash the device peeks and validates each page, hands it to the
-//! kernel, and posts the consumed run as one batched timeline charge; with a
-//! tracer listening (or any fault injection) it reads page by page. The two
-//! must be indistinguishable: every result batch, the work receipt, the
-//! device CPU's busy time and the flash counters. A page stored corrupted
-//! with injection off ends the batch where it lies and goes through the
-//! retry policy, on the device and on the host read path alike.
+//! The device reads every page of a table through the firmware's read and
+//! its retry policy, handing each to the kernel before the next is read. A
+//! tracer listening at full level must change nothing but what it records:
+//! a traced and an untraced device produce identical sessions (every
+//! result batch, the work receipt, the device CPU's busy time and the flash
+//! counters). A page stored corrupted with injection off fails the read
+//! where it lies, on the device and on the host read path alike.
 
 use smartssd_device::{DeviceConfig, DeviceError, GetResponse, SessionId, SmartSsd};
 use smartssd_exec::spec::{BuildSide, ColRef, GroupAggSpec, JoinSpec, ScanAggSpec, ScanSpec};
@@ -31,8 +31,8 @@ fn table(layout: Layout, n: i32) -> TableImage {
 }
 
 /// A device holding a 20,000-row probe table and a 3,000-row build table
-/// of `layout`, timing reset; traced at full level when `traced`.
-fn device(layout: Layout, traced: bool) -> (SmartSsd, TableRef, TableRef) {
+/// of `layout`, timing reset, with `tracer` attached.
+fn device(layout: Layout, tracer: Tracer) -> (SmartSsd, TableRef, TableRef) {
     let cfg = DeviceConfig {
         result_buffer_bytes: 4_096,
         ..DeviceConfig::default()
@@ -41,18 +41,15 @@ fn device(layout: Layout, traced: bool) -> (SmartSsd, TableRef, TableRef) {
     let probe = dev.load_table(&table(layout, 20_000), 0).unwrap();
     let build = dev.load_table(&table(layout, 3_000), 1_000).unwrap();
     dev.reset_timing();
-    if traced {
-        let tracer = Tracer::new(CounterSink::new());
-        tracer.set_level(TraceLevel::Full);
-        dev.set_tracer(tracer);
-        assert!(
-            !dev.flash.can_batch_reads(),
-            "a listening tracer reads page by page"
-        );
-    } else {
-        assert!(dev.flash.can_batch_reads());
-    }
+    dev.set_tracer(tracer);
     (dev, probe, build)
+}
+
+/// A tracer listening at full level into a counter sink.
+fn full_tracer() -> Tracer {
+    let tracer = Tracer::new(CounterSink::new());
+    tracer.set_level(TraceLevel::Full);
+    tracer
 }
 
 /// Every operator kind the stream feeds, over the probe and build tables.
@@ -137,43 +134,49 @@ fn run(dev: &mut SmartSsd, op: &QueryOp, now: SimTime) -> (Vec<Seen>, WorkCounts
 }
 
 #[test]
-fn batched_and_page_by_page_reads_produce_identical_sessions() {
+fn traced_and_untraced_reads_produce_identical_sessions() {
     for layout in [Layout::Nsm, Layout::Pax] {
-        let (mut batched, probe, build) = device(layout, false);
-        let (mut paged, ..) = device(layout, true);
+        let tracer = full_tracer();
+        let (mut untraced, probe, build) = device(layout, Tracer::none());
+        let (mut traced, ..) = device(layout, tracer.clone());
         // Later sessions start on timelines the earlier ones left busy.
         for (i, (name, op)) in ops(&probe, &build).into_iter().enumerate() {
             let now = SimTime::from_nanos(i as u64 * 1_000_000);
-            let want = run(&mut paged, &op, now);
-            let got = run(&mut batched, &op, now);
+            let want = run(&mut untraced, &op, now);
+            let got = run(&mut traced, &op, now);
             assert!(!want.0.is_empty() && want.1.pages > 0, "{layout:?} {name}");
             if name == "scan" {
                 assert!(want.0.len() > 10, "{layout:?}: the scan cuts batches");
             }
             assert_eq!(got, want, "{layout:?} {name}");
         }
+        // The sink saw the reader that produced those sessions: one channel
+        // span per flash read, over all five sessions.
+        let trace = tracer.finish_run();
+        let spans = trace.counters().unwrap().durations["flash-chan"].count();
+        assert_eq!(spans, traced.flash.stats().reads, "{layout:?}");
     }
 }
 
 #[test]
 fn a_refused_group_grant_stops_both_readers_at_the_same_page() {
     for layout in [Layout::Nsm, Layout::Pax] {
-        let (mut batched, probe, build) = device(layout, false);
-        let (mut paged, ..) = device(layout, true);
+        let (mut untraced, probe, build) = device(layout, Tracer::none());
+        let (mut traced, ..) = device(layout, full_tracer());
         let (_, op) = ops(&probe, &build).remove(2);
-        for dev in [&mut batched, &mut paged] {
+        for dev in [&mut untraced, &mut traced] {
             dev.config_mut().session_memory_bytes = 64 * 1024;
         }
-        let want = paged.open(&op, SimTime::ZERO).unwrap_err();
+        let want = untraced.open(&op, SimTime::ZERO).unwrap_err();
         assert!(matches!(want, DeviceError::MemoryGrantExceeded { .. }));
-        assert_eq!(batched.open(&op, SimTime::ZERO).unwrap_err(), want);
-        assert!(batched.flash.stats().reads < probe.num_pages, "{layout:?}");
+        assert_eq!(traced.open(&op, SimTime::ZERO).unwrap_err(), want);
+        assert!(untraced.flash.stats().reads < probe.num_pages, "{layout:?}");
         assert_eq!(
-            format!("{:?}", batched.flash.stats()),
-            format!("{:?}", paged.flash.stats())
+            format!("{:?}", traced.flash.stats()),
+            format!("{:?}", untraced.flash.stats())
         );
-        assert_eq!(batched.cpu().busy_total_ns(), paged.cpu().busy_total_ns());
-        assert_eq!(batched.total_work(), paged.total_work());
+        assert_eq!(traced.cpu().busy_total_ns(), untraced.cpu().busy_total_ns());
+        assert_eq!(traced.total_work(), untraced.total_work());
     }
 }
 
@@ -264,9 +267,8 @@ fn host_outcome(at: usize) -> Outcome {
 
 /// Pinned from the collect-then-run reader this stream replaced: the page
 /// index, then the device's and the host's error message and flash reads.
-/// The batch up to the bad page is charged as page-by-page reads would be,
-/// the bad page is read once and retried twice, and nothing after it is
-/// read.
+/// The pages before the bad one are read once each, the bad page is read
+/// once and retried twice, and nothing after it is read.
 const CORRUPT_CASES: [(usize, &str, &str, u64); 3] = [
     (
         0,
