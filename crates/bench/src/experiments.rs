@@ -15,7 +15,8 @@ use smartssd_host::interface::{roadmap, RoadmapPoint};
 use smartssd_host::{io::IoError, InterfaceKind};
 use smartssd_query::{PlannerConfig, PlannerInputs, Query, Route};
 use smartssd_sim::{FaultPlan, SimTime};
-use smartssd_storage::{Layout, TableBuilder, TableImage, Tuple, PAGE_SIZE};
+use smartssd_storage::table::build_both_layouts;
+use smartssd_storage::{Layout, Schema, TableBuilder, TableImage, Tuple, PAGE_SIZE};
 use smartssd_workload::{
     join_query, q1, q14, q6, queries, synthetic::synthetic_schema, synthetic64_r, synthetic64_s,
     tpch,
@@ -127,8 +128,9 @@ impl Table {
         }
     }
 
-    fn build(self, layout: Layout, scale: f64, seed: u64) -> TableImage {
-        let (schema, rows): (_, Box<dyn Iterator<Item = Tuple>>) = match self {
+    /// The table's schema and its rows at `scale`, from `seed`.
+    fn rows(self, scale: f64, seed: u64) -> (Arc<Schema>, Box<dyn Iterator<Item = Tuple>>) {
+        match self {
             Table::Lineitem => (
                 tpch::lineitem_schema(),
                 Box::new(tpch::lineitem_rows(scale, seed)),
@@ -139,10 +141,7 @@ impl Table {
                 synthetic_schema(),
                 Box::new(synthetic64_s(scale, scale, seed)),
             ),
-        };
-        let mut b = TableBuilder::new(self.name(), schema, layout);
-        b.extend(rows);
-        b.finish()
+        }
     }
 }
 
@@ -157,18 +156,36 @@ type ImageKey = (Table, Layout, u64, u64);
 /// after building it, so no figure moves.
 static IMAGES: Mutex<Vec<(ImageKey, Arc<TableImage>)>> = Mutex::new(Vec::new());
 
-/// The image of `table` at scale `s` in `layout`, built on first use.
+/// The image of `table` at scale `s` in `layout`, built on first use. An
+/// NSM image whose PAX twin is not built yet is built with it, from one
+/// pass over the rows, and both are kept: the experiments load tables in
+/// both layouts (NSM on the host baselines, PAX on the Smart SSD). A PAX
+/// image is built alone.
 fn image(table: Table, layout: Layout, s: &Scales) -> Arc<TableImage> {
-    let scale = table.scale(s);
-    let key = (table, layout, scale.to_bits(), s.seed);
+    let (scale, seed) = (table.scale(s), s.seed);
+    let key = |layout| (table, layout, scale.to_bits(), seed);
     // The one update is a push of a finished entry, so the list is whole
     // even if a thread panicked while holding the lock.
     let mut images = IMAGES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, img)) = images.iter().find(|(k, _)| *k == key) {
-        return Arc::clone(img);
+    let cached = |images: &[(ImageKey, Arc<TableImage>)], layout| {
+        let found = images.iter().find(|(k, _)| *k == key(layout));
+        found.map(|(_, img)| Arc::clone(img))
+    };
+    if let Some(img) = cached(&images, layout) {
+        return img;
     }
-    let built = Arc::new(table.build(layout, scale, s.seed));
-    images.push((key, Arc::clone(&built)));
+    let (schema, rows) = table.rows(scale, seed);
+    let built = if layout == Layout::Nsm && cached(&images, Layout::Pax).is_none() {
+        let (nsm, pax) = build_both_layouts(table.name(), &schema, || rows);
+        images.push((key(Layout::Pax), Arc::new(pax)));
+        nsm
+    } else {
+        let mut b = TableBuilder::new(table.name(), schema, layout);
+        b.extend(rows);
+        b.finish()
+    };
+    let built = Arc::new(built);
+    images.push((key(layout), Arc::clone(&built)));
     built
 }
 

@@ -42,6 +42,6 @@ pub use page::{Layout, PageBuf, PageDecodeCache, PAGE_SIZE};
 pub use row::RowAccessor;
 pub use schema::{Column, Schema};
 pub use table::{RowError, TableBuilder, TableImage};
-pub use tuple::{Tuple, TupleError};
+pub use tuple::{RecordRun, Tuple, TupleError};
 pub use types::{DataType, Datum};
 pub use vector::{eval_select, filter_select, filter_select_with, EvalScratch, SelectionVector};

@@ -14,7 +14,7 @@ use crate::expr::CmpOp;
 use crate::page::{le_i32, le_i64, le_u16, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
-use crate::tuple::{write_row, FieldSlot, TupleError};
+use crate::tuple::{RecordRun, TupleError};
 use crate::types::{Datum, IntWidth};
 use crate::vector::compact_cmp;
 use std::sync::Arc;
@@ -27,20 +27,17 @@ pub fn capacity(tuple_width: usize) -> usize {
 
 /// Builds NSM pages from a stream of tuples.
 ///
-/// Records are staged back to back as they will lie on the page, each field
-/// written once at its final offset; `seal` hands the live records and slot
-/// directory to the page format.
+/// Records are staged back to back as they will lie on the page, in a
+/// [`RecordRun`], each field written once at its final offset; `seal` hands
+/// the live records and slot directory to the page format.
 pub struct NsmPageBuilder {
-    schema: Arc<Schema>,
-    /// Where each column's field lies in `records`.
-    fields: Box<[FieldSlot]>,
-    /// Records back to back, sized for a full page; the first `n` are live.
-    records: Vec<u8>,
-    /// The slot directory as it lies at the tail of the page (slot `i` at
-    /// `PAGE_SIZE - 2 * (i + 1)`), sized for a full page: slot `i` sits at
-    /// `slots.len() - 2 * (i + 1)` and only the last `2 * n` bytes are live.
+    /// The staged records, room for a full page reserved.
+    records: RecordRun,
+    /// A full page's slot directory as it lies at the tail of the page: slot
+    /// `i` holds record `i`'s offset, `PAGE_HEADER_SIZE + i * width`, and
+    /// sits at `slots.len() - 2 * (i + 1)`, so a page of `n` records takes
+    /// the last `2 * n` bytes.
     slots: Vec<u8>,
-    n: usize,
     capacity: usize,
 }
 
@@ -53,36 +50,30 @@ impl NsmPageBuilder {
             cap >= 1,
             "tuple of width {width} does not fit on a {PAGE_SIZE}B page"
         );
-        let fields = (0..schema.len())
-            .map(|c| FieldSlot {
-                base: schema.offset(c),
-                stride: width,
-                ty: schema.column(c).ty,
-            })
-            .collect();
+        let mut slots = vec![0; 2 * cap];
+        for (i, slot) in slots.chunks_exact_mut(2).rev().enumerate() {
+            slot.copy_from_slice(&((PAGE_HEADER_SIZE + i * width) as u16).to_le_bytes());
+        }
         Self {
-            fields,
-            records: vec![0; cap * width],
-            slots: vec![0; 2 * cap],
-            n: 0,
+            records: RecordRun::with_capacity(schema, cap),
+            slots,
             capacity: cap,
-            schema,
         }
     }
 
     /// Whether the page has room for another tuple.
     pub fn has_room(&self) -> bool {
-        self.n < self.capacity
+        self.records.len() < self.capacity
     }
 
     /// Number of tuples currently staged.
     pub fn len(&self) -> usize {
-        self.n
+        self.records.len()
     }
 
     /// Whether no tuples are staged.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.records.is_empty()
     }
 
     /// Appends a tuple, or returns why the schema cannot hold it and leaves
@@ -90,12 +81,7 @@ impl NsmPageBuilder {
     /// [`Self::has_room`] and seal first.
     pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
         assert!(self.has_room(), "NSM page is full");
-        write_row(&self.schema, &self.fields, &mut self.records, self.n, tuple)?;
-        let off = (PAGE_HEADER_SIZE + self.n * self.schema.tuple_width()) as u16;
-        self.n += 1;
-        let pos = self.slots.len() - 2 * self.n;
-        self.slots[pos..pos + 2].copy_from_slice(&off.to_le_bytes());
-        Ok(())
+        self.records.try_push(tuple)
     }
 
     /// [`Self::try_push`] for rows known to match the schema. Panics if the
@@ -104,13 +90,23 @@ impl NsmPageBuilder {
         self.try_push(tuple).expect("row matches the page's schema");
     }
 
+    /// Appends whole records in [`crate::tuple::encode`]'s format, as a
+    /// [`RecordRun`] holds them, until the page is full, and returns how
+    /// many it took. The records lie on the page as given: one copy.
+    pub fn append_records(&mut self, records: &[u8]) -> usize {
+        let width = self.records.schema().tuple_width();
+        let k = (records.len() / width).min(self.capacity - self.len());
+        self.records.extend_records(&records[..k * width]);
+        k
+    }
+
     /// Seals the staged tuples into an immutable page and resets the
     /// builder for the next page.
     pub fn seal(&mut self) -> PageBuf {
-        let live_records = &self.records[..self.n * self.schema.tuple_width()];
-        let live_slots = &self.slots[self.slots.len() - 2 * self.n..];
-        let page = PageBuf::format(Layout::Nsm, self.n as u16, [live_records], live_slots);
-        self.n = 0;
+        let n = self.len();
+        let live_slots = &self.slots[self.slots.len() - 2 * n..];
+        let page = PageBuf::format(Layout::Nsm, n as u16, [self.records.records()], live_slots);
+        self.records.clear();
         page
     }
 }

@@ -112,6 +112,25 @@ impl PaxPageBuilder {
         self.try_push(tuple).expect("row matches the page's schema");
     }
 
+    /// Appends whole records in [`crate::tuple::encode`]'s format, as a
+    /// [`crate::tuple::RecordRun`] holds them, until the page is full, and
+    /// returns how many it took: each column's fields are cut out of the
+    /// records and laid at the end of its minipage, minipage by minipage.
+    pub fn append_records(&mut self, records: &[u8]) -> usize {
+        let width = self.schema.tuple_width();
+        let k = (records.len() / width).min(self.capacity - self.n);
+        for (c, f) in self.fields.iter().enumerate() {
+            let off = self.schema.offset(c);
+            let at = f.base + self.n * f.stride;
+            let mini = self.minipages[at..at + k * f.stride].chunks_exact_mut(f.stride);
+            for (field, rec) in mini.zip(records.chunks_exact(width)) {
+                field.copy_from_slice(&rec[off..off + f.stride]);
+            }
+        }
+        self.n += k;
+        k
+    }
+
     /// Seals the staged tuples into an immutable PAX page and resets the
     /// builder: each column's first `n` values, minipage after minipage.
     pub fn seal(&mut self) -> PageBuf {

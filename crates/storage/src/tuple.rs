@@ -4,6 +4,7 @@ use crate::page::{le_i32, le_i64};
 use crate::schema::Schema;
 use crate::types::{DataType, Datum, IntWidth};
 use std::fmt;
+use std::sync::Arc;
 
 /// An in-memory tuple: one datum per schema column.
 pub type Tuple = Vec<Datum>;
@@ -72,10 +73,11 @@ impl fmt::Display for TupleError {
 
 impl std::error::Error for TupleError {}
 
-/// Where one column's fields lie in a page builder's staging buffer: row
-/// `r`'s field starts at `base + r * stride`. An NSM record puts column `c`
-/// at `base = schema.offset(c)` with `stride = tuple_width`; a PAX minipage
-/// at `base = capacity * schema.offset(c)` with `stride = width`.
+/// Where one column's fields lie in a staging buffer: row `r`'s field
+/// starts at `base + r * stride`. A record (a [`RecordRun`]'s, so an NSM
+/// page's) puts column `c` at `base = schema.offset(c)` with
+/// `stride = tuple_width`; a PAX minipage at
+/// `base = capacity * schema.offset(c)` with `stride = width`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FieldSlot {
     pub(crate) base: usize,
@@ -178,6 +180,91 @@ pub fn encode(schema: &Schema, tuple: &[Datum], out: &mut Vec<u8>) {
     }
 }
 
+/// Rows checked and encoded once, as [`encode`]'s fixed-width records back
+/// to back: the compact form in which a load stages rows it cannot stream
+/// straight into one page builder (an array's per-device partitions, the
+/// shared half of a two-layout build). A page builder takes them with its
+/// `append_records`; a record costs `schema.tuple_width()` bytes, where the
+/// `Tuple` it came from costs a `Datum` per column on top of its own
+/// allocation.
+pub struct RecordRun {
+    schema: Arc<Schema>,
+    fields: Box<[FieldSlot]>,
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl RecordRun {
+    /// An empty run with room for `rows` records.
+    pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Self {
+        let width = schema.tuple_width();
+        let fields = schema.columns().iter().enumerate();
+        let fields = fields.map(|(c, col)| FieldSlot {
+            base: schema.offset(c),
+            stride: width,
+            ty: col.ty,
+        });
+        Self {
+            fields: fields.collect(),
+            bytes: Vec::with_capacity(rows * width),
+            len: 0,
+            schema,
+        }
+    }
+
+    /// The schema of the records.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    /// Appends `tuple`'s record, or returns why the schema cannot hold it
+    /// and leaves the run as it was.
+    pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
+        let width = self.schema.tuple_width();
+        self.bytes.resize((self.len + 1) * width, 0);
+        let written = write_row(&self.schema, &self.fields, &mut self.bytes, self.len, tuple);
+        match written {
+            Ok(()) => self.len += 1,
+            Err(_) => self.bytes.truncate(self.len * width),
+        }
+        written
+    }
+
+    /// Appends records already encoded. Panics unless `records` is whole
+    /// records of this schema.
+    pub fn extend_records(&mut self, records: &[u8]) {
+        let width = self.schema.tuple_width();
+        assert_eq!(
+            records.len() % width,
+            0,
+            "not whole records of width {width}"
+        );
+        self.bytes.extend_from_slice(records);
+        self.len += records.len() / width;
+    }
+
+    /// Number of records in the run.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the run holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records, back to back.
+    pub fn records(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Empties the run, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.len = 0;
+    }
+}
+
 /// Decodes a fixed-width record back into a tuple.
 ///
 /// `rec` must be exactly `schema.tuple_width()` bytes.
@@ -261,6 +348,30 @@ mod tests {
     fn type_mismatch_panics() {
         let s = Schema::from_pairs(&[("k", DataType::Int32)]);
         encode(&s, &[Datum::I64(1)], &mut Vec::new());
+    }
+
+    /// A run holds exactly `encode`'s records, and a refused row leaves
+    /// no trace in it.
+    #[test]
+    fn record_run_holds_encoded_records() {
+        let s = schema();
+        let rows = [
+            vec![Datum::I32(1), Datum::I64(-2), Datum::str("abc")],
+            vec![Datum::I32(3), Datum::I64(4), Datum::str("")],
+        ];
+        let mut run = RecordRun::with_capacity(Arc::clone(&s), 1);
+        let mut want = Vec::new();
+        for t in &rows {
+            run.try_push(t).unwrap();
+            encode(&s, t, &mut want);
+        }
+        let err = run.try_push(&[Datum::I32(5), Datum::I64(6), Datum::str("seven!!")]);
+        assert!(matches!(err, Err(TupleError::Mismatch { col: 2, .. })));
+        assert!(run.try_push(&[Datum::I32(5)]).is_err());
+        assert_eq!(run.len(), 2);
+        assert_eq!(run.records(), &want[..]);
+        run.clear();
+        assert!(run.is_empty());
     }
 
     #[test]

@@ -5,13 +5,20 @@
 //! plus slot directory or as PAX minipages — with the header and digest of
 //! the page format. Each row is built twice, its strings once borrowed and
 //! once owned, and both must give the same pages.
+//!
+//! `build_both_layouts`, which encodes each row once and hands both
+//! builders the records in runs, must build the pages and row counts of two
+//! single-layout builds, on narrow schemas whose two layouts fit different
+//! row counts on a page and on row counts that cross its runs.
 
 use proptest::prelude::*;
 use smartssd_storage::page::{page_digest, PAGE_HEADER_SIZE, PAGE_MAGIC};
+use smartssd_storage::table::build_both_layouts;
 use smartssd_storage::{nsm, pax, tuple, DataType, Datum, Layout, Schema, TableBuilder, Tuple};
 use smartssd_storage::{PageBuf, PAGE_SIZE};
 use std::borrow::Cow;
 use std::hash::{BuildHasher, RandomState};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Static text the borrowed strings are cut from: every byte value, so
@@ -35,7 +42,11 @@ fn arb_type() -> impl Strategy<Value = DataType> {
 }
 
 fn arb_schema() -> impl Strategy<Value = Arc<Schema>> {
-    prop::collection::vec(arb_type(), 1..=64).prop_map(|types| {
+    arb_schema_of(1..=64)
+}
+
+fn arb_schema_of(columns: RangeInclusive<usize>) -> impl Strategy<Value = Arc<Schema>> {
+    prop::collection::vec(arb_type(), columns).prop_map(|types| {
         let names: Vec<String> = (0..types.len()).map(|i| format!("c{i}")).collect();
         let pairs: Vec<(&str, DataType)> = names.iter().map(String::as_str).zip(types).collect();
         Schema::from_pairs(&pairs)
@@ -68,9 +79,31 @@ fn arb_table() -> impl Strategy<Value = (Arc<Schema>, Layout, Vec<Tuple>)> {
     (arb_schema(), layout, 0usize..=3, 0.0..1.0f64).prop_flat_map(|(schema, layout, full, part)| {
         let cap = capacity(layout, &schema);
         let n = full * cap + (part * cap as f64) as usize;
-        let per_row: Vec<BoxedStrategy<Datum>> =
-            schema.columns().iter().map(|c| arb_datum(c.ty)).collect();
-        prop::collection::vec(per_row, n).prop_map(move |rows| (Arc::clone(&schema), layout, rows))
+        arb_rows(&schema, n).prop_map(move |rows| (Arc::clone(&schema), layout, rows))
+    })
+}
+
+/// Rows of `schema`, `n` of them.
+fn arb_rows(schema: &Schema, n: usize) -> impl Strategy<Value = Vec<Tuple>> {
+    let per_row: Vec<BoxedStrategy<Datum>> =
+        schema.columns().iter().map(|c| arb_datum(c.ty)).collect();
+    prop::collection::vec(per_row, n)
+}
+
+/// The most rows a two-layout case generates.
+const MAX_BOTH_ROWS: usize = 3_000;
+
+/// A schema, narrow (1-4 columns, where NSM's slot directory costs it
+/// rows: its page holds fewer than PAX's) or of 1-64 columns, and rows to
+/// fill 0-70 PAX pages plus a partial one, at most [`MAX_BOTH_ROWS`]. A
+/// wide schema's rows then span more than one of `build_both_layouts`'
+/// runs of `table::BOTH_LAYOUTS_RUN_PAGES` pages.
+fn arb_both() -> impl Strategy<Value = (Arc<Schema>, Vec<Tuple>)> {
+    let schema = prop_oneof![arb_schema_of(1..=4), arb_schema()];
+    (schema, 0usize..=70, 0.0..1.0f64).prop_flat_map(|(schema, full, part)| {
+        let cap = pax::capacity(schema.tuple_width());
+        let n = (full * cap + (part * cap as f64) as usize).min(MAX_BOTH_ROWS);
+        arb_rows(&schema, n).prop_map(move |rows| (Arc::clone(&schema), rows))
     })
 }
 
@@ -155,6 +188,27 @@ proptest! {
                     page.raw()[..] == want[..],
                     "{} page {} of {} ({} strings) differs from the reference",
                     layout, i, pages.len(), strings
+                );
+            }
+        }
+    }
+
+    /// One generation pass builds both layouts byte for byte as two
+    /// single-layout builds do, whatever the schema, however the rows fall
+    /// on the two layouts' pages and on the shared record runs.
+    #[test]
+    fn both_layouts_equal_two_single_layout_builds((schema, rows) in arb_both()) {
+        let (nsm, pax) = build_both_layouts("t", &schema, || rows.clone());
+        for (img, layout) in [(nsm, Layout::Nsm), (pax, Layout::Pax)] {
+            prop_assert_eq!(img.layout(), layout);
+            prop_assert_eq!(img.num_rows(), rows.len() as u64);
+            let want = build(layout, &schema, rows.clone());
+            prop_assert_eq!(img.num_pages(), want.len(), "{} pages", layout);
+            for (i, (page, single)) in img.pages().iter().zip(&want).enumerate() {
+                prop_assert!(
+                    page.raw()[..] == single.raw()[..],
+                    "{} page {} of {} differs from the single-layout build",
+                    layout, i, want.len()
                 );
             }
         }

@@ -14,9 +14,11 @@
 # pairs alternate which side runs first, so a slow phase of a shared
 # machine lands on both.
 #
-# Prints every pair's end-to-end ratios (change / parent), then the median
-# ratio per metric. Exits non-zero if any `sim_*` value differs between the
-# two sides, or if a run fails. Nothing under `benchmark/` is edited.
+# Prints every pair's end-to-end ratios (change / parent), then per metric
+# the median of each side's values beside the median ratio, e.g.
+# `peak_rss_mb  parent 107.2  change 90.3  ratio 0.842`. Exits non-zero if
+# any `sim_*` value differs between the two sides, or if a run fails.
+# Nothing under `benchmark/` is edited.
 set -euo pipefail
 
 if [ "$#" -ne 4 ]; then
@@ -59,13 +61,14 @@ status=0
 jq -rn --arg pairs "$pairs" '
     def median: sort | if length % 2 == 1 then .[length / 2 | floor]
         else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+    def fmt: if (. | fabs) >= 100 then (. * 10 | round / 10) else (. * 1000 | round / 1000) end;
     [inputs] as $all
     | [range(0; $pairs | tonumber) as $k | {i: ($k + 1), a: $all[2 * $k], b: $all[2 * $k + 1]}] as $runs
     | $runs[0].a.metrics | keys_unsorted as $names
     | ($names | map(select(startswith("sim_") | not))) as $wall
     | "pair " + ($wall | join(" ")),
       ($runs[] | "\(.i) " + ([$wall[] as $m | (.b.metrics[$m].value / .a.metrics[$m].value * 1000 | round / 1000)] | map(tostring) | join(" "))),
-      "median " + ([$wall[] as $m | [$runs[] | .b.metrics[$m].value / .a.metrics[$m].value] | median | . * 1000 | round / 1000] | map(tostring) | join(" ")),
+      ($wall[] as $m | "\($m)  parent \([$runs[].a.metrics[$m].value] | median | fmt)  change \([$runs[].b.metrics[$m].value] | median | fmt)  ratio \([$runs[] | .b.metrics[$m].value / .a.metrics[$m].value] | median | . * 1000 | round / 1000)"),
       ([$runs[] | . as $r | $names[] | select(startswith("sim_"))
         | select($r.a.metrics[.].value != $r.b.metrics[.].value)
         | "SIM DIFF pair \($r.i) \(.): parent \($r.a.metrics[.].value) change \($r.b.metrics[.].value)"]

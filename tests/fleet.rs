@@ -19,7 +19,7 @@ use smartssd_exec::spec::{BuildSide, GroupAggSpec, JoinOutput, JoinSpec, ScanAgg
 use smartssd_query::{Finalize, OpTemplate, PlannerConfig, PlannerInputs, Query};
 use smartssd_sim::FaultPlan;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
-use smartssd_storage::{DataType, Datum, Schema, Tuple};
+use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -241,6 +241,63 @@ fn malformed_row_in_a_partitioned_load_is_named_and_writes_nothing() {
     assert_eq!(e.row, 517, "{err}");
     for d in 0..4 {
         assert_eq!(sys.device(d).flash.stats().writes, 0, "device {d}");
+    }
+}
+
+/// Each device of an N-device load holds, from the table's first LBA on,
+/// exactly the pages one `TableBuilder` builds from its round-robin share
+/// of the rows, in either layout, whether or not the row iterator knows its
+/// length up front.
+#[test]
+fn each_device_holds_the_pages_of_its_share_built_alone() {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("s", DataType::Char(5)),
+        ("v", DataType::Int64),
+    ]);
+    let text = ["", "a", "bc", "def", "ghij", "klmno"];
+    let rows: Vec<Tuple> = (0..5_000)
+        .map(|k| {
+            vec![
+                Datum::I32(k),
+                Datum::static_str(text[k as usize % 6]),
+                Datum::I64(-3 * k as i64),
+            ]
+        })
+        .collect();
+    for layout in [Layout::Nsm, Layout::Pax] {
+        for n in [2, 3, 16] {
+            let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, layout)
+                .devices(n)
+                .build();
+            let stream = rows.iter().cloned();
+            if n == 3 {
+                // No exact size hint: the record runs grow as they go.
+                sys.load_partitioned("t", &schema, stream.filter(|_| true))
+            } else {
+                sys.load_partitioned("t", &schema, stream)
+            }
+            .unwrap();
+            let first = sys.catalog().get("t").unwrap().first_lba;
+            for d in 0..n {
+                let mut b = TableBuilder::new("t", Arc::clone(&schema), layout);
+                b.extend(rows.iter().skip(d).step_by(n).cloned());
+                let want = b.finish();
+                let flash = &sys.device(d).flash;
+                assert_eq!(
+                    flash.stats().writes,
+                    want.num_pages() as u64,
+                    "{layout} n={n} d={d}"
+                );
+                for (i, page) in want.pages().iter().enumerate() {
+                    let (got, _) = flash.peek_page(first + i as u64).unwrap();
+                    assert!(
+                        got == *page.raw(),
+                        "{layout} n={n} device {d} page {i} differs"
+                    );
+                }
+            }
+        }
     }
 }
 
