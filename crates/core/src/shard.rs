@@ -15,8 +15,8 @@ use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::config::{DeviceKind, SystemConfig};
 use crate::system::RunError;
 use smartssd_device::{DeviceConfig, DeviceError, SessionId, SmartSsd};
-use smartssd_exec::QueryOp;
-use smartssd_host::{BufferPool, CommandState, LinkedFlashView, PageSource};
+use smartssd_exec::{OpScratch, QueryOp};
+use smartssd_host::{io::IoError, BufferPool, CommandState, LinkedFlashView, PageSource};
 use smartssd_query::{HostEngine, RawRun, Route, SessionError, SessionFault, SessionOutcome};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{Bus, CpuModel, FaultCounters, SimTime, TraceLevel, Tracer};
@@ -79,6 +79,10 @@ pub(crate) struct Shard {
     /// Host-route per-LBA decode memo (the device route has its own inside
     /// `dev`).
     page_cache: PageDecodeCache,
+    /// The host route's operator buffers, kept from one pass to the next
+    /// as the device keeps its own, so a warm pass over this device's
+    /// share reuses its scan-aggregate memo.
+    scratch: OpScratch<SimTime>,
     /// Where the attempt in flight stands here.
     pub(crate) phase: Phase,
     /// How the most recent attempt went here.
@@ -100,6 +104,7 @@ impl Shard {
             cmd: CommandState::default(),
             host_faults: FaultCounters::default(),
             page_cache: PageDecodeCache::new(),
+            scratch: OpScratch::default(),
             phase: Phase::Host,
             last: ShardOutcome { device, ..FRESH },
         }
@@ -121,6 +126,36 @@ impl Shard {
             faults: &mut self.host_faults,
             page_cache: &mut self.page_cache,
         }
+    }
+
+    /// One host-engine pass over this device's share, its pages crossing
+    /// `link` through [`Shard::host_view`], on the host route's kept
+    /// scratch.
+    pub(crate) fn host_pass(
+        &mut self,
+        link: &mut Bus,
+        host_cpu: &mut CpuModel,
+        cfg: &SystemConfig,
+        tracer: &Tracer,
+        op: &QueryOp,
+        now: SimTime,
+    ) -> Result<RawRun, RunError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut view = self.host_view(link, cfg.interface.command_latency_ns());
+        let raw = host_pass(&mut view, &mut scratch, host_cpu, cfg, tracer, op, now);
+        self.scratch = scratch;
+        raw
+    }
+
+    /// Trims `lba` on the device's flash and drops it from both decode
+    /// memos, the device's and the host route's, so neither keeps the
+    /// replaced page alive.
+    pub(crate) fn trim(&mut self, lba: u64) -> Result<(), RunError> {
+        self.dev
+            .trim(lba)
+            .map_err(|e| RunError::from(IoError::Flash(e)))?;
+        self.page_cache.forget(lba);
+        Ok(())
     }
 
     /// Faults absorbed so far this run by the device and by the host block
@@ -233,11 +268,12 @@ fn fault_is_recoverable(error: &SessionError) -> bool {
     }
 }
 
-/// One host-engine pass over `source` starting at simulated time `now`,
-/// returning the raw (pre-finalize) output so a coordinator can merge it
-/// with other shards' partials.
+/// One host-engine pass over `source` on `scratch`, starting at simulated
+/// time `now`, returning the raw (pre-finalize) output so a coordinator
+/// can merge it with other shards' partials.
 pub(crate) fn host_pass<S: PageSource>(
     source: &mut S,
+    scratch: &mut OpScratch<SimTime>,
     host_cpu: &mut CpuModel,
     cfg: &SystemConfig,
     tracer: &Tracer,
@@ -246,6 +282,6 @@ pub(crate) fn host_pass<S: PageSource>(
 ) -> Result<RawRun, RunError> {
     HostEngine::new(source, host_cpu, cfg.host_costs)
         .with_tracer(tracer.clone())
-        .run_raw(op, now, cfg.host_dop)
+        .run_raw(op, now, cfg.host_dop, scratch)
         .map_err(RunError::from)
 }

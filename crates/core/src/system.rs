@@ -9,7 +9,7 @@ use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
 use crate::shard::{host_pass, Shard, ShardOutcome};
 use smartssd_device::{DeviceError, SmartSsd};
-use smartssd_exec::{QueryOp, TableRef};
+use smartssd_exec::{OpScratch, QueryOp, TableRef};
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
@@ -603,8 +603,7 @@ impl System {
         self.load_partitioned(name, &schema, rows)?;
         for (shard, old) in self.backend.shards_mut().iter_mut().zip(old) {
             for lba in old.unwrap_or_default() {
-                let trimmed = shard.dev.flash.trim(lba);
-                trimmed.map_err(|e| RunError::from(IoError::Flash(e)))?;
+                shard.trim(lba)?;
             }
         }
         // Cached pages of the old extent are stale now.
@@ -819,11 +818,12 @@ impl System {
     ) -> Result<RawRun, RunError> {
         let (cpu, cfg, tracer) = (&mut self.host_cpu, &self.cfg, &self.tracer);
         match &mut self.backend {
-            Backend::Hdd(path) => host_pass(path, cpu, cfg, tracer, op, now),
+            // A disk serves only cold cells: its passes keep no scratch.
+            Backend::Hdd(path) => {
+                host_pass(path, &mut OpScratch::default(), cpu, cfg, tracer, op, now)
+            }
             Backend::Flash(shards) => {
-                let link = &mut self.link;
-                let mut view = shards[d].host_view(link, cfg.interface.command_latency_ns());
-                host_pass(&mut view, cpu, cfg, tracer, op, now)
+                shards[d].host_pass(&mut self.link, cpu, cfg, tracer, op, now)
             }
         }
     }

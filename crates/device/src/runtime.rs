@@ -355,6 +355,14 @@ impl SmartSsd {
         Ok(tref)
     }
 
+    /// Trims `lba` on the flash and drops its memoized validation, so the
+    /// replaced page is not kept alive by the memo.
+    pub fn trim(&mut self, lba: u64) -> Result<(), FlashError> {
+        self.flash.trim(lba)?;
+        self.page_cache.forget(lba);
+        Ok(())
+    }
+
     /// Whether every table `op` names is one this device loaded, with the
     /// schema and layout it was loaded with: an extent past the end of the
     /// LBA space, a page count no allocation could hold, or pages decoded

@@ -16,11 +16,12 @@
 
 use crate::join::{probe_page, projected_row_bytes, JoinHashTable, JoinSink};
 use crate::kernels::{group_table_memory_bytes, group_table_rows, GroupTable, ScanScratch};
-use crate::spec::{JoinOutput, QueryOp, TableRef};
+use crate::spec::{JoinOutput, QueryOp, ScanAggSpec, TableRef};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::AggState;
-use smartssd_storage::{PageBuf, Tuple};
-use std::ops::ControlFlow;
+use smartssd_storage::{PageBuf, Schema, Tuple};
+use std::ops::{ControlFlow, Range};
+use std::sync::Arc;
 
 /// Where an operator runs: what [`run_op`] needs from its environment.
 ///
@@ -91,20 +92,23 @@ pub struct OpRun<I> {
 
 /// The buffers one operator execution works in, kept by a site that runs
 /// many: the kernels' scratch, one receipt per page consumed and not yet
-/// charged (88 bytes a page), and those pages' arrival instants. A warm
-/// scratch runs a scan without touching the heap beyond its output.
+/// charged (88 bytes a page), those pages' arrival instants, and the memo
+/// of the last `ScanAgg` table's pages, the one part whose contents carry
+/// from run to run. A warm scratch runs a scan without touching the heap
+/// beyond its output, and a warm `ScanAgg` page without its kernel.
 #[derive(Default)]
 pub struct OpScratch<I> {
     scan: ScanScratch,
     receipts: Vec<WorkCounts>,
     arrivals: Vec<I>,
+    memo: ScanAggMemo,
 }
 
 impl<I: Copy> OpScratch<I> {
     /// Starts a run of `op` at `now` on these buffers: empties what a run
     /// that failed mid-stream left behind, makes room for a receipt and an
     /// arrival per page, and lends out the kernels' scratch and the
-    /// arrivals beside the run that keeps the receipts.
+    /// arrivals beside the run that keeps the receipts and the memo.
     fn start(&mut self, op: &QueryOp, now: I) -> (&mut ScanScratch, Run<'_, I>, &mut Vec<I>) {
         let pages = op.tables().map(|t| t.num_pages as usize).max();
         self.receipts.clear();
@@ -113,6 +117,7 @@ impl<I: Copy> OpScratch<I> {
         self.arrivals.reserve(pages.unwrap_or(0));
         let run = Run {
             receipts: &mut self.receipts,
+            memo: &mut self.memo,
             full: Vec::new(),
             cuts: Vec::new(),
             work: WorkCounts::default(),
@@ -122,11 +127,56 @@ impl<I: Copy> OpScratch<I> {
     }
 }
 
-/// A run in progress: the receipts kept in the scratch, the batches cut so
-/// far with the index of the page each was cut after, the sum of every
-/// receipt charged, and the completion instant of the latest charge.
+/// The one part of an [`OpScratch`] whose contents carry from one run to
+/// the next: for the last `ScanAgg` table run, per page offset, the buffer
+/// the kernel last ran on there, its receipt and its page-local aggregate
+/// partials.
+///
+/// The kernel's output is a function of the page's bytes, the schema and
+/// the spec alone, so a page whose buffer is pointer-identical to the one
+/// memoized at its offset, under the same key, gets the stored receipt and
+/// partials instead of a kernel call — exactly what the call would return.
+/// The held clone keeps that buffer alive, so its address cannot be reused
+/// by different bytes. Merging a page's partials into the run's states
+/// equals folding its rows in directly: the states are integers and
+/// `merge` is associative. Every page is still read, and every receipt
+/// charged at its page's arrival, so nothing simulated moves.
+///
+/// The key is the operator's spec, the table's schema and its extent. A
+/// run under a different key clears every entry and sizes the memo once
+/// for the new table, so a memo pins one table's pages (which the site's
+/// decode memo and flash hold anyway) until the next key change.
+#[derive(Default)]
+struct ScanAggMemo {
+    key: Option<(ScanAggSpec, Arc<Schema>, Range<u64>)>,
+    /// Per page offset: the buffer the kernel last ran on and its receipt.
+    pages: Vec<(Option<PageBuf>, WorkCounts)>,
+    /// Per page offset, that page's `spec.aggs.len()` partials (set by the
+    /// page's first kernel call).
+    parts: Vec<AggState>,
+}
+
+impl ScanAggMemo {
+    /// Keys the memo on a run of `spec` over `table`: a key other than the
+    /// last one empties every entry and sizes the memo for `table`.
+    fn key(&mut self, table: &TableRef, spec: &ScanAggSpec) {
+        let key = Some((spec, &table.schema, table.lbas()));
+        if self.key.as_ref().map(|(s, c, l)| (s, c, l.clone())) != key {
+            let n = table.num_pages as usize;
+            self.pages = vec![(None, WorkCounts::default()); n];
+            self.parts = vec![AggState::Count(0); n * spec.aggs.len()];
+            self.key = Some((spec.clone(), Arc::clone(&table.schema), table.lbas()));
+        }
+    }
+}
+
+/// A run in progress: the receipts and the memo kept in the scratch, the
+/// batches cut so far with the index of the page each was cut after, the
+/// sum of every receipt charged, and the completion instant of the latest
+/// charge.
 struct Run<'s, I> {
     receipts: &'s mut Vec<WorkCounts>,
+    memo: &'s mut ScanAggMemo,
     full: Vec<ResultBatch<I>>,
     cuts: Vec<usize>,
     work: WorkCounts,
@@ -141,6 +191,28 @@ impl<I: Copy> Run<'_, I> {
         let out = kernel(&mut w);
         self.receipts.push(w);
         out
+    }
+
+    /// Folds the next page of the memo's table into `states` and keeps its
+    /// receipt: the memoized partials and receipt when `page` is the buffer
+    /// memoized at its offset, otherwise the kernel's (run on `scan`),
+    /// memoized with the buffer. A `ScanAgg` run keeps one receipt a page,
+    /// so the page's offset is the number kept so far.
+    fn scan_agg(&mut self, scan: &mut ScanScratch, page: &PageBuf, states: &mut [AggState]) {
+        let (memo, i) = (&mut *self.memo, self.receipts.len());
+        let (spec, schema, _) = memo.key.as_ref().expect("keyed before the stream");
+        let parts = &mut memo.parts[i * states.len()..][..states.len()];
+        let (held, receipt) = &mut memo.pages[i];
+        if !held.as_ref().is_some_and(|h| h.same_buffer(page.raw())) {
+            for (part, agg) in parts.iter_mut().zip(&spec.aggs) {
+                *part = AggState::new(agg.func);
+            }
+            *receipt = WorkCounts::default();
+            scan.scan_agg_page(page, schema, spec, parts, receipt);
+            *held = Some(page.clone());
+        }
+        states.iter_mut().zip(&*parts).for_each(|(s, p)| s.merge(p));
+        self.receipts.push(*receipt);
     }
 
     /// Cuts `rows` into a batch after the page whose receipt was kept last,
@@ -211,7 +283,10 @@ fn read_table<S: OpSite>(
 /// page that filled it. `GroupAgg` checks its grant after every page, and a
 /// refusal ends the stream: the refusing page is charged and no later page
 /// is read. A join reads its probe side only once its build is charged and
-/// granted. Every buffer the loop needs comes from `scratch`.
+/// granted. Every buffer the loop needs comes from `scratch`, and a
+/// `ScanAgg` page its memo has seen in the same buffer, under the same
+/// spec, schema and extent, takes its stored receipt and partials instead
+/// of a kernel call.
 pub fn run_op<S: OpSite>(
     site: &mut S,
     op: &QueryOp,
@@ -236,8 +311,9 @@ pub fn run_op<S: OpSite>(
         QueryOp::ScanAgg { table, spec } => {
             let mut states: Vec<AggState> =
                 spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
+            run.memo.key(table, spec);
             read_table(site, table, now, true, arrivals, |_, page| {
-                run.kernel(|w| scratch.scan_agg_page(page, &table.schema, spec, &mut states, w));
+                run.scan_agg(scratch, page, &mut states);
                 ControlFlow::Continue(())
             })?;
             run.charge(site, arrivals);

@@ -189,18 +189,22 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
         now: SimTime,
         dop: usize,
     ) -> Result<QueryResult, EngineError> {
-        Ok(self.run_raw(op, now, dop)?.finalize(finalize, now))
+        let raw = self.run_raw(op, now, dop, &mut OpScratch::default())?;
+        Ok(raw.finalize(finalize, now))
     }
 
     /// Executes `op` like [`HostEngine::run`] but returns the raw pass —
     /// mergeable aggregate states instead of finalized values — so a
     /// scatter/gather coordinator can fold this engine's output into
-    /// partials from other shards before finalizing once.
+    /// partials from other shards before finalizing once. The driver runs
+    /// on `scratch`, which a caller that runs many passes over one source
+    /// keeps from one to the next.
     pub fn run_raw(
         &mut self,
         op: &QueryOp,
         now: SimTime,
         dop: usize,
+        scratch: &mut OpScratch<SimTime>,
     ) -> Result<RawRun, EngineError> {
         let dop = dop.clamp(1, self.cpu.cores());
         op.validate().map_err(EngineError::Validation)?;
@@ -212,7 +216,7 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
             next_thread: 0,
             end: now,
         };
-        let run = run_op(&mut site, op, now, &mut OpScratch::default())?;
+        let run = run_op(&mut site, op, now, scratch)?;
         let end = site.end;
         let opname = match op {
             QueryOp::Scan { .. } => "host-scan",

@@ -191,6 +191,14 @@ impl PageBuf {
         &self.data
     }
 
+    /// Whether `data` is this page's own buffer: pointer identity, not
+    /// equal contents. While this page is alive its allocation cannot be
+    /// freed and reused, so a holder of the page that sees the same buffer
+    /// again knows its bytes are the ones it saw before.
+    pub fn same_buffer(&self, data: &Bytes) -> bool {
+        Bytes::ptr_eq(&self.data, data)
+    }
+
     /// Returns a copy of this page with `nbytes` bytes flipped starting at
     /// `offset` within the body — used by tests and failure-injection to
     /// simulate media corruption that slipped past ECC.
@@ -241,7 +249,7 @@ impl PageDecodeCache {
     pub fn decode(&mut self, lba: u64, data: Bytes) -> Result<PageBuf, PageError> {
         let i = lba as usize;
         if let Some(Some(hit)) = self.pages.get(i) {
-            if Bytes::ptr_eq(hit.raw(), &data) {
+            if hit.same_buffer(&data) {
                 return Ok(hit.clone());
             }
         }
@@ -251,6 +259,15 @@ impl PageDecodeCache {
         }
         self.pages[i] = Some(page.clone());
         Ok(page)
+    }
+
+    /// Drops the memoized validation of `lba`, releasing the buffer it
+    /// holds: what a trim of that LBA calls, so a replaced extent's pages
+    /// are not kept alive by the memo.
+    pub fn forget(&mut self, lba: u64) {
+        if let Some(slot) = self.pages.get_mut(lba as usize) {
+            *slot = None;
+        }
     }
 
     /// Drops all memoized validations.
@@ -521,6 +538,12 @@ mod tests {
         let c = cache.decode(7, page2.raw().clone()).unwrap();
         assert_eq!(c.tuple_count(), 9);
         let d = cache.decode(7, page2.raw().clone()).unwrap();
-        assert!(Bytes::ptr_eq(c.raw(), d.raw()));
+        assert!(d.same_buffer(c.raw()));
+
+        // A trimmed LBA lets its buffer go; forgetting one past the end is
+        // a no-op.
+        cache.forget(7);
+        cache.forget(99);
+        assert!(cache.pages.iter().all(Option::is_none));
     }
 }

@@ -112,6 +112,26 @@ if awk '
     exit 1
 fi
 
+# One scan-aggregate kernel call: run_op's ScanAgg arm reaches
+# scan_agg_page only through the operator scratch's memo in
+# crates/exec/src/driver.rs, which runs the kernel on a page it has not
+# seen in that buffer; kernels.rs defines it and its one-page wrapper. A
+# site that called the kernel itself would bypass the memo. Non-test
+# code, comments aside.
+echo "== scan_agg_page called only by the driver's memo (crates/*/src) =="
+# shellcheck disable=SC2046 # source paths have no spaces
+if awk '
+    FNR == 1 { tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
+    tests || $1 ~ /^\/\// { next }
+    /scan_agg_page\(/ && FILENAME != "crates/exec/src/driver.rs" && FILENAME != "crates/exec/src/kernels.rs" {
+        print FILENAME ":" FNR ": " $0; n++
+    }
+    END { exit !n }' $(find crates/*/src -name '*.rs'); then
+    echo "a scan_agg_page call outside the driver's memo (see above); run ScanAgg through run_op" >&2
+    exit 1
+fi
+
 # One page read on the device: every page goes through the firmware's read
 # and its retry policy, clean or faulted, traced or not. The batched
 # table-read timing, its seven-term gate and its helpers stay deleted.

@@ -10,7 +10,7 @@
 
 use smartssd_device::{DeviceConfig, DeviceError, GetResponse, SessionId, SmartSsd};
 use smartssd_exec::spec::{BuildSide, ColRef, GroupAggSpec, JoinSpec, ScanAggSpec, ScanSpec};
-use smartssd_exec::{CostTable, JoinOutput, QueryOp, TableRef, WorkCounts};
+use smartssd_exec::{CostTable, JoinOutput, OpScratch, QueryOp, TableRef, WorkCounts};
 use smartssd_flash::{FlashConfig, FlashSsd};
 use smartssd_host::{BufferPool, CommandState, InterfaceKind, LinkedFlashView};
 use smartssd_query::HostEngine;
@@ -255,7 +255,12 @@ fn host_outcome(at: usize) -> Outcome {
         layout: img.layout(),
     };
     let err = HostEngine::new(&mut view, &mut cpu, CostTable::host())
-        .run_raw(&count_all(tref), SimTime::ZERO, 1)
+        .run_raw(
+            &count_all(tref),
+            SimTime::ZERO,
+            1,
+            &mut OpScratch::default(),
+        )
         .unwrap_err();
     Outcome {
         error: err.to_string(),

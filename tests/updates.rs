@@ -6,7 +6,7 @@ use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
 use smartssd_exec::spec::{BuildSide, JoinSpec, ScanAggSpec};
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
-use smartssd_storage::{DataType, Datum, Schema, Tuple};
+use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
 use std::sync::Arc;
 
 fn schema() -> Arc<Schema> {
@@ -98,6 +98,54 @@ fn update_on_an_array_replaces_every_partition() {
     sys.mark_dirty("t");
     assert!(sys.checkpoint("t").is_err());
     assert!(sys.is_dirty("t"));
+}
+
+/// Two runs of a route leave its scan-aggregate memo warm: the device's
+/// operator scratch and the host route's one on the shard. A rewrite must
+/// still be read on both routes. Through `update_table_rows` the table
+/// moves to a fresh extent, so the memo's key changes. A checkpoint writes
+/// the same buffers back to the same LBAs. An overwrite in place keeps
+/// the extent, the page count, the schema and the spec, and only the
+/// pages' buffers tell the new rows from the old. Every answer equals the
+/// row oracle.
+#[test]
+fn warm_memos_see_every_rewrite() {
+    const N: i32 = 10_000;
+    let oracle = |scale: i64| {
+        let sum = rows(N, scale).map(|t| match t[1] {
+            Datum::I64(v) => i128::from(v),
+            _ => unreachable!("v is an Int64"),
+        });
+        vec![sum.sum::<i128>(), i128::from(N)]
+    };
+    let check = |sys: &mut System, scale: i64, how: &str| {
+        for route in [Route::Device, Route::Host] {
+            for run in 0..2 {
+                let r = sys.run(&sum_query(), RunOptions::routed(route)).unwrap();
+                assert_eq!(r.route, route);
+                let cell = format!("{how}, route {route:?}, run {run}");
+                assert_eq!(r.result.agg_values, oracle(scale), "{cell}");
+            }
+        }
+    };
+    let mut sys = smart_system(N);
+    check(&mut sys, 1, "load");
+    sys.update_table_rows("t", rows(N, 2)).unwrap();
+    check(&mut sys, 2, "update_table_rows");
+    sys.mark_dirty("t");
+    sys.checkpoint("t").unwrap();
+    check(&mut sys, 2, "checkpoint");
+
+    let table = sys.catalog().get("t").unwrap().clone();
+    let mut b = TableBuilder::new("t", schema(), Layout::Pax);
+    b.extend(rows(N, 3));
+    let img = b.finish();
+    assert_eq!(img.num_pages() as u64, table.num_pages, "same extent");
+    sys.device_mut(0).load_table(&img, table.first_lba).unwrap();
+    // The buffer pool still holds the old pages: a host that rewrites
+    // behind its pool drops them.
+    sys.clear_cache();
+    check(&mut sys, 3, "overwrite in place");
 }
 
 #[test]
