@@ -12,15 +12,17 @@ use std::sync::Arc;
 
 /// A cheaply cloneable, immutable contiguous slice of memory.
 ///
-/// Internally an `Arc<[u8]>`, so `clone()` bumps a refcount instead of
-/// copying the payload. Static slices are stored without allocation.
+/// Internally an `Arc<Box<[u8]>>`, so `clone()` bumps a refcount instead
+/// of copying the payload, and a `Vec` whose length is its capacity (every
+/// sealed page) becomes a `Bytes` without copying: the `Arc` takes the
+/// `Vec`'s own buffer. Static slices are stored without allocation.
 #[derive(Clone)]
 pub struct Bytes(Repr);
 
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Box<[u8]>>),
 }
 
 impl Bytes {
@@ -51,11 +53,15 @@ impl Bytes {
         }
     }
 
-    /// True when both handles view the exact same memory (same pointer and
-    /// length), i.e. one is a `clone()` of the other. Two buffers with
-    /// equal contents in different allocations compare `false`.
+    /// True when both handles view the exact same memory, i.e. one is a
+    /// `clone()` of the other. Two buffers with equal contents in
+    /// different allocations compare `false`.
     pub fn ptr_eq(a: &Bytes, b: &Bytes) -> bool {
-        std::ptr::eq(a.as_slice(), b.as_slice())
+        match (&a.0, &b.0) {
+            (Repr::Shared(x), Repr::Shared(y)) => Arc::ptr_eq(x, y),
+            (Repr::Static(x), Repr::Static(y)) => std::ptr::eq(*x, *y),
+            _ => false,
+        }
     }
 }
 
@@ -79,20 +85,22 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Keeps the `Vec`'s buffer; it is reallocated only to drop spare
+    /// capacity.
     fn from(v: Vec<u8>) -> Self {
-        Bytes(Repr::Shared(Arc::from(v)))
+        Bytes::from(v.into_boxed_slice())
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes(Repr::Shared(Arc::from(s)))
+        Bytes::from(Box::<[u8]>::from(s))
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        Bytes(Repr::Shared(Arc::from(b)))
+        Bytes(Repr::Shared(Arc::new(b)))
     }
 }
 
@@ -142,6 +150,23 @@ mod tests {
         } else {
             panic!("expected shared repr");
         }
+    }
+
+    #[test]
+    fn from_vec_keeps_the_buffer() {
+        let v = vec![7u8; 8192];
+        let data = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), data);
+        let c = b.clone();
+        assert_eq!(c.as_ptr(), data);
+        assert!(Bytes::ptr_eq(&b, &c));
+        assert!(!Bytes::ptr_eq(&b, &Bytes::from(vec![7u8; 8192])));
+        // Empty buffers share a dangling data pointer, not an allocation.
+        assert!(!Bytes::ptr_eq(
+            &Bytes::from(Vec::new()),
+            &Bytes::from(Vec::new())
+        ));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! A page is free (never programmed since its block's last erase), valid
 //! (holds the live copy of some LBA) or invalid (stale, awaiting garbage
-//! collection). Only programmed pages are stored: see [`Block`].
+//! collection). Only programmed pages are stored: see [`Block`]. A page's
+//! payload lives only while the page is valid: invalidation drops it, so a
+//! stale page costs its owner and nothing more until its block is erased,
+//! and reading it is [`NandError::ReadStale`].
 
 use crate::config::FlashConfig;
 use bytes::Bytes;
@@ -47,6 +50,8 @@ pub enum NandError {
     ProgramOutOfOrder(Ppa),
     /// Reading a page that holds no data.
     ReadUnwritten(Ppa),
+    /// Reading a page whose payload went stale (overwritten or trimmed).
+    ReadStale(Ppa),
 }
 
 impl fmt::Display for NandError {
@@ -58,19 +63,20 @@ impl fmt::Display for NandError {
                 write!(f, "out-of-order program within block at {p}")
             }
             NandError::ReadUnwritten(p) => write!(f, "read of unwritten page {p}"),
+            NandError::ReadStale(p) => write!(f, "read of stale page {p}"),
         }
     }
 }
 
 impl std::error::Error for NandError {}
 
-/// One programmed page: its payload, the logical page it was written for
-/// (GC relocation needs it), and whether that mapping is still live.
+/// One programmed page: the logical page it was written for (GC
+/// relocation needs it) and, while that mapping is live, its payload. A
+/// stale page has no payload: `data.is_some()` is the valid flag.
 #[derive(Debug, Clone)]
 struct Page {
-    data: Bytes,
+    data: Option<Bytes>,
     owner: u64,
-    valid: bool,
 }
 
 /// One erase block's bookkeeping.
@@ -164,27 +170,28 @@ impl NandArray {
             block.pages.reserve_exact(self.cfg.pages_per_block);
         }
         block.pages.push(Page {
-            data,
+            data: Some(data),
             owner: lba,
-            valid: true,
         });
         block.valid_count += 1;
         Ok(())
     }
 
-    /// Reads a valid or invalid (but written) page's payload.
+    /// Reads a valid page's payload. A stale page's payload is gone
+    /// ([`NandError::ReadStale`]); a free one never held any
+    /// ([`NandError::ReadUnwritten`]).
     pub fn read(&self, ppa: Ppa) -> Result<Bytes, NandError> {
         let page = self.page(ppa)?.ok_or(NandError::ReadUnwritten(ppa))?;
-        Ok(page.data.clone())
+        page.data.clone().ok_or(NandError::ReadStale(ppa))
     }
 
-    /// Marks a page stale (its LBA was overwritten or trimmed).
+    /// Marks a page stale (its LBA was overwritten or trimmed) and drops
+    /// its payload.
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<(), NandError> {
         let bi = self.checked_index(ppa)?;
         let block = &mut self.blocks[bi];
         if let Some(page) = block.pages.get_mut(ppa.page as usize) {
-            if page.valid {
-                page.valid = false;
+            if page.data.take().is_some() {
                 block.valid_count -= 1;
             }
         }
@@ -224,7 +231,7 @@ impl NandArray {
         pages
             .iter()
             .enumerate()
-            .filter(|(_, page)| page.valid)
+            .filter(|(_, page)| page.data.is_some())
             .map(|(i, page)| (i as u32, page.owner))
             .collect()
     }
@@ -331,6 +338,29 @@ mod tests {
         let valid = a.valid_pages(0, 1, 2);
         assert_eq!(valid.len(), 3);
         assert!(valid.iter().all(|&(pg, _)| pg != 1));
+    }
+
+    #[test]
+    fn invalidate_drops_the_payload() {
+        let cfg = FlashConfig::tiny();
+        let mut a = arr();
+        let p = Ppa {
+            channel: 1,
+            chip: 0,
+            block: 4,
+            page: 0,
+        };
+        a.program(p, 5, page_data(&cfg, 9)).unwrap();
+        assert!(a.page(p).unwrap().unwrap().data.is_some());
+        a.invalidate(p).unwrap();
+        assert!(a.page(p).unwrap().unwrap().data.is_none());
+        assert_eq!(a.read(p).unwrap_err(), NandError::ReadStale(p));
+        assert_eq!(a.owner(p), Some(5));
+        assert_eq!(a.block(1, 0, 4).valid_count(), 0);
+        assert!(a.valid_pages(1, 0, 4).is_empty());
+        // A second invalidate of the stale page changes nothing.
+        a.invalidate(p).unwrap();
+        assert_eq!(a.block(1, 0, 4).valid_count(), 0);
     }
 
     #[test]

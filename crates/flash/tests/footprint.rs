@@ -6,6 +6,8 @@
 //! program. On a geometry of 2^20 blocks and 2^28 pages, the eager layout
 //! this replaced — a slot per physical page and a map entry per logical
 //! one — would have asked for several gigabytes before the first write.
+//! Nor does it cost memory for what was overwritten or trimmed: a stale
+//! page's payload is dropped at once, not when GC erases its block.
 //! The counting allocator is local to this test binary and counts per
 //! thread, so the harness and other tests stay out of the numbers.
 
@@ -101,4 +103,41 @@ fn a_device_costs_bytes_per_block_built_and_per_page_written() {
     );
     assert_eq!(ssd.stats().writes, n);
     assert_eq!(ssd.read(n - 1, SimTime::ZERO).unwrap().0, page);
+}
+
+#[test]
+fn overwritten_and_trimmed_pages_hold_no_payload() {
+    // The default geometry, on which 1,280 programs fill one block on each
+    // of the 32 dies: the collector never runs, so nothing is erased.
+    let cfg = FlashConfig::default();
+    let (n, rewrites) = (256u64, 4u8);
+    let mut ssd = FlashSsd::new(cfg.clone());
+    let live_0 = LIVE.with(Cell::get);
+    let held = || (LIVE.with(Cell::get) - live_0) as u64;
+    let images = n * cfg.page_size as u64;
+    // Page slots of the programmed blocks and the map, with room to spare.
+    let bookkeeping = 96 * n * (u64::from(rewrites) + 1) + 48 * 1_024;
+
+    for tag in 0..=rewrites {
+        for lba in 0..n {
+            let page = Bytes::from(vec![tag; cfg.page_size]);
+            ssd.write(lba, page, SimTime::ZERO).unwrap();
+        }
+        let held = held();
+        assert!(
+            (images..images + bookkeeping).contains(&held),
+            "{held} bytes held for {n} live pages of {images} bytes after {tag} overwrites"
+        );
+    }
+    for lba in 0..n {
+        ssd.trim(lba).unwrap();
+    }
+    assert!(
+        held() < bookkeeping,
+        "{} bytes held after trimming every page",
+        held()
+    );
+    let stats = ssd.stats();
+    assert_eq!((stats.erases, stats.gc_moves), (0, 0));
+    assert_eq!(stats.writes, n * (u64::from(rewrites) + 1));
 }

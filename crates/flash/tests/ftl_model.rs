@@ -7,9 +7,10 @@
 //! that hold programmed pages — is held to an eager model with a slot for
 //! every physical page: programs, invalidations, reads and erases (of
 //! blocks never programmed, programmed, and programmed again after an
-//! erase) must leave the same payloads, owners, valid pages and wear. And
-//! the counters GC decides — moves, erases, wear spread — are pinned on
-//! fixed op sequences to what the device with the eager array reported.
+//! erase) must leave the same payloads, owners, valid pages and wear; a
+//! stale page reads as `ReadStale`, its payload dropped. And the counters
+//! GC decides — moves, erases, wear spread — are pinned on fixed op
+//! sequences to what the device with the eager array reported.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -91,11 +92,14 @@ fn check_block(
         let ppa = tiny_ppa(b, p as u8);
         match *slot {
             Some((tag, owner, live)) => {
-                prop_assert_eq!(nand.read(ppa), Ok(payload(cfg, tag)));
-                prop_assert_eq!(nand.owner(ppa), Some(owner));
+                // A stale page keeps its owner but not its payload.
                 if live {
+                    prop_assert_eq!(nand.read(ppa), Ok(payload(cfg, tag)));
                     valid.push((p as u32, owner));
+                } else {
+                    prop_assert_eq!(nand.read(ppa), Err(NandError::ReadStale(ppa)));
                 }
+                prop_assert_eq!(nand.owner(ppa), Some(owner));
             }
             None => {
                 prop_assert_eq!(nand.read(ppa), Err(NandError::ReadUnwritten(ppa)));

@@ -30,12 +30,14 @@ struct Frame {
 
 impl BufferPool {
     /// Creates a pool holding up to `capacity` pages. Zero capacity is
-    /// allowed and means "caching disabled".
+    /// allowed and means "caching disabled". Nothing is reserved up front:
+    /// the map and frames grow with the pages inserted, and eviction starts
+    /// once `capacity` are resident.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity),
-            frames: Vec::with_capacity(capacity.min(4096)),
+            map: HashMap::new(),
+            frames: Vec::new(),
             hand: 0,
             hits: 0,
             misses: 0,

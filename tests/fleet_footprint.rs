@@ -2,9 +2,9 @@
 //! flash geometry: 64 Smart SSDs of the default 8 x 4 x 256 x 64 geometry
 //! (two million physical pages each) build, load a small partitioned table
 //! and answer a query inside a byte budget that a slot per physical page
-//! (29 MB a device) would have passed on the third device. The shards'
-//! host buffer pools, which do reserve their map up front, are set to 1,024
-//! pages so that the budget is about flash. The counting allocator is
+//! (29 MB a device) would have passed on the third device. Each shard's
+//! host buffer pool keeps its default capacity of 65,536 pages and holds
+//! memory only for the pages resident in it. The counting allocator is
 //! local to this test binary; the budget covers the peak over all its
 //! threads.
 
@@ -70,9 +70,9 @@ fn sixty_four_devices_build_load_and_answer_within_budget() {
     const LOADED_BUDGET: u64 = BUILD_BUDGET + 3 * 1_053 * 8_192;
 
     let before = LIVE.load(Ordering::Relaxed);
-    let builder =
-        SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).tweak(|c| c.bufferpool_pages = 1_024);
-    let mut array = builder.devices(DEVICES).build();
+    let mut array = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .devices(DEVICES)
+        .build();
     let built = LIVE.load(Ordering::Relaxed) - before;
     assert!(
         built <= BUILD_BUDGET,

@@ -1,15 +1,18 @@
 //! Replacing a table's rows lets the old pages go. Each
 //! `update_table_rows` writes a fresh extent and trims the old one; the
-//! decode memos (the device's and the host route's, both keyed by LBA) drop
-//! a trimmed LBA's buffer, and the operator scratch on each route re-keys
-//! its scan-aggregate memo on the new extent at the next scan. The flash
-//! itself keeps a trimmed page until garbage collection erases its block,
-//! so the test runs ten rewrites twice, with and without warm Q6 scans on
-//! both routes, and holds what the scanned run keeps beyond the unscanned
-//! one under one image. The decode memos once kept every version alive for
-//! the life of the system: about one image more per rewrite once the
-//! collector ran. The counting allocator is local to this test binary,
-//! which holds this one test so that no other thread moves its counters.
+//! flash drops a trimmed page's payload at once (GC later erases only its
+//! bookkeeping), the decode memos (the device's and the host route's, both
+//! keyed by LBA) drop a trimmed LBA's buffer, and the operator scratch on
+//! each route re-keys its scan-aggregate memo on the new extent at the next
+//! scan. The test runs ten rewrites twice, with and without warm Q6 scans on
+//! both routes. It holds what the scanned run keeps beyond the unscanned one
+//! under one image, what either run keeps after each cycle under one and a
+//! half images, and the peak of each rewrite under two and a half. Any
+//! holder that keeps a trimmed image alive for longer than its rewrite
+//! breaks one of the three: a memo grows the scanned run's excess, the
+//! flash grows both runs. The counting allocator is local to this test
+//! binary, which holds this one test so that no other thread moves its
+//! counters.
 
 use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
 use smartssd_flash::FlashConfig;
@@ -88,11 +91,18 @@ fn rounds(sys: &mut System, scan: bool) {
 const SF: f64 = 0.002;
 const CYCLES: u64 = 10;
 
+/// Bytes live after one rewrite cycle, and the highest they reached
+/// during its `update_table_rows`, both counted from before the system was
+/// built.
+struct Cycle {
+    live: u64,
+    update_peak: u64,
+}
+
 /// Loads LINEITEM on a Smart SSD whose flash barely holds the addresses
 /// the rewrites walk, then rewrites it `CYCLES` times, with [`rounds`]
-/// after the load and after each rewrite. Returns the bytes live after
-/// each cycle, counted from before the system was built.
-fn rewrite_cycles(pages: u64, scan: bool) -> Vec<u64> {
+/// after the load and after each rewrite.
+fn rewrite_cycles(pages: u64, scan: bool) -> Vec<Cycle> {
     // A rewrite goes to a fresh extent, so the run walks (CYCLES + 1) *
     // pages logical addresses; the smallest geometry that holds them keeps
     // the garbage collector busy.
@@ -117,20 +127,24 @@ fn rewrite_cycles(pages: u64, scan: bool) -> Vec<u64> {
     (1..=CYCLES)
         .map(|cycle| {
             let rows = tpch::lineitem_rows(SF, 42 + cycle);
+            PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
             sys.update_table_rows(queries::LINEITEM, rows).unwrap();
+            let update_peak = PEAK.load(Ordering::Relaxed) - before;
             rounds(&mut sys, scan);
-            LIVE.load(Ordering::Relaxed) - before
+            Cycle {
+                live: LIVE.load(Ordering::Relaxed) - before,
+                update_peak,
+            }
         })
         .collect()
 }
 
-/// The flash keeps a trimmed page until garbage collection erases its
-/// block, so how many old images are live depends on the collector. The
-/// same rewrites without scans hold exactly what the flash and the system
-/// hold; what the scanned run holds beyond that is what the scans left
-/// behind, and it must stay under one image. Before trims reached the
-/// decode memos, it grew by about one image a cycle once the collector
-/// ran.
+/// The same rewrites without scans hold exactly what the flash and the
+/// system hold; what the scanned run holds beyond that is what the scans
+/// left behind, and it must stay under one image. Either run must hold
+/// under one and a half images after every cycle, whatever the collector
+/// has erased, and a rewrite, which holds the old and the new extent at
+/// once, under two and a half at its peak.
 #[test]
 fn scans_keep_no_trimmed_image_alive() {
     let pages = {
@@ -142,13 +156,28 @@ fn scans_keep_no_trimmed_image_alive() {
     assert!(pages >= 150, "{pages} pages");
     let unscanned = rewrite_cycles(pages, false);
     let scanned = rewrite_cycles(pages, true);
+    let images = |bytes: u64| bytes as f64 / image as f64;
     for (cycle, (s, u)) in scanned.iter().zip(&unscanned).enumerate() {
-        let extra = s.saturating_sub(*u);
+        let cycle = cycle + 1;
+        let extra = s.live.saturating_sub(u.live);
         assert!(
             extra < image,
-            "after rewrite {}: scans keep {extra} bytes beyond the flash's for one {image}-byte image ({:.2}x)",
-            cycle + 1,
-            extra as f64 / image as f64
+            "after rewrite {cycle}: scans keep {extra} bytes beyond the flash's for one {image}-byte image ({:.2}x)",
+            images(extra)
         );
+        for (run, c) in [("scanned", s), ("unscanned", u)] {
+            assert!(
+                2 * c.live < 3 * image,
+                "after rewrite {cycle}, the {run} run holds {} bytes, {:.2} images of {image} bytes",
+                c.live,
+                images(c.live)
+            );
+            assert!(
+                2 * c.update_peak < 5 * image,
+                "rewrite {cycle} of the {run} run peaks at {} bytes, {:.2} images of {image} bytes",
+                c.update_peak,
+                images(c.update_peak)
+            );
+        }
     }
 }
