@@ -13,7 +13,7 @@ use smartssd::{
 };
 use smartssd_host::interface::{roadmap, RoadmapPoint};
 use smartssd_host::{io::IoError, InterfaceKind};
-use smartssd_query::{PlannerConfig, PlannerInputs, Query, Route};
+use smartssd_query::{Query, Route};
 use smartssd_sim::{FaultPlan, SimTime};
 use smartssd_storage::table::build_both_layouts;
 use smartssd_storage::{Layout, Schema, TableBuilder, TableImage, Tuple, PAGE_SIZE};
@@ -566,9 +566,15 @@ fn array(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
+/// The fraction of LINEITEM rows Q6's predicate passes (0.62 % at quick
+/// scale).
+const Q6_SELECTIVITY: f64 = 0.006;
+
 /// Discussion-section extension: Q6 on the Smart SSD with 0..100% of
-/// LINEITEM pre-cached; the planner should stop pushing down once enough of
-/// the table is resident.
+/// LINEITEM pre-cached, routed by the planner. Caching is a cost the
+/// planner weighs, not a rule: a resident page spares the host its
+/// transfer, but the host's CPU still costs more than the device's whole
+/// run, so Q6 stays on the device at every residency.
 fn cache(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
         col("  resident%", "  {:>8.0}"),
@@ -579,12 +585,7 @@ fn cache(c: &Ctx) -> Result<Report, RunError> {
     for resident in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut sys = load(smart(), Tables::Tpch, &c.scales)?;
         sys.warm_cache(queries::LINEITEM, resident)?;
-        let inputs = PlannerInputs {
-            selectivity: 0.006,
-            tuples_per_page: 55.0,
-            ..PlannerInputs::default()
-        };
-        let rep = sys.run(&q6(), RunOptions::planned(PlannerConfig::default(), inputs))?;
+        let rep = sys.run(&q6(), RunOptions::planned(Q6_SELECTIVITY))?;
         rows.push(row![
             resident * 100.0,
             format!("{:?}", rep.route),

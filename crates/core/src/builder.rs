@@ -12,7 +12,7 @@ use crate::config::{DeviceKind, HedgePolicy, SystemConfig};
 use crate::system::System;
 use smartssd_flash::FlashConfig;
 use smartssd_host::InterfaceKind;
-use smartssd_query::{PlannerConfig, PlannerInputs, Route};
+use smartssd_query::Route;
 use smartssd_sim::{FaultPlan, SimTime, TraceLevel, TraceSink, Tracer};
 use smartssd_storage::Layout;
 use std::fmt;
@@ -141,11 +141,9 @@ impl std::error::Error for ConfigError {}
 ///
 /// A policy rides on every [`WorkloadItem`](crate::WorkloadItem): the
 /// scheduler copies it once per arrival and parks it once per deferred
-/// waiter, and a serving stream stores one per tenant. The planner's
-/// inputs (~230 bytes) are therefore boxed: the common `Natural` and
-/// `Force` policies cost 16 bytes a copy, and only a planned run pays for
-/// the payload (built by [`RunOptions::planned`]).
-#[derive(Debug, Clone, Default)]
+/// waiter, and a serving stream stores one per tenant, so it stays 16
+/// bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum RoutePolicy {
     /// The system's natural route: pushdown on a Smart SSD, host execution
     /// otherwise.
@@ -155,21 +153,17 @@ pub enum RoutePolicy {
     /// system and still yields to the dirty-data correctness rule.
     Force(Route),
     /// Let the cost-based planner decide (Smart SSD systems only; others
-    /// always run on the host). Residency is measured from the live buffer
-    /// pool, overriding whatever the inputs carry.
-    Planned(Box<PlannedRoute>),
+    /// always run on the host). The planner plans for the system's own
+    /// configuration and measures residency from its buffer pools; the
+    /// caller supplies only what the system cannot know.
+    Planned {
+        /// Estimated fraction of the operator's input rows that pass its
+        /// predicate.
+        selectivity: f64,
+    },
 }
 
-const _: () = assert!(std::mem::size_of::<RoutePolicy>() <= 24);
-
-/// What [`RoutePolicy::Planned`] hands the cost-based planner.
-#[derive(Debug, Clone)]
-pub struct PlannedRoute {
-    /// Machine description for the estimator.
-    pub planner: PlannerConfig,
-    /// Per-query statistics (residency is overwritten from the pool).
-    pub inputs: PlannerInputs,
-}
+const _: () = assert!(std::mem::size_of::<RoutePolicy>() <= 16);
 
 /// Per-run knobs for [`System::run`]: route policy and trace verbosity.
 /// Host parallelism is a property of the system
@@ -195,10 +189,11 @@ impl RunOptions {
         }
     }
 
-    /// Let the planner pick the route (the old `run_with_planner`).
-    pub fn planned(planner: PlannerConfig, inputs: PlannerInputs) -> Self {
+    /// Let the planner pick the route, given the estimated fraction of
+    /// input rows the operator's predicate passes.
+    pub fn planned(selectivity: f64) -> Self {
         Self {
-            route: RoutePolicy::Planned(Box::new(PlannedRoute { planner, inputs })),
+            route: RoutePolicy::Planned { selectivity },
             ..Self::default()
         }
     }

@@ -107,7 +107,7 @@ pub mod system;
 pub mod workload;
 
 pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
-pub use builder::{ConfigError, PlannedRoute, RoutePolicy, RunOptions, SystemBuilder};
+pub use builder::{ConfigError, RoutePolicy, RunOptions, SystemBuilder};
 pub use config::{DeviceKind, HedgePolicy, PowerParams, SystemConfig};
 #[doc(hidden)]
 pub use fleet::*;

@@ -193,15 +193,11 @@ struct Profile {
 }
 
 impl Profile {
-    /// Whether `load`'s arrivals carry exactly this profile. A planned
-    /// route carries its own planner inputs and never matches.
+    /// Whether `load`'s arrivals carry exactly this profile.
     fn serves(&self, load: &TenantLoad) -> bool {
-        let same_route = match (&self.route, &load.route) {
-            (RoutePolicy::Natural, RoutePolicy::Natural) => true,
-            (RoutePolicy::Force(a), RoutePolicy::Force(b)) => a == b,
-            _ => false,
-        };
-        same_route && self.cancel_after == load.cancel_after && *self.query == load.query
+        self.route == load.route
+            && self.cancel_after == load.cancel_after
+            && *self.query == load.query
     }
 }
 
@@ -264,7 +260,7 @@ impl ArrivalStream {
                     .or_insert_with(|| Arc::new(load.query.clone()));
                 profiles.push(Profile {
                     query: Arc::clone(query),
-                    route: load.route.clone(),
+                    route: load.route,
                     cancel_after: load.cancel_after,
                 });
             }
@@ -310,7 +306,7 @@ impl ArrivalStream {
         let profile = &self.profiles[cursor.profile as usize];
         let item = WorkloadItem {
             query: Arc::clone(&profile.query),
-            route: profile.route.clone(),
+            route: profile.route,
             arrival: at,
             tenant: self.tenant_base + t,
             cancel_at: profile.cancel_after.map(|b| at + b),
@@ -466,6 +462,18 @@ mod tests {
             assert!(Arc::ptr_eq(query, &got[i % 2]), "tenant {i}");
         }
         assert!(!Arc::ptr_eq(&got[0], &got[1]));
+    }
+
+    /// Route policies compare by value, so consecutive planned tenants
+    /// with one selectivity share a profile as natural ones do.
+    #[test]
+    fn planned_tenants_share_profiles() {
+        let load = |selectivity| {
+            TenantLoad::new(TenantSpec::new("t"), q("q"), 2, SimTime::from_nanos(1000))
+                .route(RoutePolicy::Planned { selectivity })
+        };
+        let stream = ArrivalStream::new(&[load(0.1), load(0.1), load(0.5)], 42);
+        assert_eq!(stream.profiles.len(), 2);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use smartssd_device::{DeviceError, SmartSsd};
 use smartssd_exec::{OpScratch, QueryOp, TableRef};
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
-    choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerConfig, PlannerInputs,
-    Query, QueryResult, RawRun, Route, SessionFault,
+    choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerInputs, Query, QueryResult,
+    RawRun, Route, SessionFault,
 };
 use smartssd_sim::energy::{ComponentDraw, Subsystem};
 use smartssd_sim::trace::pid;
@@ -750,10 +750,10 @@ impl System {
     ) -> Result<Route, RunError> {
         let smart = self.cfg.device == DeviceKind::SmartSsd;
         let requested = match policy {
-            RoutePolicy::Natural | RoutePolicy::Planned(_) if !smart => Route::Host,
+            RoutePolicy::Natural | RoutePolicy::Planned { .. } if !smart => Route::Host,
             RoutePolicy::Natural => Route::Device,
             RoutePolicy::Force(r) => *r,
-            RoutePolicy::Planned(p) => self.plan_route(ops, &p.planner, &p.inputs),
+            RoutePolicy::Planned { selectivity } => self.plan_route(ops, *selectivity),
         };
         if requested == Route::Host || self.op_touches_dirty(&ops[0]) {
             Ok(Route::Host)
@@ -764,19 +764,24 @@ impl System {
         }
     }
 
-    /// Planner-decided routing over the first device's operator.
-    /// Residency of the streamed table comes from every device's actual
-    /// buffer pool, not the caller.
-    fn plan_route(
-        &self,
-        ops: &[QueryOp],
-        planner: &PlannerConfig,
-        inputs: &PlannerInputs,
-    ) -> Route {
-        let mut inputs = inputs.clone();
-        inputs.residency = self.residency_over(ops.iter().map(|op| op.tables().next()));
-        let (route, _est) = choose_route_traced(&ops[0], planner, &inputs, &self.tracer);
-        route
+    /// Planner-decided routing over the first device's operator, on this
+    /// system's own machine ([`SystemConfig::planner`]). Residency of the
+    /// streamed table comes from every device's buffer pool and tuples per
+    /// page from its schema and layout; only the selectivity is the
+    /// caller's.
+    fn plan_route(&self, ops: &[QueryOp], selectivity: f64) -> Route {
+        let input = ops[0].tables().next().expect("an operator reads a table");
+        let width = input.schema.tuple_width();
+        let per_page = match input.layout {
+            Layout::Nsm => smartssd_storage::nsm::capacity(width),
+            Layout::Pax => smartssd_storage::pax::capacity(width),
+        };
+        let inputs = PlannerInputs {
+            residency: self.residency_over(ops.iter().map(|op| op.tables().next())),
+            selectivity,
+            tuples_per_page: per_page as f64,
+        };
+        choose_route_traced(&ops[0], &self.cfg.planner(), &inputs, &self.tracer).0
     }
 
     /// Closes a run of length `end`: emits its single top-level span on the

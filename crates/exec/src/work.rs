@@ -72,7 +72,7 @@ impl WorkCounts {
 /// and iterator machinery — the paper's SQL Server path). Constants were
 /// tuned so the assembled system reproduces the paper's end-to-end ratios
 /// (Figures 3/5/7); see EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostTable {
     /// Per page visited.
     pub page: u64,

@@ -128,6 +128,14 @@ impl FlashConfig {
         }
     }
 
+    /// Sequential read bandwidth inside the device, bytes/s: every page
+    /// read crosses the shared DRAM bus once and pays its DMA setup, which
+    /// bounds the whole device (~1,560 MB/s on the default, Table 2).
+    pub fn internal_read_bw(&self) -> f64 {
+        let page = self.page_size as f64;
+        page / (page / self.dram_bw as f64 + self.dram_latency_ns as f64 * 1e-9)
+    }
+
     /// [`FlashConfig::check`], panicking with the broken rule.
     pub fn validate(&self) {
         if let Err(broken) = self.check() {
@@ -167,6 +175,12 @@ impl Default for FlashConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_internal_read_is_table_2s() {
+        let mbps = FlashConfig::default().internal_read_bw() / 1e6;
+        assert!((mbps - 1_560.0).abs() < 10.0, "{mbps} MB/s");
+    }
 
     #[test]
     fn default_capacity_is_plausible() {

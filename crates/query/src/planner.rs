@@ -16,6 +16,7 @@ use smartssd_exec::spec::JoinOutput;
 use smartssd_exec::{CostTable, QueryOp};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{SimTime, TraceLevel, Tracer};
+use smartssd_storage::expr::{AggSpec, Expr};
 use smartssd_storage::PAGE_SIZE;
 
 /// Where the operator should run.
@@ -27,7 +28,8 @@ pub enum Route {
     Host,
 }
 
-/// Static machine description for the estimator.
+/// The machine the estimator plans for. A `System` derives it from its own
+/// configuration; the default is the paper's test bed.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Device-internal sequential read bandwidth, MB/s (Table 2: 1,560).
@@ -36,16 +38,13 @@ pub struct PlannerConfig {
     pub external_mbps: f64,
     /// Device CPU capacity, cycles/second (cores x clock).
     pub device_cycles_per_sec: f64,
-    /// Host per-query CPU capacity, cycles/second (one thread).
+    /// Host per-query CPU capacity, cycles/second (clock x intra-query
+    /// degree of parallelism).
     pub host_cycles_per_sec: f64,
     /// Device cycle prices.
     pub device_costs: CostTable,
     /// Host cycle prices.
     pub host_costs: CostTable,
-    /// Buffer-pool residency above which pushdown is refused outright
-    /// ("if all or part of the data is already cached ... pushing the
-    /// processing to the Smart SSD may not be beneficial").
-    pub residency_cutoff: f64,
 }
 
 impl Default for PlannerConfig {
@@ -57,7 +56,6 @@ impl Default for PlannerConfig {
             host_cycles_per_sec: 2.26e9,
             device_costs: CostTable::device(),
             host_costs: CostTable::host(),
-            residency_cutoff: 0.5,
         }
     }
 }
@@ -93,39 +91,71 @@ pub struct CostEstimate {
     pub host_secs: f64,
 }
 
-/// Rough per-tuple cycle estimate for an operator under a cost table.
+/// Cycles to evaluate `e` on one row, priced as the kernels count it: one
+/// node each, plus a value read per column reference; a `CASE` evaluates
+/// its condition (one atom) and the dearer branch.
+fn expr_cycles(e: &Expr, costs: &CostTable) -> f64 {
+    let below = match e {
+        Expr::Col(_) => costs.value as f64,
+        Expr::Lit(_) => 0.0,
+        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
+            expr_cycles(a, costs) + expr_cycles(b, costs)
+        }
+        Expr::Case {
+            then, otherwise, ..
+        } => atom_cycles(costs) + expr_cycles(then, costs).max(expr_cycles(otherwise, costs)),
+    };
+    costs.expr_node as f64 + below
+}
+
+/// Cycles of one predicate atom: a column compared with a literal, two
+/// expression nodes and one value read.
+fn atom_cycles(costs: &CostTable) -> f64 {
+    (costs.pred_atom + 2 * costs.expr_node + costs.value) as f64
+}
+
+/// Cycles to fold one row into `aggs`: an update and its input
+/// expression each.
+fn aggs_cycles(aggs: &[AggSpec], costs: &CostTable) -> f64 {
+    let each = |a: &AggSpec| costs.agg_update as f64 + expr_cycles(&a.expr, costs);
+    aggs.iter().map(each).sum()
+}
+
+/// Per-tuple cycle estimate for an operator under a cost table: the
+/// tuple's decode, its predicate and, for the fraction `sel` that passes,
+/// the work downstream of it.
 fn cycles_per_tuple(op: &QueryOp, costs: &CostTable, sel: f64) -> f64 {
+    let value = costs.value as f64;
     let (layout, pred_atoms, downstream) = match op {
         QueryOp::Scan { table, spec } => (
             table.layout,
             spec.pred.num_atoms() as f64,
-            sel * (costs.out_tuple as f64 + spec.project.len() as f64 * costs.value as f64),
+            sel * (costs.out_tuple as f64 + spec.project.len() as f64 * value),
         ),
         QueryOp::ScanAgg { table, spec } => (
             table.layout,
             spec.pred.num_atoms() as f64,
-            sel * spec.aggs.len() as f64 * (costs.agg_update + 4 * costs.expr_node) as f64,
+            sel * aggs_cycles(&spec.aggs, costs),
         ),
         QueryOp::GroupAgg { table, spec } => (
             table.layout,
             spec.pred.num_atoms() as f64,
             sel * (costs.hash_probe as f64
-                + spec.aggs.len() as f64 * (costs.agg_update + 4 * costs.expr_node) as f64),
+                + spec.group_by.len() as f64 * value
+                + aggs_cycles(&spec.aggs, costs)),
         ),
         QueryOp::Join { probe, spec } => {
+            // A filter-first join probes only the rows that pass; either
+            // way, the fraction `sel` of rows reaches the output.
             let probe_fraction = if spec.filter_first { sel } else { 1.0 };
             let per_match = match &spec.output {
-                JoinOutput::Project(cols) => {
-                    costs.out_tuple as f64 + cols.len() as f64 * costs.value as f64
-                }
-                JoinOutput::Aggregate(aggs) => {
-                    aggs.len() as f64 * (costs.agg_update + 6 * costs.expr_node) as f64
-                }
+                JoinOutput::Project(cols) => costs.out_tuple as f64 + cols.len() as f64 * value,
+                JoinOutput::Aggregate(aggs) => aggs_cycles(aggs, costs),
             };
             (
                 probe.layout,
                 spec.probe_pred.num_atoms() as f64,
-                probe_fraction * (costs.hash_probe as f64 + sel * per_match),
+                probe_fraction * (costs.hash_probe as f64 + value) + sel * per_match,
             )
         }
     };
@@ -135,7 +165,7 @@ fn cycles_per_tuple(op: &QueryOp, costs: &CostTable, sel: f64) -> f64 {
     } as f64;
     // Short-circuiting halves the average atom count for multi-atom ANDs.
     let atoms = (pred_atoms / 2.0).max(1.0);
-    tuple + atoms * (costs.pred_atom + costs.value) as f64 + downstream
+    tuple + atoms * atom_cycles(costs) + downstream
 }
 
 /// Estimated output bytes crossing the host interface under pushdown.
@@ -174,17 +204,25 @@ pub fn estimate(op: &QueryOp, cfg: &PlannerConfig, inputs: &PlannerInputs) -> Co
     let tuples = pages * inputs.tuples_per_page;
     let sel = inputs.selectivity.clamp(0.0, 1.0);
 
+    let out = output_bytes(op, tuples, sel);
+    // Every page, every tuple, and every output byte materialized.
+    let cycles = |costs: &CostTable| {
+        pages * costs.page as f64
+            + tuples * cycles_per_tuple(op, costs, sel)
+            + out * costs.out_byte_tenths as f64 / 10.0
+    };
+
     // Device route: internal read and device CPU overlap; result transfer
     // follows on the external link.
     let dev_io = bytes / (cfg.internal_mbps * 1e6);
-    let dev_cpu = tuples * cycles_per_tuple(op, &cfg.device_costs, sel) / cfg.device_cycles_per_sec;
-    let dev_out = output_bytes(op, tuples, sel) / (cfg.external_mbps * 1e6);
+    let dev_cpu = cycles(&cfg.device_costs) / cfg.device_cycles_per_sec;
+    let dev_out = out / (cfg.external_mbps * 1e6);
     let device_secs = dev_io.max(dev_cpu) + dev_out;
 
     // Host route: only non-resident pages cross the interface; host CPU
     // overlaps the transfer.
     let host_io = bytes * (1.0 - inputs.residency.clamp(0.0, 1.0)) / (cfg.external_mbps * 1e6);
-    let host_cpu = tuples * cycles_per_tuple(op, &cfg.host_costs, sel) / cfg.host_cycles_per_sec;
+    let host_cpu = cycles(&cfg.host_costs) / cfg.host_cycles_per_sec;
     let host_secs = host_io.max(host_cpu);
 
     CostEstimate {
@@ -193,24 +231,23 @@ pub fn estimate(op: &QueryOp, cfg: &PlannerConfig, inputs: &PlannerInputs) -> Co
     }
 }
 
-/// Applies the paper's residency rule, then the cost comparison.
+/// Picks the route with the lower estimated time. Caching weighs in
+/// through the host estimate, which charges only non-resident pages: the
+/// paper's "if all or part of the data is already cached ... pushing the
+/// processing to the Smart SSD may not be beneficial" is a cost, not a
+/// rule.
 pub fn choose_route(
     op: &QueryOp,
     cfg: &PlannerConfig,
     inputs: &PlannerInputs,
 ) -> (Route, CostEstimate) {
     let est = estimate(op, cfg, inputs);
-    // Rule 1: data (mostly) cached already — the interface is no longer the
-    // bottleneck, so pushdown forfeits its advantage.
-    if inputs.residency > cfg.residency_cutoff {
-        return (Route::Host, est);
-    }
-    // Rule 2: analytic cost comparison.
-    if est.device_secs < est.host_secs {
-        (Route::Device, est)
+    let route = if est.device_secs < est.host_secs {
+        Route::Device
     } else {
-        (Route::Host, est)
-    }
+        Route::Host
+    };
+    (route, est)
 }
 
 /// Like [`choose_route`], additionally emitting the decision and both cost
@@ -307,15 +344,29 @@ mod tests {
         assert_eq!(route, Route::Host, "estimates: {est:?}");
     }
 
+    /// Caching takes the transfer out of the host estimate and nothing
+    /// else: a cached table goes to the host only where the host then
+    /// beats the device.
     #[test]
-    fn cached_data_stays_on_host() {
+    fn cached_data_goes_where_it_costs_less() {
         let op = scan_agg(Layout::Pax, 10_000);
-        let inputs = PlannerInputs {
-            residency: 0.9,
+        let cold = PlannerInputs {
+            tuples_per_page: 20.0,
             ..PlannerInputs::default()
         };
-        let (route, _) = choose_route(&op, &PlannerConfig::default(), &inputs);
-        assert_eq!(route, Route::Host);
+        let cached = PlannerInputs {
+            residency: 1.0,
+            ..cold.clone()
+        };
+        let slow = PlannerConfig {
+            device_cycles_per_sec: 200e6,
+            ..PlannerConfig::default()
+        };
+        let paper = PlannerConfig::default();
+        assert_eq!(choose_route(&op, &paper, &cached).0, Route::Device);
+        assert_eq!(choose_route(&op, &slow, &cold).0, Route::Device);
+        let (route, est) = choose_route(&op, &slow, &cached);
+        assert_eq!(route, Route::Host, "estimates: {est:?}");
     }
 
     #[test]

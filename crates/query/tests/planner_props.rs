@@ -1,6 +1,5 @@
 //! Property tests of the pushdown planner: its estimates must be monotone
-//! in the obvious directions and its route must follow them unless the
-//! residency rule fires.
+//! in the obvious directions and its route must follow them.
 
 use proptest::prelude::*;
 use smartssd_exec::spec::{ScanAggSpec, TableRef};
@@ -85,10 +84,9 @@ proptest! {
     }
 
     #[test]
-    fn chosen_route_matches_estimates_when_no_rule_fires(inputs in arb_inputs()) {
+    fn chosen_route_matches_estimates(inputs in arb_inputs()) {
         let cfg = PlannerConfig::default();
         let op = scan_agg(20_000, Layout::Pax, 4);
-        prop_assume!(inputs.residency <= cfg.residency_cutoff);
         let (route, est) = choose_route(&op, &cfg, &inputs);
         match route {
             Route::Device => prop_assert!(est.device_secs < est.host_secs),

@@ -10,7 +10,6 @@
 //! ```
 
 use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
-use smartssd_query::{choose_route, PlannerConfig, PlannerInputs};
 use smartssd_workload::{
     join_query, queries, synthetic::synthetic_schema, synthetic64_r, synthetic64_s,
 };
@@ -38,7 +37,6 @@ fn build(kind: DeviceKind, layout: Layout) -> System {
 fn main() {
     let mut ssd = build(DeviceKind::Ssd, Layout::Nsm);
     let mut smart = build(DeviceKind::SmartSsd, Layout::Pax);
-    let planner = PlannerConfig::default();
 
     println!(
         "selection-with-join: SELECT S.col_1, R.col_2 WHERE R.col_1 = S.col_2 AND S.col_3 < v"
@@ -51,18 +49,12 @@ fn main() {
         smart.clear_cache();
         let r_ssd = ssd.run(&query, RunOptions::default()).expect("ssd");
         let r_smart = smart.run(&query, RunOptions::default()).expect("smart");
-        // Ask the planner what it would have chosen, given an oracle
-        // selectivity estimate.
-        let op = query.resolve(smart.catalog()).expect("resolve");
-        let (route, _) = choose_route(
-            &op,
-            &planner,
-            &PlannerInputs {
-                selectivity: sel,
-                tuples_per_page: 31.0,
-                ..PlannerInputs::default()
-            },
-        );
+        // Where the planner routes it, given an oracle selectivity estimate.
+        smart.clear_cache();
+        let route = smart
+            .run(&query, RunOptions::planned(sel))
+            .expect("planned")
+            .route;
         let speedup = r_ssd.result.elapsed.as_secs_f64() / r_smart.result.elapsed.as_secs_f64();
         let planner_right = match route {
             Route::Device => speedup >= 1.0,

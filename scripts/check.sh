@@ -195,10 +195,12 @@ fi
 
 # One operator type: a query template is the physical operator over table
 # names (OpTemplate = QueryOp<String>), so an operator is defined once. The
-# planner weighs cost only (the stale-data rule is the system's), and an
-# array's table state is every device's, with no first-device pool accessor.
+# planner is one cost comparison (the stale-data rule is the system's, and
+# residency is a cost, not a cutoff) on the system's own machine, so a
+# planned run carries only its selectivity, and an array's table state is
+# every device's, with no first-device pool accessor.
 echo "== one operator type, no test-only planner knobs, no first-device pool (crates/*/src) =="
-if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|fn pool\(' crates/*/src; then
+if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|residency_cutoff|PlannedRoute|fn pool\(' crates/*/src; then
     echo "a deleted second operator enum, planner knob or first-device pool accessor is back (see above)" >&2
     exit 1
 fi

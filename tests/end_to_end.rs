@@ -309,12 +309,12 @@ fn single_run_equals_one_arrival_workload() {
         for (query, build) in &queries {
             let cell = format!("{} on {kind:?}/{layout} ({route:?})", query.name);
             let opts = RunOptions {
-                route: route.clone(),
+                route: *route,
                 ..RunOptions::default()
             };
             let single = build(*kind, *layout).run(query, opts).unwrap();
             let mut w = Workload::new();
-            w.push(query.clone(), route.clone(), SimTime::ZERO);
+            w.push(query.clone(), *route, SimTime::ZERO);
             let rep = build(*kind, *layout)
                 .run_workload(&w, WorkloadOptions::default())
                 .unwrap();

@@ -16,7 +16,7 @@ use smartssd::{
     Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::{BuildSide, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec};
-use smartssd_query::{Finalize, OpTemplate, PlannerConfig, PlannerInputs, Query};
+use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_sim::FaultPlan;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
@@ -572,10 +572,19 @@ fn an_array_warms_and_counts_every_devices_share() {
     assert_eq!(rep.completions[0].result.agg_values[0], 40_000);
     assert_eq!(rep.flash_reads, 0, "a warm array read flash");
     assert_eq!((rep.pool_hits, rep.pool_misses), (4 * share, 4 * share));
-    // The planner reads the same residency: fully cached stays on the host.
-    let planned = RunOptions::planned(PlannerConfig::default(), PlannerInputs::default());
-    let r = sys.run(&agg_query(i64::MAX), planned).unwrap();
-    assert_eq!(r.route, Route::Host);
+    // The planner reads the same residency and weighs it as a cost: with
+    // every share cached the host pays no transfer, but its one pass over
+    // four shares still costs more than four devices scanning theirs in
+    // parallel, so the planned route is the faster one, the device.
+    let time = |sys: &mut System, opts| {
+        let r = sys.run(&agg_query(i64::MAX), opts).unwrap();
+        (r.route, r.result.elapsed)
+    };
+    let planned = time(&mut sys, RunOptions::planned(1.0));
+    let device = time(&mut sys, RunOptions::routed(Route::Device));
+    let host = time(&mut sys, RunOptions::routed(Route::Host));
+    assert_eq!(planned, device);
+    assert!(device.1 < host.1, "device {device:?}, host {host:?}");
     let mut u = agg_query(i64::MAX);
     let OpTemplate::ScanAgg { table, .. } = &mut u.op else {
         unreachable!()

@@ -7,10 +7,12 @@ use smartssd_device::{DeviceConfig, DeviceError, GetResponse, SessionId, SmartSs
 use smartssd_exec::spec::{BuildSide, ColRef, GroupAggSpec, JoinSpec, ScanAggSpec, ScanSpec};
 use smartssd_exec::{encode_op, JoinOutput, QueryOp, TableRef};
 use smartssd_flash::FlashConfig;
-use smartssd_query::{Finalize, OpTemplate, PlannerConfig, PlannerInputs, Query};
+use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_sim::SimTime;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
+use smartssd_workload::queries::SYNTH_S;
+use smartssd_workload::{scan_sweep, synthetic::synthetic_schema, synthetic64_s};
 use std::sync::Arc;
 
 fn small_schema() -> Arc<Schema> {
@@ -173,40 +175,42 @@ fn validation_failures_surface_as_plan_or_device_errors() {
     assert!(sys.run(&q_bad_col, RunOptions::default()).is_err());
 }
 
+/// The planner weighs residency as a cost: a cached page spares the host
+/// route its transfer and nothing else, so a cached table goes to the host
+/// only where the host then wins. On a 1x300 MHz device the aggregating 1 %
+/// scan is faster on the device while the table is cold and on the host
+/// once it is cached, and the planner follows it both ways.
 #[test]
 fn planner_routes_by_residency_end_to_end() {
-    let mut sys = smartssd::SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax).build();
-    sys.load_table_rows("t", &small_schema(), rows(200_000))
+    let mut sys = smartssd::SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .tweak(|cfg| {
+            cfg.smart.cpu_cores = 1;
+            cfg.smart.cpu_hz = 300_000_000;
+        })
+        .build();
+    let s_rows = synthetic64_s(0.0001, 0.0001, 42);
+    sys.load_table_rows(SYNTH_S, &synthetic_schema(), s_rows)
         .unwrap();
     sys.finish_load();
-    let query = Query {
-        name: "agg".into(),
-        op: OpTemplate::ScanAgg {
-            table: "t".into(),
-            spec: ScanAggSpec {
-                pred: Pred::Cmp(CmpOp::Lt, Expr::col(0), Expr::lit(50)),
-                aggs: vec![AggSpec::sum(Expr::col(1))],
-            },
-        },
-        finalize: Finalize::AggRow,
-    };
-    let planner = PlannerConfig::default();
-    let inputs = PlannerInputs {
-        selectivity: 0.0005,
-        tuples_per_page: 580.0,
-        ..PlannerInputs::default()
-    };
-    // Cold: pushdown.
-    let cold = sys
-        .run(&query, RunOptions::planned(planner.clone(), inputs.clone()))
-        .unwrap();
+    let query = scan_sweep(0.01, true, 4);
+    let device = sys.run(&query, RunOptions::routed(Route::Device)).unwrap();
+    let host = sys.run(&query, RunOptions::routed(Route::Host)).unwrap();
+    let (device, host_cold) = (device.result.elapsed, host.result.elapsed);
+    assert!(
+        device < host_cold,
+        "device {device:?}, cold host {host_cold:?}"
+    );
+    sys.clear_cache();
+    let cold = sys.run(&query, RunOptions::planned(0.01)).unwrap();
     assert_eq!(cold.route, Route::Device);
-    // Fully cached: the planner must refuse to push down.
-    sys.warm_cache("t", 1.0).unwrap();
-    let warm = sys
-        .run(&query, RunOptions::planned(planner, inputs))
-        .unwrap();
+    sys.warm_cache(SYNTH_S, 1.0).unwrap();
+    let warm = sys.run(&query, RunOptions::planned(0.01)).unwrap();
     assert_eq!(warm.route, Route::Host);
+    assert!(
+        warm.result.elapsed < device,
+        "cached host {:?}",
+        warm.result.elapsed
+    );
     assert_eq!(cold.result.agg_values, warm.result.agg_values);
 }
 
