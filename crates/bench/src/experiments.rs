@@ -547,22 +547,42 @@ fn tpch_fleet(n: usize, s: &Scales, breaker: bool) -> Result<System, RunError> {
 /// coordinator the paper sketches, scattered and gathered over the full
 /// linked protocol — one cold run per array size, speedup measured
 /// against the single device. Gather serialization on the one shared link
-/// caps the deepest fan-out.
+/// caps the deepest fan-out. Then Figure 7's Q14 and Q1 on the same
+/// arrays, with PART loaded whole on every device: each device builds
+/// Q14's hash table on all of PART and probes its LINEITEM share, and Q1's
+/// group rows are folded by key on the host.
 fn array(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
         col("  devices", "  {:>7}"),
         col("   elapsed[s]", "   {:>10.6}"),
         col("   speedup", "   {:>6.2}x"),
     ];
-    let mut rows = Vec::new();
-    let mut base = None;
+    const FIG7: &[Col] = &[
+        col("  devices", "  {:>7}"),
+        col("     Q14[s]", "   {:>8.6}"),
+        col("   speedup", "   {:>6.2}x"),
+        col("      Q1[s]", "   {:>8.6}"),
+        col("   speedup", "   {:>6.2}x"),
+    ];
+    let device = || RunOptions::routed(Route::Device);
+    let (mut rows, mut fig7) = (Vec::new(), Vec::new());
+    let (mut base, mut base14, mut base1) = (None, None, None);
     for n in [1usize, 2, 4, 8, 16, 32, 64] {
-        let rep = tpch_fleet(n, &c.scales, false)?.run(&q6(), RunOptions::routed(Route::Device))?;
-        let t = rep.result.elapsed.as_secs_f64();
+        let mut fleet = tpch_fleet(n, &c.scales, false)?;
+        let t = fleet.run(&q6(), device())?.result.elapsed.as_secs_f64();
         rows.push(row![n, t, *base.get_or_insert(t) / t]);
+        let part = image(Table::Part, Layout::Pax, &c.scales);
+        fleet.load_table(Table::Part.name(), &part)?;
+        fleet.finish_load();
+        let t14 = fleet.run(&q14(), device())?.result.elapsed.as_secs_f64();
+        let t1 = fleet.run(&q1(), device())?.result.elapsed.as_secs_f64();
+        let (b14, b1) = (*base14.get_or_insert(t14), *base1.get_or_insert(t1));
+        fig7.push(row![n, t14, b14 / t14, t1, b1 / t1]);
     }
     let mut r = Report::new("Discussion: Q6 across an array of Smart SSDs");
     r.table("", COLS, rows);
+    r.note("Q14 and Q1 on the same arrays, LINEITEM partitioned and PART whole on every device:");
+    r.table("", FIG7, fig7);
     Ok(r)
 }
 

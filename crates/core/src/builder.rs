@@ -236,7 +236,9 @@ impl SystemBuilder {
     /// Section 4.3 array. Each device gets its own circuit breaker, crash
     /// domain, catalog and host-side read state; one thread drives them
     /// all, so a shared trace sink records in a deterministic order. Load a
-    /// table across them with [`System::load_partitioned`].
+    /// table an operator streams across them with
+    /// [`System::load_partitioned`], and a join's build table whole on
+    /// each with [`System::load_table_rows`].
     pub fn devices(mut self, n: usize) -> Self {
         self.cfg.devices = n;
         self

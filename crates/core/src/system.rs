@@ -110,14 +110,16 @@ pub enum RunErrorKind {
     /// [`System::update_table_rows`] does not match the table's schema;
     /// nothing was loaded.
     Row(RowError),
-    /// An array of more than one device was asked for what only one device
-    /// answers: a grouped aggregation or a join (the host merges no group
-    /// rows by key, and each device would join against its own slice of
-    /// the build table), or a prebuilt image, which only one device can
-    /// hold. Refused before anything runs or is written.
+    /// On an array of more than one device, an operator reads a table in
+    /// the wrong placement: its streamed table (input or probe) must be
+    /// partitioned ([`System::load_partitioned`]), so each device reads its
+    /// share, and a join's build table must be whole on every device
+    /// ([`System::load_table_rows`], [`System::load_table`]), so each
+    /// device's probe share meets every build row. Refused before any
+    /// `OPEN`.
     NotOnArray {
-        /// The operator (`GroupAgg`, `Join`) or `load_table`.
-        what: &'static str,
+        /// The misplaced table.
+        table: String,
         /// Devices in the array.
         devices: usize,
     },
@@ -141,9 +143,11 @@ impl fmt::Display for RunErrorKind {
             ),
             RunErrorKind::Config(e) => write!(f, "config: {e}"),
             RunErrorKind::Row(e) => write!(f, "load: {e}"),
-            RunErrorKind::NotOnArray { what, devices } => {
-                write!(f, "{what} is not supported on a {devices}-device array")
-            }
+            RunErrorKind::NotOnArray { table, devices } => write!(
+                f,
+                "table {table} is misplaced on a {devices}-device array: a streamed table \
+                 must be partitioned, a join's build table whole"
+            ),
         }
     }
 }
@@ -264,6 +268,10 @@ pub struct System {
     /// Tables with buffer-pool updates not yet checkpointed to the device.
     /// Pushdown against them would read stale data (paper Section 4.3).
     dirty: std::collections::HashSet<String>,
+    /// Tables every device holds whole (the rest are partitioned, one share
+    /// per device): the placement an array's operators are checked
+    /// against.
+    whole: std::collections::HashSet<String>,
     /// Run-scoped fault accounting the component counters do not carry:
     /// fallbacks taken, wasted time, `GET` retries, slow trips.
     pub(crate) run_faults: FaultCounters,
@@ -307,6 +315,7 @@ impl System {
             host_cpu,
             next_lba: 0,
             dirty: std::collections::HashSet::new(),
+            whole: std::collections::HashSet::new(),
             run_faults: FaultCounters::default(),
             tracer,
             breaker_clock: SimTime::ZERO,
@@ -365,16 +374,17 @@ impl System {
         &self.catalogs[0]
     }
 
-    /// Loads a prebuilt table image onto the device and registers it. An
-    /// array of more than one device is [`RunErrorKind::NotOnArray`]: load
-    /// its rows with [`System::load_partitioned`].
+    /// Loads a prebuilt table image whole onto every device, at the same
+    /// first LBA, and registers it in each device's catalog. On an array a
+    /// whole table is what a join builds on; a table an operator streams is
+    /// loaded with [`System::load_partitioned`].
     pub fn load_table(&mut self, name: &str, img: &TableImage) -> Result<(), RunError> {
-        let devices = self.catalogs.len();
-        if devices > 1 {
-            let what = "load_table";
-            return Err(RunErrorKind::NotOnArray { what, devices }.into());
+        let first_lba = self.next_lba;
+        for d in 0..self.catalogs.len() {
+            self.load_image(d, name, img, first_lba)?;
         }
-        self.load_image(0, name, img, self.next_lba)
+        self.whole.insert(name.to_string());
+        Ok(())
     }
 
     /// Writes `img` to device `d` from `first_lba` on and registers it in
@@ -415,8 +425,9 @@ impl System {
     }
 
     /// Builds a table in the system's configured layout from a row stream
-    /// and loads it: [`System::load_partitioned`], so an array's devices
-    /// each hold their share.
+    /// and loads it whole onto every device ([`System::load_table`]). A row
+    /// that does not match `schema` is a [`RunErrorKind::Row`] naming its
+    /// index in `rows`, and no device is written.
     pub fn load_table_rows<I>(
         &mut self,
         name: &str,
@@ -426,24 +437,27 @@ impl System {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        self.load_partitioned(name, schema, rows)
+        let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
+        b.try_extend(rows)
+            .map_err(|e| RunError::from_kind(RunErrorKind::Row(e)))?;
+        self.load_table(name, &b.finish())
     }
 
     /// Loads a table partitioned round-robin across the flash devices; each
-    /// registers its own partition under the shared name. A row that does
-    /// not match `schema` is a [`RunErrorKind::Row`] naming its index in
+    /// registers its own share under the shared name. A row that does not
+    /// match `schema` is a [`RunErrorKind::Row`] naming its index in
     /// `rows`, and no device is written: every partition is built before
-    /// the first is loaded.
+    /// the first is loaded. On one device the one share is the whole table:
+    /// this is [`System::load_table_rows`].
     ///
-    /// On one device the rows stream straight into one image. On more, each
-    /// row is checked and encoded once into its device's run of records
-    /// (the record is the row's bytes on the page, a third of its `Tuple`),
-    /// sized up front when `rows` knows its length. The pages are then built
-    /// one device at a time, each run dropped once its image is built, so
-    /// each device's pages lie together in memory. That contiguity is the
-    /// rule here: streaming the rows into N open builders at once
-    /// interleaves the devices' pages and cost 15 % of `fleet_gray`'s
-    /// arrivals per second in a device's warm scans.
+    /// On more devices, each row is checked and encoded once into its
+    /// device's run of records (the record is the row's bytes on the page,
+    /// a third of its `Tuple`), sized up front when `rows` knows its
+    /// length. The pages are then built one device at a time, each run
+    /// dropped once its image is built, so each device's pages lie together
+    /// in memory. That contiguity is the rule here: streaming the rows into
+    /// N open builders at once interleaves the devices' pages and cost 15 %
+    /// of `fleet_gray`'s arrivals per second in a device's warm scans.
     pub fn load_partitioned<I>(
         &mut self,
         name: &str,
@@ -453,41 +467,35 @@ impl System {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let (n, layout) = (self.catalogs.len(), self.cfg.layout);
-        let builder = || TableBuilder::new(name, Arc::clone(schema), layout);
-        let row_error = |e| RunError::from_kind(RunErrorKind::Row(e));
-        let images = if n == 1 {
-            let mut b = builder();
-            b.try_extend(rows).map_err(row_error)?;
-            vec![b.finish()]
-        } else {
-            let rows = rows.into_iter();
-            let share = |d: usize| match rows.size_hint() {
-                (lo, Some(hi)) if lo == hi => (hi + n - 1 - d) / n,
-                _ => 0,
-            };
-            let mut runs: Vec<RecordRun> = (0..n)
-                .map(|d| RecordRun::with_capacity(Arc::clone(schema), share(d)))
-                .collect();
-            for (i, row) in rows.enumerate() {
-                runs[i % n].try_push(&row).map_err(|error| {
-                    row_error(RowError {
-                        row: i as u64,
-                        error,
-                    })
-                })?;
-            }
-            let build = |run: RecordRun| {
-                let mut b = builder();
-                b.extend_records(run.records());
-                b.finish()
-            };
-            runs.into_iter().map(build).collect()
+        let n = self.catalogs.len();
+        if n == 1 {
+            return self.load_table_rows(name, schema, rows);
+        }
+        let rows = rows.into_iter();
+        let share = |d: usize| match rows.size_hint() {
+            (lo, Some(hi)) if lo == hi => (hi + n - 1 - d) / n,
+            _ => 0,
         };
+        let mut runs: Vec<RecordRun> = (0..n)
+            .map(|d| RecordRun::with_capacity(Arc::clone(schema), share(d)))
+            .collect();
+        for (i, row) in rows.enumerate() {
+            runs[i % n].try_push(&row).map_err(|error| {
+                let row = i as u64;
+                RunError::from_kind(RunErrorKind::Row(RowError { row, error }))
+            })?;
+        }
+        let build = |run: RecordRun| {
+            let mut b = TableBuilder::new(name, Arc::clone(schema), self.cfg.layout);
+            b.extend_records(run.records());
+            b.finish()
+        };
+        let images: Vec<TableImage> = runs.into_iter().map(build).collect();
         let first_lba = self.next_lba;
         for (d, img) in images.iter().enumerate() {
             self.load_image(d, name, img, first_lba)?;
         }
+        self.whole.remove(name);
         Ok(())
     }
 
@@ -578,11 +586,12 @@ impl System {
         resident as f64 / pages.max(1) as f64
     }
 
-    /// Replaces a table's contents with a new row set, partitioned over
-    /// the flash devices as [`System::load_partitioned`] does: each device's
-    /// new image is written to a fresh extent, its catalog re-points, and
-    /// its old extent is trimmed (on flash, the stale pages become GC
-    /// fodder). Timing of the rewrite is charged to the devices and then
+    /// Replaces a table's contents with a new row set in the table's own
+    /// placement — whole on every device as [`System::load_table_rows`]
+    /// loads it, or partitioned as [`System::load_partitioned`] does: each
+    /// device's new image is written to a fresh extent, its catalog
+    /// re-points, and its old extent is trimmed (on flash, the stale pages
+    /// become GC fodder). Timing of the rewrite is charged to the devices and then
     /// reset, mirroring an untimed maintenance window. A row that does not
     /// match the table's schema is a [`RunErrorKind::Row`]; the catalogs,
     /// the devices, the buffer pool and the dirty set are then as they were.
@@ -600,7 +609,11 @@ impl System {
             .iter()
             .map(|c| c.get(name).map(extent))
             .collect();
-        self.load_partitioned(name, &schema, rows)?;
+        if self.whole.contains(name) {
+            self.load_table_rows(name, &schema, rows)?;
+        } else {
+            self.load_partitioned(name, &schema, rows)?;
+        }
         for (shard, old) in self.backend.shards_mut().iter_mut().zip(old) {
             for lba in old.unwrap_or_default() {
                 shard.trim(lba)?;
@@ -718,23 +731,24 @@ impl System {
     }
 
     /// Resolves a query against every device's catalog: one operator per
-    /// device, over that device's share of the tables. On more than one
-    /// device a grouped aggregation or a join is [`RunErrorKind::NotOnArray`]
-    /// before any `OPEN`: the gather appends each device's group rows
-    /// unmerged, and each device would build on its own slice of the build
-    /// table only.
+    /// device, over that device's placement of the tables. On more than one
+    /// device the placement must fit the operator: the streamed table (the
+    /// first of [`QueryOp::tables`]) partitioned, a join's build table (the
+    /// second) whole; any other table is [`RunErrorKind::NotOnArray`]
+    /// before any `OPEN`.
     pub(crate) fn resolve_ops(&self, query: &Query) -> Result<Rc<[QueryOp]>, RunError> {
-        let devices = self.catalogs.len();
-        let what = match query.op {
-            QueryOp::GroupAgg { .. } => Some("GroupAgg"),
-            QueryOp::Join { .. } => Some("Join"),
-            QueryOp::Scan { .. } | QueryOp::ScanAgg { .. } => None,
-        };
-        if let Some(what) = what.filter(|_| devices > 1) {
-            return Err(RunErrorKind::NotOnArray { what, devices }.into());
-        }
         let ops = self.catalogs.iter().map(|c| query.resolve(c));
-        Ok(ops.collect::<Result<_, _>>()?)
+        let ops: Rc<[QueryOp]> = ops.collect::<Result<_, _>>()?;
+        let devices = self.catalogs.len();
+        let mut tables = query.op.tables().enumerate();
+        let misplaced = tables.find(|&(i, t)| self.whole.contains(t) != (i == 1));
+        match misplaced {
+            Some((_, table)) if devices > 1 => {
+                let table = table.clone();
+                Err(RunErrorKind::NotOnArray { table, devices }.into())
+            }
+            _ => Ok(ops),
+        }
     }
 
     /// Resolves the route a policy picks for an operator, applying the

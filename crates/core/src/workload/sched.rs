@@ -21,7 +21,7 @@ use crate::serving::{ArrivalStream, TenantLoad};
 use crate::shard::{ShardOutcome, FRESH};
 use crate::system::{RunError, RunErrorKind, System};
 use smartssd_device::SessionId;
-use smartssd_exec::QueryOp;
+use smartssd_exec::{fold_group_rows, QueryOp};
 use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
@@ -462,7 +462,7 @@ impl System {
                     shard.last = last;
                 }
             }
-            self.complete(s, item, idx, a);
+            self.complete(s, item, idx, &ops[0], a);
             return Ok(false);
         }
         let stop = self.device_attempt(s, &mut a, &ops);
@@ -478,7 +478,7 @@ impl System {
             s.ws.charge(tenant, a.held.saturating_sub(now));
         }
         match stop {
-            None => self.complete(s, item, idx, a),
+            None => self.complete(s, item, idx, &ops[0], a),
             Some(Stop::Full) => self.defer(s, item, idx, now),
             // Mid-flight abandonment: the driver closed the session at the
             // cancel instant (and traced it). The slot held from `now` to
@@ -537,11 +537,17 @@ impl System {
 
     /// Records the completion of a query whose every partial is gathered.
     /// Finalization happens once, over the merged states, so
-    /// non-distributive aggregates like AVG stay exact across devices.
-    fn complete(&self, s: &mut Sched, item: &WorkloadItem, idx: usize, a: Attempt) {
+    /// non-distributive aggregates like AVG stay exact across devices, and
+    /// a grouped aggregation's gathered rows are folded by key once, on
+    /// either route and any number of devices.
+    fn complete(&self, s: &mut Sched, item: &WorkloadItem, idx: usize, op: &QueryOp, a: Attempt) {
         let route = if a.device { Route::Device } else { Route::Host };
         let finalize = &item.query.finalize;
         let (agg_values, scalar) = finalize.apply(a.aggs.as_deref().unwrap_or(&[]));
+        let rows = match op {
+            QueryOp::GroupAgg { table, spec } => fold_group_rows(a.rows, spec, &table.schema),
+            _ => a.rows,
+        };
         let latency = a.t.saturating_sub(item.arrival);
         // One lifetime span per query on its own session lane, so overlapped
         // queries render as parallel lanes in Perfetto.
@@ -559,7 +565,7 @@ impl System {
             finished_at: a.t,
             latency,
             result: QueryResult {
-                rows: a.rows,
+                rows,
                 agg_values,
                 scalar,
                 elapsed: latency,

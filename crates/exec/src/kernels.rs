@@ -507,6 +507,31 @@ pub fn group_table_rows(acc: &GroupTable, key_schema: &Schema) -> Vec<Tuple> {
         .collect()
 }
 
+/// Folds group rows gathered from several partials — one per device of an
+/// array, each from [`group_table_rows`] — into one row per key, in the
+/// same key-byte order. A partial's aggregate arrives as its final `Int64`,
+/// already saturated: counts and sums add, minima and maxima fold. Rows
+/// whose keys are distinct (one partial) come back unchanged.
+pub fn fold_group_rows(rows: Vec<Tuple>, spec: &GroupAggSpec, input: &Schema) -> Vec<Tuple> {
+    let key_schema = spec.key_schema(input);
+    let keys = key_schema.len();
+    let mut acc = GroupTable::new();
+    let mut key = Vec::with_capacity(key_schema.tuple_width());
+    for row in &rows {
+        key.clear();
+        smartssd_storage::tuple::encode(&key_schema, &row[..keys], &mut key);
+        let fresh = || spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
+        let e = acc.upsert_with(&key, fresh);
+        for (i, v) in row[keys..].iter().enumerate() {
+            match acc.state_mut(e, i) {
+                AggState::Count(n) => *n += v.as_i64() as u64,
+                st => st.update(v.as_i64()),
+            }
+        }
+    }
+    group_table_rows(&acc, &key_schema)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,8 +35,8 @@ pub mod work;
 pub use driver::{run_op, OpRun, OpScratch, OpSite, ResultBatch};
 pub use join::{JoinHashTable, JoinSink};
 pub use kernels::{
-    group_table_memory_bytes, group_table_rows, page_reader, scan_agg_page, scan_group_agg_page,
-    GroupTable, ScanScratch,
+    fold_group_rows, group_table_memory_bytes, group_table_rows, page_reader, scan_agg_page,
+    scan_group_agg_page, GroupTable, ScanScratch,
 };
 pub use par::parallel_map;
 pub use spec::{

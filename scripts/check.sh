@@ -205,6 +205,15 @@ if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|residency_cutoff
     exit 1
 fi
 
+# One operator set on every array size: an array refuses an operator only
+# for its tables' placement (System::resolve_ops over QueryOp::tables),
+# never by the operator's name.
+echo "== no refusal by operator name (crates/core/src) =="
+if grep -rnE '"(GroupAgg|Join)"' crates/core/src; then
+    echo "an operator name as a string literal in crates/core/src (see above); refuse by table placement" >&2
+    exit 1
+fi
+
 # One host type: an N-device Smart SSD array is a System (devices(n),
 # load_partitioned, run with the device route forced). The old fleet front
 # door survives only as crates/core/src/fleet.rs, a shim for the frozen

@@ -2,12 +2,13 @@
 //! `SystemBuilder::devices(n)` and loaded with `load_partitioned`.
 //!
 //! The array's load-bearing property: scatter/gather over N shards is an
-//! *answer-preserving* transformation for the scan-aggregates it answers.
-//! For any table contents, any shard count, either interface mode, with or
-//! without hedging, and under injected device crashes, the merged answer is
-//! bit-identical to a single-device run of the same query. Faults and
-//! hedging may move timing; they must never move answers. What an array
-//! cannot merge — group-bys and joins — it refuses before any `OPEN`.
+//! *answer-preserving* transformation. For any table contents, any shard
+//! count, either interface mode, with or without hedging, and under
+//! injected device crashes, the merged answer is bit-identical to a
+//! single-device run of the same query. Faults and hedging may move
+//! timing; they must never move answers. A table placed wrong for its
+//! operator (`tests/array_ops.rs` covers every operator shape) is refused
+//! before any `OPEN`.
 
 use proptest::prelude::*;
 use smartssd::{
@@ -16,6 +17,7 @@ use smartssd::{
     Workload, WorkloadOptions,
 };
 use smartssd_exec::spec::{BuildSide, GroupAggSpec, JoinOutput, JoinSpec, ScanAggSpec};
+use smartssd_exec::WorkCounts;
 use smartssd_query::{Finalize, OpTemplate, Query};
 use smartssd_sim::FaultPlan;
 use smartssd_storage::expr::{AggSpec, CmpOp, Expr, Pred};
@@ -446,86 +448,103 @@ fn join_query() -> Query {
 }
 
 /// An `n`-device array holding the group and join inputs: `g` is 8,000
-/// rows `(i mod 3, i)`, build `r` is 200 rows `(id, pay = id)`, probe `s`
-/// is 8,000 rows `((7i + 3) mod 200, i)`.
+/// rows `(i mod 3, i)` and probe `s` is 8,000 rows `((7i + 3) mod 200, i)`,
+/// both partitioned, and build `r` is 200 rows `(id, pay = id)`, whole on
+/// every device.
 fn group_join_array(n: usize) -> System {
-    let pair = |k: i64, v: i64| vec![Datum::I32(k as i32), Datum::I64(v)];
     let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
         .devices(n)
         .build();
-    let tables: [(&str, Vec<Tuple>); 3] = [
-        ("g", (0..8_000).map(|i| pair(i % 3, i)).collect()),
-        ("r", (0..200).map(|i| pair(i, i)).collect()),
-        (
-            "s",
-            (0..8_000).map(|i| pair((7 * i + 3) % 200, i)).collect(),
-        ),
-    ];
-    for (name, rows) in tables {
-        sys.load_partitioned(name, &schema(), rows).unwrap();
-    }
+    sys.load_partitioned("g", &schema(), (0..8_000).map(|i| pair(i % 3, i)))
+        .unwrap();
+    sys.load_table_rows("r", &schema(), r_rows()).unwrap();
+    let s = (0..8_000).map(|i| pair((7 * i + 3) % 200, i));
+    sys.load_partitioned("s", &schema(), s).unwrap();
     sys.finish_load();
     sys
 }
 
-/// An array answers scans and scan-aggregates only. Its gather appends each
-/// device's group rows without merging them by key, and each device would
-/// join its probe slice against its own slice of the build table, so on
-/// more than one device a grouped aggregation or a join is refused before
-/// any `OPEN`, on either route, and in a workload that arrival fails alone.
-/// On one device both answer.
-#[test]
-fn an_array_refuses_group_by_and_join_on_both_routes() {
-    let count = |q: &Query| Query {
+fn pair(k: i64, v: i64) -> Tuple {
+    vec![Datum::I32(k as i32), Datum::I64(v)]
+}
+
+fn r_rows() -> impl Iterator<Item = Tuple> {
+    (0..200).map(|i| pair(i, i))
+}
+
+/// `COUNT(*)` over `table`.
+fn count_query(table: &str) -> Query {
+    Query {
         name: "fleet count".into(),
         op: OpTemplate::ScanAgg {
-            table: q.op.tables().next().unwrap().clone(),
+            table: table.into(),
             spec: ScanAggSpec {
                 pred: Pred::Const(true),
                 aggs: vec![AggSpec::count()],
             },
         },
         finalize: Finalize::AggRow,
-    };
+    }
+}
+
+/// An array answers a group-by and a join as one device does, on both
+/// routes: the gathered group rows are folded by key once on the host, and
+/// each device's probe share meets the whole build table. In a workload no
+/// arrival fails. A table in the wrong placement — a join built over a
+/// partitioned `r`, a scan-aggregate over a whole `r` — is refused before
+/// any `OPEN`, with no session left open.
+#[test]
+fn an_array_answers_group_by_and_join_on_both_routes() {
     for n in [1, 2, 4] {
         let mut sys = group_join_array(n);
-        for (query, what) in [(group_query(), "GroupAgg"), (join_query(), "Join")] {
+        for query in [group_query(), join_query()] {
+            let join = matches!(query.op, OpTemplate::Join { .. });
             for route in [Route::Device, Route::Host] {
-                let run = sys.run(&query, RunOptions::routed(route));
-                if n == 1 {
-                    let r = run.unwrap().result;
-                    if what == "Join" {
-                        assert_eq!(r.agg_values, vec![8_000, 796_000], "{route:?}");
-                    } else {
-                        let counts: Vec<_> = r.rows.iter().map(|t| t[1].as_i64()).collect();
-                        assert_eq!(counts, vec![2_667, 2_667, 2_666], "{route:?}");
-                    }
-                    continue;
+                let r = sys.run(&query, RunOptions::routed(route)).unwrap().result;
+                let at = format!("{} on {n} devices, {route:?}", query.name);
+                if join {
+                    assert_eq!(r.agg_values, vec![8_000, 796_000], "{at}");
+                } else {
+                    let keys: Vec<_> = r.rows.iter().map(|t| t[0].as_i64()).collect();
+                    let counts: Vec<_> = r.rows.iter().map(|t| t[1].as_i64()).collect();
+                    assert_eq!(keys, vec![0, 1, 2], "{at}");
+                    assert_eq!(counts, vec![2_667, 2_667, 2_666], "{at}");
                 }
-                let err = run.unwrap_err();
-                let RunErrorKind::NotOnArray { what: w, devices } = err.kind() else {
-                    panic!("{what} on {n} devices, {route:?}: {err}")
-                };
-                assert_eq!((*w, *devices), (what, n), "{err}");
             }
             let mut w = Workload::new();
-            w.push(
-                query.clone(),
-                RoutePolicy::Force(Route::Device),
-                SimTime::ZERO,
-            );
-            w.push(
-                count(&query),
-                RoutePolicy::Force(Route::Device),
-                SimTime::ZERO,
-            );
+            let input = query.op.tables().next().unwrap();
+            for q in [query.clone(), count_query(input)] {
+                w.push(q, RoutePolicy::Force(Route::Device), SimTime::ZERO);
+            }
             let rep = sys.run_workload(&w, WorkloadOptions::new()).unwrap();
-            assert_eq!(rep.failed, u64::from(n > 1), "{what} on {n} devices");
-            assert_eq!(rep.completions.len(), 1 + usize::from(n == 1));
-            assert_eq!(
-                rep.completions.last().unwrap().result.agg_values,
-                vec![8_000]
-            );
+            assert_eq!(rep.failed, 0, "{} on {n} devices", query.name);
+            assert_eq!(rep.completions.len(), 2);
+            let count = rep.completions.iter().find(|c| &*c.query == "fleet count");
+            assert_eq!(count.unwrap().result.agg_values, vec![8_000]);
+            assert_eq!(sys.open_device_sessions(), 0);
+        }
+        if n == 1 {
+            continue;
+        }
+        // The same `r`, reloaded in the placement each operator refuses.
+        for (query, whole) in [(join_query(), false), (count_query("r"), true)] {
+            if whole {
+                sys.load_table_rows("r", &schema(), r_rows()).unwrap();
+            } else {
+                sys.load_partitioned("r", &schema(), r_rows()).unwrap();
+            }
+            for route in [Route::Device, Route::Host] {
+                let err = sys.run(&query, RunOptions::routed(route)).unwrap_err();
+                let RunErrorKind::NotOnArray { table, devices } = err.kind() else {
+                    panic!("{} on {n} devices, {route:?}: {err}", query.name)
+                };
+                assert_eq!((table.as_str(), *devices), ("r", n), "{err}");
+                // A run starts every device's work receipt at zero.
+                for d in 0..n {
+                    let work = *sys.device(d).total_work();
+                    assert_eq!(work, WorkCounts::default(), "device {d} ran, {route:?}");
+                }
+            }
             assert_eq!(sys.open_device_sessions(), 0);
         }
     }
@@ -533,9 +552,9 @@ fn an_array_refuses_group_by_and_join_on_both_routes() {
 
 /// An array's table state is every device's: a full warm-up caches every
 /// device's share, so a host pass then reads no flash, and the pool
-/// counters count every device's pool. A table loaded from rows lands on
-/// every device, and a prebuilt image, which only one device can hold, is
-/// refused.
+/// counters count every device's pool. A table loaded from rows and a
+/// prebuilt image both land whole on every device, a rewrite keeps that,
+/// and a join builds on either.
 #[test]
 fn an_array_warms_and_counts_every_devices_share() {
     let rows = || (0..40_000).map(|k| vec![Datum::I32(k % 1_000), Datum::I64(k as i64)]);
@@ -543,21 +562,21 @@ fn an_array_warms_and_counts_every_devices_share() {
         .devices(4)
         .build();
     sys.load_partitioned("t", &schema(), rows()).unwrap();
-    sys.load_table_rows("u", &schema(), rows()).unwrap();
     let share = sys.catalog().get("t").unwrap().num_pages;
-    let mut img = smartssd_storage::TableBuilder::new("v", schema(), Layout::Pax);
+    let mut img = TableBuilder::new("v", schema(), Layout::Pax);
     img.extend(rows());
-    let err = sys.load_table("v", &img.finish()).unwrap_err();
-    assert!(
-        matches!(
-            err.kind(),
-            RunErrorKind::NotOnArray {
-                what: "load_table",
-                devices: 4
-            }
-        ),
-        "{err}"
-    );
+    let img = img.finish();
+    let writes =
+        |sys: &System| -> Vec<u64> { (0..4).map(|d| sys.device(d).flash.stats().writes).collect() };
+    let before = writes(&sys);
+    sys.load_table_rows("u", &schema(), rows()).unwrap();
+    sys.load_table("v", &img).unwrap();
+    let whole = img.num_pages() as u64;
+    assert_eq!(sys.catalog().get("u").unwrap().num_pages, whole);
+    assert_eq!(sys.catalog().get("v").unwrap().num_pages, whole);
+    for (d, (b, a)) in before.into_iter().zip(writes(&sys)).enumerate() {
+        assert_eq!(a - b, 2 * whole, "device {d} holds u and v whole");
+    }
     sys.finish_load();
     sys.warm_cache("t", 1.0).unwrap();
     assert_eq!(sys.residency("t"), 1.0);
@@ -585,13 +604,24 @@ fn an_array_warms_and_counts_every_devices_share() {
     let host = time(&mut sys, RunOptions::routed(Route::Host));
     assert_eq!(planned, device);
     assert!(device.1 < host.1, "device {device:?}, host {host:?}");
-    let mut u = agg_query(i64::MAX);
-    let OpTemplate::ScanAgg { table, .. } = &mut u.op else {
-        unreachable!()
-    };
-    *table = "u".into();
-    for route in [Route::Device, Route::Host] {
-        let r = sys.run(&u, RunOptions::routed(route)).unwrap().result;
-        assert_eq!(r.agg_values[0], 40_000, "{route:?}");
+    // Every one of `t`'s 40,000 rows meets the 40 build rows of its key
+    // (k mod 1,000 repeats 40 times in 40,000 rows).
+    // A rewrite keeps the placement: `v`, rewritten with 20 rows a key, is
+    // still whole on every device.
+    sys.update_table_rows("v", rows().take(20_000)).unwrap();
+    for (build, per_key) in [("u", 40), ("v", 20)] {
+        let mut join = join_query();
+        let OpTemplate::Join { probe, spec } = &mut join.op else {
+            unreachable!()
+        };
+        (*probe, spec.build.table) = ("t".into(), build.into());
+        for route in [Route::Device, Route::Host] {
+            let r = sys.run(&join, RunOptions::routed(route)).unwrap().result;
+            assert_eq!(
+                r.agg_values[0],
+                40_000 * per_key,
+                "build {build}, {route:?}"
+            );
+        }
     }
 }
