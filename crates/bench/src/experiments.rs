@@ -586,10 +586,6 @@ fn array(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// The fraction of LINEITEM rows Q6's predicate passes (0.62 % at quick
-/// scale).
-const Q6_SELECTIVITY: f64 = 0.006;
-
 /// Discussion-section extension: Q6 on the Smart SSD with 0..100% of
 /// LINEITEM pre-cached, routed by the planner. Caching is a cost the
 /// planner weighs, not a rule: a resident page spares the host its
@@ -605,7 +601,7 @@ fn cache(c: &Ctx) -> Result<Report, RunError> {
     for resident in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut sys = load(smart(), Tables::Tpch, &c.scales)?;
         sys.warm_cache(queries::LINEITEM, resident)?;
-        let rep = sys.run(&q6(), RunOptions::planned(Q6_SELECTIVITY))?;
+        let rep = sys.run(&q6(), RunOptions::planned())?;
         rows.push(row![
             resident * 100.0,
             format!("{:?}", rep.route),
@@ -1802,7 +1798,7 @@ registry! {
     "tab3" all - tab3 "Table 3: Q6 elapsed time and energy on HDD / SSD / Smart SSD"
     "plans" all - plans "Figures 4 & 6: the pushdown query plans, as text"
     "scan-sweep" all - scan_sweep "[7]'s single-table scan sweep: selectivity x aggregation"
-    "array" all - array "Discussion: Q6 across an array of 1-64 Smart SSDs (linked protocol)"
+    "array" all - array "Discussion: Q6, Q14 and Q1 across an array of 1-64 Smart SSDs (linked protocol)"
     "cache" all - cache "Discussion: planner-routed Q6 vs buffer-pool residency"
     "device-scaling" all - device_scaling "Section 5: Q6 speedup vs device cores, clock and internal path"
     "interface" all - interface "Section 3/5: pushdown benefit vs host interface generation"

@@ -141,9 +141,9 @@ impl std::error::Error for ConfigError {}
 ///
 /// A policy rides on every [`WorkloadItem`](crate::WorkloadItem): the
 /// scheduler copies it once per arrival and parks it once per deferred
-/// waiter, and a serving stream stores one per tenant, so it stays 16
-/// bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// waiter, and a serving stream stores one per tenant, so it stays one
+/// byte.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The system's natural route: pushdown on a Smart SSD, host execution
     /// otherwise.
@@ -154,16 +154,13 @@ pub enum RoutePolicy {
     Force(Route),
     /// Let the cost-based planner decide (Smart SSD systems only; others
     /// always run on the host). The planner plans for the system's own
-    /// configuration and measures residency from its buffer pools; the
-    /// caller supplies only what the system cannot know.
-    Planned {
-        /// Estimated fraction of the operator's input rows that pass its
-        /// predicate.
-        selectivity: f64,
-    },
+    /// configuration, measures residency from its buffer pools and the
+    /// operator's work on a sample of its input; the caller supplies
+    /// nothing.
+    Planned,
 }
 
-const _: () = assert!(std::mem::size_of::<RoutePolicy>() <= 16);
+const _: () = assert!(std::mem::size_of::<RoutePolicy>() <= 1);
 
 /// Per-run knobs for [`System::run`]: route policy and trace verbosity.
 /// Host parallelism is a property of the system
@@ -189,11 +186,10 @@ impl RunOptions {
         }
     }
 
-    /// Let the planner pick the route, given the estimated fraction of
-    /// input rows the operator's predicate passes.
-    pub fn planned(selectivity: f64) -> Self {
+    /// Let the planner pick the route.
+    pub fn planned() -> Self {
         Self {
-            route: RoutePolicy::Planned { selectivity },
+            route: RoutePolicy::Planned,
             ..Self::default()
         }
     }

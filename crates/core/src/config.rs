@@ -186,9 +186,9 @@ impl SystemConfig {
     }
 
     /// The machine the pushdown planner plans for: the flash DRAM bus's
-    /// internal read bandwidth, the host interface's, the embedded cores,
-    /// the host's clock times its intra-query parallelism, and both cost
-    /// tables. Read from this configuration, so the planner has no second
+    /// internal read bandwidth, the host interface's and its command
+    /// latency, the embedded cores, the host's clock times its intra-query
+    /// parallelism, and both cost tables. Read from this configuration, so the planner has no second
     /// description of the machine to drift from it.
     ///
     /// The planner weighs one device's share of the table: each device
@@ -202,6 +202,7 @@ impl SystemConfig {
             external_mbps: self.interface.effective_mbps() as f64 / shares,
             device_cycles_per_sec: self.smart.cpu_cores as f64 * self.smart.cpu_hz as f64,
             host_cycles_per_sec: self.host_cpu_hz as f64 * self.host_dop as f64 / shares,
+            protocol_secs: (shares + 1.0) * self.interface.command_latency_ns() as f64 / 1e9,
             device_costs: self.smart.costs,
             host_costs: self.host_costs,
         }

@@ -465,14 +465,20 @@ mod tests {
     }
 
     /// Route policies compare by value, so consecutive planned tenants
-    /// with one selectivity share a profile as natural ones do.
+    /// share a profile as natural ones do, and a natural tenant after them
+    /// starts a new one.
     #[test]
     fn planned_tenants_share_profiles() {
-        let load = |selectivity| {
-            TenantLoad::new(TenantSpec::new("t"), q("q"), 2, SimTime::from_nanos(1000))
-                .route(RoutePolicy::Planned { selectivity })
+        let load = |route| {
+            TenantLoad::new(TenantSpec::new("t"), q("q"), 2, SimTime::from_nanos(1000)).route(route)
         };
-        let stream = ArrivalStream::new(&[load(0.1), load(0.1), load(0.5)], 42);
+        let loads = [
+            RoutePolicy::Planned,
+            RoutePolicy::Planned,
+            RoutePolicy::Natural,
+        ]
+        .map(load);
+        let stream = ArrivalStream::new(&loads, 42);
         assert_eq!(stream.profiles.len(), 2);
     }
 

@@ -9,7 +9,8 @@ use crate::builder::{RoutePolicy, RunOptions};
 use crate::config::{DeviceKind, SystemConfig};
 use crate::shard::{host_pass, Shard, ShardOutcome};
 use smartssd_device::{DeviceError, SmartSsd};
-use smartssd_exec::{OpScratch, QueryOp, TableRef};
+use smartssd_exec::{run_op, OpScratch, OpSite, QueryOp, TableRef, WorkCounts};
+use smartssd_flash::FlashSsd;
 use smartssd_host::{io::IoError, BufferPool, HddHostPath, HddModel, PageSource};
 use smartssd_query::{
     choose_route_traced, plan::PlanError, Catalog, EngineError, PlannerInputs, Query, QueryResult,
@@ -21,7 +22,9 @@ use smartssd_sim::{
     mb_per_sec, Bus, CpuModel, EnergyBreakdown, FaultCounters, FaultPlan, Interval, PowerModel,
     RunTrace, SimTime, TraceLevel, Tracer, UtilizationReport,
 };
-use smartssd_storage::{Layout, RecordRun, RowError, Schema, TableBuilder, TableImage, Tuple};
+use smartssd_storage::{
+    Layout, PageBuf, RecordRun, RowError, Schema, TableBuilder, TableImage, Tuple,
+};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -752,50 +755,88 @@ impl System {
     }
 
     /// Resolves the route a policy picks for an operator, applying the
-    /// dirty-data correctness rule: a dirty input means the on-device copy
-    /// is stale, so the device route is not available (Section 4.3) —
-    /// before any cost consideration. Only a Smart SSD has a device route:
-    /// elsewhere the natural and planned routes are the host, and a forced
-    /// device route on clean data is refused before anything runs.
+    /// dirty-data correctness rule first: a dirty input means the on-device
+    /// copy is stale, so the device route is not available (Section 4.3)
+    /// and no planner runs. Only a Smart SSD has a device route: elsewhere
+    /// the natural and planned routes are the host, and a forced device
+    /// route on clean data is refused before anything runs. `sampled` is
+    /// the planner's memo of the operator's sampled receipt: empty until a
+    /// planned route first needs it.
     pub(crate) fn resolve_route(
         &self,
         ops: &[QueryOp],
         policy: &RoutePolicy,
+        sampled: &mut Option<WorkCounts>,
     ) -> Result<Route, RunError> {
+        if self.op_touches_dirty(&ops[0]) {
+            return Ok(Route::Host);
+        }
         let smart = self.cfg.device == DeviceKind::SmartSsd;
-        let requested = match policy {
-            RoutePolicy::Natural | RoutePolicy::Planned { .. } if !smart => Route::Host,
+        let route = match policy {
+            RoutePolicy::Natural | RoutePolicy::Planned if !smart => Route::Host,
             RoutePolicy::Natural => Route::Device,
             RoutePolicy::Force(r) => *r,
-            RoutePolicy::Planned { selectivity } => self.plan_route(ops, *selectivity),
+            RoutePolicy::Planned => self.plan_route(ops, sampled)?,
         };
-        if requested == Route::Host || self.op_touches_dirty(&ops[0]) {
-            Ok(Route::Host)
-        } else if smart {
-            Ok(Route::Device)
-        } else {
-            Err(RunErrorKind::NotSmart.into())
+        if route == Route::Device && !smart {
+            return Err(RunErrorKind::NotSmart.into());
         }
+        Ok(route)
     }
 
     /// Planner-decided routing over the first device's operator, on this
-    /// system's own machine ([`SystemConfig::planner`]). Residency of the
-    /// streamed table comes from every device's buffer pool and tuples per
-    /// page from its schema and layout; only the selectivity is the
-    /// caller's.
-    fn plan_route(&self, ops: &[QueryOp], selectivity: f64) -> Route {
-        let input = ops[0].tables().next().expect("an operator reads a table");
-        let width = input.schema.tuple_width();
-        let per_page = match input.layout {
-            Layout::Nsm => smartssd_storage::nsm::capacity(width),
-            Layout::Pax => smartssd_storage::pax::capacity(width),
+    /// system's own machine ([`SystemConfig::planner`]): residency of the
+    /// streamed table from every device's buffer pool, read at every call,
+    /// and the operator's work from [`System::sample_work`], taken once
+    /// into `sampled`.
+    fn plan_route(
+        &self,
+        ops: &[QueryOp],
+        sampled: &mut Option<WorkCounts>,
+    ) -> Result<Route, RunError> {
+        let work = match *sampled {
+            Some(work) => work,
+            None => *sampled.insert(self.sample_work(&ops[0])?),
         };
         let inputs = PlannerInputs {
             residency: self.residency_over(ops.iter().map(|op| op.tables().next())),
-            selectivity,
-            tuples_per_page: per_page as f64,
+            work,
         };
-        choose_route_traced(&ops[0], &self.cfg.planner(), &inputs, &self.tracer).0
+        Ok(choose_route_traced(&ops[0], &self.cfg.planner(), &inputs, &self.tracer).0)
+    }
+
+    /// The work `op` does over its whole input on the first device,
+    /// measured the way optimizer statistics are: `op` runs through the
+    /// one operator driver on every [`SAMPLE_STRIDE`]-th page of its
+    /// streamed table (and every page of a join's build table), read from
+    /// flash untimed and uncounted, as a checkpoint reads. The streamed
+    /// pages' receipt is scaled to the table and the build's counted once.
+    /// An aggregate's output (partials, or grouped rows) is counted by no
+    /// kernel: the sample's own final batch enters the receipt once,
+    /// unscaled, since a table's partials are as many as its sample's and
+    /// its groups at least as many.
+    fn sample_work(&self, op: &QueryOp) -> Result<WorkCounts, RunError> {
+        let mut sample = op.clone();
+        let (QueryOp::Scan { table, .. }
+        | QueryOp::ScanAgg { table, .. }
+        | QueryOp::GroupAgg { table, .. }
+        | QueryOp::Join { probe: table, .. }) = &mut sample;
+        let (pages, taken) = (table.num_pages, table.num_pages.div_ceil(SAMPLE_STRIDE));
+        table.num_pages = taken;
+        let mut site = SampleSite {
+            flash: &self.backend.shards()[0].dev.flash,
+            streamed: table.lbas(),
+            once: WorkCounts::default(),
+            sampled: WorkCounts::default(),
+        };
+        let run = run_op(&mut site, &sample, Part::Once, &mut OpScratch::default())?;
+        let mut work = site.once;
+        work.absorb(&site.sampled.scaled(pages, taken.max(1)));
+        if run.last.aggs.is_some() || matches!(op, QueryOp::GroupAgg { .. }) {
+            work.out_tuples += run.last.rows.len() as u64;
+            work.out_bytes += run.last.bytes;
+        }
+        Ok(work)
     }
 
     /// Closes a run of length `end`: emits its single top-level span on the
@@ -925,6 +966,64 @@ impl System {
             shards: shards.collect(),
             trace,
         }
+    }
+}
+
+/// The planner's sample reads every `SAMPLE_STRIDE`-th page of an
+/// operator's streamed table.
+const SAMPLE_STRIDE: u64 = 8;
+
+/// Which part of a sampled receipt a kernel call's work belongs to: the
+/// part counted once (a join's build) or the streamed table's sampled
+/// pages, scaled to the table. The driver charges every receipt at its
+/// page's arrival, so this tag is the sample site's clock: a streamed page
+/// arrives at `Streamed`, a build page (and the build it feeds) at `Once`.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+enum Part {
+    #[default]
+    Once,
+    Streamed,
+}
+
+/// Where [`System::sample_work`] runs an operator: one device's flash,
+/// read with [`FlashSsd::peek_page`] and no timing, count or cache, and
+/// no processor: a charge only files the receipt under its part.
+struct SampleSite<'a> {
+    flash: &'a FlashSsd,
+    /// The sample's extent of the streamed table: its offset `i` reads the
+    /// table's page `i * SAMPLE_STRIDE`.
+    streamed: std::ops::Range<u64>,
+    once: WorkCounts,
+    sampled: WorkCounts,
+}
+
+impl OpSite for SampleSite<'_> {
+    type Instant = Part;
+    type Error = RunError;
+
+    fn read_page(
+        &mut self,
+        lba: u64,
+        _at: Part,
+        _shareable: bool,
+    ) -> Result<(PageBuf, Part), RunError> {
+        let first = self.streamed.start;
+        let (lba, part) = if self.streamed.contains(&lba) {
+            (first + (lba - first) * SAMPLE_STRIDE, Part::Streamed)
+        } else {
+            (lba, Part::Once)
+        };
+        let (data, _) = self.flash.peek_page(lba).map_err(IoError::Flash)?;
+        let page = PageBuf::from_bytes(data).map_err(IoError::Page)?;
+        Ok((page, part))
+    }
+
+    fn charge(&mut self, at: Part, work: &WorkCounts) -> Part {
+        match at {
+            Part::Once => self.once.absorb(work),
+            Part::Streamed => self.sampled.absorb(work),
+        }
+        at
     }
 }
 

@@ -76,8 +76,8 @@ pub struct WorkloadItem {
 }
 
 // The scheduler copies an item per arrival and parks one per waiter, so it
-// stays at 56 bytes (a 16-byte route policy among them).
-const _: () = assert!(std::mem::size_of::<WorkloadItem>() <= 56);
+// stays at 40 bytes (a one-byte route policy among them).
+const _: () = assert!(std::mem::size_of::<WorkloadItem>() <= 40);
 
 impl WorkloadItem {
     /// This item's record as shed at `at`.

@@ -21,7 +21,7 @@ use crate::serving::{ArrivalStream, TenantLoad};
 use crate::shard::{ShardOutcome, FRESH};
 use crate::system::{RunError, RunErrorKind, System};
 use smartssd_device::SessionId;
-use smartssd_exec::{fold_group_rows, QueryOp};
+use smartssd_exec::{fold_group_rows, QueryOp, WorkCounts};
 use smartssd_query::{Query, QueryResult, Route};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{
@@ -61,8 +61,11 @@ pub(super) enum Ev {
 /// and re-resolves. The entry keeps its key `Arc` alive, so a pointer match
 /// can never be a recycled address. One operator per device (each holds
 /// its own extent of the table), shared so a dispatch can hold them without
-/// borrowing the scheduler state.
-type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>)>;
+/// borrowing the scheduler state. Beside them, the planner's sampled
+/// receipt of the first device's operator, taken by the entry's first
+/// planned dispatch, so a planned stream samples its template once per
+/// run (a run loads no table, so the receipt cannot go stale).
+type ResolveCache = Option<(Arc<Query>, Rc<[QueryOp]>, Option<WorkCounts>)>;
 
 /// The run-scoped scheduler state: the options in force, each tenant's
 /// queue bound, the slot-event queue, the admission wait set with its parked
@@ -416,12 +419,12 @@ impl System {
             s.acct.shed(CANCELED, idx, item, now);
             return Ok(false);
         }
-        let ops = match &s.ops {
-            Some((key, ops)) if Arc::ptr_eq(key, &item.query) => Rc::clone(ops),
-            _ => match self.resolve_ops(&item.query) {
+        let (ops, sampled) = match &mut s.ops {
+            Some((key, ops, sampled)) if Arc::ptr_eq(key, &item.query) => (Rc::clone(ops), sampled),
+            slot => match self.resolve_ops(&item.query) {
                 Ok(ops) => {
-                    s.ops = Some((Arc::clone(&item.query), Rc::clone(&ops)));
-                    ops
+                    let (_, ops, sampled) = slot.insert((Arc::clone(&item.query), ops, None));
+                    (Rc::clone(ops), sampled)
                 }
                 Err(e) => {
                     // A query that doesn't resolve fails alone; the rest of
@@ -445,7 +448,7 @@ impl System {
         // The route is one decision for the whole query: the dirty rule and
         // the cost estimate read the first device's extents (the only ones
         // on a single-device system), the residency every device's pool.
-        if self.resolve_route(&ops, &item.route)? == Route::Host {
+        if self.resolve_route(&ops, &item.route, sampled)? == Route::Host {
             for (d, op) in ops.iter().enumerate() {
                 let raw = match self.run_host(d, op, now) {
                     Ok(raw) => raw,

@@ -50,6 +50,25 @@ impl WorkCounts {
         self.out_bytes += other.out_bytes;
     }
 
+    /// Every count times `num / den` (rounded down): a receipt measured
+    /// on `den` pages of a table, scaled to its `num`.
+    pub fn scaled(&self, num: u64, den: u64) -> WorkCounts {
+        let f = |n: u64| n * num / den;
+        WorkCounts {
+            pages: f(self.pages),
+            tuples_nsm: f(self.tuples_nsm),
+            tuples_pax: f(self.tuples_pax),
+            values: f(self.values),
+            pred_atoms: f(self.pred_atoms),
+            expr_nodes: f(self.expr_nodes),
+            agg_updates: f(self.agg_updates),
+            hash_builds: f(self.hash_builds),
+            hash_probes: f(self.hash_probes),
+            out_tuples: f(self.out_tuples),
+            out_bytes: f(self.out_bytes),
+        }
+    }
+
     /// Folds in counts from the expression evaluator.
     pub fn absorb_eval(&mut self, e: EvalCounts) {
         self.values += e.values;

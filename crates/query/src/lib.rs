@@ -23,9 +23,9 @@
 //!   4.3) lists the rules a real optimizer would need: don't push when data
 //!   is cached in the buffer pool, don't push updates or data newer than the
 //!   on-device copy, weigh device-CPU saturation. The planner implements
-//!   the cost rules with an analytic model over the same cost tables the
-//!   engines use; the stale-data rule is the system's, applied before any
-//!   cost;
+//!   the cost rules by pricing the kernels' own work receipt with the same
+//!   cost tables the engines use; the stale-data rule is the system's,
+//!   applied before any cost;
 //! * [`session`] — the fault-tolerant OPEN/GET/CLOSE driver: one `GET` at
 //!   each readiness hint the device gives, and typed faults carrying the
 //!   simulated time a failed device attempt burned, so callers can degrade

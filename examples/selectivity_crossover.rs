@@ -49,10 +49,10 @@ fn main() {
         smart.clear_cache();
         let r_ssd = ssd.run(&query, RunOptions::default()).expect("ssd");
         let r_smart = smart.run(&query, RunOptions::default()).expect("smart");
-        // Where the planner routes it, given an oracle selectivity estimate.
+        // Where the planner routes it, from a sample of the input.
         smart.clear_cache();
         let route = smart
-            .run(&query, RunOptions::planned(sel))
+            .run(&query, RunOptions::planned())
             .expect("planned")
             .route;
         let speedup = r_ssd.result.elapsed.as_secs_f64() / r_smart.result.elapsed.as_secs_f64();

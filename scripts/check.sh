@@ -196,12 +196,14 @@ fi
 # One operator type: a query template is the physical operator over table
 # names (OpTemplate = QueryOp<String>), so an operator is defined once. The
 # planner is one cost comparison (the stale-data rule is the system's, and
-# residency is a cost, not a cutoff) on the system's own machine, so a
-# planned run carries only its selectivity, and an array's table state is
-# every device's, with no first-device pool accessor.
-echo "== one operator type, no test-only planner knobs, no first-device pool (crates/*/src) =="
-if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|residency_cutoff|PlannedRoute|fn pool\(' crates/*/src; then
-    echo "a deleted second operator enum, planner knob or first-device pool accessor is back (see above)" >&2
+# residency is a cost, not a cutoff) on the system's own machine, and it has
+# one cost model, the kernels': it prices a receipt sampled off the input
+# with the engines' cost tables, so there is no per-tuple arithmetic of its
+# own and a planned run carries no caller value (no selectivity). An array's
+# table state is every device's, with no first-device pool accessor.
+echo "== one operator type, one cost model, no planner knobs, no first-device pool (crates/*/src) =="
+if grep -rnE 'enum OpTemplate|data_mutable|prefer_cache_warming|residency_cutoff|PlannedRoute|fn pool\(|cycles_per_tuple|expr_cycles|atom_cycles|aggs_cycles|tuples_per_page|Planned \{' crates/*/src; then
+    echo "a deleted second operator enum, planner cost model or knob, or first-device pool accessor is back (see above)" >&2
     exit 1
 fi
 

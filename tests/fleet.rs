@@ -599,7 +599,7 @@ fn an_array_warms_and_counts_every_devices_share() {
         let r = sys.run(&agg_query(i64::MAX), opts).unwrap();
         (r.route, r.result.elapsed)
     };
-    let planned = time(&mut sys, RunOptions::planned(1.0));
+    let planned = time(&mut sys, RunOptions::planned());
     let device = time(&mut sys, RunOptions::routed(Route::Device));
     let host = time(&mut sys, RunOptions::routed(Route::Host));
     assert_eq!(planned, device);

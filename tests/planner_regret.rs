@@ -1,8 +1,12 @@
 //! Planner regret on the published cells: for every cell, both forced
 //! routes run cold (after the cell's cache warm-up) and so does the planned
-//! route, fed the cell's true selectivity. The planned route must be the
-//! faster one, or within [`EPSILON`] of it. A failing test prints every
-//! cell that missed, with both routes' times.
+//! route. The planned route must be the faster one, or within [`EPSILON`]
+//! of it, and the planner's estimate of the route it chose, read from its
+//! trace instant, must be within [`ESTIMATE_BAND`] of the run's simulated
+//! elapsed time. The planned run must also be the forced run of its route
+//! exactly: the same elapsed time, work receipt and flash reads, since the
+//! planner's sample of the input is read untimed. A failing test prints
+//! every cell that missed, with both routes' times.
 //!
 //! The cells are the `repro` figures at quick scale on a Smart SSD in both
 //! layouts (Figure 3's Q6, Figure 7's Q14, Q1, Figure 5's join at five
@@ -10,13 +14,15 @@
 //! `device-scaling`'s five devices, a slow device, a four-thread host, a
 //! slower device whose best route flips when the table is cached, arrays
 //! of 4 and 16 devices, and Q14 and Q1 on a 4-device array. Run with
-//! `--nocapture` to print every cell's regret.
+//! `--nocapture` to print every cell's regret and estimate error.
 
-use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder, SystemConfig};
-use smartssd_exec::spec::ScanAggSpec;
-use smartssd_exec::QueryOp;
-use smartssd_query::{Finalize, OpTemplate, Query};
-use smartssd_storage::expr::{AggSpec, Pred};
+use smartssd::{
+    DeviceKind, Layout, Route, RoutePolicy, RunOptions, System, SystemBuilder, SystemConfig,
+    Workload, WorkloadItem, WorkloadOptions,
+};
+use smartssd_exec::WorkCounts;
+use smartssd_query::Query;
+use smartssd_sim::{ChromeTraceSink, SimTime, TraceLevel};
 use smartssd_storage::{TableBuilder, TableImage};
 use smartssd_workload::synthetic::synthetic_schema;
 use smartssd_workload::{
@@ -26,6 +32,13 @@ use std::sync::{Arc, Mutex};
 
 /// How much slower than the faster route the planned route may be.
 const EPSILON: f64 = 0.05;
+
+/// How far, in percent either way, the planner's estimate of its chosen
+/// route may be from that route's simulated elapsed time. The widest cell
+/// is Q14 on a 4-device array (about -19 %): its build and probe phases
+/// run one after the other, while the estimate overlaps every read with
+/// all of the work.
+const ESTIMATE_BAND: f64 = 20.0;
 
 /// `repro --quick`'s scales and seed.
 const TPCH_SF: f64 = 0.01;
@@ -76,9 +89,15 @@ fn image(name: &'static str, layout: Layout) -> Arc<TableImage> {
     img
 }
 
+/// A system built from `b` with a trace sink attached, so a planned run
+/// traced at `Protocol` level carries the planner's instant.
+fn build(b: SystemBuilder) -> System {
+    b.trace(ChromeTraceSink::new()).build()
+}
+
 /// A cold system built from `b` with `tables` loaded.
 fn system(b: SystemBuilder, tables: Tables) -> System {
-    let mut sys = b.build();
+    let mut sys = build(b);
     let layout = sys.config().layout;
     let names: &[&'static str] = match tables {
         Tables::Tpch => &[queries::LINEITEM, queries::PART],
@@ -104,62 +123,100 @@ fn device(cores: usize, mhz: u64) -> SystemBuilder {
     })
 }
 
-/// The fraction of the operator's input rows its predicate passes,
-/// counted on the host.
-fn true_selectivity(sys: &mut System, query: &Query) -> f64 {
-    let (table, pred) = match &query.op {
-        QueryOp::Scan { table, spec } => (table, &spec.pred),
-        QueryOp::ScanAgg { table, spec } => (table, &spec.pred),
-        QueryOp::GroupAgg { table, spec } => (table, &spec.pred),
-        QueryOp::Join { probe, spec } => (probe, &spec.probe_pred),
-    };
-    let mut count = |pred: Pred| {
-        let q = Query {
-            name: "count".into(),
-            op: OpTemplate::ScanAgg {
-                table: table.clone(),
-                spec: ScanAggSpec {
-                    pred,
-                    aggs: vec![AggSpec::count()],
-                },
-            },
-            finalize: Finalize::AggRow,
-        };
-        let rep = sys.run(&q, RunOptions::routed(Route::Host)).unwrap();
-        rep.result.agg_values[0] as f64
-    };
-    count(pred.clone()) / count(Pred::Const(true))
+/// One cell's run: its route, simulated elapsed time, work receipt, flash
+/// reads on every device and, when the planner traced it, its estimate of
+/// the route it chose.
+struct Cell {
+    route: Route,
+    secs: f64,
+    work: WorkCounts,
+    reads: u64,
+    estimate: Option<f64>,
+}
+
+/// Flash page reads of the last run, summed over every device.
+fn flash_reads(sys: &System) -> u64 {
+    let devices = sys.config().devices;
+    (0..devices)
+        .map(|d| sys.device(d).flash.stats().reads)
+        .sum()
+}
+
+/// The number after `"key":` in a Chrome trace.
+fn trace_arg(json: &str, key: &str) -> Option<f64> {
+    let at = json.find(&format!("\"{key}\":"))? + key.len() + 3;
+    json[at..].split([',', '}']).next()?.parse().ok()
 }
 
 /// Runs one cell's three routes, each on a cleared pool warmed to
 /// `resident` of the input table, and returns a line describing the miss
-/// if the planned route is more than [`EPSILON`] slower than the best.
+/// if the planned route is more than [`EPSILON`] slower than the best, or
+/// its estimate is outside [`ESTIMATE_BAND`].
 fn regret(sys: &mut System, label: &str, query: &Query, resident: f64) -> Option<String> {
-    let sel = true_selectivity(sys, query);
     let input = query.op.tables().next().unwrap().clone();
     let mut run = |opts: RunOptions| {
         sys.clear_cache();
         sys.warm_cache(&input, resident).unwrap();
         let rep = sys.run(query, opts).unwrap();
-        (rep.route, rep.result.elapsed.as_secs_f64())
+        let estimate_of = match rep.route {
+            Route::Device => "device_secs",
+            Route::Host => "host_secs",
+        };
+        Cell {
+            route: rep.route,
+            secs: rep.result.elapsed.as_secs_f64(),
+            work: rep.result.work,
+            reads: flash_reads(sys),
+            estimate: rep
+                .trace
+                .chrome_json()
+                .and_then(|j| trace_arg(j, estimate_of)),
+        }
     };
-    let (_, device) = run(RunOptions::routed(Route::Device));
-    let (_, host) = run(RunOptions::routed(Route::Host));
-    let (route, planned) = run(RunOptions::planned(sel));
-    let forced = match route {
-        Route::Device => device,
-        Route::Host => host,
+    let quiet = |route| RunOptions {
+        verbosity: TraceLevel::Off,
+        ..RunOptions::routed(route)
     };
-    assert_eq!(planned, forced, "{label}: planned run differs from forced");
-    let best = device.min(host);
+    let device = run(quiet(Route::Device));
+    let host = run(quiet(Route::Host));
+    let planned = run(RunOptions {
+        verbosity: TraceLevel::Protocol,
+        ..RunOptions::planned()
+    });
+    let forced = match planned.route {
+        Route::Device => &device,
+        Route::Host => &host,
+    };
+    // The sample is read untimed and uncounted: the planned run is the
+    // forced run of its route.
+    assert_eq!(
+        planned.secs, forced.secs,
+        "{label}: planned run differs from forced"
+    );
+    assert_eq!(
+        planned.work, forced.work,
+        "{label}: planned receipt differs"
+    );
+    assert_eq!(
+        planned.reads, forced.reads,
+        "{label}: planned flash reads differ"
+    );
+    let estimate = planned.estimate.expect("a planned run traces its estimate");
+    let error = (estimate / planned.secs - 1.0) * 100.0;
+    let best = device.secs.min(host.secs);
     let line = format!(
-        "{label}: planned {route:?} {planned:.4} s, device {device:.4} s, host {host:.4} s \
-         (sel {sel:.4}, regret {:.1} %)",
-        (planned / best - 1.0) * 100.0
+        "{label}: planned {:?} {:.4} s, device {:.4} s, host {:.4} s \
+         (regret {:.1} %, estimate {estimate:.4} s, error {error:+.1} %)",
+        planned.route,
+        planned.secs,
+        device.secs,
+        host.secs,
+        (planned.secs / best - 1.0) * 100.0
     );
     // Every cell's line, shown with `--nocapture`.
     println!("{line}");
-    (planned > best * (1.0 + EPSILON)).then_some(line)
+    let missed = planned.secs > best * (1.0 + EPSILON) || error.abs() > ESTIMATE_BAND;
+    missed.then_some(line)
 }
 
 fn assert_no_regret(misses: Vec<Option<String>>) {
@@ -273,7 +330,7 @@ fn arrays() {
     let mut misses = Vec::new();
     for (cores, mhz) in [(2, 400), (1, 200)] {
         for n in [4, 16] {
-            let mut sys = device(cores, mhz).devices(n).build();
+            let mut sys = build(device(cores, mhz).devices(n));
             let rows = tpch::lineitem_rows(TPCH_SF, SEED);
             let schema = tpch::lineitem_schema();
             sys.load_partitioned(queries::LINEITEM, &schema, rows)
@@ -299,7 +356,7 @@ fn arrays() {
 fn array_join_and_group_by() {
     let mut misses = Vec::new();
     for (layout, name) in LAYOUTS {
-        let mut sys = smart(layout).devices(4).build();
+        let mut sys = build(smart(layout).devices(4));
         let rows = tpch::lineitem_rows(TPCH_SF, SEED);
         let schema = tpch::lineitem_schema();
         sys.load_partitioned(queries::LINEITEM, &schema, rows)
@@ -313,4 +370,42 @@ fn array_join_and_group_by() {
         }
     }
     assert_no_regret(misses);
+}
+
+/// A planned stream is the forced stream of its route: the planner's
+/// sample, taken once per run, reads no flash, rides no shared scan and
+/// touches no buffer pool, so every counter and every completion match.
+#[test]
+fn planned_stream_is_invisible() {
+    let mut sys = system(smart(Layout::Pax).shared_scans(true), Tables::Lineitem);
+    let stream = Workload::open_stream(&q6(), 12, SimTime::from_millis(1), SEED);
+    let mut run = |route: RoutePolicy| {
+        let mut w = Workload::new();
+        for item in stream.items() {
+            w.push_item(WorkloadItem {
+                route,
+                ..item.clone()
+            });
+        }
+        sys.clear_cache();
+        sys.run_workload(&w, WorkloadOptions::new()).unwrap()
+    };
+    let planned = run(RoutePolicy::Planned);
+    let forced = run(RoutePolicy::Force(Route::Device));
+    assert!(forced.shared_hits > 0, "the stream shares no scan");
+    let counters = |r: &smartssd::WorkloadReport| {
+        (
+            r.flash_reads,
+            r.shared_hits,
+            r.pool_hits,
+            r.pool_misses,
+            r.makespan,
+        )
+    };
+    assert_eq!(counters(&planned), counters(&forced));
+    assert_eq!(planned.completions.len(), forced.completions.len());
+    for (p, f) in planned.completions.iter().zip(&forced.completions) {
+        assert_eq!(p.route, Route::Device);
+        assert_eq!((p.latency, p.result.work), (f.latency, f.result.work));
+    }
 }

@@ -201,10 +201,10 @@ fn planner_routes_by_residency_end_to_end() {
         "device {device:?}, cold host {host_cold:?}"
     );
     sys.clear_cache();
-    let cold = sys.run(&query, RunOptions::planned(0.01)).unwrap();
+    let cold = sys.run(&query, RunOptions::planned()).unwrap();
     assert_eq!(cold.route, Route::Device);
     sys.warm_cache(SYNTH_S, 1.0).unwrap();
-    let warm = sys.run(&query, RunOptions::planned(0.01)).unwrap();
+    let warm = sys.run(&query, RunOptions::planned()).unwrap();
     assert_eq!(warm.route, Route::Host);
     assert!(
         warm.result.elapsed < device,

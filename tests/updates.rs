@@ -2,9 +2,10 @@
 //! Discussion section: in-place table replacement (with trim of the old
 //! extent), dirty tracking, and the pushdown-forbidden-while-dirty rule.
 
-use smartssd::{DeviceKind, Layout, Route, RunOptions, System, SystemBuilder};
+use smartssd::{DeviceKind, Layout, Route, RunOptions, RunReport, System, SystemBuilder};
 use smartssd_exec::spec::{BuildSide, JoinSpec, ScanAggSpec};
 use smartssd_query::{Finalize, OpTemplate, Query};
+use smartssd_sim::{CounterSink, TraceLevel};
 use smartssd_storage::expr::{AggSpec, Expr, Pred};
 use smartssd_storage::{DataType, Datum, Schema, TableBuilder, Tuple};
 use std::sync::Arc;
@@ -183,6 +184,40 @@ fn dirty_table_forces_host_route() {
         .run(&sum_query(), RunOptions::routed(Route::Device))
         .unwrap();
     assert_eq!(again.route, Route::Device);
+}
+
+/// The stale-data rule comes before any cost: a planned query over a dirty
+/// table goes to the host without running the planner, so its trace holds
+/// no planner instant (and no sample of the stale pages is taken). Once
+/// checkpointed, the same query is planned again.
+#[test]
+fn dirty_table_is_routed_before_the_planner() {
+    let mut sys = SystemBuilder::new(DeviceKind::SmartSsd, Layout::Pax)
+        .trace(CounterSink::new())
+        .build();
+    sys.load_table_rows("t", &schema(), rows(20_000, 1))
+        .unwrap();
+    sys.finish_load();
+    let planned = RunOptions {
+        verbosity: TraceLevel::Protocol,
+        ..RunOptions::planned()
+    };
+    let planner_instants = |rep: &RunReport| {
+        let counters = rep.trace.counters().expect("a counter trace");
+        counters.instant_count("route=Device") + counters.instant_count("route=Host")
+    };
+    sys.mark_dirty("t");
+    let dirty = sys.run(&sum_query(), planned.clone()).unwrap();
+    assert_eq!(dirty.route, Route::Host);
+    assert_eq!(
+        planner_instants(&dirty),
+        0,
+        "the planner ran on a dirty table"
+    );
+    sys.checkpoint("t").unwrap();
+    let clean = sys.run(&sum_query(), planned).unwrap();
+    assert_eq!(clean.route, Route::Device);
+    assert_eq!(planner_instants(&clean), 1);
 }
 
 /// Regression: a table loaded with zero rows has zero pages, so the table
