@@ -826,6 +826,7 @@ impl System {
         let mut site = SampleSite {
             flash: &self.backend.shards()[0].dev.flash,
             streamed: table.lbas(),
+            page: None,
             once: WorkCounts::default(),
             sampled: WorkCounts::default(),
         };
@@ -993,6 +994,8 @@ struct SampleSite<'a> {
     /// The sample's extent of the streamed table: its offset `i` reads the
     /// table's page `i * SAMPLE_STRIDE`.
     streamed: std::ops::Range<u64>,
+    /// The page last read, held while the driver borrows it.
+    page: Option<PageBuf>,
     once: WorkCounts,
     sampled: WorkCounts,
 }
@@ -1006,7 +1009,7 @@ impl OpSite for SampleSite<'_> {
         lba: u64,
         _at: Part,
         _shareable: bool,
-    ) -> Result<(PageBuf, Part), RunError> {
+    ) -> Result<(&PageBuf, Part), RunError> {
         let first = self.streamed.start;
         let (lba, part) = if self.streamed.contains(&lba) {
             (first + (lba - first) * SAMPLE_STRIDE, Part::Streamed)
@@ -1015,7 +1018,7 @@ impl OpSite for SampleSite<'_> {
         };
         let (data, _) = self.flash.peek_page(lba).map_err(IoError::Flash)?;
         let page = PageBuf::from_bytes(data).map_err(IoError::Page)?;
-        Ok((page, part))
+        Ok((self.page.insert(page), part))
     }
 
     fn charge(&mut self, at: Part, work: &WorkCounts) -> Part {

@@ -579,8 +579,9 @@ impl SmartSsd {
 
     /// Reads one page through the internal data path under a single bounded
     /// retry policy covering both uncorrectable errors and checksum
-    /// mismatches (silent ECC escapes), returning the validated page and
-    /// its availability time.
+    /// mismatches (silent ECC escapes), lending the validated page (the
+    /// decode memo's, so a warm read clones nothing) with its availability
+    /// time.
     ///
     /// Every retry is posted at the *failed attempt's completion time* —
     /// an uncorrectable read still occupied the channel/chip until
@@ -589,13 +590,13 @@ impl SmartSsd {
     /// to the run. On budget exhaustion the typed
     /// [`DeviceError::RetriesExhausted`] is returned; there is no panic
     /// path.
-    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), DeviceError> {
+    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(&PageBuf, SimTime), DeviceError> {
         let mut t = now;
         let mut attempts = 0u32;
-        loop {
-            let cause = match self.flash.read(lba, t) {
-                Ok((data, iv)) => match self.page_cache.decode(lba, data) {
-                    Ok(page) => return Ok((page, iv.end)),
+        let arrived = loop {
+            let cause = match self.flash.read_ref(lba, t) {
+                Ok((data, iv)) => match self.page_cache.validate(lba, &data) {
+                    Ok(()) => break iv.end,
                     Err(e) => {
                         // The escape is caught by the page checksum only
                         // after the transfer finished: re-read from iv.end.
@@ -622,7 +623,8 @@ impl SmartSsd {
             }
             attempts += 1;
             self.faults.read_retries += 1;
-        }
+        };
+        Ok((self.page_cache.page(lba).expect("validated above"), arrived))
     }
 
     /// [`Self::read_page`] with shared-scan fan-out: if a concurrent scan
@@ -635,8 +637,8 @@ impl SmartSsd {
         lba: u64,
         now: SimTime,
         owner: u32,
-    ) -> Result<(PageBuf, SimTime), DeviceError> {
-        if let Some(entry) = self.share_cache.get_mut(&lba) {
+    ) -> Result<(&PageBuf, SimTime), DeviceError> {
+        let at = if let Some(entry) = self.share_cache.get_mut(&lba) {
             self.shared_hits += 1;
             if !entry.owners.contains(&owner) {
                 entry.owners.push(owner);
@@ -644,19 +646,19 @@ impl SmartSsd {
             }
             // An in-flight read is joined (available at its completion); a
             // finished one is available immediately.
-            return Ok((entry.page.clone(), entry.ready_at.max(now)));
-        }
-        let (page, at) = self.read_page(lba, now)?;
-        self.share_cache.insert(
-            lba,
-            SharedScanEntry {
+            entry.ready_at.max(now)
+        } else {
+            let (page, ready_at) = self.read_page(lba, now)?;
+            let entry = SharedScanEntry {
                 page: page.clone(),
-                ready_at: at,
+                ready_at,
                 owners: vec![owner],
-            },
-        );
-        self.share_owner_pages.entry(owner).or_default().push(lba);
-        Ok((page, at))
+            };
+            self.share_cache.insert(lba, entry);
+            self.share_owner_pages.entry(owner).or_default().push(lba);
+            ready_at
+        };
+        Ok((&self.share_cache[&lba].page, at))
     }
 }
 
@@ -684,7 +686,7 @@ impl OpSite for DeviceSite<'_> {
         lba: u64,
         at: SimTime,
         shareable: bool,
-    ) -> Result<(PageBuf, SimTime), DeviceError> {
+    ) -> Result<(&PageBuf, SimTime), DeviceError> {
         if shareable && self.dev.cfg.shared_scans {
             self.dev.read_page_shared(lba, at, self.id)
         } else {

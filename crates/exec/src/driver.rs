@@ -8,8 +8,8 @@
 //! much memory an operator may hold, and how large a result batch may grow
 //! before it is cut. Each arm of [`run_op`] is one serial page stream on
 //! one [`ScanScratch`], read by the one table loop here: the site reads and
-//! validates a page, the loop hands it straight to the kernel before the
-//! next is read, so a page leaves memory once, and the kernel's receipts
+//! validates a page and lends it, the loop hands it straight to the kernel
+//! before the next is read, so a page leaves memory once, and the kernel's receipts
 //! are charged afterwards, each at its page's arrival. The parallelism the
 //! figures depend on (flash channels, device cores, host DOP) is modelled
 //! inside the site's timelines, not executed here.
@@ -20,7 +20,7 @@ use crate::spec::{JoinOutput, QueryOp, ScanAggSpec, TableRef};
 use crate::work::WorkCounts;
 use smartssd_storage::expr::AggState;
 use smartssd_storage::{PageBuf, Schema, Tuple};
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Where an operator runs: what [`run_op`] needs from its environment.
@@ -34,16 +34,16 @@ pub trait OpSite {
     /// Why the site refused a read or a memory grant.
     type Error;
 
-    /// Reads the one page at `lba`, issued at `at`, returning it with its
-    /// arrival instant. `shareable` marks a read whose page set does not
-    /// depend on the data (a full scan), which a site may serve from a
-    /// concurrent execution's read of the same page.
+    /// Reads the one page at `lba`, issued at `at`, lending it with its
+    /// arrival instant until the site is next used. `shareable` marks a
+    /// read whose page set does not depend on the data (a full scan), which
+    /// a site may serve from a concurrent execution's read of the same page.
     fn read_page(
         &mut self,
         lba: u64,
         at: Self::Instant,
         shareable: bool,
-    ) -> Result<(PageBuf, Self::Instant), Self::Error>;
+    ) -> Result<(&PageBuf, Self::Instant), Self::Error>;
 
     /// Executes `work` on the site's processor, no earlier than `at`, and
     /// returns the instant it completes.
@@ -248,9 +248,11 @@ impl<I: Copy> Run<'_, I> {
 }
 
 /// Streams the pages of `table` in LBA order, each read through
-/// [`OpSite::read_page`] issued at `at`, and hands each to `consume` (with
-/// the site, for grant checks) before the next is read. A `Break` from
-/// `consume` ends the stream; no later page is read. Appends the arrival
+/// [`OpSite::read_page`] issued at `at`, and hands each to `consume` before
+/// the next is read. `consume` returns the bytes an operator under a memory
+/// grant now holds, which [`OpSite::check_grant`] checks once the page's
+/// loan ends; a refusal ends the stream (no later page is read) and is
+/// returned, the stream itself having succeeded. Appends the arrival
 /// instant of every page consumed to `arrivals`, in order.
 fn read_table<S: OpSite>(
     site: &mut S,
@@ -258,16 +260,16 @@ fn read_table<S: OpSite>(
     at: S::Instant,
     shareable: bool,
     arrivals: &mut Vec<S::Instant>,
-    mut consume: impl FnMut(&mut S, &PageBuf) -> ControlFlow<()>,
-) -> Result<(), S::Error> {
+    mut consume: impl FnMut(&PageBuf) -> Option<u64>,
+) -> Result<Option<S::Error>, S::Error> {
     for lba in table.lbas() {
         let (page, arrived) = site.read_page(lba, at, shareable)?;
         arrivals.push(arrived);
-        if consume(site, &page).is_break() {
-            break;
+        if let Some(Err(refused)) = consume(page).map(|resident| site.check_grant(resident)) {
+            return Ok(Some(refused));
         }
     }
-    Ok(())
+    Ok(None)
 }
 
 /// Executes `op` (already validated) on `site`, starting at `now`.
@@ -300,10 +302,10 @@ pub fn run_op<S: OpSite>(
             let schema = &table.schema;
             let row_bytes = spec.row_bytes(schema);
             let mut rows = Vec::new();
-            read_table(site, table, now, true, arrivals, |_, page| {
+            read_table(site, table, now, true, arrivals, |page| {
                 run.kernel(|w| scratch.scan_page(page, schema, spec, &mut rows, w));
                 run.cut_if_full(&mut rows, row_bytes, cut_bytes);
-                ControlFlow::Continue(())
+                None
             })?;
             run.charge(site, arrivals);
             (rows, None, row_bytes)
@@ -312,28 +314,21 @@ pub fn run_op<S: OpSite>(
             let mut states: Vec<AggState> =
                 spec.aggs.iter().map(|a| AggState::new(a.func)).collect();
             run.memo.key(table, spec);
-            read_table(site, table, now, true, arrivals, |_, page| {
+            read_table(site, table, now, true, arrivals, |page| {
                 run.scan_agg(scratch, page, &mut states);
-                ControlFlow::Continue(())
+                None
             })?;
             run.charge(site, arrivals);
             (Vec::new(), Some(states), 0)
         }
         QueryOp::GroupAgg { table, spec } => {
             let mut acc = GroupTable::new();
-            let mut refused = None;
-            read_table(site, table, now, false, arrivals, |site, page| {
+            // The group table lives in the execution's memory grant: a
+            // high-cardinality grouping aborts mid-scan, exactly when the
+            // site runs out.
+            let refused = read_table(site, table, now, false, arrivals, |page| {
                 run.kernel(|w| scratch.scan_group_agg_page(page, &table.schema, spec, &mut acc, w));
-                // The group table lives in the execution's memory grant: a
-                // high-cardinality grouping aborts mid-scan, exactly when
-                // the site runs out.
-                match site.check_grant(group_table_memory_bytes(&acc, spec.aggs.len())) {
-                    Ok(()) => ControlFlow::Continue(()),
-                    Err(e) => {
-                        refused = Some(e);
-                        ControlFlow::Break(())
-                    }
-                }
+                Some(group_table_memory_bytes(&acc, spec.aggs.len()))
             })?;
             run.charge(site, arrivals);
             if let Some(e) = refused {
@@ -347,9 +342,9 @@ pub fn run_op<S: OpSite>(
             // Build phase (Figures 4 and 6): read the small table and build
             // the hash table once its last page has arrived.
             let mut build = Vec::new();
-            read_table(site, &spec.build.table, now, false, arrivals, |_, page| {
+            read_table(site, &spec.build.table, now, false, arrivals, |page| {
                 build.push(page.clone());
-                ControlFlow::Continue(())
+                None
             })?;
             let build_ready = arrivals.drain(..).fold(now, |t, at| t.max(at));
             arrivals.push(build_ready);
@@ -367,10 +362,10 @@ pub fn run_op<S: OpSite>(
                 JoinOutput::Aggregate(_) => 0,
             };
             let mut sink = JoinSink::new(spec);
-            read_table(site, probe, run.done, false, arrivals, |_, page| {
+            read_table(site, probe, run.done, false, arrivals, |page| {
                 run.kernel(|w| probe_page(page, &probe.schema, spec, &ht, &joined, &mut sink, w));
                 run.cut_if_full(&mut sink.rows, row_bytes, cut_bytes);
-                ControlFlow::Continue(())
+                None
             })?;
             run.charge(site, arrivals);
             let aggregates = matches!(spec.output, JoinOutput::Aggregate(_));

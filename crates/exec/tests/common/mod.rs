@@ -97,11 +97,16 @@ impl OpSite for RecordingSite {
     type Instant = u64;
     type Error = Refused;
 
-    fn read_page(&mut self, lba: u64, at: u64, shareable: bool) -> Result<(PageBuf, u64), Refused> {
+    fn read_page(
+        &mut self,
+        lba: u64,
+        at: u64,
+        shareable: bool,
+    ) -> Result<(&PageBuf, u64), Refused> {
         self.calls.push(Call::ReadPage { lba, at, shareable });
         let page = self.pages.get(&lba).ok_or(Refused::Unmapped(lba))?;
         self.channel_free = self.channel_free.max(at) + READ_TICKS;
-        Ok((page.clone(), self.channel_free))
+        Ok((page, self.channel_free))
     }
 
     fn charge(&mut self, at: u64, work: &WorkCounts) -> u64 {

@@ -177,12 +177,12 @@ impl NandArray {
         Ok(())
     }
 
-    /// Reads a valid page's payload. A stale page's payload is gone
+    /// Lends a valid page's payload. A stale page's payload is gone
     /// ([`NandError::ReadStale`]); a free one never held any
     /// ([`NandError::ReadUnwritten`]).
-    pub fn read(&self, ppa: Ppa) -> Result<Bytes, NandError> {
+    pub fn read(&self, ppa: Ppa) -> Result<&Bytes, NandError> {
         let page = self.page(ppa)?.ok_or(NandError::ReadUnwritten(ppa))?;
-        page.data.clone().ok_or(NandError::ReadStale(ppa))
+        page.data.as_ref().ok_or(NandError::ReadStale(ppa))
     }
 
     /// Marks a page stale (its LBA was overwritten or trimmed) and drops
@@ -272,7 +272,7 @@ mod tests {
             page: 0,
         };
         a.program(ppa, 42, page_data(&cfg, 0xAB)).unwrap();
-        assert_eq!(a.read(ppa).unwrap(), page_data(&cfg, 0xAB));
+        assert_eq!(*a.read(ppa).unwrap(), page_data(&cfg, 0xAB));
         assert_eq!(a.owner(ppa), Some(42));
     }
 
@@ -309,7 +309,7 @@ mod tests {
         ));
         a.erase(1, 1, 3).unwrap();
         a.program(p, 2, page_data(&cfg, 2)).unwrap();
-        assert_eq!(a.read(p).unwrap(), page_data(&cfg, 2));
+        assert_eq!(*a.read(p).unwrap(), page_data(&cfg, 2));
         assert_eq!(a.block(1, 1, 3).erase_count(), 1);
     }
 

@@ -11,6 +11,7 @@ use crate::nand::{NandArray, NandError};
 use crate::timing::FlashTiming;
 use bytes::Bytes;
 use smartssd_sim::{Interval, SimTime};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors surfaced by the block interface.
@@ -227,7 +228,22 @@ impl FlashSsd {
 
     /// Reads one logical page: returns the payload and the simulated
     /// interval from issue to the page being available in device DRAM.
+    /// [`Self::read_ref`] with the payload cloned out.
     pub fn read(&mut self, lba: u64, now: SimTime) -> Result<(Bytes, Interval), FlashError> {
+        let (data, iv) = self.read_ref(lba, now)?;
+        Ok((data.into_owned(), iv))
+    }
+
+    /// Reads one logical page, lending the stored payload: a clean read
+    /// borrows the array's own buffer, so it costs no reference-count
+    /// traffic, and only an injected ECC escape hands back a flipped copy,
+    /// owned. Returns the simulated interval from issue to the page being
+    /// available in device DRAM.
+    pub fn read_ref(
+        &mut self,
+        lba: u64,
+        now: SimTime,
+    ) -> Result<(Cow<'_, Bytes>, Interval), FlashError> {
         if lba >= self.ftl.logical_pages() {
             return Err(FlashError::LbaOutOfRange(lba));
         }
@@ -291,10 +307,10 @@ impl FlashSsd {
                 let mut bad = data.to_vec();
                 let idx = bad.len() / 2;
                 bad[idx] ^= 0x01;
-                return Ok((Bytes::from(bad), iv));
+                return Ok((Cow::Owned(Bytes::from(bad)), iv));
             }
         }
-        Ok((data, iv))
+        Ok((Cow::Borrowed(data), iv))
     }
 
     /// Looks up and fetches one page's payload as stored, **without**
@@ -307,7 +323,7 @@ impl FlashSsd {
             return Err(FlashError::LbaOutOfRange(lba));
         }
         let ppa = self.ftl.lookup(lba).ok_or(FlashError::Unmapped(lba))?;
-        let data = self.nand.read(ppa)?;
+        let data = self.nand.read(ppa)?.clone();
         Ok((data, (ppa.channel, ppa.chip)))
     }
 
@@ -360,7 +376,7 @@ impl FlashSsd {
                     block: victim,
                     page,
                 };
-                let data = self.nand.read(src)?;
+                let data = self.nand.read(src)?.clone();
                 t = self.timing.read_page(ch, chip, t).end;
                 let dst = self
                     .ftl

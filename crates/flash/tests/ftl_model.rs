@@ -94,7 +94,7 @@ fn check_block(
             Some((tag, owner, live)) => {
                 // A stale page keeps its owner but not its payload.
                 if live {
-                    prop_assert_eq!(nand.read(ppa), Ok(payload(cfg, tag)));
+                    prop_assert_eq!(nand.read(ppa), Ok(&payload(cfg, tag)));
                     valid.push((p as u32, owner));
                 } else {
                     prop_assert_eq!(nand.read(ppa), Err(NandError::ReadStale(ppa)));

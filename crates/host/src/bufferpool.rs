@@ -69,19 +69,33 @@ impl BufferPool {
         self.misses
     }
 
-    /// Looks up a page, marking it recently used.
-    pub fn get(&mut self, lba: u64) -> Option<PageBuf> {
+    /// Looks up a page, marking it recently used, and lends it.
+    pub fn get(&mut self, lba: u64) -> Option<&PageBuf> {
+        let frame = self.hit(lba)?;
+        Some(self.frame(frame))
+    }
+
+    /// Counts a lookup of `lba` as a hit or a miss and, on a hit, marks
+    /// its frame recently used and returns the frame's index. A reader
+    /// that may go on to insert on a miss looks up here, so its hit's loan
+    /// ([`Self::frame`]) starts only on the path that returns it.
+    pub(crate) fn hit(&mut self, lba: u64) -> Option<usize> {
         match self.map.get(&lba) {
             Some(&idx) => {
                 self.hits += 1;
                 self.frames[idx].referenced = true;
-                Some(self.frames[idx].page.clone())
+                Some(idx)
             }
             None => {
                 self.misses += 1;
                 None
             }
         }
+    }
+
+    /// The page resident in frame `idx`.
+    pub(crate) fn frame(&self, idx: usize) -> &PageBuf {
+        &self.frames[idx].page
     }
 
     /// Whether a page is resident, without touching hit statistics or

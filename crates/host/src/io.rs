@@ -66,9 +66,10 @@ impl std::error::Error for IoError {}
 
 /// A stream of pages with simulated availability times.
 pub trait PageSource {
-    /// Reads one page; returns the page and the simulated time at which it
-    /// is available to the consumer.
-    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError>;
+    /// Reads one page; lends the page (the pool's or the decode memo's, so
+    /// a warm read clones nothing) with the simulated time at which it is
+    /// available to the consumer.
+    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(&PageBuf, SimTime), IoError>;
 }
 
 /// I/O-command batching state: tracks whether the next page continues the
@@ -141,7 +142,7 @@ impl SsdHostPath {
 }
 
 impl PageSource for SsdHostPath {
-    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError> {
+    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(&PageBuf, SimTime), IoError> {
         LinkedFlashView {
             ssd: &mut self.ssd,
             link: &mut self.link,
@@ -151,7 +152,7 @@ impl PageSource for SsdHostPath {
             faults: &mut self.faults,
             page_cache: &mut self.page_cache,
         }
-        .read_page(lba, now)
+        .lend(lba, now)
     }
 }
 
@@ -176,8 +177,26 @@ pub struct LinkedFlashView<'a> {
 }
 
 impl PageSource for LinkedFlashView<'_> {
+    /// The view's read loop, run on a view reborrowed from this one.
+    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(&PageBuf, SimTime), IoError> {
+        LinkedFlashView {
+            ssd: self.ssd,
+            link: self.link,
+            pool: self.pool,
+            cmd: self.cmd,
+            cmd_latency_ns: self.cmd_latency_ns,
+            faults: self.faults,
+            page_cache: self.page_cache,
+        }
+        .lend(lba, now)
+    }
+}
+
+impl<'a> LinkedFlashView<'a> {
     /// Pool hit, flash read under a bounded transparent retry policy,
-    /// interface transfer with batched command setup, pool insert.
+    /// interface transfer with batched command setup, pool insert; the page
+    /// is lent for as long as the view's parts are borrowed, the pool's on
+    /// a hit and the decode memo's otherwise.
     ///
     /// Retries cover both uncorrectable device errors and checksum
     /// mismatches after transfer (silent corruption that escaped the device
@@ -186,14 +205,14 @@ impl PageSource for LinkedFlashView<'_> {
     /// device until `failed_at`, and a checksum mismatch is only seen once
     /// the page crossed the link — so recovery latency is charged to the
     /// run.
-    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError> {
-        if let Some(page) = self.pool.get(lba) {
-            return Ok((page, now));
+    fn lend(self, lba: u64, now: SimTime) -> Result<(&'a PageBuf, SimTime), IoError> {
+        if let Some(frame) = self.pool.hit(lba) {
+            return Ok((self.pool.frame(frame), now));
         }
         let mut t = now;
         let mut attempts = 0u32;
-        loop {
-            let cause = match self.ssd.read(lba, t) {
+        let arrived = loop {
+            let cause = match self.ssd.read_ref(lba, t) {
                 Ok((data, iv)) => {
                     let setup = self.cmd.setup_ns(lba, self.cmd_latency_ns);
                     let link_iv = self
@@ -203,11 +222,8 @@ impl PageSource for LinkedFlashView<'_> {
                     // LBA skip re-walking the 8 KB checksum; a rewritten or
                     // corrupt buffer misses the memo and is validated for
                     // real.
-                    match self.page_cache.decode(lba, data) {
-                        Ok(page) => {
-                            self.pool.insert(lba, page.clone());
-                            return Ok((page, link_iv.end));
-                        }
+                    match self.page_cache.validate(lba, &data) {
+                        Ok(()) => break link_iv.end,
                         Err(e) => {
                             // The DBMS checksum catches the escape only
                             // after the transfer: re-read from the link
@@ -235,7 +251,10 @@ impl PageSource for LinkedFlashView<'_> {
             }
             attempts += 1;
             self.faults.read_retries += 1;
-        }
+        };
+        let page = self.page_cache.page(lba).expect("validated above");
+        self.pool.insert(lba, page.clone());
+        Ok((page, arrived))
     }
 }
 
@@ -268,12 +287,15 @@ impl HddHostPath {
 }
 
 impl PageSource for HddHostPath {
-    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(PageBuf, SimTime), IoError> {
-        if let Some(page) = self.pool.get(lba) {
-            return Ok((page, now));
+    fn read_page(&mut self, lba: u64, now: SimTime) -> Result<(&PageBuf, SimTime), IoError> {
+        if let Some(frame) = self.pool.hit(lba) {
+            return Ok((self.pool.frame(frame), now));
         }
         let (data, iv) = self.hdd.read(lba, now).ok_or(IoError::HddUnmapped(lba))?;
-        let page = self.page_cache.decode(lba, data).map_err(IoError::Page)?;
+        self.page_cache
+            .validate(lba, &data)
+            .map_err(IoError::Page)?;
+        let page = self.page_cache.page(lba).expect("validated above");
         self.pool.insert(lba, page.clone());
         Ok((page, iv.end))
     }

@@ -126,7 +126,7 @@ impl<S: PageSource> OpSite for HostSite<'_, S> {
         lba: u64,
         at: SimTime,
         _shareable: bool,
-    ) -> Result<(PageBuf, SimTime), EngineError> {
+    ) -> Result<(&PageBuf, SimTime), EngineError> {
         Ok(self.source.read_page(lba, at)?)
     }
 

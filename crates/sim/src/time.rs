@@ -137,21 +137,36 @@ impl fmt::Display for SimTime {
 }
 
 /// Computes the service time, in nanoseconds, for moving `bytes` over a link
-/// of `bytes_per_sec` bandwidth. Uses 128-bit intermediates so multi-gigabyte
-/// transfers cannot overflow.
+/// of `bytes_per_sec` bandwidth, rounded up.
 #[inline]
 pub fn transfer_ns(bytes: u64, bytes_per_sec: u64) -> u64 {
     assert!(bytes_per_sec > 0, "bandwidth must be positive");
-    let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-    u64::try_from(ns).unwrap_or(u64::MAX)
+    ns_at_rate(bytes, bytes_per_sec)
 }
 
 /// Computes the service time, in nanoseconds, for `cycles` CPU cycles at
-/// `hz` clock frequency.
+/// `hz` clock frequency, rounded up.
 #[inline]
 pub fn cycles_ns(cycles: u64, hz: u64) -> u64 {
     assert!(hz > 0, "clock frequency must be positive");
-    let ns = (cycles as u128 * 1_000_000_000u128).div_ceil(hz as u128);
+    ns_at_rate(cycles, hz)
+}
+
+/// `ceil(x * 10^9 / per_sec)`, saturated at `u64::MAX`. When `x * 10^9`
+/// fits in 64 bits (every page, command and receipt the model charges) the
+/// division is a 64-bit one; otherwise the 128-bit formula gives the same
+/// result for multi-gigabyte transfers.
+#[inline]
+fn ns_at_rate(x: u64, per_sec: u64) -> u64 {
+    match x.checked_mul(1_000_000_000) {
+        Some(n) => n.div_ceil(per_sec),
+        None => wide_ns_at_rate(x, per_sec),
+    }
+}
+
+#[cold]
+fn wide_ns_at_rate(x: u64, per_sec: u64) -> u64 {
+    let ns = (x as u128 * 1_000_000_000u128).div_ceil(per_sec as u128);
     u64::try_from(ns).unwrap_or(u64::MAX)
 }
 

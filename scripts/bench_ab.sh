@@ -31,6 +31,14 @@ dir="${BENCH_AB_DIR:-${TMPDIR:-/tmp}/bench_ab}"
 
 rm -rf "$dir/a" "$dir/b"
 mkdir -p "$dir/a" "$dir/b" "$dir/out"
+# `git archive` stamps every file with the commit's time, which can be
+# older than a target built earlier from another revision, and cargo would
+# keep that build: side a's target is dropped whenever its revision changes.
+commit="$(git -C "$root" rev-parse "$rev^{commit}")"
+if [ "$(cat "$dir/a.rev" 2>/dev/null)" != "$commit" ]; then
+    rm -rf "$dir/a.target"
+    echo "$commit" >"$dir/a.rev"
+fi
 git -C "$root" archive "$rev" | tar -x -C "$dir/a"
 git -C "$root" ls-files -z --cached --others --exclude-standard |
     (cd "$root" && tar --null -T - -c) | tar -x -C "$dir/b"

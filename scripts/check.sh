@@ -76,16 +76,16 @@ echo "== one flash host path (crates/core/src reads no flash itself, one flash r
 if awk '
     FNR == 1 { tests = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
-    !tests && $1 !~ /^\/\// && /SsdHostPath|flash\.read\(/ { print FILENAME ":" FNR ": " $0; n++ }
+    !tests && $1 !~ /^\/\// && /SsdHostPath|flash\.read(_ref)?\(/ { print FILENAME ":" FNR ": " $0; n++ }
     END { exit !n }' $(find crates/core/src -name '*.rs'); then
     echo "crates/core/src reads flash around the block path (see above); read through Shard::host_view" >&2
     exit 1
 fi
 reads=$(awk '
     /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
-    !tests && $1 !~ /^\/\// && /ssd\.read\(/ { n++ }
+    !tests && $1 !~ /^\/\// && /ssd\.read(_ref)?\(/ { n++ }
     END { print n + 0 }' crates/host/src/io.rs)
-printf '%-16s %d\n' 'ssd.read(' "${reads}"
+printf '%-16s %d\n' 'ssd.read[_ref](' "${reads}"
 [[ "${reads}" -eq 1 ]]
 
 # One table read loop: the operator driver's private read_table in

@@ -360,6 +360,37 @@ fn saturated_escapes_are_all_detected_on_both_routes() {
     }
 }
 
+/// A warm read lends the page its decode memo validated, and nothing else:
+/// with ECC escapes injected on LBAs whose clean pages are already
+/// memoized (the device's memo, and the host route's behind an emptied
+/// pool), every warm run's answer is the clean system's and its escapes are
+/// caught and re-read.
+#[test]
+fn warm_reads_lend_only_validated_pages_on_both_routes() {
+    let faulty = FlashConfig {
+        silent_corruption_rate: u32::MAX / 4,
+        ..FlashConfig::default()
+    };
+    for route in [Route::Device, Route::Host] {
+        let mut clean = faulty_system(FlashConfig::default(), |_| {});
+        let mut sys = faulty_system(faulty.clone(), |_| {});
+        for rep in 0..4 {
+            let want = clean.run(&sum_query(), RunOptions::routed(route)).unwrap();
+            let got = sys.run(&sum_query(), RunOptions::routed(route)).unwrap();
+            assert_eq!(got.route, route);
+            assert_eq!(got.result.rows, want.result.rows, "{route:?} run {rep}");
+            assert_eq!(got.result.agg_values, want.result.agg_values);
+            assert_eq!(got.result.agg_values[0], expected_sum());
+            assert!(
+                got.faults.escapes_detected > 0,
+                "{route:?} run {rep}: no escape reached validation"
+            );
+            clean.clear_cache();
+            sys.clear_cache();
+        }
+    }
+}
+
 /// The keys of a flat JSON object, in order.
 fn json_keys(json: &str) -> Vec<&str> {
     json.split('"').skip(1).step_by(2).collect()
