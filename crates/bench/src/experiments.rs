@@ -21,6 +21,7 @@ use smartssd_workload::{
     join_query, q1, q14, q6, queries, synthetic::synthetic_schema, synthetic64_r, synthetic64_s,
     tpch,
 };
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// What an experiment is handed: the scales `--quick` selects, the raw
@@ -238,6 +239,13 @@ fn slice(rows: u64, seed: u64) -> Scales {
 
 fn secs(r: &RunReport) -> f64 {
     r.result.elapsed.as_secs_f64()
+}
+
+/// The busiest component of a run and its utilization, from its counters.
+fn bound(r: &RunReport) -> String {
+    r.util
+        .bottleneck()
+        .map_or_else(|| "-".into(), |(name, util)| format!("{name} {util:.2}"))
 }
 
 fn ms(t: SimTime) -> f64 {
@@ -550,7 +558,8 @@ fn tpch_fleet(n: usize, s: &Scales, breaker: bool) -> Result<System, RunError> {
 /// caps the deepest fan-out. Then Figure 7's Q14 and Q1 on the same
 /// arrays, with PART loaded whole on every device: each device builds
 /// Q14's hash table on all of PART and probes its LINEITEM share, and Q1's
-/// group rows are folded by key on the host.
+/// group rows are folded by key on the host. Each of those rows names its
+/// run's bottleneck, metered on the first device.
 fn array(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
         col("  devices", "  {:>7}"),
@@ -561,8 +570,10 @@ fn array(c: &Ctx) -> Result<Report, RunError> {
         col("  devices", "  {:>7}"),
         col("     Q14[s]", "   {:>8.6}"),
         col("   speedup", "   {:>6.2}x"),
+        col("   Q14 bound          ", "   {:<19}"),
         col("      Q1[s]", "   {:>8.6}"),
         col("   speedup", "   {:>6.2}x"),
+        col("   Q1 bound", "   {}"),
     ];
     let device = || RunOptions::routed(Route::Device);
     let (mut rows, mut fig7) = (Vec::new(), Vec::new());
@@ -574,10 +585,18 @@ fn array(c: &Ctx) -> Result<Report, RunError> {
         let part = image(Table::Part, Layout::Pax, &c.scales);
         fleet.load_table(Table::Part.name(), &part)?;
         fleet.finish_load();
-        let t14 = fleet.run(&q14(), device())?.result.elapsed.as_secs_f64();
-        let t1 = fleet.run(&q1(), device())?.result.elapsed.as_secs_f64();
+        let (r14, r1) = (fleet.run(&q14(), device())?, fleet.run(&q1(), device())?);
+        let (t14, t1) = (secs(&r14), secs(&r1));
         let (b14, b1) = (*base14.get_or_insert(t14), *base1.get_or_insert(t1));
-        fig7.push(row![n, t14, b14 / t14, t1, b1 / t1]);
+        fig7.push(row![
+            n,
+            t14,
+            b14 / t14,
+            bound(&r14),
+            t1,
+            b1 / t1,
+            bound(&r1)
+        ]);
     }
     let mut r = Report::new("Discussion: Q6 across an array of Smart SSDs");
     r.table("", COLS, rows);
@@ -613,130 +632,97 @@ fn cache(c: &Ctx) -> Result<Report, RunError> {
     Ok(r)
 }
 
-/// Section 5's hardware roadmap: "The next step must be to add in more
-/// hardware (CPU, SRAM and DRAM) ... crucial to achieve the 10X or more
-/// benefit that Smart SSDs have the potential of providing."
-///
-/// Sweeps device CPU and the internal data path while the SSD baseline
-/// stays fixed: more cores alone saturate at the internal-bandwidth bound;
-/// the 10x regime needs both.
-fn device_scaling(c: &Ctx) -> Result<Report, RunError> {
-    const COLS: &[Col] = &[
-        col("  config              ", "  {:<20}"),
+/// Section 5's device profiles: (label, cores, MHz, flash channels, channel
+/// MB/s, DRAM-bus MB/s). The first is the paper's prototype.
+const PROFILES: [(&str, usize, u64, usize, u64, u64); 5] = [
+    ("paper prototype", 2, 400, 8, 400, 1_600),
+    ("more cores", 8, 400, 8, 400, 1_600),
+    ("faster cores", 8, 1_000, 8, 400, 1_600),
+    ("wider internal path", 8, 1_000, 16, 800, 6_400),
+    ("projected device", 16, 1_600, 32, 800, 12_800),
+];
+
+/// One machine of the co-design grid: (Smart SSD, device profile as an
+/// index into [`PROFILES`], host interface, host scan DOP).
+type Bed = (bool, usize, InterfaceKind, usize);
+
+/// The Smart SSD (PAX) or the SAS SSD (NSM) of `bed`. The grid keys every
+/// SAS SSD on the paper's profile, so its device stays the paper's.
+fn bed((smart_ssd, profile, interface, dop): Bed) -> SystemBuilder {
+    let (_, cores, mhz, channels, ch_mbps, dram_mbps) = PROFILES[profile];
+    let b = if smart_ssd { smart() } else { ssd() };
+    b.interface(interface).host_dop(dop).tweak(|cfg| {
+        cfg.smart.cpu_cores = cores;
+        cfg.smart.cpu_hz = mhz * 1_000_000;
+        cfg.flash.channels = channels;
+        cfg.flash.channel_bw = ch_mbps * 1_000_000;
+        cfg.flash.dram_bw = dram_mbps * 1_000_000;
+    })
+}
+
+/// Section 5's what-ifs as one grid. The paper: more device hardware is
+/// "absolutely crucial to achieve the 10X or more benefit"; Section 3's
+/// protocol "could be extended for PCIe"; its host baseline scans on one
+/// thread. Each row moves one axis off the paper's test bed (device
+/// profile, interface generation, host DOP) and runs Q6, the Figure 5 join
+/// at 1 % and Q14 cold on the SAS SSD at the row's interface and DOP, and
+/// on the Smart SSD at the row's profile, interface and DOP. Each route's
+/// bound is its run's busiest component.
+fn codesign(c: &Ctx) -> Result<Report, RunError> {
+    use InterfaceKind::{PcieGen2x4, PcieGen3x4, Sas12, Sas3, Sas6};
+    const PROFILE_COLS: &[Col] = &[
+        col("  profile              ", "  {:<20}"),
         col("  cores", " {:>6}"),
         col("   MHz", "  {:>4}"),
         col("   internal[MB/s]", "   {:>13}"),
-        col("   smart[s]", "   {:>8.3}"),
-        col("   speedup", "   {:>6.2}x"),
     ];
-    // Fixed baseline: the paper's regular SSD, host execution.
-    let base = secs(&cold_run(ssd(), Tables::Tpch, &c.scales, &q6())?);
-    // (label, cores, MHz, channels, channel MB/s, dram MB/s)
-    let configs: [(&str, usize, u64, usize, u64, u64); 5] = [
-        ("paper prototype", 2, 400, 8, 400, 1_600),
-        ("more cores", 8, 400, 8, 400, 1_600),
-        ("faster cores", 8, 1_000, 8, 400, 1_600),
-        ("wider internal path", 8, 1_000, 16, 800, 6_400),
-        ("projected device", 16, 1_600, 32, 800, 12_800),
-    ];
-    let mut rows = Vec::new();
-    for (label, cores, mhz, channels, ch_mbps, dram_mbps) in configs {
-        let b = smart().tweak(|cfg| {
-            cfg.smart.cpu_cores = cores;
-            cfg.smart.cpu_hz = mhz * 1_000_000;
-            cfg.flash.channels = channels;
-            cfg.flash.channel_bw = ch_mbps * 1_000_000;
-            cfg.flash.dram_bw = dram_mbps * 1_000_000;
-        });
-        let t = secs(&cold_run(b, Tables::Lineitem, &c.scales, &q6())?);
-        rows.push(row![label, cores, mhz, dram_mbps, t, base / t]);
-    }
-    let mut r = Report::new("Section 5: device hardware scaling (Q6, vs fixed SAS SSD baseline)");
-    r.table("", COLS, rows);
-    r.note("  (the paper: more device hardware is \"absolutely crucial to achieve");
-    r.note("   the 10X or more benefit\" promised by Figure 1)");
-    Ok(r)
-}
-
-/// Section 3 notes the protocol "could be extended for PCIe"; Figure 1's
-/// whole premise is that the host interface keeps falling behind. This
-/// sweep runs the Figure 5 join (1% selectivity, host path I/O-bound) on
-/// successive interface generations: pushdown's advantage shrinks as the
-/// pipe widens and inverts once the interface outruns the device's
-/// internal path.
-fn interface(c: &Ctx) -> Result<Report, RunError> {
     const COLS: &[Col] = &[
-        col("  interface   ", "  {:<12}"),
-        col("   SSD[s]", " {:>8.3}"),
+        col("  axis       ", "  {:<11}"),
+        col("setting             ", "{:<20}"),
+        col("  SSD[s]", "{:>8.3}"),
         col("   SmartSSD[s]", "   {:>11.3}"),
         col("   speedup", "   {:>6.2}x"),
+        col("   SSD bound           ", "   {:<20}"),
+        col("   SmartSSD bound", "   {}"),
     ];
-    let query = join_query(0.01);
-    let mut rows = Vec::new();
-    for interface in [
-        InterfaceKind::Sas3,
-        InterfaceKind::Sas6,
-        InterfaceKind::Sas12,
-        InterfaceKind::PcieGen2x4,
-        InterfaceKind::PcieGen3x4,
+    let devices = PROFILES.iter().enumerate();
+    let devices = devices.map(|(i, p)| ("device", p.0.to_string(), (true, i, Sas6, 1)));
+    let links = [Sas3, Sas6, Sas12, PcieGen2x4, PcieGen3x4];
+    let links = links.map(|i| ("interface", format!("{i:?}"), (true, 0, i, 1)));
+    let dops = [1, 2, 4, 8].map(|dop| ("host DOP", dop.to_string(), (true, 0, Sas6, dop)));
+    let axes: Vec<(&str, String, Bed)> = devices.chain(links).chain(dops).collect();
+    let mut r = Report::new("Section 5 co-design grid: one axis off the paper's test bed per row");
+    let profiles = PROFILES.map(|(p, cores, mhz, .., dram)| row![p, cores, mhz, dram]);
+    r.table("", PROFILE_COLS, profiles.into());
+    let q6 = q6();
+    for (query, tables) in [
+        (&q6, Tables::Lineitem),
+        (&join_query(0.01), Tables::Synth),
+        (&q14(), Tables::Tpch),
     ] {
-        let time = |b: SystemBuilder| {
-            cold_run(b.interface(interface), Tables::Synth, &c.scales, &query).map(|r| secs(&r))
-        };
-        let (host, device) = (time(ssd())?, time(smart())?);
-        rows.push(row![format!("{interface:?}"), host, device, host / device]);
+        let (mut runs, mut rows) = (HashMap::new(), Vec::new());
+        for (axis, setting, dev) in &axes {
+            let host = (false, 0, dev.2, dev.3);
+            for key in [host, *dev] {
+                if let Entry::Vacant(run) = runs.entry(key) {
+                    let rep = cold_run(bed(key), tables, &c.scales, query)?;
+                    run.insert((secs(&rep), bound(&rep)));
+                }
+            }
+            let ((h, hb), (d, db)) = (runs[&host].clone(), runs[dev].clone());
+            rows.push(row![*axis, setting.clone(), h, d, h / d, hb, db]);
+        }
+        let tenx = rows[..PROFILES.len()].iter().find(|r| r[4].num() >= 10.0);
+        let tenx = tenx.filter(|_| query.name == q6.name).map(|row| {
+            let (profile, x) = (row[1].text(), row[4].num());
+            format!("  Q6 first reaches the 10X on \"{profile}\" ({x:.2}x)")
+        });
+        r.note(format!("{}:", query.name));
+        r.table("", COLS, rows);
+        if let Some(line) = tenx {
+            r.note(line);
+        }
     }
-    let mut r = Report::new("Section 3/5: pushdown benefit vs host interface generation");
-    r.note("  (join @1% selectivity; the host path is I/O-bound on SAS, so each");
-    r.note("   faster pipe shrinks pushdown's advantage until the host CPU becomes");
-    r.note("   the next bottleneck and the curve flattens)");
-    r.table("", COLS, rows);
-    Ok(r)
-}
-
-/// N simultaneous Q6 pushdown sessions under device-only timing: a
-/// [`Workload::burst`] with the interface taken out of the picture, so the
-/// curve isolates device-internal contention (embedded CPU and flash
-/// path), with scan sharing on or off, on a device of `cores` at `mhz`.
-fn q6_burst(
-    s: &Scales,
-    n: usize,
-    shared: bool,
-    (cores, mhz): (usize, u64),
-) -> Result<WorkloadReport, RunError> {
-    let b = smart().shared_scans(shared).tweak(|cfg| {
-        cfg.smart.max_sessions = n.max(4);
-        cfg.smart.cpu_cores = cores;
-        cfg.smart.cpu_hz = mhz * 1_000_000;
-    });
-    load(b, Tables::Lineitem, s)?.run_workload(
-        &Workload::burst(&q6(), n),
-        WorkloadOptions::new().interface(InterfaceMode::Direct),
-    )
-}
-
-/// Ablation the paper's setup invites: its baseline runs the scan on one
-/// host thread ("a prototype version of SQL Server that only works on a
-/// selected class of queries"). A production DBMS would parallelize the
-/// scan — how much of the Smart SSD's Q6 win survives?
-fn host_parallel(c: &Ctx) -> Result<Report, RunError> {
-    const COLS: &[Col] = &[
-        col("  host DOP", "  {:>8}"),
-        col("   SSD[s]", "  {:>7.3}"),
-        col("   pushdown speedup", "   {:>8.2}x"),
-    ];
-    // Fixed pushdown reference.
-    let smart_secs = secs(&cold_run(smart(), Tables::Tpch, &c.scales, &q6())?);
-    let mut rows = Vec::new();
-    for dop in [1usize, 2, 4, 8] {
-        let b = ssd().host_dop(dop);
-        let t = secs(&cold_run(b, Tables::Lineitem, &c.scales, &q6())?);
-        rows.push(row![dop, t, t / smart_secs]);
-    }
-    let mut r = Report::new("Ablation: parallel host scan vs pushdown (Q6)");
-    r.note("  (the paper's baseline scan path is single-threaded; a parallel");
-    r.note("   host erodes pushdown's CPU advantage down to the bandwidth gap)");
-    r.table("", COLS, rows);
     Ok(r)
 }
 
@@ -866,14 +852,20 @@ fn concurrency(c: &Ctx) -> Result<Report, RunError> {
         col("  shared-hits", "  {:>11}").key("shared_hits", 0),
     ];
     let mut rows = Vec::new();
-    for (config, cores, mhz) in [
-        ("paper prototype", 2usize, 400u64),
-        ("scaled device", 8, 1_000),
-    ] {
+    // The scaled device is the "faster cores" profile. A burst runs under
+    // device-only timing: with the interface out of the picture, the curve
+    // isolates device-internal contention (embedded CPU and flash path).
+    let opts = WorkloadOptions::new().interface(InterfaceMode::Direct);
+    for (config, profile) in [("paper prototype", 0), ("scaled device", 2)] {
+        let (_, cores, mhz, ..) = PROFILES[profile];
         for shared in [false, true] {
             let mut base = None;
             for n in [1usize, 2, 4, 8] {
-                let rep = q6_burst(&c.scales, n, shared, (cores, mhz))?;
+                let b = bed((true, profile, InterfaceKind::Sas6, 1)).shared_scans(shared);
+                let b = b.tweak(|cfg| cfg.smart.max_sessions = n.max(4));
+                let burst = Workload::burst(&q6(), n);
+                let rep =
+                    load(b, Tables::Lineitem, &c.scales)?.run_workload(&burst, opts.clone())?;
                 let t = rep.makespan.as_secs_f64();
                 rows.push(row![
                     config,
@@ -1800,10 +1792,8 @@ registry! {
     "scan-sweep" all - scan_sweep "[7]'s single-table scan sweep: selectivity x aggregation"
     "array" all - array "Discussion: Q6, Q14 and Q1 across an array of 1-64 Smart SSDs (linked protocol)"
     "cache" all - cache "Discussion: planner-routed Q6 vs buffer-pool residency"
-    "device-scaling" all - device_scaling "Section 5: Q6 speedup vs device cores, clock and internal path"
-    "interface" all - interface "Section 3/5: pushdown benefit vs host interface generation"
+    "codesign" all - codesign "Section 5: Q6, the 1% join and Q14 vs device profile, interface and host DOP, each route's bottleneck"
     "concurrency" all bench concurrency "Section 5: 1-8 concurrent Q6 sessions on one device, scan sharing off vs on"
-    "host-parallel" all - host_parallel "Ablation: parallel host scan vs pushdown"
     "q1" all - q1_groups "Extension: grouped aggregation (TPC-H Q1) pushdown"
     "trace" extra bench trace "Traced Q6 device/host run pair + 4-query workload; also writes trace_*.json (Perfetto)"
     "serving" extra bench serving "Open-system Poisson load sweep (p99 knee) + multi-tenant WFQ/FIFO isolation matrix"

@@ -150,8 +150,8 @@ pub struct SystemConfig {
     /// DBMS; cold runs never hit it, so the default is modest).
     pub bufferpool_pages: usize,
     /// Host intra-query degree of parallelism. The paper's prototype scan
-    /// path is single-threaded (1); raise it for the host-parallel
-    /// ablation.
+    /// path is single-threaded (1); the `codesign` experiment raises it to
+    /// 8.
     pub host_dop: usize,
     /// Host cycle prices.
     pub host_costs: CostTable,

@@ -945,7 +945,9 @@ impl System {
         let energy = power.energy(elapsed, &draws);
 
         let mut util = UtilizationReport::new(elapsed);
-        util.record("host-cpu-thread", host_busy, 1);
+        // A host pass runs on `host_dop` threads, each on its own core.
+        let host_lanes = self.cfg.host_dop.min(self.cfg.host_cpu_cores);
+        util.record("host-cpu-thread", host_busy, host_lanes);
         util.record("io-device", device_busy, 1);
         if link_busy > 0 {
             util.record("host-interface", link_busy, 1);

@@ -180,7 +180,7 @@ impl<'a, S: PageSource> HostEngine<'a, S> {
     /// stream round-robin. The paper's prototype path is single-threaded
     /// (`dop = 1`, the special SQL Server scan path); higher degrees model
     /// the "what if the host DBMS parallelized its scan" ablation — see the
-    /// `host-parallel` experiment. Results are identical at any degree;
+    /// `codesign` experiment's host DOP rows. Results are identical at any degree;
     /// only timing moves.
     pub fn run(
         &mut self,

@@ -14,7 +14,11 @@
 # (`calib::drift`), which is reported apart. The sampler reads the
 # process's own CPU time (ITIMER_PROF): no `perf`, no kernel setting.
 # Addresses are symbolized with `addr2line -f -i`, which knows inlined
-# frames; a nearest-symbol lookup puts samples on the wrong function.
+# frames; a nearest-symbol lookup puts samples on the wrong function. A
+# leaf outside the executable (libc, the vDSO) comes from the sampler
+# already named, as `object:symbol` (e.g. `libc.so.6:malloc`) or, where
+# the object exports no symbol there, `object+0xoffset`; the report counts
+# an object's offsets together, as `libc.so.6 (unexported)`.
 #
 # A diagnostic, not a gate: without `cc` or `addr2line` it says so and
 # exits 0.
@@ -49,7 +53,8 @@ rm -f "$dir/ssdbench.prof"
 (cd "$dir" && MALLOC_MMAP_MAX_=0 MALLOC_TRIM_THRESHOLD_=68719476736 LD_PRELOAD="$dir/shim.so" \
     "${pin[@]}" "$bin" --workload "$workload" --seed "$seed") | tail -n 1
 
-tr ' ' '\n' <"$dir/ssdbench.prof" | sort -u | sed 's/^/0x/' |
+# awk, not grep -v: grep fails the pipe when it selects nothing.
+tr ' ' '\n' <"$dir/ssdbench.prof" | awk '!/^@/' | sort -u | sed 's/^/0x/' |
     addr2line -a -f -i -C -e "$bin" >"$dir/symbols.txt"
 
 # symbols.txt: per address a `0x...` line, then (function, file:line)
@@ -72,14 +77,16 @@ awk '
         delete seen
         meter = 0
         for (i = 1; i <= NF; i++) {
-            n = split(chain[key($i)], names, SUBSEP)
+            # `@object:symbol`: a leaf the sampler named outside the executable.
+            # An `@object+0xoffset` leaf has no exported symbol (a hidden or
+            # ifunc-selected libc routine); those of one object count as one leaf.
+            if ($i ~ /^@/) { n = 1; names[1] = substr($i, 2); sub(/\+0x[0-9a-f]+$/, " (unexported)", names[1]) }
+            else n = split(chain[key($i)], names, SUBSEP)
             for (j = 1; j <= n; j++) {
                 if (names[j] != "??") seen[names[j]] = 1
                 if (names[j] ~ /calib::drift/) meter = 1
             }
-            # A leaf outside the executable (malloc, memcpy and the rest of libc)
-            # does not symbolize against it.
-            if (i == 1) leaf = (n && names[1] != "??") ? names[1] : "(outside the executable)"
+            if (i == 1) leaf = (n && names[1] != "??") ? names[1] : "(unsymbolized)"
         }
         if (meter) { meter_samples++; next }
         kept++

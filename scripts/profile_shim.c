@@ -9,13 +9,20 @@
  * it lies between the interrupted stack pointer and the top of the main
  * thread's stack and each caller's frame is above its callee's, so the walk
  * reads only mapped stack; samples on other threads are counted, not walked.
+ *
+ * A leaf outside the executable (libc's memcpy, the vDSO) cannot be
+ * symbolized against it, so at exit, outside the signal handler, dladdr
+ * names it instead: `@object:symbol`, or `@object+0xoffset` where the
+ * object exports no symbol at that address.
  */
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <link.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <string.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -24,7 +31,7 @@
 
 static uintptr_t words[MAX_WORDS]; /* per sample: depth, then the frames */
 static size_t used, other_threads, full;
-static uintptr_t stack_lo, stack_hi, bias;
+static uintptr_t stack_lo, stack_hi, bias, exe_lo = UINTPTR_MAX, exe_hi;
 
 static void on_prof(int sig, siginfo_t *info, void *ctx) {
     (void)sig, (void)info;
@@ -47,7 +54,32 @@ static void on_prof(int sig, siginfo_t *info, void *ctx) {
 static int main_program(struct dl_phdr_info *info, size_t size, void *data) {
     (void)size, (void)data;
     bias = info->dlpi_addr;
+    for (int i = 0; i < info->dlpi_phnum; i++) {
+        const ElfW(Phdr) *ph = &info->dlpi_phdr[i];
+        if (ph->p_type != PT_LOAD) continue;
+        uintptr_t lo = bias + ph->p_vaddr;
+        if (lo < exe_lo) exe_lo = lo;
+        if (lo + ph->p_memsz > exe_hi) exe_hi = lo + ph->p_memsz;
+    }
     return 1; /* the first object listed is the executable */
+}
+
+/* Writes a sample's leaf: its offset in the executable, or its object and
+ * symbol when it lies outside. */
+static void put_leaf(FILE *out, uintptr_t rel, size_t *named) {
+    uintptr_t at = rel + bias;
+    Dl_info dl;
+    if ((at >= exe_lo && at < exe_hi) || !dladdr((void *)at, &dl) || !dl.dli_fname) {
+        fprintf(out, "%lx", (unsigned long)rel);
+        return;
+    }
+    const char *obj = strrchr(dl.dli_fname, '/');
+    obj = obj ? obj + 1 : dl.dli_fname;
+    if (dl.dli_sname)
+        fprintf(out, "@%s:%s", *obj ? obj : "[vdso]", dl.dli_sname);
+    else
+        fprintf(out, "@%s+0x%lx", *obj ? obj : "[vdso]", (unsigned long)(at - (uintptr_t)dl.dli_fbase));
+    (*named)++;
 }
 
 __attribute__((constructor)) static void start(void) {
@@ -68,11 +100,13 @@ __attribute__((destructor)) static void stop(void) {
     setitimer(ITIMER_PROF, &off, NULL);
     FILE *out = fopen("ssdbench.prof", "w");
     if (!out) return;
-    size_t samples = 0;
-    for (size_t i = 0; i < used; i += words[i] + 1, samples++)
-        for (size_t j = 1; j <= words[i]; j++)
-            fprintf(out, j < words[i] ? "%lx " : "%lx\n", (unsigned long)words[i + j]);
+    size_t samples = 0, named = 0;
+    for (size_t i = 0; i < used; i += words[i] + 1, samples++) {
+        put_leaf(out, words[i + 1], &named);
+        for (size_t j = 2; j <= words[i]; j++) fprintf(out, " %lx", (unsigned long)words[i + j]);
+        fputc('\n', out);
+    }
     fclose(out);
-    fprintf(stderr, "profile: %zu samples, %zu on other threads, %zu past the buffer\n", samples,
-            other_threads, full);
+    fprintf(stderr, "profile: %zu samples, %zu on other threads, %zu past the buffer, %zu named by dladdr\n",
+            samples, other_threads, full, named);
 }

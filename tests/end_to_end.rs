@@ -198,11 +198,6 @@ fn elapsed_and_energy_are_positive_and_consistent() {
     assert!(r.energy.io_kj() > 0.0);
     assert!(r.energy.io_kj() < r.energy.system_kj());
     assert!(r.energy.over_idle_kj() < r.energy.system_kj());
-    // The bottleneck on a pushed-down Q6/PAX must be the device CPU
-    // (Section 4.2.1's explanation of 1.7x instead of 2.8x).
-    let (bottleneck, util) = r.util.bottleneck().unwrap();
-    assert_eq!(bottleneck, "device-cpu", "util report: {}", r.util);
-    assert!(util > 0.9);
 }
 
 #[test]

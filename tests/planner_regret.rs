@@ -11,7 +11,7 @@
 //! The cells are the `repro` figures at quick scale on a Smart SSD in both
 //! layouts (Figure 3's Q6, Figure 7's Q14, Q1, Figure 5's join at five
 //! selectivities, the scan sweep), `cache`'s five residencies,
-//! `device-scaling`'s five devices, a slow device, a four-thread host, a
+//! `codesign`'s five device profiles, a slow device, a four-thread host, a
 //! slower device whose best route flips when the table is cached, arrays
 //! of 4 and 16 devices, and Q14 and Q1 on a 4-device array. Run with
 //! `--nocapture` to print every cell's regret and estimate error.
@@ -49,7 +49,7 @@ const SEED: u64 = 42;
 enum Tables {
     /// LINEITEM and PART.
     Tpch,
-    /// LINEITEM only (`device-scaling`'s systems).
+    /// LINEITEM only (`codesign`'s Q6 systems).
     Lineitem,
     /// The synthetic join's R and S.
     Synth,
@@ -279,7 +279,8 @@ fn cache_residencies() {
 
 #[test]
 fn device_and_host_machines() {
-    // `device-scaling`'s (cores, MHz, channels, channel MB/s, DRAM MB/s).
+    // `codesign`'s device profiles (cores, MHz, channels, channel MB/s,
+    // DRAM MB/s).
     let configs: [(usize, u64, usize, u64, u64); 5] = [
         (2, 400, 8, 400, 1_600),
         (8, 400, 8, 400, 1_600),
@@ -294,7 +295,7 @@ fn device_and_host_machines() {
             cfg.flash.channel_bw = ch_mbps * 1_000_000;
             cfg.flash.dram_bw = dram_mbps * 1_000_000;
         });
-        let label = format!("device-scaling {cores}x{mhz} MHz, {dram_mbps} MB/s DRAM");
+        let label = format!("codesign {cores}x{mhz} MHz, {dram_mbps} MB/s DRAM");
         misses.push(regret(&mut system(b, Tables::Lineitem), &label, &q6(), 0.0));
     }
     let slow = device(1, 200);
