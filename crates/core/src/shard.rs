@@ -16,11 +16,10 @@ use crate::config::{DeviceKind, SystemConfig};
 use crate::system::RunError;
 use smartssd_device::{DeviceConfig, DeviceError, SessionId, SmartSsd};
 use smartssd_exec::{OpScratch, QueryOp};
-use smartssd_host::{io::IoError, BufferPool, CommandState, LinkedFlashView, PageSource};
+use smartssd_host::{BufferPool, CommandState, LinkedFlashView, PageSource};
 use smartssd_query::{HostEngine, RawRun, Route, SessionError, SessionFault, SessionOutcome};
 use smartssd_sim::trace::pid;
 use smartssd_sim::{Bus, CpuModel, FaultCounters, SimTime, TraceLevel, Tracer};
-use smartssd_storage::PageDecodeCache;
 
 /// How one shard of one query run went.
 #[derive(Debug, Clone)]
@@ -76,9 +75,6 @@ pub(crate) struct Shard {
     /// Recoveries performed by the host-route read path over the device's
     /// flash (the device's own counters live in `dev`).
     host_faults: FaultCounters,
-    /// Host-route per-LBA decode memo (the device route has its own inside
-    /// `dev`).
-    page_cache: PageDecodeCache,
     /// The host route's operator buffers, kept from one pass to the next
     /// as the device keeps its own, so a warm pass over this device's
     /// share reuses its scan-aggregate memo.
@@ -103,7 +99,6 @@ impl Shard {
             pool: BufferPool::new(cfg.bufferpool_pages),
             cmd: CommandState::default(),
             host_faults: FaultCounters::default(),
-            page_cache: PageDecodeCache::new(),
             scratch: OpScratch::default(),
             phase: Phase::Host,
             last: ShardOutcome { device, ..FRESH },
@@ -111,20 +106,22 @@ impl Shard {
     }
 
     /// The host block path over this device's flash: pages cross `link`
-    /// into this shard's buffer pool.
+    /// into this shard's buffer pool, validated through the device's own
+    /// decode memo.
     pub(crate) fn host_view<'a>(
         &'a mut self,
         link: &'a mut Bus,
         cmd_latency_ns: u64,
     ) -> LinkedFlashView<'a> {
+        let (ssd, page_cache) = self.dev.block_path();
         LinkedFlashView {
-            ssd: &mut self.dev.flash,
+            ssd,
             link,
             pool: &mut self.pool,
             cmd: &mut self.cmd,
             cmd_latency_ns,
             faults: &mut self.host_faults,
-            page_cache: &mut self.page_cache,
+            page_cache,
         }
     }
 
@@ -145,17 +142,6 @@ impl Shard {
         let raw = host_pass(&mut view, &mut scratch, host_cpu, cfg, tracer, op, now);
         self.scratch = scratch;
         raw
-    }
-
-    /// Trims `lba` on the device's flash and drops it from both decode
-    /// memos, the device's and the host route's, so neither keeps the
-    /// replaced page alive.
-    pub(crate) fn trim(&mut self, lba: u64) -> Result<(), RunError> {
-        self.dev
-            .trim(lba)
-            .map_err(|e| RunError::from(IoError::Flash(e)))?;
-        self.page_cache.forget(lba);
-        Ok(())
     }
 
     /// Faults absorbed so far this run by the device and by the host block

@@ -412,12 +412,7 @@ impl System {
             layout: img.layout(),
         };
         match &mut self.backend {
-            Backend::Hdd(path) => {
-                for (i, page) in img.pages().iter().enumerate() {
-                    path.hdd
-                        .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO);
-                }
-            }
+            Backend::Hdd(path) => path.load_table(img, first_lba),
             Backend::Flash(shards) => {
                 shards[d].dev.load_table(img, first_lba)?;
             }
@@ -619,7 +614,10 @@ impl System {
         }
         for (shard, old) in self.backend.shards_mut().iter_mut().zip(old) {
             for lba in old.unwrap_or_default() {
-                shard.trim(lba)?;
+                shard
+                    .dev
+                    .trim(lba)
+                    .map_err(|e| RunError::from(IoError::Flash(e)))?;
             }
         }
         // Cached pages of the old extent are stale now.

@@ -222,9 +222,10 @@ pub struct SmartSsd {
     /// yet. Timing state — reset with the timelines so a scenario replays
     /// bit-exactly run after run.
     plan_crash_cursor: usize,
-    /// Per-LBA memo of checksum validation. Pointer-identity keyed, so a
-    /// rewritten or corrupted buffer is always re-validated; not timing
-    /// state, so it survives [`SmartSsd::reset_timing`].
+    /// Per-LBA memo of checksum validation, seeded by every load and shared
+    /// with the host block path ([`SmartSsd::block_path`]). Pointer-identity
+    /// keyed, so a rewritten or corrupted buffer is always re-validated; not
+    /// timing state, so it survives [`SmartSsd::reset_timing`].
     page_cache: PageDecodeCache,
     /// The operator driver's buffers, kept from one execution to the next.
     scratch: OpScratch<SimTime>,
@@ -331,6 +332,9 @@ impl SmartSsd {
     /// Loads a table image onto the device starting at `first_lba`,
     /// returning the [`TableRef`] the host will embed in `OPEN` parameters.
     /// A table it overwrites, in whole or in part, can no longer be opened.
+    /// Once every write has succeeded, the decode memo is seeded with the
+    /// image's pages ([`PageDecodeCache::seed`]), so no route hashes them
+    /// again on a read that returns the buffer loaded here.
     pub fn load_table(
         &mut self,
         img: &TableImage,
@@ -350,13 +354,21 @@ impl SmartSsd {
                 .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO)
                 .map_err(DeviceError::Flash)?;
         }
+        self.page_cache.seed(first_lba, img);
         self.tables
             .insert((first_lba, tref.num_pages), tref.clone());
         Ok(tref)
     }
 
+    /// The flash and the decode memo, lent together: the host block path
+    /// over this device reads the same flash through the same memo, so a
+    /// page loaded here or validated on either route hits on both.
+    pub fn block_path(&mut self) -> (&mut FlashSsd, &mut PageDecodeCache) {
+        (&mut self.flash, &mut self.page_cache)
+    }
+
     /// Trims `lba` on the flash and drops its memoized validation, so the
-    /// replaced page is not kept alive by the memo.
+    /// replaced page is not kept alive by the memo both routes read through.
     pub fn trim(&mut self, lba: u64) -> Result<(), FlashError> {
         self.flash.trim(lba)?;
         self.page_cache.forget(lba);

@@ -18,7 +18,7 @@ use crate::hdd::HddModel;
 use crate::interface::InterfaceKind;
 use smartssd_flash::{FlashError, FlashSsd, READ_RETRY_LIMIT};
 use smartssd_sim::{mb_per_sec, Bus, FaultCounters, SimTime};
-use smartssd_storage::{page::PageError, PageBuf, PageDecodeCache, PAGE_SIZE};
+use smartssd_storage::{page::PageError, PageBuf, PageDecodeCache, TableImage, PAGE_SIZE};
 use std::fmt;
 
 /// Pages per host I/O command (the paper's 32-page / 256 KB unit).
@@ -278,6 +278,17 @@ impl HddHostPath {
             pool: BufferPool::new(pool_pages),
             page_cache: PageDecodeCache::new(),
         }
+    }
+
+    /// Writes `img` to the disk from `first_lba` on and seeds the decode
+    /// memo with its pages ([`PageDecodeCache::seed`]), so a read that
+    /// returns the buffer written here hashes nothing.
+    pub fn load_table(&mut self, img: &TableImage, first_lba: u64) {
+        for (i, page) in img.pages().iter().enumerate() {
+            self.hdd
+                .write(first_lba + i as u64, page.raw().clone(), SimTime::ZERO);
+        }
+        self.page_cache.seed(first_lba, img);
     }
 
     /// Resets timing (not data or pool).

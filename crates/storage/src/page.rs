@@ -10,6 +10,7 @@
 //! layout tag `4`, tuple count `5..7`, zero `7`, digest `8..16`
 //! ([`page_digest`]), reserved zeros `16..32`.
 
+use crate::table::TableImage;
 use bytes::Bytes;
 use std::fmt;
 
@@ -215,18 +216,23 @@ impl PageBuf {
 
 /// Memoizes [`PageBuf::from_bytes`] validation per LBA.
 ///
-/// First-touch validation walks the whole 8 KB page (about 0.35 us with the
-/// multi-lane [`checksum64`] when the page is in cache, three to four times
-/// that when it is not); a page that is byte-for-byte the same buffer
-/// as last time (the common case: [`bytes::Bytes`] hands out clones of one
-/// allocation) must validate the same way, and a memo hit is one index and
-/// one pointer compare: no hash, no copy and no reference-count traffic.
-/// The cache keys on *pointer identity*: a hit means the
-/// flash returned the exact allocation we already validated, so
-/// the stored result is reused without re-hashing. Any rewrite, corruption
-/// injection, or scrub produces a fresh allocation, misses the pointer
-/// check, and is validated from scratch — so behaviour is bit-identical to
-/// calling [`PageBuf::from_bytes`] every time.
+/// Validation walks the whole 8 KB page (about 0.35 us with the multi-lane
+/// [`checksum64`] when the page is in cache, three to four times that when
+/// it is not); a page that is byte-for-byte the same buffer as last time
+/// (the common case: [`bytes::Bytes`] hands out clones of one allocation)
+/// must validate the same way, and a memo hit is one index and one pointer
+/// compare: no hash, no copy and no reference-count traffic. The cache keys
+/// on *pointer identity*: a hit means the flash returned the exact
+/// allocation the memo holds, so the stored result is reused without
+/// re-hashing. Any rewrite, corruption injection, or scrub produces a fresh
+/// allocation, misses the pointer check, and is validated from scratch — so
+/// behaviour is bit-identical to calling [`PageBuf::from_bytes`] every time.
+///
+/// A loaded page is memoized at load: every path that writes a
+/// [`TableImage`] to a device seeds the memo with its pages
+/// ([`Self::seed`]), each hashed once already when it was sealed. A read
+/// hashes a page only when the device returns a buffer it was not loaded
+/// with.
 ///
 /// A reader that borrows the flash's payload ([`Self::validate`], then
 /// [`Self::page`]) is lent the memo's own page; [`Self::decode`] hands the
@@ -235,8 +241,8 @@ impl PageBuf {
 /// reuse of a freed address.
 ///
 /// Tables are loaded at consecutive LBAs from 0, so the memo is a vector
-/// indexed by LBA, grown to the highest LBA decoded: a lookup is one bounds
-/// check, and a first touch hashes nothing.
+/// indexed by LBA, grown to the highest LBA seeded or decoded: a lookup is
+/// one bounds check.
 #[derive(Debug, Clone, Default)]
 pub struct PageDecodeCache {
     pages: Vec<Option<PageBuf>>,
@@ -265,6 +271,38 @@ impl PageDecodeCache {
         }
         self.pages[i] = Some(page);
         Ok(())
+    }
+
+    /// Records the pages of `img` as validated at their LBAs, from
+    /// `first_lba` on: what a load calls once the image is written, so a
+    /// read that returns the allocation a page was loaded with hits the
+    /// memo with one pointer compare instead of hashing it again.
+    ///
+    /// Sound because a hit still needs pointer identity with a sealed page:
+    /// - a `TableImage`'s pages come only from
+    ///   [`TableBuilder`](crate::TableBuilder), and each was hashed when it
+    ///   was sealed. No constructor takes arbitrary pages, so a
+    ///   [`PageBuf::corrupted`] copy cannot reach an image;
+    /// - `Bytes` is immutable, and flash keeps the sealed allocation
+    ///   through the load, through garbage-collection relocation and
+    ///   through a checkpoint. The memo holds the page alive, so its
+    ///   address cannot be reused by another buffer;
+    /// - anything else a read can return is a fresh allocation, which
+    ///   misses the compare and is hashed: an ECC escape's flipped copy, a
+    ///   page written to the flash directly, a rewrite.
+    ///
+    /// Debug builds verify every seeded page, so every test run checks the
+    /// first point; release builds hash nothing here.
+    pub fn seed(&mut self, first_lba: u64, img: &TableImage) {
+        let start = first_lba as usize;
+        let end = start + img.num_pages();
+        if end > self.pages.len() {
+            self.pages.resize(end, None);
+        }
+        for (slot, page) in self.pages[start..end].iter_mut().zip(img.pages()) {
+            debug_assert_eq!(page.verify(), Ok(()), "a sealed page verifies");
+            *slot = Some(page.clone());
+        }
     }
 
     /// The page last validated at `lba`, lent.
@@ -600,6 +638,66 @@ mod tests {
             cache.decode(5, bad.clone()).unwrap_err(),
             PageBuf::from_bytes(bad).unwrap_err()
         );
+    }
+
+    /// Three pages of one `Int64` column, sealed by a [`TableBuilder`].
+    fn three_page_image() -> TableImage {
+        let schema = crate::Schema::from_pairs(&[("v", crate::DataType::Int64)]);
+        let rows = 2 * crate::pax::capacity(8) + 5;
+        let mut b = crate::TableBuilder::new("t", schema, Layout::Pax);
+        b.extend((0..rows as i64).map(|v| vec![crate::Datum::I64(v)]));
+        let img = b.finish();
+        assert_eq!(img.num_pages(), 3);
+        img
+    }
+
+    #[test]
+    fn seeded_pages_are_lent_and_hit() {
+        let img = three_page_image();
+        let mut cache = PageDecodeCache::new();
+        cache.seed(4, &img);
+        assert!((0..4).all(|lba| cache.page(lba).is_none()));
+        assert!(cache.page(7).is_none());
+        for (i, page) in img.pages().iter().enumerate() {
+            let lba = 4 + i as u64;
+            // The loaded buffer is lent before any read, and a read of it is
+            // a hit: the slot still holds the image's own page.
+            assert!(cache.page(lba).unwrap().same_buffer(page.raw()));
+            cache.validate(lba, page.raw()).unwrap();
+            assert!(cache.page(lba).unwrap().same_buffer(page.raw()));
+        }
+        // Seeding again over part of the range replaces those slots only.
+        let other = three_page_image();
+        cache.seed(5, &other);
+        assert!(cache.page(4).unwrap().same_buffer(img.pages()[0].raw()));
+        assert!(cache.page(5).unwrap().same_buffer(other.pages()[0].raw()));
+        assert!(cache.page(7).unwrap().same_buffer(other.pages()[2].raw()));
+    }
+
+    #[test]
+    fn a_seeded_slot_revalidates_equal_bytes_in_another_buffer() {
+        let img = three_page_image();
+        let mut cache = PageDecodeCache::new();
+        cache.seed(0, &img);
+        let copy = Bytes::from(img.pages()[1].raw().to_vec());
+        cache.validate(1, &copy).unwrap();
+        assert!(cache.page(1).unwrap().same_buffer(&copy));
+        assert!(!cache.page(1).unwrap().same_buffer(img.pages()[1].raw()));
+    }
+
+    #[test]
+    fn a_seeded_slot_refuses_a_flipped_byte_and_keeps_the_loaded_page() {
+        let img = three_page_image();
+        let mut cache = PageDecodeCache::new();
+        cache.seed(0, &img);
+        let loaded = img.pages()[2].raw();
+        let mut raw = loaded.to_vec();
+        raw[PAGE_SIZE / 2] ^= 0x01;
+        assert!(matches!(
+            cache.validate(2, &Bytes::from(raw)),
+            Err(PageError::ChecksumMismatch { .. })
+        ));
+        assert!(cache.page(2).unwrap().same_buffer(loaded));
     }
 
     #[test]

@@ -21,8 +21,9 @@ use crate::page::{le_i32, le_i64, Layout, PageBuf, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::row::RowAccessor;
 use crate::schema::Schema;
 use crate::tuple::{write_row, FieldSlot, TupleError};
-use crate::types::{Datum, IntWidth};
+use crate::types::{DataType, Datum, IntWidth};
 use crate::vector::compact_cmp;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Maximum number of tuples of `tuple_width` bytes that fit in a PAX page.
@@ -38,6 +39,11 @@ pub fn capacity(tuple_width: usize) -> usize {
 /// written once, at its final place. `seal` lays the minipages out back to
 /// back sized to the actual tuple count, which on a full page is the staged
 /// buffer as it is and on a short last page closes the gaps.
+///
+/// `try_push` writes only a string's own bytes: the first push into a page
+/// space-fills the `Char` minipages of every row still free, one fill per
+/// column and page rather than one call per field. Rows taken by
+/// `append_records` arrive padded and pay nothing.
 pub struct PaxPageBuilder {
     schema: Arc<Schema>,
     /// Each column's minipage base in `minipages` and its width as stride.
@@ -46,6 +52,8 @@ pub struct PaxPageBuilder {
     minipages: Vec<u8>,
     n: usize,
     capacity: usize,
+    /// Whether the `Char` fields of rows `n..capacity` hold only spaces.
+    padded: bool,
 }
 
 impl PaxPageBuilder {
@@ -73,6 +81,17 @@ impl PaxPageBuilder {
             minipages: vec![0; cap * width],
             n: 0,
             capacity: cap,
+            padded: false,
+        }
+    }
+
+    /// Space-fills the `Char` fields of `rows`.
+    fn pad(&mut self, rows: Range<usize>) {
+        for f in self.fields.iter() {
+            if let DataType::Char(_) = f.ty {
+                let (lo, hi) = (rows.start * f.stride, rows.end * f.stride);
+                self.minipages[f.base + lo..f.base + hi].fill(b' ');
+            }
         }
     }
 
@@ -95,15 +114,17 @@ impl PaxPageBuilder {
     /// the page as it was. Panics if the page is full.
     pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
         assert!(self.has_room(), "PAX page is full");
-        write_row(
-            &self.schema,
-            &self.fields,
-            &mut self.minipages,
-            self.n,
-            tuple,
-        )?;
-        self.n += 1;
-        Ok(())
+        if !self.padded {
+            self.pad(self.n..self.capacity);
+            self.padded = true;
+        }
+        let (schema, fields) = (&self.schema, &self.fields);
+        let written = write_row(schema, fields, &mut self.minipages, self.n, tuple);
+        match written {
+            Ok(()) => self.n += 1,
+            Err(_) => self.pad(self.n..self.n + 1),
+        }
+        written
     }
 
     /// [`Self::try_push`] for rows known to match the schema. Panics if the
@@ -141,6 +162,7 @@ impl PaxPageBuilder {
             .map(|f| &self.minipages[f.base..f.base + n * f.stride]);
         let page = PageBuf::format(Layout::Pax, n as u16, minipages, &[]);
         self.n = 0;
+        self.padded = false;
         page
     }
 }
@@ -235,7 +257,6 @@ impl RowAccessor for PaxReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DataType;
 
     fn schema() -> std::sync::Arc<Schema> {
         Schema::from_pairs(&[

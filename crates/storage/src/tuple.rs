@@ -87,10 +87,12 @@ pub(crate) struct FieldSlot {
 
 /// Writes `tuple` as row `row` of `buf`: each field once, at its final
 /// offset, with the type and width check in the `match` that writes it.
-/// Integers are little-endian; chars are space padded to the declared width.
+/// Integers are little-endian; a string writes only its own bytes, so the
+/// caller keeps the row's `Char` fields space-filled beforehand.
 ///
 /// On error the row's earlier fields may already be written; the caller has
-/// not counted the row, so the next write overwrites them.
+/// not counted the row and restores its spaces, so the next write lands on
+/// a padded row.
 ///
 /// Always inlined: shared out of line by the two builders it was a call
 /// per row, and pushes read several percent slower.
@@ -129,9 +131,7 @@ pub(crate) fn write_row(
             },
             DataType::Char(w) => match datum {
                 Datum::Str(b) if b.len() <= w as usize => {
-                    let (text, pad) = buf[at..at + w as usize].split_at_mut(b.len());
-                    text.copy_from_slice(b);
-                    pad.fill(b' ');
+                    buf[at..at + b.len()].copy_from_slice(b);
                     true
                 }
                 _ => false,
@@ -218,10 +218,11 @@ impl RecordRun {
     }
 
     /// Appends `tuple`'s record, or returns why the schema cannot hold it
-    /// and leaves the run as it was.
+    /// and leaves the run as it was. The record is space-filled before it is
+    /// written, so its `Char` fields arrive padded.
     pub fn try_push(&mut self, tuple: &[Datum]) -> Result<(), TupleError> {
         let width = self.schema.tuple_width();
-        self.bytes.resize((self.len + 1) * width, 0);
+        self.bytes.resize((self.len + 1) * width, b' ');
         let written = write_row(&self.schema, &self.fields, &mut self.bytes, self.len, tuple);
         match written {
             Ok(()) => self.len += 1,

@@ -214,3 +214,49 @@ proptest! {
         }
     }
 }
+
+/// A row refused on an over-long `Char` has already written its earlier
+/// fields into the staged page. The next row, whose string there is
+/// shorter, must still seal as `tuple::encode` lays it out: the PAX builder
+/// pads a page's `Char` fields once, not per field, so it must re-pad the
+/// refused row. Checked with the refused row first on its page and after
+/// three rows.
+#[test]
+fn a_row_refused_on_a_long_string_leaves_nothing_under_a_shorter_one() {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("s", DataType::Char(8)),
+        ("v", DataType::Int64),
+        ("t", DataType::Char(4)),
+    ]);
+    let refused: Tuple = vec![
+        Datum::I32(1),
+        Datum::str("abcdefgh"),
+        Datum::I64(2),
+        Datum::str("too long"),
+    ];
+    let short = |k: i32| {
+        vec![
+            Datum::I32(k),
+            Datum::str("xy"),
+            Datum::I64(4),
+            Datum::str("z"),
+        ]
+    };
+    for layout in [Layout::Nsm, Layout::Pax] {
+        for before in [0, 3] {
+            let mut b = TableBuilder::new("t", Arc::clone(&schema), layout);
+            b.extend((0..before).map(short));
+            let err = b.try_extend([refused.clone()]).err().expect("refused");
+            assert_eq!(err.row, before as u64);
+            b.extend([short(9)]);
+            let img = b.finish();
+            let rows: Vec<Tuple> = (0..before).map(short).chain([short(9)]).collect();
+            assert_eq!(img.num_pages(), 1);
+            assert!(
+                img.pages()[0].raw()[..] == reference_page(layout, &schema, &rows)[..],
+                "{layout} page after {before} rows differs from the reference"
+            );
+        }
+    }
+}

@@ -13,7 +13,13 @@
  * A leaf outside the executable (libc's memcpy, the vDSO) cannot be
  * symbolized against it, so at exit, outside the signal handler, dladdr
  * names it instead: `@object:symbol`, or `@object+0xoffset` where the
- * object exports no symbol at that address.
+ * object exports no symbol at that address. Such a leaf has usually set up
+ * no frame of its own (glibc is built without frame pointers), so the walk
+ * starts at its caller's frame and would skip the caller itself; the word
+ * at the stack pointer is then the return address into that caller. When
+ * that word points into the executable's code it is written after the
+ * leaf, marked `^`. It is a guess: a leaf that has pushed registers may
+ * have left a code address there that is no return address.
  */
 #define _GNU_SOURCE
 #include <dlfcn.h>
@@ -32,6 +38,8 @@
 static uintptr_t words[MAX_WORDS]; /* per sample: depth, then the frames */
 static size_t used, other_threads, full;
 static uintptr_t stack_lo, stack_hi, bias, exe_lo = UINTPTR_MAX, exe_hi;
+static uintptr_t text_lo = UINTPTR_MAX, text_hi; /* the executable's code */
+#define CALLER_MARK ((uintptr_t)1 << 63)    /* a word at the stack pointer */
 
 static void on_prof(int sig, siginfo_t *info, void *ctx) {
     (void)sig, (void)info;
@@ -40,7 +48,12 @@ static void on_prof(int sig, siginfo_t *info, void *ctx) {
     if (sp < stack_lo || sp >= stack_hi) { other_threads++; return; }
     if (used + MAX_DEPTH + 2 > MAX_WORDS) { full++; return; }
     size_t head = used++;
-    words[used++] = r[REG_RIP] - bias;
+    uintptr_t ip = r[REG_RIP];
+    words[used++] = ip - bias;
+    if (ip < text_lo || ip >= text_hi) {
+        uintptr_t ret = *(const uintptr_t *)sp;
+        if (ret > text_lo && ret <= text_hi) words[used++] = (ret - 1 - bias) | CALLER_MARK;
+    }
     while (fp >= sp && fp + 16 <= stack_hi && fp % 8 == 0 && used - head < MAX_DEPTH) {
         const uintptr_t *frame = (const uintptr_t *)fp;
         if (frame[1] == 0) break;
@@ -60,6 +73,9 @@ static int main_program(struct dl_phdr_info *info, size_t size, void *data) {
         uintptr_t lo = bias + ph->p_vaddr;
         if (lo < exe_lo) exe_lo = lo;
         if (lo + ph->p_memsz > exe_hi) exe_hi = lo + ph->p_memsz;
+        if (!(ph->p_flags & PF_X)) continue;
+        if (lo < text_lo) text_lo = lo;
+        if (lo + ph->p_memsz > text_hi) text_hi = lo + ph->p_memsz;
     }
     return 1; /* the first object listed is the executable */
 }
@@ -103,7 +119,10 @@ __attribute__((destructor)) static void stop(void) {
     size_t samples = 0, named = 0;
     for (size_t i = 0; i < used; i += words[i] + 1, samples++) {
         put_leaf(out, words[i + 1], &named);
-        for (size_t j = 2; j <= words[i]; j++) fprintf(out, " %lx", (unsigned long)words[i + j]);
+        for (size_t j = 2; j <= words[i]; j++) {
+            uintptr_t w = words[i + j];
+            fprintf(out, (w & CALLER_MARK) ? " ^%lx" : " %lx", (unsigned long)(w & ~CALLER_MARK));
+        }
         fputc('\n', out);
     }
     fclose(out);

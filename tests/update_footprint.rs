@@ -1,8 +1,8 @@
 //! Replacing a table's rows lets the old pages go. Each
 //! `update_table_rows` writes a fresh extent and trims the old one; the
 //! flash drops a trimmed page's payload at once (GC later erases only its
-//! bookkeeping), the decode memos (the device's and the host route's, both
-//! keyed by LBA) drop a trimmed LBA's buffer, and the operator scratch on
+//! bookkeeping), the device's decode memo (keyed by LBA, and read through
+//! by both routes) drops a trimmed LBA's buffer, and the operator scratch on
 //! each route re-keys its scan-aggregate memo on the new extent at the next
 //! scan. The test runs ten rewrites twice, with and without warm Q6 scans on
 //! both routes. It holds what the scanned run keeps beyond the unscanned one
